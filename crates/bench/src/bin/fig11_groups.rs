@@ -6,12 +6,12 @@
 //! are scheduling-independent, so any thread count reports the same
 //! groups).
 
-use orochi_harness::audit_threads_from_env;
 use orochi_harness::experiments::{fig11_groups, print_fig11, scale_from_env};
+use orochi_harness::Config;
 
 fn main() {
     let scale = scale_from_env();
-    let threads = audit_threads_from_env();
+    let threads = Config::from_env().resolved_audit_threads();
     println!(
         "== Fig. 11: control-flow groups, wiki workload (scale {scale}, {threads} audit threads) =="
     );

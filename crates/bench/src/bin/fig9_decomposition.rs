@@ -13,7 +13,6 @@
 //!   four workload generators.
 
 use orochi_bench::json::Json;
-use orochi_harness::audit_threads_from_env;
 use orochi_harness::experiments::{
     fig9_decomposition, parallel_speedup, print_fig9, print_parallel, scale_from_env, Fig9Row,
     ParallelRow,
@@ -76,13 +75,13 @@ fn json_doc(scale: f64, rows: &[Fig9Row], par: &[ParallelRow], threads: usize) -
 }
 
 fn main() {
-    orochi_bench::cli::apply_skew_args("fig9_decomposition", std::env::args().skip(1));
+    let config = orochi_bench::cli::apply_skew_args("fig9_decomposition", std::env::args().skip(1));
     let scale = scale_from_env();
     println!("== Fig. 9: audit-time CPU decomposition (scale {scale}) ==");
     let rows = fig9_decomposition(scale, 42);
     print_fig9(&rows);
 
-    let threads = audit_threads_from_env();
+    let threads = config.resolved_audit_threads();
     println!("== Parallel audit: sequential vs {threads} worker threads ==");
     let par = parallel_speedup(scale, 42, threads);
     print_parallel(&par);

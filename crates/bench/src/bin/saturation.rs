@@ -22,7 +22,6 @@
 
 use orochi_bench::json::Json;
 use orochi_harness::experiments::{print_saturation, saturation, scale_from_env, SaturationRow};
-use orochi_harness::{serve_queue_from_env, serve_threads_from_env};
 
 fn json_doc(scale: f64, hw: usize, rows: &[SaturationRow]) -> Json {
     Json::obj([
@@ -67,13 +66,13 @@ fn json_doc(scale: f64, hw: usize, rows: &[SaturationRow]) -> Json {
 }
 
 fn main() {
-    orochi_bench::cli::apply_skew_args("saturation", std::env::args().skip(1));
+    let config = orochi_bench::cli::apply_skew_args("saturation", std::env::args().skip(1));
     let scale = scale_from_env();
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let pooled = serve_threads_from_env();
-    let queue_depth = serve_queue_from_env();
+    let pooled = config.resolved_serve_threads();
+    let queue_depth = config.serve_queue;
     let max_requests = if scale >= 1.0 { 4000 } else { 400 };
     let worker_counts: &[usize] = if pooled <= 1 { &[1] } else { &[1, pooled] };
     println!("== Saturation sweep (scale {scale}, workers {worker_counts:?}, hw {hw} threads) ==");

@@ -14,7 +14,6 @@
 //!   `bench-smoke` CI artifact.
 
 use orochi_bench::json::Json;
-use orochi_harness::audit_threads_from_env;
 use orochi_harness::experiments::{print_shop, scale_from_env, shop_experiment, ShopReport};
 
 fn json_doc(scale: f64, r: &ShopReport) -> Json {
@@ -61,9 +60,9 @@ fn json_doc(scale: f64, r: &ShopReport) -> Json {
 }
 
 fn main() {
-    orochi_bench::cli::apply_skew_args("shop", std::env::args().skip(1));
+    let config = orochi_bench::cli::apply_skew_args("shop", std::env::args().skip(1));
     let scale = scale_from_env();
-    let threads = audit_threads_from_env();
+    let threads = config.resolved_audit_threads();
     println!("== Shop: session-heavy storefront (scale {scale}) ==");
     let report = shop_experiment(scale, 42, threads);
     print_shop(&report);

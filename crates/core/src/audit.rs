@@ -1,15 +1,15 @@
-//! `SSCO_AUDIT2` (Fig. 12): the audit driver and the simulate-and-check
-//! context.
+//! `SSCO_AUDIT2` (Fig. 12): the verdict vocabulary, the prologue's
+//! shared products, and the simulate-and-check context.
 //!
-//! The audit proceeds in phases:
+//! The audit checks, in Fig. 12's order:
 //!
 //! 1. **Balance** — validate the trace (§3).
 //! 2. **ProcessOpReports** — consistent-ordering verification and OpMap
 //!    construction ([`crate::graph`]), plus the §4.6 nondeterminism
 //!    sanity checks.
-//! 3. **DB redo** — build the versioned stores: `kv.Build(OL)` happens
-//!    lazily per object; every log containing database operations gets a
-//!    full versioned redo pass (§4.5).
+//! 3. **DB redo** — build the versioned stores ([`AuditShared`]):
+//!    `kv.Build(OL)` per object; every log containing database
+//!    operations gets a full versioned redo pass (§4.5).
 //! 4. **Re-execution** — each control-flow group is handed to the
 //!    [`GroupExecutor`]; every state operation flows through
 //!    [`AuditContext`], which implements `CheckOp` (the produced operands
@@ -21,34 +21,27 @@
 //!
 //! Any failed check rejects with a precise [`Rejection`] reason.
 //!
-//! # Parallel audit
-//!
-//! After the prologue (phases 1–3), control-flow groups touch disjoint
-//! per-request state and only *read* the shared prologue products (the
-//! OpMap, the operation logs, and the versioned stores). [`audit_parallel`]
-//! exploits that: the prologue's store builds are sharded by object across
-//! a bounded pool of scoped threads, and the groups are then re-executed
-//! by the same pool, one [`AuditContext`] per worker over one shared
-//! [`AuditShared`]. Verdicts and failure diagnostics are byte-identical to
-//! the sequential path: group lists are fixed by a deterministic pre-pass,
-//! and when several groups fail concurrently the rejection reported is the
-//! one the sequential audit would have hit first (lowest group index).
-//! Only scheduling-dependent *performance counters* (the dedup-cache
-//! hit/miss split) may vary with the thread count.
+//! *Driving* those checks — ingesting the trace, scheduling groups over
+//! a worker pool, settling the verdict — is the one engine in
+//! [`crate::streaming`]. The entry points at the bottom of this module
+//! ([`audit`], [`audit_source`], [`audit_parallel`],
+//! [`audit_parallel_source`]) feed it the whole trace as a single epoch:
+//! the sequential audit is that engine with a pool of one.
 
 use crate::exec::{DbQueryResult, DbTxnHandle, GroupExecutor, SimResult};
-use crate::graph::{process_op_reports, process_op_reports_with, GraphRejection, OpMap};
+use crate::graph::{GraphRejection, OpMap};
 use crate::nondet::NondetValue;
 use crate::reports::Reports;
+use crate::streaming::{self, Pool, StreamingAudit};
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId, SeqNum};
 use orochi_common::metrics::PhaseTimer;
+use orochi_sqldb::engine::WriteOutcome;
 use orochi_sqldb::{Database, ExecOutcome, RedoError, RedoStats, VersionedDb, MAXQ};
-use orochi_state::object::{ObjectName, OpContents, OpType};
+use orochi_state::object::{DbWriteResult, ObjectName, OpContents, OpType};
 use orochi_state::versioned_kv::VersionedKv;
-use orochi_trace::record::{BalanceError, BalancedTrace, RidInterner, Trace};
-use orochi_trace::{HttpRequest, HttpResponse, TraceReadError, TraceSource, TraceStoreError};
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use orochi_trace::record::{BalanceError, Trace};
+use orochi_trace::{TraceSource, TraceStoreError};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -347,6 +340,10 @@ pub struct AuditStats {
     /// query" row). Accumulated per context and absorbed like any
     /// other counter, so the parallel merge needs no side channel.
     pub db_query_wall: Duration,
+    /// Busy time spent comparing produced outputs against the traced
+    /// responses (the per-group share of the Fig. 9 "Output" row);
+    /// absorbed like `db_query_wall`.
+    pub output_wall: Duration,
     /// Wall time per phase ("ProcOpRep", "DB redo", "ReExec", "DB query",
     /// "Output"), in the style of Fig. 9.
     pub phases: PhaseTimer,
@@ -368,6 +365,7 @@ impl AuditStats {
         self.vm_dispatch_total += other.vm_dispatch_total;
         self.vm_dispatch_executed += other.vm_dispatch_executed;
         self.db_query_wall += other.db_query_wall;
+        self.output_wall += other.output_wall;
     }
 }
 
@@ -383,58 +381,41 @@ pub struct AuditOutcome {
 type DedupKey = (usize, String, Vec<(String, u64)>);
 
 /// The prologue's products, shared read-only by every re-execution
-/// worker: the OpMap, the versioned stores, and the per-log register
-/// prev-write indexes. Built once (optionally sharded by object across
+/// worker: the OpMap and, per log, the versioned stores and register
+/// prev-write index. Built once (optionally sharded by object across
 /// the worker pool) before any group re-executes; all access afterwards
 /// is `&self`, which makes one instance safely shareable across the
 /// audit's scoped threads.
 pub struct AuditShared<'a> {
     reports: &'a Reports,
     config: &'a AuditConfig,
-    opmap: OpMap,
-    /// The dense requestID interning built by `process_op_reports` and
-    /// reused — via the OpMap — by every worker: per-request cursors
-    /// are flat arrays indexed by it.
-    interner: Arc<RidInterner>,
-    /// Per-log register prev-write indexes (slot = log index): for
-    /// entry index `j`, the index of the latest `RegisterWrite`
-    /// strictly before `j`. Built for every log containing a
-    /// `RegisterRead`.
-    reg_prev_write: Vec<Option<Vec<Option<usize>>>>,
-    /// Versioned key-value views (slot = log index), built for every
-    /// log containing key-value operations (`kv.Build(OL)`, Fig. 12
-    /// line 5).
-    versioned_kv: Vec<Option<VersionedKv>>,
-    /// Versioned databases (slot = log index; the §4.5 redo pass).
-    versioned_dbs: Vec<Option<VersionedDb>>,
-    /// Graph-layer statistics copied from the `process_op_reports`
-    /// product for the final outcome.
-    graph_nodes: usize,
-    graph_edges: usize,
-    graph_build: Duration,
+    /// The OpMap, carrying the dense requestID interning every worker's
+    /// flat per-request cursors index by. The engine (crate::streaming)
+    /// grows it as requests arrive and parks a placeholder interner in
+    /// it during ingest, when the balance scan must hold the canonical
+    /// one exclusively.
+    pub(crate) opmap: OpMap,
+    /// The versioned stores and indexes, slot = log index.
+    stores: Vec<LogStores>,
 }
 
-// The parallel audit hands `Arc<AuditShared>` to scoped worker threads;
+// The engine hands `Arc<AuditShared>` to scoped worker threads;
 // keep the shareability obligation explicit.
 const _: fn() = || {
     fn shareable<T: Send + Sync>() {}
     shareable::<AuditShared<'static>>();
 };
 
-/// Which versioned stores one log needs; the unit of prologue sharding.
-struct StoreBuildTask {
-    log_index: usize,
-    db: bool,
-    kv: bool,
-    reg: bool,
-}
-
-/// The stores built for one log.
-struct StoreBuildProduct {
-    log_index: usize,
-    db: Option<Result<VersionedDb, RedoError>>,
+/// What the prologue builds for one log — the unit of its sharding —
+/// each part only where the log holds an operation that reads it.
+struct LogStores {
+    /// The versioned database (the §4.5 redo pass), for `DbOp` logs.
+    db: Option<VersionedDb>,
+    /// The versioned key-value view (`kv.Build(OL)`, Fig. 12 line 5).
     kv: Option<VersionedKv>,
-    reg: Option<Vec<Option<usize>>>,
+    /// For entry index `j`, the index of the latest `RegisterWrite`
+    /// strictly before `j`; for logs containing a `RegisterRead`.
+    reg_prev_write: Option<Vec<Option<usize>>>,
 }
 
 impl<'a> AuditShared<'a> {
@@ -450,32 +431,20 @@ impl<'a> AuditShared<'a> {
         config: &'a AuditConfig,
         threads: usize,
     ) -> Result<Self, Rejection> {
-        let tasks: Vec<StoreBuildTask> = reports
-            .op_logs
-            .iter()
-            .filter_map(|(i, _name, log)| {
-                let task = StoreBuildTask {
-                    log_index: i,
-                    db: log.contains_op_type(OpType::DbOp),
-                    kv: log.contains_op_type(OpType::KvGet) || log.contains_op_type(OpType::KvSet),
-                    reg: log.contains_op_type(OpType::RegisterRead),
-                };
-                (task.db || task.kv || task.reg).then_some(task)
-            })
-            .collect();
-        let mut products: Vec<StoreBuildProduct> = if threads >= 2 && tasks.len() >= 2 {
+        let num_logs = reports.op_logs.len();
+        let build_one = |i: usize| (i, build_stores_for(reports, config, i));
+        let mut built: Vec<(usize, Result<LogStores, RedoError>)> = if threads >= 2 && num_logs >= 2
+        {
             let cursor = AtomicUsize::new(0);
-            let collected: Mutex<Vec<StoreBuildProduct>> =
-                Mutex::new(Vec::with_capacity(tasks.len()));
+            let collected = Mutex::new(Vec::with_capacity(num_logs));
             crossbeam::thread::scope(|s| {
-                for _ in 0..threads.min(tasks.len()) {
+                for _ in 0..threads.min(num_logs) {
                     s.spawn(|_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(task) = tasks.get(k) else { break };
-                            local.push(build_stores_for(reports, config, task));
-                        }
+                        let claim = || Some(cursor.fetch_add(1, Ordering::Relaxed));
+                        let local: Vec<_> = std::iter::from_fn(claim)
+                            .take_while(|&i| i < num_logs)
+                            .map(build_one)
+                            .collect();
                         collected.lock().expect("collector poisoned").extend(local);
                     });
                 }
@@ -483,106 +452,47 @@ impl<'a> AuditShared<'a> {
             .expect("prologue pool");
             collected.into_inner().expect("collector poisoned")
         } else {
-            tasks
-                .iter()
-                .map(|task| build_stores_for(reports, config, task))
-                .collect()
+            (0..num_logs).map(build_one).collect()
         };
         // Report the first redo failure in log order — identical to a
         // sequential pass over the logs.
-        products.sort_by_key(|p| p.log_index);
-        let num_logs = reports.op_logs.len();
-        let interner = Arc::clone(opmap.interner());
-        let mut shared = AuditShared {
+        built.sort_by_key(|(i, _)| *i);
+        let stores = built
+            .into_iter()
+            .map(|(_, stores)| stores)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(AuditShared {
             reports,
             config,
             opmap,
-            interner,
-            reg_prev_write: (0..num_logs).map(|_| None).collect(),
-            versioned_kv: (0..num_logs).map(|_| None).collect(),
-            versioned_dbs: (0..num_logs).map(|_| None).collect(),
-            graph_nodes: 0,
-            graph_edges: 0,
-            graph_build: Duration::ZERO,
-        };
-        for product in products {
-            if let Some(db) = product.db {
-                shared.versioned_dbs[product.log_index] = Some(db?);
-            }
-            if let Some(kv) = product.kv {
-                shared.versioned_kv[product.log_index] = Some(kv);
-            }
-            if let Some(reg) = product.reg {
-                shared.reg_prev_write[product.log_index] = Some(reg);
-            }
-        }
-        Ok(shared)
-    }
-
-    /// Copies the graph-layer statistics out of the Fig. 5 product so
-    /// the final outcome can surface them.
-    pub(crate) fn record_graph(&mut self, graph: &crate::graph::AuditGraph) {
-        self.graph_nodes = graph.num_nodes();
-        self.graph_edges = graph.num_edges();
-        self.graph_build = graph.build_wall();
+            stores,
+        })
     }
 
     /// The versioned database for log `i`, if the prologue built one.
     fn versioned_db(&self, i: usize) -> Option<&VersionedDb> {
-        self.versioned_dbs.get(i).and_then(|slot| slot.as_ref())
-    }
-
-    // ---- Streaming-audit hooks ---------------------------------------
-    // The streaming driver (crate::streaming) owns one AuditShared for
-    // the whole run and re-points its interner between epochs: during
-    // ingest the balance validator must hold the canonical interner
-    // exclusively, so the shared state parks a placeholder.
-
-    /// Re-points both the shared interner and the OpMap's at `interner`.
-    pub(crate) fn set_interner(&mut self, interner: Arc<RidInterner>) {
-        self.opmap.set_interner(Arc::clone(&interner));
-        self.interner = interner;
-    }
-
-    /// The OpMap, mutably — the streaming driver appends request rows
-    /// and fills slots as requests arrive.
-    pub(crate) fn opmap_mut(&mut self) -> &mut OpMap {
-        &mut self.opmap
-    }
-
-    /// Swaps in a freshly built OpMap (the streaming finish replaces
-    /// its incrementally grown copy with the one the final full
-    /// `ProcessOpReports` pass produced — identical by construction
-    /// once that pass accepts, but the swap makes the confirmation
-    /// re-run's inputs exactly the batch prologue's).
-    pub(crate) fn replace_opmap(&mut self, opmap: OpMap) {
-        self.interner = Arc::clone(opmap.interner());
-        self.opmap = opmap;
-    }
-
-    /// Rough resident size of the OpMap tables in bytes, for the
-    /// streaming audit's carry accounting.
-    pub(crate) fn opmap_bytes(&self) -> usize {
-        self.opmap.estimated_bytes()
+        self.stores.get(i).and_then(|stores| stores.db.as_ref())
     }
 }
 
-/// Builds the stores one log needs: the §4.5 versioned-DB redo pass,
+/// A logged write result in the versioned store's vocabulary.
+fn write_outcome(w: DbWriteResult) -> WriteOutcome {
+    WriteOutcome {
+        affected: w.affected,
+        last_insert_id: w.last_insert_id,
+    }
+}
+
+/// Builds the stores log `i` needs: the §4.5 versioned-DB redo pass,
 /// the versioned KV view, and the register prev-write index.
 fn build_stores_for(
     reports: &Reports,
     config: &AuditConfig,
-    task: &StoreBuildTask,
-) -> StoreBuildProduct {
-    let log = reports
-        .op_logs
-        .log(task.log_index)
-        .expect("task indexes a valid log");
-    let name = reports
-        .op_logs
-        .name(task.log_index)
-        .expect("task indexes a valid log");
-    let db = task.db.then(|| {
+    i: usize,
+) -> Result<LogStores, RedoError> {
+    let log = reports.op_logs.log(i).expect("a valid log index");
+    let name = reports.op_logs.name(i).expect("a valid log index");
+    let db = log.contains_op_type(OpType::DbOp).then(|| {
         let empty = Database::new();
         let initial = config.initial_dbs.get(name.as_str()).unwrap_or(&empty);
         let mut vdb = VersionedDb::from_snapshot(initial);
@@ -593,22 +503,15 @@ fn build_stores_for(
                 write_results,
             } = &entry.contents
             {
-                let logged: Vec<Option<orochi_sqldb::engine::WriteOutcome>> = write_results
-                    .iter()
-                    .map(|w| {
-                        w.map(|w| orochi_sqldb::engine::WriteOutcome {
-                            affected: w.affected,
-                            last_insert_id: w.last_insert_id,
-                        })
-                    })
-                    .collect();
+                let logged: Vec<Option<WriteOutcome>> =
+                    write_results.iter().map(|w| w.map(write_outcome)).collect();
                 vdb.redo_transaction(seq.0, queries, *succeeded, &logged)?;
             }
         }
         Ok(vdb)
     });
-    let kv = task.kv.then(|| VersionedKv::build(log));
-    let reg = task.reg.then(|| {
+    let has_kv = log.contains_op_type(OpType::KvGet) || log.contains_op_type(OpType::KvSet);
+    let reg_prev_write = log.contains_op_type(OpType::RegisterRead).then(|| {
         let mut out = Vec::with_capacity(log.len());
         let mut last: Option<usize> = None;
         for (j, entry) in log.entries().iter().enumerate() {
@@ -619,12 +522,11 @@ fn build_stores_for(
         }
         out
     });
-    StoreBuildProduct {
-        log_index: task.log_index,
-        db,
-        kv,
-        reg,
-    }
+    Ok(LogStores {
+        db: db.transpose()?,
+        kv: has_kv.then(|| VersionedKv::build(log)),
+        reg_prev_write,
+    })
 }
 
 /// The simulate-and-check context handed to the [`GroupExecutor`].
@@ -650,48 +552,29 @@ pub struct AuditContext<'a> {
     nondet_cursor: Vec<usize>,
     /// Accumulated statistics (including the "DB query" busy time, so
     /// nothing timing-related is threaded beside the stats).
-    stats: AuditStats,
+    pub(crate) stats: AuditStats,
 }
 
 impl<'a> AuditContext<'a> {
     /// Runs the audit prologue standalone: balance check, report
     /// processing (Fig. 5), nondeterminism validation, and the versioned
-    /// store builds — yielding a context ready for re-execution.
-    /// `audit()` uses the same machinery internally; benchmarks and
-    /// executor tests use this to drive a [`GroupExecutor`] directly.
+    /// store builds — yielding a context ready for re-execution. This is
+    /// the engine's own prologue with no groups scheduled; benchmarks
+    /// and executor tests use it to drive a [`GroupExecutor`] directly.
     pub fn prepare(
         source: &dyn TraceSource,
         reports: &'a Reports,
         config: &'a AuditConfig,
     ) -> Result<AuditContext<'a>, Rejection> {
-        let balanced = match source.as_balanced() {
-            Some(balanced) => Cow::Borrowed(balanced),
-            None => BalancedTrace::from_source(source)
-                .map(Cow::Owned)
-                .map_err(Rejection::from_read)?,
-        };
-        let (graph, opmap) = process_op_reports(&balanced, reports)?;
-        reports
-            .nondet
-            .validate()
-            .map_err(Rejection::NondetInvalid)?;
-        let mut shared = AuditShared::build(reports, opmap, config, 1)?;
-        shared.record_graph(&graph);
-        Ok(AuditContext::from_shared(Arc::new(shared)))
+        StreamingAudit::new(reports, config, 1).into_context(source)
     }
 
-    pub(crate) fn from_shared(shared: Arc<AuditShared<'a>>) -> Self {
-        AuditContext::from_shared_with_carry(shared, AuditCarry::default())
-    }
-
-    /// [`AuditContext::from_shared`] resuming from a prior epoch's
-    /// carry. The per-request cursor vectors are rebuilt fresh — each
-    /// request re-executes exactly once, in the epoch its response
-    /// arrives, so its cursors are written and checked within that one
-    /// context's lifetime — while the performance caches and counters
-    /// persist across epochs.
-    pub(crate) fn from_shared_with_carry(shared: Arc<AuditShared<'a>>, carry: AuditCarry) -> Self {
-        let x = shared.interner.num_requests();
+    /// A context over `shared`, resuming from a prior pass's carry. The
+    /// per-request cursor vectors are rebuilt fresh — each request
+    /// re-executes within one context's lifetime — while the
+    /// performance caches and counters persist across passes.
+    pub(crate) fn new(shared: Arc<AuditShared<'a>>, carry: AuditCarry) -> Self {
+        let x = shared.opmap.interner().num_requests();
         AuditContext {
             shared,
             opnum_next: vec![1; x],
@@ -703,12 +586,12 @@ impl<'a> AuditContext<'a> {
         }
     }
 
-    /// Tears the context down to what the streaming audit carries
-    /// across an epoch boundary: the dedup cache, the parsed-tables
-    /// memo, and the accumulated counters. Everything else — the
-    /// per-request cursor vectors and the `Arc` on the shared prologue —
-    /// is dropped, which is what lets the driver reclaim exclusive
-    /// ownership of the shared state between epochs.
+    /// Tears the context down to what the engine carries across an
+    /// epoch boundary: the dedup cache, the parsed-tables memo, and the
+    /// accumulated counters. Everything else — the per-request cursor
+    /// vectors and the `Arc` on the shared prologue — is dropped, which
+    /// is what lets the engine reclaim exclusive ownership of the
+    /// shared state between epochs.
     pub(crate) fn into_carry(self) -> AuditCarry {
         AuditCarry {
             dedup_cache: self.dedup_cache,
@@ -721,18 +604,20 @@ impl<'a> AuditContext<'a> {
     /// state operation performs; every cursor and OpMap access after it
     /// is flat indexing.
     fn dense(&self, rid: RequestId) -> Option<usize> {
-        self.shared.interner.index_of(rid).map(|i| i as usize)
+        let interner = self.shared.opmap.interner();
+        interner.index_of(rid).map(|i| i as usize)
     }
 
-    /// `CheckOp` (Fig. 12 lines 10–15) for non-database operations: the
-    /// operation's target object and full operands must match the log
-    /// entry the OpMap names.
-    fn check_op(
-        &mut self,
+    /// The first half of `CheckOp` (Fig. 12 lines 10–14), shared by
+    /// every operation kind: the request's next opnum must be in the
+    /// OpMap, and the log it names must be `object`'s. Returns the
+    /// dense request index, that opnum, the OpMap's `(log, seqnum)` and
+    /// the logged contents.
+    fn resolve_op(
+        &self,
         rid: RequestId,
         object: &ObjectName,
-        expect: &OpContents,
-    ) -> Result<(usize, usize, SeqNum), Rejection> {
+    ) -> Result<(usize, OpNum, usize, SeqNum, &'a OpContents), Rejection> {
         // A rid outside the trace has no OpMap entries at all; report
         // it the way an empty OpMap row would (opnum cursor at 1).
         let Some(idx) = self.dense(rid) else {
@@ -750,23 +635,28 @@ impl<'a> AuditContext<'a> {
             .opmap
             .get_dense(idx as u32, opnum)
             .ok_or(Rejection::OpNotInOpMap { rid, opnum })?;
-        let name = self
-            .shared
-            .reports
-            .op_logs
-            .name(i)
-            .expect("OpMap indexes valid logs");
-        if name != object {
+        let logs = &self.shared.reports.op_logs;
+        if logs.name(i).expect("OpMap indexes valid logs") != object {
             return Err(Rejection::ObjectMismatch { rid, opnum });
         }
-        let entry = self
-            .shared
-            .reports
-            .op_logs
+        let entry = logs
             .log(i)
             .and_then(|l| l.get(s))
             .expect("OpMap points into logs");
-        if entry.contents != *expect {
+        Ok((idx, opnum, i, s, &entry.contents))
+    }
+
+    /// `CheckOp` (Fig. 12 lines 10–15) for non-database operations: the
+    /// operation's target object and full operands must match the log
+    /// entry the OpMap names.
+    fn check_op(
+        &mut self,
+        rid: RequestId,
+        object: &ObjectName,
+        expect: &OpContents,
+    ) -> Result<(usize, usize, SeqNum), Rejection> {
+        let (idx, opnum, i, s, logged) = self.resolve_op(rid, object)?;
+        if logged != expect {
             return Err(Rejection::OpContentsMismatch { rid, opnum });
         }
         Ok((idx, i, s))
@@ -781,7 +671,8 @@ impl<'a> AuditContext<'a> {
         object: &ObjectName,
     ) -> Result<SimResult, Rejection> {
         let (idx, i, s) = self.check_op(rid, object, &OpContents::RegisterRead)?;
-        let prev = self.shared.reg_prev_write[i]
+        let prev = self.shared.stores[i]
+            .reg_prev_write
             .as_ref()
             .expect("prologue builds prev-write indexes for register logs");
         let value = match prev[(s.0 - 1) as usize] {
@@ -834,7 +725,8 @@ impl<'a> AuditContext<'a> {
                 key: key.to_string(),
             },
         )?;
-        let kv = self.shared.versioned_kv[i]
+        let kv = self.shared.stores[i]
+            .kv
             .as_ref()
             .expect("prologue builds versioned views for kv logs");
         let value = if kv.has_write_before(key, s) {
@@ -880,38 +772,8 @@ impl<'a> AuditContext<'a> {
         rid: RequestId,
         object: &ObjectName,
     ) -> Result<DbTxnHandle, Rejection> {
-        let Some(idx) = self.dense(rid) else {
-            return Err(Rejection::OpNotInOpMap {
-                rid,
-                opnum: OpNum(1),
-            });
-        };
-        if self.in_txn[idx] {
-            return Err(Rejection::StateOpDuringTxn { rid });
-        }
-        let opnum = OpNum(self.opnum_next[idx]);
-        let (i, s) = self
-            .shared
-            .opmap
-            .get_dense(idx as u32, opnum)
-            .ok_or(Rejection::OpNotInOpMap { rid, opnum })?;
-        let name = self
-            .shared
-            .reports
-            .op_logs
-            .name(i)
-            .expect("OpMap indexes valid logs");
-        if name != object {
-            return Err(Rejection::ObjectMismatch { rid, opnum });
-        }
-        let entry = self
-            .shared
-            .reports
-            .op_logs
-            .log(i)
-            .and_then(|l| l.get(s))
-            .expect("OpMap points into logs");
-        let (total, succeeded) = match &entry.contents {
+        let (idx, opnum, i, s, logged) = self.resolve_op(rid, object)?;
+        let (total, succeeded) = match logged {
             OpContents::DbOp {
                 queries, succeeded, ..
             } => (queries.len() as u64, *succeeded),
@@ -986,41 +848,23 @@ impl<'a> AuditContext<'a> {
             .versioned_db(handle.obj_index)
             .ok_or(Rejection::ObjectMismatch { rid, opnum })?;
         let seq = handle.seq.0;
+        if let Some(w) = logged_write {
+            // Writes are fed from the redo-verified logged outcome.
+            return Ok(DbQueryResult::Ok(ExecOutcome::Write(write_outcome(w))));
+        }
         if handle.logged_succeeded {
-            match logged_write {
-                Some(w) => Ok(DbQueryResult::Ok(ExecOutcome::Write(
-                    orochi_sqldb::engine::WriteOutcome {
-                        affected: w.affected,
-                        last_insert_id: w.last_insert_id,
-                    },
-                ))),
-                None => {
-                    let ts = seq * MAXQ + q;
-                    let t0 = Instant::now();
-                    let result = self.dedup_query(handle.obj_index, sql, ts, rid, opnum)?;
-                    self.stats.db_query_wall += t0.elapsed();
-                    Ok(DbQueryResult::Ok(result))
-                }
-            }
+            let ts = seq * MAXQ + q;
+            let t0 = Instant::now();
+            let result = self.dedup_query(handle.obj_index, sql, ts, rid, opnum)?;
+            self.stats.db_query_wall += t0.elapsed();
+            Ok(DbQueryResult::Ok(result))
+        } else if let Some(rows) = vdb.aborted_read(seq, q) {
+            Ok(DbQueryResult::Ok(rows.clone()))
+        } else if q == handle.total_queries && vdb.aborted_failed_at_last(seq) {
+            handle.failed = true;
+            Ok(DbQueryResult::Failed)
         } else {
-            match logged_write {
-                Some(w) => Ok(DbQueryResult::Ok(ExecOutcome::Write(
-                    orochi_sqldb::engine::WriteOutcome {
-                        affected: w.affected,
-                        last_insert_id: w.last_insert_id,
-                    },
-                ))),
-                None => {
-                    if let Some(rows) = vdb.aborted_read(seq, q) {
-                        Ok(DbQueryResult::Ok(rows.clone()))
-                    } else if q == handle.total_queries && vdb.aborted_failed_at_last(seq) {
-                        handle.failed = true;
-                        Ok(DbQueryResult::Failed)
-                    } else {
-                        Err(Rejection::DbAbortedReadMissing { rid, opnum })
-                    }
-                }
-            }
+            Err(Rejection::DbAbortedReadMissing { rid, opnum })
         }
     }
 
@@ -1038,11 +882,13 @@ impl<'a> AuditContext<'a> {
             .shared
             .versioned_db(obj_index)
             .ok_or(Rejection::ObjectMismatch { rid, opnum })?;
+        let issue = || {
+            vdb.query_at(sql, ts)
+                .map_err(|e| Rejection::ExecFailure(format!("query_at: {e}")))
+        };
         if !self.shared.config.query_dedup {
             self.stats.db_queries_issued += 1;
-            return vdb
-                .query_at(sql, ts)
-                .map_err(|e| Rejection::ExecFailure(format!("query_at: {e}")));
+            return issue();
         }
         let tables = self
             .touched_tables
@@ -1062,9 +908,7 @@ impl<'a> AuditContext<'a> {
             return Ok(cached.clone());
         }
         self.stats.db_queries_issued += 1;
-        let result = vdb
-            .query_at(sql, ts)
-            .map_err(|e| Rejection::ExecFailure(format!("query_at: {e}")))?;
+        let result = issue()?;
         self.dedup_cache.insert(key, result.clone());
         Ok(result)
     }
@@ -1141,10 +985,10 @@ impl<'a> AuditContext<'a> {
     /// Driver-side end-of-request checks: the request must have consumed
     /// exactly `M(rid)` operations (Fig. 12 line 51) and all recorded
     /// nondeterminism.
-    fn finish_request(&mut self, rid: RequestId) -> Result<(), Rejection> {
+    pub(crate) fn finish_request(&mut self, rid: RequestId) -> Result<(), Rejection> {
         let idx = self
             .dense(rid)
-            .expect("prepared groups only contain trace requests");
+            .expect("scheduled group members are trace requests");
         if self.in_txn[idx] {
             return Err(Rejection::StateOpDuringTxn { rid });
         }
@@ -1178,8 +1022,8 @@ impl<'a> AuditContext<'a> {
     }
 }
 
-/// The context state one streaming worker slot carries across epoch
-/// boundaries: performance caches and counters only. See
+/// The context state one worker slot carries across epoch boundaries:
+/// performance caches and counters only. See
 /// [`AuditContext::into_carry`].
 #[derive(Default)]
 pub(crate) struct AuditCarry {
@@ -1207,103 +1051,6 @@ impl AuditCarry {
     }
 }
 
-/// One control-flow group, filtered and resolved by the deterministic
-/// pre-pass: duplicate requests removed, every request known to the
-/// trace.
-pub(crate) struct PreparedGroup {
-    pub(crate) tag: CtlFlowTag,
-    pub(crate) requests: Vec<(RequestId, HttpRequest)>,
-}
-
-/// Deterministic grouping pre-pass: walks `reports.groupings` in order,
-/// filters requests already claimed by an earlier group (re-execution is
-/// idempotent, so duplicate filtering is an optimization, not a check,
-/// §3.1), and stops at the first request the trace does not contain.
-/// The returned rejection — if any — only fires after every *earlier*
-/// prepared group re-executed cleanly, which is exactly when the
-/// sequential audit would have reached it.
-fn prepare_groups(
-    balanced: &BalancedTrace,
-    reports: &Reports,
-) -> (Vec<PreparedGroup>, Option<Rejection>) {
-    let mut claimed: HashSet<RequestId> = HashSet::new();
-    let mut out = Vec::new();
-    for (tag, rids) in &reports.groupings {
-        let mut group_requests = Vec::new();
-        let mut seen_in_group = HashSet::new();
-        for rid in rids {
-            if claimed.contains(rid) || !seen_in_group.insert(*rid) {
-                continue;
-            }
-            if !balanced.contains(*rid) {
-                return (out, Some(Rejection::GroupUnknownRequest { rid: *rid }));
-            }
-            group_requests.push((*rid, balanced.request(*rid).clone()));
-        }
-        if group_requests.is_empty() {
-            continue;
-        }
-        claimed.extend(group_requests.iter().map(|(r, _)| *r));
-        out.push(PreparedGroup {
-            tag: *tag,
-            requests: group_requests,
-        });
-    }
-    (out, None)
-}
-
-/// Re-executes one prepared group and runs the per-group driver checks
-/// (executor protocol, Fig. 12 line 51 op counts, leftover
-/// nondeterminism). Returns the produced outputs; error order within the
-/// group matches the sequential driver exactly.
-pub(crate) fn run_one_group(
-    executor: &mut dyn GroupExecutor,
-    ctx: &mut AuditContext<'_>,
-    group: &PreparedGroup,
-) -> Result<Vec<(RequestId, HttpResponse)>, Rejection> {
-    let outputs = executor.execute_group(&group.requests, ctx)?;
-    let group_set: HashSet<RequestId> = group.requests.iter().map(|(r, _)| *r).collect();
-    let mut seen: HashSet<RequestId> = HashSet::new();
-    for (rid, _) in &outputs {
-        if !group_set.contains(rid) {
-            return Err(Rejection::ExecutorProtocol(format!(
-                "output for {rid} not in group {}",
-                group.tag
-            )));
-        }
-        if !seen.insert(*rid) {
-            return Err(Rejection::ExecutorProtocol(format!(
-                "duplicate output for {rid}"
-            )));
-        }
-    }
-    for (rid, _) in &group.requests {
-        ctx.finish_request(*rid)?;
-    }
-    ctx.stats.groups_executed += 1;
-    ctx.stats.requests_reexecuted += group.requests.len();
-    Ok(outputs)
-}
-
-/// Phase 5: the produced outputs must be exactly the responses in the
-/// trace (Fig. 12 line 55).
-fn compare_outputs(
-    balanced: &BalancedTrace,
-    produced: &HashMap<RequestId, HttpResponse>,
-) -> Result<(), Rejection> {
-    for rid in balanced.request_ids() {
-        match produced.get(&rid) {
-            None => return Err(Rejection::MissingOutput { rid }),
-            Some(resp) => {
-                if resp != balanced.response(rid) {
-                    return Err(Rejection::OutputMismatch { rid });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Folds the redo statistics and store sizes into the final outcome,
 /// and mirrors the phase walls and dispatch counters into the
 /// telemetry registry — the single write point, so fig9 consumers can
@@ -1315,10 +1062,7 @@ pub(crate) fn assemble_outcome(
     phases: PhaseTimer,
 ) -> AuditOutcome {
     stats.phases = phases;
-    stats.graph_nodes = shared.graph_nodes;
-    stats.graph_edges = shared.graph_edges;
-    stats.graph_build = shared.graph_build;
-    for vdb in shared.versioned_dbs.iter().flatten() {
+    for vdb in shared.stores.iter().filter_map(|stores| stores.db.as_ref()) {
         let s = vdb.stats();
         stats.redo.transactions += s.transactions;
         stats.redo.queries += s.queries;
@@ -1331,40 +1075,21 @@ pub(crate) fn assemble_outcome(
     AuditOutcome { stats }
 }
 
-/// Known fig9 phase rows and their registry counter names. Phase rows
-/// outside this set (none today) would fall back to a slugged name.
-fn phase_counter_name(phase: &str) -> Option<&'static str> {
-    Some(match phase {
-        "Balance" => "audit_phase_balance_ns",
-        "ProcOpRep" => "audit_phase_procoprep_ns",
-        "DB redo" => "audit_phase_db_redo_ns",
-        "DB query" => "audit_phase_db_query_ns",
-        "ReExec" => "audit_phase_reexec_ns",
-        "Output" => "audit_phase_output_ns",
-        _ => return None,
-    })
-}
+/// The fig9 phase rows and their registry counter names.
+const PHASE_COUNTERS: [(&str, &str); 6] = [
+    ("Balance", "audit_phase_balance_ns"),
+    ("ProcOpRep", "audit_phase_procoprep_ns"),
+    ("DB redo", "audit_phase_db_redo_ns"),
+    ("DB query", "audit_phase_db_query_ns"),
+    ("ReExec", "audit_phase_reexec_ns"),
+    ("Output", "audit_phase_output_ns"),
+];
 
 fn mirror_stats_into_registry(stats: &AuditStats) {
     use orochi_obs::registry;
-    for (phase, d) in stats.phases.iter() {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        match phase_counter_name(phase) {
-            Some(name) => registry::counter(name).add(ns),
-            None => {
-                let slug: String = phase
-                    .chars()
-                    .map(|c| {
-                        if c.is_ascii_alphanumeric() {
-                            c.to_ascii_lowercase()
-                        } else {
-                            '_'
-                        }
-                    })
-                    .collect();
-                registry::counter_owned(&format!("audit_phase_{slug}_ns")).add(ns);
-            }
-        }
+    for (phase, name) in PHASE_COUNTERS {
+        let ns = u64::try_from(stats.phases.get(phase).as_nanos()).unwrap_or(u64::MAX);
+        registry::counter(name).add(ns);
     }
     registry::counter("audit_groups_executed_total").add(stats.groups_executed as u64);
     registry::counter("audit_requests_reexecuted_total").add(stats.requests_reexecuted as u64);
@@ -1372,65 +1097,11 @@ fn mirror_stats_into_registry(stats: &AuditStats) {
     registry::counter("audit_vm_dispatch_executed_total").add(stats.vm_dispatch_executed);
 }
 
-impl Rejection {
-    /// Splits a trace-read failure into its two audit meanings: a
-    /// balance violation is a verdict (the executor misbehaved), a
-    /// storage failure is an audit-infrastructure error.
-    fn from_read(e: TraceReadError) -> Rejection {
-        match e {
-            TraceReadError::Balance(e) => Rejection::Unbalanced(e),
-            TraceReadError::Store(e) => Rejection::TraceStore(e),
-        }
-    }
-}
-
-/// Runs phases 1–3 (balance, ProcessOpReports + nondeterminism sanity,
-/// versioned store builds), timing each.
-///
-/// The trace arrives as a [`TraceSource`] so batch-from-RAM and
-/// replay-from-cold-storage share this code path. A source that already
-/// holds a materialized [`BalancedTrace`] is borrowed as-is; anything
-/// else is replayed through [`BalancedTrace::from_source`].
-fn prologue<'t, 'a>(
-    source: &'t dyn TraceSource,
-    reports: &'a Reports,
-    config: &'a AuditConfig,
-    threads: usize,
-    phases: &mut PhaseTimer,
-) -> Result<(Cow<'t, BalancedTrace>, Arc<AuditShared<'a>>), Rejection> {
-    // Phase 1: balanced-trace validation (§3). Replaying from a store
-    // also covers decode + integrity checks here.
-    let balanced = phases
-        .time("Balance", || match source.as_balanced() {
-            Some(balanced) => Ok(Cow::Borrowed(balanced)),
-            None => BalancedTrace::from_source(source).map(Cow::Owned),
-        })
-        .map_err(Rejection::from_read)?;
-
-    // Phase 2: ProcessOpReports (Fig. 5) + nondeterminism sanity (§4.6).
-    let (graph, opmap) = phases.time("ProcOpRep", || {
-        process_op_reports_with(&balanced, reports, threads)
-    })?;
-    reports
-        .nondet
-        .validate()
-        .map_err(Rejection::NondetInvalid)?;
-
-    // Phase 3: versioned store builds — the §4.5 redo pass plus the kv
-    // views and register prev-write indexes — sharded by object when a
-    // pool is available.
-    let mut shared = phases.time("DB redo", || {
-        AuditShared::build(reports, opmap, config, threads)
-    })?;
-    shared.record_graph(&graph);
-    Ok((balanced, Arc::new(shared)))
-}
-
 /// Runs the full audit (`SSCO_AUDIT2`, Fig. 12).
 ///
 /// Returns statistics on acceptance; rejects with a precise reason
-/// otherwise. Groups are re-executed one at a time; see
-/// [`audit_parallel`] for the pooled variant.
+/// otherwise. Groups are re-executed one at a time, in grouping order;
+/// see [`audit_parallel`] for the pooled variant.
 pub fn audit(
     trace: &Trace,
     reports: &Reports,
@@ -1450,58 +1121,7 @@ pub fn audit_source(
     executor: &mut dyn GroupExecutor,
     config: &AuditConfig,
 ) -> Result<AuditOutcome, Rejection> {
-    let mut phases = PhaseTimer::new();
-    let (balanced, shared) = prologue(source, reports, config, 1, &mut phases)?;
-    let (prepared, pre_error) = prepare_groups(&balanced, reports);
-    reexec_sequential(&balanced, &shared, &prepared, pre_error, executor, phases)
-}
-
-/// The sequential re-execution tail shared by [`audit`] and the
-/// small-run fallback of [`audit_parallel`].
-fn reexec_sequential(
-    balanced: &BalancedTrace,
-    shared: &Arc<AuditShared<'_>>,
-    prepared: &[PreparedGroup],
-    pre_error: Option<Rejection>,
-    executor: &mut dyn GroupExecutor,
-    mut phases: PhaseTimer,
-) -> Result<AuditOutcome, Rejection> {
-    let mut ctx = AuditContext::from_shared(Arc::clone(shared));
-    let mut produced: HashMap<RequestId, HttpResponse> = HashMap::new();
-    let lane = orochi_obs::enabled().then(|| orochi_obs::journal::lane("audit-worker-0"));
-    let group_ns = orochi_obs::registry::histogram("audit_group_ns");
-    let reexec_t0 = Instant::now();
-    for group in prepared {
-        let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
-        let outputs = run_one_group(executor, &mut ctx, group)?;
-        drop(span);
-        produced.extend(outputs);
-    }
-    if let Some(rejection) = pre_error {
-        // The grouping pre-pass found a request the trace does not
-        // contain; every group before it re-executed cleanly, so this is
-        // the first error the sequential walk reaches.
-        return Err(rejection);
-    }
-    let reexec_total = reexec_t0.elapsed();
-    phases.add("DB query", ctx.stats.db_query_wall);
-    phases.add(
-        "ReExec",
-        reexec_total.saturating_sub(ctx.stats.db_query_wall),
-    );
-
-    let output_check = Instant::now();
-    compare_outputs(balanced, &produced)?;
-    phases.add("Output", output_check.elapsed());
-
-    Ok(assemble_outcome(shared, ctx.stats, phases))
-}
-
-/// What one re-execution worker hands back when it drains the queue.
-struct WorkerReport {
-    stats: AuditStats,
-    busy: Duration,
-    outputs: Vec<(RequestId, HttpResponse)>,
+    streaming::drive(source, reports, Pool::Solo(executor), config, 0)
 }
 
 /// Runs the full audit with group re-execution fanned out across
@@ -1509,15 +1129,10 @@ struct WorkerReport {
 /// [`AuditContext`] per worker over a single shared prologue).
 ///
 /// Verdicts and failure diagnostics are byte-identical to [`audit`]:
-/// groups are fixed up front by the same deterministic pre-pass, each
-/// group's internal check order is unchanged, and when several groups
-/// fail concurrently the rejection reported is the lowest-indexed one —
-/// the first the sequential walk would have hit. Scheduling only moves
-/// performance counters (the dedup hit/miss split).
-///
-/// With a single executor — or fewer than two eligible groups — the
-/// sequential path runs directly and no threads are spawned, so tiny
-/// runs pay no pool overhead.
+/// the rejection reported is the first one the sequential walk would
+/// have hit, whatever the schedule. Scheduling only moves performance
+/// counters (the dedup hit/miss split). With a single executor — or
+/// fewer than two groups — no threads are spawned.
 ///
 /// # Panics
 ///
@@ -1543,122 +1158,5 @@ pub fn audit_parallel_source<E: GroupExecutor + Send>(
     executors: &mut [E],
     config: &AuditConfig,
 ) -> Result<AuditOutcome, Rejection> {
-    assert!(
-        !executors.is_empty(),
-        "audit_parallel requires at least one executor"
-    );
-    let threads = executors.len();
-    let mut phases = PhaseTimer::new();
-    let (balanced, shared) = prologue(source, reports, config, threads, &mut phases)?;
-    let (prepared, pre_error) = prepare_groups(&balanced, reports);
-    if threads == 1 || prepared.len() < 2 {
-        return reexec_sequential(
-            &balanced,
-            &shared,
-            &prepared,
-            pre_error,
-            &mut executors[0],
-            phases,
-        );
-    }
-
-    // Phase 4, pooled: workers pull groups off a shared cursor (dynamic
-    // load balancing), largest group first (LPT) so a Zipf-head group
-    // started last can't serialize the tail. Schedule order is free to
-    // vary: group re-executions touch disjoint per-request state, and
-    // the reported rejection is selected by *group index*, not by
-    // schedule position.
-    let mut schedule: Vec<usize> = (0..prepared.len()).collect();
-    schedule.sort_by_key(|&g| std::cmp::Reverse(prepared[g].requests.len()));
-    let cursor = AtomicUsize::new(0);
-    // Lowest-indexed failing group so far: (group index, rejection).
-    let first_err: Mutex<Option<(usize, Rejection)>> = Mutex::new(None);
-    let reports_out: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::with_capacity(threads));
-    crossbeam::thread::scope(|s| {
-        for (w, executor) in executors.iter_mut().enumerate() {
-            let cursor = &cursor;
-            let first_err = &first_err;
-            let reports_out = &reports_out;
-            let shared = &shared;
-            let prepared = &prepared;
-            let schedule = &schedule;
-            s.spawn(move |_| {
-                let lane = orochi_obs::enabled()
-                    .then(|| orochi_obs::journal::lane(&format!("audit-worker-{w}")));
-                let group_ns = orochi_obs::registry::histogram("audit_group_ns");
-                let worker_t0 = Instant::now();
-                let mut ctx = AuditContext::from_shared(Arc::clone(shared));
-                let mut outputs: Vec<(RequestId, HttpResponse)> = Vec::new();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&g) = schedule.get(k) else { break };
-                    let group = &prepared[g];
-                    // A group after a known failure can never influence
-                    // the verdict (the sequential walk stops there);
-                    // skip it.
-                    let doomed = first_err
-                        .lock()
-                        .expect("error slot poisoned")
-                        .as_ref()
-                        .is_some_and(|(idx, _)| g > *idx);
-                    if doomed {
-                        continue;
-                    }
-                    let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
-                    let result = run_one_group(&mut *executor, &mut ctx, group);
-                    drop(span);
-                    match result {
-                        Ok(outs) => outputs.extend(outs),
-                        Err(rejection) => {
-                            let mut slot = first_err.lock().expect("error slot poisoned");
-                            if slot.as_ref().is_none_or(|(idx, _)| g < *idx) {
-                                *slot = Some((g, rejection));
-                            }
-                        }
-                    }
-                }
-                reports_out
-                    .lock()
-                    .expect("report slot poisoned")
-                    .push(WorkerReport {
-                        stats: ctx.stats,
-                        busy: worker_t0.elapsed(),
-                        outputs,
-                    });
-            });
-        }
-    })
-    .expect("audit worker pool");
-
-    if let Some((_, rejection)) = first_err.into_inner().expect("error slot poisoned") {
-        return Err(rejection);
-    }
-    if let Some(rejection) = pre_error {
-        return Err(rejection);
-    }
-
-    // Merge worker results. Counter sums are order-independent, so the
-    // merged statistics are deterministic even though workers finish in
-    // arbitrary order.
-    let mut stats = AuditStats::default();
-    let mut produced: HashMap<RequestId, HttpResponse> = HashMap::new();
-    let mut busy_total = Duration::ZERO;
-    for report in reports_out.into_inner().expect("report slot poisoned") {
-        stats.absorb(&report.stats);
-        busy_total += report.busy;
-        // Rids are disjoint across prepared groups and duplicate outputs
-        // within a group were already rejected, so inserts cannot clash.
-        produced.extend(report.outputs);
-    }
-    // Phase rows keep Fig. 9's CPU-decomposition meaning: summed worker
-    // busy time, not wall time. `absorb` already summed the per-worker
-    // DB-query walls into `stats.db_query_wall`.
-    phases.add("DB query", stats.db_query_wall);
-    phases.add("ReExec", busy_total.saturating_sub(stats.db_query_wall));
-
-    let output_check = Instant::now();
-    compare_outputs(&balanced, &produced)?;
-    phases.add("Output", output_check.elapsed());
-
-    Ok(assemble_outcome(&shared, stats, phases))
+    streaming::drive(source, reports, Pool::threads(executors), config, 0)
 }

@@ -23,8 +23,12 @@
 //!   `orochi-accphp`; this crate defines the [`exec::GroupExecutor`]
 //!   interface and drives it.
 //!
-//! The appendix's out-of-order audit variant (`OOOAudit`, Fig. 13) is
-//! implemented in [`ooo`] and used as a differential-testing oracle.
+//! One engine ([`streaming`]) drives all of it — sequentially, across a
+//! worker pool, or a bounded epoch of the trace at a time; the entry
+//! points in [`mod@audit`] are that engine fed the whole trace as one
+//! epoch. The appendix's out-of-order audit variant (`OOOAudit`,
+//! Fig. 13) is implemented in [`ooo`] and used as the differential
+//! oracle.
 
 pub mod audit;
 pub mod coldstore;

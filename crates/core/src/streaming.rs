@@ -1,66 +1,56 @@
-//! The streaming epoch audit: bounded-memory audit over sealed epochs.
+//! The audit engine: one driver for every way the audit runs.
 //!
-//! The batch audit ([`crate::audit::audit_parallel`]) materializes the
-//! whole balanced trace before phase 2 begins, so the auditor's peak
-//! memory is O(trace). This module re-runs the same phases
-//! *incrementally* over **epochs** — bounded runs of trace events pulled
-//! from any [`TraceSource`] via `stream_events_from` — carrying only:
+//! `SSCO_AUDIT2` (Fig. 12) is one algorithm, and Lemma 5 (§A) shows its
+//! verdict is indifferent to the re-execution schedule. That licenses
+//! running it sequentially, pooled, or a bounded epoch at a time — and
+//! this module is the single implementation of all three:
 //!
-//! * the dense requestID interner and per-request `responded` bits
-//!   ([`StreamingBalance`] — the §3 balance scan, one event at a time);
-//! * the [`OpMap`] tables, grown one request row at a time from per-rid
-//!   log-entry lists precomputed off the (resident) reports;
-//! * request payloads of *open* control-flow-group members (dropped the
-//!   moment the member re-executes);
-//! * a two-bit output verdict per request (none/match/mismatch), so the
-//!   phase-5 comparison never needs the response payloads again;
-//! * the per-worker dedup caches and counters ([`AuditContext`] carry).
+//! ```text
+//! new ──► feed epoch ──► feed epoch ──► … ──► settle
+//!          │ ingest: §3 balance scan, one event at a time
+//!          │ grow:   OpMap rows for the requests that arrived
+//!          │ run:    the (sub-)groups this epoch's responses completed,
+//!          │         over the worker pool, outputs compared in-worker
+//! ```
 //!
-//! Event payloads are never retained beyond their epoch; the versioned
-//! stores are built once up front from the reports alone (they are
-//! trace-independent), exactly as the batch prologue builds them.
+//! * **Batch is streaming with one epoch.** [`crate::audit::audit`] and
+//!   friends feed the whole source as a single epoch; every group then
+//!   runs whole, exactly once. (An epoch known to complete the trace is
+//!   validated before its groups run, so this is Fig. 12's own order.)
+//! * **Sequential is a pool of one.** With one executor (or one runnable
+//!   group) the worker loop runs inline on the calling thread, in group
+//!   index order; otherwise one scoped thread per executor claims units
+//!   off a shared cursor, largest first.
 //!
-//! # Same code path, same verdicts
+//! # The carry set
 //!
-//! Every check runs through the batch audit's own functions:
-//! [`StreamingBalance`] mirrors the balance scan check-for-check, the
-//! final report validation is literally
-//! [`process_op_reports_interned`] (the batch pass minus the trace
-//! materialization), store builds and group re-execution reuse
-//! [`mod@crate::audit`]'s internals. Verdicts and diagnostics are
-//! byte-identical to [`crate::audit::audit_parallel`] at every thread
-//! count and epoch budget — including rejecting runs — by the
-//! following precedence reconstruction at [`StreamingAudit::finish`]:
+//! Event payloads never outlive their epoch. Across an epoch boundary
+//! the engine keeps only: the requestID interner and one `responded`
+//! bit per request ([`StreamingBalance`]); the [`OpMap`] tables; the
+//! request payloads of group members whose response has not arrived;
+//! a two-bit output verdict per request; per planned group, its
+//! progress; and one `AuditCarry` (dedup caches, counters) per worker.
+//! [`StreamingAudit::carry_bytes`] meters it. The versioned stores are
+//! built once up front — they depend on the reports alone.
 //!
-//! 1. any balance violation (in-stream, or an unresponded request);
-//! 2. the full Fig. 5 report validation over the final interner;
-//! 3. the nondeterminism sanity check (validated up front, deferred);
-//! 4. the §4.5 redo pass (built up front, deferred);
-//! 5. the lowest-indexed failed control-flow group **before the
-//!    grouping cut**, confirmed by re-executing that whole group
-//!    against the final state (sub-group re-execution may surface a
-//!    different member's diagnostic first; the confirmation run
-//!    reproduces the batch walk's member order exactly);
-//! 6. the grouping pre-pass rejection at the cut, if any;
-//! 7. the first output mismatch in arrival order.
+//! # Rejection precedence
 //!
-//! Groups are *planned optimistically* (the batch claiming walk minus
-//! the trace-membership check). Before the cut — the first grouping
-//! entry naming a request the trace never contained — the optimistic
-//! plan equals the batch prepared groups exactly; anything at or past
-//! the cut may re-execute speculatively but can never influence the
-//! verdict, because step 6 fires first.
+//! Fig. 12 walks balance → reports → nondeterminism → redo → groups in
+//! order → outputs in arrival order and stops at the first failure. The
+//! engine runs those checks in whatever order epochs and workers reach
+//! them, records each failure under its `Stage`, and reports the
+//! *minimum*: `Stage`'s `Ord` is the precedence, stated once.
 //!
-//! Each epoch executes the **sub-groups** of members whose responses
-//! arrived in that epoch (in within-group order), fanned across the
-//! worker pool like the batch parallel audit. The per-epoch carry size
-//! is published to the `audit_carry_bytes` gauge and every epoch bumps
-//! `audit_epochs_total` and records seal→verdict lag
-//! ([`orochi_obs::lag::mark_epoch`]).
+//! A group failure is only comparable with the sequential walk's if the
+//! group ran *whole* against the *final* trace (a sub-group may trip on
+//! a later member first). Batch failures always qualify. Otherwise
+//! settling re-runs the group whole — payloads for every such group
+//! collected in one pass over the source — and a re-run that passes
+//! simply fills in the group's outputs.
 
 use crate::audit::{
-    assemble_outcome, run_one_group, AuditCarry, AuditConfig, AuditContext, AuditOutcome,
-    AuditShared, AuditStats, PreparedGroup, Rejection,
+    assemble_outcome, AuditCarry, AuditConfig, AuditContext, AuditOutcome, AuditShared, AuditStats,
+    Rejection,
 };
 use crate::exec::GroupExecutor;
 use crate::graph::{process_op_reports_interned, OpMap};
@@ -70,14 +60,143 @@ use orochi_common::metrics::PhaseTimer;
 use orochi_obs::LazyHistogram;
 use orochi_trace::record::{BalanceError, DenseEvent, RidInterner, StreamingBalance};
 use orochi_trace::{Event, HttpRequest, HttpResponse, TraceSource};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Wall time per streaming epoch (ingest + incremental fill +
-/// sub-group re-execution).
+/// Wall time per epoch (ingest + OpMap growth + re-execution).
 static EPOCH_NS: LazyHistogram = LazyHistogram::new("audit_epoch_ns");
+
+/// Where in Fig. 12's sequential walk a check sits. The derived `Ord`
+/// *is* the rejection precedence: the verdict is the rejection recorded
+/// under the smallest stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    /// §3: an in-stream violation, or a request left unanswered.
+    Balance,
+    /// Fig. 5 `ProcessOpReports` over the complete trace.
+    Reports,
+    /// §4.6 nondeterminism sanity.
+    Nondet,
+    /// §4.5 versioned redo.
+    Redo,
+    /// Position `g` of the walk over the planned groups.
+    Walk(usize, WalkStep),
+    /// Fig. 12 line 55: the first output problem in arrival order.
+    Output,
+}
+
+/// The walk's first stage: a rejection recorded before it makes
+/// re-execution moot.
+const WALK: Stage = Stage::Walk(0, WalkStep::UnknownMember);
+
+/// What the walk does at a position, in order: naming group `g`'s
+/// requests hits the grouping cut before group `g` would execute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum WalkStep {
+    UnknownMember,
+    Execute,
+}
+
+/// The earliest-stage rejection recorded so far.
+#[derive(Default)]
+struct Verdict(Option<(Stage, Rejection)>);
+
+impl Verdict {
+    /// True while a failure at `stage` would still decide the verdict.
+    fn open(&self, stage: Stage) -> bool {
+        self.0.as_ref().is_none_or(|(s, _)| stage < *s)
+    }
+
+    fn record(&mut self, stage: Stage, rejection: Rejection) {
+        if self.open(stage) {
+            self.0 = Some((stage, rejection));
+        }
+    }
+}
+
+/// The claiming walk over `reports.groupings`: each request belongs to
+/// the first group naming it (re-execution is idempotent, so duplicate
+/// filtering is an optimization, not a check, §3.1), and groups left
+/// empty vanish. Trace membership is *not* checked here — the trace is
+/// unknown until the stream ends — so the plan may run past the
+/// [`GroupPlan::cut`]; up to it, this is exactly the sequence of groups
+/// the sequential walk executes.
+struct GroupPlan {
+    groups: Vec<(CtlFlowTag, Vec<RequestId>)>,
+    /// rid -> (group index, within-group position).
+    member_of: HashMap<RequestId, (u32, u32)>,
+}
+
+impl GroupPlan {
+    fn new(groupings: &[(CtlFlowTag, Vec<RequestId>)]) -> Self {
+        let mut plan = GroupPlan {
+            groups: Vec::new(),
+            member_of: HashMap::new(),
+        };
+        for (tag, rids) in groupings {
+            let g = plan.groups.len() as u32;
+            let mut seen_in_group = HashSet::new();
+            let members: Vec<RequestId> = rids
+                .iter()
+                .copied()
+                .filter(|rid| !plan.member_of.contains_key(rid) && seen_in_group.insert(*rid))
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            for (pos, rid) in members.iter().enumerate() {
+                plan.member_of.insert(*rid, (g, pos as u32));
+            }
+            plan.groups.push((*tag, members));
+        }
+        plan
+    }
+
+    /// The first planned member, in walk order, that the trace never
+    /// contained — where the sequential walk stops with
+    /// [`Rejection::GroupUnknownRequest`] — and its group's index.
+    fn cut(&self, interner: &RidInterner) -> Option<(usize, RequestId)> {
+        self.groups.iter().enumerate().find_map(|(g, (_, rids))| {
+            let unknown = rids.iter().find(|rid| interner.index_of(**rid).is_none());
+            unknown.map(|rid| (g, *rid))
+        })
+    }
+}
+
+/// Why a planned group needs another look when the verdict settles.
+enum Unsettled {
+    /// The whole group ran and failed when the trace held `seen`
+    /// requests: the sequential walk's own rejection for this group iff
+    /// none arrived since.
+    Failed { rejection: Rejection, seen: usize },
+    /// A sub-group failed (it may have tripped on a later member
+    /// first), or the group was skipped behind a lower-indexed failure:
+    /// only a whole re-run can judge it.
+    Rerun,
+}
+
+/// Per planned group: members re-executed so far, and what went wrong.
+#[derive(Default)]
+struct GroupProgress {
+    executed: usize,
+    unsettled: Option<Unsettled>,
+}
+
+/// One pass's work unit: the members of one planned group whose
+/// responses arrived this epoch, in within-group order.
+struct Unit<'e> {
+    group: usize,
+    tag: CtlFlowTag,
+    /// The members' requests, in the shape executors take.
+    requests: Vec<(RequestId, HttpRequest)>,
+    /// Per member: dense index and the traced response.
+    expected: Vec<(u32, &'e HttpResponse)>,
+    /// Covers every member of the planned group.
+    whole: bool,
+}
 
 /// Rough heap size of a request payload, mirroring the trace store's
 /// segment-budget estimate; used only for carry accounting.
@@ -92,151 +211,166 @@ fn request_bytes(req: &HttpRequest) -> usize {
         + pairs(&req.cookies)
 }
 
-/// One epoch's work unit: the members of one planned group whose
-/// responses arrived this epoch, in within-group order.
-struct SubGroup {
-    /// Planned-group index.
-    group: usize,
-    /// The batch [`PreparedGroup`] shape, so re-execution goes through
-    /// [`run_one_group`] unchanged.
-    prepared: PreparedGroup,
-    /// Per member: dense index and the traced response to compare
-    /// against.
-    expected: Vec<(u32, HttpResponse)>,
-}
+/// Per rid, its log entries as `(log index, seqnum, opnum)`.
+type LogIndex = HashMap<RequestId, Vec<(u32, SeqNum, OpNum)>>;
 
 /// Output-comparison state per dense request index.
 const OUT_NONE: u8 = 0;
 const OUT_MATCH: u8 = 1;
 const OUT_MISMATCH: u8 = 2;
 
-/// The push-based streaming audit driver. Feed sealed epochs with
+/// The executors a re-execution pass fans out over. A lone borrowed
+/// executor never leaves the calling thread, so it need not be `Send`.
+pub(crate) enum Pool<'p> {
+    Solo(&'p mut dyn GroupExecutor),
+    Threads(Vec<&'p mut (dyn GroupExecutor + Send)>),
+}
+
+impl<'p> Pool<'p> {
+    pub(crate) fn threads<E: GroupExecutor + Send>(executors: &'p mut [E]) -> Self {
+        assert!(
+            !executors.is_empty(),
+            "the audit requires at least one executor"
+        );
+        Pool::Threads(executors.iter_mut().map(|e| e as _).collect())
+    }
+
+    fn width(&self) -> usize {
+        match self {
+            Pool::Solo(_) => 1,
+            Pool::Threads(executors) => executors.len(),
+        }
+    }
+}
+
+/// Re-executes one unit and runs the per-group driver checks — executor
+/// protocol, output comparison, Fig. 12 line 51 op counts, leftover
+/// nondeterminism — in the order the sequential walk applies them.
+fn run_one_group(
+    executor: &mut dyn GroupExecutor,
+    ctx: &mut AuditContext<'_>,
+    unit: &Unit<'_>,
+) -> Result<Vec<u8>, Rejection> {
+    let outputs = executor.execute_group(&unit.requests, ctx)?;
+    let compare_t0 = Instant::now();
+    let position: HashMap<RequestId, usize> = unit
+        .requests
+        .iter()
+        .enumerate()
+        .map(|(p, (rid, _))| (*rid, p))
+        .collect();
+    let mut bits = vec![OUT_NONE; unit.requests.len()];
+    for (rid, output) in &outputs {
+        let Some(&p) = position.get(rid) else {
+            return Err(Rejection::ExecutorProtocol(format!(
+                "output for {rid} not in group {}",
+                unit.tag
+            )));
+        };
+        if bits[p] != OUT_NONE {
+            return Err(Rejection::ExecutorProtocol(format!(
+                "duplicate output for {rid}"
+            )));
+        }
+        bits[p] = if output == unit.expected[p].1 {
+            OUT_MATCH
+        } else {
+            OUT_MISMATCH
+        };
+    }
+    ctx.stats.output_wall += compare_t0.elapsed();
+    for (rid, _) in &unit.requests {
+        ctx.finish_request(*rid)?;
+    }
+    ctx.stats.requests_reexecuted += unit.requests.len();
+    Ok(bits)
+}
+
+/// The audit engine. Feed sealed epochs with
 /// [`StreamingAudit::feed_epoch`]; settle the verdict with
 /// [`StreamingAudit::finish`]. [`audit_streaming_source`] wraps both
 /// behind a pull loop over any [`TraceSource`].
 pub struct StreamingAudit<'a> {
     reports: &'a Reports,
     threads: usize,
-    sb: StreamingBalance,
-    /// The batch prologue's products, built up front (store builds are
-    /// trace-independent). `None` when the up-front validation already
-    /// settled a deferred rejection.
-    shared: Option<AuditShared<'a>>,
-    /// NondetInvalid or Redo from the up-front pass, reported at
-    /// [`StreamingAudit::finish`] in batch precedence order.
-    deferred: Option<Rejection>,
-    /// First in-stream balance violation; outranks everything.
-    balance_error: Option<BalanceError>,
-    /// Optimistic grouping plan: rid -> (group index, within-group
-    /// position), plus the tag and claimed member list per group.
-    member_of: HashMap<RequestId, (u32, u32)>,
-    group_tags: Vec<CtlFlowTag>,
-    group_members: Vec<Vec<RequestId>>,
-    /// Per-rid `(log index, seqnum, opnum)` entries, precomputed from
-    /// the resident reports for the incremental OpMap fill.
-    log_entries: HashMap<RequestId, Vec<(u32, SeqNum, OpNum)>>,
-    /// Open group members' request payloads by dense index (taken at
-    /// re-execution, dropped unexecuted if the group already failed).
+    balance: StreamingBalance,
+    /// The prologue's products, built up front (store builds are
+    /// trace-independent); `None` when that already failed, with the
+    /// rejection recorded in `verdict`.
+    shared: Option<Arc<AuditShared<'a>>>,
+    verdict: Verdict,
+    plan: GroupPlan,
+    /// Slot = planned-group index.
+    groups: Vec<GroupProgress>,
+    /// The logs indexed by request, awaiting each request's arrival,
+    /// for the incremental OpMap fill; built on first use, which a
+    /// one-epoch audit never reaches.
+    log_entries: Option<LogIndex>,
+    /// Open group members' request payloads by dense index.
     pending_req: Vec<Option<HttpRequest>>,
     pending_bytes: usize,
-    /// Phase-5 verdict per dense index (OUT_*).
+    /// Output-comparison verdict per dense index (`OUT_*`).
     out_state: Vec<u8>,
     /// One carry per worker slot, persisted across epochs.
     carries: Vec<AuditCarry>,
-    /// Failed planned groups: index -> first rejection recorded. Only
-    /// entries below the finish-time cut can reach the verdict, and
-    /// each is confirmed by a whole-group re-run first.
-    failed: BTreeMap<usize, Rejection>,
+    /// The run's statistics outside the worker carries: the graph
+    /// layer's, filled by validation.
+    stats: AuditStats,
     phases: PhaseTimer,
     reexec_busy: Duration,
     epochs: u64,
-    done: bool,
+    /// The trace's length, when the driver knows it: the epoch that
+    /// completes it is validated *before* its groups run, so a batch
+    /// audit rejects bad reports without re-executing anything.
+    total_events: Option<usize>,
+    validated: bool,
     lane: Option<orochi_obs::LaneId>,
 }
 
 impl<'a> StreamingAudit<'a> {
-    /// Builds the trace-independent half of the prologue (nondet
-    /// sanity, versioned stores, grouping plan, per-rid log index) and
-    /// an empty carry set for `threads` workers.
+    /// Runs the trace-independent half of the prologue — nondeterminism
+    /// sanity, then the versioned store builds — and plans the groups.
+    /// A failure here waits in the verdict for [`Self::finish`]: balance
+    /// and report validation outrank it.
     pub fn new(reports: &'a Reports, config: &'a AuditConfig, threads: usize) -> Self {
         let threads = threads.max(1);
         let mut phases = PhaseTimer::new();
-        // Batch precedence within the up-front pass: the nondet sanity
-        // check precedes the store builds, so at most one deferred
-        // rejection exists and it is the one the batch prologue would
-        // reach first (after balance + report validation).
-        let (shared, deferred) = match reports.nondet.validate() {
-            Err(rid) => (None, Some(Rejection::NondetInvalid(rid))),
-            Ok(()) => {
-                let built = phases.time("DB redo", || {
+        let mut verdict = Verdict::default();
+        let built = match reports.nondet.validate() {
+            Err(rid) => Err((Stage::Nondet, Rejection::NondetInvalid(rid))),
+            Ok(()) => phases
+                .time("DB redo", || {
                     AuditShared::build(reports, OpMap::streaming_empty(), config, threads)
-                });
-                match built {
-                    Ok(shared) => (Some(shared), None),
-                    Err(rejection) => (None, Some(rejection)),
-                }
+                })
+                .map_err(|rejection| (Stage::Redo, rejection)),
+        };
+        let shared = match built {
+            Ok(shared) => Some(Arc::new(shared)),
+            Err((stage, rejection)) => {
+                verdict.record(stage, rejection);
+                None
             }
         };
-        // Optimistic grouping plan: the batch claiming walk without the
-        // trace-membership check (the trace is unknown until the
-        // stream ends). Identical to `prepare_groups` up to the cut.
-        let mut member_of = HashMap::new();
-        let mut group_tags = Vec::new();
-        let mut group_members: Vec<Vec<RequestId>> = Vec::new();
-        let mut claimed: HashSet<RequestId> = HashSet::new();
-        for (tag, rids) in &reports.groupings {
-            let mut members = Vec::new();
-            let mut seen_in_group = HashSet::new();
-            for rid in rids {
-                if claimed.contains(rid) || !seen_in_group.insert(*rid) {
-                    continue;
-                }
-                members.push(*rid);
-            }
-            if members.is_empty() {
-                continue;
-            }
-            claimed.extend(members.iter().copied());
-            let g = group_tags.len() as u32;
-            for (pos, rid) in members.iter().enumerate() {
-                member_of.insert(*rid, (g, pos as u32));
-            }
-            group_tags.push(*tag);
-            group_members.push(members);
-        }
-        // Per-rid log entries in log order: restricted to one rid, the
-        // order matches the batch CheckLogs walk, so first-claim-wins
-        // slot filling reproduces the batch OpMap whenever the final
-        // report validation accepts.
-        let mut log_entries: HashMap<RequestId, Vec<(u32, SeqNum, OpNum)>> = HashMap::new();
-        for (i, _name, log) in reports.op_logs.iter() {
-            for (seq, entry) in log.iter() {
-                log_entries
-                    .entry(entry.rid)
-                    .or_default()
-                    .push((i as u32, seq, entry.opnum));
-            }
-        }
+        let plan = GroupPlan::new(&reports.groupings);
         StreamingAudit {
             reports,
             threads,
-            sb: StreamingBalance::new(),
+            balance: StreamingBalance::new(),
             shared,
-            deferred,
-            balance_error: None,
-            member_of,
-            group_tags,
-            group_members,
-            log_entries,
+            verdict,
+            groups: plan.groups.iter().map(|_| Default::default()).collect(),
+            plan,
+            log_entries: None,
             pending_req: Vec::new(),
             pending_bytes: 0,
             out_state: Vec::new(),
             carries: Vec::new(),
-            failed: BTreeMap::new(),
+            stats: AuditStats::default(),
             phases,
             reexec_busy: Duration::ZERO,
             epochs: 0,
-            done: false,
+            total_events: None,
+            validated: false,
             lane: orochi_obs::enabled().then(|| orochi_obs::journal::lane("audit-stream")),
         }
     }
@@ -250,479 +384,530 @@ impl<'a> StreamingAudit<'a> {
     /// interner + balance bits, the OpMap tables, open members' request
     /// payloads, the output bitmap, and the worker carry caches.
     pub fn carry_bytes(&self) -> usize {
-        self.sb.estimated_bytes()
-            + self.shared.as_ref().map_or(0, |s| s.opmap_bytes())
+        let carries: usize = self.carries.iter().map(AuditCarry::estimated_bytes).sum();
+        self.balance.estimated_bytes()
+            + self
+                .shared
+                .as_ref()
+                .map_or(0, |s| s.opmap.estimated_bytes())
             + self.pending_bytes
             + self.out_state.len()
-            + self
-                .carries
-                .iter()
-                .map(AuditCarry::estimated_bytes)
-                .sum::<usize>()
+            + carries
     }
 
     /// Feeds one sealed epoch of events (in trace order) and runs the
-    /// sub-groups it completes across `executors`. Returns `false` once
-    /// the verdict can no longer change (an in-stream balance
+    /// (sub-)groups it completes across `executors`. Returns `false`
+    /// once the verdict can no longer change (an in-stream balance
     /// violation), meaning the caller may stop feeding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `executors` is empty.
     pub fn feed_epoch<E: GroupExecutor + Send>(
         &mut self,
         events: &[Event],
         executors: &mut [E],
     ) -> bool {
-        assert!(
-            !executors.is_empty(),
-            "streaming audit requires at least one executor"
-        );
-        if self.done {
+        self.feed(events, &mut Pool::threads(executors))
+    }
+
+    /// Settles the verdict: the earliest-`Stage` rejection, or the
+    /// statistics of an accepted run. `source` is only re-read when a
+    /// group must re-run whole (see the module docs).
+    pub fn finish<E: GroupExecutor + Send>(
+        self,
+        source: &dyn TraceSource,
+        executors: &mut [E],
+    ) -> Result<AuditOutcome, Rejection> {
+        self.settle(source, &mut Pool::threads(executors))
+    }
+
+    /// The shared prologue, mutably. Worker contexts only live inside a
+    /// pass, so between passes the engine is its sole owner.
+    fn shared_mut(&mut self) -> Option<&mut AuditShared<'a>> {
+        self.shared.as_mut().map(|shared| {
+            Arc::get_mut(shared).expect("worker contexts release the shared prologue")
+        })
+    }
+
+    /// The §3 balance scan for one event; a violation outranks every
+    /// other rejection, so nothing later in the stream matters.
+    fn push_balance(&mut self, event: &Event) -> Option<DenseEvent> {
+        match self.balance.push(event) {
+            Ok(dense) => Some(dense),
+            Err(e) => {
+                self.verdict
+                    .record(Stage::Balance, Rejection::Unbalanced(e));
+                None
+            }
+        }
+    }
+
+    fn feed(&mut self, events: &[Event], pool: &mut Pool<'_>) -> bool {
+        if !self.verdict.open(Stage::Balance) {
             return false;
         }
         self.epochs += 1;
-        if self.carries.len() < executors.len() {
-            self.carries
-                .resize_with(executors.len(), AuditCarry::default);
-        }
         let span = self
             .lane
             .and_then(|l| orochi_obs::span_timed(l, "epoch", EPOCH_NS.get()));
 
-        // Reclaim exclusive ownership of the interner for the balance
-        // scan: the shared state parks a placeholder during ingest.
-        if let Some(shared) = self.shared.as_mut() {
-            shared.set_interner(RidInterner::empty());
+        // The balance scan grows the interner in place, so it must be
+        // its only holder: the shared state parks a placeholder.
+        if let Some(shared) = self.shared_mut() {
+            shared.opmap.set_interner(RidInterner::empty());
         }
-
-        // ---- Ingest: the §3 balance scan, one event at a time. -------
         let balance_t0 = Instant::now();
-        let mut new_requests: Vec<u32> = Vec::new();
-        let mut responses: Vec<(u32, HttpResponse)> = Vec::new();
+        let first_new = self.balance.num_requests();
+        // Planned members answered this epoch, with the traced response
+        // (none once the verdict is out of re-execution's reach).
+        let mut answered: Vec<(u32, &HttpResponse)> = Vec::new();
+        let runnable = self.verdict.open(WALK);
         for event in events {
-            match self.sb.push(event) {
-                Err(e) => {
-                    // Balance violations outrank every other rejection;
-                    // nothing later in the stream can change the
-                    // verdict, so re-execution stops here too.
-                    self.balance_error = Some(e);
-                    self.done = true;
-                    break;
-                }
-                Ok(DenseEvent::Request(idx)) => {
-                    debug_assert_eq!(idx as usize, self.out_state.len());
+            let Some(dense) = self.push_balance(event) else {
+                break;
+            };
+            let planned = runnable && self.plan.member_of.contains_key(&event.rid());
+            match (dense, event) {
+                (DenseEvent::Request(_), Event::Request(_, req)) => {
                     self.out_state.push(OUT_NONE);
-                    self.pending_req.push(None);
-                    new_requests.push(idx);
-                    if let Event::Request(rid, req) = event {
-                        if self.member_of.contains_key(rid) {
-                            self.pending_bytes += request_bytes(req);
-                            self.pending_req[idx as usize] = Some(req.clone());
-                        }
-                    }
+                    self.pending_req.push(planned.then(|| req.clone()));
+                    self.pending_bytes += if planned { request_bytes(req) } else { 0 };
                 }
-                Ok(DenseEvent::Response(idx)) => {
-                    if let Event::Response(rid, resp) = event {
-                        if self.member_of.contains_key(rid) {
-                            responses.push((idx, resp.clone()));
-                        }
-                    }
+                (DenseEvent::Response(idx), Event::Response(_, resp)) if planned => {
+                    answered.push((idx, resp));
                 }
+                _ => {}
             }
         }
         self.phases.add("Balance", balance_t0.elapsed());
 
-        if self.balance_error.is_none() && self.shared.is_some() {
-            self.fill_and_execute(&new_requests, responses, executors);
+        if self.total_events == Some(self.balance.events_seen()) {
+            self.validate();
+        } else if self.verdict.open(Stage::Balance) && self.shared.is_some() {
+            self.grow_opmap(first_new);
+        }
+        if self.verdict.open(WALK) && self.shared.is_some() {
+            let units = self.form_units(answered);
+            self.run_pass(&units, pool);
         }
 
         drop(span);
         orochi_obs::lag::mark_epoch(self.carry_bytes() as u64);
-        !self.done
+        self.verdict.open(Stage::Balance)
     }
 
-    /// The post-ingest half of one epoch: re-point the canonical
-    /// interner, grow the OpMap rows for this epoch's arrivals, and
-    /// re-execute the completed sub-groups.
-    fn fill_and_execute<E: GroupExecutor + Send>(
-        &mut self,
-        new_requests: &[u32],
-        responses: Vec<(u32, HttpResponse)>,
-        executors: &mut [E],
-    ) {
-        let interner = Arc::clone(self.sb.interner());
-        let shared = self.shared.as_mut().expect("checked by caller");
+    /// Re-points the shared state at the grown interner and appends the
+    /// OpMap rows of the requests that arrived. The fill is lenient — a
+    /// bad entry is the reports' fault, and [`Self::validate`] reports
+    /// it with its proper precedence.
+    fn grow_opmap(&mut self, first_new: usize) {
         let proc_t0 = Instant::now();
-        shared.set_interner(Arc::clone(&interner));
-        let opmap = shared.opmap_mut();
-        for &idx in new_requests {
+        let interner = Arc::clone(self.balance.interner());
+        let shared = Arc::get_mut(self.shared.as_mut().expect("checked by caller"))
+            .expect("worker contexts release the shared prologue");
+        shared.opmap.set_interner(Arc::clone(&interner));
+        let opmap = &mut shared.opmap;
+        // Restricted to one rid, log order matches the Fig. 5 CheckLogs
+        // walk, so first-claim-wins slot filling reproduces the
+        // validated OpMap whenever report validation accepts.
+        let log_entries = self.log_entries.get_or_insert_with(|| {
+            let mut index = LogIndex::new();
+            for (i, _name, log) in self.reports.op_logs.iter() {
+                for (seq, entry) in log.iter() {
+                    let slot = (i as u32, seq, entry.opnum);
+                    index.entry(entry.rid).or_default().push(slot);
+                }
+            }
+            index
+        });
+        for idx in first_new as u32..interner.num_requests() as u32 {
             let rid = interner.rid(idx);
             opmap.append_request(self.reports.op_count(rid));
-            if let Some(entries) = self.log_entries.get(&rid) {
-                for &(i, seq, opnum) in entries {
-                    // Lenient fill: a bad entry here is the reports'
-                    // fault, and the finish-time full validation
-                    // reports it with batch precedence.
-                    opmap.fill_slot(idx, opnum, i, seq);
-                }
+            for (i, seq, opnum) in log_entries.remove(&rid).unwrap_or_default() {
+                opmap.fill_slot(idx, opnum, i, seq);
             }
         }
         self.phases.add("ProcOpRep", proc_t0.elapsed());
+    }
 
-        // ---- Sub-group formation: members completed this epoch. ------
-        let mut by_group: BTreeMap<u32, Vec<(u32, u32, HttpResponse)>> = BTreeMap::new();
-        for (idx, resp) in responses {
-            let rid = interner.rid(idx);
-            let &(g, pos) = self.member_of.get(&rid).expect("stashed members only");
-            if self.failed.contains_key(&(g as usize)) {
-                // The group already failed; its later members never
-                // execute (their fate rides on the finish-time
-                // confirmation run). Release the payload now.
-                if let Some(req) = self.pending_req[idx as usize].take() {
-                    self.pending_bytes -= request_bytes(&req);
+    /// Groups this epoch's answered members into units, releasing their
+    /// request payloads from the carry.
+    fn form_units<'e>(&mut self, answered: Vec<(u32, &'e HttpResponse)>) -> Vec<Unit<'e>> {
+        let interner = self.balance.interner();
+        let mut by_group: BTreeMap<u32, Vec<(u32, u32, HttpRequest, &HttpResponse)>> =
+            BTreeMap::new();
+        for (idx, expected) in answered {
+            let (g, pos) = self.plan.member_of[&interner.rid(idx)];
+            let req = self.pending_req[idx as usize]
+                .take()
+                .expect("an open member holds its payload until its response");
+            self.pending_bytes -= request_bytes(&req);
+            // A group already in trouble re-runs whole when the verdict
+            // settles; its later members need not run now.
+            if self.groups[g as usize].unsettled.is_none() {
+                by_group
+                    .entry(g)
+                    .or_default()
+                    .push((pos, idx, req, expected));
+            }
+        }
+        by_group
+            .into_iter()
+            .map(|(g, mut members)| {
+                members.sort_by_key(|&(pos, ..)| pos);
+                let (tag, planned) = &self.plan.groups[g as usize];
+                Unit {
+                    group: g as usize,
+                    tag: *tag,
+                    whole: members.len() == planned.len(),
+                    expected: members.iter().map(|m| (m.1, m.3)).collect(),
+                    requests: members
+                        .into_iter()
+                        .map(|(_, idx, req, _)| (interner.rid(idx), req))
+                        .collect(),
                 }
-                continue;
-            }
-            by_group.entry(g).or_default().push((pos, idx, resp));
-        }
-        let mut subgroups: Vec<SubGroup> = Vec::with_capacity(by_group.len());
-        for (g, mut members) in by_group {
-            members.sort_by_key(|&(pos, ..)| pos);
-            let mut requests = Vec::with_capacity(members.len());
-            let mut expected = Vec::with_capacity(members.len());
-            for (_, idx, resp) in members {
-                let req = self.pending_req[idx as usize]
-                    .take()
-                    .expect("claimed member holds its payload until execution");
-                self.pending_bytes -= request_bytes(&req);
-                requests.push((interner.rid(idx), req));
-                expected.push((idx, resp));
-            }
-            subgroups.push(SubGroup {
-                group: g as usize,
-                prepared: PreparedGroup {
-                    tag: self.group_tags[g as usize],
-                    requests,
-                },
-                expected,
-            });
-        }
-        if subgroups.is_empty() {
+            })
+            .collect()
+    }
+
+    /// The one worker-pool loop: each lane rebuilds an [`AuditContext`]
+    /// from its carry and claims units off a shared cursor — in group
+    /// order on one lane, largest first (LPT, so a Zipf-head group
+    /// started last cannot serialize the tail) on several. The schedule
+    /// is free to vary: units touch disjoint per-request state, and the
+    /// verdict picks rejections by [`Stage`], not by schedule position.
+    fn run_pass(&mut self, units: &[Unit<'_>], pool: &mut Pool<'_>) {
+        if units.is_empty() {
             return;
         }
-
-        // ---- Re-execution, fanned out like the batch parallel audit.
-        let shared_owned = self.shared.take().expect("checked by caller");
-        let shared_arc = Arc::new(shared_owned);
-        let (results, busy) =
-            execute_subgroups(&shared_arc, &subgroups, executors, &mut self.carries);
+        if self.carries.len() < pool.width() {
+            self.carries.resize_with(pool.width(), AuditCarry::default);
+        }
+        let shared = self.shared.as_ref().expect("a pass needs the prologue");
+        let lanes = pool.width().min(units.len());
+        let mut schedule: Vec<usize> = (0..units.len()).collect();
+        if lanes > 1 {
+            schedule.sort_by_key(|&k| Reverse(units[k].requests.len()));
+        }
+        let cursor = AtomicUsize::new(0);
+        // The lowest group that failed whole this pass: the sequential
+        // walk stops there, so higher groups cannot reach the verdict
+        // unless that failure is later re-run — and then so are they.
+        let first_failed = AtomicUsize::new(usize::MAX);
+        // Per unit: its output bits or rejection; absent when skipped.
+        type Ran = (usize, Result<Vec<u8>, Rejection>);
+        let done: Mutex<(Vec<Ran>, Duration)> = Mutex::default();
+        let worker = |w: usize, executor: &mut dyn GroupExecutor, carry: &mut AuditCarry| {
+            let t0 = Instant::now();
+            let lane = orochi_obs::enabled()
+                .then(|| orochi_obs::journal::lane(&format!("audit-worker-{w}")));
+            let group_ns = orochi_obs::registry::histogram("audit_group_ns");
+            let mut ctx = AuditContext::new(Arc::clone(shared), std::mem::take(carry));
+            let mut ran: Vec<Ran> = Vec::new();
+            while let Some(&k) = schedule.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let unit = &units[k];
+                if unit.group > first_failed.load(Ordering::Relaxed) {
+                    continue;
+                }
+                let span = lane.and_then(|l| orochi_obs::span_timed(l, "group", group_ns));
+                let result = run_one_group(executor, &mut ctx, unit);
+                drop(span);
+                if result.is_err() && unit.whole {
+                    first_failed.fetch_min(unit.group, Ordering::Relaxed);
+                }
+                ran.push((k, result));
+            }
+            *carry = ctx.into_carry();
+            let mut done = done.lock().expect("results poisoned");
+            done.0.extend(ran);
+            done.1 += t0.elapsed();
+        };
+        match pool {
+            Pool::Threads(executors) if lanes > 1 => crossbeam::thread::scope(|s| {
+                let slots = executors.iter_mut().zip(self.carries.iter_mut());
+                for (w, (executor, carry)) in slots.take(lanes).enumerate() {
+                    s.spawn(move |_| worker(w, &mut **executor, carry));
+                }
+            })
+            .expect("audit worker pool"),
+            Pool::Threads(executors) => worker(0, &mut *executors[0], &mut self.carries[0]),
+            Pool::Solo(executor) => worker(0, &mut **executor, &mut self.carries[0]),
+        }
+        let (ran, busy) = done.into_inner().expect("results poisoned");
         self.reexec_busy += busy;
-        self.shared = Some(
-            Arc::try_unwrap(shared_arc)
-                .ok()
-                .expect("worker contexts release the shared prologue"),
-        );
-
-        for (sub, result) in subgroups.iter().zip(results) {
-            match result.expect("every sub-group is claimed exactly once") {
-                Ok(outputs) => {
-                    let produced: HashMap<RequestId, HttpResponse> = outputs.into_iter().collect();
-                    for (idx, expected_resp) in &sub.expected {
-                        let rid = interner.rid(*idx);
-                        if let Some(resp) = produced.get(&rid) {
-                            self.out_state[*idx as usize] = if resp == expected_resp {
-                                OUT_MATCH
-                            } else {
-                                OUT_MISMATCH
-                            };
-                        }
+        let seen = self.balance.num_requests();
+        // A unit that reports nothing was skipped.
+        for unit in units {
+            self.groups[unit.group].unsettled = Some(Unsettled::Rerun);
+        }
+        for (k, result) in ran {
+            let (unit, progress) = (&units[k], &mut self.groups[units[k].group]);
+            match result {
+                Ok(bits) => {
+                    progress.unsettled = None;
+                    progress.executed += bits.len();
+                    for (&(idx, _), bit) in unit.expected.iter().zip(bits) {
+                        self.out_state[idx as usize] = bit;
                     }
                 }
-                Err(rejection) => {
-                    self.failed.entry(sub.group).or_insert(rejection);
+                Err(rejection) if unit.whole => {
+                    progress.unsettled = Some(Unsettled::Failed { rejection, seen });
+                }
+                Err(_) => {}
+            }
+        }
+    }
+
+    /// The trace-dependent half of the prologue, once the whole trace
+    /// is in: every request answered, then the full Fig. 5 validation
+    /// over the final interner, whose OpMap supersedes the
+    /// incrementally grown one (identical once validation accepts).
+    fn validate(&mut self) {
+        if std::mem::replace(&mut self.validated, true) {
+            return;
+        }
+        if let Some(rid) = self.balance.first_unresponded() {
+            let e = BalanceError::RequestWithoutResponse(rid);
+            self.verdict
+                .record(Stage::Balance, Rejection::Unbalanced(e));
+        }
+        if !self.verdict.open(Stage::Reports) {
+            return;
+        }
+        // Release the grown OpMap first so the two never coexist.
+        if let Some(shared) = self.shared_mut() {
+            shared.opmap = OpMap::streaming_empty();
+        }
+        let (interner, reports, threads) = (self.balance.interner(), self.reports, self.threads);
+        let validated = self.phases.time("ProcOpRep", || {
+            process_op_reports_interned(interner, reports, threads)
+        });
+        match validated {
+            Err(e) => self.verdict.record(Stage::Reports, Rejection::Graph(e)),
+            Ok((graph, opmap)) => {
+                self.stats.graph_nodes = graph.num_nodes();
+                self.stats.graph_edges = graph.num_edges();
+                self.stats.graph_build = graph.build_wall();
+                if let Some(shared) = self.shared_mut() {
+                    shared.opmap = opmap;
                 }
             }
         }
     }
 
-    /// Settles the verdict, reconstructing batch precedence (see the
-    /// module docs). `source` is only re-read on the rejection path, to
-    /// collect the payloads a failed group's confirmation run needs.
-    pub fn finish<E: GroupExecutor + Send>(
+    /// The prologue standalone ([`AuditContext::prepare`]): balance over
+    /// the whole source, validation, and a context over the result.
+    pub(crate) fn into_context(
         mut self,
         source: &dyn TraceSource,
-        executors: &mut [E],
+    ) -> Result<AuditContext<'a>, Rejection> {
+        for_each_epoch(source, usize::MAX, |events| {
+            events.iter().all(|e| self.push_balance(e).is_some())
+        })?;
+        self.validate();
+        match (self.verdict.0, self.shared) {
+            (Some((_, rejection)), _) => Err(rejection),
+            (None, Some(shared)) => Ok(AuditContext::new(shared, AuditCarry::default())),
+            (None, None) => unreachable!("a failed store build records its rejection"),
+        }
+    }
+
+    fn settle(
+        mut self,
+        source: &dyn TraceSource,
+        pool: &mut Pool<'_>,
     ) -> Result<AuditOutcome, Rejection> {
-        // 1. Balance: the in-stream violation, or the first request in
-        // arrival order left without a response.
-        if let Some(e) = self.balance_error.take() {
-            return Err(Rejection::Unbalanced(e));
+        self.validate();
+        if self.verdict.open(WALK) {
+            self.settle_walk(source, pool)?;
         }
-        if let Some(rid) = self.sb.first_unresponded() {
-            return Err(Rejection::Unbalanced(BalanceError::RequestWithoutResponse(
-                rid,
-            )));
-        }
-
-        // 2. The full Fig. 5 validation over the final interner — the
-        // batch code path itself, so diagnostics match exactly. On
-        // success the freshly built OpMap replaces the incrementally
-        // grown one (identical by construction) for the confirmation
-        // runs below.
-        let interner = Arc::clone(self.sb.interner());
-        let reports = self.reports;
-        let threads = self.threads;
-        if let Some(shared) = self.shared.as_mut() {
-            // The incrementally grown OpMap is about to be superseded by
-            // the freshly validated one; release it first so the two
-            // never coexist at the streaming audit's peak.
-            shared.replace_opmap(OpMap::streaming_empty());
-        }
-        let (graph, opmap) = self
-            .phases
-            .time("ProcOpRep", || {
-                process_op_reports_interned(&interner, reports, threads)
-            })
-            .map_err(Rejection::Graph)?;
-        if let Some(shared) = self.shared.as_mut() {
-            shared.replace_opmap(opmap);
-            shared.record_graph(&graph);
-        }
-
-        // 3./4. The deferred nondet or redo rejection.
-        if let Some(rejection) = self.deferred.take() {
-            return Err(rejection);
-        }
-        let mut shared = self.shared.take().expect("no deferred rejection");
-
-        // 5./6. The grouping cut: replay the batch claiming walk with
-        // the trace-membership check the optimistic plan skipped.
-        let (cut_groups, pre_error) = self.grouping_cut(&interner);
-
-        // 5. Confirm failed groups below the cut, lowest index first:
-        // re-execute the whole group against the final state, which
-        // reproduces the batch member order (a sub-group run may have
-        // tripped on a later member first).
-        let failed = std::mem::take(&mut self.failed);
-        for (g, _) in failed.range(..cut_groups) {
-            let shared_arc = Arc::new(shared);
-            let confirmed = self.confirm_group(source, *g, &shared_arc, &mut executors[0]);
-            shared = Arc::try_unwrap(shared_arc)
-                .ok()
-                .expect("confirmation context released");
-            match confirmed? {
-                Err(rejection) => return Err(rejection),
-                Ok(outputs) => {
-                    // The whole-group run passed (the sub-group failure
-                    // did not reproduce); adopt its outputs so the
-                    // phase-5 walk sees the group as executed.
-                    for (rid, resp) in outputs {
-                        let idx = interner.index_of(rid).expect("pre-cut members in trace");
-                        self.out_state[idx as usize] =
-                            if source_response_matches(source, rid, &resp)? {
-                                OUT_MATCH
-                            } else {
-                                OUT_MISMATCH
-                            };
-                    }
-                }
+        if self.verdict.open(Stage::Output) {
+            let output_t0 = Instant::now();
+            if let Some(k) = self.out_state.iter().position(|&s| s != OUT_MATCH) {
+                let rid = self.balance.interner().rid(k as u32);
+                let rejection = match self.out_state[k] {
+                    OUT_NONE => Rejection::MissingOutput { rid },
+                    _ => Rejection::OutputMismatch { rid },
+                };
+                self.verdict.record(Stage::Output, rejection);
             }
+            self.phases.add("Output", output_t0.elapsed());
         }
-        if let Some(rejection) = pre_error {
+        if let Some((_, rejection)) = self.verdict.0 {
             return Err(rejection);
         }
-
-        // 7. Phase 5: first problem in arrival order.
-        let output_t0 = Instant::now();
-        let verdict = self.out_state.iter().enumerate().find_map(|(k, &s)| {
-            let rid = interner.rid(k as u32);
-            match s {
-                OUT_NONE => Some(Rejection::MissingOutput { rid }),
-                OUT_MISMATCH => Some(Rejection::OutputMismatch { rid }),
-                _ => None,
-            }
-        });
-        self.phases.add("Output", output_t0.elapsed());
-        if let Some(rejection) = verdict {
-            return Err(rejection);
-        }
-
-        // Accept: fold the worker carries into the batch-shaped stats.
-        let mut stats = AuditStats::default();
+        let mut stats = self.stats;
         for carry in &self.carries {
             stats.absorb(&carry.stats);
         }
-        // Sub-group execution bumped the group counter once per
-        // sub-group; the batch number is one per prepared group.
-        stats.groups_executed = cut_groups;
+        let finished = |g: &usize| self.groups[*g].executed == self.plan.groups[*g].1.len();
+        stats.groups_executed = (0..self.groups.len()).filter(finished).count();
+        // Phase rows keep Fig. 9's CPU-decomposition meaning: summed
+        // worker busy time, not wall time.
         let mut phases = self.phases;
         phases.add("DB query", stats.db_query_wall);
+        phases.add("Output", stats.output_wall);
+        let reexec = self.reexec_busy;
         phases.add(
             "ReExec",
-            self.reexec_busy.saturating_sub(stats.db_query_wall),
+            reexec.saturating_sub(stats.db_query_wall + stats.output_wall),
         );
+        let shared = self.shared.expect("an open verdict implies the prologue");
         Ok(assemble_outcome(&shared, stats, phases))
     }
 
-    /// Replays the batch `prepare_groups` claiming walk over the final
-    /// interner: returns how many planned groups lie before the cut and
-    /// the cut's rejection, if any. Group indices agree with the
-    /// optimistic plan on everything below the cut.
-    fn grouping_cut(&self, interner: &RidInterner) -> (usize, Option<Rejection>) {
-        let mut claimed: HashSet<RequestId> = HashSet::new();
-        let mut groups = 0usize;
-        for (_, rids) in &self.reports.groupings {
-            let mut members = Vec::new();
-            let mut seen_in_group = HashSet::new();
-            for rid in rids {
-                if claimed.contains(rid) || !seen_in_group.insert(*rid) {
-                    continue;
-                }
-                if interner.index_of(*rid).is_none() {
-                    return (groups, Some(Rejection::GroupUnknownRequest { rid: *rid }));
-                }
-                members.push(*rid);
-            }
-            if members.is_empty() {
-                continue;
-            }
-            claimed.extend(members);
-            groups += 1;
-        }
-        (groups, None)
-    }
-
-    /// Re-executes planned group `g` in full against the final shared
-    /// state, with payloads re-read from the source. The inner result
-    /// is the group's batch-exact outcome; the outer error is a
-    /// storage failure re-reading the trace.
-    fn confirm_group<'s>(
+    /// Records what the walk over the planned groups contributes: the
+    /// grouping cut, and every group failure below it that is the
+    /// sequential walk's own — re-running whole, first, the groups
+    /// whose standing is not ([`Unsettled`]).
+    fn settle_walk(
         &mut self,
         source: &dyn TraceSource,
-        g: usize,
-        shared: &Arc<AuditShared<'s>>,
-        executor: &mut dyn GroupExecutor,
-    ) -> Result<Result<Vec<(RequestId, HttpResponse)>, Rejection>, Rejection> {
-        let members = &self.group_members[g];
-        let want: HashSet<RequestId> = members.iter().copied().collect();
-        let mut payloads: HashMap<RequestId, HttpRequest> = HashMap::new();
+        pool: &mut Pool<'_>,
+    ) -> Result<(), Rejection> {
+        let seen = self.balance.num_requests();
+        let cut = self.plan.cut(self.balance.interner());
+        let mut horizon = cut.map_or(self.groups.len(), |(g, _)| g);
+        let mut rerun = Vec::new();
+        for g in 0..horizon {
+            match &self.groups[g].unsettled {
+                Some(Unsettled::Failed { seen: then, .. }) if *then == seen => {
+                    horizon = g + 1;
+                    break;
+                }
+                Some(_) => rerun.push(g),
+                None => {}
+            }
+        }
+        if !rerun.is_empty() {
+            self.rerun_whole(&rerun, source, pool)?;
+        }
+        for (g, progress) in self.groups[..horizon].iter().enumerate() {
+            if let Some(Unsettled::Failed { rejection, .. }) = &progress.unsettled {
+                let stage = Stage::Walk(g, WalkStep::Execute);
+                self.verdict.record(stage, rejection.clone());
+            }
+        }
+        if let Some((g, rid)) = cut {
+            let stage = Stage::Walk(g, WalkStep::UnknownMember);
+            self.verdict
+                .record(stage, Rejection::GroupUnknownRequest { rid });
+        }
+        Ok(())
+    }
+
+    /// Re-runs the planned groups `rerun` whole against the final
+    /// state, collecting every payload they need in one pass over the
+    /// source. All of them lie below the grouping cut of a balanced
+    /// trace, so each member has both its events.
+    fn rerun_whole(
+        &mut self,
+        rerun: &[usize],
+        source: &dyn TraceSource,
+        pool: &mut Pool<'_>,
+    ) -> Result<(), Rejection> {
+        let members = |g: usize| self.plan.groups[g].1.iter();
+        let mut requests: HashMap<RequestId, HttpRequest> = HashMap::new();
+        let mut responses: HashMap<RequestId, HttpResponse> = HashMap::new();
+        let wanted: HashSet<RequestId> = rerun.iter().flat_map(|&g| members(g)).copied().collect();
         source
             .stream_events(&mut |event| {
-                if let Event::Request(rid, req) = event {
-                    if want.contains(&rid) {
-                        payloads.insert(rid, req);
+                match event {
+                    Event::Request(rid, req) if wanted.contains(&rid) => {
+                        requests.insert(rid, req);
                     }
+                    Event::Response(rid, resp) if wanted.contains(&rid) => {
+                        responses.insert(rid, resp);
+                    }
+                    _ => {}
                 }
-                payloads.len() < want.len()
+                responses.len() < wanted.len()
             })
             .map_err(Rejection::TraceStore)?;
-        let prepared = PreparedGroup {
-            tag: self.group_tags[g],
-            requests: members
-                .iter()
-                .map(|rid| {
-                    let req = payloads
-                        .remove(rid)
-                        .expect("pre-cut group members are in the trace");
-                    (*rid, req)
-                })
-                .collect(),
-        };
-        // A fresh context, like a batch worker's first group: the
-        // per-request cursors start clean and the dedup cache only
-        // moves performance counters.
-        let mut ctx = AuditContext::from_shared(Arc::clone(shared));
-        Ok(run_one_group(executor, &mut ctx, &prepared))
+        let interner = self.balance.interner();
+        let units: Vec<Unit<'_>> = rerun
+            .iter()
+            .map(|&g| Unit {
+                group: g,
+                tag: self.plan.groups[g].0,
+                whole: true,
+                expected: members(g)
+                    .map(|rid| {
+                        (
+                            interner.index_of(*rid).expect("below the cut"),
+                            &responses[rid],
+                        )
+                    })
+                    .collect(),
+                requests: members(g)
+                    .map(|rid| (*rid, requests.remove(rid).expect("below the cut")))
+                    .collect(),
+            })
+            .collect();
+        for &g in rerun {
+            self.groups[g] = GroupProgress::default();
+        }
+        self.run_pass(&units, pool);
+        Ok(())
     }
 }
 
-/// Looks up the traced response for `rid` and compares it against a
-/// produced output. Only the confirmation fallback path needs this
-/// (normal epochs compare at response arrival); it re-streams the
-/// source for the one payload.
-fn source_response_matches(
+/// Cuts `source` into epochs of at most `budget` events and hands each
+/// to `sink` until it returns `false`: borrowed straight from a
+/// resident source, pulled (and owned for the call) otherwise.
+fn for_each_epoch(
     source: &dyn TraceSource,
-    rid: RequestId,
-    produced: &HttpResponse,
-) -> Result<bool, Rejection> {
-    let mut matches = false;
-    let mut found = false;
-    source
-        .stream_events(&mut |event| {
-            if let Event::Response(r, resp) = &event {
-                if *r == rid {
-                    matches = resp == produced;
-                    found = true;
-                    return false;
-                }
-            }
-            true
-        })
-        .map_err(Rejection::TraceStore)?;
-    Ok(found && matches)
+    budget: usize,
+    mut sink: impl FnMut(&[Event]) -> bool,
+) -> Result<(), Rejection> {
+    if let Some(events) = source.resident_events() {
+        let _ = events.chunks(budget).all(sink);
+        return Ok(());
+    }
+    let total = source.event_count();
+    let mut offset = 0usize;
+    while offset < total {
+        let mut epoch: Vec<Event> = Vec::new();
+        source
+            .stream_events_from(offset, &mut |event| {
+                epoch.push(event);
+                epoch.len() < budget
+            })
+            .map_err(Rejection::TraceStore)?;
+        offset += epoch.len();
+        if epoch.is_empty() || !sink(&epoch) {
+            break;
+        }
+    }
+    Ok(())
 }
 
-/// Runs this epoch's sub-groups across the worker pool: one
-/// [`AuditContext`] per worker, rebuilt from its carry, pulling
-/// sub-groups off a shared cursor. Returns per-sub-group results
-/// (indexed like `subgroups`) and the summed worker busy time.
-#[allow(clippy::type_complexity)]
-fn execute_subgroups<'s, E: GroupExecutor + Send>(
-    shared: &Arc<AuditShared<'s>>,
-    subgroups: &[SubGroup],
-    executors: &mut [E],
-    carries: &mut [AuditCarry],
-) -> (
-    Vec<Option<Result<Vec<(RequestId, HttpResponse)>, Rejection>>>,
-    Duration,
-) {
-    let mut results: Vec<Option<Result<Vec<(RequestId, HttpResponse)>, Rejection>>> =
-        (0..subgroups.len()).map(|_| None).collect();
-    if executors.len() == 1 || subgroups.len() < 2 {
-        let t0 = Instant::now();
-        let carry = std::mem::take(&mut carries[0]);
-        let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), carry);
-        for (k, sub) in subgroups.iter().enumerate() {
-            results[k] = Some(run_one_group(&mut executors[0], &mut ctx, &sub.prepared));
-        }
-        carries[0] = ctx.into_carry();
-        return (results, t0.elapsed());
-    }
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, Result<Vec<(RequestId, HttpResponse)>, Rejection>)>> =
-        Mutex::new(Vec::with_capacity(subgroups.len()));
-    let busy_total: Mutex<Duration> = Mutex::new(Duration::ZERO);
-    crossbeam::thread::scope(|s| {
-        for (executor, carry) in executors.iter_mut().zip(carries.iter_mut()) {
-            let cursor = &cursor;
-            let collected = &collected;
-            let busy_total = &busy_total;
-            s.spawn(move |_| {
-                let t0 = Instant::now();
-                let prior = std::mem::take(carry);
-                let mut ctx = AuditContext::from_shared_with_carry(Arc::clone(shared), prior);
-                let mut local = Vec::new();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(sub) = subgroups.get(k) else { break };
-                    local.push((k, run_one_group(&mut *executor, &mut ctx, &sub.prepared)));
-                }
-                *carry = ctx.into_carry();
-                collected.lock().expect("results poisoned").extend(local);
-                *busy_total.lock().expect("busy poisoned") += t0.elapsed();
-            });
-        }
-    })
-    .expect("streaming audit worker pool");
-    for (k, result) in collected.into_inner().expect("results poisoned") {
-        results[k] = Some(result);
-    }
-    let busy = *busy_total.lock().expect("busy poisoned");
-    (results, busy)
+/// Every audit entry point: cuts `source` into epochs of at most
+/// `epoch_events` events (`0` = one epoch spanning the whole trace —
+/// the batch audit) and drives the engine over them.
+pub(crate) fn drive(
+    source: &dyn TraceSource,
+    reports: &Reports,
+    mut pool: Pool<'_>,
+    config: &AuditConfig,
+    epoch_events: usize,
+) -> Result<AuditOutcome, Rejection> {
+    let mut engine = StreamingAudit::new(reports, config, pool.width());
+    engine.total_events = Some(source.event_count());
+    let budget = if epoch_events == 0 {
+        usize::MAX
+    } else {
+        epoch_events
+    };
+    for_each_epoch(source, budget, |epoch| engine.feed(epoch, &mut pool))?;
+    engine.settle(source, &mut pool)
 }
 
-/// The pull-based streaming audit: cuts `source` into epochs of at most
-/// `epoch_events` events (`0` = one epoch spanning the whole trace) and
-/// drives [`StreamingAudit`] over them. Verdicts and diagnostics are
-/// byte-identical to [`crate::audit::audit_parallel`] with
-/// `executors.len()` workers, at every epoch budget.
+/// The pull-based streaming audit: [`crate::audit::audit_parallel_source`]
+/// with the trace cut into epochs of at most `epoch_events` events
+/// (`0` = one epoch, i.e. exactly that batch audit). Verdicts and
+/// diagnostics are byte-identical at every epoch budget.
 ///
 /// # Panics
 ///
@@ -734,33 +919,11 @@ pub fn audit_streaming_source<E: GroupExecutor + Send>(
     config: &AuditConfig,
     epoch_events: usize,
 ) -> Result<AuditOutcome, Rejection> {
-    assert!(
-        !executors.is_empty(),
-        "audit_streaming requires at least one executor"
-    );
-    let mut audit = StreamingAudit::new(reports, config, executors.len());
-    let budget = if epoch_events == 0 {
-        usize::MAX
-    } else {
-        epoch_events
-    };
-    let total = source.event_count();
-    let mut offset = 0usize;
-    while offset < total {
-        let mut epoch: Vec<Event> = Vec::new();
-        source
-            .stream_events_from(offset, &mut |event| {
-                epoch.push(event);
-                epoch.len() < budget
-            })
-            .map_err(Rejection::TraceStore)?;
-        if epoch.is_empty() {
-            break;
-        }
-        offset += epoch.len();
-        if !audit.feed_epoch(&epoch, executors) {
-            break;
-        }
-    }
-    audit.finish(source, executors)
+    drive(
+        source,
+        reports,
+        Pool::threads(executors),
+        config,
+        epoch_events,
+    )
 }

@@ -9,8 +9,7 @@
 //! ([`Config::export_env`]) so code that still reads the variables
 //! (workload generators, the serving front-end defaults) sees the same
 //! configuration. The environment names remain the compatibility
-//! layer; the legacy per-knob readers in [`crate::driver`] keep
-//! working.
+//! layer.
 //!
 //! | Field | Variable | Flag | Default |
 //! |---|---|---|---|
@@ -159,8 +158,7 @@ fn env_nonempty(name: &str) -> Option<String> {
 }
 
 impl Config {
-    /// Loads every knob from its `OROCHI_*` variable, with the same
-    /// defaults and panic messages as the legacy per-knob readers.
+    /// Loads every knob from its `OROCHI_*` variable.
     ///
     /// # Panics
     ///

@@ -6,13 +6,11 @@
 //! queue feeding a fixed worker pool. `OROCHI_SERVE_THREADS` and
 //! `OROCHI_SERVE_QUEUE` configure the pool and queue depth everywhere.
 
+use crate::config::Config;
 use orochi_accphp::executor::{ExecutorStats, VmEngine};
 use orochi_accphp::AccPhpExecutor;
 use orochi_apps::AppDefinition;
-use orochi_core::audit::{
-    audit, audit_parallel, audit_parallel_source, audit_source, AuditConfig, AuditOutcome,
-    Rejection,
-};
+use orochi_core::audit::{AuditConfig, AuditOutcome, Rejection};
 use orochi_core::coldstore;
 use orochi_core::streaming::{audit_streaming_source, StreamingAudit};
 use orochi_obs::HistogramSnapshot;
@@ -69,31 +67,6 @@ pub fn resolve_serve_threads(requested: usize) -> usize {
     }
 }
 
-/// Serving worker count from `OROCHI_SERVE_THREADS`: unset keeps the
-/// historical default of 4 closed-loop workers; `0` or `auto` mean the
-/// available parallelism; explicit values are honored.
-pub fn serve_threads_from_env() -> usize {
-    match std::env::var("OROCHI_SERVE_THREADS") {
-        Ok(v) if v.eq_ignore_ascii_case("auto") || v.is_empty() => resolve_serve_threads(0),
-        Ok(v) => resolve_serve_threads(v.parse::<usize>().unwrap_or_else(|_| {
-            panic!("OROCHI_SERVE_THREADS must be a number or 'auto', got {v:?}")
-        })),
-        Err(_) => 4,
-    }
-}
-
-/// Admission-queue depth from `OROCHI_SERVE_QUEUE`: unset or `0` means
-/// unbounded (no backpressure, no shedding).
-pub fn serve_queue_from_env() -> usize {
-    match std::env::var("OROCHI_SERVE_QUEUE") {
-        Ok(v) if v.is_empty() => 0,
-        Ok(v) => v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("OROCHI_SERVE_QUEUE must be a queue depth, got {v:?}")),
-        Err(_) => 0,
-    }
-}
-
 /// Serving options.
 pub struct ServeOptions {
     /// Front-end worker threads for the measured phase.
@@ -107,13 +80,9 @@ pub struct ServeOptions {
 }
 
 impl Default for ServeOptions {
+    /// The environment's configuration ([`Config::from_env`]).
     fn default() -> Self {
-        ServeOptions {
-            threads: serve_threads_from_env(),
-            queue_depth: serve_queue_from_env(),
-            recording: true,
-            seed: 42,
-        }
+        Config::from_env().serve_options()
     }
 }
 
@@ -360,25 +329,31 @@ pub fn resolve_audit_threads(requested: usize) -> usize {
     }
 }
 
-/// Audit worker count from the `OROCHI_AUDIT_THREADS` environment
-/// variable: unset, `0`, or `auto` mean "use every available core";
-/// explicit values are clamped by [`resolve_audit_threads`].
-pub fn audit_threads_from_env() -> usize {
-    match std::env::var("OROCHI_AUDIT_THREADS") {
-        Ok(v) if v.eq_ignore_ascii_case("auto") || v.is_empty() => resolve_audit_threads(0),
-        Ok(v) => resolve_audit_threads(v.parse::<usize>().unwrap_or_else(|_| {
-            panic!("OROCHI_AUDIT_THREADS must be a number or 'auto', got {v:?}")
-        })),
-        Err(_) => resolve_audit_threads(0),
-    }
-}
-
-/// Records audit-side telemetry once a verdict has landed: the
-/// seal→verdict audit lag (the metric the streaming-epoch audit will
-/// stream per epoch) and the per-engine VM dispatch split.
-fn record_audit_obs(outcome: &AuditOutcome, engine: VmEngine) {
+/// The one audit runner behind every entry point below: builds the
+/// executor pool `opts` describes, runs `audit` over it, and on a
+/// verdict records the audit-side telemetry (seal→verdict lag, the
+/// per-engine VM dispatch split) and merges the executors' statistics.
+fn run_on(
+    work: &AppWorkload,
+    opts: &AuditOptions,
+    audit: impl FnOnce(&mut [AccPhpExecutor], &AuditConfig) -> Result<AuditOutcome, Rejection>,
+) -> Result<AuditRun, Rejection> {
+    let scripts = work.app.compile().expect("application compiles");
+    let mut config = work.audit_config();
+    config.query_dedup = opts.dedup;
+    let mut executors: Vec<AccPhpExecutor> = (0..opts.threads.max(1))
+        .map(|_| {
+            let mut e = AccPhpExecutor::new(scripts.clone());
+            e.force_scalar = !opts.grouped;
+            e.engine = opts.engine;
+            e
+        })
+        .collect();
+    let t0 = Instant::now();
+    let outcome = audit(&mut executors, &config)?;
+    let wall = t0.elapsed();
     orochi_obs::lag::record_verdict();
-    let engine = match engine {
+    let engine = match opts.engine {
         VmEngine::Register => "register",
         VmEngine::Stack => "stack",
     };
@@ -386,6 +361,15 @@ fn record_audit_obs(outcome: &AuditOutcome, engine: VmEngine) {
         .add(outcome.stats.vm_dispatch_executed);
     orochi_obs::registry::counter_owned(&format!("vm_dispatch_represented_{engine}_total"))
         .add(outcome.stats.vm_dispatch_total);
+    let mut exec_stats = ExecutorStats::default();
+    for e in &executors {
+        exec_stats.merge(&e.stats);
+    }
+    Ok(AuditRun {
+        outcome,
+        exec_stats,
+        wall,
+    })
 }
 
 /// Audits a bundle. `grouped` selects SIMD-on-demand vs the scalar
@@ -409,42 +393,16 @@ pub fn run_audit(
 }
 
 /// Audits a bundle with explicit [`AuditOptions`]. With `threads >= 2`
-/// the control-flow groups re-execute across a worker pool
-/// (`audit_parallel`); verdicts and diagnostics are identical to the
-/// sequential audit at any thread count.
+/// the control-flow groups re-execute across a worker pool; verdicts
+/// and diagnostics are identical to the sequential audit at any thread
+/// count.
 pub fn run_audit_with(
     bundle: &AuditBundle,
     work: &AppWorkload,
     opts: &AuditOptions,
 ) -> Result<AuditRun, Rejection> {
-    let scripts = work.app.compile().expect("application compiles");
-    let mut config = work.audit_config();
-    config.query_dedup = opts.dedup;
-    let threads = opts.threads.max(1);
-    let mut executors: Vec<AccPhpExecutor> = (0..threads)
-        .map(|_| {
-            let mut e = AccPhpExecutor::new(scripts.clone());
-            e.force_scalar = !opts.grouped;
-            e.engine = opts.engine;
-            e
-        })
-        .collect();
-    let t0 = Instant::now();
-    let outcome = if threads == 1 {
-        audit(&bundle.trace, &bundle.reports, &mut executors[0], &config)?
-    } else {
-        audit_parallel(&bundle.trace, &bundle.reports, &mut executors, &config)?
-    };
-    let wall = t0.elapsed();
-    record_audit_obs(&outcome, opts.engine);
-    let mut exec_stats = ExecutorStats::default();
-    for e in &executors {
-        exec_stats.merge(&e.stats);
-    }
-    Ok(AuditRun {
-        outcome,
-        exec_stats,
-        wall,
+    run_on(work, opts, |executors, config| {
+        audit_streaming_source(&bundle.trace, &bundle.reports, executors, config, 0)
     })
 }
 
@@ -463,65 +421,22 @@ pub fn spill_bundle(
     writer.finish()
 }
 
-/// Audits straight from a segmented trace store: the trace streams out
-/// of the sealed segments one at a time ([`audit_source`]) and the
-/// reports load from the sidecar blob. Verdicts and diagnostics are
-/// byte-identical to [`run_audit_with`] over the in-RAM bundle.
+/// Audits straight from a segmented trace store, as one epoch: the
+/// trace streams out of the sealed segments and the reports load from
+/// the sidecar blob. Verdicts and diagnostics are byte-identical to
+/// [`run_audit_with`] over the in-RAM bundle.
 pub fn run_audit_cold(
     reader: &TraceStoreReader,
     work: &AppWorkload,
     opts: &AuditOptions,
 ) -> Result<AuditRun, Rejection> {
-    let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
-    let scripts = work.app.compile().expect("application compiles");
-    let mut config = work.audit_config();
-    config.query_dedup = opts.dedup;
-    let threads = opts.threads.max(1);
-    let mut executors: Vec<AccPhpExecutor> = (0..threads)
-        .map(|_| {
-            let mut e = AccPhpExecutor::new(scripts.clone());
-            e.force_scalar = !opts.grouped;
-            e.engine = opts.engine;
-            e
-        })
-        .collect();
-    let t0 = Instant::now();
-    let outcome = if threads == 1 {
-        audit_source(reader, &reports, &mut executors[0], &config)?
-    } else {
-        audit_parallel_source(reader, &reports, &mut executors, &config)?
-    };
-    let wall = t0.elapsed();
-    record_audit_obs(&outcome, opts.engine);
-    let mut exec_stats = ExecutorStats::default();
-    for e in &executors {
-        exec_stats.merge(&e.stats);
-    }
-    Ok(AuditRun {
-        outcome,
-        exec_stats,
-        wall,
-    })
+    run_audit_streaming(reader, work, opts, 0)
 }
 
-/// Builds the audit worker pool shared by every audit entry point.
-fn build_executors(work: &AppWorkload, opts: &AuditOptions) -> Vec<AccPhpExecutor> {
-    let scripts = work.app.compile().expect("application compiles");
-    (0..opts.threads.max(1))
-        .map(|_| {
-            let mut e = AccPhpExecutor::new(scripts.clone());
-            e.force_scalar = !opts.grouped;
-            e.engine = opts.engine;
-            e
-        })
-        .collect()
-}
-
-/// Audits a segmented trace store through the streaming epoch driver
-/// ([`audit_streaming_source`]): the trace is pulled in epochs of
-/// `epoch_events` events (`0` = one epoch, i.e. batch) and re-executed
-/// incrementally with bounded carry. Verdicts and diagnostics are
-/// byte-identical to [`run_audit_cold`] at any epoch budget.
+/// Audits a segmented trace store in epochs of `epoch_events` events
+/// (`0` = one epoch, i.e. batch), re-executing incrementally with
+/// bounded carry. Verdicts and diagnostics are byte-identical to
+/// [`run_audit_cold`] at any epoch budget.
 pub fn run_audit_streaming(
     reader: &TraceStoreReader,
     work: &AppWorkload,
@@ -529,21 +444,8 @@ pub fn run_audit_streaming(
     epoch_events: usize,
 ) -> Result<AuditRun, Rejection> {
     let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
-    let mut config = work.audit_config();
-    config.query_dedup = opts.dedup;
-    let mut executors = build_executors(work, opts);
-    let t0 = Instant::now();
-    let outcome = audit_streaming_source(reader, &reports, &mut executors, &config, epoch_events)?;
-    let wall = t0.elapsed();
-    record_audit_obs(&outcome, opts.engine);
-    let mut exec_stats = ExecutorStats::default();
-    for e in &executors {
-        exec_stats.merge(&e.stats);
-    }
-    Ok(AuditRun {
-        outcome,
-        exec_stats,
-        wall,
+    run_on(work, opts, |executors, config| {
+        audit_streaming_source(reader, &reports, executors, config, epoch_events)
     })
 }
 
@@ -580,49 +482,38 @@ pub fn serve_and_audit(
     };
     let (server, serve_wall) = serve_drained(work, serve_opts);
     let bundle = server.into_bundle();
-    let mut config = work.audit_config();
-    config.query_dedup = audit_opts.dedup;
-    let mut executors = build_executors(work, audit_opts);
     let mut writer = TraceStoreWriter::create(dir, segment_bytes).map_err(io_err)?;
-    let t0 = Instant::now();
-    let mut audit = StreamingAudit::new(&bundle.reports, &config, executors.len());
     let budget = if epoch_events == 0 {
         bundle.trace.events.len().max(1)
     } else {
         epoch_events
     };
-    let mut feeding = true;
-    for epoch in bundle.trace.events.chunks(budget) {
-        for event in epoch {
-            writer.append(event.clone()).map_err(io_err)?;
+    let (mut epochs, mut store) = (0, None);
+    let run = run_on(work, audit_opts, |executors, config| {
+        let mut audit = StreamingAudit::new(&bundle.reports, config, executors.len());
+        let mut feeding = true;
+        for epoch in bundle.trace.events.chunks(budget) {
+            for event in epoch {
+                writer.append(event.clone()).map_err(io_err)?;
+            }
+            // Seal the epoch: durable on disk and stamped on the lag
+            // clock before the verifier touches it.
+            writer.seal().map_err(io_err)?;
+            if feeding {
+                feeding = audit.feed_epoch(epoch, executors);
+            }
         }
-        // Seal the epoch: durable on disk and stamped on the lag clock
-        // before the verifier touches it.
-        writer.seal().map_err(io_err)?;
-        if feeding {
-            feeding = audit.feed_epoch(epoch, &mut executors);
-        }
-    }
-    coldstore::spill_reports(&mut writer, &bundle.reports).map_err(io_err)?;
-    let store = writer.finish().map_err(io_err)?;
-    let reader = TraceStoreReader::open(dir).map_err(Rejection::TraceStore)?;
-    let epochs = audit.epochs();
-    let outcome = audit.finish(&reader, &mut executors)?;
-    let wall = t0.elapsed();
-    record_audit_obs(&outcome, audit_opts.engine);
-    let mut exec_stats = ExecutorStats::default();
-    for e in &executors {
-        exec_stats.merge(&e.stats);
-    }
+        coldstore::spill_reports(&mut writer, &bundle.reports).map_err(io_err)?;
+        store = Some(writer.finish().map_err(io_err)?);
+        epochs = audit.epochs();
+        let reader = TraceStoreReader::open(dir).map_err(Rejection::TraceStore)?;
+        audit.finish(&reader, executors)
+    })?;
     Ok(ServeAudit {
-        run: AuditRun {
-            outcome,
-            exec_stats,
-            wall,
-        },
+        run,
         serve_wall,
         epochs,
-        store,
+        store: store.expect("the audit closure finished the store"),
     })
 }
 

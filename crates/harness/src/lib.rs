@@ -24,9 +24,8 @@ pub mod tamper;
 
 pub use config::{Config, Threads};
 pub use driver::{
-    audit_threads_from_env, resolve_audit_threads, resolve_serve_threads, run_audit,
-    run_audit_cold, run_audit_streaming, run_audit_with, serve, serve_and_audit, serve_drained,
-    serve_open_loop, serve_open_loop_with, serve_queue_from_env, serve_threads_from_env,
+    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_cold, run_audit_streaming,
+    run_audit_with, serve, serve_and_audit, serve_drained, serve_open_loop, serve_open_loop_with,
     spill_bundle, AppWorkload, AuditOptions, AuditRun, OpenLoopOptions, ServeAudit, ServeOptions,
     ServeResult,
 };

@@ -201,30 +201,24 @@ pub struct BalancedTrace {
     response_pos: Vec<usize>,
 }
 
-/// Incremental balance validation: events stream in one at a time (from
-/// a `Vec` or a segment decoder), and the builder maintains the
-/// interner, the dense position arrays, and the §3 balance checks in a
-/// single pass — no second copy of the event stream is ever made.
+/// Materializing balance validation: a [`StreamingBalance`] (the one §3
+/// balance implementation — interner, dense event stream, the four
+/// in-stream checks) plus what a [`BalancedTrace`] needs on top of it:
+/// the retained events and the dense position arrays. One pass, no
+/// second copy of the event stream.
 pub(crate) struct BalancedBuilder {
+    balance: StreamingBalance,
     events: Vec<Event>,
-    rids: Vec<RequestId>,
-    index: HashMap<RequestId, u32>,
-    dense_events: Vec<u32>,
     request_pos: Vec<usize>,
     response_pos: Vec<usize>,
     error: Option<BalanceError>,
 }
 
-/// Sentinel in `response_pos` for "no response seen yet".
-const NO_RESPONSE: usize = usize::MAX;
-
 impl BalancedBuilder {
     pub(crate) fn with_capacity(events: usize) -> Self {
         BalancedBuilder {
+            balance: StreamingBalance::new(),
             events: Vec::with_capacity(events),
-            rids: Vec::new(),
-            index: HashMap::new(),
-            dense_events: Vec::with_capacity(events),
             request_pos: Vec::new(),
             response_pos: Vec::new(),
             error: None,
@@ -238,42 +232,18 @@ impl BalancedBuilder {
             return false;
         }
         let pos = self.events.len();
-        match &event {
-            Event::Request(rid, _) => {
-                let idx = self.rids.len() as u32;
-                match self.index.entry(*rid) {
-                    Entry::Occupied(_) => {
-                        self.error = Some(BalanceError::DuplicateRequestId(*rid));
-                        return false;
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(idx);
-                    }
-                }
-                self.rids.push(*rid);
-                self.dense_events.push(idx << 1);
+        match self.balance.push(&event) {
+            Err(e) => {
+                self.error = Some(e);
+                return false;
+            }
+            Ok(DenseEvent::Request(_)) => {
                 self.request_pos.push(pos);
-                self.response_pos.push(NO_RESPONSE);
+                // Overwritten by the response; `finish` rejects a trace
+                // that leaves any request unanswered.
+                self.response_pos.push(usize::MAX);
             }
-            Event::Response(rid, resp) => {
-                let Some(&idx) = self.index.get(rid) else {
-                    self.error = Some(BalanceError::ResponseWithoutRequest(*rid));
-                    return false;
-                };
-                if self.response_pos[idx as usize] != NO_RESPONSE {
-                    self.error = Some(BalanceError::DuplicateResponse(*rid));
-                    return false;
-                }
-                if resp.rid_label != *rid {
-                    self.error = Some(BalanceError::MislabeledResponse {
-                        expected: *rid,
-                        got: resp.rid_label,
-                    });
-                    return false;
-                }
-                self.response_pos[idx as usize] = pos;
-                self.dense_events.push((idx << 1) | 1);
-            }
+            Ok(DenseEvent::Response(idx)) => self.response_pos[idx as usize] = pos,
         }
         self.events.push(event);
         true
@@ -283,23 +253,14 @@ impl BalancedBuilder {
         if let Some(err) = self.error {
             return Err(err);
         }
-        // First request in arrival order without a response (the old
-        // implementation picked a hash-map-ordered rid here; arrival
-        // order makes the diagnostic deterministic).
-        for (k, &pos) in self.response_pos.iter().enumerate() {
-            if pos == NO_RESPONSE {
-                return Err(BalanceError::RequestWithoutResponse(self.rids[k]));
-            }
+        if let Some(rid) = self.balance.first_unresponded() {
+            return Err(BalanceError::RequestWithoutResponse(rid));
         }
         Ok(BalancedTrace {
             trace: Trace {
                 events: self.events,
             },
-            interner: Arc::new(RidInterner {
-                rids: self.rids,
-                index: self.index,
-                dense_events: self.dense_events,
-            }),
+            interner: self.balance.interner,
             request_pos: self.request_pos,
             response_pos: self.response_pos,
         })
@@ -499,17 +460,17 @@ impl RidInterner {
 }
 
 /// Incremental §3 balance validation over an *unbounded* event stream —
-/// the streaming-epoch audit's replacement for materializing a
-/// [`BalancedTrace`].
+/// the one implementation of the balance checks. The audit engine
+/// pushes events through it directly; [`Trace::ensure_balanced`] and
+/// [`BalancedTrace::from_source`](crate::source) wrap it in a builder
+/// that also retains the events.
 ///
-/// Unlike the balanced-trace builder, no event payload is retained: the
-/// validator grows only the [`RidInterner`] (dense ids, forward/reverse
-/// tables, the dense event stream) and one `responded` bit per request.
-/// The checks and their order are exactly the builder's, so the first
-/// [`BalanceError`] reported on any stream equals the one
-/// [`Trace::ensure_balanced`] reports on the materialized trace, and
+/// No event payload is retained: the validator grows only the
+/// [`RidInterner`] (dense ids, forward/reverse tables, the dense event
+/// stream) and one `responded` bit per request.
 /// [`StreamingBalance::first_unresponded`] at end-of-stream names the
-/// same arrival-ordered rid as the builder's finish.
+/// first unanswered request in *arrival* order, so the diagnostic is
+/// deterministic.
 ///
 /// The interner lives behind an [`Arc`] so audit-side structures can
 /// share it between ingest bursts, but [`StreamingBalance::push`]

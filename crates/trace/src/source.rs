@@ -5,9 +5,10 @@
 //! trace may instead live in sealed on-disk segments that are decoded
 //! one at a time. `TraceSource` abstracts over both: a pull-based,
 //! ordered event stream plus an exact event count for preallocation.
-//! [`BalancedTrace::from_source`] is the single funnel that turns any
-//! source into the audit's materialized replay — batch-from-RAM and
-//! replay-from-cold-storage share every instruction downstream of it.
+//! The audit engine pulls its epochs through it, so batch-from-RAM and
+//! replay-from-cold-storage share every instruction downstream;
+//! [`BalancedTrace::from_source`] materializes any source for callers
+//! that want the indexed replay.
 //!
 //! The contract:
 //!
@@ -114,7 +115,7 @@ impl From<TraceStoreError> for TraceReadError {
 /// ingestion API.
 ///
 /// Implemented by the in-memory [`Trace`], by the already-materialized
-/// [`BalancedTrace`] (so repeated audits of one replay are free), and by
+/// [`BalancedTrace`], and by
 /// [`crate::store::TraceStoreReader`], which decodes sealed on-disk
 /// segments one at a time so the resident ingest buffer is bounded by
 /// the segment size rather than the trace length.
@@ -149,9 +150,11 @@ pub trait TraceSource {
         })
     }
 
-    /// If this source already holds a materialized balanced replay,
-    /// exposes it so consumers can borrow instead of rebuilding.
-    fn as_balanced(&self) -> Option<&BalancedTrace> {
+    /// The events themselves, if this source already holds them in
+    /// memory: the audit then borrows its epochs straight from the
+    /// slice instead of pulling owned copies through
+    /// [`TraceSource::stream_events_from`].
+    fn resident_events(&self) -> Option<&[Event]> {
         None
     }
 }
@@ -177,6 +180,10 @@ impl TraceSource for Trace {
         }
         Ok(())
     }
+
+    fn resident_events(&self) -> Option<&[Event]> {
+        Some(&self.events)
+    }
 }
 
 impl TraceSource for BalancedTrace {
@@ -196,16 +203,15 @@ impl TraceSource for BalancedTrace {
         self.as_trace().stream_events_from(start, sink)
     }
 
-    fn as_balanced(&self) -> Option<&BalancedTrace> {
-        Some(self)
+    fn resident_events(&self) -> Option<&[Event]> {
+        Some(self.events())
     }
 }
 
 impl BalancedTrace {
     /// Replays `source` into the audit's materialized form: one pass
     /// that validates the §3 balance conditions, interns requestIDs, and
-    /// indexes event positions. This is the single ingestion funnel for
-    /// both the in-RAM and the cold-storage audit paths.
+    /// indexes event positions.
     pub fn from_source<S: TraceSource + ?Sized>(
         source: &S,
     ) -> Result<BalancedTrace, TraceReadError> {
@@ -327,7 +333,7 @@ mod tests {
             events: pair(5).to_vec(),
         };
         let balanced = trace.ensure_balanced().unwrap();
-        assert!(balanced.as_balanced().is_some());
+        assert_eq!(balanced.resident_events(), Some(&trace.events[..]));
         assert_eq!(balanced.event_count(), 2);
     }
 }
