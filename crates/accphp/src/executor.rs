@@ -15,20 +15,18 @@
 //! Fig. 11 (group size, univalent-instruction proportion, instruction
 //! count).
 
-use crate::groupvm::{self, GroupOutcome, GroupRunError};
+use crate::groupvm::{self, db_result, rows_to_value, GroupOutcome, GroupRunError};
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
-use orochi_core::exec::{DbQueryResult, DbTxnHandle, GroupExecutor, SimResult};
+use orochi_core::exec::{DbTxnHandle, GroupExecutor, SimResult};
 use orochi_core::nondet::NondetValue;
-use orochi_php::backend::{BackendError, DbResult, DbScalar, NondetProvider, StateBackend};
-use orochi_php::builtins;
+use orochi_php::backend::{BackendError, DbResult, NondetProvider, StateBackend};
 use orochi_php::bytecode::CompiledScript;
-use orochi_php::value::Value;
-use orochi_php::vm::{not_found_output, run_request, RequestInput, RequestOutput};
-use orochi_sqldb::{ExecOutcome, SqlValue};
+use orochi_php::vm::{not_found_output, run_request, RequestInput, RequestOutput, RunResult};
 use orochi_state::object::ObjectName;
 use orochi_trace::{HttpRequest, HttpResponse};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Which PHP bytecode engine the executor re-executes requests on.
 ///
@@ -44,6 +42,17 @@ pub enum VmEngine {
     Register,
     /// The legacy stack bytecode interpreter.
     Stack,
+}
+
+/// The runtime's borrowed view of a traced request.
+pub fn request_input(req: &HttpRequest) -> RequestInput<'_> {
+    RequestInput {
+        method: &req.method,
+        path: &req.path,
+        get: &req.query,
+        post: &req.post,
+        cookies: &req.cookies,
+    }
 }
 
 /// Per-group statistics: the Fig. 11 bubble for one group.
@@ -109,7 +118,8 @@ impl ExecutorStats {
 /// The acc-PHP group executor: routes requests to compiled scripts and
 /// re-executes each control-flow group.
 pub struct AccPhpExecutor {
-    scripts: HashMap<String, CompiledScript>,
+    /// Shared handles: a group borrows its script without copying it.
+    scripts: HashMap<String, Arc<CompiledScript>>,
     /// Force the scalar path for every request (the "SIMD off" ablation
     /// arm, §5.2).
     pub force_scalar: bool,
@@ -133,21 +143,14 @@ impl AccPhpExecutor {
     /// Creates an executor for the given `(path, script)` routing table.
     pub fn new(scripts: HashMap<String, CompiledScript>) -> Self {
         AccPhpExecutor {
-            scripts,
+            scripts: scripts
+                .into_iter()
+                .map(|(path, script)| (path, Arc::new(script)))
+                .collect(),
             force_scalar: false,
             max_group: 3000,
             engine: VmEngine::default(),
             stats: ExecutorStats::default(),
-        }
-    }
-
-    fn to_input(req: &HttpRequest) -> RequestInput {
-        RequestInput {
-            method: req.method.clone(),
-            path: req.path.clone(),
-            get: req.query.clone(),
-            post: req.post.clone(),
-            cookies: req.cookies.clone(),
         }
     }
 
@@ -164,44 +167,25 @@ impl AccPhpExecutor {
     fn run_scalar(
         &mut self,
         rid: RequestId,
-        input: &RequestInput,
+        input: &RequestInput<'_>,
         ctx: &mut AuditContext<'_>,
     ) -> Result<RequestOutput, Rejection> {
         self.stats.scalar_requests += 1;
-        let Some(script) = self.scripts.get(&input.path) else {
-            return Ok(not_found_output(&input.path));
+        let Some(script) = self.scripts.get(input.path) else {
+            return Ok(not_found_output(input.path));
         };
-        let mut backend = AuditBackend {
-            ctx,
-            rid,
-            txn: None,
-            rejection: None,
-        };
-        let result = match self.engine {
-            VmEngine::Register => run_request(script, &mut backend, input),
-            VmEngine::Stack => orochi_php::vm::stack::run_request(script, &mut backend, input),
-        };
-        match result {
-            Ok(result) => {
-                // Scalar execution dispatches every instruction once:
-                // total and executed coincide.
-                backend
-                    .ctx
-                    .record_vm_dispatches(result.stats.instructions, result.stats.instructions);
-                Ok(result.output)
-            }
-            Err(msg) => Err(backend
-                .rejection
-                .take()
-                .unwrap_or(Rejection::ExecFailure(msg))),
-        }
+        let result = run_scalar_request(script, rid, input, ctx, self.engine)?;
+        // Scalar execution dispatches every instruction once: total and
+        // executed coincide.
+        ctx.record_vm_dispatches(result.stats.instructions, result.stats.instructions);
+        Ok(result.output)
     }
 
     fn run_group(
         &self,
         script: &CompiledScript,
         rids: &[RequestId],
-        inputs: &[RequestInput],
+        inputs: &[RequestInput<'_>],
         ctx: &mut AuditContext<'_>,
     ) -> Result<GroupOutcome, GroupRunError> {
         match self.engine {
@@ -218,25 +202,18 @@ impl GroupExecutor for AccPhpExecutor {
         ctx: &mut AuditContext<'_>,
     ) -> Result<Vec<(RequestId, HttpResponse)>, Rejection> {
         let rids: Vec<RequestId> = requests.iter().map(|(r, _)| *r).collect();
-        let inputs: Vec<RequestInput> = requests
-            .iter()
-            .map(|(_, req)| Self::to_input(req))
-            .collect();
+        let inputs: Vec<RequestInput<'_>> =
+            requests.iter().map(|(_, req)| request_input(req)).collect();
         let mut outputs: Vec<(RequestId, HttpResponse)> = Vec::with_capacity(requests.len());
 
         // Grouped execution requires a single script; groups beyond
         // max_group split into chunks (OROCHI caps groups at 3,000 to
         // avoid thrashing, §4.7). Anything else goes scalar.
         let same_path = inputs.windows(2).all(|w| w[0].path == w[1].path);
-        let script_known = same_path && self.scripts.contains_key(&inputs[0].path);
-        let try_grouped = !self.force_scalar && requests.len() > 1 && script_known;
+        let try_grouped = !self.force_scalar && requests.len() > 1 && same_path;
+        let script = self.scripts.get(inputs[0].path).filter(|_| try_grouped);
 
-        if try_grouped {
-            let script = self
-                .scripts
-                .get(&inputs[0].path)
-                .expect("checked script_known")
-                .clone();
+        if let Some(script) = script.cloned() {
             let chunk = self.max_group.max(1);
             let mut diverged = false;
             let mut chunk_outputs = Vec::with_capacity(requests.len());
@@ -285,6 +262,34 @@ impl GroupExecutor for AccPhpExecutor {
     }
 }
 
+/// Re-executes one request on the scalar VM through the checking
+/// backend — the executor's fallback path, and the per-request reference
+/// a grouped run is compared against.
+pub fn run_scalar_request(
+    script: &CompiledScript,
+    rid: RequestId,
+    input: &RequestInput<'_>,
+    ctx: &mut AuditContext<'_>,
+    engine: VmEngine,
+) -> Result<RunResult, Rejection> {
+    let mut backend = AuditBackend {
+        ctx,
+        rid,
+        txn: None,
+        rejection: None,
+    };
+    let result = match engine {
+        VmEngine::Register => run_request(script, &mut backend, input),
+        VmEngine::Stack => orochi_php::vm::stack::run_request(script, &mut backend, input),
+    };
+    result.map_err(|msg| {
+        backend
+            .rejection
+            .take()
+            .unwrap_or(Rejection::ExecFailure(msg))
+    })
+}
+
 /// Scalar-path adapter: implements the PHP runtime's backend traits over
 /// the audit context, preserving the precise rejection for the driver.
 struct AuditBackend<'b, 'a> {
@@ -299,32 +304,6 @@ impl AuditBackend<'_, '_> {
         let msg = r.to_string();
         self.rejection = Some(r);
         Err(BackendError::AuditReject(msg))
-    }
-}
-
-fn exec_outcome_to_db_result(outcome: DbQueryResult) -> DbResult {
-    match outcome {
-        DbQueryResult::Failed => DbResult::Failed,
-        DbQueryResult::Ok(ExecOutcome::Rows { columns, rows }) => DbResult::Rows(
-            rows.into_iter()
-                .map(|row| {
-                    columns
-                        .iter()
-                        .cloned()
-                        .zip(row.into_iter().map(|v| match v {
-                            SqlValue::Null => DbScalar::Null,
-                            SqlValue::Int(i) => DbScalar::Int(i),
-                            SqlValue::Float(f) => DbScalar::Float(f),
-                            SqlValue::Text(s) => DbScalar::Text(s),
-                        }))
-                        .collect()
-                })
-                .collect(),
-        ),
-        DbQueryResult::Ok(ExecOutcome::Write(w)) => DbResult::Write {
-            affected: w.affected,
-            insert_id: w.last_insert_id,
-        },
     }
 }
 
@@ -388,7 +367,9 @@ impl StateBackend for AuditBackend<'_, '_> {
             let result = self.ctx.db_query(&mut handle, sql);
             self.txn = Some(handle);
             match result {
-                Ok(out) => Ok(exec_outcome_to_db_result(out)),
+                Ok(out) => Ok(db_result(out, |_, columns, rows| {
+                    rows_to_value(columns, rows)
+                })),
                 Err(r) => self.reject(r),
             }
         } else {
@@ -405,7 +386,9 @@ impl StateBackend for AuditBackend<'_, '_> {
             if let Err(r) = self.ctx.db_finish(handle, true) {
                 return self.reject(r);
             }
-            Ok(exec_outcome_to_db_result(result))
+            Ok(db_result(result, |_, columns, rows| {
+                rows_to_value(columns, rows)
+            }))
         }
     }
 
@@ -491,11 +474,4 @@ impl NondetProvider for AuditBackend<'_, '_> {
             Err(r) => self.reject(r),
         }
     }
-}
-
-// Keep the `builtins` and `Value` imports alive for the doc references
-// above and potential direct dispatch extensions.
-#[allow(unused)]
-fn _doc_anchors(_: &Value) {
-    let _ = builtins::NAMES.len();
 }

@@ -7,8 +7,10 @@
 //! §3.1/§4.3:
 //!
 //! * instructions with univalue operands execute **once**;
-//! * instructions with multivalue operands execute **per lane**, and the
-//!   result collapses back to a univalue whenever the lanes agree;
+//! * instructions with multivalue operands execute **per lane** — once
+//!   per distinct operand identity, lanes holding the same handles share
+//!   the result ([`crate::mval::LaneMemo`]) — and the result collapses
+//!   back to a univalue whenever the lanes agree;
 //! * conditional branches (and iteration steps) require a *uniform*
 //!   decision across lanes — otherwise the group **diverges**
 //!   (Fig. 12 line 39) and the caller falls back to per-request scalar
@@ -20,25 +22,24 @@
 //!   of the *same* implementations the scalar VM uses (§4.3 "built-in
 //!   functions").
 //!
-//! The previous stack-bytecode group engine survives as [`stack`] — the
-//! differential baseline `fig10_instructions` and the property tests
-//! compare against.
+//! This file is the register encoding's operand traffic; lane effects,
+//! accounting, the per-lane helper and the builtins are the `group`
+//! module, shared with the previous stack-bytecode group engine, which
+//! survives as [`stack`] — the differential baseline
+//! `fig10_instructions` and the property tests compare against.
 
 use crate::mval::MVal;
-use orochi_common::codec::Wire;
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
-use orochi_core::exec::{DbQueryResult, DbTxnHandle};
-use orochi_core::nondet::NondetValue;
-use orochi_php::backend::{DbResult, DbScalar};
-use orochi_php::builtins::{self, Host};
 use orochi_php::bytecode::{rinsn, CompiledScript, Op, ROp};
-use orochi_php::value::{ArrayKey, Value};
-use orochi_php::vm::{ops, RequestInput, RequestOutput, VmError};
-use orochi_sqldb::{ExecOutcome, SqlValue};
-use orochi_state::object::ObjectName;
+use orochi_php::value::Value;
+use orochi_php::vm::{ops, RequestInput, RequestOutput, VmError, STEP_LIMIT};
 
+mod group;
 pub mod stack;
+
+pub(crate) use group::{db_result, rows_to_value};
+use group::{Flow, Group, GroupIter};
 
 /// Why grouped execution stopped without producing outputs.
 #[derive(Debug)]
@@ -74,218 +75,6 @@ enum FnRef {
     User(u16),
 }
 
-enum GroupIter {
-    Uni {
-        pairs: Vec<(ArrayKey, Value)>,
-        pos: usize,
-    },
-    PerLane {
-        lanes: Vec<(Vec<(ArrayKey, Value)>, usize)>,
-    },
-}
-
-/// Internal control signals of the superposed interpreter.
-enum Flow {
-    Diverged(&'static str),
-    Reject(Rejection),
-    /// Uniform fatal error: the whole group produces the same 500 page.
-    GroupFatal(String),
-    /// Uniform `exit`/`die`.
-    Exit,
-}
-
-impl From<Rejection> for Flow {
-    fn from(r: Rejection) -> Self {
-        Flow::Reject(r)
-    }
-}
-
-/// Lifts a scalar VmError arising from *univalent* execution: fatal
-/// errors are uniform across lanes.
-fn uni_err(e: VmError) -> Flow {
-    match e {
-        VmError::Fatal(m) => Flow::GroupFatal(m),
-        VmError::Exit => Flow::Exit,
-        VmError::AuditReject(m) => Flow::Reject(Rejection::ExecFailure(m)),
-    }
-}
-
-/// Lifts per-lane errors: a fatal in *some* lanes is divergence; the
-/// caller re-executes scalar per request, where each lane gets its own
-/// (possibly 500) output.
-fn lane_err(e: VmError) -> Flow {
-    match e {
-        VmError::Fatal(_) => Flow::Diverged("per-lane error"),
-        VmError::Exit => Flow::Diverged("per-lane exit"),
-        VmError::AuditReject(m) => Flow::Reject(Rejection::ExecFailure(m)),
-    }
-}
-
-/// A [`Host`] that pure builtins never actually call.
-struct NoHost;
-
-impl Host for NoHost {
-    fn echo(&mut self, _s: &str) {}
-    fn add_header(&mut self, _n: String, _v: String) {}
-    fn set_status(&mut self, _c: u16) {}
-    fn session_start(&mut self) -> Result<(), VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn kv_get(&mut self, _k: &str) -> Result<Value, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn kv_set(&mut self, _k: &str, _v: Option<&Value>) -> Result<(), VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_begin(&mut self) -> Result<(), VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_query(&mut self, _sql: &str) -> Result<Value, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_commit(&mut self) -> Result<bool, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_rollback(&mut self) -> Result<(), VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_insert_id(&mut self) -> i64 {
-        0
-    }
-    fn db_affected_rows(&mut self) -> i64 {
-        0
-    }
-    fn nd_time(&mut self) -> Result<i64, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn nd_microtime(&mut self) -> Result<f64, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn nd_getpid(&mut self) -> Result<i64, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn nd_rand_raw(&mut self) -> Result<i64, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn nd_uniqid(&mut self) -> Result<String, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-}
-
-/// Builtins that interact with per-request effects or state; everything
-/// else is pure and lane-splittable.
-fn is_impure(name: &str) -> bool {
-    matches!(
-        name,
-        "print"
-            | "exit"
-            | "die"
-            | "header"
-            | "http_response_code"
-            | "setcookie"
-            | "session_start"
-            | "apc_fetch"
-            | "apc_store"
-            | "apc_delete"
-            | "db_query"
-            | "db_begin"
-            | "db_commit"
-            | "db_rollback"
-            | "db_insert_id"
-            | "db_affected_rows"
-            | "time"
-            | "microtime"
-            | "getpid"
-            | "mt_rand"
-            | "rand"
-            | "uniqid"
-    )
-}
-
-fn init_globals(script: &CompiledScript, inputs: &[RequestInput], lanes: usize) -> Vec<MVal> {
-    let mut globals = vec![MVal::Uni(Value::Null); script.global_names.len()];
-    let lane_vals =
-        |f: &dyn Fn(&RequestInput) -> Value| MVal::from_lanes(inputs.iter().map(f).collect());
-    globals[0] = lane_vals(&|i| orochi_php::vm::pairs_to_array(&i.get));
-    globals[1] = lane_vals(&|i| orochi_php::vm::pairs_to_array(&i.post));
-    globals[2] = lane_vals(&|i| orochi_php::vm::pairs_to_array(&i.cookies));
-    globals[3] = MVal::Uni(Value::empty_array());
-    globals[4] = lane_vals(&|i| {
-        let mut server = orochi_php::value::PhpArray::new();
-        server.set(
-            ArrayKey::Str("REQUEST_METHOD".into()),
-            Value::str(i.method.clone()),
-        );
-        server.set(
-            ArrayKey::Str("SCRIPT_NAME".into()),
-            Value::str(i.path.clone()),
-        );
-        Value::array(server)
-    });
-    let _ = lanes;
-    globals
-}
-
-/// `++`/`--` on a multivalue slot; returns (new slot value, expression
-/// result).
-fn incdec_mval(cur: &MVal, scalar_op: Op, lanes: usize) -> Result<(MVal, MVal), VmError> {
-    match cur {
-        MVal::Uni(v) => {
-            let mut slot = v.clone();
-            let result = ops::incdec(&mut slot, scalar_op)?;
-            Ok((MVal::Uni(slot), MVal::Uni(result)))
-        }
-        MVal::Multi(vs) => {
-            let mut new_lanes = Vec::with_capacity(lanes);
-            let mut results = Vec::with_capacity(lanes);
-            for v in vs.iter() {
-                let mut slot = v.clone();
-                results.push(ops::incdec(&mut slot, scalar_op)?);
-                new_lanes.push(slot);
-            }
-            Ok((MVal::from_lanes(new_lanes), MVal::from_lanes(results)))
-        }
-    }
-}
-
-/// Converts an audit-side query result into the PHP-visible value,
-/// mirroring the scalar backend's conversion exactly.
-fn db_query_result_to_value(result: DbQueryResult, last_id: &mut i64, last_aff: &mut i64) -> Value {
-    match result {
-        DbQueryResult::Failed => Value::Bool(false),
-        DbQueryResult::Ok(ExecOutcome::Rows { columns, rows }) => {
-            let converted: Vec<Vec<(String, DbScalar)>> = rows
-                .into_iter()
-                .map(|row| {
-                    columns
-                        .iter()
-                        .cloned()
-                        .zip(row.into_iter().map(sql_to_dbscalar))
-                        .collect()
-                })
-                .collect();
-            builtins::db_result_to_value(DbResult::Rows(converted), last_id, last_aff)
-        }
-        DbQueryResult::Ok(ExecOutcome::Write(w)) => builtins::db_result_to_value(
-            DbResult::Write {
-                affected: w.affected,
-                insert_id: w.last_insert_id,
-            },
-            last_id,
-            last_aff,
-        ),
-    }
-}
-
-fn sql_to_dbscalar(v: SqlValue) -> DbScalar {
-    match v {
-        SqlValue::Null => DbScalar::Null,
-        SqlValue::Int(i) => DbScalar::Int(i),
-        SqlValue::Float(f) => DbScalar::Float(f),
-        SqlValue::Text(s) => DbScalar::Text(s),
-    }
-}
-
 /// Maps a register opcode to the scalar-op selector used by the shared
 /// `ops` helpers.
 fn scalar_binop(op: ROp) -> Op {
@@ -313,6 +102,23 @@ fn incdec_variant(c: usize) -> Op {
     }
 }
 
+/// `$a[] = v` / `$a[k] = v` on an array literal under construction, and
+/// `unset`, in the shape [`Group::modify_path`] applies.
+fn array_append(arr: &mut Value, _keys: &[Value], v: Value) -> Result<(), VmError> {
+    *arr = ops::array_append(std::mem::replace(arr, Value::Null), v)?;
+    Ok(())
+}
+
+fn array_insert(arr: &mut Value, keys: &[Value], v: Value) -> Result<(), VmError> {
+    *arr = ops::array_insert(std::mem::replace(arr, Value::Null), &keys[0], v)?;
+    Ok(())
+}
+
+fn unset_path(container: &mut Value, keys: &[Value], _v: Value) -> Result<(), VmError> {
+    ops::unset_path(container, keys);
+    Ok(())
+}
+
 /// A pooled activation record over the multivalue register file.
 struct RFrame {
     func: FnRef,
@@ -325,154 +131,45 @@ struct RFrame {
 
 struct GroupVm<'c, 'a> {
     script: &'c CompiledScript,
-    ctx: &'c mut AuditContext<'a>,
-    rids: Vec<RequestId>,
-    lanes: usize,
-    globals: Vec<MVal>,
+    g: Group<'c, 'a>,
     /// The flat multivalue register file; frame windows are disjoint.
     regs: Vec<MVal>,
     frames: Vec<RFrame>,
     depth: usize,
-    // Per-lane request effects.
-    outputs: Vec<String>,
-    headers: Vec<Vec<(String, String)>>,
-    statuses: Vec<u16>,
-    session_started: bool,
-    session_cookies: Vec<Option<String>>,
-    last_insert_id: Vec<i64>,
-    last_affected: Vec<i64>,
-    txns: Vec<Option<DbTxnHandle>>,
-    univalent: u64,
-    multivalent: u64,
-    steps: u64,
 }
 
 /// Runs one control-flow group's superposed execution (register engine).
 pub fn run_group(
     script: &CompiledScript,
     rids: &[RequestId],
-    inputs: &[RequestInput],
+    inputs: &[RequestInput<'_>],
     ctx: &mut AuditContext<'_>,
 ) -> Result<GroupOutcome, GroupRunError> {
-    debug_assert_eq!(rids.len(), inputs.len(), "one input per rid");
-    let lanes = rids.len();
+    run_group_limited(script, rids, inputs, ctx, STEP_LIMIT)
+}
+
+fn run_group_limited(
+    script: &CompiledScript,
+    rids: &[RequestId],
+    inputs: &[RequestInput<'_>],
+    ctx: &mut AuditContext<'_>,
+    step_limit: u64,
+) -> Result<GroupOutcome, GroupRunError> {
     let mut vm = GroupVm {
         script,
-        ctx,
-        rids: rids.to_vec(),
-        lanes,
-        globals: init_globals(script, inputs, lanes),
+        g: Group::new(script, rids, inputs, ctx, step_limit),
         regs: Vec::new(),
         frames: Vec::new(),
         depth: 0,
-        outputs: vec![String::new(); lanes],
-        headers: vec![Vec::new(); lanes],
-        statuses: vec![200; lanes],
-        session_started: false,
-        session_cookies: inputs
-            .iter()
-            .map(|i| i.session_cookie().map(str::to_string))
-            .collect(),
-        last_insert_id: vec![0; lanes],
-        last_affected: vec![0; lanes],
-        txns: (0..lanes).map(|_| None).collect(),
-        univalent: 0,
-        multivalent: 0,
-        steps: 0,
     };
     let top = script.main.register_count as usize;
     vm.regs.resize(top, MVal::Uni(Value::Null));
     vm.push_frame(FnRef::Main, 0, top, 0);
-    match vm.interp() {
-        Ok(()) | Err(Flow::Exit) => {
-            if vm.close_leaked_txns()? {
-                return vm.uniform_fatal_outcome("script ended with open transaction");
-            }
-            vm.write_sessions_back()?;
-            Ok(vm.into_outcome())
-        }
-        Err(Flow::GroupFatal(m)) => {
-            // Uniform fatal: all lanes produce the identical 500 page
-            // (no headers, no session write) — exactly what the scalar
-            // runtime does per request.
-            vm.uniform_fatal_outcome(&m)
-        }
-        Err(Flow::Diverged(why)) => Err(GroupRunError::Diverged(why)),
-        Err(Flow::Reject(r)) => Err(GroupRunError::Reject(r)),
-    }
+    let flow = vm.interp();
+    vm.g.finish(flow)
 }
 
 impl GroupVm<'_, '_> {
-    fn into_outcome(mut self) -> GroupOutcome {
-        GroupOutcome {
-            outputs: (0..self.lanes)
-                .map(|l| RequestOutput {
-                    status: self.statuses[l],
-                    headers: std::mem::take(&mut self.headers[l]),
-                    body: std::mem::take(&mut self.outputs[l]),
-                })
-                .collect(),
-            univalent: self.univalent,
-            multivalent: self.multivalent,
-        }
-    }
-
-    /// Closes transactions the script leaked (uniform control flow
-    /// means all lanes leak together); returns true if any were open.
-    fn close_leaked_txns(&mut self) -> Result<bool, GroupRunError> {
-        let mut any = false;
-        for l in 0..self.lanes {
-            if let Some(handle) = self.txns[l].take() {
-                any = true;
-                self.ctx
-                    .db_finish(handle, false)
-                    .map_err(GroupRunError::Reject)?;
-            }
-        }
-        Ok(any)
-    }
-
-    /// All lanes answer with the same fatal page (no headers/session).
-    fn uniform_fatal_outcome(&mut self, message: &str) -> Result<GroupOutcome, GroupRunError> {
-        let body = format!("Fatal error: {message}");
-        Ok(GroupOutcome {
-            outputs: (0..self.lanes)
-                .map(|_| RequestOutput {
-                    status: 500,
-                    headers: Vec::new(),
-                    body: body.clone(),
-                })
-                .collect(),
-            univalent: self.univalent,
-            multivalent: self.multivalent,
-        })
-    }
-
-    fn write_sessions_back(&mut self) -> Result<(), GroupRunError> {
-        if !self.session_started {
-            return Ok(());
-        }
-        for l in 0..self.lanes {
-            if let Some(cookie) = self.session_cookies[l].clone() {
-                let bytes = self.globals[3].lane(l).to_wire_bytes();
-                let name = ObjectName(format!("reg:sess:{cookie}"));
-                self.ctx
-                    .register_write(self.rids[l], &name, bytes)
-                    .map_err(GroupRunError::Reject)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Counts an instruction as univalent or multivalent.
-    fn account(&mut self, multivalent: bool) {
-        if multivalent {
-            self.multivalent += 1;
-        } else {
-            self.univalent += 1;
-        }
-    }
-
     fn push_frame(&mut self, func: FnRef, base: usize, top: usize, ret_abs: usize) {
         if self.depth == self.frames.len() {
             self.frames.push(RFrame {
@@ -495,56 +192,18 @@ impl GroupVm<'_, '_> {
         self.depth += 1;
     }
 
-    /// Applies a two-operand scalar op lane-wise; errors lift per the
-    /// uni/multi discipline.
-    fn map2_op(&mut self, sop: Op, a: usize, b: usize, c: usize) -> Result<(), Flow> {
-        let x = self.regs[b].clone();
-        let y = self.regs[c].clone();
-        let multi = !x.is_uni() || !y.is_uni();
-        self.account(multi);
-        let r = MVal::map2(&x, &y, self.lanes, |p, q| ops::binary(sop, p, q))
-            .map_err(if multi { lane_err } else { uni_err })?;
-        self.regs[a] = r;
-        Ok(())
-    }
-
-    /// Read-modify-write of a register/global slot through an index
-    /// path, univalently when every participant is a univalue.
-    fn modify_path(
-        &mut self,
-        cur: &MVal,
-        keys: &[MVal],
-        value: Option<&MVal>,
-        f: impl Fn(&mut Value, &[Value], Value) -> Result<(), VmError>,
-    ) -> Result<MVal, Flow> {
-        let multi =
-            !cur.is_uni() || keys.iter().any(|k| !k.is_uni()) || value.is_some_and(|v| !v.is_uni());
-        self.account(multi);
-        if !multi {
-            let mut v = cur.lane(0).clone();
-            let lane_keys: Vec<Value> = keys.iter().map(|k| k.lane(0).clone()).collect();
-            let val = value.map(|m| m.lane(0).clone()).unwrap_or(Value::Null);
-            f(&mut v, &lane_keys, val).map_err(uni_err)?;
-            Ok(MVal::Uni(v))
+    /// The slot a path instruction targets: a local register or a global.
+    fn slot(&mut self, is_local: bool, base: usize, index: usize) -> &mut MVal {
+        if is_local {
+            &mut self.regs[base + index]
         } else {
-            let mut out = Vec::with_capacity(self.lanes);
-            for l in 0..self.lanes {
-                let mut v = cur.lane(l).clone();
-                let lane_keys: Vec<Value> = keys.iter().map(|k| k.lane(l).clone()).collect();
-                let val = value.map(|m| m.lane(l).clone()).unwrap_or(Value::Null);
-                f(&mut v, &lane_keys, val).map_err(lane_err)?;
-                out.push(v);
-            }
-            Ok(MVal::from_lanes(out))
+            &mut self.g.globals[index]
         }
     }
 
     fn interp(&mut self) -> Result<(), Flow> {
         loop {
-            self.steps += 1;
-            if self.steps > 2_000_000_000 {
-                return Err(Flow::GroupFatal("execution step limit exceeded".into()));
-            }
+            self.g.step()?;
             let fi = self.depth - 1;
             let (func, base) = {
                 let f = &self.frames[fi];
@@ -558,244 +217,169 @@ impl GroupVm<'_, '_> {
             let insn = code[pc];
             self.frames[fi].pc = pc + 1;
             let a = base + rinsn::a(insn);
-            match rinsn::op(insn) {
+            let rop = rinsn::op(insn);
+            match rop {
                 ROp::Move => {
                     let v = self.regs[base + rinsn::b(insn)].clone();
-                    self.account(!v.is_uni());
+                    self.g.account(!v.is_uni());
                     self.regs[a] = v;
                 }
                 ROp::LoadConst => {
-                    self.account(false);
+                    self.g.account(false);
                     self.regs[a] = MVal::Uni(self.script.consts[rinsn::bx(insn)].clone());
                 }
                 ROp::LoadGlobal => {
-                    let v = self.globals[rinsn::b(insn)].clone();
-                    self.account(!v.is_uni());
+                    let v = self.g.globals[rinsn::b(insn)].clone();
+                    self.g.account(!v.is_uni());
                     self.regs[a] = v;
                 }
                 ROp::StoreGlobal => {
                     let v = self.regs[base + rinsn::b(insn)].clone();
-                    self.account(!v.is_uni());
-                    self.globals[rinsn::a(insn)] = v;
+                    self.g.account(!v.is_uni());
+                    self.g.globals[rinsn::a(insn)] = v;
                 }
                 ROp::Add | ROp::Sub | ROp::Mul | ROp::Div | ROp::Mod | ROp::Concat => {
-                    let sop = scalar_binop(rinsn::op(insn));
-                    self.map2_op(sop, a, base + rinsn::b(insn), base + rinsn::c(insn))?;
+                    let sop = scalar_binop(rop);
+                    let (x, y) = (
+                        &self.regs[base + rinsn::b(insn)],
+                        &self.regs[base + rinsn::c(insn)],
+                    );
+                    let r = self
+                        .g
+                        .op(&[x, y], |l| ops::binary(sop, x.lane(l), y.lane(l)))?;
+                    self.regs[a] = r;
                 }
                 ROp::Eq | ROp::Ne | ROp::Identical | ROp::NotIdentical => {
-                    let rop = rinsn::op(insn);
-                    let x = self.regs[base + rinsn::b(insn)].clone();
-                    let y = self.regs[base + rinsn::c(insn)].clone();
-                    self.account(!x.is_uni() || !y.is_uni());
-                    let r = MVal::map2::<VmError>(&x, &y, self.lanes, |p, q| {
-                        Ok(Value::Bool(match rop {
+                    let (x, y) = (
+                        &self.regs[base + rinsn::b(insn)],
+                        &self.regs[base + rinsn::c(insn)],
+                    );
+                    let r = self.g.total_op(&[x, y], |l| {
+                        let (p, q) = (x.lane(l), y.lane(l));
+                        Value::Bool(match rop {
                             ROp::Eq => p.loose_eq(q),
                             ROp::Ne => !p.loose_eq(q),
                             ROp::Identical => p.identical(q),
-                            ROp::NotIdentical => !p.identical(q),
-                            _ => unreachable!("equality subset"),
-                        }))
-                    })
-                    .expect("equality is infallible");
-                    self.regs[a] = r;
-                }
-                ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
-                    let sop = scalar_binop(rinsn::op(insn));
-                    let x = self.regs[base + rinsn::b(insn)].clone();
-                    let y = self.regs[base + rinsn::c(insn)].clone();
-                    self.account(!x.is_uni() || !y.is_uni());
-                    let r = MVal::map2::<VmError>(&x, &y, self.lanes, |p, q| {
-                        Ok(Value::Bool(ops::relational(sop, p, q)))
-                    })
-                    .expect("relational is infallible");
-                    self.regs[a] = r;
-                }
-                ROp::Not => {
-                    let v = self.regs[base + rinsn::b(insn)].clone();
-                    self.account(!v.is_uni());
-                    let r = v
-                        .map1::<VmError>(self.lanes, |x| Ok(Value::Bool(!x.is_truthy())))
-                        .expect("not is infallible");
-                    self.regs[a] = r;
-                }
-                ROp::Neg => {
-                    let v = self.regs[base + rinsn::b(insn)].clone();
-                    let multi = !v.is_uni();
-                    self.account(multi);
-                    let r = v.map1(self.lanes, ops::negate).map_err(if multi {
-                        lane_err
-                    } else {
-                        uni_err
+                            _ => !p.identical(q),
+                        })
                     })?;
                     self.regs[a] = r;
                 }
+                ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
+                    let sop = scalar_binop(rop);
+                    let (x, y) = (
+                        &self.regs[base + rinsn::b(insn)],
+                        &self.regs[base + rinsn::c(insn)],
+                    );
+                    let r = self.g.total_op(&[x, y], |l| {
+                        Value::Bool(ops::relational(sop, x.lane(l), y.lane(l)))
+                    })?;
+                    self.regs[a] = r;
+                }
+                ROp::Not => {
+                    let v = &self.regs[base + rinsn::b(insn)];
+                    let r = self
+                        .g
+                        .total_op(&[v], |l| Value::Bool(!v.lane(l).is_truthy()))?;
+                    self.regs[a] = r;
+                }
+                ROp::Neg => {
+                    let v = &self.regs[base + rinsn::b(insn)];
+                    let r = self.g.op(&[v], |l| ops::negate(v.lane(l)))?;
+                    self.regs[a] = r;
+                }
                 ROp::Jump => {
-                    self.account(false);
+                    self.g.account(false);
                     self.frames[fi].pc = rinsn::bx(insn);
                 }
                 ROp::JumpIfFalse | ROp::JumpIfTrue => {
-                    let v = self.regs[a].clone();
-                    self.account(!v.is_uni());
+                    let v = &self.regs[a];
+                    self.g.account(!v.is_uni());
                     let truth = v
-                        .uniform_truthiness(self.lanes)
+                        .uniform_truthiness(self.g.lanes)
                         .map_err(|()| Flow::Diverged("non-uniform branch"))?;
-                    let take = match rinsn::op(insn) {
-                        ROp::JumpIfFalse => !truth,
-                        _ => truth,
-                    };
-                    if take {
+                    if truth == (rop == ROp::JumpIfTrue) {
                         self.frames[fi].pc = rinsn::bx(insn);
                     }
                 }
                 ROp::NewArray => {
-                    self.account(false);
+                    self.g.account(false);
                     self.regs[a] = MVal::Uni(Value::empty_array());
                 }
                 ROp::ArrayAppend => {
-                    let arr = self.regs[a].clone();
-                    let v = self.regs[base + rinsn::b(insn)].clone();
-                    let multi = !v.is_uni() || !arr.is_uni();
-                    self.account(multi);
-                    let r = MVal::map2(&arr, &v, self.lanes, |x, y| {
-                        ops::array_append(x.clone(), y.clone())
-                    })
-                    .map_err(if multi { lane_err } else { uni_err })?;
-                    self.regs[a] = r;
+                    let arr = std::mem::replace(&mut self.regs[a], MVal::Uni(Value::Null));
+                    let v = &self.regs[base + rinsn::b(insn)];
+                    self.regs[a] = self.g.modify_path(arr, &[], Some(v), array_append)?;
                 }
                 ROp::ArrayInsert => {
-                    let arr = self.regs[a].clone();
-                    let k = self.regs[base + rinsn::b(insn)].clone();
-                    let v = self.regs[base + rinsn::c(insn)].clone();
-                    let multi = !v.is_uni() || !k.is_uni() || !arr.is_uni();
-                    self.account(multi);
-                    if multi {
-                        let mut out = Vec::with_capacity(self.lanes);
-                        for l in 0..self.lanes {
-                            out.push(
-                                ops::array_insert(
-                                    arr.lane(l).clone(),
-                                    k.lane(l),
-                                    v.lane(l).clone(),
-                                )
-                                .map_err(lane_err)?,
-                            );
-                        }
-                        self.regs[a] = MVal::from_lanes(out);
-                    } else {
-                        let r =
-                            ops::array_insert(arr.lane(0).clone(), k.lane(0), v.lane(0).clone())
-                                .map_err(uni_err)?;
-                        self.regs[a] = MVal::Uni(r);
-                    }
+                    let arr = std::mem::replace(&mut self.regs[a], MVal::Uni(Value::Null));
+                    let k = std::slice::from_ref(&self.regs[base + rinsn::b(insn)]);
+                    let v = &self.regs[base + rinsn::c(insn)];
+                    self.regs[a] = self.g.modify_path(arr, k, Some(v), array_insert)?;
                 }
                 ROp::IndexGet => {
-                    let b = self.regs[base + rinsn::b(insn)].clone();
-                    let k = self.regs[base + rinsn::c(insn)].clone();
-                    self.account(!k.is_uni() || !b.is_uni());
-                    let r = MVal::map2::<VmError>(&b, &k, self.lanes, |x, key| {
-                        Ok(ops::index_get(x, key))
-                    })
-                    .expect("index_get is infallible");
+                    let (b, k) = (
+                        &self.regs[base + rinsn::b(insn)],
+                        &self.regs[base + rinsn::c(insn)],
+                    );
+                    let r = self
+                        .g
+                        .total_op(&[b, k], |l| ops::index_get(b.lane(l), k.lane(l)))?;
                     self.regs[a] = r;
                 }
-                ROp::SetPathLocal | ROp::SetPathGlobal => {
+                ROp::SetPathLocal
+                | ROp::SetPathGlobal
+                | ROp::AppendPathLocal
+                | ROp::AppendPathGlobal
+                | ROp::UnsetPathLocal
+                | ROp::UnsetPathGlobal => {
                     let n = rinsn::c(insn);
-                    let is_local = rinsn::op(insn) == ROp::SetPathLocal;
-                    let value = self.regs[a].clone();
-                    let keys: Vec<MVal> = self.regs[a + 1..a + 1 + n].to_vec();
-                    let cur = if is_local {
-                        self.regs[base + rinsn::b(insn)].clone()
-                    } else {
-                        self.globals[rinsn::b(insn)].clone()
-                    };
-                    let new = self.modify_path(&cur, &keys, Some(&value), ops::set_path)?;
-                    if is_local {
-                        self.regs[base + rinsn::b(insn)] = new;
-                    } else {
-                        self.globals[rinsn::b(insn)] = new;
-                    }
-                }
-                ROp::AppendPathLocal | ROp::AppendPathGlobal => {
-                    let n = rinsn::c(insn);
-                    let is_local = rinsn::op(insn) == ROp::AppendPathLocal;
-                    let value = self.regs[a].clone();
-                    let keys: Vec<MVal> = self.regs[a + 1..a + n].to_vec();
-                    let cur = if is_local {
-                        self.regs[base + rinsn::b(insn)].clone()
-                    } else {
-                        self.globals[rinsn::b(insn)].clone()
-                    };
-                    let new = self.modify_path(&cur, &keys, Some(&value), ops::append_path)?;
-                    if is_local {
-                        self.regs[base + rinsn::b(insn)] = new;
-                    } else {
-                        self.globals[rinsn::b(insn)] = new;
-                    }
-                }
-                ROp::UnsetPathLocal | ROp::UnsetPathGlobal => {
-                    let n = rinsn::c(insn);
-                    let is_local = rinsn::op(insn) == ROp::UnsetPathLocal;
-                    let keys: Vec<MVal> = self.regs[a..a + n].to_vec();
-                    let cur = if is_local {
-                        self.regs[base + rinsn::b(insn)].clone()
-                    } else {
-                        self.globals[rinsn::b(insn)].clone()
-                    };
-                    let new = self.modify_path(&cur, &keys, None, |c, lane_keys, _v| {
-                        ops::unset_path(c, lane_keys);
-                        Ok(())
-                    })?;
-                    if is_local {
-                        self.regs[base + rinsn::b(insn)] = new;
-                    } else {
-                        self.globals[rinsn::b(insn)] = new;
-                    }
+                    let is_local = matches!(
+                        rop,
+                        ROp::SetPathLocal | ROp::AppendPathLocal | ROp::UnsetPathLocal
+                    );
+                    let cur = std::mem::replace(
+                        self.slot(is_local, base, rinsn::b(insn)),
+                        MVal::Uni(Value::Null),
+                    );
+                    // Set: value at `a`, then n keys. Append: value at
+                    // `a`, then n-1 keys. Unset: n keys from `a`.
+                    let new = match rop {
+                        ROp::SetPathLocal | ROp::SetPathGlobal => self.g.modify_path(
+                            cur,
+                            &self.regs[a + 1..a + 1 + n],
+                            Some(&self.regs[a]),
+                            ops::set_path,
+                        ),
+                        ROp::AppendPathLocal | ROp::AppendPathGlobal => self.g.modify_path(
+                            cur,
+                            &self.regs[a + 1..a + n],
+                            Some(&self.regs[a]),
+                            ops::append_path,
+                        ),
+                        _ => self
+                            .g
+                            .modify_path(cur, &self.regs[a..a + n], None, unset_path),
+                    }?;
+                    *self.slot(is_local, base, rinsn::b(insn)) = new;
                 }
                 ROp::IssetPathLocal | ROp::IssetPathGlobal => {
                     let n = rinsn::c(insn);
-                    let is_local = rinsn::op(insn) == ROp::IssetPathLocal;
-                    let keys: Vec<MVal> = self.regs[a..a + n].to_vec();
-                    let cur = if is_local {
-                        self.regs[base + rinsn::b(insn)].clone()
-                    } else {
-                        self.globals[rinsn::b(insn)].clone()
-                    };
-                    let multi = !cur.is_uni() || keys.iter().any(|k| !k.is_uni());
-                    self.account(multi);
-                    let lane_count = if multi { self.lanes } else { 1 };
-                    let mut out = Vec::with_capacity(lane_count);
-                    for l in 0..lane_count {
-                        let lane_keys: Vec<Value> =
-                            keys.iter().map(|k| k.lane(l).clone()).collect();
-                        out.push(Value::Bool(ops::isset_path(cur.lane(l), &lane_keys)));
-                    }
-                    self.regs[a] = if multi {
-                        MVal::from_lanes(out)
-                    } else {
-                        MVal::Uni(out.into_iter().next().expect("one lane"))
-                    };
+                    let is_local = rop == ROp::IssetPathLocal;
+                    let cur = self.slot(is_local, base, rinsn::b(insn)).clone();
+                    let r = self.g.isset_path(&cur, &self.regs[a..a + n])?;
+                    self.regs[a] = r;
                 }
                 ROp::IncDecLocal | ROp::IncDecGlobal => {
-                    let is_local = rinsn::op(insn) == ROp::IncDecLocal;
-                    let cur = if is_local {
-                        self.regs[base + rinsn::b(insn)].clone()
-                    } else {
-                        self.globals[rinsn::b(insn)].clone()
-                    };
-                    let multi = !cur.is_uni();
-                    self.account(multi);
+                    let is_local = rop == ROp::IncDecLocal;
                     let sop = incdec_variant(rinsn::c(insn));
-                    let (new_slot, result) = incdec_mval(&cur, sop, self.lanes)
-                        .map_err(if multi { lane_err } else { uni_err })?;
-                    if is_local {
-                        self.regs[base + rinsn::b(insn)] = new_slot;
-                    } else {
-                        self.globals[rinsn::b(insn)] = new_slot;
-                    }
+                    let cur = self.slot(is_local, base, rinsn::b(insn)).clone();
+                    let (new_slot, result) = self.g.incdec(&cur, sop)?;
+                    *self.slot(is_local, base, rinsn::b(insn)) = new_slot;
                     self.regs[a] = result;
                 }
                 ROp::Call => {
-                    self.account(false);
+                    self.g.account(false);
                     let fidx = rinsn::a(insn) as u16;
                     let func = &self.script.functions[fidx as usize];
                     let argc = rinsn::c(insn);
@@ -836,14 +420,23 @@ impl GroupVm<'_, '_> {
                     self.push_frame(FnRef::User(fidx), callee_base, callee_top, args_abs);
                 }
                 ROp::CallBuiltin => {
-                    let bidx = rinsn::a(insn) as u16;
-                    let argc = rinsn::c(insn);
+                    // The result lands in `regs[abs]`; a by-reference
+                    // builtin's new target does, with its return value
+                    // at `abs + 1`.
                     let abs = base + rinsn::b(insn);
-                    self.builtin(bidx, abs, argc)?;
+                    let args = &self.regs[abs..abs + rinsn::c(insn)];
+                    let (first, second) = self.g.builtin(rinsn::a(insn) as u16, args)?;
+                    self.regs[abs] = first;
+                    if let Some(ret) = second {
+                        self.regs[abs + 1] = ret;
+                    }
                 }
-                ROp::Return => {
-                    self.account(false);
-                    let value = std::mem::replace(&mut self.regs[a], MVal::Uni(Value::Null));
+                ROp::Return | ROp::ReturnNull => {
+                    self.g.account(false);
+                    let value = match rop {
+                        ROp::Return => std::mem::replace(&mut self.regs[a], MVal::Uni(Value::Null)),
+                        _ => MVal::Uni(Value::Null),
+                    };
                     let ret_abs = self.frames[fi].ret_abs;
                     self.depth -= 1;
                     if self.depth == 0 {
@@ -851,438 +444,83 @@ impl GroupVm<'_, '_> {
                     }
                     self.regs[ret_abs] = value;
                 }
-                ROp::ReturnNull => {
-                    self.account(false);
-                    let ret_abs = self.frames[fi].ret_abs;
-                    self.depth -= 1;
-                    if self.depth == 0 {
-                        return Ok(());
-                    }
-                    self.regs[ret_abs] = MVal::Uni(Value::Null);
-                }
-                ROp::Echo => {
-                    let v = self.regs[a].clone();
-                    self.account(!v.is_uni());
-                    match &v {
-                        MVal::Uni(val) => {
-                            let s = val.to_php_string();
-                            for out in &mut self.outputs {
-                                out.push_str(&s);
-                            }
-                        }
-                        MVal::Multi(vals) => {
-                            for (out, val) in self.outputs.iter_mut().zip(vals.iter()) {
-                                out.push_str(&val.to_php_string());
-                            }
-                        }
-                    }
-                }
+                ROp::Echo => self.g.echo(&self.regs[a]),
                 ROp::IterInit => {
-                    let arr = self.regs[a].clone();
-                    self.account(!arr.is_uni());
-                    let iter = match &arr {
-                        MVal::Uni(Value::Array(p)) => GroupIter::Uni {
-                            pairs: p.to_pairs(),
-                            pos: 0,
-                        },
-                        MVal::Uni(_) => GroupIter::Uni {
-                            pairs: Vec::new(),
-                            pos: 0,
-                        },
-                        MVal::Multi(vals) => GroupIter::PerLane {
-                            lanes: vals
-                                .iter()
-                                .map(|v| match v {
-                                    Value::Array(p) => (p.to_pairs(), 0),
-                                    _ => (Vec::new(), 0),
-                                })
-                                .collect(),
-                        },
-                    };
+                    let iter = self.g.iter_init(&self.regs[a])?;
                     self.frames[fi].iters.push(iter);
                 }
                 ROp::IterNext | ROp::IterNextKV => {
-                    let want_key = rinsn::op(insn) == ROp::IterNextKV;
-                    let lanes = self.lanes;
-                    let t = rinsn::bx(insn);
+                    let want_key = rop == ROp::IterNextKV;
                     let frame = &mut self.frames[fi];
                     let iter = frame.iters.last_mut().expect("IterInit precedes IterNext");
-                    match iter {
-                        GroupIter::Uni { pairs, pos } => {
-                            self.univalent += 1;
-                            if *pos < pairs.len() {
-                                let (k, v) = pairs[*pos].clone();
-                                *pos += 1;
-                                if want_key {
-                                    self.regs[a] = MVal::Uni(k.to_value());
-                                    self.regs[a + 1] = MVal::Uni(v);
-                                } else {
-                                    self.regs[a] = MVal::Uni(v);
-                                }
-                            } else {
-                                frame.pc = t;
-                            }
+                    match self.g.iter_next(iter, want_key)? {
+                        Some((Some(key), value)) => {
+                            self.regs[a] = key;
+                            self.regs[a + 1] = value;
                         }
-                        GroupIter::PerLane { lanes: iters } => {
-                            self.multivalent += 1;
-                            let has: Vec<bool> =
-                                iters.iter().map(|(p, pos)| *pos < p.len()).collect();
-                            let first = has[0];
-                            if !has.iter().all(|h| *h == first) {
-                                return Err(Flow::Diverged("non-uniform iteration"));
-                            }
-                            if first {
-                                let mut keys = Vec::with_capacity(lanes);
-                                let mut vals = Vec::with_capacity(lanes);
-                                for (pairs, pos) in iters.iter_mut() {
-                                    let (k, v) = pairs[*pos].clone();
-                                    *pos += 1;
-                                    keys.push(k.to_value());
-                                    vals.push(v);
-                                }
-                                if want_key {
-                                    self.regs[a] = MVal::from_lanes(keys);
-                                    self.regs[a + 1] = MVal::from_lanes(vals);
-                                } else {
-                                    self.regs[a] = MVal::from_lanes(vals);
-                                }
-                            } else {
-                                frame.pc = t;
-                            }
-                        }
+                        Some((None, value)) => self.regs[a] = value,
+                        None => frame.pc = rinsn::bx(insn),
                     }
                 }
                 ROp::IterPop => {
-                    self.account(false);
+                    self.g.account(false);
                     self.frames[fi].iters.pop();
                 }
             }
         }
     }
+}
 
-    /// Builtin calls: pure builtins split per lane when any argument is
-    /// a multivalue (§4.3); impure builtins route through the audit
-    /// context per lane. The result lands in `regs[abs]` (byref
-    /// builtins also write the new target, at `abs`, with the return at
-    /// `abs + 1`).
-    fn builtin(&mut self, bidx: u16, abs: usize, argc: usize) -> Result<(), Flow> {
-        let name = builtins::NAMES[bidx as usize];
-        let args: Vec<MVal> = self.regs[abs..abs + argc].to_vec();
-        if is_impure(name) {
-            let r = self.impure_builtin(name, &args)?;
-            self.regs[abs] = r;
-            return Ok(());
-        }
-        let all_uni = args.iter().all(MVal::is_uni);
-        self.account(!all_uni);
-        if builtins::is_byref(bidx) {
-            if all_uni {
-                let mut lane_args: Vec<Value> = args.iter().map(|v| v.lane(0).clone()).collect();
-                let (target, ret) =
-                    builtins::dispatch_byref(bidx, &mut lane_args).map_err(uni_err)?;
-                self.regs[abs] = MVal::Uni(target);
-                self.regs[abs + 1] = MVal::Uni(ret);
-            } else {
-                let mut targets = Vec::with_capacity(self.lanes);
-                let mut rets = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let mut lane_args: Vec<Value> =
-                        args.iter().map(|v| v.lane(l).clone()).collect();
-                    let (t, r) =
-                        builtins::dispatch_byref(bidx, &mut lane_args).map_err(lane_err)?;
-                    targets.push(t);
-                    rets.push(r);
-                }
-                self.regs[abs] = MVal::from_lanes(targets);
-                self.regs[abs + 1] = MVal::from_lanes(rets);
-            }
-            return Ok(());
-        }
-        if all_uni {
-            let lane_args: Vec<Value> = args.iter().map(|v| v.lane(0).clone()).collect();
-            let r = builtins::dispatch(bidx, &lane_args, &mut NoHost).map_err(uni_err)?;
-            self.regs[abs] = MVal::Uni(r);
-        } else {
-            // Split execution: clone arguments per lane and run the
-            // scalar implementation n times (§4.3).
-            let mut out = Vec::with_capacity(self.lanes);
-            for l in 0..self.lanes {
-                let lane_args: Vec<Value> = args.iter().map(|v| v.lane(l).clone()).collect();
-                out.push(builtins::dispatch(bidx, &lane_args, &mut NoHost).map_err(lane_err)?);
-            }
-            self.regs[abs] = MVal::from_lanes(out);
-        }
-        Ok(())
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::request_input;
+    use orochi_common::ids::CtlFlowTag;
+    use orochi_core::audit::AuditConfig;
+    use orochi_core::reports::Reports;
+    use orochi_php::vm::STEP_LIMIT_EXCEEDED;
+    use orochi_php::{compile, parse_script};
+    use orochi_trace::{Event, HttpRequest, HttpResponse, Trace};
 
-    fn impure_builtin(&mut self, name: &str, args: &[MVal]) -> Result<MVal, Flow> {
-        // Impure builtins count as multivalent when their arguments (or
-        // their per-lane results) differ.
-        match name {
-            "print" => {
-                let v = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(!v.is_uni());
-                for l in 0..self.lanes {
-                    let s = v.lane(l).to_php_string();
-                    self.outputs[l].push_str(&s);
-                }
-                Ok(MVal::Uni(Value::Int(1)))
+    /// The group engines' half of the four-engine step-limit check
+    /// (`orochi_php::vm` holds the scalar half): a runaway script stops
+    /// after exactly the limit's instructions with the page every scalar
+    /// engine produces. The limit is lowered through the private entry
+    /// point — it is a constant, not a knob.
+    #[test]
+    fn runaway_loop_stops_at_the_step_limit_on_both_group_engines() {
+        let script = compile(
+            "/t.php",
+            &parse_script("<?php while (true) { $i = 1; }").unwrap(),
+        )
+        .unwrap();
+        let rids = [RequestId(1), RequestId(2)];
+        let requests = [
+            HttpRequest::get("/t.php", &[("x", "1")]),
+            HttpRequest::get("/t.php", &[]),
+        ];
+        let mut events: Vec<Event> = rids
+            .iter()
+            .zip(&requests)
+            .map(|(rid, req)| Event::Request(*rid, req.clone()))
+            .collect();
+        events.extend(rids.map(|rid| Event::Response(rid, HttpResponse::ok(rid, ""))));
+        let reports = Reports {
+            groupings: vec![(CtlFlowTag(1), rids.to_vec())],
+            op_logs: Default::default(),
+            op_counts: rids.iter().map(|r| (*r, 0)).collect(),
+            nondet: Default::default(),
+        };
+        let (trace, config) = (Trace { events }, AuditConfig::new());
+        let inputs: Vec<_> = requests.iter().map(request_input).collect();
+        for run in [run_group_limited, stack::run_group_limited] {
+            let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
+            let outcome = run(&script, &rids, &inputs, &mut ctx, 10_000).unwrap();
+            assert_eq!(outcome.univalent + outcome.multivalent, 10_000);
+            for out in &outcome.outputs {
+                assert_eq!(out.status, 500);
+                assert_eq!(out.body, format!("Fatal error: {STEP_LIMIT_EXCEEDED}"));
             }
-            "exit" | "die" => {
-                self.account(false);
-                if let Some(v) = args.first() {
-                    for l in 0..self.lanes {
-                        if matches!(v.lane(l), Value::Str(_)) {
-                            let s = v.lane(l).to_php_string();
-                            self.outputs[l].push_str(&s);
-                        }
-                    }
-                }
-                Err(Flow::Exit)
-            }
-            "header" => {
-                let h = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(!h.is_uni());
-                for l in 0..self.lanes {
-                    let text = h.lane(l).to_php_string();
-                    match text.split_once(':') {
-                        Some((n, v)) => {
-                            self.headers[l].push((n.trim().to_string(), v.trim().to_string()))
-                        }
-                        None => {
-                            return Err(if h.is_uni() {
-                                Flow::GroupFatal("header(): malformed header".into())
-                            } else {
-                                Flow::Diverged("per-lane header error")
-                            })
-                        }
-                    }
-                }
-                Ok(MVal::Uni(Value::Null))
-            }
-            "http_response_code" => {
-                let c = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(!c.is_uni());
-                for l in 0..self.lanes {
-                    let code = c.lane(l).to_php_int();
-                    if !(100..=599).contains(&code) {
-                        return Err(if c.is_uni() {
-                            Flow::GroupFatal("http_response_code(): bad code".into())
-                        } else {
-                            Flow::Diverged("per-lane status error")
-                        });
-                    }
-                    self.statuses[l] = code as u16;
-                }
-                Ok(MVal::Uni(Value::Bool(true)))
-            }
-            "setcookie" => {
-                let n = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                let v = args.get(1).cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(!n.is_uni() || !v.is_uni());
-                for l in 0..self.lanes {
-                    self.headers[l].push((
-                        "Set-Cookie".to_string(),
-                        format!(
-                            "{}={}",
-                            n.lane(l).to_php_string(),
-                            v.lane(l).to_php_string()
-                        ),
-                    ));
-                }
-                Ok(MVal::Uni(Value::Bool(true)))
-            }
-            "session_start" => {
-                self.account(true);
-                if !self.session_started {
-                    self.session_started = true;
-                    let mut sessions = Vec::with_capacity(self.lanes);
-                    for l in 0..self.lanes {
-                        match self.session_cookies[l].clone() {
-                            None => sessions.push(Value::empty_array()),
-                            Some(cookie) => {
-                                let obj = ObjectName(format!("reg:sess:{cookie}"));
-                                let sim = self
-                                    .ctx
-                                    .register_read(self.rids[l], &obj)
-                                    .map_err(Flow::Reject)?;
-                                let bytes = match sim {
-                                    orochi_core::exec::SimResult::Register(b) => b,
-                                    _ => None,
-                                };
-                                sessions.push(match bytes {
-                                    Some(b) => Value::from_wire_bytes(&b).map_err(|_| {
-                                        Flow::GroupFatal("corrupt session data".into())
-                                    })?,
-                                    None => Value::empty_array(),
-                                });
-                            }
-                        }
-                    }
-                    self.globals[3] = MVal::from_lanes(sessions);
-                }
-                Ok(MVal::Uni(Value::Bool(true)))
-            }
-            "apc_fetch" => {
-                let key = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(true);
-                let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let k = key.lane(l).to_php_string();
-                    let sim = self
-                        .ctx
-                        .kv_get(self.rids[l], &ObjectName("kv:apc".into()), &k)
-                        .map_err(Flow::Reject)?;
-                    let bytes = match sim {
-                        orochi_core::exec::SimResult::Kv(b) => b,
-                        _ => None,
-                    };
-                    out.push(match bytes {
-                        Some(b) => Value::from_wire_bytes(&b)
-                            .map_err(|_| Flow::GroupFatal("corrupt apc data".into()))?,
-                        None => Value::Bool(false),
-                    });
-                }
-                Ok(MVal::from_lanes(out))
-            }
-            "apc_store" | "apc_delete" => {
-                let key = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(true);
-                for l in 0..self.lanes {
-                    let k = key.lane(l).to_php_string();
-                    let bytes = if name == "apc_store" {
-                        Some(
-                            args.get(1)
-                                .map(|v| v.lane(l).clone())
-                                .unwrap_or(Value::Null)
-                                .to_wire_bytes(),
-                        )
-                    } else {
-                        None
-                    };
-                    self.ctx
-                        .kv_set(self.rids[l], &ObjectName("kv:apc".into()), &k, bytes)
-                        .map_err(Flow::Reject)?;
-                }
-                Ok(MVal::Uni(Value::Bool(true)))
-            }
-            "db_begin" => {
-                self.account(true);
-                for l in 0..self.lanes {
-                    if self.txns[l].is_some() {
-                        return Err(Flow::GroupFatal("nested transaction".into()));
-                    }
-                    let h = self
-                        .ctx
-                        .db_begin(self.rids[l], &ObjectName("db:main".into()))
-                        .map_err(Flow::Reject)?;
-                    self.txns[l] = Some(h);
-                }
-                Ok(MVal::Uni(Value::Bool(true)))
-            }
-            "db_query" => {
-                let sql = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(true);
-                let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let text = sql.lane(l).to_php_string();
-                    let result = if self.txns[l].is_some() {
-                        let handle = self.txns[l].as_mut().expect("checked above");
-                        self.ctx.db_query(handle, &text).map_err(Flow::Reject)?
-                    } else {
-                        // Auto-commit single-statement transaction.
-                        let mut handle = self
-                            .ctx
-                            .db_begin(self.rids[l], &ObjectName("db:main".into()))
-                            .map_err(Flow::Reject)?;
-                        let r = self
-                            .ctx
-                            .db_query(&mut handle, &text)
-                            .map_err(Flow::Reject)?;
-                        self.ctx.db_finish(handle, true).map_err(Flow::Reject)?;
-                        r
-                    };
-                    out.push(db_query_result_to_value(
-                        result,
-                        &mut self.last_insert_id[l],
-                        &mut self.last_affected[l],
-                    ));
-                }
-                Ok(MVal::from_lanes(out))
-            }
-            "db_commit" | "db_rollback" => {
-                self.account(true);
-                let committed = name == "db_commit";
-                let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let handle = match self.txns[l].take() {
-                        Some(h) => h,
-                        None => {
-                            return Err(Flow::GroupFatal(format!("{name}() without transaction")))
-                        }
-                    };
-                    let ok = self
-                        .ctx
-                        .db_finish(handle, committed)
-                        .map_err(Flow::Reject)?;
-                    out.push(Value::Bool(if committed { ok } else { true }));
-                }
-                Ok(MVal::from_lanes(out))
-            }
-            "db_insert_id" => {
-                self.account(true);
-                let vals = self.last_insert_id.iter().map(|i| Value::Int(*i)).collect();
-                Ok(MVal::from_lanes(vals))
-            }
-            "db_affected_rows" => {
-                self.account(true);
-                let vals = self.last_affected.iter().map(|i| Value::Int(*i)).collect();
-                Ok(MVal::from_lanes(vals))
-            }
-            "time" | "microtime" | "getpid" | "uniqid" => {
-                self.account(true);
-                let mut out = Vec::with_capacity(self.lanes);
-                let kind = if name == "getpid" { "pid" } else { name };
-                for l in 0..self.lanes {
-                    let v = self.ctx.nondet(self.rids[l], kind).map_err(Flow::Reject)?;
-                    out.push(match v {
-                        NondetValue::Time(t) => Value::Int(t),
-                        NondetValue::Microtime(t) => Value::Float(t),
-                        NondetValue::Pid(p) => Value::Int(p),
-                        NondetValue::Uniqid(u) => Value::str(u),
-                        NondetValue::Rand(_) => {
-                            return Err(Flow::Reject(Rejection::NondetKindMismatch {
-                                rid: self.rids[l],
-                            }))
-                        }
-                    });
-                }
-                Ok(MVal::from_lanes(out))
-            }
-            "mt_rand" | "rand" => {
-                self.account(true);
-                let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let v = self
-                        .ctx
-                        .nondet(self.rids[l], "rand")
-                        .map_err(Flow::Reject)?;
-                    let raw = match v {
-                        NondetValue::Rand(r) => r,
-                        _ => {
-                            return Err(Flow::Reject(Rejection::NondetKindMismatch {
-                                rid: self.rids[l],
-                            }))
-                        }
-                    };
-                    let lane_args: Vec<Value> = args.iter().map(|v| v.lane(l).clone()).collect();
-                    out.push(builtins::mt_rand_reduce(raw, &lane_args).map_err(lane_err)?);
-                }
-                Ok(MVal::from_lanes(out))
-            }
-            other => Err(Flow::GroupFatal(format!(
-                "impure builtin {other}() not handled in grouped mode"
-            ))),
         }
     }
 }

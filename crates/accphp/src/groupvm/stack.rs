@@ -2,27 +2,20 @@
 //! baseline for the register group engine in the parent module.
 //!
 //! Runs the stack `code` stream with every stack slot, local, and
-//! global holding an [`MVal`]. Same execution discipline as the
-//! register engine (uniform branches, per-lane splits, CheckOp/SimOp
-//! per lane); `fig10_instructions` and the property tests compare the
-//! two engines' outputs, verdicts, and dispatch counts.
+//! global holding an [`MVal`]. Everything that is not operand traffic —
+//! lane effects, accounting, the per-lane apply helper, builtins — is
+//! the shared `group::Group`; `fig10_instructions` and the property tests
+//! compare the two engines' outputs, verdicts, and dispatch counts.
 
 use crate::mval::MVal;
-use orochi_common::codec::Wire;
 use orochi_common::ids::RequestId;
-use orochi_core::audit::{AuditContext, Rejection};
-use orochi_core::exec::DbTxnHandle;
-use orochi_core::nondet::NondetValue;
-use orochi_php::builtins;
+use orochi_core::audit::AuditContext;
 use orochi_php::bytecode::{CompiledScript, Op};
 use orochi_php::value::Value;
-use orochi_php::vm::{ops, RequestInput, RequestOutput, VmError};
-use orochi_state::object::ObjectName;
+use orochi_php::vm::{ops, RequestInput, VmError, STEP_LIMIT};
 
-use super::{
-    db_query_result_to_value, incdec_mval, init_globals, is_impure, lane_err, uni_err, Flow, FnRef,
-    GroupIter, GroupOutcome, GroupRunError, NoHost,
-};
+use super::group::{Flow, Group, GroupIter};
+use super::{array_append, array_insert, unset_path, FnRef, GroupOutcome, GroupRunError};
 
 struct Frame {
     func: FnRef,
@@ -34,57 +27,33 @@ struct Frame {
 
 struct GroupVm<'c, 'a> {
     script: &'c CompiledScript,
-    ctx: &'c mut AuditContext<'a>,
-    rids: Vec<RequestId>,
-    lanes: usize,
-    globals: Vec<MVal>,
+    g: Group<'c, 'a>,
     stack: Vec<MVal>,
     frames: Vec<Frame>,
-    // Per-lane request effects.
-    outputs: Vec<String>,
-    headers: Vec<Vec<(String, String)>>,
-    statuses: Vec<u16>,
-    session_started: bool,
-    session_cookies: Vec<Option<String>>,
-    last_insert_id: Vec<i64>,
-    last_affected: Vec<i64>,
-    txns: Vec<Option<DbTxnHandle>>,
-    univalent: u64,
-    multivalent: u64,
-    steps: u64,
 }
 
 /// Runs one control-flow group's superposed execution.
 pub fn run_group(
     script: &CompiledScript,
     rids: &[RequestId],
-    inputs: &[RequestInput],
+    inputs: &[RequestInput<'_>],
     ctx: &mut AuditContext<'_>,
 ) -> Result<GroupOutcome, GroupRunError> {
-    debug_assert_eq!(rids.len(), inputs.len(), "one input per rid");
-    let lanes = rids.len();
+    run_group_limited(script, rids, inputs, ctx, STEP_LIMIT)
+}
+
+pub(super) fn run_group_limited(
+    script: &CompiledScript,
+    rids: &[RequestId],
+    inputs: &[RequestInput<'_>],
+    ctx: &mut AuditContext<'_>,
+    step_limit: u64,
+) -> Result<GroupOutcome, GroupRunError> {
     let mut vm = GroupVm {
         script,
-        ctx,
-        rids: rids.to_vec(),
-        lanes,
-        globals: init_globals(script, inputs, lanes),
+        g: Group::new(script, rids, inputs, ctx, step_limit),
         stack: Vec::with_capacity(64),
         frames: Vec::new(),
-        outputs: vec![String::new(); lanes],
-        headers: vec![Vec::new(); lanes],
-        statuses: vec![200; lanes],
-        session_started: false,
-        session_cookies: inputs
-            .iter()
-            .map(|i| i.session_cookie().map(str::to_string))
-            .collect(),
-        last_insert_id: vec![0; lanes],
-        last_affected: vec![0; lanes],
-        txns: (0..lanes).map(|_| None).collect(),
-        univalent: 0,
-        multivalent: 0,
-        steps: 0,
     };
     vm.frames.push(Frame {
         func: FnRef::Main,
@@ -93,124 +62,55 @@ pub fn run_group(
         iters: Vec::new(),
         stack_base: 0,
     });
-    match vm.interp() {
-        Ok(()) => {
-            if vm.close_leaked_txns()? {
-                return vm.uniform_fatal_outcome("script ended with open transaction");
-            }
-            vm.write_sessions_back()?;
-            Ok(vm.into_outcome())
-        }
-        Err(Flow::Exit) => {
-            if vm.close_leaked_txns()? {
-                return vm.uniform_fatal_outcome("script ended with open transaction");
-            }
-            vm.write_sessions_back()?;
-            Ok(vm.into_outcome())
-        }
-        Err(Flow::GroupFatal(m)) => {
-            // Uniform fatal: all lanes produce the identical 500 page
-            // (no headers, no session write) — exactly what the scalar
-            // runtime does per request.
-            let body = format!("Fatal error: {m}");
-            Ok(GroupOutcome {
-                outputs: (0..vm.lanes)
-                    .map(|_| RequestOutput {
-                        status: 500,
-                        headers: Vec::new(),
-                        body: body.clone(),
-                    })
-                    .collect(),
-                univalent: vm.univalent,
-                multivalent: vm.multivalent,
-            })
-        }
-        Err(Flow::Diverged(why)) => Err(GroupRunError::Diverged(why)),
-        Err(Flow::Reject(r)) => Err(GroupRunError::Reject(r)),
+    let flow = vm.interp();
+    vm.g.finish(flow)
+}
+
+/// The scalar-op selector of a local or global `++`/`--` variant.
+fn incdec_selector(op: Op) -> Op {
+    match op {
+        Op::PreIncLocal(_) | Op::PreIncGlobal(_) => Op::PreIncLocal(0),
+        Op::PostIncLocal(_) | Op::PostIncGlobal(_) => Op::PostIncLocal(0),
+        Op::PreDecLocal(_) | Op::PreDecGlobal(_) => Op::PreDecLocal(0),
+        _ => Op::PostDecLocal(0),
     }
 }
 
 impl GroupVm<'_, '_> {
-    fn into_outcome(mut self) -> GroupOutcome {
-        GroupOutcome {
-            outputs: (0..self.lanes)
-                .map(|l| RequestOutput {
-                    status: self.statuses[l],
-                    headers: std::mem::take(&mut self.headers[l]),
-                    body: std::mem::take(&mut self.outputs[l]),
-                })
-                .collect(),
-            univalent: self.univalent,
-            multivalent: self.multivalent,
-        }
-    }
-
-    /// Closes transactions the script leaked (uniform control flow
-    /// means all lanes leak together); returns true if any were open.
-    fn close_leaked_txns(&mut self) -> Result<bool, GroupRunError> {
-        let mut any = false;
-        for l in 0..self.lanes {
-            if let Some(handle) = self.txns[l].take() {
-                any = true;
-                self.ctx
-                    .db_finish(handle, false)
-                    .map_err(GroupRunError::Reject)?;
-            }
-        }
-        Ok(any)
-    }
-
-    /// All lanes answer with the same fatal page (no headers/session).
-    fn uniform_fatal_outcome(&mut self, message: &str) -> Result<GroupOutcome, GroupRunError> {
-        let body = format!("Fatal error: {message}");
-        Ok(GroupOutcome {
-            outputs: (0..self.lanes)
-                .map(|_| RequestOutput {
-                    status: 500,
-                    headers: Vec::new(),
-                    body: body.clone(),
-                })
-                .collect(),
-            univalent: self.univalent,
-            multivalent: self.multivalent,
-        })
-    }
-
-    fn write_sessions_back(&mut self) -> Result<(), GroupRunError> {
-        if !self.session_started {
-            return Ok(());
-        }
-        for l in 0..self.lanes {
-            if let Some(cookie) = self.session_cookies[l].clone() {
-                let bytes = self.globals[3].lane(l).to_wire_bytes();
-                let name = ObjectName(format!("reg:sess:{cookie}"));
-                self.ctx
-                    .register_write(self.rids[l], &name, bytes)
-                    .map_err(GroupRunError::Reject)?;
-            }
-        }
-        Ok(())
-    }
-
     fn pop(&mut self) -> MVal {
         self.stack.pop().expect("compiler guarantees stack depth")
     }
 
-    /// Counts an instruction as univalent or multivalent.
-    fn account(&mut self, multivalent: bool) {
-        if multivalent {
-            self.multivalent += 1;
+    fn pop_keys(&mut self, n: usize) -> Vec<MVal> {
+        self.stack.split_off(self.stack.len() - n)
+    }
+
+    /// The slot a path or `++`/`--` instruction targets.
+    fn slot(&mut self, is_local: bool, index: u16) -> &mut MVal {
+        if is_local {
+            &mut self.frames.last_mut().expect("running frame").locals[index as usize]
         } else {
-            self.univalent += 1;
+            &mut self.g.globals[index as usize]
         }
+    }
+
+    /// Read-modify-write of a local/global slot through an index path.
+    fn modify_path(
+        &mut self,
+        is_local: bool,
+        slot: u16,
+        keys: &[MVal],
+        value: Option<&MVal>,
+        f: impl Fn(&mut Value, &[Value], Value) -> Result<(), VmError>,
+    ) -> Result<(), Flow> {
+        let cur = std::mem::replace(self.slot(is_local, slot), MVal::Uni(Value::Null));
+        *self.slot(is_local, slot) = self.g.modify_path(cur, keys, value, f)?;
+        Ok(())
     }
 
     fn interp(&mut self) -> Result<(), Flow> {
         loop {
-            self.steps += 1;
-            if self.steps > 2_000_000_000 {
-                return Err(Flow::GroupFatal("execution step limit exceeded".into()));
-            }
+            self.g.step()?;
             let frame = self.frames.last_mut().expect("frame present while running");
             let code = match frame.func {
                 FnRef::Main => &self.script.main.code,
@@ -221,266 +121,164 @@ impl GroupVm<'_, '_> {
             frame.pc += 1;
             match op {
                 Op::Const(i) => {
-                    self.account(false);
+                    self.g.account(false);
                     self.stack
                         .push(MVal::Uni(self.script.consts[i as usize].clone()));
                 }
-                Op::LoadLocal(s) => {
-                    let frame = self.frames.last().expect("running frame");
-                    let v = frame.locals[s as usize].clone();
-                    self.account(!v.is_uni());
+                Op::LoadLocal(s) | Op::LoadGlobal(s) => {
+                    let v = self.slot(matches!(op, Op::LoadLocal(_)), s).clone();
+                    self.g.account(!v.is_uni());
                     self.stack.push(v);
                 }
-                Op::StoreLocal(s) => {
+                Op::StoreLocal(s) | Op::StoreGlobal(s) => {
                     let v = self.pop();
-                    self.account(!v.is_uni());
-                    let frame = self.frames.last_mut().expect("running frame");
-                    frame.locals[s as usize] = v;
-                }
-                Op::LoadGlobal(s) => {
-                    let v = self.globals[s as usize].clone();
-                    self.account(!v.is_uni());
-                    self.stack.push(v);
-                }
-                Op::StoreGlobal(s) => {
-                    let v = self.pop();
-                    self.account(!v.is_uni());
-                    self.globals[s as usize] = v;
+                    self.g.account(!v.is_uni());
+                    *self.slot(matches!(op, Op::StoreLocal(_)), s) = v;
                 }
                 Op::Pop => {
-                    self.account(false);
+                    self.g.account(false);
                     self.pop();
                 }
                 Op::Dup => {
-                    self.account(false);
+                    self.g.account(false);
                     let v = self.stack.last().expect("dup target").clone();
                     self.stack.push(v);
                 }
                 Op::Swap => {
-                    self.account(false);
+                    self.g.account(false);
                     let n = self.stack.len();
                     self.stack.swap(n - 1, n - 2);
                 }
                 Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Mod | Op::Concat => {
                     let b = self.pop();
                     let a = self.pop();
-                    let multi = !a.is_uni() || !b.is_uni();
-                    self.account(multi);
-                    let r = if multi {
-                        MVal::map2(&a, &b, self.lanes, |x, y| ops::binary(op, x, y))
-                            .map_err(lane_err)?
-                    } else {
-                        MVal::map2(&a, &b, self.lanes, |x, y| ops::binary(op, x, y))
-                            .map_err(uni_err)?
-                    };
+                    let r = self
+                        .g
+                        .op(&[&a, &b], |l| ops::binary(op, a.lane(l), b.lane(l)))?;
                     self.stack.push(r);
                 }
                 Op::Eq | Op::Ne | Op::Identical | Op::NotIdentical => {
                     let b = self.pop();
                     let a = self.pop();
-                    self.account(!a.is_uni() || !b.is_uni());
-                    let r = MVal::map2::<VmError>(&a, &b, self.lanes, |x, y| {
-                        Ok(Value::Bool(match op {
+                    let r = self.g.total_op(&[&a, &b], |l| {
+                        let (x, y) = (a.lane(l), b.lane(l));
+                        Value::Bool(match op {
                             Op::Eq => x.loose_eq(y),
                             Op::Ne => !x.loose_eq(y),
                             Op::Identical => x.identical(y),
-                            Op::NotIdentical => !x.identical(y),
-                            _ => unreachable!("equality subset"),
-                        }))
-                    })
-                    .expect("equality is infallible");
+                            _ => !x.identical(y),
+                        })
+                    })?;
                     self.stack.push(r);
                 }
                 Op::Lt | Op::Le | Op::Gt | Op::Ge => {
                     let b = self.pop();
                     let a = self.pop();
-                    self.account(!a.is_uni() || !b.is_uni());
-                    let r = MVal::map2::<VmError>(&a, &b, self.lanes, |x, y| {
-                        Ok(Value::Bool(ops::relational(op, x, y)))
-                    })
-                    .expect("relational is infallible");
+                    let r = self.g.total_op(&[&a, &b], |l| {
+                        Value::Bool(ops::relational(op, a.lane(l), b.lane(l)))
+                    })?;
                     self.stack.push(r);
                 }
                 Op::Not => {
                     let v = self.pop();
-                    self.account(!v.is_uni());
-                    let r = v
-                        .map1::<VmError>(self.lanes, |x| Ok(Value::Bool(!x.is_truthy())))
-                        .expect("not is infallible");
+                    let r = self
+                        .g
+                        .total_op(&[&v], |l| Value::Bool(!v.lane(l).is_truthy()))?;
                     self.stack.push(r);
                 }
                 Op::Neg => {
                     let v = self.pop();
-                    let multi = !v.is_uni();
-                    self.account(multi);
-                    let r = v.map1(self.lanes, ops::negate).map_err(if multi {
-                        lane_err
-                    } else {
-                        uni_err
-                    })?;
+                    let r = self.g.op(&[&v], |l| ops::negate(v.lane(l)))?;
                     self.stack.push(r);
                 }
                 Op::Jump(t) => {
-                    self.account(false);
+                    self.g.account(false);
                     self.frames.last_mut().expect("running frame").pc = t as usize;
                 }
                 Op::JumpIfFalse(t) | Op::JumpIfTrue(t) => {
                     let v = self.pop();
-                    self.account(!v.is_uni());
+                    self.g.account(!v.is_uni());
                     let truth = v
-                        .uniform_truthiness(self.lanes)
+                        .uniform_truthiness(self.g.lanes)
                         .map_err(|()| Flow::Diverged("non-uniform branch"))?;
-                    let take = match op {
-                        Op::JumpIfFalse(_) => !truth,
-                        _ => truth,
-                    };
-                    if take {
+                    if truth == matches!(op, Op::JumpIfTrue(_)) {
                         self.frames.last_mut().expect("running frame").pc = t as usize;
                     }
                 }
                 Op::NewArray => {
-                    self.account(false);
+                    self.g.account(false);
                     self.stack.push(MVal::Uni(Value::empty_array()));
                 }
                 Op::AppendStack => {
                     let v = self.pop();
                     let arr = self.pop();
-                    let multi = !v.is_uni() || !arr.is_uni();
-                    self.account(multi);
-                    let r = MVal::map2(&arr, &v, self.lanes, |a, x| {
-                        ops::array_append(a.clone(), x.clone())
-                    })
-                    .map_err(if multi { lane_err } else { uni_err })?;
+                    let r = self.g.modify_path(arr, &[], Some(&v), array_append)?;
                     self.stack.push(r);
                 }
                 Op::InsertStack => {
                     let v = self.pop();
                     let k = self.pop();
                     let arr = self.pop();
-                    let multi = !v.is_uni() || !k.is_uni() || !arr.is_uni();
-                    self.account(multi);
-                    let mut out = Vec::with_capacity(self.lanes);
-                    if multi {
-                        for l in 0..self.lanes {
-                            out.push(
-                                ops::array_insert(
-                                    arr.lane(l).clone(),
-                                    k.lane(l),
-                                    v.lane(l).clone(),
-                                )
-                                .map_err(lane_err)?,
-                            );
-                        }
-                        self.stack.push(MVal::from_lanes(out));
-                    } else {
-                        let r =
-                            ops::array_insert(arr.lane(0).clone(), k.lane(0), v.lane(0).clone())
-                                .map_err(uni_err)?;
-                        self.stack.push(MVal::Uni(r));
-                    }
+                    let r = self.g.modify_path(arr, &[k], Some(&v), array_insert)?;
+                    self.stack.push(r);
                 }
                 Op::IndexGet => {
                     let k = self.pop();
                     let base = self.pop();
-                    self.account(!k.is_uni() || !base.is_uni());
-                    let r = MVal::map2::<VmError>(&base, &k, self.lanes, |b, key| {
-                        Ok(ops::index_get(b, key))
-                    })
-                    .expect("index_get is infallible");
+                    let r = self
+                        .g
+                        .total_op(&[&base, &k], |l| ops::index_get(base.lane(l), k.lane(l)))?;
                     self.stack.push(r);
                 }
                 Op::SetPathLocal(slot, n) | Op::SetPathGlobal(slot, n) => {
-                    let keys: Vec<MVal> = self.pop_keys(n as usize);
+                    let keys = self.pop_keys(n as usize);
                     let value = self.pop();
                     let is_local = matches!(op, Op::SetPathLocal(..));
-                    self.modify_path(is_local, slot, &keys, ops::set_path, Some(value.clone()))?;
+                    self.modify_path(is_local, slot, &keys, Some(&value), ops::set_path)?;
                     self.stack.push(value);
                 }
                 Op::AppendPathLocal(slot, n) | Op::AppendPathGlobal(slot, n) => {
-                    let keys: Vec<MVal> = self.pop_keys(n as usize - 1);
+                    let keys = self.pop_keys(n as usize - 1);
                     let value = self.pop();
                     let is_local = matches!(op, Op::AppendPathLocal(..));
-                    self.modify_path(is_local, slot, &keys, ops::append_path, Some(value.clone()))?;
+                    self.modify_path(is_local, slot, &keys, Some(&value), ops::append_path)?;
                     self.stack.push(value);
                 }
                 Op::UnsetPathLocal(slot, n) | Op::UnsetPathGlobal(slot, n) => {
-                    let keys: Vec<MVal> = self.pop_keys(n as usize);
+                    let keys = self.pop_keys(n as usize);
                     let is_local = matches!(op, Op::UnsetPathLocal(..));
-                    self.modify_path(
-                        is_local,
-                        slot,
-                        &keys,
-                        |cur, lane_keys, _v| {
-                            ops::unset_path(cur, lane_keys);
-                            Ok(())
-                        },
-                        None,
-                    )?;
+                    self.modify_path(is_local, slot, &keys, None, unset_path)?;
                 }
                 Op::IssetPathLocal(slot, n) | Op::IssetPathGlobal(slot, n) => {
-                    let keys: Vec<MVal> = self.pop_keys(n as usize);
-                    let is_local = matches!(op, Op::IssetPathLocal(..));
-                    let base = if is_local {
-                        self.frames.last().expect("running frame").locals[slot as usize].clone()
-                    } else {
-                        self.globals[slot as usize].clone()
-                    };
-                    let multi = !base.is_uni() || keys.iter().any(|k| !k.is_uni());
-                    self.account(multi);
-                    let mut out = Vec::with_capacity(self.lanes);
-                    let lane_count = if multi { self.lanes } else { 1 };
-                    for l in 0..lane_count {
-                        let lane_keys: Vec<Value> =
-                            keys.iter().map(|k| k.lane(l).clone()).collect();
-                        out.push(Value::Bool(ops::isset_path(base.lane(l), &lane_keys)));
-                    }
-                    self.stack.push(if multi {
-                        MVal::from_lanes(out)
-                    } else {
-                        MVal::Uni(out.into_iter().next().expect("one lane"))
-                    });
+                    let keys = self.pop_keys(n as usize);
+                    let base = self
+                        .slot(matches!(op, Op::IssetPathLocal(..)), slot)
+                        .clone();
+                    let r = self.g.isset_path(&base, &keys)?;
+                    self.stack.push(r);
                 }
                 Op::PreIncLocal(s)
                 | Op::PostIncLocal(s)
                 | Op::PreDecLocal(s)
-                | Op::PostDecLocal(s) => {
-                    let frame = self.frames.last_mut().expect("running frame");
-                    let cur = frame.locals[s as usize].clone();
-                    let multi = !cur.is_uni();
-                    self.account(multi);
-                    // Rebind the local-variant op for the shared scalar helper.
-                    let scalar_op = match op {
-                        Op::PreIncLocal(_) => Op::PreIncLocal(0),
-                        Op::PostIncLocal(_) => Op::PostIncLocal(0),
-                        Op::PreDecLocal(_) => Op::PreDecLocal(0),
-                        _ => Op::PostDecLocal(0),
-                    };
-                    let (new_slot, result) = incdec_mval(&cur, scalar_op, self.lanes)
-                        .map_err(if multi { lane_err } else { uni_err })?;
-                    let frame = self.frames.last_mut().expect("running frame");
-                    frame.locals[s as usize] = new_slot;
-                    self.stack.push(result);
-                }
-                Op::PreIncGlobal(s)
+                | Op::PostDecLocal(s)
+                | Op::PreIncGlobal(s)
                 | Op::PostIncGlobal(s)
                 | Op::PreDecGlobal(s)
                 | Op::PostDecGlobal(s) => {
-                    let cur = self.globals[s as usize].clone();
-                    let multi = !cur.is_uni();
-                    self.account(multi);
-                    let scalar_op = match op {
-                        Op::PreIncGlobal(_) => Op::PreIncLocal(0),
-                        Op::PostIncGlobal(_) => Op::PostIncLocal(0),
-                        Op::PreDecGlobal(_) => Op::PreDecLocal(0),
-                        _ => Op::PostDecLocal(0),
-                    };
-                    let (new_slot, result) = incdec_mval(&cur, scalar_op, self.lanes)
-                        .map_err(if multi { lane_err } else { uni_err })?;
-                    self.globals[s as usize] = new_slot;
+                    let is_local = matches!(
+                        op,
+                        Op::PreIncLocal(_)
+                            | Op::PostIncLocal(_)
+                            | Op::PreDecLocal(_)
+                            | Op::PostDecLocal(_)
+                    );
+                    let cur = self.slot(is_local, s).clone();
+                    let (new_slot, result) = self.g.incdec(&cur, incdec_selector(op))?;
+                    *self.slot(is_local, s) = new_slot;
                     self.stack.push(result);
                 }
                 Op::Call(fidx, argc) => {
-                    self.account(false);
+                    self.g.account(false);
                     let func = &self.script.functions[fidx as usize];
                     let argc = argc as usize;
                     let mut locals = vec![MVal::Uni(Value::Null); func.num_locals as usize];
@@ -516,11 +314,17 @@ impl GroupVm<'_, '_> {
                     });
                 }
                 Op::CallBuiltin(bidx, argc) => {
-                    self.builtin(bidx, argc as usize)?;
+                    let args = self.pop_keys(argc as usize);
+                    let (first, second) = self.g.builtin(bidx, &args)?;
+                    self.stack.push(first);
+                    self.stack.extend(second);
                 }
-                Op::Return => {
-                    self.account(false);
-                    let value = self.pop();
+                Op::Return | Op::ReturnNull => {
+                    self.g.account(false);
+                    let value = match op {
+                        Op::Return => self.pop(),
+                        _ => MVal::Uni(Value::Null),
+                    };
                     let frame = self.frames.pop().expect("returning frame");
                     if self.frames.is_empty() {
                         return Ok(());
@@ -528,54 +332,13 @@ impl GroupVm<'_, '_> {
                     self.stack.truncate(frame.stack_base);
                     self.stack.push(value);
                 }
-                Op::ReturnNull => {
-                    self.account(false);
-                    let frame = self.frames.pop().expect("returning frame");
-                    if self.frames.is_empty() {
-                        return Ok(());
-                    }
-                    self.stack.truncate(frame.stack_base);
-                    self.stack.push(MVal::Uni(Value::Null));
-                }
                 Op::Echo => {
                     let v = self.pop();
-                    self.account(!v.is_uni());
-                    match &v {
-                        MVal::Uni(val) => {
-                            let s = val.to_php_string();
-                            for out in &mut self.outputs {
-                                out.push_str(&s);
-                            }
-                        }
-                        MVal::Multi(vals) => {
-                            for (out, val) in self.outputs.iter_mut().zip(vals.iter()) {
-                                out.push_str(&val.to_php_string());
-                            }
-                        }
-                    }
+                    self.g.echo(&v);
                 }
                 Op::IterInit => {
                     let arr = self.pop();
-                    self.account(!arr.is_uni());
-                    let iter = match &arr {
-                        MVal::Uni(Value::Array(a)) => GroupIter::Uni {
-                            pairs: a.to_pairs(),
-                            pos: 0,
-                        },
-                        MVal::Uni(_) => GroupIter::Uni {
-                            pairs: Vec::new(),
-                            pos: 0,
-                        },
-                        MVal::Multi(vals) => GroupIter::PerLane {
-                            lanes: vals
-                                .iter()
-                                .map(|v| match v {
-                                    Value::Array(a) => (a.to_pairs(), 0),
-                                    _ => (Vec::new(), 0),
-                                })
-                                .collect(),
-                        },
-                    };
+                    let iter = self.g.iter_init(&arr)?;
                     self.frames
                         .last_mut()
                         .expect("running frame")
@@ -584,446 +347,21 @@ impl GroupVm<'_, '_> {
                 }
                 Op::IterNext(t) | Op::IterNextKV(t) => {
                     let want_key = matches!(op, Op::IterNextKV(_));
-                    let lanes = self.lanes;
                     let frame = self.frames.last_mut().expect("running frame");
                     let iter = frame.iters.last_mut().expect("IterInit precedes IterNext");
-                    match iter {
-                        GroupIter::Uni { pairs, pos } => {
-                            self.univalent += 1;
-                            if *pos < pairs.len() {
-                                let (k, v) = pairs[*pos].clone();
-                                *pos += 1;
-                                if want_key {
-                                    self.stack.push(MVal::Uni(k.to_value()));
-                                }
-                                self.stack.push(MVal::Uni(v));
-                            } else {
-                                frame.pc = t as usize;
-                            }
+                    match self.g.iter_next(iter, want_key)? {
+                        Some((key, value)) => {
+                            self.stack.extend(key);
+                            self.stack.push(value);
                         }
-                        GroupIter::PerLane { lanes: iters } => {
-                            self.multivalent += 1;
-                            let has: Vec<bool> =
-                                iters.iter().map(|(p, pos)| *pos < p.len()).collect();
-                            let first = has[0];
-                            if !has.iter().all(|h| *h == first) {
-                                return Err(Flow::Diverged("non-uniform iteration"));
-                            }
-                            if first {
-                                let mut keys = Vec::with_capacity(lanes);
-                                let mut vals = Vec::with_capacity(lanes);
-                                for (pairs, pos) in iters.iter_mut() {
-                                    let (k, v) = pairs[*pos].clone();
-                                    *pos += 1;
-                                    keys.push(k.to_value());
-                                    vals.push(v);
-                                }
-                                if want_key {
-                                    self.stack.push(MVal::from_lanes(keys));
-                                }
-                                self.stack.push(MVal::from_lanes(vals));
-                            } else {
-                                frame.pc = t as usize;
-                            }
-                        }
+                        None => frame.pc = t as usize,
                     }
                 }
                 Op::IterPop => {
-                    self.account(false);
+                    self.g.account(false);
                     self.frames.last_mut().expect("running frame").iters.pop();
                 }
             }
-        }
-    }
-
-    fn pop_keys(&mut self, n: usize) -> Vec<MVal> {
-        if n == 0 {
-            return Vec::new();
-        }
-        self.stack.split_off(self.stack.len() - n)
-    }
-
-    /// Read-modify-write of a local/global slot through an index path,
-    /// univalently when every participant is a univalue.
-    fn modify_path(
-        &mut self,
-        is_local: bool,
-        slot: u16,
-        keys: &[MVal],
-        f: impl Fn(&mut Value, &[Value], Value) -> Result<(), VmError>,
-        value: Option<MVal>,
-    ) -> Result<(), Flow> {
-        let cur = if is_local {
-            self.frames.last().expect("running frame").locals[slot as usize].clone()
-        } else {
-            self.globals[slot as usize].clone()
-        };
-        let multi = !cur.is_uni()
-            || keys.iter().any(|k| !k.is_uni())
-            || value.as_ref().is_some_and(|v| !v.is_uni());
-        self.account(multi);
-        let new = if !multi {
-            let mut v = cur.lane(0).clone();
-            let lane_keys: Vec<Value> = keys.iter().map(|k| k.lane(0).clone()).collect();
-            let val = value.map(|m| m.lane(0).clone()).unwrap_or(Value::Null);
-            f(&mut v, &lane_keys, val).map_err(uni_err)?;
-            MVal::Uni(v)
-        } else {
-            let mut out = Vec::with_capacity(self.lanes);
-            for l in 0..self.lanes {
-                let mut v = cur.lane(l).clone();
-                let lane_keys: Vec<Value> = keys.iter().map(|k| k.lane(l).clone()).collect();
-                let val = value
-                    .as_ref()
-                    .map(|m| m.lane(l).clone())
-                    .unwrap_or(Value::Null);
-                f(&mut v, &lane_keys, val).map_err(lane_err)?;
-                out.push(v);
-            }
-            MVal::from_lanes(out)
-        };
-        if is_local {
-            self.frames.last_mut().expect("running frame").locals[slot as usize] = new;
-        } else {
-            self.globals[slot as usize] = new;
-        }
-        Ok(())
-    }
-
-    /// Builtin calls: pure builtins split per lane when any argument is
-    /// a multivalue (§4.3); impure builtins route through the audit
-    /// context per lane.
-    fn builtin(&mut self, bidx: u16, argc: usize) -> Result<(), Flow> {
-        let name = builtins::NAMES[bidx as usize];
-        let args_start = self.stack.len() - argc;
-        let args: Vec<MVal> = self.stack.drain(args_start..).collect();
-        if is_impure(name) {
-            return self.impure_builtin(name, &args);
-        }
-        let all_uni = args.iter().all(MVal::is_uni);
-        self.account(!all_uni);
-        if builtins::is_byref(bidx) {
-            if all_uni {
-                let mut lane_args: Vec<Value> = args.iter().map(|a| a.lane(0).clone()).collect();
-                let (target, ret) =
-                    builtins::dispatch_byref(bidx, &mut lane_args).map_err(uni_err)?;
-                self.stack.push(MVal::Uni(target));
-                self.stack.push(MVal::Uni(ret));
-            } else {
-                let mut targets = Vec::with_capacity(self.lanes);
-                let mut rets = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let mut lane_args: Vec<Value> =
-                        args.iter().map(|a| a.lane(l).clone()).collect();
-                    let (t, r) =
-                        builtins::dispatch_byref(bidx, &mut lane_args).map_err(lane_err)?;
-                    targets.push(t);
-                    rets.push(r);
-                }
-                self.stack.push(MVal::from_lanes(targets));
-                self.stack.push(MVal::from_lanes(rets));
-            }
-            return Ok(());
-        }
-        if all_uni {
-            let lane_args: Vec<Value> = args.iter().map(|a| a.lane(0).clone()).collect();
-            let r = builtins::dispatch(bidx, &lane_args, &mut NoHost).map_err(uni_err)?;
-            self.stack.push(MVal::Uni(r));
-        } else {
-            // Split execution: clone arguments per lane and run the
-            // scalar implementation n times (§4.3).
-            let mut out = Vec::with_capacity(self.lanes);
-            for l in 0..self.lanes {
-                let lane_args: Vec<Value> = args.iter().map(|a| a.lane(l).clone()).collect();
-                out.push(builtins::dispatch(bidx, &lane_args, &mut NoHost).map_err(lane_err)?);
-            }
-            self.stack.push(MVal::from_lanes(out));
-        }
-        Ok(())
-    }
-
-    fn impure_builtin(&mut self, name: &str, args: &[MVal]) -> Result<(), Flow> {
-        // Impure builtins count as multivalent when their arguments (or
-        // their per-lane results) differ.
-        match name {
-            "print" => {
-                let v = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(!v.is_uni());
-                for l in 0..self.lanes {
-                    let s = v.lane(l).to_php_string();
-                    self.outputs[l].push_str(&s);
-                }
-                self.stack.push(MVal::Uni(Value::Int(1)));
-                Ok(())
-            }
-            "exit" | "die" => {
-                self.account(false);
-                if let Some(v) = args.first() {
-                    for l in 0..self.lanes {
-                        if matches!(v.lane(l), Value::Str(_)) {
-                            let s = v.lane(l).to_php_string();
-                            self.outputs[l].push_str(&s);
-                        }
-                    }
-                }
-                Err(Flow::Exit)
-            }
-            "header" => {
-                let h = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(!h.is_uni());
-                for l in 0..self.lanes {
-                    let text = h.lane(l).to_php_string();
-                    match text.split_once(':') {
-                        Some((n, v)) => {
-                            self.headers[l].push((n.trim().to_string(), v.trim().to_string()))
-                        }
-                        None => {
-                            return Err(if h.is_uni() {
-                                Flow::GroupFatal("header(): malformed header".into())
-                            } else {
-                                Flow::Diverged("per-lane header error")
-                            })
-                        }
-                    }
-                }
-                self.stack.push(MVal::Uni(Value::Null));
-                Ok(())
-            }
-            "http_response_code" => {
-                let c = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(!c.is_uni());
-                for l in 0..self.lanes {
-                    let code = c.lane(l).to_php_int();
-                    if !(100..=599).contains(&code) {
-                        return Err(if c.is_uni() {
-                            Flow::GroupFatal("http_response_code(): bad code".into())
-                        } else {
-                            Flow::Diverged("per-lane status error")
-                        });
-                    }
-                    self.statuses[l] = code as u16;
-                }
-                self.stack.push(MVal::Uni(Value::Bool(true)));
-                Ok(())
-            }
-            "setcookie" => {
-                let n = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                let v = args.get(1).cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(!n.is_uni() || !v.is_uni());
-                for l in 0..self.lanes {
-                    self.headers[l].push((
-                        "Set-Cookie".to_string(),
-                        format!(
-                            "{}={}",
-                            n.lane(l).to_php_string(),
-                            v.lane(l).to_php_string()
-                        ),
-                    ));
-                }
-                self.stack.push(MVal::Uni(Value::Bool(true)));
-                Ok(())
-            }
-            "session_start" => {
-                self.account(true);
-                if !self.session_started {
-                    self.session_started = true;
-                    let mut sessions = Vec::with_capacity(self.lanes);
-                    for l in 0..self.lanes {
-                        match self.session_cookies[l].clone() {
-                            None => sessions.push(Value::empty_array()),
-                            Some(cookie) => {
-                                let obj = ObjectName(format!("reg:sess:{cookie}"));
-                                let sim = self
-                                    .ctx
-                                    .register_read(self.rids[l], &obj)
-                                    .map_err(Flow::Reject)?;
-                                let bytes = match sim {
-                                    orochi_core::exec::SimResult::Register(b) => b,
-                                    _ => None,
-                                };
-                                sessions.push(match bytes {
-                                    Some(b) => Value::from_wire_bytes(&b).map_err(|_| {
-                                        Flow::GroupFatal("corrupt session data".into())
-                                    })?,
-                                    None => Value::empty_array(),
-                                });
-                            }
-                        }
-                    }
-                    self.globals[3] = MVal::from_lanes(sessions);
-                }
-                self.stack.push(MVal::Uni(Value::Bool(true)));
-                Ok(())
-            }
-            "apc_fetch" => {
-                let key = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(true);
-                let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let k = key.lane(l).to_php_string();
-                    let sim = self
-                        .ctx
-                        .kv_get(self.rids[l], &ObjectName("kv:apc".into()), &k)
-                        .map_err(Flow::Reject)?;
-                    let bytes = match sim {
-                        orochi_core::exec::SimResult::Kv(b) => b,
-                        _ => None,
-                    };
-                    out.push(match bytes {
-                        Some(b) => Value::from_wire_bytes(&b)
-                            .map_err(|_| Flow::GroupFatal("corrupt apc data".into()))?,
-                        None => Value::Bool(false),
-                    });
-                }
-                self.stack.push(MVal::from_lanes(out));
-                Ok(())
-            }
-            "apc_store" | "apc_delete" => {
-                let key = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(true);
-                for l in 0..self.lanes {
-                    let k = key.lane(l).to_php_string();
-                    let bytes = if name == "apc_store" {
-                        Some(
-                            args.get(1)
-                                .map(|v| v.lane(l).clone())
-                                .unwrap_or(Value::Null)
-                                .to_wire_bytes(),
-                        )
-                    } else {
-                        None
-                    };
-                    self.ctx
-                        .kv_set(self.rids[l], &ObjectName("kv:apc".into()), &k, bytes)
-                        .map_err(Flow::Reject)?;
-                }
-                self.stack.push(MVal::Uni(Value::Bool(true)));
-                Ok(())
-            }
-            "db_begin" => {
-                self.account(true);
-                for l in 0..self.lanes {
-                    if self.txns[l].is_some() {
-                        return Err(Flow::GroupFatal("nested transaction".into()));
-                    }
-                    let h = self
-                        .ctx
-                        .db_begin(self.rids[l], &ObjectName("db:main".into()))
-                        .map_err(Flow::Reject)?;
-                    self.txns[l] = Some(h);
-                }
-                self.stack.push(MVal::Uni(Value::Bool(true)));
-                Ok(())
-            }
-            "db_query" => {
-                let sql = args.first().cloned().unwrap_or(MVal::Uni(Value::Null));
-                self.account(true);
-                let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let text = sql.lane(l).to_php_string();
-                    let result = if self.txns[l].is_some() {
-                        let handle = self.txns[l].as_mut().expect("checked above");
-                        self.ctx.db_query(handle, &text).map_err(Flow::Reject)?
-                    } else {
-                        // Auto-commit single-statement transaction.
-                        let mut handle = self
-                            .ctx
-                            .db_begin(self.rids[l], &ObjectName("db:main".into()))
-                            .map_err(Flow::Reject)?;
-                        let r = self
-                            .ctx
-                            .db_query(&mut handle, &text)
-                            .map_err(Flow::Reject)?;
-                        self.ctx.db_finish(handle, true).map_err(Flow::Reject)?;
-                        r
-                    };
-                    out.push(db_query_result_to_value(
-                        result,
-                        &mut self.last_insert_id[l],
-                        &mut self.last_affected[l],
-                    ));
-                }
-                self.stack.push(MVal::from_lanes(out));
-                Ok(())
-            }
-            "db_commit" | "db_rollback" => {
-                self.account(true);
-                let committed = name == "db_commit";
-                let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let handle = match self.txns[l].take() {
-                        Some(h) => h,
-                        None => {
-                            return Err(Flow::GroupFatal(format!("{name}() without transaction")))
-                        }
-                    };
-                    let ok = self
-                        .ctx
-                        .db_finish(handle, committed)
-                        .map_err(Flow::Reject)?;
-                    out.push(Value::Bool(if committed { ok } else { true }));
-                }
-                self.stack.push(MVal::from_lanes(out));
-                Ok(())
-            }
-            "db_insert_id" => {
-                self.account(true);
-                let vals = self.last_insert_id.iter().map(|i| Value::Int(*i)).collect();
-                self.stack.push(MVal::from_lanes(vals));
-                Ok(())
-            }
-            "db_affected_rows" => {
-                self.account(true);
-                let vals = self.last_affected.iter().map(|i| Value::Int(*i)).collect();
-                self.stack.push(MVal::from_lanes(vals));
-                Ok(())
-            }
-            "time" | "microtime" | "getpid" | "uniqid" => {
-                self.account(true);
-                let mut out = Vec::with_capacity(self.lanes);
-                let kind = if name == "getpid" { "pid" } else { name };
-                for l in 0..self.lanes {
-                    let v = self.ctx.nondet(self.rids[l], kind).map_err(Flow::Reject)?;
-                    out.push(match v {
-                        NondetValue::Time(t) => Value::Int(t),
-                        NondetValue::Microtime(t) => Value::Float(t),
-                        NondetValue::Pid(p) => Value::Int(p),
-                        NondetValue::Uniqid(u) => Value::str(u),
-                        NondetValue::Rand(_) => {
-                            return Err(Flow::Reject(Rejection::NondetKindMismatch {
-                                rid: self.rids[l],
-                            }))
-                        }
-                    });
-                }
-                self.stack.push(MVal::from_lanes(out));
-                Ok(())
-            }
-            "mt_rand" | "rand" => {
-                self.account(true);
-                let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    let v = self
-                        .ctx
-                        .nondet(self.rids[l], "rand")
-                        .map_err(Flow::Reject)?;
-                    let raw = match v {
-                        NondetValue::Rand(r) => r,
-                        _ => {
-                            return Err(Flow::Reject(Rejection::NondetKindMismatch {
-                                rid: self.rids[l],
-                            }))
-                        }
-                    };
-                    let lane_args: Vec<Value> = args.iter().map(|a| a.lane(l).clone()).collect();
-                    out.push(builtins::mt_rand_reduce(raw, &lane_args).map_err(lane_err)?);
-                }
-                self.stack.push(MVal::from_lanes(out));
-                Ok(())
-            }
-            other => Err(Flow::GroupFatal(format!(
-                "impure builtin {other}() not handled in grouped mode"
-            ))),
         }
     }
 }

@@ -11,7 +11,9 @@
 //! 'on demand' part").
 //!
 //! * [`mval`] — the multivalue representation: `Uni(Value)` or
-//!   `Multi(Vec<Value>)`, with scalar expansion and collapse.
+//!   `Multi(Vec<Value>)`, with collapse, and the per-lane helper that
+//!   computes a multivalent operation once per distinct operand
+//!   identity.
 //! * [`groupvm`] — the multivalue VM over the same bytecode as the
 //!   scalar runtime. Conditional branches on non-uniform conditions
 //!   signal *divergence* (Fig. 12 line 39); state and nondeterministic
@@ -29,4 +31,4 @@ pub mod mval;
 
 pub use executor::{AccPhpExecutor, GroupStat, VmEngine};
 pub use groupvm::GroupRunError;
-pub use mval::MVal;
+pub use mval::{LaneMemo, MVal};

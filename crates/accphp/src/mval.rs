@@ -4,9 +4,24 @@
 //! all lanes are identical the multivalue *collapses* to a univalue —
 //! "this is crucial to deduplication" (§4.3): collapsed values let
 //! subsequent instructions execute once instead of n times.
+//!
+//! Lanes share rather than copy. A value that reaches several lanes from
+//! one source — a query-dedup hit, a row or cell read out of it, a result
+//! computed once for equal operands — is the same `Arc` in each of them,
+//! so collapse is a run of pointer compares ([`Value::identical`] tests
+//! the pointer first) and [`LaneMemo::per_lane`] can recognise a
+//! repeated operand without looking inside it.
 
+use orochi_obs::LazyCounter;
+use orochi_php::value::PhpArray;
 use orochi_php::Value;
 use std::sync::Arc;
+
+/// Lanes of a multivalent pure operation answered from another lane of
+/// the same instruction.
+static LANE_MEMO_HITS: LazyCounter = LazyCounter::new("accphp_lane_memo_hits");
+/// Lanes of a multivalent pure operation that were computed.
+static LANE_MEMO_MISSES: LazyCounter = LazyCounter::new("accphp_lane_memo_misses");
 
 /// A value of the superposed execution: either one value shared by every
 /// lane, or one value per lane.
@@ -20,18 +35,10 @@ pub enum MVal {
 }
 
 impl MVal {
-    /// A univalue.
-    pub fn uni(v: Value) -> Self {
-        MVal::Uni(v)
-    }
-
     /// Builds from per-lane values, collapsing when they all agree.
     pub fn from_lanes(lanes: Vec<Value>) -> Self {
         debug_assert!(!lanes.is_empty(), "groups have at least one lane");
-        if lanes.len() > 1 && lanes.iter().skip(1).all(|v| v.identical(&lanes[0])) {
-            return MVal::Uni(lanes.into_iter().next().expect("non-empty"));
-        }
-        if lanes.len() == 1 {
+        if lanes.iter().skip(1).all(|v| v.identical(&lanes[0])) {
             return MVal::Uni(lanes.into_iter().next().expect("non-empty"));
         }
         MVal::Multi(Arc::new(lanes))
@@ -47,57 +54,6 @@ impl MVal {
         match self {
             MVal::Uni(v) => v,
             MVal::Multi(vs) => &vs[l],
-        }
-    }
-
-    /// Materializes per-lane values (scalar expansion for univalues).
-    pub fn expand(&self, lanes: usize) -> Vec<Value> {
-        match self {
-            MVal::Uni(v) => vec![v.clone(); lanes],
-            MVal::Multi(vs) => {
-                debug_assert_eq!(vs.len(), lanes, "multivalue lane count");
-                vs.as_ref().clone()
-            }
-        }
-    }
-
-    /// Applies a fallible scalar function lanewise; executes once for
-    /// univalues, per lane otherwise (with collapse).
-    pub fn map1<E>(
-        &self,
-        lanes: usize,
-        mut f: impl FnMut(&Value) -> Result<Value, E>,
-    ) -> Result<MVal, E> {
-        match self {
-            MVal::Uni(v) => Ok(MVal::Uni(f(v)?)),
-            MVal::Multi(vs) => {
-                debug_assert_eq!(vs.len(), lanes, "multivalue lane count");
-                let mut out = Vec::with_capacity(lanes);
-                for v in vs.iter() {
-                    out.push(f(v)?);
-                }
-                Ok(MVal::from_lanes(out))
-            }
-        }
-    }
-
-    /// Applies a fallible scalar binary function componentwise with
-    /// scalar expansion (§4.3 "primitive types").
-    pub fn map2<E>(
-        a: &MVal,
-        b: &MVal,
-        lanes: usize,
-        mut f: impl FnMut(&Value, &Value) -> Result<Value, E>,
-    ) -> Result<MVal, E> {
-        match (a, b) {
-            (MVal::Uni(x), MVal::Uni(y)) => Ok(MVal::Uni(f(x, y)?)),
-            _ => {
-                let mut out = Vec::with_capacity(lanes);
-                for l in 0..lanes {
-                    out.push(f(a.lane(l), b.lane(l))?);
-                }
-                Ok(MVal::from_lanes(out))
-            }
         }
     }
 
@@ -120,9 +76,164 @@ impl MVal {
     }
 }
 
+/// What the lane memo can tell about an operand without reading it:
+/// scalars by value (floats by bit pattern), strings and arrays by the
+/// allocation they point at. Equal identities mean identical values; the
+/// converse need not hold — equal contents behind two allocations are
+/// two identities, which costs a recomputation, never a wrong answer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Identity {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(*const String),
+    Array(*const PhpArray),
+}
+
+impl Identity {
+    fn of(v: &Value) -> Identity {
+        match v {
+            Value::Null => Identity::Null,
+            Value::Bool(b) => Identity::Bool(*b),
+            Value::Int(i) => Identity::Int(*i),
+            Value::Float(f) => Identity::Float(f.to_bits()),
+            Value::Str(s) => Identity::Str(Arc::as_ptr(s)),
+            Value::Array(a) => Identity::Array(Arc::as_ptr(a)),
+        }
+    }
+
+    /// (a word to hash, whether the identity is a pointer).
+    fn word(self) -> (u64, bool) {
+        match self {
+            Identity::Null => (0, false),
+            Identity::Bool(b) => (1 + b as u64, false),
+            Identity::Int(i) => (i as u64 ^ 3, false),
+            Identity::Float(bits) => (bits ^ 4, false),
+            Identity::Str(p) => (p as u64, true),
+            Identity::Array(p) => (p as u64, true),
+        }
+    }
+}
+
+/// Probes before a lane gives up on the memo and is simply computed:
+/// bounds what colliding keys (the scalars in them come from requests)
+/// can cost.
+const MAX_PROBES: usize = 8;
+
+/// The identity memo behind [`LaneMemo::per_lane`]: an open-addressed
+/// table from a lane's operand identities to the first lane that had
+/// them. One call's entries mean nothing to the next — the table is
+/// wiped on entry — so the memo's lifetime is one instruction; the
+/// struct only keeps the allocation, and the hit/miss tallies it adds
+/// to the registry counters when dropped.
+#[derive(Default)]
+pub struct LaneMemo {
+    /// `first lane + 1`, or 0 for an empty slot.
+    slots: Vec<u32>,
+    hits: u64,
+    misses: u64,
+}
+
+impl Drop for LaneMemo {
+    fn drop(&mut self) {
+        LANE_MEMO_HITS.add(self.hits);
+        LANE_MEMO_MISSES.add(self.misses);
+    }
+}
+
+impl LaneMemo {
+    /// Computes `f(lane)` for every lane, where `f` is a pure function
+    /// of that lane's `operands`: a lane whose operands have the
+    /// identity of an earlier lane's takes that lane's result (a clone —
+    /// for a [`Value`], a scalar or a pointer copy) instead of running
+    /// `f` again. The operands are borrowed for the whole call, so every
+    /// `Arc` a key points at stays alive and no address is reused under
+    /// it. A lane is looked up only if a string or an array is among its
+    /// operands, univalent ones included: an operation on scalars alone
+    /// (arithmetic, comparison) costs about what the lookup would.
+    ///
+    /// The first error ends the call, as in a plain loop over the lanes.
+    pub fn per_lane<T: Clone, E>(
+        &mut self,
+        operands: &[&MVal],
+        lanes: usize,
+        mut f: impl FnMut(usize) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let identities = |lane: usize| {
+            operands.iter().filter_map(move |m| match m {
+                MVal::Uni(_) => None,
+                MVal::Multi(vs) => Some(Identity::of(&vs[lane])),
+            })
+        };
+        // Fibonacci hashing: the high bits of an odd multiple spread
+        // aligned pointers and small integers alike.
+        let key = |lane: usize| {
+            identities(lane).fold((0u64, false), |(h, any_pointer), id| {
+                let (word, pointer) = id.word();
+                let h = (h.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                (h, any_pointer | pointer)
+            })
+        };
+        let heap_univalue = operands
+            .iter()
+            .any(|m| matches!(m, MVal::Uni(Value::Str(_) | Value::Array(_))));
+        let bits = (2 * lanes).next_power_of_two().trailing_zeros().max(1);
+        let mask = (1usize << bits) - 1;
+        self.slots.clear();
+        self.slots.resize(mask + 1, 0);
+
+        let mut out: Vec<T> = Vec::with_capacity(lanes);
+        let mut hits = 0u64;
+        for lane in 0..lanes {
+            let (hash, heap_operand) = key(lane);
+            let mut first_with = None;
+            if heap_operand || heap_univalue {
+                let mut at = (hash >> (64 - bits)) as usize;
+                for _ in 0..MAX_PROBES {
+                    match self.slots[at] {
+                        0 => {
+                            self.slots[at] = lane as u32 + 1;
+                            break;
+                        }
+                        taken => {
+                            let first = taken as usize - 1;
+                            if identities(first).eq(identities(lane)) {
+                                first_with = Some(first);
+                                break;
+                            }
+                        }
+                    }
+                    at = (at + 1) & mask;
+                }
+            }
+            let value = match first_with {
+                Some(first) => {
+                    hits += 1;
+                    out[first].clone()
+                }
+                None => f(lane)?,
+            };
+            out.push(value);
+        }
+        self.hits += hits;
+        self.misses += lanes as u64 - hits;
+        Ok(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    fn per_lane<T: Clone, E>(
+        operands: &[&MVal],
+        lanes: usize,
+        f: impl FnMut(usize) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        LaneMemo::default().per_lane(operands, lanes, f)
+    }
 
     #[test]
     fn from_lanes_collapses_identical() {
@@ -147,29 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn map2_scalar_expansion() {
-        let a = MVal::Uni(Value::Int(10));
-        let b = MVal::from_lanes(vec![Value::Int(1), Value::Int(2)]);
-        let sum = MVal::map2::<()>(&a, &b, 2, |x, y| {
-            Ok(Value::Int(x.to_php_int() + y.to_php_int()))
-        })
-        .unwrap();
-        assert!(sum.lane(0).identical(&Value::Int(11)));
-        assert!(sum.lane(1).identical(&Value::Int(12)));
-    }
-
-    #[test]
-    fn map2_collapses_when_results_agree() {
-        // Like the paper's max($sum, $_GET['z']) example: differing
-        // inputs, equal outputs -> univalue (Fig. 2 / §4.3).
-        let a = MVal::from_lanes(vec![Value::Int(4), Value::Int(6)]);
-        let b = MVal::Uni(Value::Int(10));
-        let max = MVal::map2::<()>(&a, &b, 2, |x, y| {
-            Ok(Value::Int(x.to_php_int().max(y.to_php_int())))
-        })
-        .unwrap();
-        assert!(max.is_uni());
-        assert!(max.lane(0).identical(&Value::Int(10)));
+    fn equal_contents_behind_distinct_allocations_still_collapse() {
+        let m = MVal::from_lanes(vec![Value::str("same"), Value::str("same")]);
+        assert!(m.is_uni());
     }
 
     #[test]
@@ -181,10 +272,74 @@ mod tests {
     }
 
     #[test]
-    fn expand_replicates_uni() {
-        let m = MVal::Uni(Value::str("x"));
-        let lanes = m.expand(3);
-        assert_eq!(lanes.len(), 3);
-        assert!(lanes.iter().all(|v| v.identical(&Value::str("x"))));
+    fn per_lane_computes_once_per_operand_identity() {
+        let shared = Value::str("shared");
+        let lanes = vec![
+            shared.clone(),
+            Value::str("shared"), // Equal contents, its own allocation.
+            shared.clone(),
+            Value::Int(7),
+            shared,
+        ];
+        let text = MVal::Multi(Arc::new(lanes));
+        let suffix = MVal::Uni(Value::str("!"));
+        let calls = Cell::new(0);
+        let out = per_lane::<Value, ()>(&[&text, &suffix], 5, |l| {
+            calls.set(calls.get() + 1);
+            Ok(Value::str(format!(
+                "{}{}",
+                text.lane(l).as_php_str(),
+                suffix.lane(l).as_php_str()
+            )))
+        })
+        .unwrap();
+        // Lanes 0, 2 and 4 are one allocation: computed once, and the
+        // three results are one allocation too.
+        assert_eq!(calls.get(), 3);
+        let rendered: Vec<String> = out.iter().map(Value::to_php_string).collect();
+        assert_eq!(rendered, ["shared!", "shared!", "shared!", "7!", "shared!"]);
+        match (&out[0], &out[1], &out[2], &out[4]) {
+            (Value::Str(a), Value::Str(b), Value::Str(c), Value::Str(d)) => {
+                assert!(Arc::ptr_eq(a, c) && Arc::ptr_eq(a, d));
+                assert!(!Arc::ptr_eq(a, b));
+            }
+            other => panic!("expected strings, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn per_lane_keys_on_every_multivalent_operand() {
+        let arr = Value::array(PhpArray::from_values(vec![Value::Int(10), Value::Int(20)]));
+        let base = MVal::Multi(Arc::new(vec![arr.clone(), arr.clone(), arr]));
+        let key = MVal::Multi(Arc::new(vec![Value::Int(0), Value::Int(1), Value::Int(0)]));
+        let calls = Cell::new(0);
+        let out = per_lane::<Value, ()>(&[&base, &key], 3, |l| {
+            calls.set(calls.get() + 1);
+            Ok(orochi_php::vm::ops::index_get(base.lane(l), key.lane(l)))
+        })
+        .unwrap();
+        assert_eq!(calls.get(), 2, "same array, two distinct keys");
+        let got: Vec<i64> = out.iter().map(Value::to_php_int).collect();
+        assert_eq!(got, [10, 20, 10]);
+    }
+
+    #[test]
+    fn per_lane_stops_at_the_first_error() {
+        let v = MVal::Multi(Arc::new(vec![
+            Value::str("a"),
+            Value::str("b"),
+            Value::str("c"),
+        ]));
+        let calls = Cell::new(0);
+        let r = per_lane::<Value, usize>(&[&v], 3, |l| {
+            calls.set(calls.get() + 1);
+            if l == 1 {
+                Err(l)
+            } else {
+                Ok(Value::Null)
+            }
+        });
+        assert_eq!(r.unwrap_err(), 1);
+        assert_eq!(calls.get(), 2);
     }
 }

@@ -1,36 +1,26 @@
 //! Direct tests of SIMD-on-demand execution, including the paper's own
 //! worked example (§4.3 / Fig. 2).
 
+use orochi_accphp::executor::request_input;
 use orochi_accphp::groupvm::{run_group, GroupRunError};
 use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_core::audit::{AuditConfig, AuditContext};
 use orochi_core::reports::Reports;
-use orochi_php::vm::RequestInput;
 use orochi_php::{compile, parse_script};
 use orochi_trace::{Event, HttpRequest, HttpResponse, Trace};
 
 /// Builds a (trace, reports) pair for `lanes` op-less requests with the
 /// given GET parameters, plus the audit context inputs.
-fn fixtures(params: &[Vec<(&str, &str)>]) -> (Vec<RequestId>, Vec<RequestInput>, Trace, Reports) {
+fn fixtures(params: &[Vec<(&str, &str)>]) -> (Vec<RequestId>, Vec<HttpRequest>, Trace, Reports) {
     let mut events = Vec::new();
     let mut rids = Vec::new();
-    let mut inputs = Vec::new();
+    let mut requests = Vec::new();
     for (l, lane_params) in params.iter().enumerate() {
         let rid = RequestId(l as u64 + 1);
         rids.push(rid);
-        events.push(Event::Request(
-            rid,
-            HttpRequest::get("/prog.php", lane_params),
-        ));
-        inputs.push(RequestInput {
-            method: "GET".into(),
-            path: "/prog.php".into(),
-            get: lane_params
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            ..Default::default()
-        });
+        let request = HttpRequest::get("/prog.php", lane_params);
+        events.push(Event::Request(rid, request.clone()));
+        requests.push(request);
     }
     for &rid in &rids {
         events.push(Event::Response(rid, HttpResponse::ok(rid, "")));
@@ -41,7 +31,7 @@ fn fixtures(params: &[Vec<(&str, &str)>]) -> (Vec<RequestId>, Vec<RequestInput>,
         op_counts: rids.iter().map(|r| (*r, 0)).collect(),
         nondet: Default::default(),
     };
-    (rids, inputs, Trace { events }, reports)
+    (rids, requests, Trace { events }, reports)
 }
 
 /// The paper's §4.3 example:
@@ -65,10 +55,11 @@ fn paper_section_43_example_collapses() {
         echo $odd;
     "#;
     let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
-    let (rids, inputs, trace, reports) = fixtures(&[
+    let (rids, requests, trace, reports) = fixtures(&[
         vec![("x", "1"), ("y", "3"), ("z", "10")],
         vec![("x", "2"), ("y", "4"), ("z", "10")],
     ]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     let outcome = run_group(&script, &rids, &inputs, &mut ctx).unwrap();
@@ -92,7 +83,8 @@ fn branch_divergence_detected() {
         if (intval($_GET['x']) > 5) { echo 'big'; } else { echo 'small'; }
     "#;
     let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
-    let (rids, inputs, trace, reports) = fixtures(&[vec![("x", "10")], vec![("x", "1")]]);
+    let (rids, requests, trace, reports) = fixtures(&[vec![("x", "10")], vec![("x", "1")]]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     match run_group(&script, &rids, &inputs, &mut ctx) {
@@ -109,7 +101,8 @@ fn uniform_branches_do_not_diverge() {
     let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
     // Different values, same truthiness: no divergence; outputs differ
     // per lane (multivalent echo).
-    let (rids, inputs, trace, reports) = fixtures(&[vec![("x", "10")], vec![("x", "20")]]);
+    let (rids, requests, trace, reports) = fixtures(&[vec![("x", "10")], vec![("x", "20")]]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     let outcome = run_group(&script, &rids, &inputs, &mut ctx).unwrap();
@@ -124,7 +117,9 @@ fn iteration_length_divergence_detected() {
         foreach ($parts as $p) { echo $p; }
     "#;
     let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
-    let (rids, inputs, trace, reports) = fixtures(&[vec![("csv", "a,b")], vec![("csv", "a,b,c")]]);
+    let (rids, requests, trace, reports) =
+        fixtures(&[vec![("csv", "a,b")], vec![("csv", "a,b,c")]]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     match run_group(&script, &rids, &inputs, &mut ctx) {
@@ -142,8 +137,9 @@ fn same_length_iterations_run_multivalently() {
         echo $out;
     "#;
     let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
-    let (rids, inputs, trace, reports) =
+    let (rids, requests, trace, reports) =
         fixtures(&[vec![("csv", "a,b,c")], vec![("csv", "x,y,z")]]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     let outcome = run_group(&script, &rids, &inputs, &mut ctx).unwrap();
@@ -155,7 +151,8 @@ fn same_length_iterations_run_multivalently() {
 fn uniform_fatal_yields_identical_500s() {
     let src = "<?php echo 1 % intval($_GET['zero']);";
     let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
-    let (rids, inputs, trace, reports) = fixtures(&[vec![("zero", "0")], vec![("zero", "0")]]);
+    let (rids, requests, trace, reports) = fixtures(&[vec![("zero", "0")], vec![("zero", "0")]]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     let outcome = run_group(&script, &rids, &inputs, &mut ctx).unwrap();
@@ -173,8 +170,9 @@ fn per_lane_builtin_split_matches_scalar() {
         echo sprintf('%05d:%s', intval($_GET['n']), $_GET['s']);
     "#;
     let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
-    let (rids, inputs, trace, reports) =
+    let (rids, requests, trace, reports) =
         fixtures(&[vec![("n", "42"), ("s", "a")], vec![("n", "7"), ("s", "b")]]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     let outcome = run_group(&script, &rids, &inputs, &mut ctx).unwrap();
@@ -186,7 +184,8 @@ fn per_lane_builtin_split_matches_scalar() {
 fn single_lane_group_is_fully_univalent() {
     let src = "<?php echo intval($_GET['x']) * 3;";
     let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
-    let (rids, inputs, trace, reports) = fixtures(&[vec![("x", "5")]]);
+    let (rids, requests, trace, reports) = fixtures(&[vec![("x", "5")]]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     let outcome = run_group(&script, &rids, &inputs, &mut ctx).unwrap();

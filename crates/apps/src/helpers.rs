@@ -147,8 +147,8 @@ mod tests {
         let script = compile("/p.php", &parse_script(&src).unwrap()).unwrap();
         let mut backend = orochi_php::backend::NullBackend;
         let input = orochi_php::vm::RequestInput {
-            method: "GET".into(),
-            path: "/p.php".into(),
+            method: "GET",
+            path: "/p.php",
             ..Default::default()
         };
         let result = orochi_php::vm::run_request(&script, &mut backend, &input).unwrap();

@@ -44,6 +44,12 @@ fn json_doc(scale: f64, rows: &[Fig9Row], par: &[ParallelRow], threads: usize) -
                             ("vm_dispatch_total", Json::from(r.vm_dispatch_total)),
                             ("vm_dispatch_executed", Json::from(r.vm_dispatch_executed)),
                             ("vm_dispatch_dedup", Json::Num(r.dispatch_dedup())),
+                            ("groups", Json::from(r.groups)),
+                            ("db_queries_issued", Json::from(r.db_queries_issued)),
+                            ("db_queries_deduped", Json::from(r.db_queries_deduped)),
+                            ("result_conversions", Json::from(r.result_conversions)),
+                            ("lane_memo_hits", Json::from(r.lane_memo_hits)),
+                            ("lane_memo_misses", Json::from(r.lane_memo_misses)),
                         ])
                     })
                     .collect(),

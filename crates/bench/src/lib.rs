@@ -8,6 +8,7 @@
 pub mod cli;
 pub mod json;
 
+use orochi_accphp::executor::request_input;
 use orochi_accphp::groupvm::{self, run_group, GroupOutcome};
 use orochi_accphp::VmEngine;
 use orochi_common::ids::{CtlFlowTag, RequestId};
@@ -58,9 +59,9 @@ pub fn fig10_script(body: &str, iters: usize) -> CompiledScript {
 pub fn run_fig10_scalar(script: &CompiledScript, a: &str, b: &str) {
     let mut backend = NullBackend;
     let input = RequestInput {
-        method: "GET".into(),
-        path: "/bench.php".into(),
-        get: vec![("a".into(), a.into()), ("b".into(), b.into())],
+        method: "GET",
+        path: "/bench.php",
+        get: &[("a".into(), a.into()), ("b".into(), b.into())],
         ..Default::default()
     };
     let result = run_request(script, &mut backend, &input).expect("bench script runs");
@@ -71,7 +72,7 @@ pub fn run_fig10_scalar(script: &CompiledScript, a: &str, b: &str) {
 /// trace/report pair that backs the audit context.
 pub struct Fig10Group {
     rids: Vec<RequestId>,
-    inputs: Vec<RequestInput>,
+    requests: Vec<HttpRequest>,
     trace: Trace,
     reports: Reports,
     config: AuditConfig,
@@ -85,7 +86,7 @@ impl Fig10Group {
     pub fn new(lanes: usize, identical_inputs: bool, nondet_steps: usize) -> Self {
         let mut events = Vec::new();
         let mut rids = Vec::new();
-        let mut inputs = Vec::new();
+        let mut requests = Vec::new();
         let mut nondet = NondetLog::new();
         for l in 0..lanes {
             let rid = RequestId(l as u64 + 1);
@@ -96,12 +97,7 @@ impl Fig10Group {
                 ((l + 3).to_string(), (l * 2 + 5).to_string())
             };
             let req = HttpRequest::get("/bench.php", &[("a", &a), ("b", &b)]);
-            inputs.push(RequestInput {
-                method: "GET".into(),
-                path: "/bench.php".into(),
-                get: vec![("a".into(), a), ("b".into(), b)],
-                ..Default::default()
-            });
+            requests.push(req.clone());
             events.push(Event::Request(rid, req));
             for step in 0..nondet_steps {
                 let value = if identical_inputs {
@@ -123,7 +119,7 @@ impl Fig10Group {
         };
         Fig10Group {
             rids,
-            inputs,
+            requests,
             trace: Trace { events },
             reports,
             config: AuditConfig::new(),
@@ -142,11 +138,10 @@ impl Fig10Group {
     pub fn run_with(&self, script: &CompiledScript, engine: VmEngine) -> GroupOutcome {
         let mut ctx = AuditContext::prepare(&self.trace, &self.reports, &self.config)
             .expect("bench reports are well-formed");
+        let inputs: Vec<RequestInput<'_>> = self.requests.iter().map(request_input).collect();
         match engine {
-            VmEngine::Register => run_group(script, &self.rids, &self.inputs, &mut ctx),
-            VmEngine::Stack => {
-                groupvm::stack::run_group(script, &self.rids, &self.inputs, &mut ctx)
-            }
+            VmEngine::Register => run_group(script, &self.rids, &inputs, &mut ctx),
+            VmEngine::Stack => groupvm::stack::run_group(script, &self.rids, &inputs, &mut ctx),
         }
         .unwrap_or_else(|e| panic!("bench group failed: {e:?}"))
     }

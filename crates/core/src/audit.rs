@@ -36,7 +36,9 @@ use crate::streaming::{self, Pool, StreamingAudit};
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId, SeqNum};
 use orochi_common::metrics::PhaseTimer;
 use orochi_sqldb::engine::WriteOutcome;
-use orochi_sqldb::{Database, ExecOutcome, RedoError, RedoStats, VersionedDb, MAXQ};
+use orochi_sqldb::{
+    Database, ExecOutcome, PreparedQuery, RedoError, RedoStats, SqlError, VersionedDb, MAXQ,
+};
 use orochi_state::object::{DbWriteResult, ObjectName, OpContents, OpType};
 use orochi_state::versioned_kv::VersionedKv;
 use orochi_trace::record::{BalanceError, Trace};
@@ -376,9 +378,38 @@ pub struct AuditOutcome {
     pub stats: AuditStats,
 }
 
-/// Key of the read-query dedup cache: (log index, sql text, epochs of
-/// the tables the query touches).
-type DedupKey = (usize, String, Vec<(String, u64)>);
+/// Key of the read-query dedup cache: a prepared-query id — one per
+/// distinct (log, SQL text), see [`PreparedQueries`] — and the
+/// modification epoch of the table it reads.
+type DedupKey = (usize, u64);
+
+/// One worker's prepared-query table: every distinct (log, SQL text)
+/// parsed and bound to its versioned store once, however often the
+/// lanes repeat it. A text that does not prepare keeps its error, so
+/// each occurrence fails the way the first did.
+#[derive(Default)]
+struct PreparedQueries {
+    /// Per log index: SQL text -> position in `queries`. Looked up by
+    /// `&str`, so a repeated query hashes its text once and allocates
+    /// nothing.
+    ids: Vec<HashMap<String, usize>>,
+    queries: Vec<Result<PreparedQuery, SqlError>>,
+}
+
+impl PreparedQueries {
+    fn id(&mut self, log: usize, sql: &str, vdb: &VersionedDb) -> usize {
+        if self.ids.len() <= log {
+            self.ids.resize_with(log + 1, HashMap::new);
+        }
+        if let Some(&id) = self.ids[log].get(sql) {
+            return id;
+        }
+        let id = self.queries.len();
+        self.queries.push(vdb.prepare(sql));
+        self.ids[log].insert(sql.to_string(), id);
+        id
+    }
+}
 
 /// The prologue's products, shared read-only by every re-execution
 /// worker: the OpMap and, per log, the versioned stores and register
@@ -543,11 +574,13 @@ pub struct AuditContext<'a> {
     opnum_next: Vec<u32>,
     /// Open-database-transaction flag per dense request index.
     in_txn: Vec<bool>,
-    /// Read-query dedup cache: (log, sql, table epochs) -> result.
-    dedup_cache: HashMap<DedupKey, ExecOutcome>,
-    /// Memoized sql -> touched tables (queries repeat heavily; parsing
-    /// each occurrence would eat the dedup gain).
-    touched_tables: HashMap<String, Vec<String>>,
+    /// Read-query dedup cache. An entry is one immutable result: every
+    /// hit hands out the same handle, so all readers of one table
+    /// version share one object.
+    dedup_cache: HashMap<DedupKey, Arc<ExecOutcome>>,
+    /// Parsed SQL (queries repeat heavily; parsing each occurrence
+    /// would eat the dedup gain).
+    prepared: PreparedQueries,
     /// Nondeterminism cursors per dense request index.
     nondet_cursor: Vec<usize>,
     /// Accumulated statistics (including the "DB query" busy time, so
@@ -580,14 +613,14 @@ impl<'a> AuditContext<'a> {
             opnum_next: vec![1; x],
             in_txn: vec![false; x],
             dedup_cache: carry.dedup_cache,
-            touched_tables: carry.touched_tables,
+            prepared: carry.prepared,
             nondet_cursor: vec![0; x],
             stats: carry.stats,
         }
     }
 
     /// Tears the context down to what the engine carries across an
-    /// epoch boundary: the dedup cache, the parsed-tables memo, and the
+    /// epoch boundary: the dedup cache, the prepared queries, and the
     /// accumulated counters. Everything else — the per-request cursor
     /// vectors and the `Arc` on the shared prologue — is dropped, which
     /// is what lets the engine reclaim exclusive ownership of the
@@ -595,7 +628,7 @@ impl<'a> AuditContext<'a> {
     pub(crate) fn into_carry(self) -> AuditCarry {
         AuditCarry {
             dedup_cache: self.dedup_cache,
-            touched_tables: self.touched_tables,
+            prepared: self.prepared,
             stats: self.stats,
         }
     }
@@ -850,7 +883,8 @@ impl<'a> AuditContext<'a> {
         let seq = handle.seq.0;
         if let Some(w) = logged_write {
             // Writes are fed from the redo-verified logged outcome.
-            return Ok(DbQueryResult::Ok(ExecOutcome::Write(write_outcome(w))));
+            let outcome = ExecOutcome::Write(write_outcome(w));
+            return Ok(DbQueryResult::Ok(Arc::new(outcome)));
         }
         if handle.logged_succeeded {
             let ts = seq * MAXQ + q;
@@ -859,7 +893,7 @@ impl<'a> AuditContext<'a> {
             self.stats.db_query_wall += t0.elapsed();
             Ok(DbQueryResult::Ok(result))
         } else if let Some(rows) = vdb.aborted_read(seq, q) {
-            Ok(DbQueryResult::Ok(rows.clone()))
+            Ok(DbQueryResult::Ok(Arc::clone(rows)))
         } else if q == handle.total_queries && vdb.aborted_failed_at_last(seq) {
             handle.failed = true;
             Ok(DbQueryResult::Failed)
@@ -869,7 +903,7 @@ impl<'a> AuditContext<'a> {
     }
 
     /// Answers a committed SELECT at `ts`, deduplicating by (sql, table
-    /// modification epochs) when enabled (§4.5).
+    /// modification epoch) when enabled (§4.5).
     fn dedup_query(
         &mut self,
         obj_index: usize,
@@ -877,39 +911,31 @@ impl<'a> AuditContext<'a> {
         ts: u64,
         rid: RequestId,
         opnum: OpNum,
-    ) -> Result<ExecOutcome, Rejection> {
+    ) -> Result<Arc<ExecOutcome>, Rejection> {
         let vdb = self
             .shared
             .versioned_db(obj_index)
             .ok_or(Rejection::ObjectMismatch { rid, opnum })?;
-        let issue = || {
-            vdb.query_at(sql, ts)
-                .map_err(|e| Rejection::ExecFailure(format!("query_at: {e}")))
+        let failure = |e: &SqlError| Rejection::ExecFailure(format!("query_at: {e}"));
+        let id = self.prepared.id(obj_index, sql, vdb);
+        let query = match &self.prepared.queries[id] {
+            Ok(query) => query,
+            Err(e) => {
+                self.stats.db_queries_issued += 1;
+                return Err(failure(e));
+            }
         };
-        if !self.shared.config.query_dedup {
-            self.stats.db_queries_issued += 1;
-            return issue();
-        }
-        let tables = self
-            .touched_tables
-            .entry(sql.to_string())
-            .or_insert_with(|| VersionedDb::touched_tables(sql))
-            .clone();
-        let epochs: Vec<(String, u64)> = tables
-            .into_iter()
-            .map(|t| {
-                let e = vdb.mod_epoch(&t, ts);
-                (t, e)
-            })
-            .collect();
-        let key = (obj_index, sql.to_string(), epochs);
-        if let Some(cached) = self.dedup_cache.get(&key) {
+        let dedup = self.shared.config.query_dedup;
+        let key = dedup.then(|| (id, vdb.mod_epoch(query, ts)));
+        if let Some(cached) = key.and_then(|key| self.dedup_cache.get(&key)) {
             self.stats.db_queries_deduped += 1;
-            return Ok(cached.clone());
+            return Ok(Arc::clone(cached));
         }
         self.stats.db_queries_issued += 1;
-        let result = issue()?;
-        self.dedup_cache.insert(key, result.clone());
+        let result = Arc::new(vdb.run_at(query, ts).map_err(|e| failure(&e))?);
+        if let Some(key) = key {
+            self.dedup_cache.insert(key, Arc::clone(&result));
+        }
         Ok(result)
     }
 
@@ -1027,27 +1053,17 @@ impl<'a> AuditContext<'a> {
 /// [`AuditContext::into_carry`].
 #[derive(Default)]
 pub(crate) struct AuditCarry {
-    dedup_cache: HashMap<DedupKey, ExecOutcome>,
-    touched_tables: HashMap<String, Vec<String>>,
+    dedup_cache: HashMap<DedupKey, Arc<ExecOutcome>>,
+    prepared: PreparedQueries,
     pub(crate) stats: AuditStats,
 }
 
 impl AuditCarry {
-    /// Rough resident size of the carried caches in bytes.
+    /// Rough resident size of the carried caches in bytes: the dedup
+    /// index and the prepared SQL texts (cached results are not counted).
     pub(crate) fn estimated_bytes(&self) -> usize {
-        let dedup: usize = self
-            .dedup_cache
-            .keys()
-            .map(|(_, sql, tables)| {
-                48 + sql.len() + tables.iter().map(|(t, _)| t.len() + 16).sum::<usize>()
-            })
-            .sum();
-        let tables: usize = self
-            .touched_tables
-            .iter()
-            .map(|(k, v)| k.len() + v.iter().map(String::len).sum::<usize>() + 48)
-            .sum();
-        dedup + tables
+        let texts = self.prepared.ids.iter().flat_map(HashMap::keys);
+        self.dedup_cache.len() * 48 + texts.map(|sql| sql.len() + 96).sum::<usize>()
     }
 }
 

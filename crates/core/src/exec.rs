@@ -9,7 +9,9 @@
 
 use crate::audit::{AuditContext, Rejection};
 use orochi_common::ids::{OpNum, RequestId, SeqNum};
+use orochi_sqldb::ExecOutcome;
 use orochi_trace::{HttpRequest, HttpResponse};
+use std::sync::Arc;
 
 /// Result of a simulated non-database read (Fig. 12, `SimOp`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,8 +28,11 @@ pub enum SimResult {
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbQueryResult {
     /// The query executed; SELECTs carry rows, writes carry the verified
-    /// write outcome.
-    Ok(orochi_sqldb::ExecOutcome),
+    /// write outcome. The handle is shared: a SELECT answered from the
+    /// dedup cache is the cache's own entry, so two results are the same
+    /// object exactly when they were one query at one table version —
+    /// an executor may key work on the pointer while it holds the handle.
+    Ok(Arc<ExecOutcome>),
     /// The query failed online (final statement of an aborted
     /// transaction); the program observes the failure, as it did online.
     Failed,

@@ -7,7 +7,7 @@ use orochi_common::ids::{CtlFlowTag, OpNum, RequestId};
 use orochi_core::audit::{audit, AuditConfig, Rejection};
 use orochi_core::exec::{DbQueryResult, FnExecutor};
 use orochi_core::reports::Reports;
-use orochi_sqldb::{Database, ExecOutcome, SqlValue};
+use orochi_sqldb::{Database, SqlValue};
 use orochi_state::object::{DbWriteResult, ObjectName, OpContents};
 use orochi_state::oplog::{OpLog, OpLogEntry, OpLogs};
 use orochi_trace::{Event, HttpRequest, HttpResponse, Trace};
@@ -69,12 +69,13 @@ fn faithful_transaction_accepted() {
         let (rid, _) = requests[0];
         let mut h = ctx.db_begin(rid, &ObjectName("db:main".into()))?;
         let w = ctx.db_query(&mut h, INSERT)?;
-        assert!(matches!(w, DbQueryResult::Ok(ExecOutcome::Write(_))));
+        assert!(matches!(&w, DbQueryResult::Ok(o) if o.write().is_some()));
         let r = ctx.db_query(&mut h, SELECT)?;
         // The SELECT sees the INSERT through intra-transaction
         // visibility (ts = s*MAXQ + q).
-        let body = match r {
-            DbQueryResult::Ok(ExecOutcome::Rows { rows, .. }) => {
+        let body = match &r {
+            DbQueryResult::Ok(outcome) => {
+                let rows = outcome.rows().expect("a SELECT yields rows");
                 assert_eq!(rows[0][1], SqlValue::Text("x".into()));
                 rows.len().to_string()
             }

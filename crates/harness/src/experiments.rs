@@ -434,6 +434,33 @@ pub struct Fig9Row {
     /// VM dispatches actually executed after deduplication: univalent
     /// instructions once per group, multivalent ones per lane.
     pub vm_dispatch_executed: u64,
+    /// Control-flow groups re-executed.
+    pub groups: usize,
+    /// SELECTs actually issued to the versioned store (dedup misses).
+    pub db_queries_issued: u64,
+    /// SELECTs answered from the dedup cache.
+    pub db_queries_deduped: u64,
+    /// SELECT results turned into PHP arrays during the audit
+    /// (`accphp_result_conversions`): at most one per distinct result
+    /// per group, so `<= db_queries_issued × groups`; a conversion per
+    /// lane would put it near the query count instead.
+    pub result_conversions: u64,
+    /// Lanes of multivalent pure operations answered from another lane
+    /// of the same instruction / computed (`accphp_lane_memo_*`).
+    pub lane_memo_hits: u64,
+    /// See `lane_memo_hits`.
+    pub lane_memo_misses: u64,
+}
+
+/// The registry counters the grouped audit's sharing shows up in.
+const SHARING_COUNTERS: [&str; 3] = [
+    "accphp_result_conversions",
+    "accphp_lane_memo_hits",
+    "accphp_lane_memo_misses",
+];
+
+fn sharing_counters() -> [u64; 3] {
+    SHARING_COUNTERS.map(|name| orochi_obs::registry::counter(name).get())
 }
 
 impl Fig9Row {
@@ -450,8 +477,13 @@ pub fn fig9_decomposition(scale: f64, seed: u64) -> Vec<Fig9Row> {
     for work in paper_workloads(scale, seed) {
         let name = work.app.name;
         let served = serve(&work, &ServeOptions::default());
+        let before = sharing_counters();
         let orochi = run_audit(&served.bundle, &work, true, true)
             .unwrap_or_else(|r| panic!("{name}: audit rejected: {r}"));
+        let [result_conversions, lane_memo_hits, lane_memo_misses] = {
+            let after = sharing_counters();
+            [0, 1, 2].map(|i| after[i] - before[i])
+        };
         let simple = run_audit(&served.bundle, &work, false, false)
             .unwrap_or_else(|r| panic!("{name}: baseline audit rejected: {r}"));
         let stats = &orochi.outcome.stats;
@@ -469,6 +501,12 @@ pub fn fig9_decomposition(scale: f64, seed: u64) -> Vec<Fig9Row> {
             baseline_total: simple.wall,
             vm_dispatch_total: stats.vm_dispatch_total,
             vm_dispatch_executed: stats.vm_dispatch_executed,
+            groups: stats.groups_executed,
+            db_queries_issued: stats.db_queries_issued,
+            db_queries_deduped: stats.db_queries_deduped,
+            result_conversions,
+            lane_memo_hits,
+            lane_memo_misses,
         });
     }
     rows
@@ -511,6 +549,19 @@ pub fn print_fig9(rows: &[Fig9Row]) {
             r.vm_dispatch_total,
             r.vm_dispatch_executed,
             r.dispatch_dedup(),
+        );
+    }
+    for r in rows {
+        println!(
+            "{:<10} sharing: {} result conversions for {} issued + {} deduped queries in {} \
+             groups; lane memo {} hits / {} misses",
+            r.app,
+            r.result_conversions,
+            r.db_queries_issued,
+            r.db_queries_deduped,
+            r.groups,
+            r.lane_memo_hits,
+            r.lane_memo_misses,
         );
     }
 }

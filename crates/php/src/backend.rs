@@ -14,25 +14,14 @@
 //! way, the audit's `CheckOp` can compare the re-executed target against
 //! the log's object without a trusted directory.
 
-/// A database cell value crossing the VM/backend boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DbScalar {
-    /// SQL NULL.
-    Null,
-    /// Integer.
-    Int(i64),
-    /// Float.
-    Float(f64),
-    /// Text.
-    Text(String),
-}
-
 /// Result of a database query as seen by the program.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum DbResult {
-    /// SELECT result rows: each row is `(column, value)` pairs in
-    /// projection order.
-    Rows(Vec<Vec<(String, DbScalar)>>),
+    /// SELECT result: the list-of-assoc-rows array the program sees,
+    /// built with [`crate::builtins::db_rows_to_value`]. Handing the
+    /// value over as is lets a verifier give every request that reads
+    /// one result the same array.
+    Rows(crate::value::Value),
     /// Write statement result.
     Write {
         /// Rows affected.

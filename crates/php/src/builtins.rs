@@ -12,9 +12,10 @@
 //! argument and stores the returned array back into the variable (see
 //! `dispatch_byref`).
 
-use crate::backend::{DbResult, DbScalar};
+use crate::backend::DbResult;
 use crate::value::{format_php_float, ArrayKey, PhpArray, Value};
 use crate::vm::VmError;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// VM services impure builtins need.
@@ -55,113 +56,196 @@ pub trait Host {
     fn nd_uniqid(&mut self) -> Result<String, VmError>;
 }
 
-/// All builtin names, value-returning first, by-reference at the end.
-pub const NAMES: &[&str] = &[
-    // Strings.
-    "strlen",
-    "substr",
-    "strpos",
-    "str_replace",
-    "strtolower",
-    "strtoupper",
-    "ucfirst",
-    "trim",
-    "ltrim",
-    "rtrim",
-    "explode",
-    "implode",
-    "join",
-    "str_repeat",
-    "sprintf",
-    "number_format",
-    "htmlspecialchars",
-    "strcmp",
-    "str_pad",
-    "nl2br",
-    "md5",
-    "urlencode",
-    "substr_count",
-    // Arrays (value).
-    "count",
-    "sizeof",
-    "array_keys",
-    "array_values",
-    "array_merge",
-    "array_slice",
-    "array_reverse",
-    "in_array",
-    "array_key_exists",
-    "array_search",
-    "array_sum",
-    "range",
-    "array_unique",
-    "array_flip",
-    "array_fill",
-    // Math / types.
-    "abs",
-    "max",
-    "min",
-    "floor",
-    "ceil",
-    "round",
-    "intdiv",
-    "pow",
-    "sqrt",
-    "intval",
-    "floatval",
-    "strval",
-    "boolval",
-    "gettype",
-    "is_int",
-    "is_integer",
-    "is_string",
-    "is_array",
-    "is_null",
-    "is_numeric",
-    "is_bool",
-    "is_float",
-    // Encoding.
-    "json_encode",
-    // Output / control.
-    "print",
-    "exit",
-    "die",
-    "header",
-    "http_response_code",
-    "setcookie",
-    // State.
-    "session_start",
-    "apc_fetch",
-    "apc_store",
-    "apc_delete",
-    "db_query",
-    "db_begin",
-    "db_commit",
-    "db_rollback",
-    "db_insert_id",
-    "db_affected_rows",
-    // Nondeterminism.
-    "time",
-    "microtime",
-    "getpid",
-    "mt_rand",
-    "rand",
-    "uniqid",
-    "mt_getrandmax",
-    // By-reference (must stay last; see BYREF_START).
-    "array_push",
-    "array_pop",
-    "array_shift",
-    "array_unshift",
-    "sort",
-    "rsort",
-    "ksort",
-    "asort",
-    "arsort",
-];
+/// Declares [`Builtin`] and [`NAMES`] from one list, so a builtin's dense
+/// id (its position here, which the compiler bakes into `CallBuiltin`)
+/// and its name cannot drift apart.
+macro_rules! builtins {
+    ($($variant:ident = $name:literal,)*) => {
+        /// A builtin function; the discriminant is its dense id.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u16)]
+        pub enum Builtin {
+            $(#[doc = $name] $variant,)*
+        }
 
-/// Index of the first by-reference builtin in [`NAMES`].
-const BYREF_START: u16 = (NAMES.len() - 9) as u16;
+        /// All builtin names, value-returning first, by-reference at the
+        /// end; indexed by dense id.
+        pub const NAMES: &[&str] = &[$($name,)*];
+
+        const ALL: &[Builtin] = &[$(Builtin::$variant,)*];
+    };
+}
+
+builtins! {
+    // Strings.
+    Strlen = "strlen",
+    Substr = "substr",
+    Strpos = "strpos",
+    StrReplace = "str_replace",
+    Strtolower = "strtolower",
+    Strtoupper = "strtoupper",
+    Ucfirst = "ucfirst",
+    Trim = "trim",
+    Ltrim = "ltrim",
+    Rtrim = "rtrim",
+    Explode = "explode",
+    Implode = "implode",
+    Join = "join",
+    StrRepeat = "str_repeat",
+    Sprintf = "sprintf",
+    NumberFormat = "number_format",
+    Htmlspecialchars = "htmlspecialchars",
+    Strcmp = "strcmp",
+    StrPad = "str_pad",
+    Nl2br = "nl2br",
+    Md5 = "md5",
+    Urlencode = "urlencode",
+    SubstrCount = "substr_count",
+    // Arrays (value).
+    Count = "count",
+    Sizeof = "sizeof",
+    ArrayKeys = "array_keys",
+    ArrayValues = "array_values",
+    ArrayMerge = "array_merge",
+    ArraySlice = "array_slice",
+    ArrayReverse = "array_reverse",
+    InArray = "in_array",
+    ArrayKeyExists = "array_key_exists",
+    ArraySearch = "array_search",
+    ArraySum = "array_sum",
+    Range = "range",
+    ArrayUnique = "array_unique",
+    ArrayFlip = "array_flip",
+    ArrayFill = "array_fill",
+    // Math / types.
+    Abs = "abs",
+    Max = "max",
+    Min = "min",
+    Floor = "floor",
+    Ceil = "ceil",
+    Round = "round",
+    Intdiv = "intdiv",
+    Pow = "pow",
+    Sqrt = "sqrt",
+    Intval = "intval",
+    Floatval = "floatval",
+    Strval = "strval",
+    Boolval = "boolval",
+    Gettype = "gettype",
+    IsInt = "is_int",
+    IsInteger = "is_integer",
+    IsString = "is_string",
+    IsArray = "is_array",
+    IsNull = "is_null",
+    IsNumeric = "is_numeric",
+    IsBool = "is_bool",
+    IsFloat = "is_float",
+    // Encoding.
+    JsonEncode = "json_encode",
+    // Output / control.
+    Print = "print",
+    Exit = "exit",
+    Die = "die",
+    Header = "header",
+    HttpResponseCode = "http_response_code",
+    Setcookie = "setcookie",
+    // State.
+    SessionStart = "session_start",
+    ApcFetch = "apc_fetch",
+    ApcStore = "apc_store",
+    ApcDelete = "apc_delete",
+    DbQuery = "db_query",
+    DbBegin = "db_begin",
+    DbCommit = "db_commit",
+    DbRollback = "db_rollback",
+    DbInsertId = "db_insert_id",
+    DbAffectedRows = "db_affected_rows",
+    // Nondeterminism.
+    Time = "time",
+    Microtime = "microtime",
+    Getpid = "getpid",
+    MtRand = "mt_rand",
+    Rand = "rand",
+    Uniqid = "uniqid",
+    MtGetrandmax = "mt_getrandmax",
+    // By-reference (listed in `BYREF`).
+    ArrayPush = "array_push",
+    ArrayPop = "array_pop",
+    ArrayShift = "array_shift",
+    ArrayUnshift = "array_unshift",
+    Sort = "sort",
+    Rsort = "rsort",
+    Ksort = "ksort",
+    Asort = "asort",
+    Arsort = "arsort",
+}
+
+impl Builtin {
+    /// The builtin with dense id `id` (as baked into `CallBuiltin`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a compiled builtin id.
+    pub fn from_id(id: u16) -> Builtin {
+        ALL[id as usize]
+    }
+
+    /// The PHP-visible function name.
+    pub fn name(self) -> &'static str {
+        NAMES[self as usize]
+    }
+}
+
+const fn flag_table(set: &[Builtin]) -> [bool; ALL.len()] {
+    let mut table = [false; ALL.len()];
+    let mut i = 0;
+    while i < set.len() {
+        table[set[i] as usize] = true;
+        i += 1;
+    }
+    table
+}
+
+/// By id: the builtin mutates its first argument in place.
+static BYREF: [bool; ALL.len()] = flag_table(&[
+    Builtin::ArrayPush,
+    Builtin::ArrayPop,
+    Builtin::ArrayShift,
+    Builtin::ArrayUnshift,
+    Builtin::Sort,
+    Builtin::Rsort,
+    Builtin::Ksort,
+    Builtin::Asort,
+    Builtin::Arsort,
+]);
+
+/// By id: the builtin reaches request effects, shared state or
+/// nondeterminism through the [`Host`]; every other builtin is a pure
+/// function of its arguments.
+static IMPURE: [bool; ALL.len()] = flag_table(&[
+    Builtin::Print,
+    Builtin::Exit,
+    Builtin::Die,
+    Builtin::Header,
+    Builtin::HttpResponseCode,
+    Builtin::Setcookie,
+    Builtin::SessionStart,
+    Builtin::ApcFetch,
+    Builtin::ApcStore,
+    Builtin::ApcDelete,
+    Builtin::DbQuery,
+    Builtin::DbBegin,
+    Builtin::DbCommit,
+    Builtin::DbRollback,
+    Builtin::DbInsertId,
+    Builtin::DbAffectedRows,
+    Builtin::Time,
+    Builtin::Microtime,
+    Builtin::Getpid,
+    Builtin::MtRand,
+    Builtin::Rand,
+    Builtin::Uniqid,
+]);
 
 /// Resolves a builtin name to its index.
 pub fn lookup(name: &str) -> Option<u16> {
@@ -170,22 +254,31 @@ pub fn lookup(name: &str) -> Option<u16> {
 
 /// True if the builtin mutates its first argument in place.
 pub fn is_byref(id: u16) -> bool {
-    id >= BYREF_START
+    BYREF[id as usize]
 }
 
-fn arg(args: &[Value], i: usize) -> Value {
-    args.get(i).cloned().unwrap_or(Value::Null)
+/// True if the builtin goes through the [`Host`] (output, state,
+/// nondeterminism); a group VM runs those per lane against the audit
+/// context and may split every other builtin freely.
+pub fn is_impure(id: u16) -> bool {
+    IMPURE[id as usize]
 }
 
-fn arg_str(args: &[Value], i: usize) -> String {
-    arg(args, i).to_php_string()
+static NULL: Value = Value::Null;
+
+fn arg(args: &[Value], i: usize) -> &Value {
+    args.get(i).unwrap_or(&NULL)
+}
+
+fn arg_str(args: &[Value], i: usize) -> Cow<'_, str> {
+    arg(args, i).as_php_str()
 }
 
 fn arg_int(args: &[Value], i: usize) -> i64 {
     arg(args, i).to_php_int()
 }
 
-fn arg_array(args: &[Value], i: usize, name: &str) -> Result<Arc<PhpArray>, VmError> {
+fn arg_array<'a>(args: &'a [Value], i: usize, name: &str) -> Result<&'a PhpArray, VmError> {
     match arg(args, i) {
         Value::Array(a) => Ok(a),
         other => Err(VmError::Fatal(format!(
@@ -195,27 +288,30 @@ fn arg_array(args: &[Value], i: usize, name: &str) -> Result<Arc<PhpArray>, VmEr
     }
 }
 
+/// Builds the PHP-visible value of a SELECT result: a list of rows,
+/// each an assoc array in projection order. The online backend and the
+/// verifier both build their rows here, so the two sides cannot disagree
+/// on the shape.
+pub fn db_rows_to_value<R>(columns: &[String], rows: impl IntoIterator<Item = R>) -> Value
+where
+    R: IntoIterator<Item = Value>,
+{
+    let mut out = PhpArray::new();
+    for row in rows {
+        let mut assoc = PhpArray::new();
+        for (col, cell) in columns.iter().zip(row) {
+            assoc.set(ArrayKey::Str(col.clone()), cell);
+        }
+        out.push(Value::array(assoc));
+    }
+    Value::array(out)
+}
+
 /// Converts a backend database result into the PHP-visible value and
 /// updates the insert-id/affected bookkeeping.
 pub fn db_result_to_value(result: DbResult, last_id: &mut i64, last_aff: &mut i64) -> Value {
     match result {
-        DbResult::Rows(rows) => {
-            let mut out = PhpArray::new();
-            for row in rows {
-                let mut assoc = PhpArray::new();
-                for (col, cell) in row {
-                    let v = match cell {
-                        DbScalar::Null => Value::Null,
-                        DbScalar::Int(i) => Value::Int(i),
-                        DbScalar::Float(f) => Value::Float(f),
-                        DbScalar::Text(s) => Value::str(s),
-                    };
-                    assoc.set(ArrayKey::Str(col), v);
-                }
-                out.push(Value::array(assoc));
-            }
-            Value::array(out)
-        }
+        DbResult::Rows(rows) => rows,
         DbResult::Write {
             affected,
             insert_id,
@@ -233,14 +329,15 @@ pub fn db_result_to_value(result: DbResult, last_id: &mut i64, last_aff: &mut i6
 /// Calls a value builtin. Args are borrowed so the register VM can pass
 /// its marshalling buffer (and a group VM a lane slice) without moving.
 pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, VmError> {
-    let name = NAMES[id as usize];
-    Ok(match name {
+    let builtin = Builtin::from_id(id);
+    Ok(match builtin {
         // ------------------------------------------------ strings
-        "strlen" => Value::Int(arg_str(args, 0).len() as i64),
-        "substr" => {
+        Builtin::Strlen => Value::Int(arg_str(args, 0).len() as i64),
+        Builtin::Substr => {
+            // Offsets count characters; only the boundaries are located,
+            // the subject is neither copied nor exploded into chars.
             let s = arg_str(args, 0);
-            let chars: Vec<char> = s.chars().collect();
-            let n = chars.len() as i64;
+            let n = s.chars().count() as i64;
             let mut start = arg_int(args, 1);
             if start < 0 {
                 start = (n + start).max(0);
@@ -258,83 +355,92 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                     }
                 }
             };
-            Value::str(chars[start..start + len].iter().collect::<String>())
+            // Character boundaries as byte offsets, the end included.
+            let mut bounds = s.char_indices().map(|(b, _)| b).chain([s.len()]);
+            let from = bounds.nth(start).unwrap_or(s.len());
+            let to = match len {
+                0 => from,
+                n => bounds.nth(n - 1).unwrap_or(s.len()),
+            };
+            Value::str(&s[from..to])
         }
-        "strpos" => {
+        Builtin::Strpos => {
             let hay = arg_str(args, 0);
             let needle = arg_str(args, 1);
             let offset = arg_int(args, 2).max(0) as usize;
             if needle.is_empty() || offset > hay.len() {
                 Value::Bool(false)
             } else {
-                match hay[offset..].find(&needle) {
+                match hay[offset..].find(needle.as_ref()) {
                     Some(pos) => Value::Int((offset + pos) as i64),
                     None => Value::Bool(false),
                 }
             }
         }
-        "str_replace" => {
+        Builtin::StrReplace => {
             let subject = arg_str(args, 2);
             let result = match (arg(args, 0), arg(args, 1)) {
                 (Value::Array(searches), Value::Array(replaces)) => {
-                    let reps: Vec<Value> = replaces.iter().map(|(_, v)| v.clone()).collect();
-                    let mut s = subject;
-                    for (i, (_, search)) in searches.iter().enumerate() {
-                        let rep = reps.get(i).map(|v| v.to_php_string()).unwrap_or_default();
-                        s = s.replace(&search.to_php_string(), &rep);
+                    let mut reps = replaces.iter().map(|(_, v)| v);
+                    let mut s = subject.into_owned();
+                    for (_, search) in searches.iter() {
+                        let rep = reps.next().map(Value::as_php_str).unwrap_or_default();
+                        s = s.replace(search.as_php_str().as_ref(), &rep);
                     }
                     s
                 }
                 (Value::Array(searches), rep) => {
-                    let rep = rep.to_php_string();
-                    let mut s = subject;
+                    let rep = rep.as_php_str();
+                    let mut s = subject.into_owned();
                     for (_, search) in searches.iter() {
-                        s = s.replace(&search.to_php_string(), &rep);
+                        s = s.replace(search.as_php_str().as_ref(), &rep);
                     }
                     s
                 }
-                (search, rep) => subject.replace(&search.to_php_string(), &rep.to_php_string()),
+                (search, rep) => subject.replace(search.as_php_str().as_ref(), &rep.as_php_str()),
             };
             Value::str(result)
         }
-        "strtolower" => Value::str(arg_str(args, 0).to_lowercase()),
-        "strtoupper" => Value::str(arg_str(args, 0).to_uppercase()),
-        "ucfirst" => {
+        Builtin::Strtolower => Value::str(arg_str(args, 0).to_lowercase()),
+        Builtin::Strtoupper => Value::str(arg_str(args, 0).to_uppercase()),
+        Builtin::Ucfirst => {
             let s = arg_str(args, 0);
             let mut chars = s.chars();
             Value::str(match chars.next() {
                 Some(c) => c.to_uppercase().collect::<String>() + chars.as_str(),
-                None => s,
+                None => String::new(),
             })
         }
-        "trim" => Value::str(arg_str(args, 0).trim().to_string()),
-        "ltrim" => Value::str(arg_str(args, 0).trim_start().to_string()),
-        "rtrim" => Value::str(arg_str(args, 0).trim_end().to_string()),
-        "explode" => {
+        Builtin::Trim => Value::str(arg_str(args, 0).trim()),
+        Builtin::Ltrim => Value::str(arg_str(args, 0).trim_start()),
+        Builtin::Rtrim => Value::str(arg_str(args, 0).trim_end()),
+        Builtin::Explode => {
             let delim = arg_str(args, 0);
             if delim.is_empty() {
                 return Err(VmError::Fatal("explode(): empty delimiter".into()));
             }
             let s = arg_str(args, 1);
             Value::array(PhpArray::from_values(
-                s.split(&delim).map(Value::str).collect(),
+                s.split(delim.as_ref()).map(Value::str).collect(),
             ))
         }
-        "implode" | "join" => {
+        Builtin::Implode | Builtin::Join => {
             // Both implode(glue, arr) and implode(arr).
             let (glue, arr) = match (arg(args, 0), arg(args, 1)) {
-                (Value::Array(a), _) => (String::new(), a),
-                (g, Value::Array(a)) => (g.to_php_string(), a),
+                (Value::Array(a), _) => (Cow::Borrowed(""), a),
+                (g, Value::Array(a)) => (g.as_php_str(), a),
                 _ => return Err(VmError::Fatal("implode(): no array given".into())),
             };
-            let joined = arr
-                .iter()
-                .map(|(_, v)| v.to_php_string())
-                .collect::<Vec<_>>()
-                .join(&glue);
+            let mut joined = String::new();
+            for (i, (_, v)) in arr.iter().enumerate() {
+                if i > 0 {
+                    joined.push_str(&glue);
+                }
+                joined.push_str(&v.as_php_str());
+            }
             Value::str(joined)
         }
-        "str_repeat" => {
+        Builtin::StrRepeat => {
             let s = arg_str(args, 0);
             let n = arg_int(args, 1).max(0) as usize;
             if s.len().saturating_mul(n) > 16 << 20 {
@@ -342,8 +448,8 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::str(s.repeat(n))
         }
-        "sprintf" => Value::str(sprintf(&arg_str(args, 0), &args[1..])?),
-        "number_format" => {
+        Builtin::Sprintf => Value::str(sprintf(&arg_str(args, 0), &args[1..])?),
+        Builtin::NumberFormat => {
             let n = arg(args, 0).to_php_float();
             let decimals = if args.len() > 1 {
                 arg_int(args, 1).clamp(0, 12) as usize
@@ -352,7 +458,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             };
             Value::str(number_format(n, decimals))
         }
-        "htmlspecialchars" => {
+        Builtin::Htmlspecialchars => {
             let s = arg_str(args, 0);
             let mut out = String::with_capacity(s.len());
             for c in s.chars() {
@@ -367,7 +473,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::str(out)
         }
-        "strcmp" => {
+        Builtin::Strcmp => {
             let (a, b) = (arg_str(args, 0), arg_str(args, 1));
             Value::Int(match a.cmp(&b) {
                 std::cmp::Ordering::Less => -1,
@@ -375,18 +481,18 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                 std::cmp::Ordering::Greater => 1,
             })
         }
-        "str_pad" => {
+        Builtin::StrPad => {
             let s = arg_str(args, 0);
             let len = arg_int(args, 1).max(0) as usize;
             let pad = if args.len() > 2 {
                 arg_str(args, 2)
             } else {
-                " ".to_string()
+                Cow::Borrowed(" ")
             };
             if s.len() >= len || pad.is_empty() {
                 Value::str(s)
             } else {
-                let mut out = s.clone();
+                let mut out = s.into_owned();
                 let mut pad_iter = pad.chars().cycle();
                 while out.len() < len {
                     out.push(pad_iter.next().expect("cycle never ends"));
@@ -394,18 +500,18 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                 Value::str(out)
             }
         }
-        "nl2br" => Value::str(arg_str(args, 0).replace('\n', "<br />\n")),
-        "md5" => {
+        Builtin::Nl2br => Value::str(arg_str(args, 0).replace('\n', "<br />\n")),
+        Builtin::Md5 => {
             // Deterministic stand-in, NOT cryptographic: two FNV-1a
             // passes rendered as 32 hex digits (documented in DESIGN.md).
             let s = arg_str(args, 0);
             let h1 = crate::vm::fnv1a(s.as_bytes());
-            let mut salted = s.into_bytes();
+            let mut salted = s.into_owned().into_bytes();
             salted.push(0x5c);
             let h2 = crate::vm::fnv1a(&salted);
             Value::str(format!("{h1:016x}{h2:016x}"))
         }
-        "urlencode" => {
+        Builtin::Urlencode => {
             let s = arg_str(args, 0);
             let mut out = String::new();
             for b in s.bytes() {
@@ -419,33 +525,33 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::str(out)
         }
-        "substr_count" => {
+        Builtin::SubstrCount => {
             let hay = arg_str(args, 0);
             let needle = arg_str(args, 1);
             if needle.is_empty() {
                 return Err(VmError::Fatal("substr_count(): empty needle".into()));
             }
-            Value::Int(hay.matches(&needle).count() as i64)
+            Value::Int(hay.matches(needle.as_ref()).count() as i64)
         }
         // ------------------------------------------------ arrays
-        "count" | "sizeof" => match arg(args, 0) {
+        Builtin::Count | Builtin::Sizeof => match arg(args, 0) {
             Value::Array(a) => Value::Int(a.len() as i64),
             Value::Null => Value::Int(0),
             _ => Value::Int(1),
         },
-        "array_keys" => {
+        Builtin::ArrayKeys => {
             let a = arg_array(args, 0, "array_keys")?;
             Value::array(PhpArray::from_values(
                 a.iter().map(|(k, _)| k.to_value()).collect(),
             ))
         }
-        "array_values" => {
+        Builtin::ArrayValues => {
             let a = arg_array(args, 0, "array_values")?;
             Value::array(PhpArray::from_values(
                 a.iter().map(|(_, v)| v.clone()).collect(),
             ))
         }
-        "array_merge" => {
+        Builtin::ArrayMerge => {
             let mut out = PhpArray::new();
             for v in args {
                 match v {
@@ -464,7 +570,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::array(out)
         }
-        "array_slice" => {
+        Builtin::ArraySlice => {
             let a = arg_array(args, 0, "array_slice")?;
             let pairs = a.to_pairs();
             let n = pairs.len() as i64;
@@ -495,7 +601,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::array(out)
         }
-        "array_reverse" => {
+        Builtin::ArrayReverse => {
             let a = arg_array(args, 0, "array_reverse")?;
             let mut pairs = a.to_pairs();
             pairs.reverse();
@@ -510,7 +616,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::array(out)
         }
-        "in_array" => {
+        Builtin::InArray => {
             let needle = arg(args, 0);
             let hay = arg_array(args, 1, "in_array")?;
             let strict = arg(args, 2).is_truthy();
@@ -523,12 +629,12 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             });
             Value::Bool(found)
         }
-        "array_key_exists" => {
-            let key = ArrayKey::from_value(&arg(args, 0));
+        Builtin::ArrayKeyExists => {
+            let key = ArrayKey::from_value(arg(args, 0));
             let a = arg_array(args, 1, "array_key_exists")?;
             Value::Bool(a.has_key(&key))
         }
-        "array_search" => {
+        Builtin::ArraySearch => {
             let needle = arg(args, 0);
             let hay = arg_array(args, 1, "array_search")?;
             let found = hay
@@ -537,7 +643,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                 .map(|(k, _)| k.to_value());
             found.unwrap_or(Value::Bool(false))
         }
-        "array_sum" => {
+        Builtin::ArraySum => {
             let a = arg_array(args, 0, "array_sum")?;
             let mut int_sum = 0i64;
             let mut float_sum = 0f64;
@@ -563,7 +669,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                 Value::Int(int_sum)
             }
         }
-        "range" => {
+        Builtin::Range => {
             let (a, b) = (arg_int(args, 0), arg_int(args, 1));
             let step = if args.len() > 2 {
                 arg_int(args, 2).abs().max(1)
@@ -589,7 +695,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::array(PhpArray::from_values(vals))
         }
-        "array_unique" => {
+        Builtin::ArrayUnique => {
             let a = arg_array(args, 0, "array_unique")?;
             let mut seen = std::collections::HashSet::new();
             let mut out = PhpArray::new();
@@ -600,7 +706,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::array(out)
         }
-        "array_flip" => {
+        Builtin::ArrayFlip => {
             let a = arg_array(args, 0, "array_flip")?;
             let mut out = PhpArray::new();
             for (k, v) in a.iter() {
@@ -614,7 +720,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::array(out)
         }
-        "array_fill" => {
+        Builtin::ArrayFill => {
             let start = arg_int(args, 0);
             let num = arg_int(args, 1).max(0);
             if num > 1 << 22 {
@@ -628,12 +734,12 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             Value::array(out)
         }
         // ------------------------------------------------ math / types
-        "abs" => match arg(args, 0) {
+        Builtin::Abs => match arg(args, 0) {
             Value::Int(i) => Value::Int(i.wrapping_abs()),
             other => Value::Float(other.to_php_float().abs()),
         },
-        "max" | "min" => {
-            let want_max = name == "max";
+        Builtin::Max | Builtin::Min => {
+            let want_max = builtin == Builtin::Max;
             let candidates: Vec<Value> = match (args.len(), arg(args, 0)) {
                 (1, Value::Array(a)) => a.iter().map(|(_, v)| v.clone()).collect(),
                 _ => args.to_vec(),
@@ -658,9 +764,9 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             best.unwrap_or(Value::Bool(false))
         }
-        "floor" => Value::Float(arg(args, 0).to_php_float().floor()),
-        "ceil" => Value::Float(arg(args, 0).to_php_float().ceil()),
-        "round" => {
+        Builtin::Floor => Value::Float(arg(args, 0).to_php_float().floor()),
+        Builtin::Ceil => Value::Float(arg(args, 0).to_php_float().ceil()),
+        Builtin::Round => {
             let n = arg(args, 0).to_php_float();
             let p = if args.len() > 1 {
                 arg_int(args, 1).clamp(-12, 12)
@@ -670,14 +776,14 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             let mult = 10f64.powi(p as i32);
             Value::Float((n * mult).round() / mult)
         }
-        "intdiv" => {
+        Builtin::Intdiv => {
             let (a, b) = (arg_int(args, 0), arg_int(args, 1));
             if b == 0 {
                 return Err(VmError::Fatal("intdiv(): division by zero".into()));
             }
             Value::Int(a / b)
         }
-        "pow" => {
+        Builtin::Pow => {
             let (a, b) = (arg(args, 0), arg(args, 1));
             match (&a, &b) {
                 (Value::Int(x), Value::Int(y)) if *y >= 0 && *y < 63 => {
@@ -689,12 +795,12 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                 _ => Value::Float(a.to_php_float().powf(b.to_php_float())),
             }
         }
-        "sqrt" => Value::Float(arg(args, 0).to_php_float().sqrt()),
-        "intval" => Value::Int(arg(args, 0).to_php_int()),
-        "floatval" => Value::Float(arg(args, 0).to_php_float()),
-        "strval" => Value::str(arg_str(args, 0)),
-        "boolval" => Value::Bool(arg(args, 0).is_truthy()),
-        "gettype" => Value::str(match arg(args, 0) {
+        Builtin::Sqrt => Value::Float(arg(args, 0).to_php_float().sqrt()),
+        Builtin::Intval => Value::Int(arg(args, 0).to_php_int()),
+        Builtin::Floatval => Value::Float(arg(args, 0).to_php_float()),
+        Builtin::Strval => Value::str(arg_str(args, 0)),
+        Builtin::Boolval => Value::Bool(arg(args, 0).is_truthy()),
+        Builtin::Gettype => Value::str(match arg(args, 0) {
             Value::Null => "NULL",
             Value::Bool(_) => "boolean",
             Value::Int(_) => "integer",
@@ -702,21 +808,21 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             Value::Str(_) => "string",
             Value::Array(_) => "array",
         }),
-        "is_int" | "is_integer" => Value::Bool(matches!(arg(args, 0), Value::Int(_))),
-        "is_string" => Value::Bool(matches!(arg(args, 0), Value::Str(_))),
-        "is_array" => Value::Bool(matches!(arg(args, 0), Value::Array(_))),
-        "is_null" => Value::Bool(matches!(arg(args, 0), Value::Null)),
-        "is_numeric" => Value::Bool(arg(args, 0).is_numeric()),
-        "is_bool" => Value::Bool(matches!(arg(args, 0), Value::Bool(_))),
-        "is_float" => Value::Bool(matches!(arg(args, 0), Value::Float(_))),
+        Builtin::IsInt | Builtin::IsInteger => Value::Bool(matches!(arg(args, 0), Value::Int(_))),
+        Builtin::IsString => Value::Bool(matches!(arg(args, 0), Value::Str(_))),
+        Builtin::IsArray => Value::Bool(matches!(arg(args, 0), Value::Array(_))),
+        Builtin::IsNull => Value::Bool(matches!(arg(args, 0), Value::Null)),
+        Builtin::IsNumeric => Value::Bool(arg(args, 0).is_numeric()),
+        Builtin::IsBool => Value::Bool(matches!(arg(args, 0), Value::Bool(_))),
+        Builtin::IsFloat => Value::Bool(matches!(arg(args, 0), Value::Float(_))),
         // ------------------------------------------------ encoding
-        "json_encode" => Value::str(json_encode(&arg(args, 0))),
+        Builtin::JsonEncode => Value::str(json_encode(arg(args, 0))),
         // ------------------------------------------------ output
-        "print" => {
+        Builtin::Print => {
             host.echo(&arg_str(args, 0));
             Value::Int(1)
         }
-        "exit" | "die" => {
+        Builtin::Exit | Builtin::Die => {
             if let Some(v) = args.first() {
                 if matches!(v, Value::Str(_)) {
                     host.echo(&v.to_php_string());
@@ -724,7 +830,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             return Err(VmError::Exit);
         }
-        "header" => {
+        Builtin::Header => {
             let h = arg_str(args, 0);
             match h.split_once(':') {
                 Some((name, value)) => {
@@ -734,7 +840,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             }
             Value::Null
         }
-        "http_response_code" => {
+        Builtin::HttpResponseCode => {
             let code = arg_int(args, 0);
             if !(100..=599).contains(&code) {
                 return Err(VmError::Fatal("http_response_code(): bad code".into()));
@@ -742,52 +848,53 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             host.set_status(code as u16);
             Value::Bool(true)
         }
-        "setcookie" => {
+        Builtin::Setcookie => {
             let (name, value) = (arg_str(args, 0), arg_str(args, 1));
             host.add_header("Set-Cookie".to_string(), format!("{name}={value}"));
             Value::Bool(true)
         }
         // ------------------------------------------------ state
-        "session_start" => {
+        Builtin::SessionStart => {
             host.session_start()?;
             Value::Bool(true)
         }
-        "apc_fetch" => host.kv_get(&arg_str(args, 0))?,
-        "apc_store" => {
+        Builtin::ApcFetch => host.kv_get(&arg_str(args, 0))?,
+        Builtin::ApcStore => {
             let key = arg_str(args, 0);
             let value = arg(args, 1);
-            host.kv_set(&key, Some(&value))?;
+            host.kv_set(&key, Some(value))?;
             Value::Bool(true)
         }
-        "apc_delete" => {
+        Builtin::ApcDelete => {
             host.kv_set(&arg_str(args, 0), None)?;
             Value::Bool(true)
         }
-        "db_query" => host.db_query(&arg_str(args, 0))?,
-        "db_begin" => {
+        Builtin::DbQuery => host.db_query(&arg_str(args, 0))?,
+        Builtin::DbBegin => {
             host.db_begin()?;
             Value::Bool(true)
         }
-        "db_commit" => Value::Bool(host.db_commit()?),
-        "db_rollback" => {
+        Builtin::DbCommit => Value::Bool(host.db_commit()?),
+        Builtin::DbRollback => {
             host.db_rollback()?;
             Value::Bool(true)
         }
-        "db_insert_id" => Value::Int(host.db_insert_id()),
-        "db_affected_rows" => Value::Int(host.db_affected_rows()),
+        Builtin::DbInsertId => Value::Int(host.db_insert_id()),
+        Builtin::DbAffectedRows => Value::Int(host.db_affected_rows()),
         // ------------------------------------------------ nondeterminism
-        "time" => Value::Int(host.nd_time()?),
-        "microtime" => Value::Float(host.nd_microtime()?),
-        "getpid" => Value::Int(host.nd_getpid()?),
-        "mt_rand" | "rand" => {
+        Builtin::Time => Value::Int(host.nd_time()?),
+        Builtin::Microtime => Value::Float(host.nd_microtime()?),
+        Builtin::Getpid => Value::Int(host.nd_getpid()?),
+        Builtin::MtRand | Builtin::Rand => {
             let raw = host.nd_rand_raw()?;
             mt_rand_reduce(raw, args)?
         }
-        "uniqid" => Value::str(host.nd_uniqid()?),
-        "mt_getrandmax" => Value::Int(MT_MAX),
+        Builtin::Uniqid => Value::str(host.nd_uniqid()?),
+        Builtin::MtGetrandmax => Value::Int(MT_MAX),
         other => {
             return Err(VmError::Fatal(format!(
-                "builtin {other}() dispatched through the wrong convention"
+                "builtin {}() dispatched through the wrong convention",
+                other.name()
             )))
         }
     })
@@ -814,7 +921,7 @@ pub fn mt_rand_reduce(raw: i64, args: &[Value]) -> Result<Value, VmError> {
 /// Args are a mutable slice (the register VM passes its register window
 /// directly); consumed values are replaced with nulls in place.
 pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmError> {
-    let name = NAMES[id as usize];
+    let builtin = Builtin::from_id(id);
     let (target, args) = match args.split_first_mut() {
         Some((t, rest)) => (std::mem::replace(t, Value::Null), rest),
         None => (Value::Null, &mut [] as &mut [Value]),
@@ -824,13 +931,14 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
         Value::Null => Arc::new(PhpArray::new()),
         other => {
             return Err(VmError::Fatal(format!(
-                "{name}() expects an array, {} given",
+                "{}() expects an array, {} given",
+                builtin.name(),
                 other.type_name()
             )))
         }
     };
-    Ok(match name {
-        "array_push" => {
+    Ok(match builtin {
+        Builtin::ArrayPush => {
             let mut arr = arr;
             let a = Arc::make_mut(&mut arr);
             for v in args.iter_mut() {
@@ -839,7 +947,7 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
             let count = a.len() as i64;
             (Value::Array(arr), Value::Int(count))
         }
-        "array_pop" => {
+        Builtin::ArrayPop => {
             let mut arr = arr;
             let popped = Arc::make_mut(&mut arr)
                 .pop_last()
@@ -847,7 +955,7 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
                 .unwrap_or(Value::Null);
             (Value::Array(arr), popped)
         }
-        "array_shift" => {
+        Builtin::ArrayShift => {
             let mut arr = arr;
             let a = Arc::make_mut(&mut arr);
             let shifted = a.shift_first().map(|(_, v)| v).unwrap_or(Value::Null);
@@ -855,7 +963,7 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
             let renumbered = renumber_int_keys(a);
             (Value::array(renumbered), shifted)
         }
-        "array_unshift" => {
+        Builtin::ArrayUnshift => {
             let mut pairs: Vec<(ArrayKey, Value)> = args
                 .iter_mut()
                 .map(|v| (ArrayKey::Int(0), std::mem::replace(v, Value::Null)))
@@ -873,10 +981,10 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
             let count = out.len() as i64;
             (Value::array(out), Value::Int(count))
         }
-        "sort" | "rsort" => {
+        Builtin::Sort | Builtin::Rsort => {
             let mut values: Vec<Value> = arr.iter().map(|(_, v)| v.clone()).collect();
             values.sort_by(|a, b| a.loose_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            if name == "rsort" {
+            if builtin == Builtin::Rsort {
                 values.reverse();
             }
             (
@@ -884,22 +992,23 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
                 Value::Bool(true),
             )
         }
-        "ksort" => {
+        Builtin::Ksort => {
             let mut pairs = arr.to_pairs();
             pairs.sort_by(|a, b| key_cmp(&a.0, &b.0));
             (Value::array(PhpArray::from_pairs(pairs)), Value::Bool(true))
         }
-        "asort" | "arsort" => {
+        Builtin::Asort | Builtin::Arsort => {
             let mut pairs = arr.to_pairs();
             pairs.sort_by(|a, b| a.1.loose_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            if name == "arsort" {
+            if builtin == Builtin::Arsort {
                 pairs.reverse();
             }
             (Value::array(PhpArray::from_pairs(pairs)), Value::Bool(true))
         }
         other => {
             return Err(VmError::Fatal(format!(
-                "builtin {other}() dispatched through the wrong convention"
+                "builtin {}() dispatched through the wrong convention",
+                other.name()
             )))
         }
     })
@@ -1377,10 +1486,77 @@ mod tests {
     }
 
     #[test]
-    fn byref_start_invariant() {
-        assert!(is_byref(lookup("sort").unwrap()));
-        assert!(is_byref(lookup("array_push").unwrap()));
-        assert!(!is_byref(lookup("count").unwrap()));
-        assert!(!is_byref(lookup("time").unwrap()));
+    fn id_tables_match_the_name_table() {
+        for (id, name) in NAMES.iter().enumerate() {
+            let builtin = Builtin::from_id(id as u16);
+            assert_eq!(builtin as usize, id);
+            assert_eq!(builtin.name(), *name);
+            assert_eq!(lookup(name), Some(id as u16));
+        }
+        // Exactly the builtins that go through the host.
+        let impure: Vec<&str> = (0..NAMES.len() as u16)
+            .filter(|id| is_impure(*id))
+            .map(|id| NAMES[id as usize])
+            .collect();
+        assert_eq!(
+            impure,
+            [
+                "print",
+                "exit",
+                "die",
+                "header",
+                "http_response_code",
+                "setcookie",
+                "session_start",
+                "apc_fetch",
+                "apc_store",
+                "apc_delete",
+                "db_query",
+                "db_begin",
+                "db_commit",
+                "db_rollback",
+                "db_insert_id",
+                "db_affected_rows",
+                "time",
+                "microtime",
+                "getpid",
+                "mt_rand",
+                "rand",
+                "uniqid",
+            ]
+        );
+        let byref: Vec<&str> = (0..NAMES.len() as u16)
+            .filter(|id| is_byref(*id))
+            .map(|id| NAMES[id as usize])
+            .collect();
+        assert_eq!(
+            byref,
+            [
+                "array_push",
+                "array_pop",
+                "array_shift",
+                "array_unshift",
+                "sort",
+                "rsort",
+                "ksort",
+                "asort",
+                "arsort",
+            ]
+        );
+    }
+
+    #[test]
+    fn substr_counts_characters_not_bytes() {
+        let text = || s("añb€c");
+        assert!(call("substr", vec![text(), Value::Int(1), Value::Int(3)]).identical(&s("ñb€")));
+        assert!(call("substr", vec![text(), Value::Int(-2)]).identical(&s("€c")));
+        assert!(call("substr", vec![text(), Value::Int(1), Value::Int(-1)]).identical(&s("ñb€")));
+        assert!(call("substr", vec![text(), Value::Int(9)]).identical(&s("")));
+        assert!(call("substr", vec![text(), Value::Int(0), Value::Int(99)]).identical(&text()));
+        assert!(call(
+            "substr",
+            vec![Value::Int(12345), Value::Int(1), Value::Int(2)]
+        )
+        .identical(&s("23")));
     }
 }

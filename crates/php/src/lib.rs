@@ -36,7 +36,7 @@ pub mod parser;
 pub mod value;
 pub mod vm;
 
-pub use backend::{BackendError, DbResult, DbScalar, NondetProvider, RuntimeBackend, StateBackend};
+pub use backend::{BackendError, DbResult, NondetProvider, RuntimeBackend, StateBackend};
 pub use bytecode::{CompiledScript, Op};
 pub use compiler::compile;
 pub use parser::parse_script;

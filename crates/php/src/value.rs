@@ -10,6 +10,7 @@
 //! verifier run the same rules).
 
 use orochi_common::codec::{Decoder, Encoder, Wire, WireError};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -271,6 +272,15 @@ impl Value {
         }
     }
 
+    /// [`Self::to_php_string`] without the copy when the value already
+    /// is a string.
+    pub fn as_php_str(&self) -> Cow<'_, str> {
+        match self {
+            Value::Str(s) => Cow::Borrowed(s.as_str()),
+            other => Cow::Owned(other.to_php_string()),
+        }
+    }
+
     /// Integer conversion (`intval`): leading numeric prefix of strings.
     pub fn to_php_int(&self) -> i64 {
         match self {
@@ -359,8 +369,14 @@ impl Value {
             (Bool(a), Bool(b)) => a == b,
             (Int(a), Int(b)) => a == b,
             (Float(a), Float(b)) => a == b,
-            (Str(a), Str(b)) => a == b,
+            (Str(a), Str(b)) => Arc::ptr_eq(a, b) || a == b,
             (Array(a), Array(b)) => {
+                // One allocation is one value: every holder of the same
+                // handle sees identical contents (PHP's own `===` starts
+                // with this pointer test too).
+                if Arc::ptr_eq(a, b) {
+                    return true;
+                }
                 if a.len() != b.len() {
                     return false;
                 }

@@ -67,24 +67,26 @@ impl From<BackendError> for VmError {
     }
 }
 
-/// The request as the runtime sees it (decoupled from `orochi-trace`).
-#[derive(Debug, Clone, Default)]
-pub struct RequestInput {
+/// The request as the runtime sees it (decoupled from `orochi-trace`):
+/// a borrowed view, so neither the server nor a verifier lane copies the
+/// request before the superglobals are built from it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RequestInput<'a> {
     /// HTTP method.
-    pub method: String,
+    pub method: &'a str,
     /// Script path.
-    pub path: String,
+    pub path: &'a str,
     /// `$_GET`.
-    pub get: Vec<(String, String)>,
+    pub get: &'a [(String, String)],
     /// `$_POST`.
-    pub post: Vec<(String, String)>,
+    pub post: &'a [(String, String)],
     /// `$_COOKIE`.
-    pub cookies: Vec<(String, String)>,
+    pub cookies: &'a [(String, String)],
 }
 
-impl RequestInput {
+impl<'a> RequestInput<'a> {
     /// The session cookie value, if the client sent one.
-    pub fn session_cookie(&self) -> Option<&str> {
+    pub fn session_cookie(&self) -> Option<&'a str> {
         self.cookies
             .iter()
             .find(|(k, _)| k == SESSION_COOKIE)
@@ -120,6 +122,15 @@ pub struct RunResult {
     /// Execution counters.
     pub stats: ExecStats,
 }
+
+/// Instructions one request may execute before it fails with
+/// [`STEP_LIMIT_EXCEEDED`]. The server and every re-execution engine
+/// (scalar and grouped, register and stack) stop at this same count, so
+/// a runaway script produces the same fatal page online and in the audit.
+pub const STEP_LIMIT: u64 = 200_000_000;
+
+/// The fatal message of a request that ran past [`STEP_LIMIT`].
+pub const STEP_LIMIT_EXCEEDED: &str = "execution step limit exceeded";
 
 /// FNV-1a over bytes; used to seed the digest with the script path.
 /// Re-exported from [`orochi_common::hash`] (one canonical definition).
@@ -210,9 +221,9 @@ pub struct Vm<'a> {
 /// .unwrap();
 /// let mut backend = NullBackend;
 /// let input = RequestInput {
-///     method: "GET".into(),
-///     path: "/hello.php".into(),
-///     get: vec![("who".into(), "world".into())],
+///     method: "GET",
+///     path: "/hello.php",
+///     get: &[("who".to_string(), "world".to_string())],
 ///     ..Default::default()
 /// };
 /// let result = run_request(&script, &mut backend, &input).unwrap();
@@ -222,9 +233,13 @@ pub struct Vm<'a> {
 pub fn run_request(
     script: &CompiledScript,
     backend: &mut dyn RuntimeBackend,
-    input: &RequestInput,
+    input: &RequestInput<'_>,
 ) -> Result<RunResult, String> {
-    let mut vm = Vm::new(script, backend, input);
+    run_vm(Vm::new(script, backend, input))
+}
+
+/// Runs a constructed VM to its response.
+fn run_vm(mut vm: Vm<'_>) -> Result<RunResult, String> {
     let outcome = vm.run_main();
     match outcome {
         Ok(()) | Err(VmError::Exit) => {
@@ -262,30 +277,32 @@ pub fn run_request(
 
 /// Builds the initial globals table for a request (shared by both
 /// engines).
-fn init_globals(script: &CompiledScript, input: &RequestInput) -> Vec<Value> {
+fn init_globals(script: &CompiledScript, input: &RequestInput<'_>) -> Vec<Value> {
     let mut globals = vec![Value::Null; script.global_names.len()];
-    globals[0] = pairs_to_array(&input.get);
-    globals[1] = pairs_to_array(&input.post);
-    globals[2] = pairs_to_array(&input.cookies);
+    globals[0] = pairs_to_array(input.get);
+    globals[1] = pairs_to_array(input.post);
+    globals[2] = pairs_to_array(input.cookies);
     globals[3] = Value::empty_array(); // $_SESSION until session_start.
+    globals[4] = server_array(input);
+    globals
+}
+
+/// `$_SERVER` for a request.
+pub fn server_array(input: &RequestInput<'_>) -> Value {
     let mut server = PhpArray::new();
     server.set(
         ArrayKey::Str("REQUEST_METHOD".into()),
-        Value::str(input.method.clone()),
+        Value::str(input.method),
     );
-    server.set(
-        ArrayKey::Str("SCRIPT_NAME".into()),
-        Value::str(input.path.clone()),
-    );
-    globals[4] = Value::array(server);
-    globals
+    server.set(ArrayKey::Str("SCRIPT_NAME".into()), Value::str(input.path));
+    Value::array(server)
 }
 
 impl<'a> Vm<'a> {
     fn new(
         script: &'a CompiledScript,
         backend: &'a mut dyn RuntimeBackend,
-        input: &RequestInput,
+        input: &RequestInput<'_>,
     ) -> Self {
         Vm {
             script,
@@ -305,7 +322,7 @@ impl<'a> Vm<'a> {
             last_insert_id: 0,
             last_affected: 0,
             stats: ExecStats::default(),
-            step_limit: 200_000_000,
+            step_limit: STEP_LIMIT,
         }
     }
 
@@ -367,7 +384,7 @@ impl<'a> Vm<'a> {
     fn interp(&mut self) -> Result<(), VmError> {
         loop {
             if self.stats.instructions >= self.step_limit {
-                return Err(VmError::Fatal("execution step limit exceeded".into()));
+                return Err(VmError::Fatal(STEP_LIMIT_EXCEEDED.into()));
             }
             self.stats.instructions += 1;
             let fi = self.depth - 1;
@@ -630,8 +647,7 @@ impl<'a> Vm<'a> {
                     self.regs[ret_abs] = Value::Null;
                 }
                 ROp::Echo => {
-                    let s = self.regs[a].to_php_string();
-                    self.output.push_str(&s);
+                    self.output.push_str(&self.regs[a].as_php_str());
                 }
                 ROp::IterInit => {
                     let pairs = match &self.regs[a] {
@@ -829,8 +845,10 @@ pub mod ops {
     pub fn binary(op: Op, a: &Value, b: &Value) -> Result<Value, VmError> {
         match op {
             Op::Concat => {
-                let mut s = a.to_php_string();
-                s.push_str(&b.to_php_string());
+                let (x, y) = (a.as_php_str(), b.as_php_str());
+                let mut s = String::with_capacity(x.len() + y.len());
+                s.push_str(&x);
+                s.push_str(&y);
                 Ok(Value::str(s))
             }
             Op::Add | Op::Sub | Op::Mul => {
@@ -1125,13 +1143,14 @@ mod tests {
     /// check on the register encoding.
     fn run_both(src: &str, get: &[(&str, &str)]) -> RunResult {
         let script = compile("/t.php", &parse_script(src).unwrap()).unwrap();
+        let get: Vec<(String, String)> = get
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
         let input = RequestInput {
-            method: "GET".into(),
-            path: "/t.php".into(),
-            get: get
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            method: "GET",
+            path: "/t.php",
+            get: &get,
             ..Default::default()
         };
         let mut b1 = NullBackend;
@@ -1317,7 +1336,7 @@ mod tests {
     fn fatal_errors_produce_500() {
         let script = compile("/t.php", &parse_script("echo 1 / 0;").unwrap()).unwrap();
         let input = RequestInput {
-            path: "/t.php".into(),
+            path: "/t.php",
             ..Default::default()
         };
         for runner in [run_request, stack::run_request] {
@@ -1329,6 +1348,31 @@ mod tests {
     }
 
     #[test]
+    fn runaway_loop_stops_at_the_step_limit_on_both_engines() {
+        // Lowered through the private field: the limit is a constant,
+        // not a knob. `accphp` runs the same script through the two
+        // group engines and expects this exact page.
+        let script = compile("/t.php", &parse_script("while (true) { $i = 1; }").unwrap()).unwrap();
+        let input = RequestInput {
+            path: "/t.php",
+            ..Default::default()
+        };
+        let (mut b1, mut b2) = (NullBackend, NullBackend);
+        let mut reg = Vm::new(&script, &mut b1, &input);
+        reg.step_limit = 10_000;
+        let mut stk = stack::Vm::new(&script, &mut b2, &input);
+        stk.step_limit = 10_000;
+        for result in [run_vm(reg).unwrap(), stack::run_vm(stk).unwrap()] {
+            assert_eq!(result.stats.instructions, 10_000);
+            assert_eq!(result.output.status, 500);
+            assert_eq!(
+                result.output.body,
+                format!("Fatal error: {STEP_LIMIT_EXCEEDED}")
+            );
+        }
+    }
+
+    #[test]
     fn digest_distinguishes_control_flow() {
         let script = compile(
             "/t.php",
@@ -1336,9 +1380,10 @@ mod tests {
         )
         .unwrap();
         let run_digest = |x: &str| {
+            let get = [("x".to_string(), x.to_string())];
             let input = RequestInput {
-                path: "/t.php".into(),
-                get: vec![("x".into(), x.into())],
+                path: "/t.php",
+                get: &get,
                 ..Default::default()
             };
             let mut b = NullBackend;
@@ -1363,8 +1408,8 @@ mod tests {
                 &script,
                 &mut b,
                 &RequestInput {
-                    path: "/t.php".into(),
-                    get: vec![("n".into(), n.into())],
+                    path: "/t.php",
+                    get: &[("n".to_string(), n.to_string())],
                     ..Default::default()
                 },
             )

@@ -14,7 +14,7 @@
 
 use super::{
     digest_mix, fnv1a, init_globals, ops, ExecStats, RequestInput, RequestOutput, RunResult,
-    VmError,
+    VmError, STEP_LIMIT, STEP_LIMIT_EXCEEDED,
 };
 use crate::backend::RuntimeBackend;
 use crate::builtins::{self, Host};
@@ -62,7 +62,7 @@ pub struct Vm<'a> {
     pub(crate) last_insert_id: i64,
     pub(crate) last_affected: i64,
     stats: ExecStats,
-    step_limit: u64,
+    pub(super) step_limit: u64,
 }
 
 /// Runs one request through a compiled script on the stack engine.
@@ -72,9 +72,13 @@ pub struct Vm<'a> {
 pub fn run_request(
     script: &CompiledScript,
     backend: &mut dyn RuntimeBackend,
-    input: &RequestInput,
+    input: &RequestInput<'_>,
 ) -> Result<RunResult, String> {
-    let mut vm = Vm::new(script, backend, input);
+    run_vm(Vm::new(script, backend, input))
+}
+
+/// Runs a constructed VM to its response.
+pub(super) fn run_vm(mut vm: Vm<'_>) -> Result<RunResult, String> {
     let outcome = vm.run_main();
     match outcome {
         Ok(()) | Err(VmError::Exit) => {
@@ -111,10 +115,10 @@ pub fn run_request(
 }
 
 impl<'a> Vm<'a> {
-    fn new(
+    pub(super) fn new(
         script: &'a CompiledScript,
         backend: &'a mut dyn RuntimeBackend,
-        input: &RequestInput,
+        input: &RequestInput<'_>,
     ) -> Self {
         Vm {
             script,
@@ -132,7 +136,7 @@ impl<'a> Vm<'a> {
             last_insert_id: 0,
             last_affected: 0,
             stats: ExecStats::default(),
-            step_limit: 200_000_000,
+            step_limit: STEP_LIMIT,
         }
     }
 
@@ -185,7 +189,7 @@ impl<'a> Vm<'a> {
     fn interp(&mut self) -> Result<(), VmError> {
         loop {
             if self.stats.instructions >= self.step_limit {
-                return Err(VmError::Fatal("execution step limit exceeded".into()));
+                return Err(VmError::Fatal(STEP_LIMIT_EXCEEDED.into()));
             }
             self.stats.instructions += 1;
             let frame = self.frames.last_mut().expect("frame present while running");

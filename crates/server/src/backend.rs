@@ -10,7 +10,9 @@
 use crate::server::ServerShared;
 use orochi_common::ids::{OpNum, RequestId, SeqNum};
 use orochi_core::nondet::NondetValue;
-use orochi_php::backend::{BackendError, DbResult, DbScalar, NondetProvider, StateBackend};
+use orochi_php::backend::{BackendError, DbResult, NondetProvider, StateBackend};
+use orochi_php::builtins::db_rows_to_value;
+use orochi_php::value::Value;
 use orochi_sqldb::{ExecOutcome, SqlError, SqlValue, Transaction};
 use orochi_state::object::{DbWriteResult, ObjectName, OpContents};
 use orochi_state::recorder::SubLog;
@@ -101,22 +103,15 @@ fn write_outcome_to_result(w: orochi_sqldb::WriteOutcome) -> DbWriteResult {
 }
 
 fn rows_to_db_result(columns: Vec<String>, rows: Vec<Vec<SqlValue>>) -> DbResult {
-    DbResult::Rows(
-        rows.into_iter()
-            .map(|row| {
-                columns
-                    .iter()
-                    .cloned()
-                    .zip(row.into_iter().map(|v| match v {
-                        SqlValue::Null => DbScalar::Null,
-                        SqlValue::Int(i) => DbScalar::Int(i),
-                        SqlValue::Float(f) => DbScalar::Float(f),
-                        SqlValue::Text(s) => DbScalar::Text(s),
-                    }))
-                    .collect()
-            })
-            .collect(),
-    )
+    let cells = |row: Vec<SqlValue>| {
+        row.into_iter().map(|v| match v {
+            SqlValue::Null => Value::Null,
+            SqlValue::Int(i) => Value::Int(i),
+            SqlValue::Float(f) => Value::Float(f),
+            SqlValue::Text(s) => Value::str(s),
+        })
+    };
+    DbResult::Rows(db_rows_to_value(&columns, rows.into_iter().map(cells)))
 }
 
 impl StateBackend for RecordingBackend<'_> {

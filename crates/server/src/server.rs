@@ -193,11 +193,11 @@ impl Server {
 
     fn execute(&self, worker: usize, rid: RequestId, req: &HttpRequest) -> HttpResponse {
         let input = RequestInput {
-            method: req.method.clone(),
-            path: req.path.clone(),
-            get: req.query.clone(),
-            post: req.post.clone(),
-            cookies: req.cookies.clone(),
+            method: &req.method,
+            path: &req.path,
+            get: &req.query,
+            post: &req.post,
+            cookies: &req.cookies,
         };
         let Some(script) = self.scripts.get(&req.path) else {
             let out = not_found_output(&req.path);

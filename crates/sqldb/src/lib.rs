@@ -45,4 +45,4 @@ pub use engine::{Database, ExecOutcome, SharedDatabase, SqlError, Transaction, W
 pub use parser::parse_statement;
 pub use schema::{ColumnDef, ColumnType, TableSchema};
 pub use value::SqlValue;
-pub use versioned::{RedoError, RedoStats, VersionedDb, MAXQ};
+pub use versioned::{PreparedQuery, RedoError, RedoStats, VersionedDb, MAXQ};

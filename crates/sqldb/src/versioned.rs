@@ -29,14 +29,20 @@
 //! SELECTs can share a result if the tables they touch were not modified
 //! between their versions, which the verifier tests by comparing
 //! *modification epochs* ([`VersionedDb::mod_epoch`]).
+//!
+//! Lexically identical SELECTs are also the common case, so a reader
+//! [`VersionedDb::prepare`]s each distinct text once — parsed, table
+//! resolved, index probe chosen — and then runs and epoch-tests the
+//! [`PreparedQuery`] at any number of versions.
 
-use crate::ast::{BinOp, Expr, Statement};
+use crate::ast::{BinOp, Expr, Select, Statement};
 use crate::engine::{run_select, Database, ExecOutcome, SqlError, WriteOutcome};
 use crate::parser::parse_statement;
 use crate::schema::TableSchema;
 use crate::value::{IndexKey, SqlValue};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum queries per transaction; query `q` of transaction `s` executes
 /// at version `s * MAXQ + q` (§A.7).
@@ -239,12 +245,31 @@ impl VersionedTable {
     }
 }
 
+/// A SELECT parsed once and bound to the [`VersionedDb`] that
+/// [`VersionedDb::prepare`]d it: the table is an index into that store
+/// (not a name to look up per run) and the equality-index probe is
+/// already chosen. Running it against any other store is a bug.
+#[derive(Debug)]
+pub struct PreparedQuery {
+    select: Select,
+    /// Position of `select.table` in the preparing store's `tables`.
+    table: usize,
+    /// The first `col = literal` conjunct over an indexed column: the
+    /// column position and the literal's index key.
+    probe: Option<(usize, IndexKey)>,
+}
+
 /// The audit-time versioned database.
 pub struct VersionedDb {
-    tables: BTreeMap<String, VersionedTable>,
+    /// Tables in creation order; a table's position is its id for the
+    /// store's lifetime (tables are never dropped).
+    tables: Vec<VersionedTable>,
+    /// Table name -> position in `tables`.
+    table_ids: BTreeMap<String, usize>,
     /// SELECT results captured while replaying aborted transactions,
-    /// keyed by `(seq, query)`.
-    aborted_reads: HashMap<(u64, u64), ExecOutcome>,
+    /// keyed by `(seq, query)`; shared handles, like every query result
+    /// the store gives out.
+    aborted_reads: HashMap<(u64, u64), Arc<ExecOutcome>>,
     /// Sequence numbers of aborted transactions whose final statement
     /// errored during replay (as opposed to an explicit rollback).
     aborted_failures: std::collections::HashSet<u64>,
@@ -266,7 +291,8 @@ impl VersionedDb {
     /// period; initial rows get `start_ts = 0`.
     pub fn from_snapshot(db: &Database) -> Self {
         let mut out = Self {
-            tables: BTreeMap::new(),
+            tables: Vec::new(),
+            table_ids: BTreeMap::new(),
             aborted_reads: HashMap::new(),
             aborted_failures: std::collections::HashSet::new(),
             last_seq: 0,
@@ -281,9 +307,27 @@ impl VersionedDb {
             }
             vt.next_rowid = src.next_rowid;
             vt.auto_inc = src.auto_inc;
-            out.tables.insert(name, vt);
+            out.add_table(name, vt);
         }
         out
+    }
+
+    fn add_table(&mut self, name: String, table: VersionedTable) {
+        self.table_ids.insert(name, self.tables.len());
+        self.tables.push(table);
+    }
+
+    fn table(&self, name: &str) -> Result<&VersionedTable, SqlError> {
+        match self.table_ids.get(name) {
+            Some(&id) => Ok(&self.tables[id]),
+            None => Err(SqlError::NoSuchTable(name.to_string())),
+        }
+    }
+
+    /// The table a redo step already found with [`Self::table`].
+    fn table_mut(&mut self, name: &str) -> &mut VersionedTable {
+        let id = *self.table_ids.get(name).expect("looked up by the caller");
+        &mut self.tables[id]
     }
 
     /// Statistics accumulated so far.
@@ -345,12 +389,12 @@ impl VersionedDb {
             let computed: Option<WriteOutcome> = match &stmt {
                 Statement::Select(_) => None,
                 Statement::CreateTable(schema) => {
-                    if self.tables.contains_key(&schema.name) {
+                    if self.table_ids.contains_key(&schema.name) {
                         return Err(fail(SqlError::DuplicateTable(schema.name.clone())));
                     }
                     let mut vt = VersionedTable::new(schema.clone());
                     vt.mark_modified(ts);
-                    self.tables.insert(schema.name.clone(), vt);
+                    self.add_table(schema.name.clone(), vt);
                     Some(WriteOutcome::default())
                 }
                 Statement::Insert(insert) => Some(self.redo_insert(insert, ts).map_err(fail)?),
@@ -391,7 +435,7 @@ impl VersionedDb {
                         return Err(RedoError::WriteResultMismatch { seq, query: q });
                     }
                     if let ExecOutcome::Rows { .. } = outcome {
-                        self.aborted_reads.insert((seq, q), outcome);
+                        self.aborted_reads.insert((seq, q), Arc::new(outcome));
                     }
                 }
                 Err(_) => {
@@ -414,11 +458,7 @@ impl VersionedDb {
         insert: &crate::ast::Insert,
         ts: u64,
     ) -> Result<WriteOutcome, SqlError> {
-        let vt = self
-            .tables
-            .get(&insert.table)
-            .ok_or_else(|| SqlError::NoSuchTable(insert.table.clone()))?;
-        let schema = vt.schema.clone();
+        let schema = self.table(&insert.table)?.schema.clone();
         let mut positions = Vec::with_capacity(insert.columns.len());
         for col in &insert.columns {
             positions.push(
@@ -436,10 +476,7 @@ impl VersionedDb {
             for (expr, pos) in tuple.iter().zip(&positions) {
                 row[*pos] = crate::engine::eval_expr(expr, None, &schema)?;
             }
-            let vt = self
-                .tables
-                .get_mut(&insert.table)
-                .expect("checked existence above");
+            let vt = self.table_mut(&insert.table);
             if let (Some(pk_pos), true) = (pk, auto) {
                 if row[pk_pos].is_null() {
                     row[pk_pos] = SqlValue::Int(vt.auto_inc);
@@ -457,10 +494,6 @@ impl VersionedDb {
                     )));
                 }
             }
-            let vt = self
-                .tables
-                .get_mut(&insert.table)
-                .expect("checked existence above");
             if let Some(pk_pos) = pk {
                 if vt.pk_live.contains_key(&row[pk_pos].index_key()) {
                     return Err(SqlError::DuplicateKey(format!("{}", row[pk_pos])));
@@ -484,10 +517,7 @@ impl VersionedDb {
         update: &crate::ast::Update,
         ts: u64,
     ) -> Result<WriteOutcome, SqlError> {
-        let vt = self
-            .tables
-            .get(&update.table)
-            .ok_or_else(|| SqlError::NoSuchTable(update.table.clone()))?;
+        let vt = self.table(&update.table)?;
         let schema = vt.schema.clone();
         let mut set_positions = Vec::with_capacity(update.assignments.len());
         for (col, _) in &update.assignments {
@@ -518,10 +548,7 @@ impl VersionedDb {
                     )));
                 }
             }
-            let vt = self
-                .tables
-                .get_mut(&update.table)
-                .expect("checked existence above");
+            let vt = self.table_mut(&update.table);
             if let Some(pk_pos) = pk {
                 let old_key = old[pk_pos].index_key();
                 let new_key = new[pk_pos].index_key();
@@ -546,10 +573,7 @@ impl VersionedDb {
         delete: &crate::ast::Delete,
         ts: u64,
     ) -> Result<WriteOutcome, SqlError> {
-        let vt = self
-            .tables
-            .get(&delete.table)
-            .ok_or_else(|| SqlError::NoSuchTable(delete.table.clone()))?;
+        let vt = self.table(&delete.table)?;
         let schema = vt.schema.clone();
         let mut matches: Vec<u64> = Vec::new();
         for (rowid, &vidx) in &vt.live {
@@ -558,10 +582,7 @@ impl VersionedDb {
             }
         }
         let affected = matches.len() as u64;
-        let vt = self
-            .tables
-            .get_mut(&delete.table)
-            .expect("checked existence above");
+        let vt = self.table_mut(&delete.table);
         for rowid in matches {
             vt.kill_version(rowid, ts);
         }
@@ -574,12 +595,11 @@ impl VersionedDb {
         })
     }
 
-    /// Answers a SELECT at version `ts` (re-execution's simulated read,
-    /// Fig. 12 line 27). Uses an equality index when the WHERE clause
-    /// pins an indexed column.
-    pub fn query_at(&self, sql: &str, ts: u64) -> Result<ExecOutcome, SqlError> {
-        let stmt = parse_statement(sql)?;
-        let select = match &stmt {
+    /// Parses `sql` and binds it to this store. Errors are the ones
+    /// running the text would have produced: a parse error, a statement
+    /// that is not a SELECT, an unknown table.
+    pub fn prepare(&self, sql: &str) -> Result<PreparedQuery, SqlError> {
+        let select = match parse_statement(sql)? {
             Statement::Select(s) => s,
             _ => {
                 return Err(SqlError::Unsupported(
@@ -587,27 +607,50 @@ impl VersionedDb {
                 ))
             }
         };
-        let vt = self
-            .tables
+        let table = *self
+            .table_ids
             .get(&select.table)
             .ok_or_else(|| SqlError::NoSuchTable(select.table.clone()))?;
-        // Try an indexed equality conjunct first.
+        let vt = &self.tables[table];
         let mut conjuncts = Vec::new();
         if let Some(w) = &select.where_clause {
             collect_eq_conjuncts(w, &mut conjuncts);
         }
-        let candidate_idxs = conjuncts.iter().find_map(|(col, val)| {
+        let probe = conjuncts.iter().find_map(|(col, val)| {
             let pos = vt.schema.column_index(col)?;
-            vt.candidates(pos, &val.index_key(), ts)
+            vt.eq_index
+                .contains_key(&pos)
+                .then(|| (pos, val.index_key()))
         });
-        let idxs = candidate_idxs.unwrap_or_else(|| vt.visible_at(ts));
+        Ok(PreparedQuery {
+            select,
+            table,
+            probe,
+        })
+    }
+
+    /// Answers a prepared SELECT at version `ts` (re-execution's
+    /// simulated read, Fig. 12 line 27), through the equality index when
+    /// the WHERE clause pins an indexed column.
+    pub fn run_at(&self, query: &PreparedQuery, ts: u64) -> Result<ExecOutcome, SqlError> {
+        let vt = &self.tables[query.table];
+        let probed = query
+            .probe
+            .as_ref()
+            .and_then(|(col, key)| vt.candidates(*col, key, ts));
+        let idxs = probed.unwrap_or_else(|| vt.visible_at(ts));
         let rows = idxs.iter().map(|&i| &vt.versions[i].row);
-        run_select(select, &vt.schema, rows)
+        run_select(&query.select, &vt.schema, rows)
+    }
+
+    /// [`Self::prepare`] then [`Self::run_at`], for a text run once.
+    pub fn query_at(&self, sql: &str, ts: u64) -> Result<ExecOutcome, SqlError> {
+        self.run_at(&self.prepare(sql)?, ts)
     }
 
     /// The SELECT result captured while replaying aborted transaction
     /// `seq` at query position `q`.
-    pub fn aborted_read(&self, seq: u64, q: u64) -> Option<&ExecOutcome> {
+    pub fn aborted_read(&self, seq: u64, q: u64) -> Option<&Arc<ExecOutcome>> {
         self.aborted_reads.get(&(seq, q))
     }
 
@@ -619,24 +662,13 @@ impl VersionedDb {
         self.aborted_failures.contains(&seq)
     }
 
-    /// Modification epoch of `table` at version `ts`: the number of
-    /// modifications with timestamp <= `ts`. Two SELECTs of the same text
-    /// whose touched table has equal epochs see identical data — the
-    /// read-query deduplication criterion (§4.5).
-    pub fn mod_epoch(&self, table: &str, ts: u64) -> u64 {
-        match self.tables.get(table) {
-            None => 0,
-            Some(vt) => vt.mod_ts.partition_point(|&m| m <= ts) as u64,
-        }
-    }
-
-    /// Tables touched by a SQL statement (for dedup keys); empty if the
-    /// statement does not parse.
-    pub fn touched_tables(sql: &str) -> Vec<String> {
-        match parse_statement(sql) {
-            Ok(stmt) => vec![stmt.table().to_string()],
-            Err(_) => Vec::new(),
-        }
+    /// Modification epoch of the queried table at version `ts`: the
+    /// number of modifications with timestamp <= `ts`. Two runs of one
+    /// prepared SELECT at versions with equal epochs see identical data —
+    /// the read-query deduplication criterion (§4.5).
+    pub fn mod_epoch(&self, query: &PreparedQuery, ts: u64) -> u64 {
+        let mod_ts = &self.tables[query.table].mod_ts;
+        mod_ts.partition_point(|&m| m <= ts) as u64
     }
 
     /// Materializes the live image of the named tables into a plain
@@ -645,7 +677,7 @@ impl VersionedDb {
     fn materialize_live(&self, names: &[String]) -> Database {
         let mut db = Database::new();
         for name in names {
-            if let Some(vt) = self.tables.get(name) {
+            if let Ok(vt) = self.table(name) {
                 let rows: Vec<Vec<SqlValue>> = vt
                     .live
                     .values()
@@ -663,21 +695,21 @@ impl VersionedDb {
     /// final state of every table into a plain database — the latest
     /// state the verifier keeps after the audit (§5.1).
     pub fn latest_snapshot(&self) -> Database {
-        let names: Vec<String> = self.tables.keys().cloned().collect();
+        let names: Vec<String> = self.table_ids.keys().cloned().collect();
         self.materialize_live(&names)
     }
 
     /// Total row versions held (the audit-time storage overhead of
     /// Fig. 8's "temp" column).
     pub fn num_versions(&self) -> usize {
-        self.tables.values().map(|t| t.versions.len()).sum()
+        self.tables.iter().map(|t| t.versions.len()).sum()
     }
 
     /// Rough byte size of the versioned store (row bytes plus the two
     /// timestamp columns per version).
     pub fn estimated_bytes(&self) -> usize {
         self.tables
-            .values()
+            .iter()
             .map(|t| {
                 t.versions
                     .iter()
@@ -958,16 +990,17 @@ mod tests {
             &[w1],
         )
         .unwrap();
+        let q = vdb.prepare("SELECT views FROM p").unwrap();
         // The SELECTs at seqs 2 and 3 straddle no modification: equal
         // epochs => dedupable.
         assert_eq!(
-            vdb.mod_epoch("p", 2 * MAXQ + 1),
-            vdb.mod_epoch("p", 3 * MAXQ + 1)
+            vdb.mod_epoch(&q, 2 * MAXQ + 1),
+            vdb.mod_epoch(&q, 3 * MAXQ + 1)
         );
         // A read after seq 4 has a later epoch.
         assert_ne!(
-            vdb.mod_epoch("p", 3 * MAXQ + 1),
-            vdb.mod_epoch("p", 4 * MAXQ + 2)
+            vdb.mod_epoch(&q, 3 * MAXQ + 1),
+            vdb.mod_epoch(&q, 4 * MAXQ + 2)
         );
     }
 
@@ -1032,6 +1065,44 @@ mod tests {
             .unwrap();
         assert_eq!(indexed, scanned);
         assert!(!indexed.rows().unwrap().is_empty());
+    }
+
+    #[test]
+    fn prepared_query_runs_at_any_version_and_fails_like_the_text() {
+        let base = seed();
+        let mut vdb = VersionedDb::from_snapshot(&base);
+        let w1 = Some(WriteOutcome {
+            affected: 1,
+            last_insert_id: None,
+        });
+        vdb.redo_transaction(
+            1,
+            &["UPDATE p SET views = 7 WHERE title = 'alpha'".into()],
+            true,
+            &[w1],
+        )
+        .unwrap();
+        // One parse serves every version, on the index path (`title`)
+        // and on the scan path (`views`).
+        for sql in [
+            "SELECT id, views FROM p WHERE title = 'alpha'",
+            "SELECT id FROM p WHERE views = 7 AND id = 1",
+            "SELECT COUNT(*) FROM p",
+        ] {
+            let q = vdb.prepare(sql).unwrap();
+            for ts in [0, MAXQ, MAXQ + 1, 5 * MAXQ] {
+                assert_eq!(vdb.run_at(&q, ts), vdb.query_at(sql, ts), "{sql} @ {ts}");
+            }
+        }
+        assert!(matches!(vdb.prepare("SELEKT"), Err(SqlError::Parse(_))));
+        assert_eq!(
+            vdb.prepare("DELETE FROM p WHERE id = 1").unwrap_err(),
+            SqlError::Unsupported("query_at only supports SELECT".into())
+        );
+        assert_eq!(
+            vdb.prepare("SELECT id FROM nope").unwrap_err(),
+            SqlError::NoSuchTable("nope".into())
+        );
     }
 
     #[test]

@@ -32,6 +32,28 @@ fn hash4(w: &[u8]) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the longest common prefix of two equally long slices,
+/// eight bytes per step. Most of the encoder's time is spent here; a
+/// byte-at-a-time loop made its throughput swing by a quarter with
+/// where the linker happened to place it.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut words = a.chunks_exact(8).zip(b.chunks_exact(8));
+    let mut l = 0;
+    for (x, y) in &mut words {
+        let x = u64::from_le_bytes(x.try_into().expect("chunks of eight"));
+        let y = u64::from_le_bytes(y.try_into().expect("chunks of eight"));
+        if x != y {
+            return l + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + a[l..]
+        .iter()
+        .zip(&b[l..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
 /// Hash-chain index over every byte position seen so far.
 struct Matcher<'a> {
     input: &'a [u8],
@@ -64,10 +86,7 @@ impl<'a> Matcher<'a> {
         let mut steps = 0;
         while cand != u32::MAX && steps < MAX_CHAIN {
             let c = cand as usize;
-            let mut l = 0;
-            while l < max && input[c + l] == input[i + l] {
-                l += 1;
-            }
+            let l = common_prefix(&input[c..c + max], &input[i..]);
             if l > best_len {
                 best_len = l;
                 best_dist = i - c;
@@ -194,6 +213,28 @@ mod tests {
             })
             .collect();
         roundtrip(&noise);
+    }
+
+    #[test]
+    fn common_prefix_matches_the_bytewise_definition() {
+        let mut x = 0x2545f4914f6cdd1du64;
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 40] {
+            for agree in 0..=len {
+                let a: Vec<u8> = (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect();
+                let mut b = a.clone();
+                if agree < len {
+                    b[agree] ^= 0x40;
+                }
+                assert_eq!(common_prefix(&a, &b), agree, "len {len}");
+            }
+        }
     }
 
     #[test]

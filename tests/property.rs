@@ -1095,10 +1095,11 @@ proptest! {
         let parsed = parse_script(&src).unwrap_or_else(|e| panic!("fuzz script parse: {e}\n{src}"));
         let script = compile("/fuzz.php", &parsed)
             .unwrap_or_else(|e| panic!("fuzz script compile: {e}\n{src}"));
+        let get = [("p".to_string(), p)];
         let input = RequestInput {
-            method: "GET".into(),
-            path: "/fuzz.php".into(),
-            get: vec![("p".into(), p)],
+            method: "GET",
+            path: "/fuzz.php",
+            get: &get,
             ..Default::default()
         };
         let mut reg_backend = vm_diff::RecordingBackend::default();
