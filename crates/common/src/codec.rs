@@ -117,6 +117,11 @@ impl<'a> Decoder<'a> {
         Self { buf, pos: 0 }
     }
 
+    /// Offset of the next undecoded byte from the start of the buffer.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// Bytes remaining to decode.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -183,18 +188,30 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u64()? as usize;
-        if self.remaining() < len {
-            return Err(WireError::UnexpectedEof);
-        }
-        let out = self.buf[self.pos..self.pos + len].to_vec();
-        self.pos += len;
-        Ok(out)
+        self.bytes_ref().map(<[u8]>::to_vec)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::Malformed("invalid utf-8"))
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// [`Decoder::bytes`] without the copy: the byte string as a slice
+    /// of the underlying buffer.
+    pub fn bytes_ref(&mut self) -> Result<&'a [u8], WireError> {
+        let len = self.u64()?;
+        if (self.remaining() as u64) < len {
+            return Err(WireError::UnexpectedEof);
+        }
+        let (start, end) = (self.pos, self.pos + len as usize);
+        self.pos = end;
+        Ok(&self.buf[start..end])
+    }
+
+    /// [`Decoder::str`] without the copy: the UTF-8-checked string as a
+    /// slice of the underlying buffer.
+    pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes_ref()?).map_err(|_| WireError::Malformed("invalid utf-8"))
     }
 }
 
@@ -370,6 +387,24 @@ mod tests {
         enc.str("héllo wörld");
         let bytes = enc.into_bytes();
         assert_eq!(Decoder::new(&bytes).str().unwrap(), "héllo wörld");
+    }
+
+    #[test]
+    fn borrowed_reads_match_owned_reads() {
+        let mut enc = Encoder::new();
+        enc.str("héllo");
+        enc.bytes(&[0xff, 0x00]);
+        enc.bytes(&[0xff]);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(dec.str_ref().unwrap(), "héllo");
+        assert_eq!(dec.bytes_ref().unwrap(), &[0xff, 0x00]);
+        assert_eq!(
+            dec.str_ref().unwrap_err(),
+            WireError::Malformed("invalid utf-8")
+        );
+        assert!(dec.is_done());
+        assert_eq!(dec.bytes_ref().unwrap_err(), WireError::UnexpectedEof);
     }
 
     #[test]

@@ -24,12 +24,22 @@
 //!
 //! # The carry set
 //!
-//! Event payloads never outlive their epoch. Across an epoch boundary
-//! the engine keeps only: the requestID interner and one `responded`
-//! bit per request ([`StreamingBalance`]); the [`OpMap`] tables; the
-//! request payloads of group members whose response has not arrived;
-//! a two-bit output verdict per request; per planned group, its
-//! progress; and one `AuditCarry` (dedup caches, counters) per worker.
+//! The engine reads events in the borrowed shape a [`TraceSource`]
+//! lends ([`Epoch`] / [`EventRef`]): balance looks at `(kind, rid,
+//! label)` only; a planned member's request is copied out once —
+//! executors take owned requests — when its unit runs, and dropped when
+//! it is done; its traced response stays borrowed until the group's
+//! output has been compared against it in place. Nothing else of an
+//! event is ever copied, and no payload outlives its epoch except the
+//! requests still unanswered at its end: those are copied into the
+//! carry instead, and moved from there into the unit that runs them.
+//!
+//! Across an epoch boundary the engine keeps only: the requestID
+//! interner and one `responded` bit per request ([`StreamingBalance`]);
+//! the [`OpMap`] tables; the request payloads of group members whose
+//! response has not arrived; a two-bit output verdict per request; per
+//! planned group, its progress; and one `AuditCarry` (dedup caches,
+//! counters) per worker.
 //! [`StreamingAudit::carry_bytes`] meters it. The versioned stores are
 //! built once up front — they depend on the reports alone.
 //!
@@ -58,8 +68,10 @@ use crate::reports::Reports;
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId, SeqNum};
 use orochi_common::metrics::PhaseTimer;
 use orochi_obs::LazyHistogram;
-use orochi_trace::record::{BalanceError, DenseEvent, RidInterner, StreamingBalance};
-use orochi_trace::{Event, HttpRequest, HttpResponse, TraceSource};
+use orochi_trace::record::{BalanceError, RidInterner, StreamingBalance};
+use orochi_trace::{
+    Epoch, Event, EventRef, HttpRequest, HttpResponse, RequestRef, ResponseRef, TraceSource,
+};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -185,15 +197,30 @@ struct GroupProgress {
     unsettled: Option<Unsettled>,
 }
 
+/// A unit member's request on its way to the executor, which takes
+/// owned requests.
+enum Payload<'e> {
+    /// Still in the epoch it arrived in: copied out when the unit runs.
+    Lent(RequestRef<'e>),
+    /// Already copied out — it outlived its epoch in the carry, or was
+    /// collected for a whole re-run — and moved from here on. Boxed so
+    /// that the common, lent case stays a handle's size.
+    Owned(Box<HttpRequest>),
+}
+
 /// One pass's work unit: the members of one planned group whose
 /// responses arrived this epoch, in within-group order.
 struct Unit<'e> {
     group: usize,
     tag: CtlFlowTag,
-    /// The members' requests, in the shape executors take.
-    requests: Vec<(RequestId, HttpRequest)>,
-    /// Per member: dense index and the traced response.
-    expected: Vec<(u32, &'e HttpResponse)>,
+    /// The members, in within-group order.
+    rids: Vec<RequestId>,
+    /// Per member, its request; taken by the worker that runs the unit
+    /// (a pass runs a unit at most once).
+    requests: Mutex<Vec<Payload<'e>>>,
+    /// Per member: dense index and the traced response, still in the
+    /// epoch it arrived in.
+    expected: Vec<(u32, ResponseRef<'e>)>,
     /// Covers every member of the planned group.
     whole: bool,
 }
@@ -213,6 +240,12 @@ fn request_bytes(req: &HttpRequest) -> usize {
 
 /// Per rid, its log entries as `(log index, seqnum, opnum)`.
 type LogIndex = HashMap<RequestId, Vec<(u32, SeqNum, OpNum)>>;
+
+/// Epoch size for the passes that only scan the source (the standalone
+/// prologue, payload collection for whole re-runs): any size gives the
+/// same result; this one has a store-backed source hold a few segments
+/// rather than all of them.
+const SCAN_EVENTS: usize = 4096;
 
 /// Output-comparison state per dense request index.
 const OUT_NONE: u8 = 0;
@@ -251,15 +284,27 @@ fn run_one_group(
     ctx: &mut AuditContext<'_>,
     unit: &Unit<'_>,
 ) -> Result<Vec<u8>, Rejection> {
-    let outputs = executor.execute_group(&unit.requests, ctx)?;
+    // The one copy of a lent request's bytes, alive while the unit runs.
+    let payloads = std::mem::take(&mut *unit.requests.lock().expect("unit poisoned"));
+    let requests: Vec<(RequestId, HttpRequest)> = unit
+        .rids
+        .iter()
+        .zip(payloads)
+        .map(|(rid, payload)| match payload {
+            Payload::Lent(req) => (*rid, req.to_owned()),
+            Payload::Owned(req) => (*rid, *req),
+        })
+        .collect();
+    let outputs = executor.execute_group(&requests, ctx)?;
+    drop(requests);
     let compare_t0 = Instant::now();
     let position: HashMap<RequestId, usize> = unit
-        .requests
+        .rids
         .iter()
         .enumerate()
-        .map(|(p, (rid, _))| (*rid, p))
+        .map(|(p, rid)| (*rid, p))
         .collect();
-    let mut bits = vec![OUT_NONE; unit.requests.len()];
+    let mut bits = vec![OUT_NONE; unit.rids.len()];
     for (rid, output) in &outputs {
         let Some(&p) = position.get(rid) else {
             return Err(Rejection::ExecutorProtocol(format!(
@@ -272,17 +317,17 @@ fn run_one_group(
                 "duplicate output for {rid}"
             )));
         }
-        bits[p] = if output == unit.expected[p].1 {
+        bits[p] = if unit.expected[p].1 == *output {
             OUT_MATCH
         } else {
             OUT_MISMATCH
         };
     }
     ctx.stats.output_wall += compare_t0.elapsed();
-    for (rid, _) in &unit.requests {
+    for rid in &unit.rids {
         ctx.finish_request(*rid)?;
     }
-    ctx.stats.requests_reexecuted += unit.requests.len();
+    ctx.stats.requests_reexecuted += unit.rids.len();
     Ok(bits)
 }
 
@@ -306,8 +351,9 @@ pub struct StreamingAudit<'a> {
     /// for the incremental OpMap fill; built on first use, which a
     /// one-epoch audit never reaches.
     log_entries: Option<LogIndex>,
-    /// Open group members' request payloads by dense index.
-    pending_req: Vec<Option<HttpRequest>>,
+    /// Request payloads of the planned members still unanswered at the
+    /// end of the epoch they arrived in, by dense index.
+    pending_req: HashMap<u32, HttpRequest>,
     pending_bytes: usize,
     /// Output-comparison verdict per dense index (`OUT_*`).
     out_state: Vec<u8>,
@@ -361,7 +407,7 @@ impl<'a> StreamingAudit<'a> {
             groups: plan.groups.iter().map(|_| Default::default()).collect(),
             plan,
             log_entries: None,
-            pending_req: Vec::new(),
+            pending_req: HashMap::new(),
             pending_bytes: 0,
             out_state: Vec::new(),
             carries: Vec::new(),
@@ -408,7 +454,7 @@ impl<'a> StreamingAudit<'a> {
         events: &[Event],
         executors: &mut [E],
     ) -> bool {
-        self.feed(events, &mut Pool::threads(executors))
+        self.feed(events.into(), &mut Pool::threads(executors))
     }
 
     /// Settles the verdict: the earliest-`Stage` rejection, or the
@@ -430,20 +476,24 @@ impl<'a> StreamingAudit<'a> {
         })
     }
 
-    /// The §3 balance scan for one event; a violation outranks every
-    /// other rejection, so nothing later in the stream matters.
-    fn push_balance(&mut self, event: &Event) -> Option<DenseEvent> {
-        match self.balance.push(event) {
-            Ok(dense) => Some(dense),
-            Err(e) => {
+    /// The §3 balance scan for one event, which reads its kind, rid
+    /// and label only; yields the dense index of the request the event
+    /// belongs to. A violation outranks every other rejection, so
+    /// nothing later in the stream matters.
+    fn push_balance(&mut self, event: &EventRef<'_>) -> Option<u32> {
+        let pushed = match event {
+            EventRef::Request(rid, _) => self.balance.push_request(*rid),
+            EventRef::Response(rid, resp) => self.balance.push_response(*rid, resp.rid_label()),
+        };
+        pushed
+            .map_err(|e| {
                 self.verdict
-                    .record(Stage::Balance, Rejection::Unbalanced(e));
-                None
-            }
-        }
+                    .record(Stage::Balance, Rejection::Unbalanced(e))
+            })
+            .ok()
     }
 
-    fn feed(&mut self, events: &[Event], pool: &mut Pool<'_>) -> bool {
+    fn feed(&mut self, epoch: Epoch<'_>, pool: &mut Pool<'_>) -> bool {
         if !self.verdict.open(Stage::Balance) {
             return false;
         }
@@ -459,25 +509,24 @@ impl<'a> StreamingAudit<'a> {
         }
         let balance_t0 = Instant::now();
         let first_new = self.balance.num_requests();
-        // Planned members answered this epoch, with the traced response
-        // (none once the verdict is out of re-execution's reach).
-        let mut answered: Vec<(u32, &HttpResponse)> = Vec::new();
+        // Planned members' requests that arrived this epoch, by arrival
+        // rank within it, and the planned members answered in it (none
+        // of either once the verdict is out of re-execution's reach).
+        let mut arrived: Vec<Option<RequestRef<'_>>> = Vec::new();
+        let mut answered: Vec<(u32, ResponseRef<'_>)> = Vec::new();
         let runnable = self.verdict.open(WALK);
-        for event in events {
-            let Some(dense) = self.push_balance(event) else {
+        for event in epoch.iter() {
+            let Some(idx) = self.push_balance(&event) else {
                 break;
             };
             let planned = runnable && self.plan.member_of.contains_key(&event.rid());
-            match (dense, event) {
-                (DenseEvent::Request(_), Event::Request(_, req)) => {
+            match event {
+                EventRef::Request(_, req) => {
+                    arrived.push(planned.then_some(req));
                     self.out_state.push(OUT_NONE);
-                    self.pending_req.push(planned.then(|| req.clone()));
-                    self.pending_bytes += if planned { request_bytes(req) } else { 0 };
                 }
-                (DenseEvent::Response(idx), Event::Response(_, resp)) if planned => {
-                    answered.push((idx, resp));
-                }
-                _ => {}
+                EventRef::Response(_, resp) if planned => answered.push((idx, resp)),
+                EventRef::Response(..) => {}
             }
         }
         self.phases.add("Balance", balance_t0.elapsed());
@@ -486,6 +535,30 @@ impl<'a> StreamingAudit<'a> {
             self.validate();
         } else if self.verdict.open(Stage::Balance) && self.shared.is_some() {
             self.grow_opmap(first_new);
+        }
+        // Pair each answered member with its request: lent by this epoch,
+        // or carried in from an earlier one — those leave the carry here.
+        let answered: Vec<(u32, Payload<'_>, ResponseRef<'_>)> = answered
+            .into_iter()
+            .map(|(idx, resp)| {
+                let req = match (idx as usize).checked_sub(first_new) {
+                    Some(rank) => arrived[rank].take().map(Payload::Lent),
+                    None => self.pending_req.remove(&idx).map(|req| {
+                        self.pending_bytes -= request_bytes(&req);
+                        Payload::Owned(Box::new(req))
+                    }),
+                };
+                let req = req.expect("a planned member's request precedes its response");
+                (idx, req, resp)
+            })
+            .collect();
+        // What is still unanswered outlives the epoch: into the carry.
+        for (rank, req) in arrived.into_iter().enumerate() {
+            if let Some(req) = req {
+                let req = req.to_owned();
+                self.pending_bytes += request_bytes(&req);
+                self.pending_req.insert((first_new + rank) as u32, req);
+            }
         }
         if self.verdict.open(WALK) && self.shared.is_some() {
             let units = self.form_units(answered);
@@ -531,18 +604,13 @@ impl<'a> StreamingAudit<'a> {
         self.phases.add("ProcOpRep", proc_t0.elapsed());
     }
 
-    /// Groups this epoch's answered members into units, releasing their
-    /// request payloads from the carry.
-    fn form_units<'e>(&mut self, answered: Vec<(u32, &'e HttpResponse)>) -> Vec<Unit<'e>> {
+    /// Groups this epoch's answered members into units.
+    fn form_units<'e>(&self, answered: Vec<(u32, Payload<'e>, ResponseRef<'e>)>) -> Vec<Unit<'e>> {
         let interner = self.balance.interner();
-        let mut by_group: BTreeMap<u32, Vec<(u32, u32, HttpRequest, &HttpResponse)>> =
+        let mut by_group: BTreeMap<u32, Vec<(u32, u32, Payload<'e>, ResponseRef<'e>)>> =
             BTreeMap::new();
-        for (idx, expected) in answered {
+        for (idx, req, expected) in answered {
             let (g, pos) = self.plan.member_of[&interner.rid(idx)];
-            let req = self.pending_req[idx as usize]
-                .take()
-                .expect("an open member holds its payload until its response");
-            self.pending_bytes -= request_bytes(&req);
             // A group already in trouble re-runs whole when the verdict
             // settles; its later members need not run now.
             if self.groups[g as usize].unsettled.is_none() {
@@ -562,10 +630,8 @@ impl<'a> StreamingAudit<'a> {
                     tag: *tag,
                     whole: members.len() == planned.len(),
                     expected: members.iter().map(|m| (m.1, m.3)).collect(),
-                    requests: members
-                        .into_iter()
-                        .map(|(_, idx, req, _)| (interner.rid(idx), req))
-                        .collect(),
+                    rids: members.iter().map(|m| interner.rid(m.1)).collect(),
+                    requests: Mutex::new(members.into_iter().map(|m| m.2).collect()),
                 }
             })
             .collect()
@@ -588,7 +654,7 @@ impl<'a> StreamingAudit<'a> {
         let lanes = pool.width().min(units.len());
         let mut schedule: Vec<usize> = (0..units.len()).collect();
         if lanes > 1 {
-            schedule.sort_by_key(|&k| Reverse(units[k].requests.len()));
+            schedule.sort_by_key(|&k| Reverse(units[k].rids.len()));
         }
         let cursor = AtomicUsize::new(0);
         // The lowest group that failed whole this pass: the sequential
@@ -702,9 +768,11 @@ impl<'a> StreamingAudit<'a> {
         mut self,
         source: &dyn TraceSource,
     ) -> Result<AuditContext<'a>, Rejection> {
-        for_each_epoch(source, usize::MAX, |events| {
-            events.iter().all(|e| self.push_balance(e).is_some())
-        })?;
+        source
+            .for_each_epoch(SCAN_EVENTS, &mut |epoch| {
+                epoch.iter().all(|e| self.push_balance(&e).is_some())
+            })
+            .map_err(Rejection::TraceStore)?;
         self.validate();
         match (self.verdict.0, self.shared) {
             (Some((_, rejection)), _) => Err(rejection),
@@ -812,15 +880,16 @@ impl<'a> StreamingAudit<'a> {
         let mut responses: HashMap<RequestId, HttpResponse> = HashMap::new();
         let wanted: HashSet<RequestId> = rerun.iter().flat_map(|&g| members(g)).copied().collect();
         source
-            .stream_events(&mut |event| {
-                match event {
-                    Event::Request(rid, req) if wanted.contains(&rid) => {
-                        requests.insert(rid, req);
+            .for_each_epoch(SCAN_EVENTS, &mut |epoch| {
+                for event in epoch.iter().filter(|e| wanted.contains(&e.rid())) {
+                    match event {
+                        EventRef::Request(rid, req) => {
+                            requests.insert(rid, req.to_owned());
+                        }
+                        EventRef::Response(rid, resp) => {
+                            responses.insert(rid, resp.to_owned());
+                        }
                     }
-                    Event::Response(rid, resp) if wanted.contains(&rid) => {
-                        responses.insert(rid, resp);
-                    }
-                    _ => {}
                 }
                 responses.len() < wanted.len()
             })
@@ -836,13 +905,17 @@ impl<'a> StreamingAudit<'a> {
                     .map(|rid| {
                         (
                             interner.index_of(*rid).expect("below the cut"),
-                            &responses[rid],
+                            ResponseRef::from(&responses[rid]),
                         )
                     })
                     .collect(),
-                requests: members(g)
-                    .map(|rid| (*rid, requests.remove(rid).expect("below the cut")))
-                    .collect(),
+                rids: members(g).copied().collect(),
+                requests: Mutex::new(
+                    members(g)
+                        .map(|rid| requests.remove(rid).expect("below the cut"))
+                        .map(|req| Payload::Owned(Box::new(req)))
+                        .collect(),
+                ),
             })
             .collect();
         for &g in rerun {
@@ -851,36 +924,6 @@ impl<'a> StreamingAudit<'a> {
         self.run_pass(&units, pool);
         Ok(())
     }
-}
-
-/// Cuts `source` into epochs of at most `budget` events and hands each
-/// to `sink` until it returns `false`: borrowed straight from a
-/// resident source, pulled (and owned for the call) otherwise.
-fn for_each_epoch(
-    source: &dyn TraceSource,
-    budget: usize,
-    mut sink: impl FnMut(&[Event]) -> bool,
-) -> Result<(), Rejection> {
-    if let Some(events) = source.resident_events() {
-        let _ = events.chunks(budget).all(sink);
-        return Ok(());
-    }
-    let total = source.event_count();
-    let mut offset = 0usize;
-    while offset < total {
-        let mut epoch: Vec<Event> = Vec::new();
-        source
-            .stream_events_from(offset, &mut |event| {
-                epoch.push(event);
-                epoch.len() < budget
-            })
-            .map_err(Rejection::TraceStore)?;
-        offset += epoch.len();
-        if epoch.is_empty() || !sink(&epoch) {
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// Every audit entry point: cuts `source` into epochs of at most
@@ -900,7 +943,9 @@ pub(crate) fn drive(
     } else {
         epoch_events
     };
-    for_each_epoch(source, budget, |epoch| engine.feed(epoch, &mut pool))?;
+    source
+        .for_each_epoch(budget, &mut |epoch| engine.feed(epoch, &mut pool))
+        .map_err(Rejection::TraceStore)?;
     engine.settle(source, &mut pool)
 }
 

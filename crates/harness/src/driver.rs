@@ -16,7 +16,9 @@ use orochi_core::streaming::{audit_streaming_source, StreamingAudit};
 use orochi_obs::HistogramSnapshot;
 use orochi_server::server::AuditBundle;
 use orochi_server::{Frontend, FrontendConfig, Server, ServerConfig, ShedPolicy};
-use orochi_trace::{TraceStoreError, TraceStoreReader, TraceStoreSummary, TraceStoreWriter};
+use orochi_trace::{
+    Trace, TraceSource, TraceStoreError, TraceStoreReader, TraceStoreSummary, TraceStoreWriter,
+};
 use orochi_workload::Workload;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -431,6 +433,31 @@ pub fn run_audit_cold(
     opts: &AuditOptions,
 ) -> Result<AuditRun, Rejection> {
     run_audit_streaming(reader, work, opts, 0)
+}
+
+/// [`run_audit_cold`] the way it ran before the audit scanned segments
+/// in place: every event is first copied out of the store into an owned
+/// [`Trace`], and that resident trace is audited as one epoch. Nothing
+/// should audit this way; it is the yardstick the streaming bench
+/// measures the bounded carry against — a batch audit's footprint when
+/// the trace itself is resident.
+pub fn run_audit_materialized(
+    reader: &TraceStoreReader,
+    work: &AppWorkload,
+    opts: &AuditOptions,
+) -> Result<AuditRun, Rejection> {
+    let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
+    let mut trace = Trace::default();
+    let mut keep = |event| {
+        trace.events.push(event);
+        true
+    };
+    reader
+        .stream_events(&mut keep)
+        .map_err(Rejection::TraceStore)?;
+    run_on(work, opts, |executors, config| {
+        audit_streaming_source(&trace, &reports, executors, config, 0)
+    })
 }
 
 /// Audits a segmented trace store in epochs of `epoch_events` events

@@ -24,10 +24,10 @@ pub mod tamper;
 
 pub use config::{Config, Threads};
 pub use driver::{
-    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_cold, run_audit_streaming,
-    run_audit_with, serve, serve_and_audit, serve_drained, serve_open_loop, serve_open_loop_with,
-    spill_bundle, AppWorkload, AuditOptions, AuditRun, OpenLoopOptions, ServeAudit, ServeOptions,
-    ServeResult,
+    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_cold,
+    run_audit_materialized, run_audit_streaming, run_audit_with, serve, serve_and_audit,
+    serve_drained, serve_open_loop, serve_open_loop_with, spill_bundle, AppWorkload, AuditOptions,
+    AuditRun, OpenLoopOptions, ServeAudit, ServeOptions, ServeResult,
 };
 pub use experiments::scale_from_env;
 pub use obs::export_obs;

@@ -17,14 +17,15 @@
 //!   [`Trace::ensure_balanced`] (§3: "the verifier begins the audit by
 //!   checking that the trace is balanced").
 //! * [`Collector`]: the thread-safe middlebox used by the online system.
-//! * [`TraceSource`]: the unified ingestion API — a pull-based ordered
-//!   event stream implemented by the in-memory [`Trace`], by
+//! * [`TraceSource`]: the unified ingestion API — an ordered event
+//!   stream, owned or lent an [`Epoch`] at a time in the borrowed
+//!   [`EventRef`] shape, implemented by the in-memory [`Trace`], by
 //!   [`BalancedTrace`] itself, and by the segmented on-disk store.
 //! * [`segment`] / [`store`]: the persistent binary trace store —
 //!   sealed, size-bounded, integrity-checked segment files with
 //!   columnar, dictionary-compressed event lanes, which the audit
-//!   replays one segment at a time instead of holding a second copy of
-//!   the trace in RAM.
+//!   scans in place ([`segment::SegmentView`]) instead of holding a
+//!   second copy of the trace in RAM.
 
 pub mod collector;
 pub mod event;
@@ -33,6 +34,7 @@ pub mod record;
 pub mod segment;
 pub mod source;
 pub mod store;
+pub mod view;
 
 pub use collector::{Collector, COLLECTOR_STRIPES};
 pub use event::{HttpRequest, HttpResponse};
@@ -41,3 +43,4 @@ pub use record::{
 };
 pub use source::{TraceReadError, TraceSource, TraceStoreError};
 pub use store::{TraceStoreReader, TraceStoreSummary, TraceStoreWriter, DEFAULT_SEGMENT_BYTES};
+pub use view::{Epoch, EventRef, Pairs, RequestRef, ResponseRef};

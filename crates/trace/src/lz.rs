@@ -161,11 +161,11 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, &'static str> {
     }
     let mut out: Vec<u8> = Vec::with_capacity(out_len.min(1 << 22));
     loop {
-        let lit = dec.bytes().map_err(|_| err)?;
+        let lit = dec.bytes_ref().map_err(|_| err)?;
         if out.len() + lit.len() > out_len {
             return Err(err);
         }
-        out.extend_from_slice(&lit);
+        out.extend_from_slice(lit);
         let match_len = dec.u64().map_err(|_| err)? as usize;
         if match_len == 0 {
             break;
@@ -174,11 +174,15 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, &'static str> {
         if dist == 0 || dist > out.len() || out.len() + match_len > out_len {
             return Err(err);
         }
+        // A match may overlap its own output (`dist < match_len`): the
+        // result is the last `dist` bytes repeated. Each pass copies
+        // everything produced since `start`, so the chunk doubles and a
+        // `dist == 1` run costs log(len) copies, not len pushes.
         let start = out.len() - dist;
-        for k in 0..match_len {
-            // Overlapping copies are legal and must go byte-by-byte.
-            let b = out[start + k];
-            out.push(b);
+        let end = out.len() + match_len;
+        while out.len() < end {
+            let chunk = (out.len() - start).min(end - out.len());
+            out.extend_from_within(start..start + chunk);
         }
     }
     if !dec.is_done() || out.len() != out_len {
@@ -266,6 +270,45 @@ mod tests {
         // Period-1 and period-3 repetitions force overlapping copies.
         let data = [b"x".repeat(100), b"abc".repeat(40)].concat();
         roundtrip(&data);
+    }
+
+    /// A hand-built stream: `prefix` as literals, then one match.
+    fn literal_then_match(prefix: &[u8], match_len: usize, dist: usize) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.u64((prefix.len() + match_len) as u64);
+        enc.bytes(prefix);
+        enc.u64(match_len as u64);
+        enc.u64(dist as u64);
+        enc.bytes(b"");
+        enc.u64(0);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn self_overlapping_matches_repeat_the_last_dist_bytes() {
+        // The chunked copy's edge: every distance from a one-byte run up
+        // to a match that overlaps its own output by 1..=9 bytes, at
+        // lengths on both sides of each chunk doubling.
+        let prefix = b"0123456789";
+        for dist in 1..=prefix.len() {
+            for match_len in (1..=4 * dist + 3).chain([dist + 9, 1000]) {
+                let expected: Vec<u8> = (0..prefix.len() + match_len)
+                    .map(|k| {
+                        if k < prefix.len() {
+                            prefix[k]
+                        } else {
+                            prefix[prefix.len() - dist + (k - prefix.len()) % dist]
+                        }
+                    })
+                    .collect();
+                let packed = literal_then_match(prefix, match_len, dist);
+                assert_eq!(
+                    decompress(&packed).unwrap(),
+                    expected,
+                    "dist {dist} len {match_len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -490,6 +490,11 @@ impl Default for StreamingBalance {
     }
 }
 
+/// The interner, which ingest mutates in place (see the type docs).
+fn exclusive(interner: &mut Arc<RidInterner>) -> &mut RidInterner {
+    Arc::get_mut(interner).expect("streaming interner must be exclusively held during ingest")
+}
+
 impl StreamingBalance {
     /// Creates a validator with an empty interner.
     pub fn new() -> Self {
@@ -509,41 +514,53 @@ impl StreamingBalance {
     /// Panics if the interner [`Arc`] is not exclusively held (see the
     /// type docs).
     pub fn push(&mut self, event: &Event) -> Result<DenseEvent, BalanceError> {
-        let interner = Arc::get_mut(&mut self.interner)
-            .expect("streaming interner must be exclusively held during ingest");
-        self.events_seen += 1;
         match event {
-            Event::Request(rid, _) => {
-                let idx = interner.rids.len() as u32;
-                match interner.index.entry(*rid) {
-                    Entry::Occupied(_) => return Err(BalanceError::DuplicateRequestId(*rid)),
-                    Entry::Vacant(slot) => {
-                        slot.insert(idx);
-                    }
-                }
-                interner.rids.push(*rid);
-                interner.dense_events.push(idx << 1);
-                self.responded.push(false);
-                Ok(DenseEvent::Request(idx))
-            }
-            Event::Response(rid, resp) => {
-                let Some(&idx) = interner.index.get(rid) else {
-                    return Err(BalanceError::ResponseWithoutRequest(*rid));
-                };
-                if self.responded[idx as usize] {
-                    return Err(BalanceError::DuplicateResponse(*rid));
-                }
-                if resp.rid_label != *rid {
-                    return Err(BalanceError::MislabeledResponse {
-                        expected: *rid,
-                        got: resp.rid_label,
-                    });
-                }
-                self.responded[idx as usize] = true;
-                interner.dense_events.push((idx << 1) | 1);
-                Ok(DenseEvent::Response(idx))
+            Event::Request(rid, _) => self.push_request(*rid).map(DenseEvent::Request),
+            Event::Response(rid, resp) => self
+                .push_response(*rid, resp.rid_label)
+                .map(DenseEvent::Response),
+        }
+    }
+
+    /// [`StreamingBalance::push`] for a REQUEST event, which the scan
+    /// knows by its requestID alone. Returns the new dense index.
+    pub fn push_request(&mut self, rid: RequestId) -> Result<u32, BalanceError> {
+        let interner = exclusive(&mut self.interner);
+        self.events_seen += 1;
+        let idx = interner.rids.len() as u32;
+        match interner.index.entry(rid) {
+            Entry::Occupied(_) => return Err(BalanceError::DuplicateRequestId(rid)),
+            Entry::Vacant(slot) => {
+                slot.insert(idx);
             }
         }
+        interner.rids.push(rid);
+        interner.dense_events.push(idx << 1);
+        self.responded.push(false);
+        Ok(idx)
+    }
+
+    /// [`StreamingBalance::push`] for a RESPONSE event, which the scan
+    /// knows by its requestID and the label the executor put on it.
+    /// Returns the dense index of the request it answers.
+    pub fn push_response(&mut self, rid: RequestId, label: RequestId) -> Result<u32, BalanceError> {
+        let interner = exclusive(&mut self.interner);
+        self.events_seen += 1;
+        let Some(&idx) = interner.index.get(&rid) else {
+            return Err(BalanceError::ResponseWithoutRequest(rid));
+        };
+        if self.responded[idx as usize] {
+            return Err(BalanceError::DuplicateResponse(rid));
+        }
+        if label != rid {
+            return Err(BalanceError::MislabeledResponse {
+                expected: rid,
+                got: label,
+            });
+        }
+        self.responded[idx as usize] = true;
+        interner.dense_events.push((idx << 1) | 1);
+        Ok(idx)
     }
 
     /// Events pushed so far.

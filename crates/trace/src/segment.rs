@@ -5,12 +5,12 @@
 //!
 //! ```text
 //! +--------------------------------------------------------------+
-//! | magic "OTS1" (4 bytes) | version u8 = 1                      |
-//! | event_count varint | payload checksum varint (FNV-1a 64)     |
+//! | magic "OTS1" (4 bytes) | version u8 = 2                      |
+//! | event_count varint | checksum varint (FNV-1a 64)             |
 //! | compressed length varint | LZ-compressed payload bytes ...   |
 //! +--------------------------------------------------------------+
-//! payload (checksummed and LZ-compressed as one unit, see
-//! [`crate::lz`]) :=
+//! payload (LZ-compressed as one unit, see [`crate::lz`]; the
+//! checksum covers the compressed bytes as they sit on disk) :=
 //!   string dictionary   varint n, then n length-prefixed strings
 //!   rid dictionary      varint n, first rid varint, then zigzag deltas
 //!   kinds lane          packed bits, 1 = response (length-prefixed)
@@ -41,17 +41,34 @@
 //! redundancy into back-references.
 //!
 //! Integrity: the header carries the event count and an FNV-1a 64
-//! checksum over the *uncompressed* payload. [`decode_segment`] rejects
-//! — with stable diagnostics — bad magic, unsupported versions,
-//! truncated payloads, checksum mismatches, event-count mismatches, and
-//! any lane that under- or over-runs its extent. Corruption inside the
-//! compressed bytes surfaces either as a failed decompression or as a
-//! wrong checksum; both report the single stable diagnostic
+//! checksum over the *compressed* payload — the bytes on disk — so a
+//! damaged file is rejected before anything is decompressed, and the
+//! byte-serial hash reads 5–30× fewer bytes than the payload holds.
+//! (Version 1 hashed the decompressed payload; it is rejected as
+//! unsupported.)
+//! [`SegmentView::parse`] rejects — with stable diagnostics — bad
+//! magic, unsupported versions, truncated payloads, checksum
+//! mismatches, event-count mismatches, and any lane that under- or
+//! over-runs its extent. A compressed stream that passes the checksum
+//! yet fails to decompress reports the same stable diagnostic,
 //! `segment checksum mismatch`.
+//!
+//! # Reading: one parser, two projections
+//!
+//! [`SegmentView::parse`] is the only decoder. It decompresses the
+//! payload into one buffer and keeps everything else as offsets into
+//! it: the dictionary as UTF-8-checked `(offset, len)` spans, the kinds
+//! bits and the ten lanes as byte ranges. It then walks every lane once
+//! so that each index is known to be in range and each lane to end
+//! exactly where its events do; after that, walking the view cannot
+//! fail. [`SegmentView::events`] lends each event as an
+//! [`EventRef`] whose strings are slices of the payload buffer — valid
+//! for as long as the view is borrowed. [`decode_segment`] is that walk
+//! with every event copied out.
 
-use crate::event::{HttpRequest, HttpResponse};
 use crate::record::Event;
 use crate::source::TraceStoreError;
+use crate::view::{EventRef, RequestRef, ResponseRef};
 use orochi_common::codec::{Decoder, Encoder, WireError};
 use orochi_common::hash::fnv1a;
 use orochi_common::ids::RequestId;
@@ -60,7 +77,9 @@ use std::collections::HashMap;
 /// First bytes of every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"OTS1";
 /// Current segment format version.
-pub const SEGMENT_VERSION: u8 = 1;
+pub const SEGMENT_VERSION: u8 = 2;
+/// The longest a header can be: magic, version, three 10-byte varints.
+pub const MAX_HEADER_LEN: usize = 4 + 1 + 3 * 10;
 
 /// Writer-side string dictionary: first-use interning to dense indices.
 #[derive(Default)]
@@ -93,6 +112,11 @@ fn encode_pairs(lane: &mut Encoder, dict: &mut Dict, pairs: &[(String, String)])
 
 /// Encodes `events` into one sealed segment blob.
 pub fn encode_segment(events: &[Event]) -> Vec<u8> {
+    seal_payload(events.len(), &encode_payload(events))
+}
+
+/// Assembles the uncompressed payload: dictionaries, kinds, lanes.
+fn encode_payload(events: &[Event]) -> Vec<u8> {
     let mut dict = Dict::default();
     let mut rid_index: HashMap<RequestId, u64> = HashMap::new();
     let mut rid_dict: Vec<RequestId> = Vec::new();
@@ -169,16 +193,21 @@ pub fn encode_segment(events: &[Event]) -> Vec<u8> {
     ] {
         payload.bytes(&lane.into_bytes());
     }
-    let payload = payload.into_bytes();
+    payload.into_bytes()
+}
 
+/// Frames an assembled payload: compresses it and writes the header
+/// over the compressed bytes.
+fn seal_payload(event_count: usize, payload: &[u8]) -> Vec<u8> {
+    let packed = crate::lz::compress(payload);
     let mut out = Encoder::new();
     for b in SEGMENT_MAGIC {
         out.byte(b);
     }
     out.byte(SEGMENT_VERSION);
-    out.u64(events.len() as u64);
-    out.u64(fnv1a(&payload));
-    out.bytes(&crate::lz::compress(&payload));
+    out.u64(event_count as u64);
+    out.u64(fnv1a(&packed));
+    out.bytes(&packed);
     out.into_bytes()
 }
 
@@ -189,10 +218,12 @@ pub struct SegmentHeader {
     pub version: u8,
     /// Number of events the payload holds.
     pub event_count: u64,
-    /// FNV-1a 64 checksum of the uncompressed payload bytes.
+    /// FNV-1a 64 checksum of the compressed payload bytes.
     pub checksum: u64,
     /// Compressed payload length in bytes.
     pub payload_len: u64,
+    /// Length of the header itself: the payload starts here.
+    pub header_len: usize,
 }
 
 fn corrupt(path: &str, detail: impl Into<String>) -> TraceStoreError {
@@ -207,7 +238,8 @@ fn wire_detail(path: &str, e: WireError) -> TraceStoreError {
 }
 
 /// Parses and validates the header of `bytes` (magic, version, counts)
-/// without touching the payload. `path` labels diagnostics.
+/// without touching the payload; the first [`MAX_HEADER_LEN`] bytes of
+/// a segment are always enough. `path` labels diagnostics.
 pub fn read_header(bytes: &[u8], path: &str) -> Result<SegmentHeader, TraceStoreError> {
     let mut dec = Decoder::new(bytes);
     let mut magic = [0u8; 4];
@@ -232,183 +264,489 @@ pub fn read_header(bytes: &[u8], path: &str) -> Result<SegmentHeader, TraceStore
         event_count,
         checksum,
         payload_len,
+        header_len: dec.position(),
     })
 }
 
-struct LaneReader {
-    buf: Vec<u8>,
+// The ten event lanes, in payload order.
+const RID: usize = 0;
+const METHOD: usize = 1;
+const PATH: usize = 2;
+const QUERY: usize = 3;
+const POST: usize = 4;
+const COOKIE: usize = 5;
+const LABEL: usize = 6;
+const STATUS: usize = 7;
+const HEADER: usize = 8;
+const BODY: usize = 9;
+
+/// A byte range of the payload buffer. Payloads are capped at 2 GiB by
+/// [`crate::lz`], so offsets fit `u32`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    at: u32,
+    len: u32,
 }
 
-impl LaneReader {
-    fn take(dec: &mut Decoder<'_>, path: &str) -> Result<Self, TraceStoreError> {
-        Ok(LaneReader {
-            buf: dec.bytes().map_err(|e| wire_detail(path, e))?,
-        })
+impl Span {
+    /// The span of `slice`, which `dec` has just finished reading.
+    fn just_read(dec: &Decoder<'_>, slice: &[u8]) -> Span {
+        Span {
+            at: (dec.position() - slice.len()) as u32,
+            len: slice.len() as u32,
+        }
+    }
+
+    fn of<'a>(&self, payload: &'a [u8]) -> &'a [u8] {
+        &payload[self.at as usize..(self.at + self.len) as usize]
     }
 }
 
-fn decode_pairs(
-    dec: &mut Decoder<'_>,
-    dict: &[String],
-    path: &str,
-) -> Result<Vec<(String, String)>, TraceStoreError> {
-    let n = dec.u64().map_err(|e| wire_detail(path, e))? as usize;
-    if n > dec.remaining() {
-        return Err(corrupt(path, "pair count exceeds lane"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((dict_str(dec, dict, path)?, dict_str(dec, dict, path)?));
-    }
-    Ok(out)
+/// Why a lane walk stopped: a codec error or a stable diagnostic.
+enum Fault {
+    Wire(WireError),
+    Corrupt(&'static str),
 }
 
-fn dict_str(dec: &mut Decoder<'_>, dict: &[String], path: &str) -> Result<String, TraceStoreError> {
-    let idx = dec.u64().map_err(|e| wire_detail(path, e))? as usize;
-    dict.get(idx)
-        .cloned()
-        .ok_or_else(|| corrupt(path, "string dictionary index out of range"))
+impl From<WireError> for Fault {
+    fn from(e: WireError) -> Self {
+        Fault::Wire(e)
+    }
 }
 
-/// Decodes a sealed segment back into its events, verifying the header
-/// and the payload checksum. `path` labels diagnostics.
-pub fn decode_segment(bytes: &[u8], path: &str) -> Result<Vec<Event>, TraceStoreError> {
-    let header = read_header(bytes, path)?;
-    // Re-position past the header the same way read_header consumed it.
-    let mut dec = Decoder::new(bytes);
-    for _ in 0..5 {
-        dec.byte().map_err(|e| wire_detail(path, e))?;
-    }
-    dec.u64().map_err(|e| wire_detail(path, e))?;
-    dec.u64().map_err(|e| wire_detail(path, e))?;
-    let packed = dec.bytes().map_err(|e| wire_detail(path, e))?;
-    if !dec.is_done() {
-        return Err(corrupt(path, "trailing bytes after payload"));
-    }
-    // Payload corruption can surface either as a structurally invalid
-    // compressed stream or as wrong decompressed bytes; both funnel
-    // into the one stable checksum diagnostic.
-    let payload =
-        crate::lz::decompress(&packed).map_err(|_| corrupt(path, "segment checksum mismatch"))?;
-    if fnv1a(&payload) != header.checksum {
-        return Err(corrupt(path, "segment checksum mismatch"));
-    }
-    let event_count = header.event_count as usize;
+/// A parsed, fully validated segment: the decompressed payload plus
+/// offsets into it. See the module docs for what is borrowed and what
+/// is checked.
+#[derive(Debug)]
+pub struct SegmentView {
+    payload: Vec<u8>,
+    /// The string dictionary; every span was UTF-8-checked by `parse`.
+    dict: Vec<Span>,
+    rids: Vec<RequestId>,
+    /// Packed kind bits, 1 = response.
+    kinds: Span,
+    lanes: [Span; 10],
+    event_count: usize,
+    /// Bytes of each lane consumed before event `k * CHECKPOINT_EVERY`,
+    /// recorded by the validation walk so that a walk can start
+    /// mid-segment ([`SegmentView::events_from`]) without decoding the
+    /// events before it.
+    checkpoints: Vec<[u32; 10]>,
+}
 
-    let mut p = Decoder::new(&payload);
-    let n_strings = p.u64().map_err(|e| wire_detail(path, e))? as usize;
-    if n_strings > p.remaining() {
-        return Err(corrupt(path, "string dictionary count exceeds payload"));
-    }
-    let mut dict = Vec::with_capacity(n_strings);
-    for _ in 0..n_strings {
-        dict.push(p.str().map_err(|e| wire_detail(path, e))?);
-    }
-    let n_rids = p.u64().map_err(|e| wire_detail(path, e))? as usize;
-    if n_rids > p.remaining() {
-        return Err(corrupt(path, "rid dictionary count exceeds payload"));
-    }
-    let mut rid_dict: Vec<RequestId> = Vec::with_capacity(n_rids);
-    let mut prev = 0u64;
-    for k in 0..n_rids {
-        let rid = if k == 0 {
-            p.u64().map_err(|e| wire_detail(path, e))?
-        } else {
-            let delta = p.i64().map_err(|e| wire_detail(path, e))?;
-            prev.wrapping_add(delta as u64)
-        };
-        rid_dict.push(RequestId(rid));
-        prev = rid;
-    }
-    let kinds = p.bytes().map_err(|e| wire_detail(path, e))?;
-    if kinds.len() != event_count.div_ceil(8) {
-        return Err(corrupt(
-            path,
-            "kinds lane length disagrees with event count",
-        ));
-    }
-    let mut lanes = Vec::with_capacity(10);
-    for _ in 0..10 {
-        lanes.push(LaneReader::take(&mut p, path)?);
-    }
-    if !p.is_done() {
-        return Err(corrupt(path, "trailing bytes after lanes"));
-    }
-    let [rid_buf, method_buf, path_buf, query_buf, post_buf, cookie_buf, label_buf, status_buf, header_buf, body_buf]: [LaneReader; 10] =
-        lanes.try_into().ok().expect("exactly ten lanes");
-    let mut rid_lane = Decoder::new(&rid_buf.buf);
-    let mut method_lane = Decoder::new(&method_buf.buf);
-    let mut path_lane = Decoder::new(&path_buf.buf);
-    let mut query_lane = Decoder::new(&query_buf.buf);
-    let mut post_lane = Decoder::new(&post_buf.buf);
-    let mut cookie_lane = Decoder::new(&cookie_buf.buf);
-    let mut label_lane = Decoder::new(&label_buf.buf);
-    let mut status_lane = Decoder::new(&status_buf.buf);
-    let mut header_lane = Decoder::new(&header_buf.buf);
-    let mut body_lane = Decoder::new(&body_buf.buf);
+/// Events between two lane-position checkpoints: what a mid-segment
+/// start decodes and discards at most, for 40 bytes per this many events.
+const CHECKPOINT_EVERY: usize = 64;
 
-    let mut events = Vec::with_capacity(event_count);
-    for i in 0..event_count {
-        let rid_idx = rid_lane.u64().map_err(|e| wire_detail(path, e))? as usize;
-        let rid = *rid_dict
-            .get(rid_idx)
-            .ok_or_else(|| corrupt(path, "rid dictionary index out of range"))?;
-        let is_response = kinds[i / 8] & (1 << (i % 8)) != 0;
-        if is_response {
-            let labeled = label_lane.u64().map_err(|e| wire_detail(path, e))?;
-            let rid_label = match labeled {
-                0 => rid,
-                1 => RequestId(label_lane.u64().map_err(|e| wire_detail(path, e))?),
-                _ => return Err(corrupt(path, "bad response label marker")),
+impl SegmentView {
+    /// Parses a sealed segment: verifies the header and the checksum
+    /// of the bytes as stored, decompresses, and validates the whole
+    /// payload. `path` labels diagnostics.
+    pub fn parse(bytes: &[u8], path: &str) -> Result<SegmentView, TraceStoreError> {
+        let header = read_header(bytes, path)?;
+        let packed = &bytes[header.header_len..];
+        if (packed.len() as u64) < header.payload_len {
+            return Err(corrupt(path, "segment truncated"));
+        }
+        if packed.len() as u64 > header.payload_len {
+            return Err(corrupt(path, "trailing bytes after payload"));
+        }
+        if fnv1a(packed) != header.checksum {
+            return Err(corrupt(path, "segment checksum mismatch"));
+        }
+        // The checksum is not a MAC: a stream that passes it can still
+        // be structurally invalid, and reports the same diagnostic.
+        let payload = crate::lz::decompress(packed)
+            .map_err(|_| corrupt(path, "segment checksum mismatch"))?;
+        let event_count = usize::try_from(header.event_count)
+            .map_err(|_| corrupt(path, "kinds lane length disagrees with event count"))?;
+
+        let wire = |e| wire_detail(path, e);
+        let mut p = Decoder::new(&payload);
+        let n_strings = p.u64().map_err(wire)? as usize;
+        if n_strings > p.remaining() {
+            return Err(corrupt(path, "string dictionary count exceeds payload"));
+        }
+        let mut dict = Vec::with_capacity(n_strings);
+        for _ in 0..n_strings {
+            let s = p.str_ref().map_err(wire)?;
+            dict.push(Span::just_read(&p, s.as_bytes()));
+        }
+        let n_rids = p.u64().map_err(wire)? as usize;
+        if n_rids > p.remaining() {
+            return Err(corrupt(path, "rid dictionary count exceeds payload"));
+        }
+        let mut rids: Vec<RequestId> = Vec::with_capacity(n_rids);
+        let mut prev = 0u64;
+        for k in 0..n_rids {
+            let rid = if k == 0 {
+                p.u64().map_err(wire)?
+            } else {
+                let delta = p.i64().map_err(wire)?;
+                prev.wrapping_add(delta as u64)
             };
-            let status = status_lane.u64().map_err(|e| wire_detail(path, e))?;
-            if status > u16::MAX as u64 {
-                return Err(corrupt(path, "status out of range"));
+            rids.push(RequestId(rid));
+            prev = rid;
+        }
+        let kinds = p.bytes_ref().map_err(wire)?;
+        if kinds.len() != event_count.div_ceil(8) {
+            return Err(corrupt(
+                path,
+                "kinds lane length disagrees with event count",
+            ));
+        }
+        let kinds = Span::just_read(&p, kinds);
+        let mut lanes = [Span { at: 0, len: 0 }; 10];
+        for lane in &mut lanes {
+            let bytes = p.bytes_ref().map_err(wire)?;
+            *lane = Span::just_read(&p, bytes);
+        }
+        if !p.is_done() {
+            return Err(corrupt(path, "trailing bytes after lanes"));
+        }
+
+        let mut view = SegmentView {
+            payload,
+            dict,
+            rids,
+            kinds,
+            lanes,
+            event_count,
+            checkpoints: Vec::new(),
+        };
+        view.checkpoints = view.validate().map_err(|fault| match fault {
+            Fault::Wire(e) => wire_detail(path, e),
+            Fault::Corrupt(detail) => corrupt(path, detail),
+        })?;
+        Ok(view)
+    }
+
+    /// Walks every lane once: after this, [`SegmentEvents`] and
+    /// [`LanePairsIter`] cannot hit an out-of-range index or a short
+    /// lane. Yields the lane positions at every `CHECKPOINT_EVERY`-th
+    /// event.
+    fn validate(&self) -> Result<Vec<[u32; 10]>, Fault> {
+        let mut checkpoints = Vec::with_capacity(self.event_count.div_ceil(CHECKPOINT_EVERY));
+        let mut walk = self.cursor(0, [0; 10]);
+        for i in 0..self.event_count {
+            if i % CHECKPOINT_EVERY == 0 {
+                checkpoints.push(std::array::from_fn(|lane| walk.consumed(lane)));
             }
-            events.push(Event::Response(
-                rid,
-                HttpResponse {
-                    rid_label,
-                    status: status as u16,
-                    headers: decode_pairs(&mut header_lane, &dict, path)?,
-                    body: dict_str(&mut body_lane, &dict, path)?,
-                },
-            ));
+            walk.step()?;
+        }
+        match walk.lanes.iter().position(|lane| !lane.is_done()) {
+            None => Ok(checkpoints),
+            Some(k) => Err(Fault::Corrupt(LANE_NOT_CONSUMED[k])),
+        }
+    }
+
+    /// Number of events in the segment.
+    pub fn len(&self) -> usize {
+        self.event_count
+    }
+
+    /// True for a segment of no events.
+    pub fn is_empty(&self) -> bool {
+        self.event_count == 0
+    }
+
+    /// The events in trace order, borrowed from this view.
+    pub fn events(&self) -> SegmentEvents<'_> {
+        self.events_from(0)
+    }
+
+    /// [`SegmentView::events`] without the first `skip` events: starts
+    /// at the checkpoint before them, so it decodes at most
+    /// `CHECKPOINT_EVERY` events it does not yield.
+    pub fn events_from(&self, skip: usize) -> SegmentEvents<'_> {
+        let skip = skip.min(self.event_count);
+        let k = (skip / CHECKPOINT_EVERY).min(self.checkpoints.len().saturating_sub(1));
+        let consumed = self.checkpoints.get(k).copied().unwrap_or_default();
+        let mut walk = self.cursor(k * CHECKPOINT_EVERY, consumed);
+        while walk.next < skip {
+            validated(walk.step());
+        }
+        walk
+    }
+
+    /// A cursor at event `next`, `consumed[k]` bytes into lane `k`.
+    fn cursor(&self, next: usize, consumed: [u32; 10]) -> SegmentEvents<'_> {
+        SegmentEvents {
+            view: self,
+            next,
+            lanes: std::array::from_fn(|k| {
+                Decoder::new(&self.lanes[k].of(&self.payload)[consumed[k] as usize..])
+            }),
+        }
+    }
+
+    /// The bytes of the dictionary string a validated lane index names.
+    fn bytes(&self, idx: u32) -> &[u8] {
+        self.dict[idx as usize].of(&self.payload)
+    }
+
+    /// The dictionary string a validated lane index names.
+    fn string(&self, idx: u32) -> &str {
+        // Checked once already by `parse`; checking again costs a scan
+        // of the string but keeps this module free of `unsafe`. The
+        // audit's output compare goes through `bytes` and skips it.
+        validated(std::str::from_utf8(self.bytes(idx)))
+    }
+}
+
+/// The over-long-lane diagnostic, per lane in payload order.
+const LANE_NOT_CONSUMED: [&str; 10] = [
+    "rid lane not fully consumed",
+    "method lane not fully consumed",
+    "path lane not fully consumed",
+    "query lane not fully consumed",
+    "post lane not fully consumed",
+    "cookie lane not fully consumed",
+    "label lane not fully consumed",
+    "status lane not fully consumed",
+    "header lane not fully consumed",
+    "body lane not fully consumed",
+];
+
+/// A value the parse-time validation walk already decoded once.
+fn validated<T, E>(value: Result<T, E>) -> T {
+    match value {
+        Ok(value) => value,
+        Err(_) => unreachable!("SegmentView::parse validated every lane"),
+    }
+}
+
+/// Cursor over a [`SegmentView`]'s events: one position per lane.
+#[derive(Debug)]
+pub struct SegmentEvents<'a> {
+    view: &'a SegmentView,
+    next: usize,
+    /// What is left of each lane.
+    lanes: [Decoder<'a>; 10],
+}
+
+impl<'a> SegmentEvents<'a> {
+    /// Bytes of `lane` already decoded.
+    fn consumed(&self, lane: usize) -> u32 {
+        self.view.lanes[lane].len - self.lanes[lane].remaining() as u32
+    }
+
+    /// Decodes the next event, checking every index it reads, into
+    /// handles that resolve their strings on demand. The caller bounds
+    /// the walk by the event count.
+    fn step(&mut self) -> Result<EventRef<'a>, Fault> {
+        let view = self.view;
+        let rid_idx = self.lanes[RID].u64()? as usize;
+        let rid = *view
+            .rids
+            .get(rid_idx)
+            .ok_or(Fault::Corrupt("rid dictionary index out of range"))?;
+        let i = self.next;
+        self.next += 1;
+        let is_response = view.kinds.of(&view.payload)[i / 8] & (1 << (i % 8)) != 0;
+        if is_response {
+            let rid_label = match self.lanes[LABEL].u64()? {
+                0 => rid,
+                1 => RequestId(self.lanes[LABEL].u64()?),
+                _ => return Err(Fault::Corrupt("bad response label marker")),
+            };
+            let status = self.lanes[STATUS].u64()?;
+            let status =
+                u16::try_from(status).map_err(|_| Fault::Corrupt("status out of range"))?;
+            let response = LaneResponse {
+                view,
+                rid_label,
+                status,
+                headers: self.pairs(HEADER)?,
+                body: self.string(BODY)?,
+            };
+            Ok(EventRef::Response(rid, ResponseRef::Lane(response)))
         } else {
-            events.push(Event::Request(
-                rid,
-                HttpRequest {
-                    method: dict_str(&mut method_lane, &dict, path)?,
-                    path: dict_str(&mut path_lane, &dict, path)?,
-                    query: decode_pairs(&mut query_lane, &dict, path)?,
-                    post: decode_pairs(&mut post_lane, &dict, path)?,
-                    cookies: decode_pairs(&mut cookie_lane, &dict, path)?,
-                },
-            ));
+            let request = LaneRequest {
+                view,
+                method: self.string(METHOD)?,
+                path: self.string(PATH)?,
+                pairs: [self.pairs(QUERY)?, self.pairs(POST)?, self.pairs(COOKIE)?],
+            };
+            Ok(EventRef::Request(rid, RequestRef::Lane(request)))
         }
     }
-    for (lane, name) in [
-        (&rid_lane, "rid"),
-        (&method_lane, "method"),
-        (&path_lane, "path"),
-        (&query_lane, "query"),
-        (&post_lane, "post"),
-        (&cookie_lane, "cookie"),
-        (&label_lane, "label"),
-        (&status_lane, "status"),
-        (&header_lane, "header"),
-        (&body_lane, "body"),
-    ] {
-        if !lane.is_done() {
-            return Err(corrupt(path, format!("{name} lane not fully consumed")));
+
+    /// Reads one dictionary index off `lane`.
+    fn string(&mut self, lane: usize) -> Result<u32, Fault> {
+        let idx = self.lanes[lane].u64()?;
+        if idx >= self.view.dict.len() as u64 {
+            return Err(Fault::Corrupt("string dictionary index out of range"));
+        }
+        Ok(idx as u32)
+    }
+
+    /// Steps past one pair list on `lane`, checking its indices;
+    /// yields the payload offset it starts at.
+    fn pairs(&mut self, lane: usize) -> Result<u32, Fault> {
+        let at = self.view.lanes[lane].at + self.consumed(lane);
+        let n = self.lanes[lane].u64()? as usize;
+        if n > self.lanes[lane].remaining() {
+            return Err(Fault::Corrupt("pair count exceeds lane"));
+        }
+        for _ in 0..2 * n {
+            self.string(lane)?;
+        }
+        Ok(at)
+    }
+}
+
+impl<'a> Iterator for SegmentEvents<'a> {
+    type Item = EventRef<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        (self.next < self.view.event_count).then(|| validated(self.step()))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.view.event_count - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for SegmentEvents<'_> {}
+
+/// A request inside a segment: two dictionary indices and the payload
+/// offsets of its three pair lists, resolved on demand.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneRequest<'a> {
+    view: &'a SegmentView,
+    method: u32,
+    path: u32,
+    /// Query, post, cookies.
+    pairs: [u32; 3],
+}
+
+impl<'a> LaneRequest<'a> {
+    pub(crate) fn method(&self) -> &'a str {
+        self.view.string(self.method)
+    }
+
+    pub(crate) fn path(&self) -> &'a str {
+        self.view.string(self.path)
+    }
+
+    /// The query (0), post (1) or cookie (2) pairs.
+    pub(crate) fn pairs(&self, which: usize) -> LanePairs<'a> {
+        LanePairs {
+            view: self.view,
+            at: self.pairs[which],
         }
     }
-    Ok(events)
+}
+
+/// A response inside a segment; headers and body resolve on demand.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneResponse<'a> {
+    view: &'a SegmentView,
+    pub(crate) rid_label: RequestId,
+    pub(crate) status: u16,
+    headers: u32,
+    body: u32,
+}
+
+impl<'a> LaneResponse<'a> {
+    pub(crate) fn headers(&self) -> LanePairs<'a> {
+        LanePairs {
+            view: self.view,
+            at: self.headers,
+        }
+    }
+
+    pub(crate) fn body(&self) -> &'a str {
+        self.view.string(self.body)
+    }
+
+    pub(crate) fn body_bytes(&self) -> &'a [u8] {
+        self.view.bytes(self.body)
+    }
+}
+
+/// A `(key, value)` list inside a segment lane: a count, then that
+/// many pairs of dictionary indices, at payload offset `at`.
+#[derive(Debug, Clone, Copy)]
+pub struct LanePairs<'a> {
+    view: &'a SegmentView,
+    at: u32,
+}
+
+impl<'a> LanePairs<'a> {
+    /// The pairs in order, resolved through the dictionary.
+    pub fn iter(&self) -> LanePairsIter<'a> {
+        let mut indices = Decoder::new(&self.view.payload[self.at as usize..]);
+        let left = validated(indices.u64()) as usize;
+        LanePairsIter {
+            view: self.view,
+            indices,
+            left,
+        }
+    }
+
+    /// Order-sensitive equality with an owned pair list, byte for byte.
+    pub(crate) fn eq_owned(&self, other: &[(String, String)]) -> bool {
+        let mut pairs = self.iter();
+        pairs.len() == other.len()
+            && other
+                .iter()
+                .all(|(k, v)| pairs.next_bytes() == Some((k.as_bytes(), v.as_bytes())))
+    }
+}
+
+/// Iterator over a [`LanePairs`].
+#[derive(Debug)]
+pub struct LanePairsIter<'a> {
+    view: &'a SegmentView,
+    indices: Decoder<'a>,
+    left: usize,
+}
+
+impl<'a> LanePairsIter<'a> {
+    /// The next pair's dictionary indices.
+    fn next_indices(&mut self) -> Option<(u32, u32)> {
+        self.left = self.left.checked_sub(1)?;
+        let mut index = || validated(self.indices.u64()) as u32;
+        Some((index(), index()))
+    }
+
+    /// The next pair as stored, without the UTF-8 re-check.
+    fn next_bytes(&mut self) -> Option<(&'a [u8], &'a [u8])> {
+        let (k, v) = self.next_indices()?;
+        Some((self.view.bytes(k), self.view.bytes(v)))
+    }
+}
+
+impl<'a> Iterator for LanePairsIter<'a> {
+    type Item = (&'a str, &'a str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (k, v) = self.next_indices()?;
+        Some((self.view.string(k), self.view.string(v)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for LanePairsIter<'_> {}
+
+/// Decodes a sealed segment back into owned events: the
+/// [`SegmentView`] walk with every event copied out. `path` labels
+/// diagnostics.
+pub fn decode_segment(bytes: &[u8], path: &str) -> Result<Vec<Event>, TraceStoreError> {
+    let view = SegmentView::parse(bytes, path)?;
+    Ok(view.events().map(|event| event.to_owned()).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{HttpRequest, HttpResponse};
 
     fn sample_events() -> Vec<Event> {
         let r1 = RequestId(10);
@@ -499,6 +837,192 @@ mod tests {
             err,
             TraceStoreError::corrupt("seg", "segment checksum mismatch")
         );
+    }
+
+    /// Every diagnostic a damaged segment may report. The strings are
+    /// API: tests and operators match on them.
+    fn is_stable_diagnostic(detail: &str) -> bool {
+        const FIXED: [&str; 15] = [
+            "segment truncated",
+            "varint overflow",
+            "malformed wire value: invalid utf-8",
+            "bad segment magic",
+            "trailing bytes after payload",
+            "segment checksum mismatch",
+            "string dictionary count exceeds payload",
+            "rid dictionary count exceeds payload",
+            "kinds lane length disagrees with event count",
+            "trailing bytes after lanes",
+            "rid dictionary index out of range",
+            "bad response label marker",
+            "status out of range",
+            "pair count exceeds lane",
+            "string dictionary index out of range",
+        ];
+        FIXED.contains(&detail)
+            || LANE_NOT_CONSUMED.contains(&detail)
+            || detail
+                .strip_prefix("unsupported segment version ")
+                .is_some_and(|v| v.parse::<u8>().is_ok())
+    }
+
+    /// Runs `blob` through the view and the owned path: both must end
+    /// the same way, and a failure must carry a stable diagnostic.
+    /// Returns whether the blob was accepted.
+    fn total(blob: &[u8], what: &str) -> bool {
+        let view = SegmentView::parse(blob, "seg").map(|v| v.events().count());
+        let owned = decode_segment(blob, "seg");
+        match (view, owned) {
+            (Ok(n), Ok(events)) => {
+                assert_eq!(n, events.len(), "{what}");
+                true
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(a, b, "{what}");
+                let TraceStoreError::Corrupt { detail, .. } = &a else {
+                    panic!("{what}: expected Corrupt, got {a:?}");
+                };
+                assert!(
+                    is_stable_diagnostic(detail),
+                    "{what}: new diagnostic {detail:?}"
+                );
+                false
+            }
+            (view, owned) => panic!("{what}: paths disagree: {view:?} vs {owned:?}"),
+        }
+    }
+
+    /// A segment that uses every lane: pair lists of 0, 1 and 2
+    /// entries, a mislabeled response, an empty body, multibyte strings.
+    fn multi_lane_events() -> Vec<Event> {
+        let mut events = sample_events();
+        let r3 = RequestId(12);
+        events.push(Event::Request(
+            r3,
+            HttpRequest::post("/édit.php", &[("p", "ü"), ("q", "")], &[])
+                .with_cookie("a", "1")
+                .with_cookie("b", "2"),
+        ));
+        events.push(Event::Response(
+            r3,
+            HttpResponse {
+                rid_label: RequestId(99),
+                status: 404,
+                headers: vec![("x".into(), "y".into()), ("x".into(), "z".into())],
+                body: String::new(),
+            },
+        ));
+        events
+    }
+
+    #[test]
+    fn every_truncation_is_an_error_not_a_panic() {
+        let blob = encode_segment(&multi_lane_events());
+        assert!(total(&blob, "intact"));
+        for cut in 0..blob.len() {
+            assert!(!total(&blob[..cut], &format!("cut at {cut}")));
+        }
+    }
+
+    #[test]
+    fn every_header_byte_flip_is_an_error_not_a_panic() {
+        let blob = encode_segment(&multi_lane_events());
+        let header_len = read_header(&blob, "seg").unwrap().header_len;
+        for at in 0..header_len {
+            for mask in [0x01u8, 0x10, 0x80, 0xff] {
+                let mut bad = blob.clone();
+                bad[at] ^= mask;
+                assert!(!total(&bad, &format!("header byte {at} ^ {mask:#x}")));
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_stored_byte_flips_fail_the_checksum() {
+        let blob = encode_segment(&multi_lane_events());
+        let header_len = read_header(&blob, "seg").unwrap().header_len;
+        let mut rng = orochi_common::rng::SplitMix64::new(17);
+        for _ in 0..1000 {
+            let mut bad = blob.clone();
+            let at = header_len + rng.next_below((blob.len() - header_len) as u64) as usize;
+            bad[at] ^= 1 << rng.next_below(8);
+            assert_eq!(
+                decode_segment(&bad, "seg").unwrap_err(),
+                TraceStoreError::corrupt("seg", "segment checksum mismatch")
+            );
+            assert!(!total(&bad, &format!("stored byte {at}")));
+        }
+    }
+
+    #[test]
+    fn seeded_payload_flips_under_a_valid_checksum_never_panic() {
+        // The checksum is no MAC: whoever can rewrite the file can
+        // re-seal it. Damage the *decompressed* payload and re-seal, so
+        // the dictionary and lane checks — not the checksum — are what
+        // stands between the bytes and a panic.
+        let events = multi_lane_events();
+        let payload = encode_payload(&events);
+        assert!(total(&seal_payload(events.len(), &payload), "intact"));
+        let mut rng = orochi_common::rng::SplitMix64::new(23);
+        let mut rejected = 0;
+        for _ in 0..1000 {
+            let mut bad = payload.clone();
+            let at = rng.next_below(bad.len() as u64) as usize;
+            bad[at] ^= 1 << rng.next_below(8);
+            if !total(
+                &seal_payload(events.len(), &bad),
+                &format!("payload byte {at}"),
+            ) {
+                rejected += 1;
+            }
+        }
+        // A flip inside a string's bytes still decodes (to different
+        // events); one that hits structure is caught.
+        assert!(
+            rejected > 100,
+            "only {rejected} of 1000 flips were structural"
+        );
+    }
+
+    #[test]
+    fn version_one_segments_are_unsupported() {
+        let mut blob = encode_segment(&sample_events());
+        blob[4] = 1;
+        assert_eq!(
+            decode_segment(&blob, "seg").unwrap_err(),
+            TraceStoreError::corrupt("seg", "unsupported segment version 1")
+        );
+    }
+
+    #[test]
+    fn view_lends_what_the_owned_path_copies() {
+        let events = multi_lane_events();
+        let view = SegmentView::parse(&encode_segment(&events), "seg").unwrap();
+        assert_eq!(view.len(), events.len());
+        for (lent, owned) in view.events().zip(&events) {
+            assert_eq!(&lent.to_owned(), owned);
+            if let (EventRef::Response(_, lent), Event::Response(_, owned)) = (lent, owned) {
+                assert!(lent == *owned);
+                assert_eq!(lent.headers().iter().len(), owned.headers.len());
+            }
+        }
+    }
+
+    #[test]
+    fn events_from_resumes_at_every_position() {
+        // Long enough to cross several checkpoints, ending on one.
+        let events: Vec<Event> = multi_lane_events()
+            .into_iter()
+            .cycle()
+            .take(3 * CHECKPOINT_EVERY)
+            .collect();
+        let view = SegmentView::parse(&encode_segment(&events), "seg").unwrap();
+        for skip in 0..=events.len() + 1 {
+            let rest: Vec<Event> = view.events_from(skip).map(|e| e.to_owned()).collect();
+            assert_eq!(rest, events[skip.min(events.len())..], "skip {skip}");
+        }
+        let empty = SegmentView::parse(&encode_segment(&[]), "seg").unwrap();
+        assert_eq!(empty.events_from(3).count(), 0);
     }
 
     #[test]

@@ -1,26 +1,33 @@
 //! [`TraceSource`]: one ingestion API for every place a trace can live.
 //!
-//! The audit historically consumed a fully materialized in-memory
-//! [`Trace`]. With the segmented binary store (see [`crate::store`]) a
-//! trace may instead live in sealed on-disk segments that are decoded
-//! one at a time. `TraceSource` abstracts over both: a pull-based,
-//! ordered event stream plus an exact event count for preallocation.
-//! The audit engine pulls its epochs through it, so batch-from-RAM and
-//! replay-from-cold-storage share every instruction downstream;
-//! [`BalancedTrace::from_source`] materializes any source for callers
-//! that want the indexed replay.
+//! A trace lives either in memory (a [`Trace`]) or in the sealed
+//! on-disk segments of [`crate::store`]. `TraceSource` abstracts over
+//! both: an ordered event stream plus an exact event count. It comes
+//! in two forms. [`TraceSource::for_each_epoch`] *lends* the events a
+//! run at a time in the borrowed [`crate::EventRef`] shape — the audit
+//! engine's one ingestion path, which copies a byte only when a
+//! request is materialised for re-execution, so batch-from-RAM and
+//! replay-from-cold-storage share every instruction downstream.
+//! [`TraceSource::stream_events`] hands out *owned* events, for callers
+//! that keep them ([`BalancedTrace::from_source`] materializes any
+//! source for the indexed replay).
 //!
 //! The contract:
 //!
-//! * `stream_events` yields events **in trace (collector) order**,
-//!   exactly `event_count()` of them unless the sink stops early;
+//! * both forms yield events **in trace (collector) order**, exactly
+//!   `event_count()` of them unless the sink stops early;
 //! * the stream is repeatable — a source may be streamed any number of
 //!   times and yields the same events each time;
+//! * what an [`Epoch`] lends is valid for the whole sink call it was
+//!   passed to, and no longer: a store-backed source keeps the parsed
+//!   segments an epoch spans alive until the sink returns, then drops
+//!   them;
 //! * storage-level failures (I/O, corrupt segments) surface as
 //!   [`TraceStoreError`]; *semantic* failures (an unbalanced trace) are
 //!   not the source's business and are reported by the consumer.
 
 use crate::record::{BalanceError, BalancedBuilder, BalancedTrace, Event, Trace};
+use crate::view::Epoch;
 use std::fmt;
 
 /// A storage-level failure while reading a persisted trace.
@@ -111,27 +118,35 @@ impl From<TraceStoreError> for TraceReadError {
     }
 }
 
-/// A pull-based, ordered stream of trace events — the audit's one
-/// ingestion API.
+/// An ordered stream of trace events — the audit's one ingestion API.
 ///
 /// Implemented by the in-memory [`Trace`], by the already-materialized
-/// [`BalancedTrace`], and by
-/// [`crate::store::TraceStoreReader`], which decodes sealed on-disk
-/// segments one at a time so the resident ingest buffer is bounded by
-/// the segment size rather than the trace length.
+/// [`BalancedTrace`], and by [`crate::store::TraceStoreReader`], which
+/// parses sealed on-disk segments as it goes and holds only those the
+/// current epoch spans.
 pub trait TraceSource {
-    /// Exact number of events `stream_events` will yield.
+    /// Exact number of events the source yields.
     fn event_count(&self) -> usize;
+
+    /// Lends the trace as consecutive [`Epoch`]s of `budget` events
+    /// (the last may be shorter; a `budget` of 0 counts as 1) until
+    /// `sink` returns `false`. Nothing is copied: a resident source
+    /// lends slices of its events, a store lends windows over its
+    /// parsed segments — so an epoch of `usize::MAX` events holds every
+    /// segment's payload at once, and a small one only those it spans.
+    fn for_each_epoch(
+        &self,
+        budget: usize,
+        sink: &mut dyn FnMut(Epoch<'_>) -> bool,
+    ) -> Result<(), TraceStoreError>;
 
     /// Streams every event in trace order into `sink`. The sink returns
     /// `false` to stop the stream early (not an error — used when a
     /// balance violation makes further decoding pointless).
     fn stream_events(&self, sink: &mut dyn FnMut(Event) -> bool) -> Result<(), TraceStoreError>;
 
-    /// Streams events in trace order starting at event position
-    /// `start` (0-based). The epoch-bounded variant the streaming
-    /// audit pulls: each epoch resumes where the previous one stopped,
-    /// and the sink stops the stream once the epoch budget fills.
+    /// [`TraceSource::stream_events`] starting at event position
+    /// `start` (0-based).
     ///
     /// The default implementation replays from the top and discards
     /// the prefix; sources with random access (an in-memory event
@@ -148,14 +163,6 @@ pub trait TraceSource {
             pos += 1;
             keep
         })
-    }
-
-    /// The events themselves, if this source already holds them in
-    /// memory: the audit then borrows its epochs straight from the
-    /// slice instead of pulling owned copies through
-    /// [`TraceSource::stream_events_from`].
-    fn resident_events(&self) -> Option<&[Event]> {
-        None
     }
 }
 
@@ -181,8 +188,16 @@ impl TraceSource for Trace {
         Ok(())
     }
 
-    fn resident_events(&self) -> Option<&[Event]> {
-        Some(&self.events)
+    fn for_each_epoch(
+        &self,
+        budget: usize,
+        sink: &mut dyn FnMut(Epoch<'_>) -> bool,
+    ) -> Result<(), TraceStoreError> {
+        let _ = self
+            .events
+            .chunks(budget.max(1))
+            .all(|events| sink(events.into()));
+        Ok(())
     }
 }
 
@@ -203,8 +218,12 @@ impl TraceSource for BalancedTrace {
         self.as_trace().stream_events_from(start, sink)
     }
 
-    fn resident_events(&self) -> Option<&[Event]> {
-        Some(self.events())
+    fn for_each_epoch(
+        &self,
+        budget: usize,
+        sink: &mut dyn FnMut(Epoch<'_>) -> bool,
+    ) -> Result<(), TraceStoreError> {
+        self.as_trace().for_each_epoch(budget, sink)
     }
 }
 
@@ -333,7 +352,48 @@ mod tests {
             events: pair(5).to_vec(),
         };
         let balanced = trace.ensure_balanced().unwrap();
-        assert_eq!(balanced.resident_events(), Some(&trace.events[..]));
         assert_eq!(balanced.event_count(), 2);
+        let mut lent = Vec::new();
+        balanced
+            .for_each_epoch(usize::MAX, &mut |epoch| {
+                lent.extend(epoch.iter().map(|e| e.to_owned()));
+                true
+            })
+            .unwrap();
+        assert_eq!(lent, trace.events);
+    }
+
+    #[test]
+    fn resident_epochs_are_budget_sized_slices() {
+        let mut events = Vec::new();
+        for rid in 1..=5 {
+            events.extend(pair(rid));
+        }
+        let trace = Trace {
+            events: events.clone(),
+        };
+        for budget in [0usize, 1, 3, 10, 11, usize::MAX] {
+            let mut lens = Vec::new();
+            let mut seen = Vec::new();
+            trace
+                .for_each_epoch(budget, &mut |epoch| {
+                    lens.push(epoch.len());
+                    seen.extend(epoch.iter().map(|e| e.to_owned()));
+                    true
+                })
+                .unwrap();
+            assert_eq!(seen, events, "budget {budget}");
+            let full = budget.clamp(1, events.len());
+            assert!(lens[..lens.len() - 1].iter().all(|&l| l == full));
+        }
+        // The sink's stop signal ends the walk.
+        let mut epochs = 0;
+        trace
+            .for_each_epoch(2, &mut |_| {
+                epochs += 1;
+                false
+            })
+            .unwrap();
+        assert_eq!(epochs, 1);
     }
 }

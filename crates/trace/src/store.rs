@@ -21,19 +21,22 @@
 //!
 //! [`TraceStoreReader`] validates every segment header at open time
 //! (magic, version, and that the file length matches the header's
-//! payload length — a torn tail fails here) and streams events by
-//! decoding one segment at a time, so the resident ingest buffer is
-//! bounded by the largest segment, not the trace length. Payload
-//! checksums are verified as each segment is decoded.
+//! payload length — a torn tail fails here) reading only the header
+//! bytes of each file. Events are then read a segment at a time: each
+//! file is checksummed as stored, decompressed once, and parsed into a
+//! [`SegmentView`] that the audit scans in place
+//! ([`TraceSource::for_each_epoch`]) or that is copied out event by
+//! event ([`TraceSource::stream_events`]).
 
 use crate::record::{Event, Trace};
-use crate::segment::{decode_segment, encode_segment, read_header};
+use crate::segment::{encode_segment, read_header, SegmentView, MAX_HEADER_LEN};
 use crate::source::{TraceSource, TraceStoreError};
+use crate::view::Epoch;
 use orochi_common::codec::{Decoder, Encoder};
 use orochi_common::hash::fnv1a;
 use orochi_obs::{LazyCounter, LazyHistogram};
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// Segments sealed across all writers.
@@ -227,7 +230,7 @@ impl TraceStoreWriter {
     }
 }
 
-/// Reads a sealed trace store; implements [`TraceSource`] by decoding
+/// Reads a sealed trace store; implements [`TraceSource`] by parsing
 /// one segment at a time.
 #[derive(Debug)]
 pub struct TraceStoreReader {
@@ -274,17 +277,23 @@ impl TraceStoreReader {
         for name in &names {
             let path = dir.join(name);
             let label = path.display().to_string();
-            let bytes = fs::read(&path).map_err(|e| TraceStoreError::io(label.clone(), &e))?;
-            let header = read_header(&bytes, &label)?;
+            let io_err = |e: io::Error| TraceStoreError::io(label.clone(), &e);
+            let file = fs::File::open(&path).map_err(io_err)?;
+            let file_len = file.metadata().map_err(io_err)?.len();
+            let mut head = Vec::with_capacity(MAX_HEADER_LEN);
+            file.take(MAX_HEADER_LEN as u64)
+                .read_to_end(&mut head)
+                .map_err(io_err)?;
+            let header = read_header(&head, &label)?;
             // The header is self-delimiting; everything after it must be
             // exactly the declared payload.
-            let header_len = header_len(&bytes);
-            if bytes.len() as u64 != header_len as u64 + header.payload_len {
+            let declared = (header.header_len as u64).checked_add(header.payload_len);
+            if declared != Some(file_len) {
                 return Err(TraceStoreError::corrupt(label, "segment truncated"));
             }
             events += header.event_count;
-            segment_bytes += bytes.len() as u64;
-            max_segment_bytes = max_segment_bytes.max(bytes.len());
+            segment_bytes += file_len;
+            max_segment_bytes = max_segment_bytes.max(file_len as usize);
             segments.push((path, header.event_count));
         }
         Ok(TraceStoreReader {
@@ -321,44 +330,46 @@ impl TraceStoreReader {
     pub fn read_blob(&self, name: &str) -> Result<Vec<u8>, TraceStoreError> {
         let path = self.dir.join(format!("{name}{BLOB_SUFFIX}"));
         let label = path.display().to_string();
-        let bytes = fs::read(&path).map_err(|e| TraceStoreError::io(label.clone(), &e))?;
+        let mut bytes = fs::read(&path).map_err(|e| TraceStoreError::io(label.clone(), &e))?;
+        let truncated = |_| TraceStoreError::corrupt(label.clone(), "blob truncated");
         let mut dec = Decoder::new(&bytes);
         let mut magic = [0u8; 4];
         for slot in &mut magic {
-            *slot = dec
-                .byte()
-                .map_err(|_| TraceStoreError::corrupt(label.clone(), "blob truncated"))?;
+            *slot = dec.byte().map_err(truncated)?;
         }
         if magic != BLOB_MAGIC {
             return Err(TraceStoreError::corrupt(label, "bad blob magic"));
         }
-        let checksum = dec
-            .u64()
-            .map_err(|_| TraceStoreError::corrupt(label.clone(), "blob truncated"))?;
-        let body = dec
-            .bytes()
-            .map_err(|_| TraceStoreError::corrupt(label.clone(), "blob truncated"))?;
+        let checksum = dec.u64().map_err(truncated)?;
+        let body = dec.bytes_ref().map_err(truncated)?;
         if !dec.is_done() {
             return Err(TraceStoreError::corrupt(label, "trailing bytes after blob"));
         }
-        if fnv1a(&body) != checksum {
+        if fnv1a(body) != checksum {
             return Err(TraceStoreError::corrupt(label, "blob checksum mismatch"));
         }
-        Ok(body)
+        // The body is the file's tail: shift it down over the framing
+        // instead of copying it into a second buffer.
+        let framing = bytes.len() - body.len();
+        bytes.drain(..framing);
+        Ok(bytes)
     }
-}
 
-/// Length of the self-delimiting segment header in `bytes` (magic +
-/// version + three varints). Assumes `read_header` already succeeded.
-fn header_len(bytes: &[u8]) -> usize {
-    let mut dec = Decoder::new(bytes);
-    for _ in 0..5 {
-        let _ = dec.byte();
+    /// Reads segment `k` off disk and parses it, checking the event
+    /// count against the header read at open time.
+    fn load(&self, k: usize) -> Result<SegmentView, TraceStoreError> {
+        let (path, expected) = &self.segments[k];
+        let label = path.display().to_string();
+        let bytes = fs::read(path).map_err(|e| TraceStoreError::io(label.clone(), &e))?;
+        let view = SegmentView::parse(&bytes, &label)?;
+        if view.len() as u64 != *expected {
+            return Err(TraceStoreError::corrupt(
+                label,
+                "payload event count disagrees with header",
+            ));
+        }
+        Ok(view)
     }
-    let _ = dec.u64();
-    let _ = dec.u64();
-    let _ = dec.u64();
-    bytes.len() - dec.remaining()
 }
 
 impl TraceSource for TraceStoreReader {
@@ -366,24 +377,40 @@ impl TraceSource for TraceStoreReader {
         self.events as usize
     }
 
-    fn stream_events(&self, sink: &mut dyn FnMut(Event) -> bool) -> Result<(), TraceStoreError> {
-        for (path, expected) in &self.segments {
-            let label = path.display().to_string();
-            let bytes = fs::read(path).map_err(|e| TraceStoreError::io(label.clone(), &e))?;
-            let events = decode_segment(&bytes, &label)?;
-            if events.len() as u64 != *expected {
-                return Err(TraceStoreError::corrupt(
-                    label,
-                    "payload event count disagrees with header",
-                ));
+    fn for_each_epoch(
+        &self,
+        budget: usize,
+        sink: &mut dyn FnMut(Epoch<'_>) -> bool,
+    ) -> Result<(), TraceStoreError> {
+        let budget = budget.max(1);
+        // The parsed segments the current epoch spans, oldest first,
+        // and how many events of `held[0]` earlier epochs already lent
+        // (the epoch's walk resumes past them from a checkpoint, so a
+        // segment cut into many epochs is still decoded once).
+        let mut held: Vec<SegmentView> = Vec::new();
+        let mut skip = 0usize;
+        let mut next_segment = 0usize;
+        loop {
+            let mut available = held.iter().map(SegmentView::len).sum::<usize>() - skip;
+            while available < budget && next_segment < self.segments.len() {
+                let view = self.load(next_segment)?;
+                next_segment += 1;
+                available += view.len();
+                held.push(view);
             }
-            for event in events {
-                if !sink(event) {
-                    return Ok(());
-                }
+            let len = available.min(budget);
+            if len == 0 || !sink(Epoch::segments(&held, skip, len)) {
+                return Ok(());
+            }
+            skip += len;
+            while held.first().is_some_and(|view| view.len() <= skip) {
+                skip -= held.remove(0).len();
             }
         }
-        Ok(())
+    }
+
+    fn stream_events(&self, sink: &mut dyn FnMut(Event) -> bool) -> Result<(), TraceStoreError> {
+        self.stream_events_from(0, sink)
     }
 
     fn stream_events_from(
@@ -391,30 +418,19 @@ impl TraceSource for TraceStoreReader {
         start: usize,
         sink: &mut dyn FnMut(Event) -> bool,
     ) -> Result<(), TraceStoreError> {
-        let start = start as u64;
-        let mut pos = 0u64;
-        for (path, expected) in &self.segments {
+        let mut skip = start as u64;
+        for (k, (_, expected)) in self.segments.iter().enumerate() {
             // Whole segments before the start position are skipped
             // without reading them — the header event counts recorded
             // at open time are enough to locate the resume point.
-            if pos + expected <= start {
-                pos += expected;
+            if skip > 0 && *expected <= skip {
+                skip -= expected;
                 continue;
             }
-            let label = path.display().to_string();
-            let bytes = fs::read(path).map_err(|e| TraceStoreError::io(label.clone(), &e))?;
-            let events = decode_segment(&bytes, &label)?;
-            if events.len() as u64 != *expected {
-                return Err(TraceStoreError::corrupt(
-                    label,
-                    "payload event count disagrees with header",
-                ));
-            }
-            for event in events {
-                if pos >= start && !sink(event) {
-                    return Ok(());
-                }
-                pos += 1;
+            let view = self.load(k)?;
+            let resume = std::mem::take(&mut skip) as usize;
+            if !view.events_from(resume).all(|e| sink(e.to_owned())) {
+                return Ok(());
             }
         }
         Ok(())

@@ -5,6 +5,10 @@
 //!   written into sealed segments streams back event-identical through
 //!   the [`TraceSource`] API, across segment-size budgets that force
 //!   multi-segment stores.
+//! * Property: what the store *lends* ([`TraceSource::for_each_epoch`])
+//!   is field for field what it *copies out*, at every epoch budget, and
+//!   comparing a lent response with an owned one agrees with
+//!   `HttpResponse`'s own equality.
 //! * Corruption: a flipped payload byte, a truncated tail, and a
 //!   damaged header are all rejected with their stable diagnostics.
 //! * Equivalence: serve → spill → drop the in-RAM trace → audit from
@@ -16,8 +20,8 @@ use orochi::harness::{
     run_audit_cold, run_audit_with, serve, spill_bundle, AppWorkload, AuditOptions, ServeOptions,
 };
 use orochi::trace::{
-    Event, HttpRequest, HttpResponse, Trace, TraceSource, TraceStoreError, TraceStoreReader,
-    TraceStoreWriter,
+    Event, EventRef, HttpRequest, HttpResponse, Trace, TraceSource, TraceStoreError,
+    TraceStoreReader, TraceStoreWriter,
 };
 use orochi_common::ids::RequestId;
 use proptest::prelude::*;
@@ -118,6 +122,119 @@ proptest! {
             // A tiny budget must actually split the store.
             prop_assert!(segments > 1, "expected multiple segments, got {segments}");
         }
+    }
+}
+
+/// [`varied_trace_strategy`] with the cases the lanes' edges need:
+/// empty bodies, multibyte strings, header lists of two (so order
+/// matters) with a multibyte value.
+fn edgy_trace_strategy(max_requests: usize) -> impl Strategy<Value = Trace> {
+    varied_trace_strategy(max_requests).prop_map(|mut trace| {
+        for (i, event) in trace.events.iter_mut().enumerate() {
+            match event {
+                Event::Request(_, req) if i % 3 == 0 => {
+                    req.path = format!("/café/{}.php", i % 4);
+                    req.post.push(("ключ".into(), String::new()));
+                }
+                Event::Response(_, resp) if i % 4 == 1 => resp.body.clear(),
+                Event::Response(_, resp) if i % 4 == 3 => {
+                    resp.headers.push(("x-cache".into(), "miss ✓".into()));
+                    resp.headers.push(("set-cookie".into(), format!("s={i}")));
+                }
+                _ => {}
+            }
+        }
+        trace
+    })
+}
+
+/// `owned` with exactly one field changed, one variant per field.
+fn single_field_variants(owned: &HttpResponse) -> Vec<HttpResponse> {
+    let mut variants = Vec::new();
+    let mut vary = |change: &dyn Fn(&mut HttpResponse)| {
+        let mut variant = owned.clone();
+        change(&mut variant);
+        variants.push(variant);
+    };
+    vary(&|r| r.rid_label = RequestId(r.rid_label.0 ^ 1));
+    vary(&|r| r.status ^= 1);
+    vary(&|r| r.body.push('x'));
+    vary(&|r| r.headers.reverse());
+    vary(&|r| r.headers.push(("x".into(), "y".into())));
+    vary(&|r| drop(r.headers.pop()));
+    vary(&|r| r.headers.iter_mut().for_each(|(_, v)| v.push('!')));
+    vary(&|r| r.headers.iter_mut().for_each(|(k, _)| k.push('!')));
+    variants
+}
+
+/// Asserts that the lent event shows exactly the owned event's fields.
+fn assert_lends(lent: EventRef<'_>, owned: &Event) {
+    match (lent, owned) {
+        (EventRef::Request(rid, lent), Event::Request(owned_rid, owned)) => {
+            assert_eq!(rid, *owned_rid);
+            assert_eq!(lent.method(), owned.method);
+            assert_eq!(lent.path(), owned.path);
+            assert!(lent.query() == owned.query[..]);
+            assert!(lent.post() == owned.post[..]);
+            assert!(lent.cookies() == owned.cookies[..]);
+            assert_eq!(&lent.to_owned(), owned);
+        }
+        (EventRef::Response(rid, lent), Event::Response(owned_rid, owned)) => {
+            assert_eq!(rid, *owned_rid);
+            assert_eq!(lent.rid_label(), owned.rid_label);
+            assert_eq!(lent.status(), owned.status);
+            assert_eq!(lent.body(), owned.body);
+            assert!(lent.headers() == owned.headers[..]);
+            assert_eq!(&lent.to_owned(), owned);
+            // The audit's in-place output compare is HttpResponse's ==.
+            assert!(lent == *owned);
+            for variant in single_field_variants(owned) {
+                assert_eq!(
+                    lent == variant,
+                    *owned == variant,
+                    "{owned:?} vs {variant:?}"
+                );
+            }
+        }
+        (lent, owned) => panic!("kinds differ: {lent:?} vs {owned:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The view and the owned path are two projections of one parser:
+    /// every event the store lends equals the event it copies out — and
+    /// so does the same event lent from RAM — whatever the segment
+    /// budget and however the epochs cut across segments.
+    #[test]
+    fn lent_events_equal_owned_events(
+        trace in edgy_trace_strategy(10),
+        segment_budget in prop_oneof![Just(0usize), Just(64), Just(512)],
+        epoch_budget in prop_oneof![Just(1usize), Just(3), Just(7), Just(usize::MAX)],
+    ) {
+        let dir = temp_store_dir("lend");
+        let mut writer = TraceStoreWriter::create(&dir, segment_budget).unwrap();
+        writer.append_trace(&trace).unwrap();
+        writer.finish().unwrap();
+        let reader = TraceStoreReader::open(&dir).unwrap();
+        for source in [&reader as &dyn TraceSource, &trace] {
+            let mut owned = trace.events.iter();
+            source
+                .for_each_epoch(epoch_budget, &mut |epoch| {
+                    assert!(!epoch.is_empty() && epoch.len() <= epoch_budget);
+                    // Everything an epoch lends stays valid together.
+                    let lent: Vec<EventRef<'_>> = epoch.iter().collect();
+                    assert_eq!(lent.len(), epoch.len());
+                    for lent in lent {
+                        assert_lends(lent, owned.next().expect("no more events than owned"));
+                    }
+                    true
+                })
+                .unwrap();
+            prop_assert!(owned.next().is_none(), "fewer events lent than owned");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
