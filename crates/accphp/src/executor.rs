@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// control-flow digests; the register engine is the default because its
 /// fixed-width instructions and pooled register windows dispatch faster.
 /// The stack engine is kept as the differential baseline (property
-/// tests, `fig10_instructions`, the `OROCHI_VM_ENGINE=stack` knob).
+/// tests, `tests/sharing.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VmEngine {
     /// Fixed-width 32-bit register bytecode (the default).
@@ -120,8 +120,8 @@ impl ExecutorStats {
 pub struct AccPhpExecutor {
     /// Shared handles: a group borrows its script without copying it.
     scripts: HashMap<String, Arc<CompiledScript>>,
-    /// Force the scalar path for every request (the "SIMD off" ablation
-    /// arm, §5.2).
+    /// Force the scalar path for every request ("SIMD off", §5.2 — the
+    /// simple re-execution the audit is measured against).
     pub force_scalar: bool,
     /// Maximum group size per superposed execution (OROCHI caps at
     /// 3,000 to avoid thrashing, §4.7); larger groups split.

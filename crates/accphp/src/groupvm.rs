@@ -25,8 +25,8 @@
 //! This file is the register encoding's operand traffic; lane effects,
 //! accounting, the per-lane helper and the builtins are the `group`
 //! module, shared with the previous stack-bytecode group engine, which
-//! survives as [`stack`] — the differential baseline
-//! `fig10_instructions` and the property tests compare against.
+//! survives as [`stack`] — the differential baseline the property
+//! tests and `tests/sharing.rs` compare against.
 
 use crate::mval::MVal;
 use orochi_common::ids::RequestId;

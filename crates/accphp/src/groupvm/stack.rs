@@ -4,7 +4,7 @@
 //! Runs the stack `code` stream with every stack slot, local, and
 //! global holding an [`MVal`]. Everything that is not operand traffic —
 //! lane effects, accounting, the per-lane apply helper, builtins — is
-//! the shared `group::Group`; `fig10_instructions` and the property tests
+//! the shared `group::Group`; the property tests and `tests/sharing.rs`
 //! compare the two engines' outputs, verdicts, and dispatch counts.
 
 use crate::mval::MVal;

@@ -184,8 +184,8 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
 /// (O(epoch + carry) instead of O(trace)), and OS-level RSS is too
 /// coarse to compare two audits inside one process — the allocator
 /// caches pages from the first run. Counting live bytes at the
-/// allocator seam gives an exact, portable measurement. A bench binary
-/// opts in with
+/// allocator seam gives an exact, portable measurement. A test binary
+/// (`tests/peak_heap.rs`) opts in with
 ///
 /// ```ignore
 /// #[global_allocator]

@@ -281,7 +281,7 @@ pub struct AuditConfig {
     /// Initial key-value contents per object name.
     pub initial_kv: HashMap<String, HashMap<String, Vec<u8>>>,
     /// Enables read-query deduplication (§4.5); on by default, off for
-    /// the ablation bench.
+    /// the simple-re-execution baseline.
     pub query_dedup: bool,
 }
 
@@ -1069,9 +1069,9 @@ impl AuditCarry {
 
 /// Folds the redo statistics and store sizes into the final outcome,
 /// and mirrors the phase walls and dispatch counters into the
-/// telemetry registry — the single write point, so fig9 consumers can
-/// read either the per-run `PhaseTimer` or the process-wide metrics
-/// and see the same accounting.
+/// telemetry registry — the single write point, so Fig. 9 consumers
+/// can read either the per-run `PhaseTimer` or the process-wide
+/// metrics and see the same accounting.
 pub(crate) fn assemble_outcome(
     shared: &AuditShared<'_>,
     mut stats: AuditStats,
@@ -1091,7 +1091,7 @@ pub(crate) fn assemble_outcome(
     AuditOutcome { stats }
 }
 
-/// The fig9 phase rows and their registry counter names.
+/// The Fig. 9 phase rows and their registry counter names.
 const PHASE_COUNTERS: [(&str, &str); 6] = [
     ("Balance", "audit_phase_balance_ns"),
     ("ProcOpRep", "audit_phase_procoprep_ns"),

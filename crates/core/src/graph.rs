@@ -338,9 +338,8 @@ impl AuditGraph {
     }
 
     /// [`AuditGraph::is_acyclic`] with a caller-provided indegree
-    /// scratch buffer, for repeated checks (the cycle-check microbench
-    /// in the `timeprec` bench reuses one allocation across
-    /// iterations).
+    /// scratch buffer, for repeated checks that reuse one allocation
+    /// across iterations.
     pub fn is_acyclic_with(&self, indegree_scratch: &mut Vec<u32>) -> bool {
         self.kahn(indegree_scratch, |_| {})
     }
@@ -723,20 +722,16 @@ fn fill_csr_parallel(
 }
 
 pub mod two_phase {
-    //! The pre-CSR construction, preserved as a baseline and oracle.
+    //! The pre-CSR construction, preserved as an oracle.
     //!
     //! This is the shape the streamed builder replaced: materialize the
     //! Fig. 6 edge list as `(RequestId, RequestId)` pairs, re-hash every
     //! endpoint through a `rid -> index` map, buffer adjacency as
     //! `Vec<Vec<u32>>`, build the OpMap as a `HashMap`, and recount
     //! indegrees with an O(E) sweep before Kahn's check. It is kept —
-    //! not called by the audit — for two jobs:
-    //!
-    //! * the `timeprec` bench's graph-layer ablation times it against
-    //!   [`super::process_op_reports`] (streamed CSR must win);
-    //! * the property suite runs both on fuzzed traces/reports and
-    //!   demands the same verdict, the same diagnostic, and the same
-    //!   edge multiset.
+    //! not called by the audit — because the property suite runs both
+    //! on fuzzed traces/reports and demands the same verdict, the same
+    //! diagnostic, and the same edge multiset.
 
     use super::GraphRejection;
     use crate::precedence::create_time_precedence_graph;

@@ -43,8 +43,7 @@
 //! [`create_time_precedence_graph`] wraps the stream back into the
 //! explicit [`TimePrecedenceGraph`] edge list for tests and tools;
 //! [`dense_time_precedence`] is the quadratic reference implementation
-//! used as a property-test oracle and as the naive baseline in the
-//! `timeprec` ablation bench.
+//! used as a property-test oracle.
 
 use orochi_common::ids::RequestId;
 use orochi_trace::record::{BalancedTrace, DenseEvent, Event, RidInterner};
@@ -208,9 +207,8 @@ pub fn create_time_precedence_graph(trace: &BalancedTrace) -> TimePrecedenceGrap
 
 /// Quadratic reference construction: one edge for **every** pair with
 /// `r1 <Tr r2` (no transitive reduction). Same reachability as the
-/// frontier algorithm; `O(X²)` time and edges. This plays the role of
-/// the naive baseline in the `timeprec` bench and the oracle in property
-/// tests.
+/// frontier algorithm; `O(X²)` time and edges. It is the oracle in the
+/// property tests.
 pub fn dense_time_precedence(trace: &BalancedTrace) -> TimePrecedenceGraph {
     let mut graph = TimePrecedenceGraph::default();
     let rids: Vec<RequestId> = trace

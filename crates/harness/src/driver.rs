@@ -1,12 +1,11 @@
-//! Serving and auditing drivers shared by every experiment.
+//! Serving and auditing drivers shared by the tests, the examples and
+//! the benchmark.
 //!
 //! All three serving modes — closed-loop ([`serve`]/[`serve_drained`]),
 //! and open-loop ([`serve_open_loop`]/[`serve_open_loop_with`]) — are
 //! drivers over one abstraction, the [`Frontend`]: a bounded admission
-//! queue feeding a fixed worker pool. `OROCHI_SERVE_THREADS` and
-//! `OROCHI_SERVE_QUEUE` configure the pool and queue depth everywhere.
+//! queue feeding a fixed worker pool.
 
-use crate::config::Config;
 use orochi_accphp::executor::{ExecutorStats, VmEngine};
 use orochi_accphp::AccPhpExecutor;
 use orochi_apps::AppDefinition;
@@ -16,10 +15,8 @@ use orochi_core::streaming::{audit_streaming_source, StreamingAudit};
 use orochi_obs::HistogramSnapshot;
 use orochi_server::server::AuditBundle;
 use orochi_server::{Frontend, FrontendConfig, Server, ServerConfig, ShedPolicy};
-use orochi_trace::{
-    Trace, TraceSource, TraceStoreError, TraceStoreReader, TraceStoreSummary, TraceStoreWriter,
-};
-use orochi_workload::Workload;
+use orochi_trace::{TraceStoreError, TraceStoreReader, TraceStoreSummary, TraceStoreWriter};
+use orochi_workload::{forum, hotcrp, mixed, shop, wiki, Workload};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -34,6 +31,52 @@ pub struct AppWorkload {
 }
 
 impl AppWorkload {
+    /// The shop workload at `scale`.
+    pub fn shop(scale: f64, seed: u64) -> AppWorkload {
+        let params = shop::Params::scaled(scale);
+        AppWorkload {
+            app: orochi_apps::shop::app(),
+            workload: shop::generate(&params, seed),
+            seed_sql: shop::seed_sql(&params),
+        }
+    }
+
+    /// The three paper workloads (wiki, forum, hotcrp) plus the shop at
+    /// `scale`.
+    pub fn paper(scale: f64, seed: u64) -> Vec<AppWorkload> {
+        let forum_params = forum::Params::scaled(scale);
+        vec![
+            AppWorkload {
+                app: orochi_apps::wiki::app(),
+                workload: wiki::generate(&wiki::Params::scaled(scale), seed),
+                seed_sql: Vec::new(),
+            },
+            AppWorkload {
+                app: orochi_apps::forum::app(),
+                workload: forum::generate(&forum_params, seed),
+                seed_sql: forum::seed_sql(&forum_params),
+            },
+            AppWorkload {
+                app: orochi_apps::hotcrp::app(),
+                workload: hotcrp::generate(&hotcrp::Params::scaled(scale), seed),
+                seed_sql: Vec::new(),
+            },
+            AppWorkload::shop(scale, seed),
+        ]
+    }
+
+    /// The mixed four-app workload at `scale`: all tenants behind one
+    /// front-end (`orochi_apps::mixed`), requests interleaved by
+    /// `orochi_workload::mixed`.
+    pub fn mixed(scale: f64, seed: u64) -> AppWorkload {
+        let params = mixed::Params::scaled(scale);
+        AppWorkload {
+            app: orochi_apps::mixed::app(),
+            workload: mixed::generate(&params, seed),
+            seed_sql: mixed::seed_sql(&params),
+        }
+    }
+
     /// The initial database both sides start from.
     pub fn initial_db(&self) -> orochi_sqldb::Database {
         let mut db = self.app.initial_db();
@@ -82,9 +125,14 @@ pub struct ServeOptions {
 }
 
 impl Default for ServeOptions {
-    /// The environment's configuration ([`Config::from_env`]).
+    /// Four workers, an unbounded queue, recording on, seed 42.
     fn default() -> Self {
-        Config::from_env().serve_options()
+        ServeOptions {
+            threads: 4,
+            queue_depth: 0,
+            recording: true,
+            seed: 42,
+        }
     }
 }
 
@@ -123,9 +171,9 @@ fn build_server(work: &AppWorkload, recording: bool, seed: u64) -> Server {
 
 /// Serves a workload and returns the *drained* server (worker pool
 /// joined) plus the measured-phase wall time. Callers that only need
-/// the bundle should use [`serve`]; this variant exists so experiments
-/// can measure report assembly itself (e.g. the sequential vs
-/// object-sharded stitch) before consuming the server.
+/// the bundle should use [`serve`]; this variant exists so the
+/// benchmark can time report assembly itself before consuming the
+/// server.
 ///
 /// The measured requests are fed straight off the borrowed workload
 /// into the front-end's admission queue (one clone per request as it is
@@ -208,9 +256,9 @@ pub fn serve_open_loop(
     )
 }
 
-/// [`serve_open_loop`] with explicit queue and shedding knobs (the
-/// saturation sweep bounds the queue and sheds so overload measures
-/// sustained capacity instead of queue growth).
+/// [`serve_open_loop`] with explicit queue and shedding knobs (bound
+/// the queue and shed so overload measures sustained capacity instead
+/// of queue growth).
 pub fn serve_open_loop_with(
     work: &AppWorkload,
     rate_per_sec: f64,
@@ -299,20 +347,8 @@ impl Default for AuditOptions {
             grouped: true,
             dedup: true,
             threads: 1,
-            engine: vm_engine_from_env(),
+            engine: VmEngine::Register,
         }
-    }
-}
-
-/// VM engine from the `OROCHI_VM_ENGINE` environment variable: unset or
-/// `register` selects the register bytecode engine; `stack` selects the
-/// legacy stack interpreter (the differential baseline).
-pub fn vm_engine_from_env() -> VmEngine {
-    match std::env::var("OROCHI_VM_ENGINE") {
-        Ok(v) if v.eq_ignore_ascii_case("stack") => VmEngine::Stack,
-        Ok(v) if v.eq_ignore_ascii_case("register") || v.is_empty() => VmEngine::Register,
-        Ok(v) => panic!("OROCHI_VM_ENGINE must be 'register' or 'stack', got {v:?}"),
-        Err(_) => VmEngine::Register,
     }
 }
 
@@ -435,31 +471,6 @@ pub fn run_audit_cold(
     run_audit_streaming(reader, work, opts, 0)
 }
 
-/// [`run_audit_cold`] the way it ran before the audit scanned segments
-/// in place: every event is first copied out of the store into an owned
-/// [`Trace`], and that resident trace is audited as one epoch. Nothing
-/// should audit this way; it is the yardstick the streaming bench
-/// measures the bounded carry against — a batch audit's footprint when
-/// the trace itself is resident.
-pub fn run_audit_materialized(
-    reader: &TraceStoreReader,
-    work: &AppWorkload,
-    opts: &AuditOptions,
-) -> Result<AuditRun, Rejection> {
-    let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
-    let mut trace = Trace::default();
-    let mut keep = |event| {
-        trace.events.push(event);
-        true
-    };
-    reader
-        .stream_events(&mut keep)
-        .map_err(Rejection::TraceStore)?;
-    run_on(work, opts, |executors, config| {
-        audit_streaming_source(&trace, &reports, executors, config, 0)
-    })
-}
-
 /// Audits a segmented trace store in epochs of `epoch_events` events
 /// (`0` = one epoch, i.e. batch), re-executing incrementally with
 /// bounded carry. Verdicts and diagnostics are byte-identical to
@@ -555,6 +566,40 @@ mod tests {
             workload: wiki::generate(&wiki::Params::scaled(0.01), 1),
             seed_sql: Vec::new(),
         }
+    }
+
+    #[test]
+    fn serve_thread_resolution() {
+        let hw = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        assert_eq!(resolve_serve_threads(0), hw);
+        // Serving workers may oversubscribe (they block on the DB
+        // lock), so explicit requests are honored, not clamped.
+        assert_eq!(resolve_serve_threads(64), 64);
+    }
+
+    #[test]
+    fn audit_thread_resolution_clamps() {
+        let hw = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        assert_eq!(resolve_audit_threads(0), hw);
+        assert_eq!(resolve_audit_threads(1), 1);
+        assert_eq!(resolve_audit_threads(usize::MAX), hw);
+    }
+
+    #[test]
+    fn mixed_workload_serves_all_tenants() {
+        let work = AppWorkload::mixed(0.01, 3);
+        assert_eq!(work.app.name, "mixed");
+        for t in ["/wiki/", "/forum/", "/hotcrp/", "/shop/"] {
+            assert!(
+                work.workload.requests.iter().any(|r| r.path.starts_with(t)),
+                "missing tenant {t}"
+            );
+        }
+        assert!(!work.seed_sql.is_empty(), "forum+shop seed SQL expected");
     }
 
     #[test]

@@ -1,33 +1,25 @@
-//! End-to-end experiment drivers: everything needed to regenerate the
-//! paper's tables and figures (§5).
+//! End-to-end drivers: serve a workload, spill it, audit it, attack it.
 //!
-//! * [`driver`] — serve a workload on the online executor (with a
-//!   configurable client-thread count or an open-loop Poisson schedule)
-//!   and run audits over the resulting bundle.
-//! * [`experiments`] — one function per table/figure: Fig. 8 (main
-//!   results + latency/throughput), Fig. 9 (audit CPU decomposition),
-//!   Fig. 11 (control-flow group characteristics), and the §5.2
-//!   sources-of-acceleration ablation.
-//! * [`obs`] — telemetry artifact export (`--obs-out`): registry
-//!   snapshot as JSON and Prometheus text, event journal as
-//!   chrome://tracing JSON.
+//! * [`driver`] — build a workload ([`AppWorkload`]), serve it on the
+//!   online executor (closed loop or an open-loop Poisson schedule),
+//!   spill the bundle to a trace store, and audit it in RAM, cold, or
+//!   in epochs.
+//! * [`mutation`] / [`tamper`] — the adversary: seeded mutation
+//!   operators over a served bundle, and the hand-written tampers.
+//! * [`campaign`] — the mutation sweep: every mutant must be rejected
+//!   identically on every audit path.
 //!
-//! Workload sizes default to a CI-friendly scale; set `OROCHI_FULL=1`
-//! for the paper's full request counts.
+//! Measurement lives in the standalone `benchmark/` crate
+//! (`BENCHMARK.json`); nothing here reads the environment.
 
-pub mod config;
+pub mod campaign;
 pub mod driver;
-pub mod experiments;
 pub mod mutation;
-pub mod obs;
 pub mod tamper;
 
-pub use config::{Config, Threads};
 pub use driver::{
-    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_cold,
-    run_audit_materialized, run_audit_streaming, run_audit_with, serve, serve_and_audit,
-    serve_drained, serve_open_loop, serve_open_loop_with, spill_bundle, AppWorkload, AuditOptions,
-    AuditRun, OpenLoopOptions, ServeAudit, ServeOptions, ServeResult,
+    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_cold, run_audit_streaming,
+    run_audit_with, serve, serve_and_audit, serve_drained, serve_open_loop, serve_open_loop_with,
+    spill_bundle, AppWorkload, AuditOptions, AuditRun, OpenLoopOptions, ServeAudit, ServeOptions,
+    ServeResult,
 };
-pub use experiments::scale_from_env;
-pub use obs::export_obs;

@@ -1,5 +1,4 @@
-//! Exporters: a JSON snapshot of the registry (merged into
-//! `BENCH_ci.json` rows by the bench bins) and a Prometheus-style
+//! Exporters: a JSON snapshot of the registry and a Prometheus-style
 //! text dump.
 
 use crate::registry::{snapshot_all, HistogramSnapshot, MetricValue};

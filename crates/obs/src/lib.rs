@@ -20,15 +20,15 @@
 //!   per serve worker / audit worker / trace-store writer, exportable
 //!   as chrome://tracing JSON so a whole serve→spill→cold-audit run
 //!   can be opened in a trace viewer.
-//! * [`export`] — a JSON snapshot (merged into `BENCH_ci.json` rows)
-//!   and a Prometheus-style text dump.
+//! * [`export`] — a JSON snapshot and a Prometheus-style text dump.
 //! * [`lag`] — the audit-lag epoch marks: trace-seal → verdict wall,
 //!   the first-class metric the streaming-epoch audit will stream.
 //!
 //! # Overhead contract
 //!
-//! Instrumentation must be cheap enough to leave compiled in. The
-//! rules, enforced by the `obs_overhead` bench row in CI:
+//! Instrumentation must be cheap enough to leave compiled in (the
+//! benchmark runs with the layer off, so the disabled-mode cost is
+//! inside every end-to-end metric). The rules:
 //!
 //! * **Counters and gauges are always on.** Their cost is one relaxed
 //!   atomic RMW — the same primitive the server already uses for

@@ -318,9 +318,9 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
     gauge_owned(name)
 }
 
-/// [`gauge`] for a runtime-constructed name (per-app gauges like
-/// `saturation_knee_rate_wiki`). The name is leaked only on first
-/// registration, so repeated lookups do not accumulate memory.
+/// [`gauge`] for a runtime-constructed name (per-app gauges). The name
+/// is leaked only on first registration, so repeated lookups do not
+/// accumulate memory.
 pub fn gauge_owned(name: &str) -> &'static Gauge {
     let mut reg = lock_registry();
     for (n, m) in &reg.entries {

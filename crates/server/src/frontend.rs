@@ -105,9 +105,8 @@ pub struct FrontendReport {
     /// [`ShedPolicy::Shed`]).
     pub shed: u64,
     /// Scheduled-submission latency distribution in microseconds — a
-    /// per-run log2 histogram merged across workers, so consumers
-    /// (e.g. the saturation experiment) can read percentiles without
-    /// re-sorting the raw latency vector.
+    /// per-run log2 histogram merged across workers, so consumers can
+    /// read percentiles without re-sorting the raw latency vector.
     pub latency: HistogramSnapshot,
 }
 

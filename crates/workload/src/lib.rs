@@ -15,14 +15,14 @@
 //!   products, Poisson-interleaved browse/add/checkout/abandon
 //!   sessions) that front-loads the register and KV audit paths.
 //!
-//! All four share the [`skew`] knob (`OROCHI_WORKLOAD_SKEW`): one Zipf
-//! `theta` over each workload's popularity axis plus a session-length
-//! multiplier, so experiments sweep the same parameter space.
+//! All four share the [`skew`] knob: one Zipf `theta` over each
+//! workload's popularity axis plus a session-length multiplier, so a
+//! sweep moves the same parameter space in every generator.
 //!
 //! Each generator produces a `Vec<HttpRequest>` the driver replays; all
 //! sampling is seeded, so workloads are reproducible. The `scale`
-//! parameter shrinks request counts for CI-sized runs
-//! (`OROCHI_FULL=1` in the harness selects scale 1.0).
+//! parameter shrinks request counts for CI-sized runs (1.0 is the
+//! paper's size).
 
 pub mod forum;
 pub mod hotcrp;

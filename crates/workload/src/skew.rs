@@ -8,13 +8,12 @@
 //! thing" is, and a session-length multiplier for how many requests a
 //! logged-in session issues before it ends.
 //!
-//! The knob comes from the `OROCHI_WORKLOAD_SKEW` environment variable
-//! (`"theta"`, `"theta,session_len"`, or `",session_len"`) or from the
-//! `--skew` / `--session-len` flags of the bench binaries, which set the
-//! same variable. Unset fields leave the generator's default untouched,
-//! so the paper's published parameters remain the defaults everywhere.
+//! Callers build a [`Skew`] and pass it to a generator's
+//! `Params::with_skew`. Unset fields leave the generator's default
+//! untouched, so the paper's published parameters remain the defaults
+//! everywhere.
 
-/// A parsed skew override. `None` fields keep the workload defaults.
+/// A skew override. `None` fields keep the workload defaults.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Skew {
     /// Zipf exponent over each workload's popularity axis (wiki pages,
@@ -26,44 +25,6 @@ pub struct Skew {
 }
 
 impl Skew {
-    /// Parses `"theta"`, `"theta,session_len"`, or `",session_len"`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use orochi_workload::skew::Skew;
-    ///
-    /// let s = Skew::parse("0.8,4").unwrap();
-    /// assert_eq!(s.theta, Some(0.8));
-    /// assert_eq!(s.session_len, Some(4.0));
-    /// assert_eq!(Skew::parse(",2").unwrap().theta, None);
-    /// ```
-    pub fn parse(raw: &str) -> Result<Skew, String> {
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return Ok(Skew::default());
-        }
-        let mut parts = raw.splitn(2, ',');
-        let theta_part = parts.next().unwrap_or("").trim();
-        let len_part = parts.next().unwrap_or("").trim();
-        let field = |label: &str, s: &str, min: f64| -> Result<Option<f64>, String> {
-            if s.is_empty() {
-                return Ok(None);
-            }
-            let v: f64 = s
-                .parse()
-                .map_err(|_| format!("{label} {s:?} is not a number"))?;
-            if !v.is_finite() || v < min {
-                return Err(format!("{label} {v} out of range (>= {min})"));
-            }
-            Ok(Some(v))
-        };
-        Ok(Skew {
-            theta: field("skew theta", theta_part, 0.0)?,
-            session_len: field("session length", len_part, 0.01)?,
-        })
-    }
-
     /// `theta`, defaulting to `base` when not overridden.
     pub fn theta_or(&self, base: f64) -> f64 {
         self.theta.unwrap_or(base)
@@ -79,58 +40,9 @@ impl Skew {
     }
 }
 
-/// Reads the skew knob from `OROCHI_WORKLOAD_SKEW`.
-///
-/// # Panics
-///
-/// Panics on a malformed value — a silently ignored sweep parameter
-/// would corrupt an experiment.
-pub fn from_env() -> Skew {
-    match std::env::var("OROCHI_WORKLOAD_SKEW") {
-        Ok(raw) => {
-            Skew::parse(&raw).unwrap_or_else(|e| panic!("OROCHI_WORKLOAD_SKEW invalid: {e}"))
-        }
-        Err(_) => Skew::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_forms() {
-        assert_eq!(Skew::parse("").unwrap(), Skew::default());
-        assert_eq!(
-            Skew::parse("1.2").unwrap(),
-            Skew {
-                theta: Some(1.2),
-                session_len: None
-            }
-        );
-        assert_eq!(
-            Skew::parse("0.53,3").unwrap(),
-            Skew {
-                theta: Some(0.53),
-                session_len: Some(3.0)
-            }
-        );
-        assert_eq!(
-            Skew::parse(",2.5").unwrap(),
-            Skew {
-                theta: None,
-                session_len: Some(2.5)
-            }
-        );
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Skew::parse("abc").is_err());
-        assert!(Skew::parse("-1").is_err());
-        assert!(Skew::parse("1,0").is_err());
-        assert!(Skew::parse("nan").is_err());
-    }
 
     #[test]
     fn defaults_pass_through() {

@@ -19,17 +19,19 @@
 //! * [`accphp`] — acc-PHP: the SIMD-on-demand multivalue VM the verifier
 //!   runs.
 //! * [`server`] — the online executor with untrusted report recording.
-//! * [`apps`] — the three evaluation applications (wiki, forum,
-//!   conference review).
+//! * [`apps`] — five applications: the paper's three (wiki, forum,
+//!   conference review), the `shop` storefront, and `mixed`, which
+//!   serves all four behind one front-end.
 //! * [`workload`] — workload generators with the paper's parameters.
-//! * [`harness`] — end-to-end experiment drivers that regenerate every
-//!   table and figure of the paper's evaluation.
+//! * [`harness`] — end-to-end drivers (serve, spill, audit) and the
+//!   adversary: mutation operators, tampers, and the campaign sweep.
 //! * [`obs`] — the telemetry layer: lock-free metrics registry, RAII
 //!   pipeline spans with a chrome://tracing journal, and the
 //!   JSON/Prometheus exporters behind `OROCHI_OBS`.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory and experiment index.
+//! inventory and experiment index. Measurement is the standalone
+//! `benchmark/` crate (`BENCHMARK.json`).
 
 pub use orochi_accphp as accphp;
 pub use orochi_apps as apps;
@@ -43,5 +45,3 @@ pub use orochi_sqldb as sqldb;
 pub use orochi_state as state;
 pub use orochi_trace as trace;
 pub use orochi_workload as workload;
-
-pub use orochi_harness::Config;

@@ -5,15 +5,16 @@
 //! everywhere. A pinned-plan regression guards the seed-replay
 //! contract: a `(seed, k)` pair must keep producing the same
 //! `MutationSite` debug rendering across runs, or escape reports stop
-//! being replayable.
+//! being replayable. The two `#[ignore]`d sweeps are the soundness gate
+//! at scale (CI runs the smoke one in release, the nightly both).
 
 use orochi::accphp::AccPhpExecutor;
 use orochi::core::audit::{audit, audit_parallel, AuditConfig, Rejection};
 use orochi::core::nondet::{NondetLog, NondetValue};
 use orochi::core::reports::Reports;
 use orochi::core::streaming::audit_streaming_source;
+use orochi::harness::campaign::campaign;
 use orochi::harness::driver::{serve, AppWorkload, ServeOptions};
-use orochi::harness::experiments::mixed_workload;
 use orochi::harness::mutation::{MutationPlan, MutationSite};
 use orochi::php::CompiledScript;
 use orochi::state::{ObjectName, OpContents, OpLog, OpLogEntry, OpLogs};
@@ -40,7 +41,7 @@ type Fixture = (
 fn fixture() -> &'static Fixture {
     static CELL: OnceLock<Fixture> = OnceLock::new();
     CELL.get_or_init(|| {
-        let work = mixed_workload(0.004, 21);
+        let work = AppWorkload::mixed(0.004, 21);
         let scripts = work.app.compile().expect("mixed app compiles");
         let served = serve(&work, &ServeOptions::default());
         let mut config = work.audit_config();
@@ -260,4 +261,44 @@ fn pinned_plan_reproduces_its_sites_byte_for_byte() {
     } = sites[0].clone();
     assert!(!operator.is_empty() && !object.is_empty() && !detail.is_empty());
     let _ = index;
+}
+
+/// One sweep: `campaigns` seeded plans (k cycling 1–3) at two audit
+/// threads. A survivor's `Debug` carries its plan seed, operators and
+/// sites — the replay contract — so the failure message is the escape
+/// report.
+fn sweep(scale: f64, campaigns: usize, epoch_events: usize) {
+    let r = campaign(scale, 0xC0FFEE, campaigns, 0, 2, epoch_events);
+    assert!(
+        r.honest_ok,
+        "the honest mixed control must accept on batch-1, batch-N and streaming"
+    );
+    assert!(
+        r.survivors.is_empty(),
+        "{} of {} mutants escaped: {:#?}",
+        r.survivors.len(),
+        r.campaigns,
+        r.survivors
+    );
+    assert!(r.campaigns >= 200, "a sweep is at least 200 mutants");
+    assert!(
+        r.operators.len() >= 10,
+        "a sweep must exercise >= 10 distinct operators, got {:?}",
+        r.operators
+    );
+}
+
+/// CI sizing: `cargo test --release -q --test campaign -- --ignored
+/// campaign_sweep_smoke`.
+#[test]
+#[ignore = "240 mutants; run in release"]
+fn campaign_sweep_smoke() {
+    sweep(0.01, 240, 64);
+}
+
+/// Nightly sizing.
+#[test]
+#[ignore = "1,000 mutants; run in release"]
+fn campaign_sweep_full() {
+    sweep(0.05, 1000, 512);
 }

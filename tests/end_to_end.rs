@@ -210,9 +210,10 @@ fn grouped_and_scalar_verifiers_agree() {
     }
     let bundle = server.into_bundle();
 
-    // Grouped (SIMD-on-demand).
+    // Grouped (SIMD-on-demand) with query dedup: fewer dispatches run
+    // than the trace represents, and some SELECTs come from the cache.
     let mut grouped = AccPhpExecutor::new(scripts.clone());
-    audit(
+    let outcome = audit(
         &bundle.trace,
         &bundle.reports,
         &mut grouped,
@@ -220,18 +221,23 @@ fn grouped_and_scalar_verifiers_agree() {
     )
     .unwrap_or_else(|r| panic!("grouped audit rejected: {r}"));
     assert!(grouped.stats.grouped > 0, "grouped mode must engage");
+    assert!(outcome.stats.vm_dispatch_executed < outcome.stats.vm_dispatch_total);
+    assert!(outcome.stats.db_queries_deduped > 0);
 
-    // Scalar-forced (the ablation arm).
+    // Scalar-forced without dedup ("simple re-execution"): every
+    // dispatch runs and every SELECT is issued.
     let mut scalar = AccPhpExecutor::new(scripts.clone());
     scalar.force_scalar = true;
-    audit(
-        &bundle.trace,
-        &bundle.reports,
-        &mut scalar,
-        &audit_config(&app),
-    )
-    .unwrap_or_else(|r| panic!("scalar audit rejected: {r}"));
+    let mut no_dedup = audit_config(&app);
+    no_dedup.query_dedup = false;
+    let outcome = audit(&bundle.trace, &bundle.reports, &mut scalar, &no_dedup)
+        .unwrap_or_else(|r| panic!("scalar audit rejected: {r}"));
     assert_eq!(scalar.stats.grouped, 0);
+    assert_eq!(
+        outcome.stats.vm_dispatch_executed,
+        outcome.stats.vm_dispatch_total
+    );
+    assert_eq!(outcome.stats.db_queries_deduped, 0);
 
     // Out-of-order oracle (appendix Fig. 13).
     let mut ooo_exec = AccPhpExecutor::new(scripts);

@@ -4,7 +4,6 @@
 //! audit-clean, and shedding is accounted without ever unbalancing the
 //! trace.
 
-use orochi::harness::experiments::shop_workload;
 use orochi::harness::{
     run_audit_with, serve, serve_open_loop_with, tamper, AppWorkload, AuditOptions,
     OpenLoopOptions, ServeOptions,
@@ -13,7 +12,7 @@ use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
 
 fn shop() -> AppWorkload {
-    shop_workload(0.02, 11)
+    AppWorkload::shop(0.02, 11)
 }
 
 /// The reference: every request handled sequentially on this thread.

@@ -16,8 +16,7 @@ use orochi::accphp::{AccPhpExecutor, VmEngine};
 use orochi::core::audit::{audit, audit_parallel, AuditConfig, AuditContext, Rejection};
 use orochi::core::reports::Reports;
 use orochi::core::streaming::audit_streaming_source;
-use orochi::harness::driver::{serve, ServeOptions};
-use orochi::harness::experiments::paper_workloads;
+use orochi::harness::driver::{serve, AppWorkload, ServeOptions};
 use orochi::php::{compile, parse_script, CompiledScript};
 use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
@@ -53,7 +52,7 @@ fn run_group_on(
 /// stream each member would.
 #[test]
 fn group_engines_agree_with_scalar_on_every_app_script() {
-    for work in paper_workloads(0.01, 7) {
+    for work in AppWorkload::paper(0.01, 7) {
         let app = work.app.name;
         let scripts = work.app.compile().expect("application compiles");
         let AuditBundle { trace, reports, .. } = serve(&work, &ServeOptions::default()).bundle;

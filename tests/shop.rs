@@ -231,21 +231,3 @@ fn replayed_kv_write_rejected_identically() {
     assert_audits_agree("replayed-write", &served.bundle, &work)
         .expect_err("replayed KV write must be rejected");
 }
-
-#[test]
-fn shop_experiment_end_to_end() {
-    // The harness experiment bundles all of the above for the bench bin:
-    // honest accept at 1 and `threads`, every tamper rejected with
-    // matching diagnostics, and the register/KV share measured.
-    let report = orochi::harness::experiments::shop_experiment(0.02, 23, 8);
-    assert!(report.requests > 0);
-    assert!(
-        report.reg_kv_share >= 0.5,
-        "share {} below 0.5",
-        report.reg_kv_share
-    );
-    assert_eq!(report.tampers.len(), 3);
-    for t in &report.tampers {
-        assert!(t.rejected, "{} must be rejected", t.variant);
-    }
-}

@@ -18,7 +18,6 @@ use orochi::harness::driver::{
     run_audit_cold, run_audit_streaming, serve, spill_bundle, AppWorkload, AuditOptions, AuditRun,
     ServeOptions,
 };
-use orochi::harness::experiments::shop_workload;
 use orochi::harness::tamper;
 use orochi::trace::{Event, TraceStoreReader};
 use proptest::prelude::*;
@@ -52,7 +51,7 @@ const VARIANTS: [&str; 4] = [
 fn fixture() -> &'static (AppWorkload, Vec<PathBuf>) {
     static CELL: OnceLock<(AppWorkload, Vec<PathBuf>)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let work = shop_workload(0.01, 42);
+        let work = AppWorkload::shop(0.01, 42);
         let dirs = VARIANTS
             .iter()
             .map(|variant| {

@@ -341,7 +341,16 @@ fn cold_audit_verdict_matches_in_ram_at_one_and_four_threads() {
     let work = shop_fixture();
     let served = serve(&work, &ServeOptions::default());
     let dir = temp_store_dir("verdict");
-    spill_bundle(&served.bundle, &dir, 32 * 1024).unwrap();
+    let budget = 32 * 1024;
+    let summary = spill_bundle(&served.bundle, &dir, budget).unwrap();
+    // A segment seals after the event that crosses the budget, so one
+    // event of overshoot is legal; this cap is what bounds the
+    // auditor's resident ingest buffer.
+    assert!(
+        summary.max_segment_bytes <= budget + 64 * 1024,
+        "a sealed segment of {} B exceeds the {budget} B budget by more than one event",
+        summary.max_segment_bytes
+    );
     let bundle = served.bundle;
     let reader = TraceStoreReader::open(&dir).unwrap();
     for threads in [1usize, 4] {
