@@ -18,7 +18,7 @@
 use crate::groupvm::{self, db_result, rows_to_value, GroupOutcome, GroupRunError};
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
-use orochi_core::exec::{DbTxnHandle, GroupExecutor, SimResult};
+use orochi_core::exec::{DbTxnHandle, GroupExecutor};
 use orochi_core::nondet::NondetValue;
 use orochi_php::backend::{BackendError, DbResult, NondetProvider, StateBackend};
 use orochi_php::bytecode::CompiledScript;
@@ -99,6 +99,9 @@ pub struct ExecutorStats {
     pub scalar_requests: usize,
     /// Per-group Fig. 11 triples (grouped mode only).
     pub group_stats: Vec<GroupStat>,
+    /// Logged session/APC versions decoded by grouped runs (one per
+    /// distinct version per group, not one per reading lane).
+    pub logged_decodes: u64,
 }
 
 impl ExecutorStats {
@@ -112,6 +115,7 @@ impl ExecutorStats {
         self.fallbacks += other.fallbacks;
         self.scalar_requests += other.scalar_requests;
         self.group_stats.extend_from_slice(&other.group_stats);
+        self.logged_decodes += other.logged_decodes;
     }
 }
 
@@ -221,6 +225,7 @@ impl GroupExecutor for AccPhpExecutor {
                 match self.run_group(&script, rid_chunk, input_chunk, ctx) {
                     Ok(outcome) => {
                         self.stats.grouped += 1;
+                        self.stats.logged_decodes += outcome.logged_decodes;
                         self.stats.group_stats.push(GroupStat {
                             n: rid_chunk.len(),
                             univalent: outcome.univalent,
@@ -311,16 +316,15 @@ impl StateBackend for AuditBackend<'_, '_> {
     fn register_read(&mut self, object: &str) -> Result<Option<Vec<u8>>, BackendError> {
         let name = ObjectName(object.to_string());
         match self.ctx.register_read(self.rid, &name) {
-            Ok(SimResult::Register(v)) => Ok(v),
-            Ok(_) => Ok(None),
+            Ok(v) => Ok(v.map(<[u8]>::to_vec)),
             Err(r) => self.reject(r),
         }
     }
 
     fn register_write(&mut self, object: &str, value: Vec<u8>) -> Result<(), BackendError> {
         let name = ObjectName(object.to_string());
-        match self.ctx.register_write(self.rid, &name, value) {
-            Ok(_) => Ok(()),
+        match self.ctx.register_write(self.rid, &name, &value) {
+            Ok(()) => Ok(()),
             Err(r) => self.reject(r),
         }
     }
@@ -328,8 +332,7 @@ impl StateBackend for AuditBackend<'_, '_> {
     fn kv_get(&mut self, object: &str, key: &str) -> Result<Option<Vec<u8>>, BackendError> {
         let name = ObjectName(object.to_string());
         match self.ctx.kv_get(self.rid, &name, key) {
-            Ok(SimResult::Kv(v)) => Ok(v),
-            Ok(_) => Ok(None),
+            Ok(v) => Ok(v.map(<[u8]>::to_vec)),
             Err(r) => self.reject(r),
         }
     }
@@ -341,8 +344,8 @@ impl StateBackend for AuditBackend<'_, '_> {
         value: Option<Vec<u8>>,
     ) -> Result<(), BackendError> {
         let name = ObjectName(object.to_string());
-        match self.ctx.kv_set(self.rid, &name, key, value) {
-            Ok(_) => Ok(()),
+        match self.ctx.kv_set(self.rid, &name, key, value.as_deref()) {
+            Ok(()) => Ok(()),
             Err(r) => self.reject(r),
         }
     }

@@ -67,6 +67,9 @@ pub struct GroupOutcome {
     pub univalent: u64,
     /// Instructions that executed per lane.
     pub multivalent: u64,
+    /// Logged session/APC versions decoded: one per distinct version
+    /// the group read, however many lanes read it.
+    pub logged_decodes: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,17 +107,17 @@ fn incdec_variant(c: usize) -> Op {
 
 /// `$a[] = v` / `$a[k] = v` on an array literal under construction, and
 /// `unset`, in the shape [`Group::modify_path`] applies.
-fn array_append(arr: &mut Value, _keys: &[Value], v: Value) -> Result<(), VmError> {
+fn array_append(arr: &mut Value, _keys: &[&Value], v: Value) -> Result<(), VmError> {
     *arr = ops::array_append(std::mem::replace(arr, Value::Null), v)?;
     Ok(())
 }
 
-fn array_insert(arr: &mut Value, keys: &[Value], v: Value) -> Result<(), VmError> {
-    *arr = ops::array_insert(std::mem::replace(arr, Value::Null), &keys[0], v)?;
+fn array_insert(arr: &mut Value, keys: &[&Value], v: Value) -> Result<(), VmError> {
+    *arr = ops::array_insert(std::mem::replace(arr, Value::Null), keys[0], v)?;
     Ok(())
 }
 
-fn unset_path(container: &mut Value, keys: &[Value], _v: Value) -> Result<(), VmError> {
+fn unset_path(container: &mut Value, keys: &[&Value], _v: Value) -> Result<(), VmError> {
     ops::unset_path(container, keys);
     Ok(())
 }
@@ -446,7 +449,7 @@ impl GroupVm<'_, '_> {
                 }
                 ROp::Echo => self.g.echo(&self.regs[a]),
                 ROp::IterInit => {
-                    let iter = self.g.iter_init(&self.regs[a])?;
+                    let iter = self.g.iter_init(&self.regs[a]);
                     self.frames[fi].iters.push(iter);
                 }
                 ROp::IterNext | ROp::IterNextKV => {

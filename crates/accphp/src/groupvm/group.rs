@@ -7,22 +7,23 @@
 //! results go.
 
 use crate::mval::{LaneMemo, MVal};
-use orochi_common::codec::Wire;
+use orochi_common::codec::{Encoder, Wire};
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
-use orochi_core::exec::{DbQueryResult, DbTxnHandle, SimResult};
+use orochi_core::exec::{DbQueryResult, DbTxnHandle};
 use orochi_core::nondet::NondetValue;
 use orochi_obs::LazyCounter;
 use orochi_php::backend::DbResult;
 use orochi_php::builtins::{self, Builtin, Host};
 use orochi_php::bytecode::{CompiledScript, Op};
-use orochi_php::value::{ArrayKey, Value};
+use orochi_php::value::{ForeachIter, Value};
 use orochi_php::vm::{
     ops, pairs_to_array, server_array, RequestInput, RequestOutput, VmError, STEP_LIMIT_EXCEEDED,
 };
 use orochi_sqldb::{ExecOutcome, SqlValue};
 use orochi_state::object::ObjectName;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use super::{GroupOutcome, GroupRunError};
@@ -157,29 +158,49 @@ pub(crate) fn rows_to_value(columns: &[String], rows: &[Vec<SqlValue>]) -> Value
     builtins::db_rows_to_value(columns, rows.iter().map(|row| row.iter().map(cell)))
 }
 
-type Pairs = Arc<Vec<(ArrayKey, Value)>>;
+/// A superglobal's lanes: `build` runs once per distinct `input`, and
+/// lanes with equal inputs hold its one value — so equal superglobals
+/// cost one array, collapse by pointer, and meet the lane memo as one
+/// operand.
+fn shared_lanes<'i, K: Hash + Eq>(
+    inputs: &[RequestInput<'i>],
+    input: impl Fn(&RequestInput<'i>) -> K,
+    build: impl Fn(&RequestInput<'i>) -> Value,
+) -> MVal {
+    let mut built: HashMap<K, Value> = HashMap::with_capacity(inputs.len());
+    let lanes = inputs
+        .iter()
+        .map(|i| built.entry(input(i)).or_insert_with(|| build(i)).clone())
+        .collect();
+    MVal::from_lanes(lanes)
+}
 
-fn array_pairs(v: &Value) -> Pairs {
-    Arc::new(match v {
-        Value::Array(a) => a.to_pairs(),
-        // PHP warns and skips the loop for non-arrays.
-        _ => Vec::new(),
-    })
+/// The register holding the session `cookie` names.
+fn session_object(cookie: &str) -> ObjectName {
+    const PREFIX: &str = "reg:sess:";
+    let mut name = String::with_capacity(PREFIX.len() + cookie.len());
+    name.push_str(PREFIX);
+    name.push_str(cookie);
+    ObjectName(name)
+}
+
+/// True if `lanes` and every lane's array have no other holder.
+fn uniquely_held(lanes: &Arc<Vec<Value>>) -> bool {
+    Arc::strong_count(lanes) == 1
+        && lanes
+            .iter()
+            .all(|v| matches!(v, Value::Array(a) if Arc::strong_count(a) == 1))
 }
 
 /// An active `foreach` (snapshot semantics).
 pub(super) enum GroupIter {
-    Uni {
-        pairs: Pairs,
-        pos: usize,
-    },
-    /// Lanes step together (a non-uniform end is divergence), so one
-    /// position serves all; lanes iterating one array share its
-    /// snapshot.
+    Uni(ForeachIter),
+    /// Lanes step together (a non-uniform end is divergence); lanes
+    /// iterating one array share its snapshot and stand at one position,
+    /// so the memo may answer for one lane from another's.
     PerLane {
         arrays: MVal,
-        pairs: Vec<Pairs>,
-        pos: usize,
+        iters: Vec<ForeachIter>,
     },
 }
 
@@ -206,10 +227,18 @@ pub(super) struct Group<'c, 'a> {
     /// handle address. Each entry keeps its handle, so an address names
     /// one outcome for as long as the map lives.
     converted: HashMap<*const ExecOutcome, (Arc<ExecOutcome>, Value)>,
+    /// The PHP value of every logged session/APC version this group has
+    /// read, by the address and length of its bytes. The bytes are the
+    /// reports' own and outlive the group, so an address names one
+    /// version: every lane that reads it holds one value.
+    decoded: HashMap<(*const u8, usize), Value>,
     db_main: ObjectName,
     kv_apc: ObjectName,
     /// Scratch for marshalling one lane's builtin arguments.
     args_buf: Vec<Value>,
+    /// Scratch for encoding one lane's session or APC value for its
+    /// check against the logged bytes.
+    enc: Encoder,
     memo: LaneMemo,
 }
 
@@ -223,15 +252,12 @@ impl<'c, 'a> Group<'c, 'a> {
     ) -> Self {
         debug_assert_eq!(rids.len(), inputs.len(), "one input per rid");
         let lanes = rids.len();
-        let lane_vals = |f: &dyn Fn(&RequestInput<'_>) -> Value| {
-            MVal::from_lanes(inputs.iter().map(f).collect())
-        };
         let mut globals = vec![MVal::Uni(Value::Null); script.global_names.len()];
-        globals[0] = lane_vals(&|i| pairs_to_array(i.get));
-        globals[1] = lane_vals(&|i| pairs_to_array(i.post));
-        globals[2] = lane_vals(&|i| pairs_to_array(i.cookies));
+        globals[0] = shared_lanes(inputs, |i| i.get, |i| pairs_to_array(i.get));
+        globals[1] = shared_lanes(inputs, |i| i.post, |i| pairs_to_array(i.post));
+        globals[2] = shared_lanes(inputs, |i| i.cookies, |i| pairs_to_array(i.cookies));
         globals[3] = MVal::Uni(Value::empty_array());
-        globals[4] = lane_vals(&|i| server_array(i));
+        globals[4] = shared_lanes(inputs, |i| (i.method, i.path), server_array);
         Group {
             ctx,
             rids,
@@ -250,9 +276,11 @@ impl<'c, 'a> Group<'c, 'a> {
             steps: 0,
             step_limit,
             converted: HashMap::new(),
+            decoded: HashMap::new(),
             db_main: ObjectName("db:main".into()),
             kv_apc: ObjectName("kv:apc".into()),
             args_buf: Vec::new(),
+            enc: Encoder::new(),
             memo: LaneMemo::default(),
         }
     }
@@ -275,6 +303,7 @@ impl<'c, 'a> Group<'c, 'a> {
                         .collect(),
                     univalent: self.univalent,
                     multivalent: self.multivalent,
+                    logged_decodes: self.decoded.len() as u64,
                 })
             }
             // Uniform fatal: all lanes produce the identical 500 page
@@ -312,6 +341,7 @@ impl<'c, 'a> Group<'c, 'a> {
                 .collect(),
             univalent: self.univalent,
             multivalent: self.multivalent,
+            logged_decodes: self.decoded.len() as u64,
         }
     }
 
@@ -321,9 +351,11 @@ impl<'c, 'a> Group<'c, 'a> {
         }
         for l in 0..self.lanes {
             if let Some(cookie) = self.session_cookies[l] {
-                let bytes = self.globals[3].lane(l).to_wire_bytes();
-                let name = ObjectName(format!("reg:sess:{cookie}"));
-                self.ctx.register_write(self.rids[l], &name, bytes)?;
+                self.enc.clear();
+                self.globals[3].lane(l).encode(&mut self.enc);
+                let name = session_object(cookie);
+                self.ctx
+                    .register_write(self.rids[l], &name, self.enc.as_bytes())?;
             }
         }
         Ok(())
@@ -417,31 +449,48 @@ impl<'c, 'a> Group<'c, 'a> {
     /// taken, not borrowed: when everything is a univalue the update
     /// runs on the value itself, so an array nobody else holds is
     /// written in place rather than copied per element.
-    pub(super) fn modify_path(
+    pub(super) fn modify_path<'k>(
         &mut self,
         cur: MVal,
-        keys: &[MVal],
+        keys: &'k [MVal],
         value: Option<&MVal>,
-        f: impl Fn(&mut Value, &[Value], Value) -> Result<(), VmError>,
+        f: impl Fn(&mut Value, &[&'k Value], Value) -> Result<(), VmError>,
     ) -> Result<MVal, Flow> {
-        let lane_keys =
-            |l: usize| -> Vec<Value> { keys.iter().map(|k| k.lane(l).clone()).collect() };
+        // One buffer of key references serves every lane.
+        let mut lane_keys: Vec<&'k Value> = Vec::with_capacity(keys.len());
         let lane_value = |l: usize| value.map_or(Value::Null, |m| m.lane(l).clone());
         match cur {
             MVal::Uni(mut v) if keys.iter().chain(value).all(MVal::is_uni) => {
                 self.account(false);
-                f(&mut v, &lane_keys(0), lane_value(0)).map_err(uni_err)?;
+                lane_keys.extend(keys.iter().map(|k| k.lane(0)));
+                f(&mut v, &lane_keys, lane_value(0)).map_err(uni_err)?;
                 Ok(MVal::Uni(v))
+            }
+            // Every lane holds an array nothing else does (per-lane
+            // sessions, typically): no lane can be answered from
+            // another's, so each is written where it is, without the
+            // copy a shared handle would force.
+            MVal::Multi(mut vals) if uniquely_held(&vals) => {
+                self.account(true);
+                let lanes = Arc::get_mut(&mut vals).expect("checked unique");
+                for (l, v) in lanes.iter_mut().enumerate() {
+                    lane_keys.clear();
+                    lane_keys.extend(keys.iter().map(|k| k.lane(l)));
+                    f(v, &lane_keys, lane_value(l)).map_err(lane_err)?;
+                }
+                Ok(MVal::from_lanes(Arc::unwrap_or_clone(vals)))
             }
             cur => {
                 let operands: Vec<&MVal> = std::iter::once(&cur).chain(keys).chain(value).collect();
                 self.op(&operands, |l| {
+                    lane_keys.clear();
+                    lane_keys.extend(keys.iter().map(|k| k.lane(l)));
                     // The clone shares the container; the first write
                     // through it copies, so no other holder of the
                     // array — another lane, a query result in the dedup
                     // cache — ever sees the change.
                     let mut v = cur.lane(l).clone();
-                    f(&mut v, &lane_keys(l), lane_value(l))?;
+                    f(&mut v, &lane_keys, lane_value(l))?;
                     Ok(v)
                 })
             }
@@ -451,8 +500,10 @@ impl<'c, 'a> Group<'c, 'a> {
     /// `isset` through an index path.
     pub(super) fn isset_path(&mut self, cur: &MVal, keys: &[MVal]) -> Result<MVal, Flow> {
         let operands: Vec<&MVal> = std::iter::once(cur).chain(keys).collect();
+        let mut lane_keys: Vec<&Value> = Vec::with_capacity(keys.len());
         self.total_op(&operands, |l| {
-            let lane_keys: Vec<Value> = keys.iter().map(|k| k.lane(l).clone()).collect();
+            lane_keys.clear();
+            lane_keys.extend(keys.iter().map(|k| k.lane(l)));
             Value::Bool(ops::isset_path(cur.lane(l), &lane_keys))
         })
     }
@@ -474,17 +525,15 @@ impl<'c, 'a> Group<'c, 'a> {
         }
     }
 
-    pub(super) fn iter_init(&mut self, arr: &MVal) -> Result<GroupIter, Flow> {
-        Ok(
-            match self.apply(&[arr], |l| Ok(array_pairs(arr.lane(l))))? {
-                Applied::Once(pairs) => GroupIter::Uni { pairs, pos: 0 },
-                Applied::PerLane(pairs) => GroupIter::PerLane {
-                    arrays: arr.clone(),
-                    pairs,
-                    pos: 0,
-                },
+    pub(super) fn iter_init(&mut self, arr: &MVal) -> GroupIter {
+        self.account(!arr.is_uni());
+        match arr {
+            MVal::Uni(v) => GroupIter::Uni(ForeachIter::over(v)),
+            MVal::Multi(vs) => GroupIter::PerLane {
+                arrays: arr.clone(),
+                iters: vs.iter().map(ForeachIter::over).collect(),
             },
-        )
+        }
     }
 
     /// One iteration step: the next `(key, value)` — the key only when
@@ -495,18 +544,17 @@ impl<'c, 'a> Group<'c, 'a> {
         want_key: bool,
     ) -> Result<Option<(Option<MVal>, MVal)>, Flow> {
         match iter {
-            GroupIter::Uni { pairs, pos } => {
+            GroupIter::Uni(iter) => {
                 self.account(false);
-                let next = pairs.get(*pos).map(|(k, v)| {
-                    *pos += 1;
+                let next = iter.next_entry().map(|(k, v)| {
                     let key = want_key.then(|| MVal::Uni(k.to_value()));
                     (key, MVal::Uni(v.clone()))
                 });
                 Ok(next)
             }
-            GroupIter::PerLane { arrays, pairs, pos } => {
-                let has_next = *pos < pairs[0].len();
-                if pairs.iter().any(|p| (*pos < p.len()) != has_next) {
+            GroupIter::PerLane { arrays, iters } => {
+                let has_next = iters[0].peek().is_some();
+                if iters.iter().any(|it| it.peek().is_some() != has_next) {
                     self.account(true);
                     return Err(Flow::Diverged("non-uniform iteration"));
                 }
@@ -514,19 +562,21 @@ impl<'c, 'a> Group<'c, 'a> {
                     self.account(true);
                     return Ok(None);
                 }
-                let at = *pos;
-                *pos += 1;
-                let (arrays, pairs) = (&*arrays, &*pairs);
+                let lanes = &*iters;
+                let entry = |l: usize| lanes[l].peek().expect("every lane has a next entry");
                 let next = if want_key {
                     let step = |l: usize| {
-                        let (k, v) = &pairs[l][at];
+                        let (k, v) = entry(l);
                         Ok((k.to_value(), v.clone()))
                     };
                     let (keys, vals) = self.op2(&[arrays], step)?;
                     (Some(keys), vals)
                 } else {
-                    (None, self.op(&[arrays], |l| Ok(pairs[l][at].1.clone()))?)
+                    (None, self.op(&[arrays], |l| Ok(entry(l).1.clone()))?)
                 };
+                for iter in iters.iter_mut() {
+                    iter.next_entry();
+                }
                 Ok(Some(next))
             }
         }
@@ -583,6 +633,27 @@ impl<'c, 'a> Group<'c, 'a> {
             &mut self.last_insert_id[l],
             &mut self.last_affected[l],
         )
+    }
+
+    /// The PHP value of logged session/APC bytes, decoded once per
+    /// group (see `decoded`). Bytes that do not decode are the fatal
+    /// `corrupt`, as they are for the scalar runtime on the server; in a
+    /// group of several lanes the other lanes may decode fine, so the
+    /// group diverges and each request meets the fatal on its own.
+    fn decode_logged(&mut self, bytes: &'a [u8], corrupt: &str) -> Result<Value, Flow> {
+        let key = (bytes.as_ptr(), bytes.len());
+        if let Some(v) = self.decoded.get(&key) {
+            return Ok(v.clone());
+        }
+        let v = Value::from_wire_bytes(bytes).map_err(|_| {
+            if self.lanes == 1 {
+                Flow::GroupFatal(corrupt.into())
+            } else {
+                Flow::Diverged("per-lane corrupt state")
+            }
+        })?;
+        self.decoded.insert(key, v.clone());
+        Ok(v)
     }
 
     fn nondet(&mut self, l: usize, kind: &str) -> Result<NondetValue, Flow> {
@@ -667,14 +738,9 @@ impl<'c, 'a> Group<'c, 'a> {
                             sessions.push(Value::empty_array());
                             continue;
                         };
-                        let obj = ObjectName(format!("reg:sess:{cookie}"));
-                        let bytes = match self.ctx.register_read(self.rids[l], &obj)? {
-                            SimResult::Register(b) => b,
-                            _ => None,
-                        };
-                        sessions.push(match bytes {
-                            Some(b) => Value::from_wire_bytes(&b)
-                                .map_err(|_| Flow::GroupFatal("corrupt session data".into()))?,
+                        let obj = session_object(cookie);
+                        sessions.push(match self.ctx.register_read(self.rids[l], &obj)? {
+                            Some(bytes) => self.decode_logged(bytes, "corrupt session data")?,
                             None => Value::empty_array(),
                         });
                     }
@@ -687,13 +753,8 @@ impl<'c, 'a> Group<'c, 'a> {
                 let mut out = Vec::with_capacity(self.lanes);
                 for l in 0..self.lanes {
                     let k = arg(0).lane(l).as_php_str();
-                    let bytes = match self.ctx.kv_get(self.rids[l], &self.kv_apc, &k)? {
-                        SimResult::Kv(b) => b,
-                        _ => None,
-                    };
-                    out.push(match bytes {
-                        Some(b) => Value::from_wire_bytes(&b)
-                            .map_err(|_| Flow::GroupFatal("corrupt apc data".into()))?,
+                    out.push(match self.ctx.kv_get(self.rids[l], &self.kv_apc, &k)? {
+                        Some(bytes) => self.decode_logged(bytes, "corrupt apc data")?,
                         None => Value::Bool(false),
                     });
                 }
@@ -703,8 +764,11 @@ impl<'c, 'a> Group<'c, 'a> {
                 self.account(true);
                 for l in 0..self.lanes {
                     let k = arg(0).lane(l).as_php_str();
-                    let bytes =
-                        (builtin == Builtin::ApcStore).then(|| arg(1).lane(l).to_wire_bytes());
+                    let bytes = (builtin == Builtin::ApcStore).then(|| {
+                        self.enc.clear();
+                        arg(1).lane(l).encode(&mut self.enc);
+                        self.enc.as_bytes()
+                    });
                     self.ctx.kv_set(self.rids[l], &self.kv_apc, &k, bytes)?;
                 }
                 Ok(MVal::Uni(Value::Bool(true)))

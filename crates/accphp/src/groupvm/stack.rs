@@ -95,13 +95,13 @@ impl GroupVm<'_, '_> {
     }
 
     /// Read-modify-write of a local/global slot through an index path.
-    fn modify_path(
+    fn modify_path<'k>(
         &mut self,
         is_local: bool,
         slot: u16,
-        keys: &[MVal],
+        keys: &'k [MVal],
         value: Option<&MVal>,
-        f: impl Fn(&mut Value, &[Value], Value) -> Result<(), VmError>,
+        f: impl Fn(&mut Value, &[&'k Value], Value) -> Result<(), VmError>,
     ) -> Result<(), Flow> {
         let cur = std::mem::replace(self.slot(is_local, slot), MVal::Uni(Value::Null));
         *self.slot(is_local, slot) = self.g.modify_path(cur, keys, value, f)?;
@@ -338,7 +338,7 @@ impl GroupVm<'_, '_> {
                 }
                 Op::IterInit => {
                     let arr = self.pop();
-                    let iter = self.g.iter_init(&arr)?;
+                    let iter = self.g.iter_init(&arr);
                     self.frames
                         .last_mut()
                         .expect("running frame")

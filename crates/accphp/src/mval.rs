@@ -87,7 +87,7 @@ enum Identity {
     Bool(bool),
     Int(i64),
     Float(u64),
-    Str(*const String),
+    Str(*const u8),
     Array(*const PhpArray),
 }
 
@@ -98,7 +98,7 @@ impl Identity {
             Value::Bool(b) => Identity::Bool(*b),
             Value::Int(i) => Identity::Int(*i),
             Value::Float(f) => Identity::Float(f.to_bits()),
-            Value::Str(s) => Identity::Str(Arc::as_ptr(s)),
+            Value::Str(s) => Identity::Str(Arc::as_ptr(s).cast()),
             Value::Array(a) => Identity::Array(Arc::as_ptr(a)),
         }
     }

@@ -52,7 +52,7 @@ fn render(operands: &[MVal], lane: usize) -> Result<Value, usize> {
     let mut out = String::new();
     for m in operands {
         match m.lane(lane) {
-            Value::Str(s) if s.as_str() == "boom" => return Err(lane),
+            Value::Str(s) if &**s == "boom" => return Err(lane),
             Value::Array(a) => out.push_str(&format!("[{}]", a.len())),
             other => out.push_str(&other.to_php_string()),
         }

@@ -59,6 +59,17 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets what was written but keeps the buffer, so one encoder
+    /// can serve a run of values.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Writes an unsigned integer as a LEB128 varint.
     pub fn u64(&mut self, mut v: u64) {
         loop {

@@ -28,7 +28,7 @@
 //! [`audit_parallel_source`]) feed it the whole trace as a single epoch:
 //! the sequential audit is that engine with a pool of one.
 
-use crate::exec::{DbQueryResult, DbTxnHandle, GroupExecutor, SimResult};
+use crate::exec::{DbQueryResult, DbTxnHandle, GroupExecutor};
 use crate::graph::{GraphRejection, OpMap};
 use crate::nondet::NondetValue;
 use crate::reports::Reports;
@@ -427,7 +427,7 @@ pub struct AuditShared<'a> {
     /// one exclusively.
     pub(crate) opmap: OpMap,
     /// The versioned stores and indexes, slot = log index.
-    stores: Vec<LogStores>,
+    stores: Vec<LogStores<'a>>,
 }
 
 // The engine hands `Arc<AuditShared>` to scoped worker threads;
@@ -439,11 +439,12 @@ const _: fn() = || {
 
 /// What the prologue builds for one log — the unit of its sharding —
 /// each part only where the log holds an operation that reads it.
-struct LogStores {
+struct LogStores<'a> {
     /// The versioned database (the §4.5 redo pass), for `DbOp` logs.
     db: Option<VersionedDb>,
-    /// The versioned key-value view (`kv.Build(OL)`, Fig. 12 line 5).
-    kv: Option<VersionedKv>,
+    /// The versioned key-value view (`kv.Build(OL)`, Fig. 12 line 5),
+    /// borrowing the log's keys and values.
+    kv: Option<VersionedKv<'a>>,
     /// For entry index `j`, the index of the latest `RegisterWrite`
     /// strictly before `j`; for logs containing a `RegisterRead`.
     reg_prev_write: Option<Vec<Option<usize>>>,
@@ -516,11 +517,11 @@ fn write_outcome(w: DbWriteResult) -> WriteOutcome {
 
 /// Builds the stores log `i` needs: the §4.5 versioned-DB redo pass,
 /// the versioned KV view, and the register prev-write index.
-fn build_stores_for(
-    reports: &Reports,
+fn build_stores_for<'a>(
+    reports: &'a Reports,
     config: &AuditConfig,
     i: usize,
-) -> Result<LogStores, RedoError> {
+) -> Result<LogStores<'a>, RedoError> {
     let log = reports.op_logs.log(i).expect("a valid log index");
     let name = reports.op_logs.name(i).expect("a valid log index");
     let db = log.contains_op_type(OpType::DbOp).then(|| {
@@ -681,51 +682,54 @@ impl<'a> AuditContext<'a> {
 
     /// `CheckOp` (Fig. 12 lines 10–15) for non-database operations: the
     /// operation's target object and full operands must match the log
-    /// entry the OpMap names.
+    /// entry the OpMap names — `matches` compares the operands in place,
+    /// so checking builds no `OpContents` of its own.
     fn check_op(
         &mut self,
         rid: RequestId,
         object: &ObjectName,
-        expect: &OpContents,
+        matches: impl FnOnce(&OpContents) -> bool,
     ) -> Result<(usize, usize, SeqNum), Rejection> {
         let (idx, opnum, i, s, logged) = self.resolve_op(rid, object)?;
-        if logged != expect {
+        if !matches(logged) {
             return Err(Rejection::OpContentsMismatch { rid, opnum });
         }
         Ok((idx, i, s))
     }
 
-    /// Register read: checked, then fed from the latest preceding write
-    /// in the log (Fig. 12 lines 19–23), falling back to the initial
-    /// state the verifier carries (§4.1).
+    /// Register read (Fig. 12's `SimOp`): checked, then fed from the
+    /// latest preceding write in the log (lines 19–23), falling back to
+    /// the initial state the verifier carries (§4.1); `None` when never
+    /// written. The bytes are the reports' (or the config's) own, not a
+    /// copy.
     pub fn register_read(
         &mut self,
         rid: RequestId,
         object: &ObjectName,
-    ) -> Result<SimResult, Rejection> {
-        let (idx, i, s) = self.check_op(rid, object, &OpContents::RegisterRead)?;
-        let prev = self.shared.stores[i]
+    ) -> Result<Option<&'a [u8]>, Rejection> {
+        let (idx, i, s) = self.check_op(rid, object, |l| matches!(l, OpContents::RegisterRead))?;
+        let shared: &AuditShared<'a> = &self.shared;
+        let prev = shared.stores[i]
             .reg_prev_write
             .as_ref()
             .expect("prologue builds prev-write indexes for register logs");
         let value = match prev[(s.0 - 1) as usize] {
             Some(widx) => {
-                let log = self.shared.reports.op_logs.log(i).expect("checked index");
+                let log = shared.reports.op_logs.log(i).expect("checked index");
                 match &log.entries()[widx].contents {
-                    OpContents::RegisterWrite { value } => Some(value.clone()),
+                    OpContents::RegisterWrite { value } => Some(value.as_slice()),
                     _ => unreachable!("prev-write index only records writes"),
                 }
             }
-            None => self
-                .shared
+            None => shared
                 .config
                 .initial_registers
                 .get(object.as_str())
-                .cloned(),
+                .map(Vec::as_slice),
         };
         self.opnum_next[idx] += 1;
         self.stats.register_ops += 1;
-        Ok(SimResult::Register(value))
+        Ok(value)
     }
 
     /// Register write: checked only (the check validates the logged
@@ -735,66 +739,66 @@ impl<'a> AuditContext<'a> {
         &mut self,
         rid: RequestId,
         object: &ObjectName,
-        value: Vec<u8>,
-    ) -> Result<SimResult, Rejection> {
-        let (idx, ..) = self.check_op(rid, object, &OpContents::RegisterWrite { value })?;
+        value: &[u8],
+    ) -> Result<(), Rejection> {
+        let (idx, ..) = self.check_op(
+            rid,
+            object,
+            |l| matches!(l, OpContents::RegisterWrite { value: v } if v.as_slice() == value),
+        )?;
         self.opnum_next[idx] += 1;
         self.stats.register_ops += 1;
-        Ok(SimResult::None)
+        Ok(())
     }
 
     /// Key-value get: checked, then fed from the versioned view
-    /// (`kv.Build` + `kv.get(k, s)`, Fig. 12 line 25).
+    /// (`kv.Build` + `kv.get(k, s)`, Fig. 12 line 25); `None` when the
+    /// key is absent. The bytes are the reports' (or the config's) own.
     pub fn kv_get(
         &mut self,
         rid: RequestId,
         object: &ObjectName,
         key: &str,
-    ) -> Result<SimResult, Rejection> {
+    ) -> Result<Option<&'a [u8]>, Rejection> {
         let (idx, i, s) = self.check_op(
             rid,
             object,
-            &OpContents::KvGet {
-                key: key.to_string(),
-            },
+            |l| matches!(l, OpContents::KvGet { key: k } if k == key),
         )?;
-        let kv = self.shared.stores[i]
+        let shared: &AuditShared<'a> = &self.shared;
+        let kv = shared.stores[i]
             .kv
             .as_ref()
             .expect("prologue builds versioned views for kv logs");
         let value = if kv.has_write_before(key, s) {
             kv.get(key, s)
         } else {
-            self.shared
+            shared
                 .config
                 .initial_kv
                 .get(object.as_str())
-                .and_then(|m| m.get(key).cloned())
+                .and_then(|m| m.get(key))
+                .map(Vec::as_slice)
         };
         self.opnum_next[idx] += 1;
         self.stats.kv_ops += 1;
-        Ok(SimResult::Kv(value))
+        Ok(value)
     }
 
-    /// Key-value set: checked only.
+    /// Key-value set (`None` deletes): checked only.
     pub fn kv_set(
         &mut self,
         rid: RequestId,
         object: &ObjectName,
         key: &str,
-        value: Option<Vec<u8>>,
-    ) -> Result<SimResult, Rejection> {
-        let (idx, ..) = self.check_op(
-            rid,
-            object,
-            &OpContents::KvSet {
-                key: key.to_string(),
-                value,
-            },
-        )?;
+        value: Option<&[u8]>,
+    ) -> Result<(), Rejection> {
+        let (idx, ..) = self.check_op(rid, object, |l| {
+            matches!(l, OpContents::KvSet { key: k, value: v } if k == key && v.as_deref() == value)
+        })?;
         self.opnum_next[idx] += 1;
         self.stats.kv_ops += 1;
-        Ok(SimResult::None)
+        Ok(())
     }
 
     /// Opens a database transaction: resolves the OpMap entry that this

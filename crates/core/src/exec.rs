@@ -13,17 +13,6 @@ use orochi_sqldb::ExecOutcome;
 use orochi_trace::{HttpRequest, HttpResponse};
 use std::sync::Arc;
 
-/// Result of a simulated non-database read (Fig. 12, `SimOp`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimResult {
-    /// Write operations return nothing.
-    None,
-    /// Register read: current value (`None` when never written).
-    Register(Option<Vec<u8>>),
-    /// Key-value get: current value (`None` when absent).
-    Kv(Option<Vec<u8>>),
-}
-
 /// Result of one database query during re-execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbQueryResult {

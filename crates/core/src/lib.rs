@@ -45,7 +45,7 @@ pub use audit::{
     AuditOutcome, AuditStats, Rejection,
 };
 pub use coldstore::{load_reports, spill_reports};
-pub use exec::{DbTxnHandle, GroupExecutor, SimResult};
+pub use exec::{DbTxnHandle, GroupExecutor};
 pub use graph::{process_op_reports, AuditGraph, OpMap};
 pub use nondet::{NondetLog, NondetValue};
 pub use precedence::{create_time_precedence_graph, dense_time_precedence, TimePrecedenceGraph};

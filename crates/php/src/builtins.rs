@@ -13,7 +13,7 @@
 //! `dispatch_byref`).
 
 use crate::backend::DbResult;
-use crate::value::{format_php_float, ArrayKey, PhpArray, Value};
+use crate::value::{format_php_float, ArrayKey, Key, PhpArray, Value};
 use crate::vm::VmError;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -296,15 +296,14 @@ pub fn db_rows_to_value<R>(columns: &[String], rows: impl IntoIterator<Item = R>
 where
     R: IntoIterator<Item = Value>,
 {
-    let mut out = PhpArray::new();
-    for row in rows {
-        let mut assoc = PhpArray::new();
+    let rows = rows.into_iter().map(|row| {
+        let mut assoc = PhpArray::map_with_capacity(columns.len());
         for (col, cell) in columns.iter().zip(row) {
-            assoc.set(ArrayKey::Str(col.clone()), cell);
+            assoc.set(Key::Str(col), cell);
         }
-        out.push(Value::array(assoc));
-    }
-    Value::array(out)
+        Value::array(assoc)
+    });
+    Value::array(PhpArray::from_values(rows.collect()))
 }
 
 /// Converts a backend database result into the PHP-visible value and
@@ -547,9 +546,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
         }
         Builtin::ArrayValues => {
             let a = arg_array(args, 0, "array_values")?;
-            Value::array(PhpArray::from_values(
-                a.iter().map(|(_, v)| v.clone()).collect(),
-            ))
+            Value::array(PhpArray::from_values(a.values().cloned().collect()))
         }
         Builtin::ArrayMerge => {
             let mut out = PhpArray::new();
@@ -558,10 +555,10 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                     Value::Array(a) => {
                         for (k, v) in a.iter() {
                             match k {
-                                ArrayKey::Int(_) => {
-                                    out.push(v.clone());
+                                Key::Int(_) => {
+                                    out.push(v.clone())?;
                                 }
-                                ArrayKey::Str(_) => out.set(k.clone(), v.clone()),
+                                Key::Str(_) => out.set(k, v.clone()),
                             }
                         }
                     }
@@ -572,8 +569,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
         }
         Builtin::ArraySlice => {
             let a = arg_array(args, 0, "array_slice")?;
-            let pairs = a.to_pairs();
-            let n = pairs.len() as i64;
+            let n = a.len() as i64;
             let mut offset = arg_int(args, 1);
             if offset < 0 {
                 offset = (n + offset).max(0);
@@ -590,28 +586,27 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                     }
                 }
             };
-            let mut out = PhpArray::new();
-            for (k, v) in pairs.into_iter().skip(offset).take(len) {
+            let mut out = PhpArray::with_capacity(len);
+            for (k, v) in a.iter().skip(offset).take(len) {
                 match k {
-                    ArrayKey::Int(_) => {
-                        out.push(v);
+                    Key::Int(_) => {
+                        out.push(v.clone())?;
                     }
-                    ArrayKey::Str(_) => out.set(k, v),
+                    Key::Str(_) => out.set(k, v.clone()),
                 }
             }
             Value::array(out)
         }
         Builtin::ArrayReverse => {
             let a = arg_array(args, 0, "array_reverse")?;
-            let mut pairs = a.to_pairs();
-            pairs.reverse();
-            let mut out = PhpArray::new();
-            for (k, v) in pairs {
+            let pairs: Vec<_> = a.iter().collect();
+            let mut out = PhpArray::with_capacity(pairs.len());
+            for (k, v) in pairs.into_iter().rev() {
                 match k {
-                    ArrayKey::Int(_) => {
-                        out.push(v);
+                    Key::Int(_) => {
+                        out.push(v.clone())?;
                     }
-                    ArrayKey::Str(_) => out.set(k, v),
+                    Key::Str(_) => out.set(k, v.clone()),
                 }
             }
             Value::array(out)
@@ -630,9 +625,9 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             Value::Bool(found)
         }
         Builtin::ArrayKeyExists => {
-            let key = ArrayKey::from_value(arg(args, 0));
+            let key = Key::from_value(arg(args, 0));
             let a = arg_array(args, 1, "array_key_exists")?;
-            Value::Bool(a.has_key(&key))
+            Value::Bool(a.has_key(key))
         }
         Builtin::ArraySearch => {
             let needle = arg(args, 0);
@@ -672,26 +667,21 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
         Builtin::Range => {
             let (a, b) = (arg_int(args, 0), arg_int(args, 1));
             let step = if args.len() > 2 {
-                arg_int(args, 2).abs().max(1)
+                arg_int(args, 2).saturating_abs().max(1)
             } else {
                 1
             };
+            // Walks from `a` towards `b`, stopping at `b` or at the end
+            // of the i64 range, whichever comes first.
+            let (ascending, step) = (a <= b, if a <= b { step } else { -step });
             let mut vals = Vec::new();
-            if a <= b {
-                let mut x = a;
-                while x <= b {
-                    vals.push(Value::Int(x));
-                    x += step;
+            let mut x = Some(a);
+            while let Some(cur) = x.filter(|&x| if ascending { x <= b } else { x >= b }) {
+                if vals.len() == 1 << 22 {
+                    return Err(VmError::Fatal("range(): result too large".into()));
                 }
-            } else {
-                let mut x = a;
-                while x >= b {
-                    vals.push(Value::Int(x));
-                    x -= step;
-                }
-            }
-            if vals.len() > 1 << 22 {
-                return Err(VmError::Fatal("range(): result too large".into()));
+                vals.push(Value::Int(cur));
+                x = cur.checked_add(step);
             }
             Value::array(PhpArray::from_values(vals))
         }
@@ -701,7 +691,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             let mut out = PhpArray::new();
             for (k, v) in a.iter() {
                 if seen.insert(v.to_php_string()) {
-                    out.set(k.clone(), v.clone());
+                    out.set(k, v.clone());
                 }
             }
             Value::array(out)
@@ -712,7 +702,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             for (k, v) in a.iter() {
                 match v {
                     Value::Int(_) | Value::Str(_) => {
-                        out.set(ArrayKey::from_value(v), k.to_value());
+                        out.set(Key::from_value(v), k.to_value());
                     }
                     // PHP warns and skips other types.
                     _ => {}
@@ -727,9 +717,12 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
                 return Err(VmError::Fatal("array_fill(): result too large".into()));
             }
             let v = arg(args, 2);
-            let mut out = PhpArray::new();
+            let mut out = PhpArray::with_capacity(num as usize);
             for i in 0..num {
-                out.set(ArrayKey::Int(start + i), v.clone());
+                // Keys past i64::MAX do not exist: PHP's "next element is
+                // already occupied".
+                let key = start.checked_add(i).ok_or(crate::value::NextKeyOccupied)?;
+                out.set(Key::Int(key), v.clone());
             }
             Value::array(out)
         }
@@ -741,7 +734,7 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
         Builtin::Max | Builtin::Min => {
             let want_max = builtin == Builtin::Max;
             let candidates: Vec<Value> = match (args.len(), arg(args, 0)) {
-                (1, Value::Array(a)) => a.iter().map(|(_, v)| v.clone()).collect(),
+                (1, Value::Array(a)) => a.values().cloned().collect(),
                 _ => args.to_vec(),
             };
             let mut best: Option<Value> = None;
@@ -942,7 +935,7 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
             let mut arr = arr;
             let a = Arc::make_mut(&mut arr);
             for v in args.iter_mut() {
-                a.push(std::mem::replace(v, Value::Null));
+                a.push(std::mem::replace(v, Value::Null))?;
             }
             let count = a.len() as i64;
             (Value::Array(arr), Value::Int(count))
@@ -960,29 +953,27 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
             let a = Arc::make_mut(&mut arr);
             let shifted = a.shift_first().map(|(_, v)| v).unwrap_or(Value::Null);
             // PHP renumbers integer keys after a shift.
-            let renumbered = renumber_int_keys(a);
+            let renumbered = renumber_int_keys(a)?;
             (Value::array(renumbered), shifted)
         }
         Builtin::ArrayUnshift => {
-            let mut pairs: Vec<(ArrayKey, Value)> = args
-                .iter_mut()
-                .map(|v| (ArrayKey::Int(0), std::mem::replace(v, Value::Null)))
-                .collect();
-            pairs.extend(arr.to_pairs());
-            let mut out = PhpArray::new();
-            for (k, v) in pairs {
+            let mut out = PhpArray::with_capacity(args.len() + arr.len());
+            for v in args.iter_mut() {
+                out.push(std::mem::replace(v, Value::Null))?;
+            }
+            for (k, v) in arr.iter() {
                 match k {
-                    ArrayKey::Int(_) => {
-                        out.push(v);
+                    Key::Int(_) => {
+                        out.push(v.clone())?;
                     }
-                    ArrayKey::Str(_) => out.set(k, v),
+                    Key::Str(_) => out.set(k, v.clone()),
                 }
             }
             let count = out.len() as i64;
             (Value::array(out), Value::Int(count))
         }
         Builtin::Sort | Builtin::Rsort => {
-            let mut values: Vec<Value> = arr.iter().map(|(_, v)| v.clone()).collect();
+            let mut values: Vec<Value> = arr.values().cloned().collect();
             values.sort_by(|a, b| a.loose_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             if builtin == Builtin::Rsort {
                 values.reverse();
@@ -1014,17 +1005,17 @@ pub fn dispatch_byref(id: u16, args: &mut [Value]) -> Result<(Value, Value), VmE
     })
 }
 
-fn renumber_int_keys(a: &PhpArray) -> PhpArray {
-    let mut out = PhpArray::new();
+fn renumber_int_keys(a: &PhpArray) -> Result<PhpArray, VmError> {
+    let mut out = PhpArray::with_capacity(a.len());
     for (k, v) in a.iter() {
         match k {
-            ArrayKey::Int(_) => {
-                out.push(v.clone());
+            Key::Int(_) => {
+                out.push(v.clone())?;
             }
-            ArrayKey::Str(_) => out.set(k.clone(), v.clone()),
+            Key::Str(_) => out.set(k, v.clone()),
         }
     }
-    out
+    Ok(out)
 }
 
 /// Key comparison for `ksort`: numeric keys before and among themselves
@@ -1151,7 +1142,7 @@ fn json_encode(v: &Value) -> String {
             let is_list = a
                 .iter()
                 .enumerate()
-                .all(|(i, (k, _))| matches!(k, ArrayKey::Int(x) if *x == i as i64));
+                .all(|(i, (k, _))| k == Key::Int(i as i64));
             if is_list {
                 let items: Vec<String> = a.iter().map(|(_, v)| json_encode(v)).collect();
                 format!("[{}]", items.join(","))
@@ -1160,8 +1151,8 @@ fn json_encode(v: &Value) -> String {
                     .iter()
                     .map(|(k, v)| {
                         let key = match k {
-                            ArrayKey::Int(i) => json_string(&i.to_string()),
-                            ArrayKey::Str(s) => json_string(s),
+                            Key::Int(i) => json_string(&i.to_string()),
+                            Key::Str(s) => json_string(s),
                         };
                         format!("{key}:{}", json_encode(v))
                     })
@@ -1262,6 +1253,29 @@ mod tests {
     }
 
     #[test]
+    fn keys_near_i64_max_end_instead_of_overflowing() {
+        let max = Value::Int(i64::MAX);
+        let range = call("range", vec![Value::Int(i64::MAX - 1), max.clone()]);
+        assert_eq!(
+            json_encode(&range),
+            format!("[{},{}]", i64::MAX - 1, i64::MAX)
+        );
+        let step = Value::Int(i64::MIN);
+        let range = call("range", vec![Value::Int(0), Value::Int(3), step]);
+        assert_eq!(json_encode(&range), "[0]");
+        let mut host = TestHost::default();
+        let fill = dispatch(
+            lookup("array_fill").unwrap(),
+            &[max, Value::Int(2), Value::Null],
+            &mut host,
+        );
+        assert_eq!(
+            fill.err(),
+            Some(VmError::Fatal(crate::value::NextKeyOccupied.to_string()))
+        );
+    }
+
+    #[test]
     fn string_builtins() {
         assert!(call("strlen", vec![s("héllo")]).identical(&Value::Int(6))); // Bytes.
         assert!(
@@ -1345,7 +1359,7 @@ mod tests {
         let merged = call("array_merge", vec![a, b]);
         match merged {
             Value::Array(m) => {
-                let keys: Vec<_> = m.iter().map(|(k, _)| k.clone()).collect();
+                let keys: Vec<_> = m.iter().map(|(k, _)| k.owned()).collect();
                 assert_eq!(
                     keys,
                     vec![ArrayKey::Int(0), ArrayKey::Int(1), ArrayKey::Int(2)]
@@ -1388,7 +1402,7 @@ mod tests {
             dispatch_byref(lookup("ksort").unwrap(), &mut [Value::array(a.clone())]).unwrap();
         match &ksorted {
             Value::Array(m) => {
-                let keys: Vec<_> = m.iter().map(|(k, _)| k.clone()).collect();
+                let keys: Vec<_> = m.iter().map(|(k, _)| k.owned()).collect();
                 assert_eq!(
                     keys,
                     vec![

@@ -10,7 +10,7 @@ use crate::builtins;
 use crate::bytecode::{
     rinsn, superglobal_slot, CompiledFunction, CompiledScript, Op, ROp, SUPERGLOBALS,
 };
-use crate::value::{ArrayKey, PhpArray, Value};
+use crate::value::{Key, PhpArray, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -202,12 +202,13 @@ fn literal_value(e: &Expr) -> Option<Value> {
             for (k, v) in pairs {
                 let val = literal_value(v)?;
                 match k {
+                    // A literal whose append fails is left to run, and
+                    // raise PHP's fatal, at runtime.
                     None => {
-                        a.push(val);
+                        a.push(val).ok()?;
                     }
                     Some(kexpr) => {
-                        let key = ArrayKey::from_value(&literal_value(kexpr)?);
-                        a.set(key, val);
+                        a.set(Key::from_value(&literal_value(kexpr)?), val);
                     }
                 }
             }
@@ -2268,7 +2269,7 @@ mod tests {
         let strings = c
             .consts
             .iter()
-            .filter(|v| matches!(v, Value::Str(s) if s.as_str() == "x"))
+            .filter(|v| matches!(v, Value::Str(s) if &**s == "x"))
             .count();
         assert_eq!(strings, 1);
     }

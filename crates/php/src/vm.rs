@@ -26,8 +26,9 @@
 use crate::backend::{BackendError, RuntimeBackend};
 use crate::builtins::{self, Host};
 use crate::bytecode::{rinsn, CompiledScript, Op, ROp};
-use crate::value::{ArrayKey, PhpArray, Value};
+use crate::value::{ForeachIter, Key, NextKeyOccupied, PhpArray, Value};
 use orochi_common::codec::Wire;
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -46,6 +47,12 @@ pub enum VmError {
     AuditReject(String),
     /// `exit` / `die`: normal termination.
     Exit,
+}
+
+impl From<NextKeyOccupied> for VmError {
+    fn from(e: NextKeyOccupied) -> Self {
+        VmError::Fatal(e.to_string())
+    }
 }
 
 impl fmt::Display for VmError {
@@ -152,13 +159,6 @@ enum FnRef {
     User(u16),
 }
 
-/// An active foreach iterator (snapshot semantics).
-#[derive(Debug)]
-struct ArrayIter {
-    pairs: Vec<(ArrayKey, Value)>,
-    pos: usize,
-}
-
 /// A pooled activation record. Frames are reused across calls (`depth`
 /// tracks the live prefix of `Vm::frames`), so the iterator vector's
 /// capacity survives pops.
@@ -172,7 +172,7 @@ struct RFrame {
     top: usize,
     /// Absolute register that receives this frame's return value.
     ret_abs: usize,
-    iters: Vec<ArrayIter>,
+    iters: Vec<ForeachIter>,
 }
 
 /// The scalar register virtual machine.
@@ -290,11 +290,8 @@ fn init_globals(script: &CompiledScript, input: &RequestInput<'_>) -> Vec<Value>
 /// `$_SERVER` for a request.
 pub fn server_array(input: &RequestInput<'_>) -> Value {
     let mut server = PhpArray::new();
-    server.set(
-        ArrayKey::Str("REQUEST_METHOD".into()),
-        Value::str(input.method),
-    );
-    server.set(ArrayKey::Str("SCRIPT_NAME".into()), Value::str(input.path));
+    server.set(Key::Str("REQUEST_METHOD"), Value::str(input.method));
+    server.set(Key::Str("SCRIPT_NAME"), Value::str(input.path));
     Value::array(server)
 }
 
@@ -530,7 +527,7 @@ impl<'a> Vm<'a> {
                     let n = rinsn::c(insn);
                     let t = base + rinsn::b(insn);
                     if n == 0 {
-                        ops::unset_path(&mut self.regs[t], &[]);
+                        ops::unset_path::<Value>(&mut self.regs[t], &[]);
                     } else {
                         let (lo, hi) = self.regs.split_at_mut(a);
                         ops::unset_path(&mut lo[t], &hi[..n]);
@@ -650,28 +647,22 @@ impl<'a> Vm<'a> {
                     self.output.push_str(&self.regs[a].as_php_str());
                 }
                 ROp::IterInit => {
-                    let pairs = match &self.regs[a] {
-                        Value::Array(arr) => arr.to_pairs(),
-                        // PHP warns and skips the loop for non-arrays.
-                        _ => Vec::new(),
-                    };
-                    self.frames[fi].iters.push(ArrayIter { pairs, pos: 0 });
+                    let iter = ForeachIter::over(&self.regs[a]);
+                    self.frames[fi].iters.push(iter);
                 }
                 ROp::IterNext | ROp::IterNextKV => {
                     let kv = rinsn::op(insn) == ROp::IterNextKV;
                     let frame = &mut self.frames[fi];
                     let iter = frame.iters.last_mut().expect("IterInit precedes IterNext");
-                    if iter.pos < iter.pairs.len() {
-                        let (k, v) = iter.pairs[iter.pos].clone();
-                        iter.pos += 1;
-                        self.digest = digest_mix(self.digest, self.branch_events, true);
-                        self.branch_events += 1;
+                    if let Some((k, v)) = iter.next_entry() {
                         if kv {
                             self.regs[a] = k.to_value();
-                            self.regs[a + 1] = v;
+                            self.regs[a + 1] = v.clone();
                         } else {
-                            self.regs[a] = v;
+                            self.regs[a] = v.clone();
                         }
+                        self.digest = digest_mix(self.digest, self.branch_events, true);
+                        self.branch_events += 1;
                     } else {
                         frame.pc = rinsn::bx(insn);
                         self.digest = digest_mix(self.digest, self.branch_events, false);
@@ -826,12 +817,9 @@ pub fn not_found_output(path: &str) -> RequestOutput {
 /// Builds a PHP assoc array from string pairs (superglobal
 /// materialization, §4.2).
 pub fn pairs_to_array(pairs: &[(String, String)]) -> Value {
-    let mut a = PhpArray::new();
+    let mut a = PhpArray::map_with_capacity(pairs.len());
     for (k, v) in pairs {
-        a.set(
-            ArrayKey::from_value(&Value::str(k.clone())),
-            Value::str(v.clone()),
-        );
+        a.set(Key::of_str(k), Value::str(v.as_str()));
     }
     Value::array(a)
 }
@@ -844,13 +832,7 @@ pub mod ops {
     /// Binary arithmetic/string ops with PHP coercions.
     pub fn binary(op: Op, a: &Value, b: &Value) -> Result<Value, VmError> {
         match op {
-            Op::Concat => {
-                let (x, y) = (a.as_php_str(), b.as_php_str());
-                let mut s = String::with_capacity(x.len() + y.len());
-                s.push_str(&x);
-                s.push_str(&y);
-                Ok(Value::str(s))
-            }
+            Op::Concat => Ok(Value::concat(a, b)),
             Op::Add | Op::Sub | Op::Mul => {
                 if let (Value::Array(_), _) | (_, Value::Array(_)) = (a, b) {
                     return Err(VmError::Fatal("unsupported operand types: array".into()));
@@ -979,7 +961,7 @@ pub mod ops {
     pub fn array_append(arr: Value, v: Value) -> Result<Value, VmError> {
         match arr {
             Value::Array(mut rc) => {
-                Arc::make_mut(&mut rc).push(v);
+                Arc::make_mut(&mut rc).push(v)?;
                 Ok(Value::Array(rc))
             }
             _ => Err(VmError::Fatal("append to non-array".into())),
@@ -990,7 +972,7 @@ pub mod ops {
     pub fn array_insert(arr: Value, k: &Value, v: Value) -> Result<Value, VmError> {
         match arr {
             Value::Array(mut rc) => {
-                Arc::make_mut(&mut rc).set(ArrayKey::from_value(k), v);
+                Arc::make_mut(&mut rc).set(Key::from_value(k), v);
                 Ok(Value::Array(rc))
             }
             _ => Err(VmError::Fatal("insert into non-array".into())),
@@ -1001,10 +983,7 @@ pub mod ops {
     /// missing key) yields null, as PHP does (sans the notice).
     pub fn index_get(base: &Value, key: &Value) -> Value {
         match base {
-            Value::Array(a) => a
-                .get(&ArrayKey::from_value(key))
-                .cloned()
-                .unwrap_or(Value::Null),
+            Value::Array(a) => a.get(Key::from_value(key)).cloned().unwrap_or(Value::Null),
             Value::Str(s) => {
                 let idx = key.to_php_int();
                 if idx < 0 {
@@ -1032,7 +1011,13 @@ pub mod ops {
     }
 
     /// Writes through an index path, materializing arrays along the way.
-    pub fn set_path(container: &mut Value, keys: &[Value], value: Value) -> Result<(), VmError> {
+    /// Keys are values or references to them (the group VM passes each
+    /// lane's keys without copying them out).
+    pub fn set_path<K: Borrow<Value>>(
+        container: &mut Value,
+        keys: &[K],
+        value: Value,
+    ) -> Result<(), VmError> {
         if keys.is_empty() {
             *container = value;
             return Ok(());
@@ -1042,39 +1027,35 @@ pub mod ops {
             unreachable!("ensure_array above");
         };
         let arr = Arc::make_mut(rc);
-        let key = ArrayKey::from_value(&keys[0]);
+        let key = Key::from_value(keys[0].borrow());
         if keys.len() == 1 {
             arr.set(key, value);
             return Ok(());
         }
-        if !arr.has_key(&key) {
-            arr.set(key.clone(), Value::Null);
-        }
-        let slot = arr.get_mut(&key).expect("inserted above");
-        set_path(slot, &keys[1..], value)
+        set_path(arr.get_or_insert_null(key), &keys[1..], value)
     }
 
     /// Appends through an index path (`$a[k1]..[] = v`).
-    pub fn append_path(container: &mut Value, keys: &[Value], value: Value) -> Result<(), VmError> {
+    pub fn append_path<K: Borrow<Value>>(
+        container: &mut Value,
+        keys: &[K],
+        value: Value,
+    ) -> Result<(), VmError> {
         ensure_array(container)?;
         let Value::Array(rc) = container else {
             unreachable!("ensure_array above");
         };
         let arr = Arc::make_mut(rc);
         if keys.is_empty() {
-            arr.push(value);
+            arr.push(value)?;
             return Ok(());
         }
-        let key = ArrayKey::from_value(&keys[0]);
-        if !arr.has_key(&key) {
-            arr.set(key.clone(), Value::Null);
-        }
-        let slot = arr.get_mut(&key).expect("inserted above");
-        append_path(slot, &keys[1..], value)
+        let key = Key::from_value(keys[0].borrow());
+        append_path(arr.get_or_insert_null(key), &keys[1..], value)
     }
 
     /// Unsets through an index path; missing steps are no-ops.
-    pub fn unset_path(container: &mut Value, keys: &[Value]) {
+    pub fn unset_path<K: Borrow<Value>>(container: &mut Value, keys: &[K]) {
         if keys.is_empty() {
             *container = Value::Null;
             return;
@@ -1082,24 +1063,29 @@ pub mod ops {
         let Value::Array(rc) = container else {
             return;
         };
-        let arr = Arc::make_mut(rc);
-        let key = ArrayKey::from_value(&keys[0]);
-        if keys.len() == 1 {
-            arr.remove(&key);
+        let key = Key::from_value(keys[0].borrow());
+        // A missing step changes nothing, so it must not copy either.
+        if !rc.has_key(key) {
             return;
         }
-        if let Some(slot) = arr.get_mut(&key) {
+        let arr = Arc::make_mut(rc);
+        if keys.len() == 1 {
+            arr.remove(key);
+            return;
+        }
+        if let Some(slot) = arr.get_mut(key) {
             unset_path(slot, &keys[1..]);
         }
     }
 
     /// `isset` through an index path: every step must exist and the
     /// final value must not be null.
-    pub fn isset_path(container: &Value, keys: &[Value]) -> bool {
+    pub fn isset_path<K: Borrow<Value>>(container: &Value, keys: &[K]) -> bool {
         let mut cur = container;
         for k in keys {
+            let k = k.borrow();
             match cur {
-                Value::Array(a) => match a.get(&ArrayKey::from_value(k)) {
+                Value::Array(a) => match a.get(Key::from_value(k)) {
                     Some(v) => cur = v,
                     None => return false,
                 },
@@ -1213,6 +1199,37 @@ mod tests {
             run("for ($i = 0; $i < 5; $i++) { if ($i == 2) { continue; } if ($i == 4) { break; } echo $i; }"),
             "013"
         );
+    }
+
+    #[test]
+    fn array_pop_lowers_the_next_key() {
+        let src = "$a = [1, 2, 3]; array_pop($a); $a[] = 9;
+            foreach ($a as $k => $v) { echo $k . '=' . $v . ' '; }";
+        assert_eq!(run(src), "0=1 1=2 2=9 ");
+    }
+
+    #[test]
+    fn append_past_the_max_int_key_is_fatal() {
+        let full = "$a = []; $a[9223372036854775807] = 1;";
+        for append in ["$a[] = 2;", "array_push($a, 2);", "$b = [$a]; $b[0][] = 2;"] {
+            let out = run_both(&format!("{full} {append} echo 'unreachable';"), &[]).output;
+            assert_eq!(out.status, 500, "{append}");
+            assert!(
+                out.body.contains(
+                    "Cannot add element to the array as the next element is already occupied"
+                ),
+                "{append}: {}",
+                out.body
+            );
+        }
+        // The key itself is an ordinary key.
+        assert_eq!(run(&format!("{full} echo count($a);")), "1");
+    }
+
+    #[test]
+    fn foreach_sees_the_array_it_started_with() {
+        let src = "$a = [1, 2]; foreach ($a as $v) { $a[] = $v * 10; echo $v; } echo count($a);";
+        assert_eq!(run(src), "124");
     }
 
     #[test]

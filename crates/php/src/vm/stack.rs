@@ -19,7 +19,7 @@ use super::{
 use crate::backend::RuntimeBackend;
 use crate::builtins::{self, Host};
 use crate::bytecode::{CompiledScript, Op};
-use crate::value::{ArrayKey, Value};
+use crate::value::{ForeachIter, Value};
 use orochi_common::codec::Wire;
 
 /// Which function a frame executes.
@@ -29,19 +29,12 @@ enum FnRef {
     User(u16),
 }
 
-/// An active foreach iterator (snapshot semantics).
-#[derive(Debug)]
-struct ArrayIter {
-    pairs: Vec<(ArrayKey, Value)>,
-    pos: usize,
-}
-
 #[derive(Debug)]
 struct Frame {
     func: FnRef,
     pc: usize,
     locals: Vec<Value>,
-    iters: Vec<ArrayIter>,
+    iters: Vec<ForeachIter>,
     stack_base: usize,
 }
 
@@ -435,28 +428,21 @@ impl<'a> Vm<'a> {
                     self.output.push_str(&v.to_php_string());
                 }
                 Op::IterInit => {
-                    let arr = self.pop();
-                    let pairs = match &arr {
-                        Value::Array(a) => a.to_pairs(),
-                        // PHP warns and skips the loop for non-arrays.
-                        _ => Vec::new(),
-                    };
+                    let iter = ForeachIter::over(&self.pop());
                     self.frames
                         .last_mut()
                         .expect("running frame")
                         .iters
-                        .push(ArrayIter { pairs, pos: 0 });
+                        .push(iter);
                 }
                 Op::IterNext(t) | Op::IterNextKV(t) => {
                     let frame = self.frames.last_mut().expect("running frame");
                     let iter = frame.iters.last_mut().expect("IterInit precedes IterNext");
-                    if iter.pos < iter.pairs.len() {
-                        let (k, v) = iter.pairs[iter.pos].clone();
-                        iter.pos += 1;
+                    if let Some((k, v)) = iter.next_entry() {
                         if matches!(op, Op::IterNextKV(_)) {
                             self.stack.push(k.to_value());
                         }
-                        self.stack.push(v);
+                        self.stack.push(v.clone());
                         self.mix_event(true);
                     } else {
                         frame.pc = t as usize;

@@ -4,7 +4,9 @@
 //! be slow; instead the verifier builds, once per audit, a map from key to
 //! the ordered list of `(seq, value)` writes. `get(key, s)` then answers
 //! "what would a replay of log entries `1 .. s-1` return for `key`?" with
-//! one binary search — exactly the requirement stated in §A.7.
+//! one binary search — exactly the requirement stated in §A.7. The view
+//! borrows the log: keys and values are slices of its entries, so
+//! building it copies no value and a read hands out the logged bytes.
 
 use crate::object::OpContents;
 use crate::oplog::OpLog;
@@ -12,7 +14,7 @@ use orochi_common::ids::SeqNum;
 use std::collections::HashMap;
 
 /// `(seq, value-or-tombstone)` pairs in increasing seq order.
-type VersionList = Vec<(u64, Option<Vec<u8>>)>;
+type VersionList<'a> = Vec<(u64, Option<&'a [u8]>)>;
 
 /// Versioned view over one key-value object's operation log.
 ///
@@ -35,14 +37,14 @@ type VersionList = Vec<(u64, Option<Vec<u8>>)>;
 /// });
 /// let kv = VersionedKv::build(&log);
 /// // The get at seq 2 sees the set at seq 1.
-/// assert_eq!(kv.get("k", SeqNum(2)), Some(vec![1]));
+/// assert_eq!(kv.get("k", SeqNum(2)), Some(&[1][..]));
 /// // Nothing is visible at seq 1 (writes strictly before).
 /// assert_eq!(kv.get("k", SeqNum(1)), None);
 /// ```
 #[derive(Debug, Default)]
-pub struct VersionedKv {
+pub struct VersionedKv<'a> {
     /// Per key: the ordered write history.
-    versions: HashMap<String, VersionList>,
+    versions: HashMap<&'a str, VersionList<'a>>,
 }
 
 // Every read path (`get`, `has_write_before`, `num_keys`, ...) takes
@@ -50,10 +52,10 @@ pub struct VersionedKv {
 // worker threads without locking. Guard that property at compile time.
 const _: fn() = || {
     fn shareable<T: Send + Sync>() {}
-    shareable::<VersionedKv>();
+    shareable::<VersionedKv<'static>>();
 };
 
-impl VersionedKv {
+impl<'a> VersionedKv<'a> {
     /// Builds the versioned map from all `KvSet` operations in `log`
     /// (the paper's `kv.Build(OL_i)`, Fig. 12 line 5).
     ///
@@ -61,14 +63,14 @@ impl VersionedKv {
     /// operation is still checked against its own log entry by `CheckOp`,
     /// so a log that mixes in foreign optypes cannot smuggle anything past
     /// the audit.
-    pub fn build(log: &OpLog) -> Self {
-        let mut versions: HashMap<String, VersionList> = HashMap::new();
+    pub fn build(log: &'a OpLog) -> Self {
+        let mut versions: HashMap<&'a str, VersionList<'a>> = HashMap::new();
         for (seq, entry) in log.iter() {
             if let OpContents::KvSet { key, value } = &entry.contents {
                 versions
-                    .entry(key.clone())
+                    .entry(key)
                     .or_default()
-                    .push((seq.0, value.clone()));
+                    .push((seq.0, value.as_deref()));
             }
         }
         // Log iteration is in increasing seq order, so each vector is
@@ -78,8 +80,9 @@ impl VersionedKv {
 
     /// Returns the value the key held just before log position `s`: the
     /// `KvSet` to `key` with the highest seq strictly less than `s`
-    /// (`None` if there is no such set, or it was a delete).
-    pub fn get(&self, key: &str, s: SeqNum) -> Option<Vec<u8>> {
+    /// (`None` if there is no such set, or it was a delete). The bytes
+    /// are the log's own.
+    pub fn get(&self, key: &str, s: SeqNum) -> Option<&'a [u8]> {
         let writes = self.versions.get(key)?;
         // Binary search for the first write with seq >= s; the write just
         // before it is the visible one.
@@ -87,7 +90,7 @@ impl VersionedKv {
         if idx == 0 {
             return None;
         }
-        writes[idx - 1].1.clone()
+        writes[idx - 1].1
     }
 
     /// True if some `KvSet` to `key` appears strictly before log
@@ -119,8 +122,8 @@ impl VersionedKv {
             .filter_map(|(k, writes)| {
                 writes
                     .last()
-                    .and_then(|(_, v)| v.clone())
-                    .map(|v| (k.clone(), v))
+                    .and_then(|(_, v)| *v)
+                    .map(|v| (k.to_string(), v.to_vec()))
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -189,7 +192,7 @@ mod tests {
         for s in 1..=(log.len() as u64 + 1) {
             for key in ["a", "b", "missing"] {
                 assert_eq!(
-                    kv.get(key, SeqNum(s)),
+                    kv.get(key, SeqNum(s)).map(<[u8]>::to_vec),
                     replay_prefix(&log, key, SeqNum(s)),
                     "key={key} s={s}"
                 );
@@ -203,7 +206,7 @@ mod tests {
         set(&mut log, "k", Some(vec![9]));
         set(&mut log, "k", None);
         let kv = VersionedKv::build(&log);
-        assert_eq!(kv.get("k", SeqNum(2)), Some(vec![9]));
+        assert_eq!(kv.get("k", SeqNum(2)), Some(&[9][..]));
         assert_eq!(kv.get("k", SeqNum(3)), None);
     }
 
@@ -229,7 +232,7 @@ mod tests {
         });
         set(&mut log, "k", Some(vec![1]));
         let kv = VersionedKv::build(&log);
-        assert_eq!(kv.get("k", SeqNum(3)), Some(vec![1]));
+        assert_eq!(kv.get("k", SeqNum(3)), Some(&[1][..]));
         assert_eq!(kv.num_versions(), 1);
     }
 }

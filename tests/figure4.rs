@@ -18,7 +18,7 @@
 //! catches them.
 
 use orochi::core::audit::{audit, AuditConfig, Rejection};
-use orochi::core::exec::{FnExecutor, SimResult};
+use orochi::core::exec::FnExecutor;
 use orochi::core::graph::GraphRejection;
 use orochi::core::reports::Reports;
 use orochi::state::{ObjectName, OpContents, OpLog, OpLogEntry, OpLogs};
@@ -83,13 +83,9 @@ fn fg_executor() -> impl orochi::core::exec::GroupExecutor {
             } else {
                 ("reg:B", "reg:A")
             };
-            ctx.register_write(*rid, &ObjectName(write_obj.into()), vec![1])?;
+            ctx.register_write(*rid, &ObjectName(write_obj.into()), &[1])?;
             let got = ctx.register_read(*rid, &ObjectName(read_obj.into()))?;
-            let value = match got {
-                SimResult::Register(Some(bytes)) => bytes[0],
-                SimResult::Register(None) => 0,
-                other => panic!("register read returned {other:?}"),
-            };
+            let value = got.map_or(0, |bytes| bytes[0]);
             outputs.push((*rid, HttpResponse::ok(*rid, value.to_string())));
         }
         Ok(outputs)

@@ -307,7 +307,7 @@ proptest! {
                 let key = format!("k{k}");
                 prop_assert_eq!(
                     kv.get(&key, SeqNum(s)),
-                    model.get(&key).cloned(),
+                    model.get(&key).map(Vec::as_slice),
                     "key {} at seq {}", key, s
                 );
             }
@@ -412,7 +412,7 @@ proptest! {
                 ArrOp::Push(v) => {
                     let key = ArrayKey::Int(next_int);
                     next_int += 1;
-                    arr.push(Value::Int(v));
+                    arr.push(Value::Int(v)).expect("keys stay far below i64::MAX");
                     model.push((key, v));
                 }
                 ArrOp::Remove(k) => {
@@ -423,7 +423,7 @@ proptest! {
             prop_assert_eq!(arr.len(), model.len());
             let got: Vec<(ArrayKey, i64)> = arr
                 .iter()
-                .map(|(k, v)| (k.clone(), v.to_php_int()))
+                .map(|(k, v)| (k.owned(), v.to_php_int()))
                 .collect();
             prop_assert_eq!(&got, &model);
         }

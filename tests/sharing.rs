@@ -235,6 +235,68 @@ fn a_lane_writing_into_a_shared_query_result_changes_only_its_own_copy() {
     assert_eq!(outcome.stats.db_queries_deduped, 9);
 }
 
+/// (e) A logged value is decoded once per group: every lane that reads
+/// one APC version holds the one decoded array. A lane that writes —
+/// here into its `$_SESSION`, which starts as that same array — must
+/// copy it first: no other lane's session, and no later read of the
+/// version, may see the change. (Sessions decode through the same
+/// memo; a session version, though, is read by one request unless
+/// requests run concurrently, so APC is where versions fan out.) The
+/// server ran each request alone, so its pages and its logged session
+/// writes are the ground truth; the audit checks both.
+#[test]
+fn lanes_reading_one_logged_version_share_it_and_a_session_write_copies() {
+    let scripts: HashMap<_, _> = [
+        php(
+            "/init.php",
+            "apc_store('cfg', array('who' => 'nobody', 'n' => 2)); echo 'ok';",
+        ),
+        php(
+            "/cfg.php",
+            r#"
+            session_start();
+            $cfg = apc_fetch('cfg');
+            $_SESSION = $cfg;
+            $_SESSION['who'] = $_GET['who'];
+            $again = apc_fetch('cfg');
+            echo $_SESSION['who'] . ':' . $cfg['who'] . ':' . $again['who'] . ':' . count($again);
+            "#,
+        ),
+    ]
+    .into();
+    let who = ["a", "b", "c", "d", "e"];
+    let mut requests = vec![HttpRequest::get("/init.php", &[])];
+    requests.extend(
+        who.iter()
+            .map(|w| HttpRequest::get("/cfg.php", &[("who", w)]).with_cookie("sess", w)),
+    );
+    let bundle = serve_all(&scripts, requests);
+    let pages: Vec<&str> = bundle
+        .trace
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Response(_, resp) => Some(resp.body.as_str()),
+            Event::Request(..) => None,
+        })
+        .collect();
+    assert_eq!(pages[1], "a:nobody:nobody:2");
+    assert_eq!(pages[5], "e:nobody:nobody:2");
+
+    let mut verifier = AccPhpExecutor::new(scripts);
+    audit(
+        &bundle.trace,
+        &bundle.reports,
+        &mut verifier,
+        &audit_config(),
+    )
+    .unwrap_or_else(|r| panic!("a session write leaked between lanes: {r}"));
+    // The five readers ran as one group (the writer alone, on the
+    // scalar path): ten reads of one version, one decode.
+    assert_eq!((verifier.stats.grouped, verifier.stats.fallbacks), (1, 0));
+    assert_eq!(verifier.stats.logged_decodes, 1);
+}
+
 /// Runs every audit path — batch sequential, pooled and streaming at
 /// 1 and 8 threads — and returns each verdict's rendering.
 fn verdicts(

@@ -67,12 +67,13 @@ fn one_group_converts_each_distinct_result_once_and_computes_each_distinct_opera
     assert_eq!(outcome.stats.db_queries_issued, 3);
     assert_eq!(outcome.stats.db_queries_deduped, 13);
     assert_eq!(conversions, 3);
-    // Seven multivalent pure instructions over eight lanes. Reading
-    // `$_GET['id']` and `intval` of it see eight distinct operands (16
-    // computed). From there the lanes hold two distinct values — the
-    // id, the SQL text built from it, the result, its row, the title —
-    // so the concatenation into the SQL, `$p[0]`, `['title']`,
+    // Seven multivalent pure instructions over eight lanes. Lanes with
+    // equal query strings share one `$_GET` array, so from the first
+    // instruction on the lanes hold two distinct values — `$_GET`, the
+    // id read out of it, its `intval`, the SQL text built from it, the
+    // result, its row, the title: reading `['id']`, `intval`, the
+    // concatenation into the SQL, `$p[0]`, `['title']`,
     // `htmlspecialchars` and the final concatenation each compute two
     // lanes and share six.
-    assert_eq!((hits, misses), (5 * 6, 2 * 8 + 5 * 2));
+    assert_eq!((hits, misses), (7 * 6, 7 * 2));
 }

@@ -18,7 +18,7 @@ use orochi::harness::mutation::{MutationOp, MutationSite};
 use orochi::php::CompiledScript;
 use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
-use orochi::state::{ObjectName, OpContents, OpLog};
+use orochi::state::{ObjectName, OpContents, OpLog, OpLogEntry, OpType};
 use orochi::trace::{Event, HttpRequest, Trace};
 use orochi_common::ids::RequestId;
 use orochi_common::rng::SplitMix64;
@@ -571,6 +571,50 @@ fn rejects_reordered_kv_read_on_shop() {
     );
     assert_rejected(
         "shop-kv-reorder",
+        &bundle.trace,
+        &bundle.reports,
+        &scripts,
+        &config,
+    );
+}
+
+/// Session bytes are the server's word: a forged write nesting arrays
+/// 200,000 deep must end in a verdict — decoding stops at its depth
+/// bound — not in a stack overflow that kills the verifier.
+#[test]
+fn rejects_deeply_nested_forged_session_instead_of_overflowing() {
+    let (mut bundle, scripts, config) = honest_shop_kv();
+    let depth = 200_000;
+    let mut blob = Vec::with_capacity(5 * depth + 1);
+    for _ in 0..depth {
+        // An array of one entry, key int 0, holding the next level.
+        blob.extend_from_slice(&[5, 1, 0, 0]);
+    }
+    blob.push(0); // The innermost value: null.
+    blob.extend(std::iter::repeat_n(0, depth)); // Each level's next key.
+    let name = ObjectName("reg:sess:c1".into());
+    let i = bundle
+        .reports
+        .op_logs
+        .index_of(&name)
+        .expect("the shop run keeps a session");
+    let log = bundle.reports.op_logs.log_mut(i).expect("indexed log");
+    // Forge the write the last read sees: that reader's group runs
+    // before the writer's is checked, so the verifier must decode it.
+    let mut entries = log.entries().to_vec();
+    let is = |e: &OpLogEntry, ty: OpType| e.op_type() == ty;
+    let last_read = entries
+        .iter()
+        .rposition(|e| is(e, OpType::RegisterRead))
+        .expect("the session is read");
+    let seen = entries[..last_read]
+        .iter()
+        .rposition(|e| is(e, OpType::RegisterWrite))
+        .expect("the last read sees a write");
+    entries[seen].contents = OpContents::RegisterWrite { value: blob };
+    *log = OpLog::from_entries(entries);
+    assert_rejected(
+        "deep-session",
         &bundle.trace,
         &bundle.reports,
         &scripts,
