@@ -184,14 +184,6 @@ fn session_object(cookie: &str) -> ObjectName {
     ObjectName(name)
 }
 
-/// True if `lanes` and every lane's array have no other holder.
-fn uniquely_held(lanes: &Arc<Vec<Value>>) -> bool {
-    Arc::strong_count(lanes) == 1
-        && lanes
-            .iter()
-            .all(|v| matches!(v, Value::Array(a) if Arc::strong_count(a) == 1))
-}
-
 /// An active `foreach` (snapshot semantics).
 pub(super) enum GroupIter {
     Uni(ForeachIter),
@@ -465,20 +457,6 @@ impl<'c, 'a> Group<'c, 'a> {
                 lane_keys.extend(keys.iter().map(|k| k.lane(0)));
                 f(&mut v, &lane_keys, lane_value(0)).map_err(uni_err)?;
                 Ok(MVal::Uni(v))
-            }
-            // Every lane holds an array nothing else does (per-lane
-            // sessions, typically): no lane can be answered from
-            // another's, so each is written where it is, without the
-            // copy a shared handle would force.
-            MVal::Multi(mut vals) if uniquely_held(&vals) => {
-                self.account(true);
-                let lanes = Arc::get_mut(&mut vals).expect("checked unique");
-                for (l, v) in lanes.iter_mut().enumerate() {
-                    lane_keys.clear();
-                    lane_keys.extend(keys.iter().map(|k| k.lane(l)));
-                    f(v, &lane_keys, lane_value(l)).map_err(lane_err)?;
-                }
-                Ok(MVal::from_lanes(Arc::unwrap_or_clone(vals)))
             }
             cur => {
                 let operands: Vec<&MVal> = std::iter::once(&cur).chain(keys).chain(value).collect();

@@ -1331,8 +1331,8 @@ mod tests {
     #[test]
     fn array_builtins() {
         let mut a = PhpArray::new();
-        a.set(ArrayKey::Str("x".into()), Value::Int(1));
-        a.set(ArrayKey::Str("y".into()), Value::Int(2));
+        a.set(Key::Str("x"), Value::Int(1));
+        a.set(Key::Str("y"), Value::Int(2));
         let arr = Value::array(a);
         assert!(call("count", vec![arr.clone()]).identical(&Value::Int(2)));
         assert!(call("array_sum", vec![arr.clone()]).identical(&Value::Int(3)));
@@ -1395,9 +1395,9 @@ mod tests {
     #[test]
     fn ksort_and_asort() {
         let mut a = PhpArray::new();
-        a.set(ArrayKey::Str("b".into()), Value::Int(2));
-        a.set(ArrayKey::Str("a".into()), Value::Int(3));
-        a.set(ArrayKey::Int(5), Value::Int(1));
+        a.set(Key::Str("b"), Value::Int(2));
+        a.set(Key::Str("a"), Value::Int(3));
+        a.set(Key::Int(5), Value::Int(1));
         let (ksorted, _) =
             dispatch_byref(lookup("ksort").unwrap(), &mut [Value::array(a.clone())]).unwrap();
         match &ksorted {
@@ -1450,8 +1450,8 @@ mod tests {
         ]));
         assert!(call("json_encode", vec![list]).identical(&s("[1,\"a\\\"b\",null]")));
         let mut obj = PhpArray::new();
-        obj.set(ArrayKey::Str("k".into()), Value::Bool(true));
-        obj.set(ArrayKey::Int(7), Value::Float(1.5));
+        obj.set(Key::Str("k"), Value::Bool(true));
+        obj.set(Key::Int(7), Value::Float(1.5));
         assert!(
             call("json_encode", vec![Value::array(obj)]).identical(&s("{\"k\":true,\"7\":1.5}"))
         );

@@ -40,5 +40,5 @@ pub use backend::{BackendError, DbResult, NondetProvider, RuntimeBackend, StateB
 pub use bytecode::{CompiledScript, Op};
 pub use compiler::compile;
 pub use parser::parse_script;
-pub use value::{ArrayKey, IntoKey, Key, PhpArray, Value};
+pub use value::{ArrayKey, Key, PhpArray, Value};
 pub use vm::{RequestInput, RequestOutput, Vm, VmError};

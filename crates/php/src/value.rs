@@ -120,43 +120,6 @@ impl ArrayKey {
     }
 }
 
-/// A key argument: looked up borrowed, turned into an [`ArrayKey`] only
-/// when it creates an entry (so an owned key moves in, a borrowed one is
-/// copied then and only then).
-pub trait IntoKey {
-    /// The borrowed view used for the lookup.
-    fn key(&self) -> Key<'_>;
-    /// The owned key stored by a new entry.
-    fn into_array_key(self) -> ArrayKey;
-}
-
-impl IntoKey for ArrayKey {
-    fn key(&self) -> Key<'_> {
-        self.as_key()
-    }
-    fn into_array_key(self) -> ArrayKey {
-        self
-    }
-}
-
-impl IntoKey for &ArrayKey {
-    fn key(&self) -> Key<'_> {
-        self.as_key()
-    }
-    fn into_array_key(self) -> ArrayKey {
-        self.clone()
-    }
-}
-
-impl IntoKey for Key<'_> {
-    fn key(&self) -> Key<'_> {
-        *self
-    }
-    fn into_array_key(self) -> ArrayKey {
-        self.owned()
-    }
-}
-
 /// Returns `Some(i)` if `s` is the canonical decimal representation of
 /// an i64 (PHP's array-key canonicalization rule): an optional `-`, then
 /// digits with no leading zero, `"0"` itself excepted and `"-0"` not.
@@ -184,6 +147,12 @@ pub const SMALL_MAP: usize = 8;
 /// recurses once per level, and the bytes may be hostile.
 pub const MAX_DECODE_DEPTH: usize = 128;
 
+/// Entries a decoded array reserves before any of them is read. The
+/// length on the wire is hostile until its entries arrive, and every
+/// nesting level may claim the whole buffer at once, so a longer array
+/// grows as its entries decode instead.
+const DECODE_RESERVE: usize = 8 * SMALL_MAP;
+
 /// PHP 8's fatal for `$a[] = v` when the next integer key is taken —
 /// after a key of `PHP_INT_MAX`, the next free key saturates there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,7 +176,8 @@ impl fmt::Display for NextKeyOccupied {
 /// * **Indexed map**: past that size, the same entries plus an
 ///   open-addressed index keyed by a per-process random hash (the keys
 ///   come from requests); removed entries stay as tombstones until the
-///   index next grows, which compacts them.
+///   index next fills, which drops them and trims the room left to
+///   twice the live entries.
 ///
 /// A packed array becomes a map on the first key that breaks the
 /// `0..n` run (a hole, a string key, a key past the end); a map never
@@ -298,10 +268,13 @@ impl Map {
 
     /// Drops the tombstones and rebuilds the index at most half full
     /// (sized for the entries' capacity, so a map decoded or built at
-    /// its final size indexes once).
+    /// its final size indexes once). Dropping tombstones also trims the
+    /// room to twice the live entries: a map that churns at a constant
+    /// size keeps a constant footprint.
     fn reindex(&mut self) {
         if self.live < self.entries.len() {
             self.entries.retain(Option::is_some);
+            self.entries.shrink_to(2 * self.live + 1);
         }
         let want = (2 * self.entries.capacity().max(self.entries.len() + 1)).next_power_of_two();
         self.slots.clear();
@@ -403,8 +376,8 @@ impl PhpArray {
     }
 
     /// Gets a value by key.
-    pub fn get(&self, key: impl IntoKey) -> Option<&Value> {
-        let at = self.locate(key.key())?;
+    pub fn get(&self, key: Key<'_>) -> Option<&Value> {
+        let at = self.locate(key)?;
         Some(match &self.repr {
             Repr::Packed(values) => &values[at],
             Repr::Map(map) => {
@@ -418,20 +391,20 @@ impl PhpArray {
 
     /// True if the key exists (even with a null value —
     /// `array_key_exists`; note `isset` is false for null).
-    pub fn has_key(&self, key: impl IntoKey) -> bool {
+    pub fn has_key(&self, key: Key<'_>) -> bool {
         self.get(key).is_some()
     }
 
     /// Mutable access to a value by key.
-    pub fn get_mut(&mut self, key: impl IntoKey) -> Option<&mut Value> {
-        let at = self.locate(key.key())?;
+    pub fn get_mut(&mut self, key: Key<'_>) -> Option<&mut Value> {
+        let at = self.locate(key)?;
         Some(self.value_at(at))
     }
 
     /// The value at `key`, inserting a null first if the key is absent
     /// (the step of a nested write, `$a[k][..] = v`).
-    pub fn get_or_insert_null(&mut self, key: impl IntoKey) -> &mut Value {
-        match self.locate(key.key()) {
+    pub fn get_or_insert_null(&mut self, key: Key<'_>) -> &mut Value {
+        match self.locate(key) {
             Some(at) => self.value_at(at),
             None => self.insert_absent(key, Value::Null),
         }
@@ -468,8 +441,8 @@ impl PhpArray {
     }
 
     /// Sets `key = value`, preserving insertion order for existing keys.
-    pub fn set(&mut self, key: impl IntoKey, value: Value) {
-        match self.get_mut(key.key()) {
+    pub fn set(&mut self, key: Key<'_>, value: Value) {
+        match self.get_mut(key) {
             Some(slot) => *slot = value,
             None => {
                 self.insert_absent(key, value);
@@ -489,8 +462,8 @@ impl PhpArray {
     }
 
     /// Inserts a key known to be absent, returning its slot.
-    fn insert_absent(&mut self, key: impl IntoKey, value: Value) -> &mut Value {
-        let appends = match key.key() {
+    fn insert_absent(&mut self, key: Key<'_>, value: Value) -> &mut Value {
+        let appends = match key {
             Key::Int(i) => {
                 if i >= self.next_int {
                     self.next_int = i.saturating_add(1);
@@ -507,7 +480,7 @@ impl PhpArray {
             return values.last_mut().expect("just pushed");
         }
         let map = self.as_map();
-        map.insert_new(key.into_array_key(), value);
+        map.insert_new(key.owned(), value);
         let (_, v) = map
             .entries
             .last_mut()
@@ -543,8 +516,7 @@ impl PhpArray {
 
     /// Removes a key (`unset`). Removing the last element of a list
     /// keeps it a list; any other removal from one makes it a map.
-    pub fn remove(&mut self, key: impl IntoKey) -> Option<Value> {
-        let key = key.key();
+    pub fn remove(&mut self, key: Key<'_>) -> Option<Value> {
         if let Repr::Packed(values) = &mut self.repr {
             let i = packed_index(key, values.len())?;
             if i + 1 == values.len() {
@@ -586,7 +558,7 @@ impl PhpArray {
     pub fn from_pairs(pairs: Vec<(ArrayKey, Value)>) -> Self {
         let mut out = Self::with_capacity(pairs.len());
         for (k, v) in pairs {
-            out.set(k, v);
+            out.set(k.as_key(), v);
         }
         out
     }
@@ -996,13 +968,15 @@ fn decode_at(dec: &mut Decoder<'_>, depth: usize) -> Result<Value, WireError> {
                 return Err(WireError::Malformed("php array nested too deep"));
             }
             // Every entry takes at least three bytes (key tag, key,
-            // value tag), which bounds what the length may reserve.
+            // value tag), which bounds the length.
             let n = dec.u64()? as usize;
             if n > dec.remaining() / 3 {
                 return Err(WireError::Malformed("array length exceeds buffer"));
             }
-            // Sized once, packed while the keys run 0..n; a string key
-            // borrows the buffer and is copied only into a new entry.
+            // Sized once (up to `DECODE_RESERVE`), packed while the keys
+            // run 0..n; a string key borrows the buffer and is copied
+            // only into a new entry.
+            let room = n.min(DECODE_RESERVE);
             let mut a = PhpArray::new();
             for i in 0..n {
                 let key = match dec.byte()? {
@@ -1012,8 +986,8 @@ fn decode_at(dec: &mut Decoder<'_>, depth: usize) -> Result<Value, WireError> {
                 };
                 if i == 0 {
                     a = match key {
-                        Key::Int(0) => PhpArray::with_capacity(n),
-                        _ => PhpArray::map_with_capacity(n),
+                        Key::Int(0) => PhpArray::with_capacity(room),
+                        _ => PhpArray::map_with_capacity(room),
                     };
                 }
                 let v = decode_at(dec, depth + 1)?;
@@ -1076,9 +1050,9 @@ mod tests {
     #[test]
     fn array_preserves_insertion_order() {
         let mut a = PhpArray::new();
-        a.set(ArrayKey::Str("z".into()), Value::Int(1));
-        a.set(ArrayKey::Str("a".into()), Value::Int(2));
-        a.set(ArrayKey::Int(10), Value::Int(3));
+        a.set(Key::Str("z"), Value::Int(1));
+        a.set(Key::Str("a"), Value::Int(2));
+        a.set(Key::Int(10), Value::Int(3));
         let keys: Vec<_> = a.iter().map(|(k, _)| k.owned()).collect();
         assert_eq!(
             keys,
@@ -1089,7 +1063,7 @@ mod tests {
             ]
         );
         // Overwrite preserves position.
-        a.set(ArrayKey::Str("z".into()), Value::Int(9));
+        a.set(Key::Str("z"), Value::Int(9));
         let first = a.iter().next().unwrap();
         assert_eq!(first.0, Key::Str("z"));
         assert!(first.1.identical(&Value::Int(9)));
@@ -1099,7 +1073,7 @@ mod tests {
     fn push_uses_max_int_key_plus_one() {
         let mut a = PhpArray::new();
         assert_eq!(a.push(Value::Int(0)), Ok(0));
-        a.set(ArrayKey::Int(10), Value::Int(1));
+        a.set(Key::Int(10), Value::Int(1));
         assert_eq!(a.push(Value::Int(2)), Ok(11));
         // Deleting does not lower the next key (PHP behaviour).
         a.remove(Key::Int(11));
@@ -1199,6 +1173,27 @@ mod tests {
     }
 
     #[test]
+    fn churn_at_a_constant_size_keeps_a_constant_footprint() {
+        // 20 live keys; each step inserts a new one and unsets the oldest.
+        const LIVE: i64 = 20;
+        let mut a = PhpArray::new();
+        for i in 0..LIVE {
+            a.set(Key::Int(2 * i), Value::Int(i));
+        }
+        for i in LIVE..100_000 {
+            a.set(Key::Int(2 * i), Value::Int(i));
+            assert!(a.remove(Key::Int(2 * (i - LIVE))).is_some());
+            let Repr::Map(m) = &a.repr else {
+                panic!("a list with holes is a map");
+            };
+            let (room, slots) = (m.entries.capacity(), m.slots.len());
+            assert!(room <= 8 * LIVE as usize && slots <= 16 * LIVE as usize);
+        }
+        assert_eq!(a.len(), LIVE as usize);
+        assert!(a.get(Key::Int(2 * 99_999)).is_some());
+    }
+
+    #[test]
     fn decode_takes_the_packed_form() {
         let list = Value::array(PhpArray::from_values(vec![Value::Null; 3]));
         let Value::Array(a) = Value::from_wire_bytes(&list.to_wire_bytes()).unwrap() else {
@@ -1240,7 +1235,7 @@ mod tests {
         // An indexed map with a removal, a negative key and a push.
         let mut m = PhpArray::new();
         for i in 0..10 {
-            m.set(ArrayKey::Str(format!("k{i}")), Value::Int(i));
+            m.set(Key::Str(&format!("k{i}")), Value::Int(i));
         }
         m.remove(Key::Str("k3"));
         m.set(Key::Int(-4), Value::str("neg"));
@@ -1320,9 +1315,9 @@ mod tests {
     #[test]
     fn array_equality() {
         let mut a = PhpArray::new();
-        a.set(ArrayKey::Str("k".into()), Value::Int(1));
+        a.set(Key::Str("k"), Value::Int(1));
         let mut b = PhpArray::new();
-        b.set(ArrayKey::Str("k".into()), Value::str("1"));
+        b.set(Key::Str("k"), Value::str("1"));
         let (va, vb) = (Value::array(a), Value::array(b));
         assert!(va.loose_eq(&vb));
         assert!(!va.identical(&vb));
@@ -1381,11 +1376,11 @@ mod tests {
     #[test]
     fn wire_roundtrip_nested() {
         let mut inner = PhpArray::new();
-        inner.set(ArrayKey::Str("x".into()), Value::Float(1.5));
+        inner.set(Key::Str("x"), Value::Float(1.5));
         let mut outer = PhpArray::new();
         outer.push(Value::array(inner)).unwrap();
-        outer.set(ArrayKey::Str("s".into()), Value::str("hé"));
-        outer.set(ArrayKey::Int(5), Value::Bool(true));
+        outer.set(Key::Str("s"), Value::str("hé"));
+        outer.set(Key::Int(5), Value::Bool(true));
         let v = Value::array(outer);
         let bytes = v.to_wire_bytes();
         let back = Value::from_wire_bytes(&bytes).unwrap();

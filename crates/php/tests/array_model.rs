@@ -147,14 +147,14 @@ proptest! {
         for op in ops {
             match op {
                 Op::Set(k, v) => {
-                    arr.set(&k, Value::Int(v));
+                    arr.set(k.as_key(), Value::Int(v));
                     model.set(k, v);
                 }
                 Op::Push(v) => {
                     prop_assert_eq!(arr.push(Value::Int(v)), model.push(v));
                 }
                 Op::Remove(k) => {
-                    prop_assert_eq!(int_of(arr.remove(&k).as_ref()), model.remove(&k));
+                    prop_assert_eq!(int_of(arr.remove(k.as_key()).as_ref()), model.remove(&k));
                 }
                 Op::Pop => {
                     let got = arr.pop_last().map(|(k, v)| (k, v.to_php_int()));
@@ -166,8 +166,8 @@ proptest! {
                 }
                 Op::Get(k) => {
                     let want = model.position(&k).map(|at| model.entries[at].1);
-                    prop_assert_eq!(int_of(arr.get(&k)), want);
-                    prop_assert_eq!(arr.has_key(&k), want.is_some());
+                    prop_assert_eq!(int_of(arr.get(k.as_key())), want);
+                    prop_assert_eq!(arr.has_key(k.as_key()), want.is_some());
                 }
             }
             prop_assert_eq!(arr.len(), model.entries.len());
@@ -197,11 +197,11 @@ fn one_array_walks_every_form() {
     let mut model = Model::default();
     let mut step = |arr: &mut PhpArray, op: Op| match op {
         Op::Set(k, v) => {
-            arr.set(&k, Value::Int(v));
+            arr.set(k.as_key(), Value::Int(v));
             model.set(k, v);
         }
         Op::Push(v) => assert_eq!(arr.push(Value::Int(v)), model.push(v)),
-        Op::Remove(k) => assert_eq!(int_of(arr.remove(&k).as_ref()), model.remove(&k)),
+        Op::Remove(k) => assert_eq!(int_of(arr.remove(k.as_key()).as_ref()), model.remove(&k)),
         Op::Pop => assert_eq!(
             arr.pop_last().map(|(k, v)| (k, v.to_php_int())),
             model.pop()

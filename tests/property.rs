@@ -227,7 +227,7 @@ fn php_value_strategy() -> impl Strategy<Value = Value> {
         .prop_map(|pairs| {
             let mut a = PhpArray::new();
             for (k, v) in pairs {
-                a.set(k, v);
+                a.set(k.as_key(), v);
             }
             Value::array(a)
         })
@@ -403,7 +403,7 @@ proptest! {
                             next_int = i + 1;
                         }
                     }
-                    arr.set(k.clone(), Value::Int(v));
+                    arr.set(k.as_key(), Value::Int(v));
                     match model.iter_mut().find(|(mk, _)| *mk == k) {
                         Some(slot) => slot.1 = v,
                         None => model.push((k, v)),
@@ -416,7 +416,7 @@ proptest! {
                     model.push((key, v));
                 }
                 ArrOp::Remove(k) => {
-                    arr.remove(&k);
+                    arr.remove(k.as_key());
                     model.retain(|(mk, _)| *mk != k);
                 }
             }
