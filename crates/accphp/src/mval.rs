@@ -133,6 +133,9 @@ pub struct LaneMemo {
     slots: Vec<u32>,
     hits: u64,
     misses: u64,
+    /// The most probes any one lane has made.
+    #[cfg(test)]
+    max_probes: usize,
 }
 
 impl Drop for LaneMemo {
@@ -190,7 +193,11 @@ impl LaneMemo {
             let mut first_with = None;
             if heap_operand || heap_univalue {
                 let mut at = (hash >> (64 - bits)) as usize;
-                for _ in 0..MAX_PROBES {
+                for _probe in 0..MAX_PROBES {
+                    #[cfg(test)]
+                    {
+                        self.max_probes = self.max_probes.max(_probe + 1);
+                    }
                     match self.slots[at] {
                         0 => {
                             self.slots[at] = lane as u32 + 1;
@@ -321,6 +328,63 @@ mod tests {
         assert_eq!(calls.get(), 2, "same array, two distinct keys");
         let got: Vec<i64> = out.iter().map(Value::to_php_int).collect();
         assert_eq!(got, [10, 20, 10]);
+    }
+
+    #[test]
+    fn colliding_int_lanes_stay_within_the_probe_bound() {
+        // Ints whose Fibonacci hashes all share their top bits: every
+        // lane lands on slot 0, the worst case a request can craft. A
+        // univalent string beside them makes every lane look the memo up.
+        const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
+        let inverse = (0..6).fold(PHI, |y, _| {
+            y.wrapping_mul(2u64.wrapping_sub(PHI.wrapping_mul(y)))
+        });
+        assert_eq!(PHI.wrapping_mul(inverse), 1);
+        let lanes = 64usize;
+        // The key of a lane is `(i ^ 3) * PHI`; pick `i` so the product
+        // is a small multiple of 2^20, far below the table's top bits.
+        let ints: Vec<i64> = (0..lanes as u64)
+            .map(|t| ((t << 20).wrapping_mul(inverse) ^ 3) as i64)
+            .collect();
+        let bits = (2 * lanes).next_power_of_two().trailing_zeros();
+        for &i in &ints {
+            assert_eq!(((i as u64 ^ 3).wrapping_mul(PHI)) >> (64 - bits), 0);
+        }
+        // Each int fills two lanes, 64 apart: the repeat of a lane that
+        // found a slot is a hit, the repeat of one that did not is
+        // computed again.
+        let values: Vec<Value> = ints.iter().chain(&ints).map(|&i| Value::Int(i)).collect();
+        let lanes = values.len();
+        let key = MVal::Multi(Arc::new(values));
+        let suffix = MVal::Uni(Value::str("!"));
+        let calls = Cell::new(vec![0u32; lanes]);
+        let render = |l: usize| {
+            format!(
+                "{}{}",
+                key.lane(l).to_php_string(),
+                suffix.lane(l).as_php_str()
+            )
+        };
+        let mut memo = LaneMemo::default();
+        let out = memo
+            .per_lane::<Value, ()>(&[&key, &suffix], lanes, |l| {
+                let mut seen = calls.take();
+                seen[l] += 1;
+                calls.set(seen);
+                Ok(Value::str(render(l)))
+            })
+            .unwrap();
+        for (l, v) in out.iter().enumerate() {
+            assert_eq!(v.to_php_string(), render(l), "lane {l}");
+        }
+        let calls = calls.take();
+        assert!(
+            calls.iter().all(|&n| n <= 1),
+            "f runs at most once per lane"
+        );
+        assert_eq!(calls.iter().sum::<u32>() as usize, lanes - MAX_PROBES);
+        assert!(memo.max_probes <= MAX_PROBES, "{} probes", memo.max_probes);
+        assert_eq!(memo.max_probes, MAX_PROBES, "the crafted keys do collide");
     }
 
     #[test]

@@ -378,38 +378,10 @@ pub struct AuditOutcome {
     pub stats: AuditStats,
 }
 
-/// Key of the read-query dedup cache: a prepared-query id — one per
-/// distinct (log, SQL text), see [`PreparedQueries`] — and the
-/// modification epoch of the table it reads.
-type DedupKey = (usize, u64);
-
-/// One worker's prepared-query table: every distinct (log, SQL text)
-/// parsed and bound to its versioned store once, however often the
-/// lanes repeat it. A text that does not prepare keeps its error, so
-/// each occurrence fails the way the first did.
-#[derive(Default)]
-struct PreparedQueries {
-    /// Per log index: SQL text -> position in `queries`. Looked up by
-    /// `&str`, so a repeated query hashes its text once and allocates
-    /// nothing.
-    ids: Vec<HashMap<String, usize>>,
-    queries: Vec<Result<PreparedQuery, SqlError>>,
-}
-
-impl PreparedQueries {
-    fn id(&mut self, log: usize, sql: &str, vdb: &VersionedDb) -> usize {
-        if self.ids.len() <= log {
-            self.ids.resize_with(log + 1, HashMap::new);
-        }
-        if let Some(&id) = self.ids[log].get(sql) {
-            return id;
-        }
-        let id = self.queries.len();
-        self.queries.push(vdb.prepare(sql));
-        self.ids[log].insert(sql.to_string(), id);
-        id
-    }
-}
+/// Key of the read-query dedup cache: the log, the SELECT (one per
+/// distinct SQL text of that log, see [`VersionedDb::select_at`]) and
+/// the modification epoch of the table it reads.
+type DedupKey = (usize, usize, u64);
 
 /// The prologue's products, shared read-only by every re-execution
 /// worker: the OpMap and, per log, the versioned stores and register
@@ -441,13 +413,24 @@ const _: fn() = || {
 /// each part only where the log holds an operation that reads it.
 struct LogStores<'a> {
     /// The versioned database (the §4.5 redo pass), for `DbOp` logs.
-    db: Option<VersionedDb>,
+    db: Option<LogDb>,
     /// The versioned key-value view (`kv.Build(OL)`, Fig. 12 line 5),
     /// borrowing the log's keys and values.
     kv: Option<VersionedKv<'a>>,
     /// For entry index `j`, the index of the latest `RegisterWrite`
     /// strictly before `j`; for logs containing a `RegisterRead`.
     reg_prev_write: Option<Vec<Option<usize>>>,
+}
+
+/// A database log's redone store and the committed reads re-execution
+/// asks of it, each addressed by its log position `(seq, q)`.
+struct LogDb {
+    store: VersionedDb,
+    /// Per log entry, the flat position of its first query in the
+    /// store's redo order ([`VersionedDb::select_at`]).
+    first_query: Vec<u32>,
+    /// Per select id, the SELECT prepared once after the last redo step.
+    selects: Vec<Result<PreparedQuery, SqlError>>,
 }
 
 impl<'a> AuditShared<'a> {
@@ -502,8 +485,12 @@ impl<'a> AuditShared<'a> {
     }
 
     /// The versioned database for log `i`, if the prologue built one.
-    fn versioned_db(&self, i: usize) -> Option<&VersionedDb> {
+    fn log_db(&self, i: usize) -> Option<&LogDb> {
         self.stores.get(i).and_then(|stores| stores.db.as_ref())
+    }
+
+    fn versioned_db(&self, i: usize) -> Option<&VersionedDb> {
+        self.log_db(i).map(|db| &db.store)
     }
 }
 
@@ -527,8 +514,10 @@ fn build_stores_for<'a>(
     let db = log.contains_op_type(OpType::DbOp).then(|| {
         let empty = Database::new();
         let initial = config.initial_dbs.get(name.as_str()).unwrap_or(&empty);
-        let mut vdb = VersionedDb::from_snapshot(initial);
+        let mut store = VersionedDb::from_snapshot(initial);
+        let mut first_query = Vec::with_capacity(log.len());
         for (seq, entry) in log.iter() {
+            first_query.push(store.redone_queries() as u32);
             if let OpContents::DbOp {
                 queries,
                 succeeded,
@@ -537,10 +526,15 @@ fn build_stores_for<'a>(
             {
                 let logged: Vec<Option<WriteOutcome>> =
                     write_results.iter().map(|w| w.map(write_outcome)).collect();
-                vdb.redo_transaction(seq.0, queries, *succeeded, &logged)?;
+                store.redo_transaction(seq.0, queries, *succeeded, &logged)?;
             }
         }
-        Ok(vdb)
+        let selects = store.prepare_selects();
+        Ok(LogDb {
+            store,
+            first_query,
+            selects,
+        })
     });
     let has_kv = log.contains_op_type(OpType::KvGet) || log.contains_op_type(OpType::KvSet);
     let reg_prev_write = log.contains_op_type(OpType::RegisterRead).then(|| {
@@ -579,9 +573,6 @@ pub struct AuditContext<'a> {
     /// hit hands out the same handle, so all readers of one table
     /// version share one object.
     dedup_cache: HashMap<DedupKey, Arc<ExecOutcome>>,
-    /// Parsed SQL (queries repeat heavily; parsing each occurrence
-    /// would eat the dedup gain).
-    prepared: PreparedQueries,
     /// Nondeterminism cursors per dense request index.
     nondet_cursor: Vec<usize>,
     /// Accumulated statistics (including the "DB query" busy time, so
@@ -614,22 +605,19 @@ impl<'a> AuditContext<'a> {
             opnum_next: vec![1; x],
             in_txn: vec![false; x],
             dedup_cache: carry.dedup_cache,
-            prepared: carry.prepared,
             nondet_cursor: vec![0; x],
             stats: carry.stats,
         }
     }
 
     /// Tears the context down to what the engine carries across an
-    /// epoch boundary: the dedup cache, the prepared queries, and the
-    /// accumulated counters. Everything else — the per-request cursor
-    /// vectors and the `Arc` on the shared prologue — is dropped, which
-    /// is what lets the engine reclaim exclusive ownership of the
-    /// shared state between epochs.
+    /// epoch boundary: the dedup cache and the accumulated counters.
+    /// Everything else — the per-request cursor vectors and the `Arc` on
+    /// the shared prologue — is dropped, which is what lets the engine
+    /// reclaim exclusive ownership of the shared state between epochs.
     pub(crate) fn into_carry(self) -> AuditCarry {
         AuditCarry {
             dedup_cache: self.dedup_cache,
-            prepared: self.prepared,
             stats: self.stats,
         }
     }
@@ -891,9 +879,8 @@ impl<'a> AuditContext<'a> {
             return Ok(DbQueryResult::Ok(Arc::new(outcome)));
         }
         if handle.logged_succeeded {
-            let ts = seq * MAXQ + q;
             let t0 = Instant::now();
-            let result = self.dedup_query(handle.obj_index, sql, ts, rid, opnum)?;
+            let result = self.dedup_query(handle, q)?;
             self.stats.db_query_wall += t0.elapsed();
             Ok(DbQueryResult::Ok(result))
         } else if let Some(rows) = vdb.aborted_read(seq, q) {
@@ -906,37 +893,41 @@ impl<'a> AuditContext<'a> {
         }
     }
 
-    /// Answers a committed SELECT at `ts`, deduplicating by (sql, table
-    /// modification epoch) when enabled (§4.5).
-    fn dedup_query(
-        &mut self,
-        obj_index: usize,
-        sql: &str,
-        ts: u64,
-        rid: RequestId,
-        opnum: OpNum,
-    ) -> Result<Arc<ExecOutcome>, Rejection> {
-        let vdb = self
-            .shared
-            .versioned_db(obj_index)
-            .ok_or(Rejection::ObjectMismatch { rid, opnum })?;
+    /// Answers committed read `q` of the transaction `handle` names at
+    /// its version, deduplicating by (SELECT, table modification epoch)
+    /// when enabled (§4.5). [`Self::db_query`] has matched the SQL text
+    /// against the log, so the SELECT redo parsed at this log position
+    /// is the one to run, found by flat index.
+    fn dedup_query(&mut self, handle: &DbTxnHandle, q: u64) -> Result<Arc<ExecOutcome>, Rejection> {
+        let (log, seq) = (handle.obj_index, handle.seq.0);
+        let db = self.shared.log_db(log).ok_or(Rejection::ObjectMismatch {
+            rid: handle.rid,
+            opnum: handle.opnum,
+        })?;
+        let position = db.first_query[(seq - 1) as usize] as usize + (q - 1) as usize;
+        // Redo rejects a committed query with no logged write result
+        // unless it is a SELECT, so every read here has a select id.
+        let select = db
+            .store
+            .select_at(position)
+            .expect("redo checked that committed reads are SELECTs");
         let failure = |e: &SqlError| Rejection::ExecFailure(format!("query_at: {e}"));
-        let id = self.prepared.id(obj_index, sql, vdb);
-        let query = match &self.prepared.queries[id] {
+        let query = match &db.selects[select] {
             Ok(query) => query,
             Err(e) => {
                 self.stats.db_queries_issued += 1;
                 return Err(failure(e));
             }
         };
+        let ts = seq * MAXQ + q;
         let dedup = self.shared.config.query_dedup;
-        let key = dedup.then(|| (id, vdb.mod_epoch(query, ts)));
+        let key = dedup.then(|| (log, select, db.store.mod_epoch(query, ts)));
         if let Some(cached) = key.and_then(|key| self.dedup_cache.get(&key)) {
             self.stats.db_queries_deduped += 1;
             return Ok(Arc::clone(cached));
         }
         self.stats.db_queries_issued += 1;
-        let result = Arc::new(vdb.run_at(query, ts).map_err(|e| failure(&e))?);
+        let result = Arc::new(db.store.run_at(query, ts).map_err(|e| failure(&e))?);
         if let Some(key) = key {
             self.dedup_cache.insert(key, Arc::clone(&result));
         }
@@ -1058,16 +1049,14 @@ impl<'a> AuditContext<'a> {
 #[derive(Default)]
 pub(crate) struct AuditCarry {
     dedup_cache: HashMap<DedupKey, Arc<ExecOutcome>>,
-    prepared: PreparedQueries,
     pub(crate) stats: AuditStats,
 }
 
 impl AuditCarry {
     /// Rough resident size of the carried caches in bytes: the dedup
-    /// index and the prepared SQL texts (cached results are not counted).
+    /// index (cached results are not counted).
     pub(crate) fn estimated_bytes(&self) -> usize {
-        let texts = self.prepared.ids.iter().flat_map(HashMap::keys);
-        self.dedup_cache.len() * 48 + texts.map(|sql| sql.len() + 96).sum::<usize>()
+        self.dedup_cache.len() * 56
     }
 }
 
@@ -1082,7 +1071,8 @@ pub(crate) fn assemble_outcome(
     phases: PhaseTimer,
 ) -> AuditOutcome {
     stats.phases = phases;
-    for vdb in shared.stores.iter().filter_map(|stores| stores.db.as_ref()) {
+    let dbs = shared.stores.iter().filter_map(|stores| stores.db.as_ref());
+    for vdb in dbs.map(|db| &db.store) {
         let s = vdb.stats();
         stats.redo.transactions += s.transactions;
         stats.redo.queries += s.queries;

@@ -9,6 +9,9 @@ pub enum Expr {
     Literal(SqlValue),
     /// Reference to a column of the current row.
     Column(String),
+    /// A [`Expr::Column`] resolved to its position in the table's rows
+    /// when a query is prepared; the parser never produces it.
+    ColumnAt(usize),
     /// Binary operation.
     Binary {
         /// Operator.
@@ -211,7 +214,7 @@ impl Expr {
     /// Collects every column name referenced by the expression.
     pub fn collect_columns(&self, out: &mut Vec<String>) {
         match self {
-            Expr::Literal(_) => {}
+            Expr::Literal(_) | Expr::ColumnAt(_) => {}
             Expr::Column(c) => out.push(c.clone()),
             Expr::Binary { lhs, rhs, .. } => {
                 lhs.collect_columns(out);

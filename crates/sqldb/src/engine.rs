@@ -18,14 +18,14 @@
 //! rolled back and `commit` reports failure. This matches the logged
 //! `succeeded` flag of the `DbOp` opcontents (Fig. 12).
 
-use crate::ast::{
-    Aggregate, BinOp, Delete, Expr, Insert, OrderKey, Select, SelectItem, Statement, Update,
-};
+use crate::ast::{Aggregate, BinOp, Delete, Expr, Insert, Select, SelectItem, Statement, Update};
 use crate::parser::{parse_statement, ParseError};
 use crate::schema::TableSchema;
 use crate::value::{IndexKey, SqlValue};
 use parking_lot::lock_api::ArcMutexGuard;
 use parking_lot::{Mutex, RawMutex};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -323,6 +323,16 @@ impl Database {
     /// transaction is poisoned and rolled back; subsequent statements
     /// fail with [`SqlError::TransactionAborted`].
     pub fn execute_in_txn(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
+        self.execute_parsed_in_txn(parse_statement(sql).as_ref())
+    }
+
+    /// [`Self::execute_in_txn`] for a statement parsed already; a parse
+    /// error fails the statement (and poisons the transaction) like any
+    /// other error.
+    pub(crate) fn execute_parsed_in_txn(
+        &mut self,
+        parsed: Result<&Statement, &ParseError>,
+    ) -> Result<ExecOutcome, SqlError> {
         if self.txn.is_none() {
             return Err(SqlError::Unsupported(
                 "execute_in_txn outside transaction".into(),
@@ -331,20 +341,14 @@ impl Database {
         if self.txn_poisoned() {
             return Err(SqlError::TransactionAborted);
         }
-        let stmt = match parse_statement(sql) {
-            Ok(s) => s,
-            Err(e) => {
-                self.poison();
-                return Err(e.into());
-            }
+        let result = match parsed {
+            Ok(stmt) => self.execute_stmt(stmt),
+            Err(e) => Err(e.clone().into()),
         };
-        match self.execute_stmt(&stmt) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                self.poison();
-                Err(e)
-            }
+        if result.is_err() {
+            self.poison();
         }
+        result
     }
 
     fn poison(&mut self) {
@@ -494,7 +498,7 @@ impl Database {
             let mut row = vec![SqlValue::Null; schema.columns.len()];
             for (expr, pos) in tuple.iter().zip(&positions) {
                 // INSERT values may not reference columns.
-                row[*pos] = eval_expr(expr, None, &schema)?;
+                row[*pos] = eval_expr(expr, None, &schema)?.into_owned();
             }
             // Auto-increment fill.
             if let (Some(pk_pos), true) = (pk, auto) {
@@ -552,8 +556,13 @@ impl Database {
             .tables
             .get(&select.table)
             .ok_or_else(|| SqlError::NoSuchTable(select.table.clone()))?;
-        let rows: Vec<&Vec<SqlValue>> = table.rows.values().collect();
-        run_select(select, &table.schema, rows.into_iter())
+        let plan = SelectPlan::new(select, &table.schema);
+        run_select(
+            select.where_clause.as_ref(),
+            &plan,
+            &table.schema,
+            table.rows.values(),
+        )
     }
 
     fn exec_update(&mut self, update: &Update) -> Result<ExecOutcome, SqlError> {
@@ -573,7 +582,7 @@ impl Database {
         // Collect matching rowids first (borrow discipline), then apply.
         let mut matches = Vec::new();
         for (rowid, row) in &table.rows {
-            if eval_where(&update.where_clause, row, &schema)? {
+            if eval_where(update.where_clause.as_ref(), row, &schema)? {
                 matches.push(*rowid);
             }
         }
@@ -587,7 +596,7 @@ impl Database {
             let old = table.rows[&rowid].clone();
             let mut new = old.clone();
             for ((_, expr), pos) in update.assignments.iter().zip(&set_positions) {
-                new[*pos] = eval_expr(expr, Some(&old), &schema)?;
+                new[*pos] = eval_expr(expr, Some(&old), &schema)?.into_owned();
                 if !schema.columns[*pos].ty.admits(&new[*pos]) {
                     return Err(SqlError::TypeError(format!(
                         "value {} not valid for column {}",
@@ -637,7 +646,7 @@ impl Database {
         let schema = table.schema.clone();
         let mut matches = Vec::new();
         for (rowid, row) in &table.rows {
-            if eval_where(&delete.where_clause, row, &schema)? {
+            if eval_where(delete.where_clause.as_ref(), row, &schema)? {
                 matches.push(*rowid);
             }
         }
@@ -680,7 +689,7 @@ fn row_bytes(row: &[SqlValue]) -> usize {
 
 /// Evaluates a WHERE clause against a row (absent clause = true).
 pub(crate) fn eval_where(
-    clause: &Option<Expr>,
+    clause: Option<&Expr>,
     row: &[SqlValue],
     schema: &TableSchema,
 ) -> Result<bool, SqlError> {
@@ -691,46 +700,50 @@ pub(crate) fn eval_where(
 }
 
 /// Evaluates a scalar expression. `row` is `None` in contexts where
-/// column references are illegal (INSERT values).
-pub(crate) fn eval_expr(
-    expr: &Expr,
-    row: Option<&[SqlValue]>,
+/// column references are illegal (INSERT values). Columns and literals
+/// are lent, not cloned: only computed values (comparisons, arithmetic)
+/// are owned.
+pub(crate) fn eval_expr<'a>(
+    expr: &'a Expr,
+    row: Option<&'a [SqlValue]>,
     schema: &TableSchema,
-) -> Result<SqlValue, SqlError> {
+) -> Result<Cow<'a, SqlValue>, SqlError> {
+    let truth = |b: bool| Ok(Cow::Owned(SqlValue::Int(b as i64)));
+    let null = || Ok(Cow::Owned(SqlValue::Null));
+    let column = |pos: usize| match row {
+        Some(r) => Ok(Cow::Borrowed(&r[pos])),
+        None => Err(SqlError::Unsupported(
+            "column reference outside row context".into(),
+        )),
+    };
     match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column(name) => {
-            let pos = schema
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::Column(name) => column(
+            schema
                 .column_index(name)
-                .ok_or_else(|| SqlError::NoSuchColumn(name.clone()))?;
-            match row {
-                Some(r) => Ok(r[pos].clone()),
-                None => Err(SqlError::Unsupported(
-                    "column reference outside row context".into(),
-                )),
-            }
-        }
-        Expr::Neg(inner) => match eval_expr(inner, row, schema)? {
-            SqlValue::Int(i) => {
-                Ok(SqlValue::Int(i.checked_neg().ok_or_else(|| {
-                    SqlError::Arithmetic("negation overflow".into())
-                })?))
-            }
-            SqlValue::Float(f) => Ok(SqlValue::Float(-f)),
-            SqlValue::Null => Ok(SqlValue::Null),
+                .ok_or_else(|| SqlError::NoSuchColumn(name.clone()))?,
+        ),
+        Expr::ColumnAt(pos) => column(*pos),
+        Expr::Neg(inner) => match &*eval_expr(inner, row, schema)? {
+            SqlValue::Int(i) => Ok(Cow::Owned(SqlValue::Int(
+                i.checked_neg()
+                    .ok_or_else(|| SqlError::Arithmetic("negation overflow".into()))?,
+            ))),
+            SqlValue::Float(f) => Ok(Cow::Owned(SqlValue::Float(-f))),
+            SqlValue::Null => null(),
             other => Err(SqlError::TypeError(format!("cannot negate {other}"))),
         },
         Expr::Not(inner) => {
             let v = eval_expr(inner, row, schema)?;
             if v.is_null() {
-                Ok(SqlValue::Null)
+                null()
             } else {
-                Ok(SqlValue::Int(!v.is_truthy() as i64))
+                truth(!v.is_truthy())
             }
         }
         Expr::IsNull { expr, negated } => {
             let v = eval_expr(expr, row, schema)?;
-            Ok(SqlValue::Int((v.is_null() != *negated) as i64))
+            truth(v.is_null() != *negated)
         }
         Expr::InList {
             expr,
@@ -739,7 +752,7 @@ pub(crate) fn eval_expr(
         } => {
             let v = eval_expr(expr, row, schema)?;
             if v.is_null() {
-                return Ok(SqlValue::Null);
+                return null();
             }
             let mut found = false;
             for item in list {
@@ -749,73 +762,65 @@ pub(crate) fn eval_expr(
                     break;
                 }
             }
-            Ok(SqlValue::Int((found != *negated) as i64))
+            truth(found != *negated)
         }
         Expr::Like {
             expr,
             pattern,
             negated,
-        } => {
-            let v = eval_expr(expr, row, schema)?;
-            match v {
-                SqlValue::Null => Ok(SqlValue::Null),
-                SqlValue::Text(s) => {
-                    Ok(SqlValue::Int((like_match(&s, pattern) != *negated) as i64))
-                }
-                other => Err(SqlError::TypeError(format!("LIKE on non-text {other}"))),
-            }
-        }
+        } => match &*eval_expr(expr, row, schema)? {
+            SqlValue::Null => null(),
+            SqlValue::Text(s) => truth(like_match(s, pattern) != *negated),
+            other => Err(SqlError::TypeError(format!("LIKE on non-text {other}"))),
+        },
         Expr::Binary { op, lhs, rhs } => {
             let a = eval_expr(lhs, row, schema)?;
             match op {
                 BinOp::And => {
                     // SQL three-valued AND with short circuit on false.
                     if !a.is_null() && !a.is_truthy() {
-                        return Ok(SqlValue::Int(0));
+                        return truth(false);
                     }
                     let b = eval_expr(rhs, row, schema)?;
                     if !b.is_null() && !b.is_truthy() {
-                        return Ok(SqlValue::Int(0));
+                        return truth(false);
                     }
                     if a.is_null() || b.is_null() {
-                        return Ok(SqlValue::Null);
+                        return null();
                     }
-                    Ok(SqlValue::Int(1))
+                    truth(true)
                 }
                 BinOp::Or => {
                     if !a.is_null() && a.is_truthy() {
-                        return Ok(SqlValue::Int(1));
+                        return truth(true);
                     }
                     let b = eval_expr(rhs, row, schema)?;
                     if !b.is_null() && b.is_truthy() {
-                        return Ok(SqlValue::Int(1));
+                        return truth(true);
                     }
                     if a.is_null() || b.is_null() {
-                        return Ok(SqlValue::Null);
+                        return null();
                     }
-                    Ok(SqlValue::Int(0))
+                    truth(false)
                 }
                 BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                     let b = eval_expr(rhs, row, schema)?;
                     match a.sql_cmp(&b) {
-                        None => Ok(SqlValue::Null),
-                        Some(ord) => {
-                            let truth = match op {
-                                BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                                BinOp::Ne => ord != std::cmp::Ordering::Equal,
-                                BinOp::Lt => ord == std::cmp::Ordering::Less,
-                                BinOp::Le => ord != std::cmp::Ordering::Greater,
-                                BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                                BinOp::Ge => ord != std::cmp::Ordering::Less,
-                                _ => unreachable!("comparison ops only"),
-                            };
-                            Ok(SqlValue::Int(truth as i64))
-                        }
+                        None => null(),
+                        Some(ord) => truth(match op {
+                            BinOp::Eq => ord == Ordering::Equal,
+                            BinOp::Ne => ord != Ordering::Equal,
+                            BinOp::Lt => ord == Ordering::Less,
+                            BinOp::Le => ord != Ordering::Greater,
+                            BinOp::Gt => ord == Ordering::Greater,
+                            BinOp::Ge => ord != Ordering::Less,
+                            _ => unreachable!("comparison ops only"),
+                        }),
                     }
                 }
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
                     let b = eval_expr(rhs, row, schema)?;
-                    arith(*op, &a, &b)
+                    arith(*op, &a, &b).map(Cow::Owned)
                 }
             }
         }
@@ -904,118 +909,162 @@ pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
     rec(&s, &p)
 }
 
-/// Runs a SELECT against any row iterator; shared by the online engine
-/// and the versioned store.
-pub(crate) fn run_select<'a>(
-    select: &Select,
+/// A SELECT resolved against its table's schema once: sort keys,
+/// output names and positions, aggregate names — what a run would
+/// otherwise look up by name. A name that does not resolve keeps its
+/// error, which [`run_select`] raises where the statement always raised
+/// it (after the WHERE pass, sort keys before the projection), so a plan
+/// fails exactly like its statement.
+#[derive(Debug)]
+pub(crate) struct SelectPlan {
+    output: Output,
+    limit: Option<u64>,
+    offset: u64,
+}
+
+#[derive(Debug)]
+enum Output {
+    /// One row of aggregates; `Err` when they mix with plain columns.
+    Aggregates(Result<Vec<AggItem>, SqlError>),
+    /// The kept rows, sorted by `order` (position, descending), then
+    /// projected onto `columns` (output names, positions).
+    Rows {
+        order: Result<Vec<(usize, bool)>, SqlError>,
+        columns: Result<(Vec<String>, Vec<usize>), SqlError>,
+    },
+}
+
+#[derive(Debug)]
+struct AggItem {
+    agg: Aggregate,
+    /// The aggregated column's position; `None` for `COUNT(*)`.
+    column: Result<Option<usize>, SqlError>,
+    name: String,
+}
+
+impl SelectPlan {
+    pub(crate) fn new(select: &Select, schema: &TableSchema) -> SelectPlan {
+        let position = |name: &String| {
+            schema
+                .column_index(name)
+                .ok_or_else(|| SqlError::NoSuchColumn(name.clone()))
+        };
+        let is_agg = |item: &SelectItem| matches!(item, SelectItem::Agg { .. });
+        let output = if !select.items.iter().any(is_agg) {
+            let (mut names, mut positions) = (Vec::new(), Vec::new());
+            let columns = select
+                .items
+                .iter()
+                .try_for_each(|item| {
+                    match item {
+                        SelectItem::Wildcard => {
+                            for (pos, col) in schema.columns.iter().enumerate() {
+                                names.push(col.name.clone());
+                                positions.push(pos);
+                            }
+                        }
+                        SelectItem::Column { name, alias } => {
+                            positions.push(position(name)?);
+                            names.push(alias.clone().unwrap_or_else(|| name.clone()));
+                        }
+                        SelectItem::Agg { .. } => unreachable!("no aggregates here"),
+                    }
+                    Ok(())
+                })
+                .map(|()| (names, positions));
+            Output::Rows {
+                order: select
+                    .order_by
+                    .iter()
+                    .map(|key| Ok((position(&key.column)?, key.desc)))
+                    .collect(),
+                columns,
+            }
+        } else if select.items.iter().all(is_agg) {
+            let items = select.items.iter().filter_map(|item| match item {
+                SelectItem::Agg { agg, column, alias } => Some(AggItem {
+                    agg: *agg,
+                    column: column.as_ref().map(position).transpose(),
+                    name: alias.clone().unwrap_or_else(|| match (agg, column) {
+                        (Aggregate::Count, None) => "COUNT(*)".to_string(),
+                        (a, Some(c)) => format!("{a:?}({c})").to_uppercase(),
+                        (a, None) => format!("{a:?}(*)").to_uppercase(),
+                    }),
+                }),
+                _ => None,
+            });
+            Output::Aggregates(Ok(items.collect()))
+        } else {
+            Output::Aggregates(Err(SqlError::Unsupported(
+                "mixing aggregates and plain columns (no GROUP BY)".into(),
+            )))
+        };
+        SelectPlan {
+            output,
+            limit: select.limit,
+            offset: select.offset.unwrap_or(0),
+        }
+    }
+}
+
+/// Runs a planned SELECT over `rows` in scan order, keeping those that
+/// pass `filter`; shared by the online engine and the versioned store.
+/// Rows are borrowed throughout: only the projected cells are cloned.
+pub(crate) fn run_select<'r>(
+    filter: Option<&Expr>,
+    plan: &SelectPlan,
     schema: &TableSchema,
-    rows: impl Iterator<Item = &'a Vec<SqlValue>>,
+    rows: impl Iterator<Item = &'r Vec<SqlValue>>,
 ) -> Result<ExecOutcome, SqlError> {
-    // Filter.
     let mut kept: Vec<&Vec<SqlValue>> = Vec::new();
     for row in rows {
-        if eval_where(&select.where_clause, row, schema)? {
+        if eval_where(filter, row, schema)? {
             kept.push(row);
         }
     }
-    // Aggregate vs plain projection.
-    let has_agg = select
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Agg { .. }));
-    if has_agg {
-        if select
-            .items
-            .iter()
-            .any(|i| !matches!(i, SelectItem::Agg { .. }))
-        {
-            return Err(SqlError::Unsupported(
-                "mixing aggregates and plain columns (no GROUP BY)".into(),
-            ));
-        }
-        let mut columns = Vec::new();
-        let mut out_row = Vec::new();
-        for item in &select.items {
-            if let SelectItem::Agg { agg, column, alias } = item {
-                let col_pos = match column {
-                    Some(name) => Some(
-                        schema
-                            .column_index(name)
-                            .ok_or_else(|| SqlError::NoSuchColumn(name.clone()))?,
-                    ),
-                    None => None,
-                };
-                let default_name = match (agg, column) {
-                    (Aggregate::Count, None) => "COUNT(*)".to_string(),
-                    (a, Some(c)) => format!("{a:?}({c})").to_uppercase(),
-                    (a, None) => format!("{a:?}(*)").to_uppercase(),
-                };
-                columns.push(alias.clone().unwrap_or(default_name));
-                out_row.push(eval_aggregate(*agg, col_pos, &kept)?);
+    let (order, (columns, positions)) = match &plan.output {
+        Output::Aggregates(items) => {
+            let items = items.as_ref().map_err(Clone::clone)?;
+            let mut out_row = Vec::with_capacity(items.len());
+            for item in items {
+                out_row.push(eval_aggregate(item.agg, item.column.clone()?, &kept)?);
             }
+            return Ok(ExecOutcome::Rows {
+                columns: items.iter().map(|item| item.name.clone()).collect(),
+                rows: vec![out_row],
+            });
         }
-        return Ok(ExecOutcome::Rows {
-            columns,
-            rows: vec![out_row],
-        });
-    }
+        Output::Rows { order, columns } => (
+            order.as_ref().map_err(Clone::clone)?,
+            columns.as_ref().map_err(Clone::clone)?,
+        ),
+    };
     // ORDER BY (stable sort preserves scan order for ties).
-    if !select.order_by.is_empty() {
-        let mut keys = Vec::with_capacity(select.order_by.len());
-        for OrderKey { column, .. } in &select.order_by {
-            keys.push(
-                schema
-                    .column_index(column)
-                    .ok_or_else(|| SqlError::NoSuchColumn(column.clone()))?,
-            );
-        }
+    if !order.is_empty() {
         kept.sort_by(|a, b| {
-            for (key, ok) in keys.iter().zip(&select.order_by) {
-                let ord = a[*key].order_cmp(&b[*key]);
-                let ord = if ok.desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
+            for &(key, desc) in order {
+                let ord = a[key].order_cmp(&b[key]);
+                if ord != Ordering::Equal {
+                    return if desc { ord.reverse() } else { ord };
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
     }
     // OFFSET / LIMIT.
-    let offset = select.offset.unwrap_or(0) as usize;
-    let kept: Vec<&Vec<SqlValue>> = if offset >= kept.len() {
-        Vec::new()
-    } else {
-        match select.limit {
-            Some(n) => kept[offset..].iter().take(n as usize).copied().collect(),
-            None => kept[offset..].to_vec(),
-        }
-    };
-    // Projection.
-    let mut columns = Vec::new();
-    let mut projections: Vec<usize> = Vec::new();
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => {
-                for (pos, col) in schema.columns.iter().enumerate() {
-                    columns.push(col.name.clone());
-                    projections.push(pos);
-                }
-            }
-            SelectItem::Column { name, alias } => {
-                let pos = schema
-                    .column_index(name)
-                    .ok_or_else(|| SqlError::NoSuchColumn(name.clone()))?;
-                columns.push(alias.clone().unwrap_or_else(|| name.clone()));
-                projections.push(pos);
-            }
-            SelectItem::Agg { .. } => unreachable!("aggregate path handled above"),
-        }
-    }
-    let rows = kept
-        .into_iter()
-        .map(|row| projections.iter().map(|p| row[*p].clone()).collect())
+    let bound = |n: u64| usize::try_from(n).unwrap_or(usize::MAX).min(kept.len());
+    let start = bound(plan.offset);
+    let end = plan
+        .limit
+        .map_or(kept.len(), |n| bound(plan.offset.saturating_add(n)));
+    let rows = kept[start..end.max(start)]
+        .iter()
+        .map(|row| positions.iter().map(|&p| row[p].clone()).collect())
         .collect();
-    Ok(ExecOutcome::Rows { columns, rows })
+    Ok(ExecOutcome::Rows {
+        columns: columns.clone(),
+        rows,
+    })
 }
 
 fn eval_aggregate(
@@ -1043,9 +1092,9 @@ fn eval_aggregate(
                     Some(b) => {
                         let ord = row[pos].order_cmp(b);
                         let take = if agg == Aggregate::Max {
-                            ord == std::cmp::Ordering::Greater
+                            ord == Ordering::Greater
                         } else {
-                            ord == std::cmp::Ordering::Less
+                            ord == Ordering::Less
                         };
                         if take {
                             &row[pos]

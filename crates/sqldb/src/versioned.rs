@@ -30,14 +30,20 @@
 //! between their versions, which the verifier tests by comparing
 //! *modification epochs* ([`VersionedDb::mod_epoch`]).
 //!
-//! Lexically identical SELECTs are also the common case, so a reader
-//! [`VersionedDb::prepare`]s each distinct text once — parsed, table
-//! resolved, index probe chosen — and then runs and epoch-tests the
-//! [`PreparedQuery`] at any number of versions.
+//! Lexically identical SELECTs are also the common case. The redo pass
+//! parses each distinct SELECT text once (a repeat costs a lookup) and
+//! records which SELECT every redone query position holds
+//! ([`VersionedDb::select_at`]). After the last redo step,
+//! [`VersionedDb::prepare_selects`] binds each distinct SELECT once —
+//! table resolved, columns positioned, index probe chosen — into a
+//! [`PreparedQuery`] that runs and epoch-tests at any number of versions;
+//! [`VersionedDb::prepare`] does the same for a text from outside the log.
 
-use crate::ast::{BinOp, Expr, Select, Statement};
-use crate::engine::{run_select, Database, ExecOutcome, SqlError, WriteOutcome};
-use crate::parser::parse_statement;
+use crate::ast::{BinOp, Expr, Statement};
+use crate::engine::{
+    eval_expr, eval_where, run_select, Database, ExecOutcome, SelectPlan, SqlError, WriteOutcome,
+};
+use crate::parser::{parse_statement, ParseError};
 use crate::schema::TableSchema;
 use crate::value::{IndexKey, SqlValue};
 use std::collections::{BTreeMap, HashMap};
@@ -212,51 +218,139 @@ impl VersionedTable {
     }
 
     /// Indices of versions visible at `ts`, in rowid order.
-    fn visible_at(&self, ts: u64) -> Vec<usize> {
-        let mut out: Vec<(u64, usize)> = self
-            .versions
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.start <= ts && ts < v.end)
-            .map(|(i, v)| (v.rowid, i))
-            .collect();
-        out.sort_unstable_by_key(|(rowid, _)| *rowid);
-        out.into_iter().map(|(_, i)| i).collect()
+    fn visible_at(&self, ts: u64) -> Visible {
+        let visible = self.versions.iter().enumerate();
+        Visible::Many(in_rowid_order(
+            visible
+                .filter(|(_, v)| v.visible_at(ts))
+                .map(|(i, v)| (v.rowid, i)),
+        ))
     }
 
     /// Indexed candidates for `col = key` at `ts`, in rowid order; `None`
-    /// if the column has no index.
-    fn candidates(&self, col: usize, key: &IndexKey, ts: u64) -> Option<Vec<usize>> {
-        let index = self.eq_index.get(&col)?;
-        let mut out: Vec<(u64, usize)> = index
+    /// if the column has no index. A lone candidate (the common case on
+    /// a key column) is returned as is, without a list to sort.
+    fn candidates(&self, col: usize, key: &IndexKey, ts: u64) -> Option<Visible> {
+        let ids = self
+            .eq_index
+            .get(&col)?
             .get(key)
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&i| {
-                        let v = &self.versions[i];
-                        v.start <= ts && ts < v.end
-                    })
-                    .map(|&i| (self.versions[i].rowid, i))
-                    .collect()
-            })
-            .unwrap_or_default();
-        out.sort_unstable_by_key(|(rowid, _)| *rowid);
-        Some(out.into_iter().map(|(_, i)| i).collect())
+            .map_or(&[][..], Vec::as_slice);
+        let mut visible = ids
+            .iter()
+            .filter(|&&i| self.versions[i].visible_at(ts))
+            .map(|&i| (self.versions[i].rowid, i));
+        let Some(first) = visible.next() else {
+            return Some(Visible::One(None));
+        };
+        Some(match visible.next() {
+            None => Visible::One(Some(first.1)),
+            Some(second) => {
+                Visible::Many(in_rowid_order([first, second].into_iter().chain(visible)))
+            }
+        })
     }
 }
 
-/// A SELECT parsed once and bound to the [`VersionedDb`] that
-/// [`VersionedDb::prepare`]d it: the table is an index into that store
-/// (not a name to look up per run) and the equality-index probe is
-/// already chosen. Running it against any other store is a bug.
+impl RowVersion {
+    fn visible_at(&self, ts: u64) -> bool {
+        self.start <= ts && ts < self.end
+    }
+}
+
+/// Version indices a read sees, in rowid order.
+enum Visible {
+    One(Option<usize>),
+    Many(Vec<usize>),
+}
+
+impl Visible {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Visible::One(one) => one.as_slice(),
+            Visible::Many(many) => many,
+        }
+    }
+}
+
+/// The version indices of `(rowid, index)` pairs, sorted by rowid.
+fn in_rowid_order(pairs: impl Iterator<Item = (u64, usize)>) -> Vec<usize> {
+    let mut pairs: Vec<(u64, usize)> = pairs.collect();
+    pairs.sort_unstable_by_key(|(rowid, _)| *rowid);
+    pairs.into_iter().map(|(_, i)| i).collect()
+}
+
+/// A SELECT parsed once and bound to the [`VersionedDb`] that prepared
+/// it: the table is an index into that store (not a name to look up per
+/// run), the WHERE clause's columns are positions, the output shape is
+/// resolved and the equality-index probe is already chosen. Running it
+/// against any other store is a bug.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    select: Select,
-    /// Position of `select.table` in the preparing store's `tables`.
+    /// WHERE, with every column the table has bound to its position.
+    filter: Option<Expr>,
+    plan: SelectPlan,
+    /// Position of the queried table in the preparing store's `tables`.
     table: usize,
     /// The first `col = literal` conjunct over an indexed column: the
     /// column position and the literal's index key.
     probe: Option<(usize, IndexKey)>,
+}
+
+/// Every distinct SELECT text the redo pass has met, parsed once: a
+/// SELECT repeated across the log (the common case) costs a lookup, not
+/// a parse. Any other statement — a write carries its values, so its
+/// text seldom repeats, and may be long — is parsed where it occurs and
+/// not kept.
+#[derive(Default)]
+struct Selects {
+    /// Text -> select id (position in `parsed`).
+    ids: HashMap<Box<str>, u32>,
+    /// Each a `Statement::Select`.
+    parsed: Vec<Statement>,
+}
+
+/// A redone query's parse: a SELECT by its id in [`Selects`], any other
+/// statement (or a parse error) as parsed.
+enum Parsed {
+    Select(u32),
+    Other(Result<Statement, ParseError>),
+}
+
+/// [`VersionedDb::redone`]'s mark for a query that is not a SELECT.
+const NOT_A_SELECT: u32 = u32::MAX;
+
+impl Parsed {
+    fn select_id(&self) -> u32 {
+        match self {
+            Parsed::Select(id) => *id,
+            Parsed::Other(_) => NOT_A_SELECT,
+        }
+    }
+}
+
+impl Selects {
+    fn parse(&mut self, sql: &str) -> Parsed {
+        if let Some(&id) = self.ids.get(sql) {
+            return Parsed::Select(id);
+        }
+        match parse_statement(sql) {
+            Ok(select @ Statement::Select(_)) => {
+                let id = self.parsed.len() as u32;
+                self.parsed.push(select);
+                self.ids.insert(sql.into(), id);
+                Parsed::Select(id)
+            }
+            other => Parsed::Other(other),
+        }
+    }
+
+    fn get<'a>(&'a self, parsed: &'a Parsed) -> Result<&'a Statement, &'a ParseError> {
+        match parsed {
+            Parsed::Select(id) => Ok(&self.parsed[*id as usize]),
+            Parsed::Other(other) => other.as_ref(),
+        }
+    }
 }
 
 /// The audit-time versioned database.
@@ -266,6 +360,10 @@ pub struct VersionedDb {
     tables: Vec<VersionedTable>,
     /// Table name -> position in `tables`.
     table_ids: BTreeMap<String, usize>,
+    selects: Selects,
+    /// The select id of every query redone so far (or [`NOT_A_SELECT`]),
+    /// in log order: the flat index [`Self::select_at`] reads.
+    redone: Vec<u32>,
     /// SELECT results captured while replaying aborted transactions,
     /// keyed by `(seq, query)`; shared handles, like every query result
     /// the store gives out.
@@ -277,7 +375,7 @@ pub struct VersionedDb {
     stats: RedoStats,
 }
 
-// After the redo pass the store is only read (`query_at`, `mod_epoch`,
+// After the redo pass the store is only read (`run_at`, `mod_epoch`,
 // `aborted_read`, ... all take `&self`), so the parallel audit shares
 // one built store per object across its worker threads without locking.
 // Guard that property at compile time.
@@ -293,6 +391,8 @@ impl VersionedDb {
         let mut out = Self {
             tables: Vec::new(),
             table_ids: BTreeMap::new(),
+            selects: Selects::default(),
+            redone: Vec::new(),
             aborted_reads: HashMap::new(),
             aborted_failures: std::collections::HashSet::new(),
             last_seq: 0,
@@ -385,10 +485,18 @@ impl VersionedDb {
                 query: q,
                 error,
             };
-            let stmt = parse_statement(sql).map_err(|e| fail(e.into()))?;
-            let computed: Option<WriteOutcome> = match &stmt {
-                Statement::Select(_) => None,
-                Statement::CreateTable(schema) => {
+            let parsed = self.selects.parse(sql);
+            self.redone.push(parsed.select_id());
+            let write = match parsed {
+                // A repeated SELECT costs only this check of its logged
+                // result.
+                Parsed::Select(_) => None,
+                Parsed::Other(Err(e)) => return Err(fail(e.into())),
+                Parsed::Other(Ok(write)) => Some(write),
+            };
+            let computed: Option<WriteOutcome> = match &write {
+                None | Some(Statement::Select(_)) => None,
+                Some(Statement::CreateTable(schema)) => {
                     if self.table_ids.contains_key(&schema.name) {
                         return Err(fail(SqlError::DuplicateTable(schema.name.clone())));
                     }
@@ -397,9 +505,15 @@ impl VersionedDb {
                     self.add_table(schema.name.clone(), vt);
                     Some(WriteOutcome::default())
                 }
-                Statement::Insert(insert) => Some(self.redo_insert(insert, ts).map_err(fail)?),
-                Statement::Update(update) => Some(self.redo_update(update, ts).map_err(fail)?),
-                Statement::Delete(delete) => Some(self.redo_delete(delete, ts).map_err(fail)?),
+                Some(Statement::Insert(insert)) => {
+                    Some(self.redo_insert(insert, ts).map_err(fail)?)
+                }
+                Some(Statement::Update(update)) => {
+                    Some(self.redo_update(update, ts).map_err(fail)?)
+                }
+                Some(Statement::Delete(delete)) => {
+                    Some(self.redo_delete(delete, ts).map_err(fail)?)
+                }
             };
             if computed != logged_results[pos] {
                 return Err(RedoError::WriteResultMismatch { seq, query: q });
@@ -414,21 +528,23 @@ impl VersionedDb {
         queries: &[String],
         logged_results: &[Option<WriteOutcome>],
     ) -> Result<(), RedoError> {
+        let parsed: Vec<Parsed> = queries.iter().map(|sql| self.selects.parse(sql)).collect();
+        self.redone.extend(parsed.iter().map(Parsed::select_id));
+        let selects = &self.selects;
         // Scratch database holding live images of the touched tables.
-        let mut touched: Vec<String> = Vec::new();
-        for sql in queries {
-            if let Ok(stmt) = parse_statement(sql) {
-                touched.push(stmt.table().to_string());
-            }
-        }
-        touched.sort();
+        let mut touched: Vec<&str> = parsed
+            .iter()
+            .filter_map(|p| selects.get(p).ok())
+            .map(Statement::table)
+            .collect();
+        touched.sort_unstable();
         touched.dedup();
         let mut scratch = self.materialize_live(&touched);
         scratch.begin().expect("fresh scratch database");
-        for (pos, sql) in queries.iter().enumerate() {
+        for (pos, p) in parsed.iter().enumerate() {
             let q = pos as u64 + 1;
             let last = pos == queries.len() - 1;
-            match scratch.execute_in_txn(sql) {
+            match scratch.execute_parsed_in_txn(selects.get(p)) {
                 Ok(outcome) => {
                     let computed = outcome.write();
                     if computed != logged_results[pos] {
@@ -474,7 +590,7 @@ impl VersionedDb {
         for tuple in &insert.rows {
             let mut row = vec![SqlValue::Null; schema.columns.len()];
             for (expr, pos) in tuple.iter().zip(&positions) {
-                row[*pos] = crate::engine::eval_expr(expr, None, &schema)?;
+                row[*pos] = eval_expr(expr, None, &schema)?.into_owned();
             }
             let vt = self.table_mut(&insert.table);
             if let (Some(pk_pos), true) = (pk, auto) {
@@ -531,7 +647,7 @@ impl VersionedDb {
         let mut matches: Vec<(u64, Vec<SqlValue>)> = Vec::new();
         for (rowid, &vidx) in &vt.live {
             let row = &vt.versions[vidx].row;
-            if crate::engine::eval_where(&update.where_clause, row, &schema)? {
+            if eval_where(update.where_clause.as_ref(), row, &schema)? {
                 matches.push((*rowid, row.clone()));
             }
         }
@@ -540,7 +656,7 @@ impl VersionedDb {
         for (rowid, old) in matches {
             let mut new = old.clone();
             for ((_, expr), pos) in update.assignments.iter().zip(&set_positions) {
-                new[*pos] = crate::engine::eval_expr(expr, Some(&old), &schema)?;
+                new[*pos] = eval_expr(expr, Some(&old), &schema)?.into_owned();
                 if !schema.columns[*pos].ty.admits(&new[*pos]) {
                     return Err(SqlError::TypeError(format!(
                         "value {} not valid for column {}",
@@ -577,7 +693,11 @@ impl VersionedDb {
         let schema = vt.schema.clone();
         let mut matches: Vec<u64> = Vec::new();
         for (rowid, &vidx) in &vt.live {
-            if crate::engine::eval_where(&delete.where_clause, &vt.versions[vidx].row, &schema)? {
+            if eval_where(
+                delete.where_clause.as_ref(),
+                &vt.versions[vidx].row,
+                &schema,
+            )? {
                 matches.push(*rowid);
             }
         }
@@ -595,17 +715,44 @@ impl VersionedDb {
         })
     }
 
+    /// How many queries the store has redone: the flat position the
+    /// next transaction's first query will take in [`Self::select_at`].
+    pub fn redone_queries(&self) -> usize {
+        self.redone.len()
+    }
+
+    /// The select id of the redone query at flat `position` (see
+    /// [`Self::redone_queries`]), if it is a SELECT: equal ids are equal
+    /// texts, and the id indexes [`Self::prepare_selects`].
+    pub fn select_at(&self, position: usize) -> Option<usize> {
+        let id = *self.redone.get(position)?;
+        (id != NOT_A_SELECT).then_some(id as usize)
+    }
+
+    /// Ends the redo pass and prepares every distinct SELECT it parsed,
+    /// against the finished store, indexed by select id. Nothing is
+    /// parsed or copied: each parse moves into its prepared query. No
+    /// transaction follows the end of the log, so a later
+    /// [`Self::redo_transaction`] is out of order
+    /// ([`RedoError::NonMonotonicSeq`]).
+    pub fn prepare_selects(&mut self) -> Vec<Result<PreparedQuery, SqlError>> {
+        self.last_seq = u64::MAX;
+        let parsed = std::mem::take(&mut self.selects).parsed;
+        parsed.into_iter().map(|select| self.bind(select)).collect()
+    }
+
     /// Parses `sql` and binds it to this store. Errors are the ones
     /// running the text would have produced: a parse error, a statement
     /// that is not a SELECT, an unknown table.
     pub fn prepare(&self, sql: &str) -> Result<PreparedQuery, SqlError> {
-        let select = match parse_statement(sql)? {
-            Statement::Select(s) => s,
-            _ => {
-                return Err(SqlError::Unsupported(
-                    "query_at only supports SELECT".into(),
-                ))
-            }
+        self.bind(parse_statement(sql)?)
+    }
+
+    fn bind(&self, stmt: Statement) -> Result<PreparedQuery, SqlError> {
+        let Statement::Select(mut select) = stmt else {
+            return Err(SqlError::Unsupported(
+                "query_at only supports SELECT".into(),
+            ));
         };
         let table = *self
             .table_ids
@@ -622,8 +769,14 @@ impl VersionedDb {
                 .contains_key(&pos)
                 .then(|| (pos, val.index_key()))
         });
+        let plan = SelectPlan::new(&select, &vt.schema);
+        let mut filter = select.where_clause.take();
+        if let Some(w) = &mut filter {
+            bind_columns(w, &vt.schema);
+        }
         Ok(PreparedQuery {
-            select,
+            filter,
+            plan,
             table,
             probe,
         })
@@ -638,9 +791,9 @@ impl VersionedDb {
             .probe
             .as_ref()
             .and_then(|(col, key)| vt.candidates(*col, key, ts));
-        let idxs = probed.unwrap_or_else(|| vt.visible_at(ts));
-        let rows = idxs.iter().map(|&i| &vt.versions[i].row);
-        run_select(&query.select, &vt.schema, rows)
+        let visible = probed.unwrap_or_else(|| vt.visible_at(ts));
+        let rows = visible.as_slice().iter().map(|&i| &vt.versions[i].row);
+        run_select(query.filter.as_ref(), &query.plan, &vt.schema, rows)
     }
 
     /// [`Self::prepare`] then [`Self::run_at`], for a text run once.
@@ -674,7 +827,7 @@ impl VersionedDb {
     /// Materializes the live image of the named tables into a plain
     /// [`Database`] (scratch for aborted-transaction replay). Unknown
     /// names are skipped; the replay will then fail like the original.
-    fn materialize_live(&self, names: &[String]) -> Database {
+    fn materialize_live(&self, names: &[&str]) -> Database {
         let mut db = Database::new();
         for name in names {
             if let Ok(vt) = self.table(name) {
@@ -695,7 +848,7 @@ impl VersionedDb {
     /// final state of every table into a plain database — the latest
     /// state the verifier keeps after the audit (§5.1).
     pub fn latest_snapshot(&self) -> Database {
-        let names: Vec<String> = self.table_ids.keys().cloned().collect();
+        let names: Vec<&str> = self.table_ids.keys().map(String::as_str).collect();
         self.materialize_live(&names)
     }
 
@@ -727,6 +880,33 @@ impl VersionedDb {
                     .sum::<usize>()
             })
             .sum()
+    }
+}
+
+/// Binds every column of `expr` that `schema` has to its position; an
+/// unknown name stays a name, to fail when (and only if) it is
+/// evaluated, as it would have unbound.
+fn bind_columns(expr: &mut Expr, schema: &TableSchema) {
+    match expr {
+        Expr::Column(name) => {
+            if let Some(pos) = schema.column_index(name) {
+                *expr = Expr::ColumnAt(pos);
+            }
+        }
+        Expr::Literal(_) | Expr::ColumnAt(_) => {}
+        Expr::Binary { lhs, rhs, .. } => {
+            bind_columns(lhs, schema);
+            bind_columns(rhs, schema);
+        }
+        Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } | Expr::Like { expr: e, .. } => {
+            bind_columns(e, schema)
+        }
+        Expr::InList { expr: e, list, .. } => {
+            bind_columns(e, schema);
+            for item in list {
+                bind_columns(item, schema);
+            }
+        }
     }
 }
 
@@ -1102,6 +1282,41 @@ mod tests {
         assert_eq!(
             vdb.prepare("SELECT id FROM nope").unwrap_err(),
             SqlError::NoSuchTable("nope".into())
+        );
+    }
+
+    #[test]
+    fn selects_are_parsed_once_and_addressed_by_position() {
+        let base = seed();
+        let mut vdb = VersionedDb::from_snapshot(&base);
+        let read = "SELECT id, views FROM p WHERE title = 'alpha'";
+        let w1 = Some(WriteOutcome {
+            affected: 1,
+            last_insert_id: None,
+        });
+        vdb.redo_transaction(1, &[read.into()], true, &[None])
+            .unwrap();
+        let update = "UPDATE p SET views = 3 WHERE id = 1";
+        vdb.redo_transaction(2, &[update.into(), read.into()], true, &[w1, None])
+            .unwrap();
+        // An aborted replay reads its touched tables from the same parse.
+        vdb.redo_transaction(3, &[read.into(), "SELEKT".into()], false, &[None, None])
+            .unwrap();
+        assert!(vdb.aborted_failed_at_last(3));
+        assert_eq!(vdb.selects.parsed.len(), 1, "one distinct SELECT kept");
+        assert_eq!(vdb.redone_queries(), 5);
+        let ids: Vec<Option<usize>> = (0..6).map(|p| vdb.select_at(p)).collect();
+        assert_eq!(ids, [Some(0), None, Some(0), Some(0), None, None]);
+        let selects = vdb.prepare_selects();
+        assert_eq!(selects.len(), 1);
+        let query = selects[0].as_ref().unwrap();
+        for ts in [MAXQ + 1, 2 * MAXQ + 2, 3 * MAXQ + 1] {
+            assert_eq!(vdb.run_at(query, ts), vdb.query_at(read, ts), "@ {ts}");
+        }
+        assert_eq!(
+            vdb.redo_transaction(4, &[read.into()], true, &[None]),
+            Err(RedoError::NonMonotonicSeq { seq: 4 }),
+            "the redo pass has ended"
         );
     }
 

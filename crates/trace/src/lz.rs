@@ -77,7 +77,8 @@ impl<'a> Matcher<'a> {
         self.head[h] = i as u32;
     }
 
-    /// Longest earlier occurrence of the bytes at `i`, as (len, dist).
+    /// Longest earlier occurrence of the bytes at `i`, as (len, dist):
+    /// the nearest candidate of that length within the chain budget.
     fn longest(&self, i: usize) -> (usize, usize) {
         let input = self.input;
         let max = input.len() - i;
@@ -86,10 +87,17 @@ impl<'a> Matcher<'a> {
         let mut steps = 0;
         while cand != u32::MAX && steps < MAX_CHAIN {
             let c = cand as usize;
-            let l = common_prefix(&input[c..c + max], &input[i..]);
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
+            // Only a candidate that agrees one byte past the best match
+            // can beat it; the rest are skipped without a full compare.
+            if input[c + best_len] == input[i + best_len] {
+                let l = common_prefix(&input[c..c + max], &input[i..]);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if l == max {
+                        break; // Nothing can be longer than the rest.
+                    }
+                }
             }
             cand = self.prev[c];
             steps += 1;
@@ -263,6 +271,54 @@ mod tests {
             packed.len()
         );
         assert_eq!(decompress(&packed).unwrap(), doc);
+    }
+
+    /// Seeded templated pages of varying length, with runs, near-repeats
+    /// and a match that reaches the end of the input.
+    fn templated_inputs() -> Vec<Vec<u8>> {
+        let mut x = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut inputs = Vec::new();
+        for pages in [1u64, 3, 17, 60, 240] {
+            let mut doc = Vec::new();
+            for _ in 0..pages {
+                let id = next(1000);
+                let body = "lorem ipsum ".repeat(next(12) as usize);
+                doc.extend_from_slice(
+                    format!(
+                        "<div class=\"row\"><a href=\"/item/{id}\">item {id}</a>\
+                         <span>{body}</span><b>{}</b></div>\n",
+                        next(97)
+                    )
+                    .as_bytes(),
+                );
+                doc.extend(std::iter::repeat_n(b'=', next(40) as usize));
+            }
+            let tail = doc[..doc.len().min(64)].to_vec();
+            doc.extend_from_slice(&tail);
+            inputs.push(doc);
+        }
+        inputs
+    }
+
+    #[test]
+    fn encoder_output_is_pinned() {
+        // The encoder's parse is part of the segment format's bytes. The
+        // digest pins the output of a chain walk that compares every
+        // candidate in full; the skips in `Matcher::longest` must choose
+        // the same matches.
+        let mut digest = Vec::new();
+        for input in templated_inputs() {
+            let packed = compress(&input);
+            assert_eq!(decompress(&packed).unwrap(), input);
+            digest.extend_from_slice(&orochi_common::hash::fnv1a(&packed).to_le_bytes());
+        }
+        assert_eq!(orochi_common::hash::fnv1a(&digest), 0xf009_4144_1438_f637);
     }
 
     #[test]
