@@ -18,5 +18,5 @@ pub mod rng;
 pub use codec::{Decoder, Encoder, Wire, WireError};
 pub use hash::fnv1a;
 pub use ids::{CtlFlowTag, ObjectId, OpNum, RequestId, SeqNum};
-pub use metrics::{percentile, PhaseTimer, Stopwatch};
+pub use metrics::{percentile, PhaseTimer};
 pub use rng::SplitMix64;

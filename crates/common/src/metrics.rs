@@ -8,62 +8,6 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// A simple start/stop stopwatch accumulating busy time.
-///
-/// # Examples
-///
-/// ```
-/// use orochi_common::metrics::Stopwatch;
-///
-/// let mut sw = Stopwatch::new();
-/// sw.start();
-/// let _work: u64 = (0..1000).sum();
-/// sw.stop();
-/// assert!(sw.elapsed().as_nanos() > 0);
-/// ```
-#[derive(Debug, Default)]
-pub struct Stopwatch {
-    total: Duration,
-    started: Option<Instant>,
-}
-
-impl Stopwatch {
-    /// Creates a stopped stopwatch with zero accumulated time.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Begins timing. A second `start` while already running is a
-    /// no-op: the original start point is kept, so the interval from
-    /// the *first* `start` to the next [`stop`](Self::stop) is what
-    /// gets charged. This makes nested `start`/`stop` pairs safe —
-    /// the outer pair wins — at the cost of never restarting an
-    /// in-flight interval.
-    pub fn start(&mut self) {
-        if self.started.is_none() {
-            self.started = Some(Instant::now());
-        }
-    }
-
-    /// Whether an interval is currently being timed.
-    pub fn is_running(&self) -> bool {
-        self.started.is_some()
-    }
-
-    /// Stops timing and adds the elapsed interval to the total.
-    pub fn stop(&mut self) {
-        if let Some(t0) = self.started.take() {
-            self.total += t0.elapsed();
-        }
-    }
-
-    /// Total accumulated busy time (not counting a currently running
-    /// interval).
-    pub fn elapsed(&self) -> Duration {
-        self.total
-    }
-}
-
 /// Accumulates named phase durations, in the style of Fig. 9.
 ///
 /// # Examples
@@ -293,28 +237,6 @@ pub mod alloc_tracking {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_accumulates_across_intervals() {
-        let mut sw = Stopwatch::new();
-        sw.start();
-        sw.stop();
-        let first = sw.elapsed();
-        sw.start();
-        sw.stop();
-        assert!(sw.elapsed() >= first);
-    }
-
-    #[test]
-    fn stopwatch_double_start_is_idempotent() {
-        let mut sw = Stopwatch::new();
-        sw.start();
-        sw.start();
-        sw.stop();
-        sw.stop(); // Second stop is a no-op.
-        let t = sw.elapsed();
-        assert!(t.as_nanos() > 0);
-    }
 
     #[test]
     fn phase_timer_merges() {

@@ -407,7 +407,8 @@ impl AuditGraph {
 ///     Event::Response(r1, HttpResponse::ok(r1, "x")),
 ///     Event::Request(r2, HttpRequest::get("/b", &[])),
 ///     Event::Response(r2, HttpResponse::ok(r2, "y")),
-/// ]}.ensure_balanced().unwrap();
+/// ]};
+/// let trace = trace.ensure_balanced().unwrap();
 /// let reports = Reports {
 ///     op_counts: [(r1, 0), (r2, 0)].into_iter().collect(),
 ///     ..Reports::new()
@@ -421,13 +422,22 @@ impl AuditGraph {
 /// assert!(graph.is_acyclic());
 /// ```
 pub fn process_op_reports(
-    trace: &BalancedTrace,
+    trace: &BalancedTrace<'_>,
     reports: &Reports,
 ) -> Result<(AuditGraph, OpMap), GraphRejection> {
-    process_op_reports_with(trace, reports, 1)
+    process_op_reports_interned(&trace.intern_rids(), reports, 1)
 }
 
-/// [`process_op_reports`] with a worker pool for the CSR fill pass.
+/// [`process_op_reports`] over a pre-built interner, with a worker pool
+/// for the CSR fill pass.
+///
+/// The trace's only contribution to `ProcessOpReports` is its dense
+/// requestID interning (arrival order + the dense event stream the
+/// frontier pass replays), so any validator that produced an interner —
+/// in particular the streaming audit's incremental balance scan, which
+/// never materializes the trace — can run the *same* graph code path
+/// the batch audit runs. Verdicts and diagnostics are identical by
+/// construction.
 ///
 /// The count pass fixes every row's extent, and the three edge sources
 /// then target *disjoint, precomputable* slots within those extents:
@@ -447,24 +457,6 @@ pub fn process_op_reports(
 /// sequential fill. Indegrees accumulate with relaxed atomic adds
 /// (sums are order-independent). Validation, interning, and the count
 /// pass stay sequential: they are one streamed O(X + Y) walk.
-pub fn process_op_reports_with(
-    trace: &BalancedTrace,
-    reports: &Reports,
-    threads: usize,
-) -> Result<(AuditGraph, OpMap), GraphRejection> {
-    process_op_reports_interned(&trace.intern_rids(), reports, threads)
-}
-
-/// [`process_op_reports_with`] over a pre-built interner instead of a
-/// materialized [`BalancedTrace`].
-///
-/// The trace's only contribution to `ProcessOpReports` is its dense
-/// requestID interning (arrival order + the dense event stream the
-/// frontier pass replays), so any validator that produced an interner —
-/// in particular the streaming audit's incremental balance scan, which
-/// never materializes the trace — can run the *same* graph code path
-/// the batch audit runs. Verdicts and diagnostics are identical by
-/// construction.
 pub fn process_op_reports_interned(
     interner: &Arc<RidInterner>,
     reports: &Reports,
@@ -636,7 +628,7 @@ pub fn process_op_reports_interned(
 }
 
 /// The fill pass of the two-pass CSR build, parallelized. See
-/// [`process_op_reports_with`] for the slot-disjointness argument that
+/// [`process_op_reports_interned`] for the slot-disjointness argument that
 /// makes the output byte-identical to the sequential fill.
 fn fill_csr_parallel(
     interner: &RidInterner,
@@ -753,7 +745,7 @@ pub mod two_phase {
     }
 
     impl ReferenceGraph {
-        fn new(trace: &BalancedTrace, reports: &Reports) -> Self {
+        fn new(trace: &BalancedTrace<'_>, reports: &Reports) -> Self {
             let rids: Vec<RequestId> = trace.request_ids().collect();
             let rid_index: HashMap<RequestId, usize> =
                 rids.iter().enumerate().map(|(i, r)| (*r, i)).collect();
@@ -852,7 +844,7 @@ pub mod two_phase {
     /// and diagnostics to [`super::process_op_reports`], produced the
     /// pre-CSR way.
     pub fn process_op_reports(
-        trace: &BalancedTrace,
+        trace: &BalancedTrace<'_>,
         reports: &Reports,
     ) -> Result<(ReferenceGraph, usize), GraphRejection> {
         {
@@ -1007,9 +999,8 @@ mod tests {
         // (r1, ∞) -> (r2, 0) this forms a cycle.
         let trace = Trace {
             events: vec![req(1), resp(1), req(2), resp(2)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         // f (r1): write A (op1), read B (op2). g (r2): write B (op1),
         // read A (op2).
         // Logs claim r2's ops interleave before r1's — e.g., OL_A:
@@ -1038,9 +1029,8 @@ mod tests {
         // plus program edges form a cycle.
         let trace = Trace {
             events: vec![req(1), req(2), resp(1), resp(2)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![
                 (
@@ -1063,9 +1053,8 @@ mod tests {
         // Example c: both writes before both reads — consistent.
         let trace = Trace {
             events: vec![req(1), req(2), resp(1), resp(2)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![
                 (
@@ -1092,9 +1081,8 @@ mod tests {
         // node count and edge multiset.
         let trace = Trace {
             events: vec![req(1), req(2), resp(1), resp(2), req(3), resp(3)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![
                 (
@@ -1127,9 +1115,8 @@ mod tests {
         // not just as an edge multiset.
         let trace = Trace {
             events: vec![req(1), req(2), resp(1), resp(2), req(3), resp(3)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![
                 (
@@ -1143,9 +1130,10 @@ mod tests {
             ],
             &[(1, 2), (2, 2), (3, 1)],
         );
-        let (seq, _) = process_op_reports_with(&trace, &reports, 1).unwrap();
+        let interner = trace.intern_rids();
+        let (seq, _) = process_op_reports_interned(&interner, &reports, 1).unwrap();
         for threads in [2, 4, 8] {
-            let (par, _) = process_op_reports_with(&trace, &reports, threads).unwrap();
+            let (par, _) = process_op_reports_interned(&interner, &reports, threads).unwrap();
             assert_eq!(seq.base, par.base);
             assert_eq!(seq.row_start, par.row_start);
             assert_eq!(seq.col, par.col, "col mismatch at {threads} threads");
@@ -1157,9 +1145,8 @@ mod tests {
     fn opmap_dense_lookup_matches_rid_lookup() {
         let trace = Trace {
             events: vec![req(1), req(2), resp(1), resp(2)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![(
                 ObjectName(String::from("reg:A")),
@@ -1184,9 +1171,8 @@ mod tests {
     fn rejects_unknown_request_in_log() {
         let trace = Trace {
             events: vec![req(1), resp(1)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![(ObjectName(String::from("reg:A")), vec![write(99, 1)])],
             &[(1, 0)],
@@ -1201,9 +1187,8 @@ mod tests {
     fn rejects_opnum_beyond_m() {
         let trace = Trace {
             events: vec![req(1), resp(1)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![(ObjectName(String::from("reg:A")), vec![write(1, 3)])],
             &[(1, 2)],
@@ -1218,9 +1203,8 @@ mod tests {
     fn rejects_duplicate_operation() {
         let trace = Trace {
             events: vec![req(1), resp(1)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![(
                 ObjectName(String::from("reg:A")),
@@ -1241,9 +1225,8 @@ mod tests {
     fn rejects_missing_promised_operation() {
         let trace = Trace {
             events: vec![req(1), resp(1)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![(ObjectName(String::from("reg:A")), vec![write(1, 1)])],
             &[(1, 2)],
@@ -1258,9 +1241,8 @@ mod tests {
     fn rejects_same_request_out_of_order_in_log() {
         let trace = Trace {
             events: vec![req(1), resp(1)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![(
                 ObjectName(String::from("reg:A")),
@@ -1278,9 +1260,8 @@ mod tests {
     fn rejects_duplicate_object_names() {
         let trace = Trace {
             events: vec![req(1), resp(1)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![
                 (ObjectName(String::from("reg:A")), vec![]),
@@ -1302,9 +1283,8 @@ mod tests {
         // streamed and two-phase constructions.
         let trace = Trace {
             events: vec![req(1), resp(1)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![
                 (ObjectName(String::from("reg:z")), vec![]),
@@ -1328,9 +1308,8 @@ mod tests {
     fn accepts_empty_reports_for_oplesss_trace() {
         let trace = Trace {
             events: vec![req(1), resp(1), req(2), resp(2)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(vec![], &[(1, 0), (2, 0)]);
         let (graph, opmap) = process_op_reports(&trace, &reports).unwrap();
         assert!(opmap.is_empty());
@@ -1352,9 +1331,8 @@ mod tests {
     fn topological_order_respects_log_edges() {
         let trace = Trace {
             events: vec![req(1), req(2), resp(1), resp(2)],
-        }
-        .ensure_balanced()
-        .unwrap();
+        };
+        let trace = trace.ensure_balanced().unwrap();
         let reports = reports_with(
             vec![(
                 ObjectName(String::from("reg:A")),

@@ -193,7 +193,7 @@ pub fn for_each_frontier_edge(interner: &RidInterner, mut emit: impl FnMut(u32, 
 /// let g = create_time_precedence_graph(&trace.ensure_balanced().unwrap());
 /// assert_eq!(g.edges, vec![(r1, r2)]);
 /// ```
-pub fn create_time_precedence_graph(trace: &BalancedTrace) -> TimePrecedenceGraph {
+pub fn create_time_precedence_graph(trace: &BalancedTrace<'_>) -> TimePrecedenceGraph {
     let interner = trace.intern_rids();
     let mut edges = Vec::new();
     for_each_frontier_edge(&interner, |from, to| {
@@ -209,7 +209,7 @@ pub fn create_time_precedence_graph(trace: &BalancedTrace) -> TimePrecedenceGrap
 /// `r1 <Tr r2` (no transitive reduction). Same reachability as the
 /// frontier algorithm; `O(X²)` time and edges. It is the oracle in the
 /// property tests.
-pub fn dense_time_precedence(trace: &BalancedTrace) -> TimePrecedenceGraph {
+pub fn dense_time_precedence(trace: &BalancedTrace<'_>) -> TimePrecedenceGraph {
     let mut graph = TimePrecedenceGraph::default();
     let rids: Vec<RequestId> = trace
         .events()
@@ -243,15 +243,14 @@ mod tests {
         Event::Response(RequestId(rid), HttpResponse::ok(RequestId(rid), "ok"))
     }
 
-    fn balanced(events: Vec<Event>) -> BalancedTrace {
-        Trace { events }.ensure_balanced().unwrap()
-    }
-
     #[test]
     fn sequential_chain_uses_transitive_reduction() {
         // r1 < r2 < r3; the frontier algorithm emits only the two
         // covering edges, not (r1, r3).
-        let t = balanced(vec![req(1), resp(1), req(2), resp(2), req(3), resp(3)]);
+        let trace = Trace {
+            events: vec![req(1), resp(1), req(2), resp(2), req(3), resp(3)],
+        };
+        let t = trace.ensure_balanced().unwrap();
         let g = create_time_precedence_graph(&t);
         assert_eq!(
             g.edges,
@@ -263,7 +262,10 @@ mod tests {
 
     #[test]
     fn concurrent_requests_have_no_edges() {
-        let t = balanced(vec![req(1), req(2), resp(2), resp(1)]);
+        let trace = Trace {
+            events: vec![req(1), req(2), resp(2), resp(1)],
+        };
+        let t = trace.ensure_balanced().unwrap();
         let g = create_time_precedence_graph(&t);
         assert!(g.edges.is_empty());
     }
@@ -271,16 +273,19 @@ mod tests {
     #[test]
     fn epoch_pattern_forms_bipartite_links() {
         // Two epochs of two concurrent requests each.
-        let t = balanced(vec![
-            req(1),
-            req(2),
-            resp(1),
-            resp(2),
-            req(3),
-            req(4),
-            resp(3),
-            resp(4),
-        ]);
+        let trace = Trace {
+            events: vec![
+                req(1),
+                req(2),
+                resp(1),
+                resp(2),
+                req(3),
+                req(4),
+                resp(3),
+                resp(4),
+            ],
+        };
+        let t = trace.ensure_balanced().unwrap();
         let g = create_time_precedence_graph(&t);
         let mut edges = g.edges.clone();
         edges.sort();
@@ -300,16 +305,19 @@ mod tests {
         // Per arrival, parents must ascend by arrival index — and the
         // whole edge list must be identical across constructions (the
         // old hash-set frontier varied run to run).
-        let t = balanced(vec![
-            req(1),
-            req(2),
-            req(3),
-            resp(3),
-            resp(1),
-            resp(2),
-            req(4),
-            resp(4),
-        ]);
+        let trace = Trace {
+            events: vec![
+                req(1),
+                req(2),
+                req(3),
+                resp(3),
+                resp(1),
+                resp(2),
+                req(4),
+                resp(4),
+            ],
+        };
+        let t = trace.ensure_balanced().unwrap();
         let g = create_time_precedence_graph(&t);
         assert_eq!(
             g.edges,
@@ -329,7 +337,10 @@ mod tests {
         // r1 finishes; r2 (arrived after r1 finished) finishes; then r3
         // arrives: r3 descends only from r2 (r1 was evicted), and r1's
         // precedence is implied transitively.
-        let t = balanced(vec![req(1), resp(1), req(2), resp(2), req(3), resp(3)]);
+        let trace = Trace {
+            events: vec![req(1), resp(1), req(2), resp(2), req(3), resp(3)],
+        };
+        let t = trace.ensure_balanced().unwrap();
         let g = create_time_precedence_graph(&t);
         let from_r1: Vec<_> = g.edges.iter().filter(|(f, _)| *f == RequestId(1)).collect();
         assert_eq!(from_r1.len(), 1);
@@ -338,16 +349,19 @@ mod tests {
     #[test]
     fn matches_dense_oracle_reachability() {
         // A mixed pattern: overlapping and nested requests.
-        let t = balanced(vec![
-            req(1),
-            req(2),
-            resp(1),
-            req(3),
-            resp(3),
-            resp(2),
-            req(4),
-            resp(4),
-        ]);
+        let trace = Trace {
+            events: vec![
+                req(1),
+                req(2),
+                resp(1),
+                req(3),
+                resp(3),
+                resp(2),
+                req(4),
+                resp(4),
+            ],
+        };
+        let t = trace.ensure_balanced().unwrap();
         let fast = create_time_precedence_graph(&t);
         let dense = dense_time_precedence(&t);
         for r1 in &dense.nodes {
@@ -384,14 +398,16 @@ mod tests {
                 events.push(resp(epoch * p + i + 1));
             }
         }
-        let t = balanced(events);
+        let trace = Trace { events };
+        let t = trace.ensure_balanced().unwrap();
         let g = create_time_precedence_graph(&t);
         assert_eq!(g.edges.len() as u64, p * p * (e - 1));
     }
 
     #[test]
     fn empty_trace_yields_empty_graph() {
-        let t = balanced(vec![]);
+        let trace = Trace { events: vec![] };
+        let t = trace.ensure_balanced().unwrap();
         let g = create_time_precedence_graph(&t);
         assert!(g.nodes.is_empty());
         assert!(g.edges.is_empty());

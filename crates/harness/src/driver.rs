@@ -2,7 +2,7 @@
 //! the benchmark.
 //!
 //! All three serving modes — closed-loop ([`serve`]/[`serve_drained`]),
-//! and open-loop ([`serve_open_loop`]/[`serve_open_loop_with`]) — are
+//! and open-loop ([`serve_open_loop_with`]) — are
 //! drivers over one abstraction, the [`Frontend`]: a bounded admission
 //! queue feeding a fixed worker pool.
 
@@ -95,20 +95,6 @@ impl AppWorkload {
             .initial_dbs
             .insert("db:main".to_string(), self.initial_db());
         config
-    }
-}
-
-/// Resolves a requested serving worker count: `0` means "auto" (the
-/// available parallelism); explicit values are honored as-is (serving
-/// workers may deliberately oversubscribe the cores — they block on the
-/// global DB lock), floored at 1.
-pub fn resolve_serve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
     }
 }
 
@@ -235,30 +221,9 @@ pub struct OpenLoopOptions {
 /// the dispatcher releases each *batch* of due arrivals into the
 /// front-end at its scheduled time (one sleep per batch, not per
 /// request); workers record per-request latencies (queueing included)
-/// into per-worker buffers merged at drain.
-pub fn serve_open_loop(
-    work: &AppWorkload,
-    rate_per_sec: f64,
-    pool: usize,
-    recording: bool,
-    seed: u64,
-) -> (Vec<f64>, ServeResult) {
-    serve_open_loop_with(
-        work,
-        rate_per_sec,
-        &OpenLoopOptions {
-            pool,
-            queue_depth: 0,
-            shed: false,
-            recording,
-            seed,
-        },
-    )
-}
-
-/// [`serve_open_loop`] with explicit queue and shedding knobs (bound
-/// the queue and shed so overload measures sustained capacity instead
-/// of queue growth).
+/// into per-worker buffers merged at drain. Bound the queue and shed
+/// (`opts`) so overload measures sustained capacity instead of queue
+/// growth.
 pub fn serve_open_loop_with(
     work: &AppWorkload,
     rate_per_sec: f64,
@@ -349,21 +314,6 @@ impl Default for AuditOptions {
             threads: 1,
             engine: VmEngine::Register,
         }
-    }
-}
-
-/// Clamps a requested audit thread count to the machine: `0` means
-/// "auto" (everything the OS advertises), anything else is capped at
-/// the available parallelism so oversubscribed requests don't spawn
-/// threads that only contend. Always at least 1.
-pub fn resolve_audit_threads(requested: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if requested == 0 {
-        hw
-    } else {
-        requested.min(hw).max(1)
     }
 }
 
@@ -569,27 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_thread_resolution() {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(resolve_serve_threads(0), hw);
-        // Serving workers may oversubscribe (they block on the DB
-        // lock), so explicit requests are honored, not clamped.
-        assert_eq!(resolve_serve_threads(64), 64);
-    }
-
-    #[test]
-    fn audit_thread_resolution_clamps() {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(resolve_audit_threads(0), hw);
-        assert_eq!(resolve_audit_threads(1), 1);
-        assert_eq!(resolve_audit_threads(usize::MAX), hw);
-    }
-
-    #[test]
     fn mixed_workload_serves_all_tenants() {
         let work = AppWorkload::mixed(0.01, 3);
         assert_eq!(work.app.name, "mixed");
@@ -694,7 +623,17 @@ mod tests {
     fn open_loop_latencies_collected() {
         let mut work = tiny_wiki();
         work.workload.requests.truncate(60);
-        let (latencies, served) = serve_open_loop(&work, 300.0, 4, true, 3);
+        let (latencies, served) = serve_open_loop_with(
+            &work,
+            300.0,
+            &OpenLoopOptions {
+                pool: 4,
+                queue_depth: 0,
+                shed: false,
+                recording: true,
+                seed: 3,
+            },
+        );
         assert_eq!(latencies.len(), 60);
         assert!(latencies.iter().all(|&l| l >= 0.0));
         run_audit(&served.bundle, &work, true, true)

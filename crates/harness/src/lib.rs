@@ -18,8 +18,7 @@ pub mod mutation;
 pub mod tamper;
 
 pub use driver::{
-    resolve_audit_threads, resolve_serve_threads, run_audit, run_audit_cold, run_audit_streaming,
-    run_audit_with, serve, serve_and_audit, serve_drained, serve_open_loop, serve_open_loop_with,
-    spill_bundle, AppWorkload, AuditOptions, AuditRun, OpenLoopOptions, ServeAudit, ServeOptions,
-    ServeResult,
+    run_audit, run_audit_cold, run_audit_streaming, run_audit_with, serve, serve_and_audit,
+    serve_drained, serve_open_loop_with, spill_bundle, AppWorkload, AuditOptions, AuditRun,
+    OpenLoopOptions, ServeAudit, ServeOptions, ServeResult,
 };

@@ -44,10 +44,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A signed instantaneous value (queue depth, inflight work).
@@ -81,10 +77,6 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -169,14 +161,6 @@ impl Histogram {
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             buckets,
-        }
-    }
-
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -387,20 +371,6 @@ pub fn snapshot_all() -> Vec<(&'static str, MetricValue)> {
         .collect();
     out.sort_by_key(|(name, _)| *name);
     out
-}
-
-/// Zeroes every registered metric. For benchmark arms that need a
-/// clean slate; tests should prefer delta assertions since the
-/// registry is process-global.
-pub fn reset_all() {
-    let reg = lock_registry();
-    for (_, m) in &reg.entries {
-        match m {
-            Metric::Counter(c) => c.reset(),
-            Metric::Gauge(g) => g.reset(),
-            Metric::Histogram(h) => h.reset(),
-        }
-    }
 }
 
 /// A counter static that registers itself on first use. After the

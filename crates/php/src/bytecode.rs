@@ -9,7 +9,6 @@
 //! `NewArray`.
 
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// One VM instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -537,15 +536,6 @@ pub fn superglobal_slot(name: &str) -> Option<u16> {
 }
 
 impl CompiledScript {
-    /// Map from function name to index (for diagnostics and tests).
-    pub fn function_index(&self) -> HashMap<&str, u16> {
-        self.functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), i as u16))
-            .collect()
-    }
-
     /// Total instruction count across main and functions (the `ℓ_c`
     /// statistic of Fig. 11 counts *executed* instructions; this is the
     /// static size).

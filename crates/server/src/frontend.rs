@@ -233,11 +233,6 @@ impl Frontend {
         &self.server
     }
 
-    /// Requests shed so far.
-    pub fn shed_so_far(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
     /// Closes the queue, serves everything already admitted, joins the
     /// pool, and merges the per-worker buffers (worker order, so the
     /// result is independent of scheduling).

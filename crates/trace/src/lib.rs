@@ -15,12 +15,13 @@
 //! * [`Event`] and [`Trace`]: the ordered event list.
 //! * [`BalancedTrace`]: a validated trace, produced by
 //!   [`Trace::ensure_balanced`] (§3: "the verifier begins the audit by
-//!   checking that the trace is balanced").
+//!   checking that the trace is balanced"). It borrows the trace's
+//!   events and adds only the index.
 //! * [`Collector`]: the thread-safe middlebox used by the online system.
-//! * [`TraceSource`]: the unified ingestion API — an ordered event
-//!   stream, owned or lent an [`Epoch`] at a time in the borrowed
-//!   [`EventRef`] shape, implemented by the in-memory [`Trace`], by
-//!   [`BalancedTrace`] itself, and by the segmented on-disk store.
+//! * [`TraceSource`]: the one read API — an ordered event stream lent
+//!   an [`Epoch`] at a time in the borrowed [`EventRef`] shape,
+//!   implemented by the in-memory [`Trace`] and by the segmented
+//!   on-disk store.
 //! * [`segment`] / [`store`]: the persistent binary trace store —
 //!   sealed, size-bounded, integrity-checked segment files with
 //!   columnar, dictionary-compressed event lanes, which the audit
@@ -41,6 +42,6 @@ pub use event::{HttpRequest, HttpResponse};
 pub use record::{
     BalanceError, BalancedTrace, DenseEvent, Event, RidInterner, StreamingBalance, Trace,
 };
-pub use source::{TraceReadError, TraceSource, TraceStoreError};
+pub use source::{TraceSource, TraceStoreError};
 pub use store::{TraceStoreReader, TraceStoreSummary, TraceStoreWriter, DEFAULT_SEGMENT_BYTES};
 pub use view::{Epoch, EventRef, Pairs, RequestRef, ResponseRef};

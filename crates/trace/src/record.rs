@@ -150,14 +150,30 @@ impl Trace {
     /// let balanced = trace.ensure_balanced().unwrap();
     /// assert_eq!(balanced.request_ids().count(), 1);
     /// ```
-    pub fn ensure_balanced(&self) -> Result<BalancedTrace, BalanceError> {
-        let mut builder = BalancedBuilder::with_capacity(self.events.len());
-        for event in &self.events {
-            if !builder.push(event.clone()) {
-                break;
+    pub fn ensure_balanced(&self) -> Result<BalancedTrace<'_>, BalanceError> {
+        let mut balance = StreamingBalance::new();
+        let mut request_pos = Vec::new();
+        let mut response_pos = Vec::new();
+        for (pos, event) in self.events.iter().enumerate() {
+            match balance.push(event)? {
+                DenseEvent::Request(_) => {
+                    request_pos.push(pos);
+                    // Overwritten by the response; a request left
+                    // unanswered fails the check below.
+                    response_pos.push(usize::MAX);
+                }
+                DenseEvent::Response(idx) => response_pos[idx as usize] = pos,
             }
         }
-        builder.finish()
+        if let Some(rid) = balance.first_unresponded() {
+            return Err(BalanceError::RequestWithoutResponse(rid));
+        }
+        Ok(BalancedTrace {
+            trace: self,
+            interner: balance.interner,
+            request_pos,
+            response_pos,
+        })
     }
 
     /// Total encoded size of the trace in bytes.
@@ -180,20 +196,17 @@ impl Wire for Trace {
 /// A trace that passed [`Trace::ensure_balanced`], with request/response
 /// positions indexed densely by arrival rank.
 ///
-/// This is the audit's *materialized replay*: the owned event list plus
-/// the [`RidInterner`] built during the balance scan (one pass, one hash
-/// table) and flat `dense index -> event position` arrays. It can be
-/// built from any [`crate::TraceSource`] — the in-memory [`Trace`] or
-/// the on-disk segment store — via
-/// [`BalancedTrace::from_source`](crate::source), so batch-from-RAM and
-/// replay-from-cold-storage feed the audit through the same type.
+/// It borrows the trace it validated and adds only the index: the
+/// [`RidInterner`] built during the balance scan (one pass, one hash
+/// table) and flat `dense index -> event position` arrays. No event is
+/// copied, so balancing costs the same however long the payloads are.
 ///
 /// The interner is behind an [`Arc`]: repeated audits of one
 /// `BalancedTrace` (and the graph builds inside a single audit) share
 /// the interned replay instead of re-walking the event stream.
 #[derive(Debug, Clone)]
-pub struct BalancedTrace {
-    trace: Trace,
+pub struct BalancedTrace<'t> {
+    trace: &'t Trace,
     interner: Arc<RidInterner>,
     /// Dense index -> position of the REQUEST event in `trace.events`.
     request_pos: Vec<usize>,
@@ -201,75 +214,9 @@ pub struct BalancedTrace {
     response_pos: Vec<usize>,
 }
 
-/// Materializing balance validation: a [`StreamingBalance`] (the one §3
-/// balance implementation — interner, dense event stream, the four
-/// in-stream checks) plus what a [`BalancedTrace`] needs on top of it:
-/// the retained events and the dense position arrays. One pass, no
-/// second copy of the event stream.
-pub(crate) struct BalancedBuilder {
-    balance: StreamingBalance,
-    events: Vec<Event>,
-    request_pos: Vec<usize>,
-    response_pos: Vec<usize>,
-    error: Option<BalanceError>,
-}
-
-impl BalancedBuilder {
-    pub(crate) fn with_capacity(events: usize) -> Self {
-        BalancedBuilder {
-            balance: StreamingBalance::new(),
-            events: Vec::with_capacity(events),
-            request_pos: Vec::new(),
-            response_pos: Vec::new(),
-            error: None,
-        }
-    }
-
-    /// Feeds the next event; returns `false` once the trace is known
-    /// unbalanced, so streaming callers can stop decoding early.
-    pub(crate) fn push(&mut self, event: Event) -> bool {
-        if self.error.is_some() {
-            return false;
-        }
-        let pos = self.events.len();
-        match self.balance.push(&event) {
-            Err(e) => {
-                self.error = Some(e);
-                return false;
-            }
-            Ok(DenseEvent::Request(_)) => {
-                self.request_pos.push(pos);
-                // Overwritten by the response; `finish` rejects a trace
-                // that leaves any request unanswered.
-                self.response_pos.push(usize::MAX);
-            }
-            Ok(DenseEvent::Response(idx)) => self.response_pos[idx as usize] = pos,
-        }
-        self.events.push(event);
-        true
-    }
-
-    pub(crate) fn finish(self) -> Result<BalancedTrace, BalanceError> {
-        if let Some(err) = self.error {
-            return Err(err);
-        }
-        if let Some(rid) = self.balance.first_unresponded() {
-            return Err(BalanceError::RequestWithoutResponse(rid));
-        }
-        Ok(BalancedTrace {
-            trace: Trace {
-                events: self.events,
-            },
-            interner: self.balance.interner,
-            request_pos: self.request_pos,
-            response_pos: self.response_pos,
-        })
-    }
-}
-
-impl BalancedTrace {
+impl<'t> BalancedTrace<'t> {
     /// The underlying event list, in time order.
-    pub fn events(&self) -> &[Event] {
+    pub fn events(&self) -> &'t [Event] {
         &self.trace.events
     }
 
@@ -303,7 +250,7 @@ impl BalancedTrace {
     /// # Panics
     ///
     /// Panics if `rid` is not in the trace; check [`Self::contains`] first.
-    pub fn request(&self, rid: RequestId) -> &HttpRequest {
+    pub fn request(&self, rid: RequestId) -> &'t HttpRequest {
         let idx = self.dense(rid).expect("rid not in trace");
         match &self.trace.events[self.request_pos[idx]] {
             Event::Request(_, req) => req,
@@ -316,7 +263,7 @@ impl BalancedTrace {
     /// # Panics
     ///
     /// Panics if `rid` is not in the trace.
-    pub fn response(&self, rid: RequestId) -> &HttpResponse {
+    pub fn response(&self, rid: RequestId) -> &'t HttpResponse {
         let idx = self.dense(rid).expect("rid not in trace");
         match &self.trace.events[self.response_pos[idx]] {
             Event::Response(_, resp) => resp,
@@ -343,9 +290,9 @@ impl BalancedTrace {
         }
     }
 
-    /// Borrows the raw trace.
-    pub fn as_trace(&self) -> &Trace {
-        &self.trace
+    /// The raw trace.
+    pub fn as_trace(&self) -> &'t Trace {
+        self.trace
     }
 
     /// The dense interning of this trace's requestIDs, built once during
@@ -461,9 +408,9 @@ impl RidInterner {
 
 /// Incremental §3 balance validation over an *unbounded* event stream —
 /// the one implementation of the balance checks. The audit engine
-/// pushes events through it directly; [`Trace::ensure_balanced`] and
-/// [`BalancedTrace::from_source`](crate::source) wrap it in a builder
-/// that also retains the events.
+/// pushes events through it directly, and [`Trace::ensure_balanced`]
+/// drives it over a resident trace, recording event positions as it
+/// goes.
 ///
 /// No event payload is retained: the validator grows only the
 /// [`RidInterner`] (dense ids, forward/reverse tables, the dense event
@@ -693,9 +640,21 @@ mod tests {
     }
 
     #[test]
+    fn ensure_balanced_reports_balance_errors() {
+        let rid = RequestId(1);
+        let t = Trace {
+            events: vec![Event::Response(rid, HttpResponse::ok(rid, "x"))],
+        };
+        assert_eq!(
+            t.ensure_balanced().unwrap_err(),
+            BalanceError::ResponseWithoutRequest(rid)
+        );
+    }
+
+    #[test]
     fn empty_trace_is_balanced() {
-        let b = Trace::new().ensure_balanced().unwrap();
-        assert_eq!(b.num_requests(), 0);
+        let t = Trace::new();
+        assert_eq!(t.ensure_balanced().unwrap().num_requests(), 0);
     }
 
     #[test]

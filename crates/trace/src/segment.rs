@@ -53,7 +53,7 @@
 //! yet fails to decompress reports the same stable diagnostic,
 //! `segment checksum mismatch`.
 //!
-//! # Reading: one parser, two projections
+//! # Reading: one parser, one projection
 //!
 //! [`SegmentView::parse`] is the only decoder. It decompresses the
 //! payload into one buffer and keeps everything else as offsets into
@@ -63,8 +63,7 @@
 //! exactly where its events do; after that, walking the view cannot
 //! fail. [`SegmentView::events`] lends each event as an
 //! [`EventRef`] whose strings are slices of the payload buffer — valid
-//! for as long as the view is borrowed. [`decode_segment`] is that walk
-//! with every event copied out.
+//! for as long as the view is borrowed.
 
 use crate::record::Event;
 use crate::source::TraceStoreError;
@@ -735,18 +734,19 @@ impl<'a> Iterator for LanePairsIter<'a> {
 
 impl ExactSizeIterator for LanePairsIter<'_> {}
 
-/// Decodes a sealed segment back into owned events: the
-/// [`SegmentView`] walk with every event copied out. `path` labels
-/// diagnostics.
-pub fn decode_segment(bytes: &[u8], path: &str) -> Result<Vec<Event>, TraceStoreError> {
-    let view = SegmentView::parse(bytes, path)?;
-    Ok(view.events().map(|event| event.to_owned()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{HttpRequest, HttpResponse};
+
+    /// The parse-and-walk the store's readers do, with every event
+    /// copied out.
+    fn decode(blob: &[u8]) -> Result<Vec<Event>, TraceStoreError> {
+        Ok(SegmentView::parse(blob, "seg")?
+            .events()
+            .map(|e| e.to_owned())
+            .collect())
+    }
 
     fn sample_events() -> Vec<Event> {
         let r1 = RequestId(10);
@@ -775,7 +775,7 @@ mod tests {
     fn roundtrip_preserves_events() {
         let events = sample_events();
         let blob = encode_segment(&events);
-        assert_eq!(decode_segment(&blob, "seg").unwrap(), events);
+        assert_eq!(decode(&blob).unwrap(), events);
     }
 
     #[test]
@@ -786,13 +786,13 @@ mod tests {
             Event::Response(rid, HttpResponse::ok(RequestId(99), "ok")),
         ];
         let blob = encode_segment(&events);
-        assert_eq!(decode_segment(&blob, "seg").unwrap(), events);
+        assert_eq!(decode(&blob).unwrap(), events);
     }
 
     #[test]
     fn empty_segment_roundtrips() {
         let blob = encode_segment(&[]);
-        assert_eq!(decode_segment(&blob, "seg").unwrap(), Vec::<Event>::new());
+        assert_eq!(decode(&blob).unwrap(), Vec::<Event>::new());
     }
 
     #[test]
@@ -832,7 +832,7 @@ mod tests {
         let mut bad = blob.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x40;
-        let err = decode_segment(&bad, "seg").unwrap_err();
+        let err = decode(&bad).unwrap_err();
         assert_eq!(
             err,
             TraceStoreError::corrupt("seg", "segment checksum mismatch")
@@ -866,21 +866,14 @@ mod tests {
                 .is_some_and(|v| v.parse::<u8>().is_ok())
     }
 
-    /// Runs `blob` through the view and the owned path: both must end
-    /// the same way, and a failure must carry a stable diagnostic.
-    /// Returns whether the blob was accepted.
+    /// Parses and walks `blob`: a failure must carry a stable
+    /// diagnostic. Returns whether the blob was accepted.
     fn total(blob: &[u8], what: &str) -> bool {
-        let view = SegmentView::parse(blob, "seg").map(|v| v.events().count());
-        let owned = decode_segment(blob, "seg");
-        match (view, owned) {
-            (Ok(n), Ok(events)) => {
-                assert_eq!(n, events.len(), "{what}");
-                true
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a, b, "{what}");
-                let TraceStoreError::Corrupt { detail, .. } = &a else {
-                    panic!("{what}: expected Corrupt, got {a:?}");
+        match decode(blob) {
+            Ok(_) => true,
+            Err(err) => {
+                let TraceStoreError::Corrupt { detail, .. } = &err else {
+                    panic!("{what}: expected Corrupt, got {err:?}");
                 };
                 assert!(
                     is_stable_diagnostic(detail),
@@ -888,7 +881,6 @@ mod tests {
                 );
                 false
             }
-            (view, owned) => panic!("{what}: paths disagree: {view:?} vs {owned:?}"),
         }
     }
 
@@ -947,7 +939,7 @@ mod tests {
             let at = header_len + rng.next_below((blob.len() - header_len) as u64) as usize;
             bad[at] ^= 1 << rng.next_below(8);
             assert_eq!(
-                decode_segment(&bad, "seg").unwrap_err(),
+                decode(&bad).unwrap_err(),
                 TraceStoreError::corrupt("seg", "segment checksum mismatch")
             );
             assert!(!total(&bad, &format!("stored byte {at}")));
@@ -989,13 +981,13 @@ mod tests {
         let mut blob = encode_segment(&sample_events());
         blob[4] = 1;
         assert_eq!(
-            decode_segment(&blob, "seg").unwrap_err(),
+            decode(&blob).unwrap_err(),
             TraceStoreError::corrupt("seg", "unsupported segment version 1")
         );
     }
 
     #[test]
-    fn view_lends_what_the_owned_path_copies() {
+    fn view_lends_what_was_encoded() {
         let events = multi_lane_events();
         let view = SegmentView::parse(&encode_segment(&events), "seg").unwrap();
         assert_eq!(view.len(), events.len());
@@ -1028,7 +1020,7 @@ mod tests {
     #[test]
     fn truncated_tail_is_rejected() {
         let blob = encode_segment(&sample_events());
-        let err = decode_segment(&blob[..blob.len() - 3], "seg").unwrap_err();
+        let err = decode(&blob[..blob.len() - 3]).unwrap_err();
         assert_eq!(err, TraceStoreError::corrupt("seg", "segment truncated"));
     }
 
@@ -1036,7 +1028,7 @@ mod tests {
     fn bad_magic_is_rejected() {
         let mut blob = encode_segment(&sample_events());
         blob[0] = b'X';
-        let err = decode_segment(&blob, "seg").unwrap_err();
+        let err = decode(&blob).unwrap_err();
         assert_eq!(err, TraceStoreError::corrupt("seg", "bad segment magic"));
     }
 
@@ -1044,7 +1036,7 @@ mod tests {
     fn unsupported_version_is_rejected() {
         let mut blob = encode_segment(&sample_events());
         blob[4] = 9;
-        let err = decode_segment(&blob, "seg").unwrap_err();
+        let err = decode(&blob).unwrap_err();
         assert_eq!(
             err,
             TraceStoreError::corrupt("seg", "unsupported segment version 9")

@@ -1,22 +1,20 @@
-//! [`TraceSource`]: one ingestion API for every place a trace can live.
+//! [`TraceSource`]: one read API for every place a trace can live.
 //!
 //! A trace lives either in memory (a [`Trace`]) or in the sealed
 //! on-disk segments of [`crate::store`]. `TraceSource` abstracts over
-//! both: an ordered event stream plus an exact event count. It comes
-//! in two forms. [`TraceSource::for_each_epoch`] *lends* the events a
-//! run at a time in the borrowed [`crate::EventRef`] shape — the audit
-//! engine's one ingestion path, which copies a byte only when a
-//! request is materialised for re-execution, so batch-from-RAM and
-//! replay-from-cold-storage share every instruction downstream.
-//! [`TraceSource::stream_events`] hands out *owned* events, for callers
-//! that keep them ([`BalancedTrace::from_source`] materializes any
-//! source for the indexed replay).
+//! both with one read form: [`TraceSource::for_each_epoch`] *lends* the
+//! events a run at a time in the borrowed [`crate::EventRef`] shape.
+//! It is the audit engine's one ingestion path, which copies a byte
+//! only when a request is materialised for re-execution, so
+//! batch-from-RAM and replay-from-cold-storage share every instruction
+//! downstream. [`TraceSource::stream_events`] is that same walk with
+//! each event copied out, written once for every source.
 //!
 //! The contract:
 //!
-//! * both forms yield events **in trace (collector) order**, exactly
+//! * events arrive **in trace (collector) order**, exactly
 //!   `event_count()` of them unless the sink stops early;
-//! * the stream is repeatable — a source may be streamed any number of
+//! * the stream is repeatable — a source may be walked any number of
 //!   times and yields the same events each time;
 //! * what an [`Epoch`] lends is valid for the whole sink call it was
 //!   passed to, and no longer: a store-backed source keeps the parsed
@@ -26,7 +24,7 @@
 //!   [`TraceStoreError`]; *semantic* failures (an unbalanced trace) are
 //!   not the source's business and are reported by the consumer.
 
-use crate::record::{BalanceError, BalancedBuilder, BalancedTrace, Event, Trace};
+use crate::record::{Event, Trace};
 use crate::view::Epoch;
 use std::fmt;
 
@@ -86,44 +84,16 @@ impl fmt::Display for TraceStoreError {
 
 impl std::error::Error for TraceStoreError {}
 
-/// Why replaying a [`TraceSource`] failed to produce a [`BalancedTrace`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceReadError {
-    /// The events streamed fine but violate the §3 balance conditions.
-    Balance(BalanceError),
-    /// The storage layer failed before the stream finished.
-    Store(TraceStoreError),
-}
-
-impl fmt::Display for TraceReadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceReadError::Balance(e) => write!(f, "{e}"),
-            TraceReadError::Store(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceReadError {}
-
-impl From<BalanceError> for TraceReadError {
-    fn from(e: BalanceError) -> Self {
-        TraceReadError::Balance(e)
-    }
-}
-
-impl From<TraceStoreError> for TraceReadError {
-    fn from(e: TraceStoreError) -> Self {
-        TraceReadError::Store(e)
-    }
-}
+/// Events [`TraceSource::stream_events`] copies out per epoch: enough
+/// that the walk's per-epoch setup is noise, few enough that a store
+/// holds only the segments one epoch spans.
+const STREAM_EPOCH: usize = 4096;
 
 /// An ordered stream of trace events — the audit's one ingestion API.
 ///
-/// Implemented by the in-memory [`Trace`], by the already-materialized
-/// [`BalancedTrace`], and by [`crate::store::TraceStoreReader`], which
-/// parses sealed on-disk segments as it goes and holds only those the
-/// current epoch spans.
+/// Implemented by the in-memory [`Trace`] and by
+/// [`crate::store::TraceStoreReader`], which parses sealed on-disk
+/// segments as it goes and holds only those the current epoch spans.
 pub trait TraceSource {
     /// Exact number of events the source yields.
     fn event_count(&self) -> usize;
@@ -140,28 +110,12 @@ pub trait TraceSource {
         sink: &mut dyn FnMut(Epoch<'_>) -> bool,
     ) -> Result<(), TraceStoreError>;
 
-    /// Streams every event in trace order into `sink`. The sink returns
-    /// `false` to stop the stream early (not an error — used when a
-    /// balance violation makes further decoding pointless).
-    fn stream_events(&self, sink: &mut dyn FnMut(Event) -> bool) -> Result<(), TraceStoreError>;
-
-    /// [`TraceSource::stream_events`] starting at event position
-    /// `start` (0-based).
-    ///
-    /// The default implementation replays from the top and discards
-    /// the prefix; sources with random access (an in-memory event
-    /// list, a segment store with per-segment event counts) override
-    /// it to skip the prefix without decoding it.
-    fn stream_events_from(
-        &self,
-        start: usize,
-        sink: &mut dyn FnMut(Event) -> bool,
-    ) -> Result<(), TraceStoreError> {
-        let mut pos = 0usize;
-        self.stream_events(&mut |event| {
-            let keep = if pos < start { true } else { sink(event) };
-            pos += 1;
-            keep
+    /// Copies every event out, in trace order, into `sink`: the
+    /// [`TraceSource::for_each_epoch`] walk over bounded epochs. The
+    /// sink returns `false` to stop the stream early.
+    fn stream_events(&self, sink: &mut dyn FnMut(Event) -> bool) -> Result<(), TraceStoreError> {
+        self.for_each_epoch(STREAM_EPOCH, &mut |epoch| {
+            epoch.iter().all(|event| sink(event.to_owned()))
         })
     }
 }
@@ -169,23 +123,6 @@ pub trait TraceSource {
 impl TraceSource for Trace {
     fn event_count(&self) -> usize {
         self.events.len()
-    }
-
-    fn stream_events(&self, sink: &mut dyn FnMut(Event) -> bool) -> Result<(), TraceStoreError> {
-        self.stream_events_from(0, sink)
-    }
-
-    fn stream_events_from(
-        &self,
-        start: usize,
-        sink: &mut dyn FnMut(Event) -> bool,
-    ) -> Result<(), TraceStoreError> {
-        for event in &self.events[start.min(self.events.len())..] {
-            if !sink(event.clone()) {
-                break;
-            }
-        }
-        Ok(())
     }
 
     fn for_each_epoch(
@@ -201,47 +138,8 @@ impl TraceSource for Trace {
     }
 }
 
-impl TraceSource for BalancedTrace {
-    fn event_count(&self) -> usize {
-        self.as_trace().events.len()
-    }
-
-    fn stream_events(&self, sink: &mut dyn FnMut(Event) -> bool) -> Result<(), TraceStoreError> {
-        self.as_trace().stream_events(sink)
-    }
-
-    fn stream_events_from(
-        &self,
-        start: usize,
-        sink: &mut dyn FnMut(Event) -> bool,
-    ) -> Result<(), TraceStoreError> {
-        self.as_trace().stream_events_from(start, sink)
-    }
-
-    fn for_each_epoch(
-        &self,
-        budget: usize,
-        sink: &mut dyn FnMut(Epoch<'_>) -> bool,
-    ) -> Result<(), TraceStoreError> {
-        self.as_trace().for_each_epoch(budget, sink)
-    }
-}
-
-impl BalancedTrace {
-    /// Replays `source` into the audit's materialized form: one pass
-    /// that validates the §3 balance conditions, interns requestIDs, and
-    /// indexes event positions.
-    pub fn from_source<S: TraceSource + ?Sized>(
-        source: &S,
-    ) -> Result<BalancedTrace, TraceReadError> {
-        let mut builder = BalancedBuilder::with_capacity(source.event_count());
-        source.stream_events(&mut |event| builder.push(event))?;
-        builder.finish().map_err(TraceReadError::Balance)
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::{HttpRequest, HttpResponse};
     use orochi_common::ids::RequestId;
@@ -254,113 +152,54 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn trace_streams_all_events_in_order() {
-        let mut events = Vec::new();
-        events.extend(pair(1));
-        events.extend(pair(2));
-        let trace = Trace {
-            events: events.clone(),
-        };
-        assert_eq!(trace.event_count(), 4);
-        let mut seen = Vec::new();
-        trace
+    /// Checks that [`TraceSource::stream_events`] copies out exactly
+    /// what [`TraceSource::for_each_epoch`] lends at each of `budgets`,
+    /// and that the sink's stop signal ends the stream. Returns the
+    /// streamed events.
+    pub(crate) fn assert_streams_what_it_lends(
+        source: &impl TraceSource,
+        budgets: &[usize],
+    ) -> Vec<Event> {
+        let mut streamed = Vec::new();
+        source
             .stream_events(&mut |e| {
-                seen.push(e);
+                streamed.push(e);
                 true
             })
             .unwrap();
-        assert_eq!(seen, events);
-    }
-
-    #[test]
-    fn sink_can_stop_early() {
-        let mut events = Vec::new();
-        events.extend(pair(1));
-        events.extend(pair(2));
-        let trace = Trace { events };
-        let mut seen = 0;
-        trace
-            .stream_events(&mut |_| {
-                seen += 1;
-                false
-            })
-            .unwrap();
-        assert_eq!(seen, 1);
-    }
-
-    #[test]
-    fn from_source_matches_ensure_balanced() {
-        let mut events = Vec::new();
-        events.extend(pair(7));
-        events.extend(pair(3));
-        let trace = Trace { events };
-        let via_source = BalancedTrace::from_source(&trace).unwrap();
-        let via_direct = trace.ensure_balanced().unwrap();
-        assert_eq!(
-            via_source.request_ids().collect::<Vec<_>>(),
-            via_direct.request_ids().collect::<Vec<_>>()
-        );
-        assert_eq!(via_source.as_trace(), via_direct.as_trace());
-    }
-
-    #[test]
-    fn from_source_reports_balance_errors() {
-        let rid = RequestId(1);
-        let trace = Trace {
-            events: vec![Event::Response(rid, HttpResponse::ok(rid, "x"))],
-        };
-        assert_eq!(
-            BalancedTrace::from_source(&trace).unwrap_err(),
-            TraceReadError::Balance(BalanceError::ResponseWithoutRequest(rid))
-        );
-    }
-
-    #[test]
-    fn stream_events_from_skips_prefix() {
-        let mut events = Vec::new();
-        events.extend(pair(1));
-        events.extend(pair(2));
-        events.extend(pair(3));
-        let trace = Trace {
-            events: events.clone(),
-        };
-        for start in 0..=events.len() + 1 {
-            let mut seen = Vec::new();
-            trace
-                .stream_events_from(start, &mut |e| {
-                    seen.push(e);
+        assert_eq!(streamed.len(), source.event_count());
+        for &budget in budgets {
+            let mut lent = Vec::new();
+            source
+                .for_each_epoch(budget, &mut |epoch| {
+                    lent.extend(epoch.iter().map(|e| e.to_owned()));
                     true
                 })
                 .unwrap();
-            assert_eq!(seen, events[start.min(events.len())..]);
+            assert!(lent == streamed, "budget {budget}");
         }
-        // The sink's stop signal still works mid-stream.
-        let mut taken = Vec::new();
-        trace
-            .stream_events_from(2, &mut |e| {
-                taken.push(e);
-                taken.len() < 2
-            })
-            .unwrap();
-        assert_eq!(taken, events[2..4]);
+        for stop in [1, streamed.len() / 2, streamed.len() - 1] {
+            let mut taken = Vec::new();
+            source
+                .stream_events(&mut |e| {
+                    taken.push(e);
+                    taken.len() < stop
+                })
+                .unwrap();
+            assert!(taken == streamed[..stop], "stop after {stop}");
+        }
+        streamed
     }
 
     #[test]
-    fn balanced_trace_is_its_own_source() {
+    fn resident_stream_copies_what_epochs_lend() {
+        // Long enough that the stream itself crosses an epoch boundary.
         let trace = Trace {
-            events: pair(5).to_vec(),
+            events: (1..=STREAM_EPOCH as u64).flat_map(pair).collect(),
         };
-        let balanced = trace.ensure_balanced().unwrap();
-        assert_eq!(balanced.event_count(), 2);
-        let mut lent = Vec::new();
-        balanced
-            .for_each_epoch(usize::MAX, &mut |epoch| {
-                lent.extend(epoch.iter().map(|e| e.to_owned()));
-                true
-            })
-            .unwrap();
-        assert_eq!(lent, trace.events);
+        let n = trace.events.len();
+        let streamed = assert_streams_what_it_lends(&trace, &[1, 3, n, usize::MAX]);
+        assert_eq!(streamed, trace.events);
     }
 
     #[test]

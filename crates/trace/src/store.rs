@@ -24,9 +24,9 @@
 //! payload length — a torn tail fails here) reading only the header
 //! bytes of each file. Events are then read a segment at a time: each
 //! file is checksummed as stored, decompressed once, and parsed into a
-//! [`SegmentView`] that the audit scans in place
-//! ([`TraceSource::for_each_epoch`]) or that is copied out event by
-//! event ([`TraceSource::stream_events`]).
+//! [`SegmentView`] that [`TraceSource::for_each_epoch`] lends in place.
+//! That is the store's one read form; [`TraceSource::stream_events`]
+//! copies the same walk out event by event.
 
 use crate::record::{Event, Trace};
 use crate::segment::{encode_segment, read_header, SegmentView, MAX_HEADER_LEN};
@@ -408,33 +408,6 @@ impl TraceSource for TraceStoreReader {
             }
         }
     }
-
-    fn stream_events(&self, sink: &mut dyn FnMut(Event) -> bool) -> Result<(), TraceStoreError> {
-        self.stream_events_from(0, sink)
-    }
-
-    fn stream_events_from(
-        &self,
-        start: usize,
-        sink: &mut dyn FnMut(Event) -> bool,
-    ) -> Result<(), TraceStoreError> {
-        let mut skip = start as u64;
-        for (k, (_, expected)) in self.segments.iter().enumerate() {
-            // Whole segments before the start position are skipped
-            // without reading them — the header event counts recorded
-            // at open time are enough to locate the resume point.
-            if skip > 0 && *expected <= skip {
-                skip -= expected;
-                continue;
-            }
-            let view = self.load(k)?;
-            let resume = std::mem::take(&mut skip) as usize;
-            if !view.events_from(resume).all(|e| sink(e.to_owned())) {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -491,33 +464,20 @@ mod tests {
     }
 
     #[test]
-    fn stream_events_from_matches_slice_across_segments() {
-        let dir = temp_dir("from");
+    fn store_stream_copies_what_epochs_lend() {
+        let dir = temp_dir("stream");
         let trace = sample_trace(40);
         let mut writer = TraceStoreWriter::create(&dir, 256).unwrap();
         writer.append_trace(&trace).unwrap();
         let summary = writer.finish().unwrap();
-        assert!(summary.segments > 2, "need several segments to skip");
+        assert!(summary.segments > 2, "need several segments");
         let reader = TraceStoreReader::open(&dir).unwrap();
-        for start in [0usize, 1, 7, 39, 79, 80, 200] {
-            let mut seen = Vec::new();
-            reader
-                .stream_events_from(start, &mut |e| {
-                    seen.push(e);
-                    true
-                })
-                .unwrap();
-            assert_eq!(seen, trace.events[start.min(trace.events.len())..]);
-        }
-        // Early stop inside a resumed segment.
-        let mut taken = 0;
-        reader
-            .stream_events_from(10, &mut |_| {
-                taken += 1;
-                taken < 3
-            })
-            .unwrap();
-        assert_eq!(taken, 3);
+        let segment = reader.segments[0].1 as usize;
+        let streamed = crate::source::tests::assert_streams_what_it_lends(
+            &reader,
+            &[1, 3, segment, usize::MAX],
+        );
+        assert_eq!(streamed, trace.events);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,7 +6,6 @@
 //! "seed" user — the shapes that matter (reads of a hot topic, counter
 //! updates from registered viewers, reply transactions) are preserved.
 
-use crate::skew::Skew;
 use crate::zipf::Zipf;
 use crate::Workload;
 use orochi_trace::HttpRequest;
@@ -56,15 +55,6 @@ impl Params {
             requests: ((base.requests as f64 * f) as usize).max(50),
             ..base
         }
-    }
-
-    /// Applies the shared skew knob: `theta` overrides the topic Zipf
-    /// exponent, the session-length multiplier stretches registered
-    /// viewers' reading runs.
-    pub fn with_skew(mut self, skew: &Skew) -> Self {
-        self.topic_theta = skew.theta_or(self.topic_theta);
-        self.session_len = skew.scale_session(self.session_len);
-        self
     }
 }
 

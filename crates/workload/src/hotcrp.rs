@@ -3,7 +3,6 @@
 //! paper with 1–20 updates; each paper gets 3 reviews, each submitted
 //! twice; each reviewer views 100 pages — ~52,000 requests).
 
-use crate::skew::Skew;
 use crate::zipf::Zipf;
 use crate::Workload;
 use orochi_trace::HttpRequest;
@@ -66,16 +65,6 @@ impl Params {
             review_len: ((base.review_len as f64 * f.max(0.05)) as usize).max(80),
             ..base
         }
-    }
-
-    /// Applies the shared skew knob: `theta` skews which papers
-    /// reviewers browse, the session-length multiplier stretches each
-    /// reviewer's and author's browsing session.
-    pub fn with_skew(mut self, skew: &Skew) -> Self {
-        self.view_theta = skew.theta_or(self.view_theta);
-        self.views_per_reviewer = skew.scale_session(self.views_per_reviewer);
-        self.views_per_author = skew.scale_session(self.views_per_author);
-        self
     }
 }
 
@@ -168,7 +157,7 @@ pub fn generate(params: &Params, seed: u64) -> Workload {
     }
     // Page views: each reviewer browses papers and the list. With
     // `view_theta` 0 the Zipf draw is uniform-ish (the paper's implicit
-    // shape); the skew knob concentrates attention on hot papers.
+    // shape); a larger `view_theta` concentrates attention on hot papers.
     let view_zipf = Zipf::new(params.papers, params.view_theta);
     for r in 0..params.reviewers {
         let who = format!("rev{r}");

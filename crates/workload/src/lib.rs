@@ -15,10 +15,6 @@
 //!   products, Poisson-interleaved browse/add/checkout/abandon
 //!   sessions) that front-loads the register and KV audit paths.
 //!
-//! All four share the [`skew`] knob: one Zipf `theta` over each
-//! workload's popularity axis plus a session-length multiplier, so a
-//! sweep moves the same parameter space in every generator.
-//!
 //! Each generator produces a `Vec<HttpRequest>` the driver replays; all
 //! sampling is seeded, so workloads are reproducible. The `scale`
 //! parameter shrinks request counts for CI-sized runs (1.0 is the
@@ -29,12 +25,10 @@ pub mod hotcrp;
 pub mod mixed;
 pub mod poisson;
 pub mod shop;
-pub mod skew;
 pub mod wiki;
 pub mod zipf;
 
 pub use poisson::poisson_arrivals;
-pub use skew::Skew;
 pub use zipf::Zipf;
 
 use orochi_trace::HttpRequest;
@@ -95,33 +89,6 @@ mod tests {
         let h = hotcrp::Params::default();
         assert_eq!(h.papers, 269);
         assert_eq!(h.reviewers, 58);
-    }
-
-    #[test]
-    fn skew_knob_reaches_all_four_workloads() {
-        let skew = Skew {
-            theta: Some(1.4),
-            session_len: Some(2.0),
-        };
-        assert_eq!(wiki::Params::default().with_skew(&skew).zipf_beta, 1.4);
-        assert_eq!(wiki::Params::default().with_skew(&skew).session_len, 2);
-        assert_eq!(forum::Params::default().with_skew(&skew).topic_theta, 1.4);
-        assert_eq!(forum::Params::default().with_skew(&skew).session_len, 2);
-        let h = hotcrp::Params::default().with_skew(&skew);
-        assert_eq!(h.view_theta, 1.4);
-        assert_eq!(h.views_per_reviewer, 200);
-        let s = shop::Params::default().with_skew(&skew);
-        assert_eq!(s.zipf_theta, 1.4);
-        assert_eq!(s.mean_session_len, 8.0);
-        // The default knob is a no-op everywhere.
-        let noop = Skew::default();
-        assert_eq!(wiki::Params::default().with_skew(&noop).zipf_beta, 0.53);
-        assert_eq!(
-            hotcrp::Params::default()
-                .with_skew(&noop)
-                .views_per_reviewer,
-            100
-        );
     }
 
     #[test]

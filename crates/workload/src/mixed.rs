@@ -12,7 +12,7 @@
 //! views and the audit's control-flow grouping sees a genuinely mixed
 //! stream. Everything is deterministic in `(params, seed)`.
 
-use crate::{forum, hotcrp, shop, wiki, Skew, Workload};
+use crate::{forum, hotcrp, shop, wiki, Workload};
 use orochi_trace::HttpRequest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,16 +42,6 @@ impl Params {
             forum: forum::Params::scaled(f),
             hotcrp: hotcrp::Params::scaled(f),
             shop: shop::Params::scaled(f),
-        }
-    }
-
-    /// Applies the workspace-wide skew knob to every tenant.
-    pub fn with_skew(self, skew: &Skew) -> Self {
-        Params {
-            wiki: self.wiki.with_skew(skew),
-            forum: self.forum.with_skew(skew),
-            hotcrp: self.hotcrp.with_skew(skew),
-            shop: self.shop.with_skew(skew),
         }
     }
 }

@@ -16,7 +16,6 @@
 //! the register and versioned-KV audit paths the SQL-dominated
 //! workloads underuse.
 
-use crate::skew::Skew;
 use crate::zipf::Zipf;
 use crate::Workload;
 use orochi_trace::HttpRequest;
@@ -79,17 +78,6 @@ impl Params {
             sessions: ((base.sessions as f64 * f) as usize).max(40),
             ..base
         }
-    }
-
-    /// Applies the shared skew knob: `theta` overrides the product Zipf
-    /// exponent, the session-length multiplier scales the mean browse
-    /// count.
-    pub fn with_skew(mut self, skew: &Skew) -> Self {
-        self.zipf_theta = skew.theta_or(self.zipf_theta);
-        if let Some(f) = skew.session_len {
-            self.mean_session_len = (self.mean_session_len * f).max(1.0);
-        }
-        self
     }
 }
 
@@ -291,25 +279,6 @@ mod tests {
         assert!(
             (logins as f64) > expect * 0.8 && (logins as f64) < expect * 1.2,
             "{logins} logins vs expected ~{expect}"
-        );
-    }
-
-    #[test]
-    fn skew_knob_moves_theta_and_session_length() {
-        let skew = Skew {
-            theta: Some(1.6),
-            session_len: Some(3.0),
-        };
-        let p = Params::scaled(0.1).with_skew(&skew);
-        assert_eq!(p.zipf_theta, 1.6);
-        assert_eq!(p.mean_session_len, 12.0);
-        let base = generate(&Params::scaled(0.1), 2);
-        let long = generate(&p, 2);
-        assert!(
-            long.requests.len() > base.requests.len(),
-            "longer sessions produce more requests ({} vs {})",
-            long.requests.len(),
-            base.requests.len()
         );
     }
 }

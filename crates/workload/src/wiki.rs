@@ -1,7 +1,6 @@
 //! The MediaWiki-shaped workload (§5: 20,000 requests to 200 pages,
 //! Zipf β = 0.53, read-dominated).
 
-use crate::skew::Skew;
 use crate::zipf::Zipf;
 use crate::Workload;
 use orochi_trace::HttpRequest;
@@ -52,14 +51,6 @@ impl Params {
             view_requests: ((base.view_requests as f64 * f) as usize).max(50),
             ..base
         }
-    }
-
-    /// Applies the shared skew knob: `theta` overrides the page Zipf β,
-    /// the session-length multiplier stretches logged-in reading runs.
-    pub fn with_skew(mut self, skew: &Skew) -> Self {
-        self.zipf_beta = skew.theta_or(self.zipf_beta);
-        self.session_len = skew.scale_session(self.session_len);
-        self
     }
 }
 

@@ -179,7 +179,8 @@ fn time_precedence_edge_order_is_deterministic() {
         next += width;
     }
     events.push(Event::Response(straggler, Resp::ok(straggler, "ok")));
-    let balanced = orochi::trace::Trace { events }.ensure_balanced().unwrap();
+    let trace = orochi::trace::Trace { events };
+    let balanced = trace.ensure_balanced().unwrap();
 
     let first = create_time_precedence_graph(&balanced);
     assert!(

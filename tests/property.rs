@@ -100,7 +100,8 @@ proptest! {
             }
             next += w as u64;
         }
-        let balanced = Trace { events }.ensure_balanced().unwrap();
+        let trace = Trace { events };
+        let balanced = trace.ensure_balanced().unwrap();
         let g = create_time_precedence_graph(&balanced);
         let minimum: usize = widths.windows(2).map(|w| w[0] * w[1]).sum();
         prop_assert_eq!(g.edges.len(), minimum);

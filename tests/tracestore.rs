@@ -203,9 +203,8 @@ fn assert_lends(lent: EventRef<'_>, owned: &Event) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The view and the owned path are two projections of one parser:
-    /// every event the store lends equals the event it copies out — and
-    /// so does the same event lent from RAM — whatever the segment
+    /// Every event the store lends equals the event that was written —
+    /// and so does the same event lent from RAM — whatever the segment
     /// budget and however the epochs cut across segments.
     #[test]
     fn lent_events_equal_owned_events(
