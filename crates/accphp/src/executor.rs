@@ -15,12 +15,12 @@
 //! Fig. 11 (group size, univalent-instruction proportion, instruction
 //! count).
 
-use crate::groupvm::{self, db_result, rows_to_value, GroupOutcome, GroupRunError};
+use crate::groupvm::{self, db_result, rows_to_value, GroupRunError};
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
 use orochi_core::exec::{DbTxnHandle, GroupExecutor};
 use orochi_core::nondet::NondetValue;
-use orochi_php::backend::{BackendError, DbResult, NondetProvider, StateBackend};
+use orochi_php::backend::{BackendError, DbResult, NondetProvider, RuntimeBackend, StateBackend};
 use orochi_php::bytecode::CompiledScript;
 use orochi_php::vm::{not_found_output, run_request, RequestInput, RequestOutput, RunResult};
 use orochi_state::object::ObjectName;
@@ -28,21 +28,19 @@ use orochi_trace::{HttpRequest, HttpResponse};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Which PHP bytecode engine the executor re-executes requests on.
-///
-/// Both engines produce identical outputs, state operations, and
-/// control-flow digests; the register engine is the default because its
-/// fixed-width instructions and pooled register windows dispatch faster.
-/// The stack engine is kept as the differential baseline (property
-/// tests, `tests/sharing.rs`).
+/// The PHP engine the executor re-executes requests on. There is one,
+/// the register VM; the type and [`AccPhpExecutor::engine`] stay only
+/// because the standalone `benchmark/` crate still sets them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VmEngine {
-    /// Fixed-width 32-bit register bytecode (the default).
+    /// Fixed-width 32-bit register bytecode.
     #[default]
     Register,
-    /// The legacy stack bytecode interpreter.
-    Stack,
 }
+
+/// Maximum group size per superposed execution: OROCHI caps groups at
+/// 3,000 to avoid thrashing (§4.7); larger groups split into chunks.
+const MAX_GROUP: usize = 3000;
 
 /// The runtime's borrowed view of a traced request.
 pub fn request_input(req: &HttpRequest) -> RequestInput<'_> {
@@ -127,10 +125,8 @@ pub struct AccPhpExecutor {
     /// Force the scalar path for every request ("SIMD off", §5.2 — the
     /// simple re-execution the audit is measured against).
     pub force_scalar: bool,
-    /// Maximum group size per superposed execution (OROCHI caps at
-    /// 3,000 to avoid thrashing, §4.7); larger groups split.
-    pub max_group: usize,
-    /// Which bytecode engine re-executes requests.
+    /// Read by nothing: the register VM is the only engine. Kept
+    /// because the standalone `benchmark/` crate still sets it.
     pub engine: VmEngine,
     /// Statistics for the evaluation harness.
     pub stats: ExecutorStats,
@@ -152,7 +148,6 @@ impl AccPhpExecutor {
                 .map(|(path, script)| (path, Arc::new(script)))
                 .collect(),
             force_scalar: false,
-            max_group: 3000,
             engine: VmEngine::default(),
             stats: ExecutorStats::default(),
         }
@@ -178,24 +173,11 @@ impl AccPhpExecutor {
         let Some(script) = self.scripts.get(input.path) else {
             return Ok(not_found_output(input.path));
         };
-        let result = run_scalar_request(script, rid, input, ctx, self.engine)?;
+        let result = run_scalar_request(script, rid, input, ctx)?;
         // Scalar execution dispatches every instruction once: total and
         // executed coincide.
         ctx.record_vm_dispatches(result.stats.instructions, result.stats.instructions);
         Ok(result.output)
-    }
-
-    fn run_group(
-        &self,
-        script: &CompiledScript,
-        rids: &[RequestId],
-        inputs: &[RequestInput<'_>],
-        ctx: &mut AuditContext<'_>,
-    ) -> Result<GroupOutcome, GroupRunError> {
-        match self.engine {
-            VmEngine::Register => groupvm::run_group(script, rids, inputs, ctx),
-            VmEngine::Stack => groupvm::stack::run_group(script, rids, inputs, ctx),
-        }
     }
 }
 
@@ -211,18 +193,16 @@ impl GroupExecutor for AccPhpExecutor {
         let mut outputs: Vec<(RequestId, HttpResponse)> = Vec::with_capacity(requests.len());
 
         // Grouped execution requires a single script; groups beyond
-        // max_group split into chunks (OROCHI caps groups at 3,000 to
-        // avoid thrashing, §4.7). Anything else goes scalar.
+        // MAX_GROUP split into chunks. Anything else goes scalar.
         let same_path = inputs.windows(2).all(|w| w[0].path == w[1].path);
         let try_grouped = !self.force_scalar && requests.len() > 1 && same_path;
         let script = self.scripts.get(inputs[0].path).filter(|_| try_grouped);
 
         if let Some(script) = script.cloned() {
-            let chunk = self.max_group.max(1);
             let mut diverged = false;
             let mut chunk_outputs = Vec::with_capacity(requests.len());
-            for (rid_chunk, input_chunk) in rids.chunks(chunk).zip(inputs.chunks(chunk)) {
-                match self.run_group(&script, rid_chunk, input_chunk, ctx) {
+            for (rid_chunk, input_chunk) in rids.chunks(MAX_GROUP).zip(inputs.chunks(MAX_GROUP)) {
+                match groupvm::run_group(&script, rid_chunk, input_chunk, ctx) {
                     Ok(outcome) => {
                         self.stats.grouped += 1;
                         self.stats.logged_decodes += outcome.logged_decodes;
@@ -275,7 +255,20 @@ pub fn run_scalar_request(
     rid: RequestId,
     input: &RequestInput<'_>,
     ctx: &mut AuditContext<'_>,
-    engine: VmEngine,
+) -> Result<RunResult, Rejection> {
+    run_checked(ctx, rid, |backend| run_request(script, backend, input))
+}
+
+/// Runs one request's scalar interpreter `run` against the audit's
+/// checking backend for `rid`: every state operation and
+/// nondeterministic value is checked against the reports, and a failed
+/// run is returned as the precise [`Rejection`] that stopped it.
+/// [`run_scalar_request`] is this with the register VM; tests pass the
+/// stack oracle.
+pub fn run_checked(
+    ctx: &mut AuditContext<'_>,
+    rid: RequestId,
+    run: impl FnOnce(&mut dyn RuntimeBackend) -> Result<RunResult, String>,
 ) -> Result<RunResult, Rejection> {
     let mut backend = AuditBackend {
         ctx,
@@ -283,11 +276,7 @@ pub fn run_scalar_request(
         txn: None,
         rejection: None,
     };
-    let result = match engine {
-        VmEngine::Register => run_request(script, &mut backend, input),
-        VmEngine::Stack => orochi_php::vm::stack::run_request(script, &mut backend, input),
-    };
-    result.map_err(|msg| {
+    run(&mut backend).map_err(|msg| {
         backend
             .rejection
             .take()

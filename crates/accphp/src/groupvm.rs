@@ -22,21 +22,19 @@
 //!   of the *same* implementations the scalar VM uses (§4.3 "built-in
 //!   functions").
 //!
-//! This file is the register encoding's operand traffic; lane effects,
-//! accounting, the per-lane helper and the builtins are the `group`
-//! module, shared with the previous stack-bytecode group engine, which
-//! survives as [`stack`] — the differential baseline the property
-//! tests and `tests/sharing.rs` compare against.
+//! This file is the operand traffic; lane effects, accounting, the
+//! per-lane helper and the builtins are the `group` module.
+//! `tests/sharing.rs` checks every group run against the scalar VM,
+//! member by member.
 
 use crate::mval::MVal;
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
-use orochi_php::bytecode::{rinsn, CompiledScript, Op, ROp};
+use orochi_php::bytecode::{rinsn, CompiledScript, ROp};
 use orochi_php::value::Value;
 use orochi_php::vm::{ops, RequestInput, RequestOutput, VmError, STEP_LIMIT};
 
 mod group;
-pub mod stack;
 
 pub(crate) use group::{db_result, rows_to_value};
 use group::{Flow, Group, GroupIter};
@@ -78,33 +76,6 @@ enum FnRef {
     User(u16),
 }
 
-/// Maps a register opcode to the scalar-op selector used by the shared
-/// `ops` helpers.
-fn scalar_binop(op: ROp) -> Op {
-    match op {
-        ROp::Add => Op::Add,
-        ROp::Sub => Op::Sub,
-        ROp::Mul => Op::Mul,
-        ROp::Div => Op::Div,
-        ROp::Mod => Op::Mod,
-        ROp::Concat => Op::Concat,
-        ROp::Lt => Op::Lt,
-        ROp::Le => Op::Le,
-        ROp::Gt => Op::Gt,
-        ROp::Ge => Op::Ge,
-        other => unreachable!("not a shared scalar op: {other:?}"),
-    }
-}
-
-fn incdec_variant(c: usize) -> Op {
-    match c {
-        0 => Op::PreIncLocal(0),
-        1 => Op::PostIncLocal(0),
-        2 => Op::PreDecLocal(0),
-        _ => Op::PostDecLocal(0),
-    }
-}
-
 /// `$a[] = v` / `$a[k] = v` on an array literal under construction, and
 /// `unset`, in the shape [`Group::modify_path`] applies.
 fn array_append(arr: &mut Value, _keys: &[&Value], v: Value) -> Result<(), VmError> {
@@ -141,7 +112,7 @@ struct GroupVm<'c, 'a> {
     depth: usize,
 }
 
-/// Runs one control-flow group's superposed execution (register engine).
+/// Runs one control-flow group's superposed execution.
 pub fn run_group(
     script: &CompiledScript,
     rids: &[RequestId],
@@ -242,14 +213,13 @@ impl GroupVm<'_, '_> {
                     self.g.globals[rinsn::a(insn)] = v;
                 }
                 ROp::Add | ROp::Sub | ROp::Mul | ROp::Div | ROp::Mod | ROp::Concat => {
-                    let sop = scalar_binop(rop);
                     let (x, y) = (
                         &self.regs[base + rinsn::b(insn)],
                         &self.regs[base + rinsn::c(insn)],
                     );
                     let r = self
                         .g
-                        .op(&[x, y], |l| ops::binary(sop, x.lane(l), y.lane(l)))?;
+                        .op(&[x, y], |l| ops::binary(rop, x.lane(l), y.lane(l)))?;
                     self.regs[a] = r;
                 }
                 ROp::Eq | ROp::Ne | ROp::Identical | ROp::NotIdentical => {
@@ -269,13 +239,12 @@ impl GroupVm<'_, '_> {
                     self.regs[a] = r;
                 }
                 ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
-                    let sop = scalar_binop(rop);
                     let (x, y) = (
                         &self.regs[base + rinsn::b(insn)],
                         &self.regs[base + rinsn::c(insn)],
                     );
                     let r = self.g.total_op(&[x, y], |l| {
-                        Value::Bool(ops::relational(sop, x.lane(l), y.lane(l)))
+                        Value::Bool(ops::relational(rop, x.lane(l), y.lane(l)))
                     })?;
                     self.regs[a] = r;
                 }
@@ -375,9 +344,8 @@ impl GroupVm<'_, '_> {
                 }
                 ROp::IncDecLocal | ROp::IncDecGlobal => {
                     let is_local = rop == ROp::IncDecLocal;
-                    let sop = incdec_variant(rinsn::c(insn));
                     let cur = self.slot(is_local, base, rinsn::b(insn)).clone();
-                    let (new_slot, result) = self.g.incdec(&cur, sop)?;
+                    let (new_slot, result) = self.g.incdec(&cur, rinsn::c(insn))?;
                     *self.slot(is_local, base, rinsn::b(insn)) = new_slot;
                     self.regs[a] = result;
                 }
@@ -485,13 +453,13 @@ mod tests {
     use orochi_php::{compile, parse_script};
     use orochi_trace::{Event, HttpRequest, HttpResponse, Trace};
 
-    /// The group engines' half of the four-engine step-limit check
-    /// (`orochi_php::vm` holds the scalar half): a runaway script stops
-    /// after exactly the limit's instructions with the page every scalar
-    /// engine produces. The limit is lowered through the private entry
-    /// point — it is a constant, not a knob.
+    /// The group VM's part of the step-limit check (`orochi_php::vm`
+    /// holds the scalar VM's and the stack oracle's): a runaway script
+    /// stops after exactly the limit's instructions with the page the
+    /// scalar VM produces. The limit is lowered through the private
+    /// entry point — it is a constant, not a knob.
     #[test]
-    fn runaway_loop_stops_at_the_step_limit_on_both_group_engines() {
+    fn runaway_loop_stops_at_the_step_limit_on_the_group_vm() {
         let script = compile(
             "/t.php",
             &parse_script("<?php while (true) { $i = 1; }").unwrap(),
@@ -516,14 +484,12 @@ mod tests {
         };
         let (trace, config) = (Trace { events }, AuditConfig::new());
         let inputs: Vec<_> = requests.iter().map(request_input).collect();
-        for run in [run_group_limited, stack::run_group_limited] {
-            let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
-            let outcome = run(&script, &rids, &inputs, &mut ctx, 10_000).unwrap();
-            assert_eq!(outcome.univalent + outcome.multivalent, 10_000);
-            for out in &outcome.outputs {
-                assert_eq!(out.status, 500);
-                assert_eq!(out.body, format!("Fatal error: {STEP_LIMIT_EXCEEDED}"));
-            }
+        let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
+        let outcome = run_group_limited(&script, &rids, &inputs, &mut ctx, 10_000).unwrap();
+        assert_eq!(outcome.univalent + outcome.multivalent, 10_000);
+        for out in &outcome.outputs {
+            assert_eq!(out.status, 500);
+            assert_eq!(out.body, format!("Fatal error: {STEP_LIMIT_EXCEEDED}"));
         }
     }
 }

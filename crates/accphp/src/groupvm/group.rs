@@ -2,9 +2,8 @@
 //! depend on the bytecode encoding: lane effects (output, headers,
 //! status, session, transactions), the uni/multi accounting, the single
 //! per-lane apply helper every multivalent instruction goes through, and
-//! the builtins. The register engine ([`super`]) and the stack engine
-//! ([`super::stack`]) differ only in where operands come from and where
-//! results go.
+//! the builtins. The interpreter in [`super`] supplies the operand
+//! traffic: where operands come from and where results go.
 
 use crate::mval::{LaneMemo, MVal};
 use orochi_common::codec::{Encoder, Wire};
@@ -15,7 +14,7 @@ use orochi_core::nondet::NondetValue;
 use orochi_obs::LazyCounter;
 use orochi_php::backend::DbResult;
 use orochi_php::builtins::{self, Builtin, Host};
-use orochi_php::bytecode::{CompiledScript, Op};
+use orochi_php::bytecode::CompiledScript;
 use orochi_php::value::{ForeachIter, Value};
 use orochi_php::vm::{
     ops, pairs_to_array, server_array, RequestInput, RequestOutput, VmError, STEP_LIMIT_EXCEEDED,
@@ -428,11 +427,12 @@ impl<'c, 'a> Group<'c, 'a> {
         self.op(operands, |l| Ok(f(l)))
     }
 
-    /// `++`/`--` on a slot; returns (new slot value, expression result).
-    pub(super) fn incdec(&mut self, cur: &MVal, scalar_op: Op) -> Result<(MVal, MVal), Flow> {
+    /// `++`/`--` on a slot (`variant` as in [`ops::incdec`]); returns
+    /// (new slot value, expression result).
+    pub(super) fn incdec(&mut self, cur: &MVal, variant: usize) -> Result<(MVal, MVal), Flow> {
         self.op2(&[cur], |l| {
             let mut slot = cur.lane(l).clone();
-            let result = ops::incdec(&mut slot, scalar_op)?;
+            let result = ops::incdec(&mut slot, variant)?;
             Ok((slot, result))
         })
     }

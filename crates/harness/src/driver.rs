@@ -6,7 +6,7 @@
 //! drivers over one abstraction, the [`Frontend`]: a bounded admission
 //! queue feeding a fixed worker pool.
 
-use orochi_accphp::executor::{ExecutorStats, VmEngine};
+use orochi_accphp::executor::ExecutorStats;
 use orochi_accphp::AccPhpExecutor;
 use orochi_apps::AppDefinition;
 use orochi_core::audit::{AuditConfig, AuditOutcome, Rejection};
@@ -302,8 +302,6 @@ pub struct AuditOptions {
     pub dedup: bool,
     /// Re-execution worker threads; 1 = the sequential audit.
     pub threads: usize,
-    /// Which PHP bytecode engine re-executes requests.
-    pub engine: VmEngine,
 }
 
 impl Default for AuditOptions {
@@ -312,15 +310,14 @@ impl Default for AuditOptions {
             grouped: true,
             dedup: true,
             threads: 1,
-            engine: VmEngine::Register,
         }
     }
 }
 
 /// The one audit runner behind every entry point below: builds the
 /// executor pool `opts` describes, runs `audit` over it, and on a
-/// verdict records the audit-side telemetry (seal→verdict lag, the
-/// per-engine VM dispatch split) and merges the executors' statistics.
+/// verdict records the seal→verdict lag and merges the executors'
+/// statistics.
 fn run_on(
     work: &AppWorkload,
     opts: &AuditOptions,
@@ -333,7 +330,6 @@ fn run_on(
         .map(|_| {
             let mut e = AccPhpExecutor::new(scripts.clone());
             e.force_scalar = !opts.grouped;
-            e.engine = opts.engine;
             e
         })
         .collect();
@@ -341,14 +337,6 @@ fn run_on(
     let outcome = audit(&mut executors, &config)?;
     let wall = t0.elapsed();
     orochi_obs::lag::record_verdict();
-    let engine = match opts.engine {
-        VmEngine::Register => "register",
-        VmEngine::Stack => "stack",
-    };
-    orochi_obs::registry::counter_owned(&format!("vm_dispatch_executed_{engine}_total"))
-        .add(outcome.stats.vm_dispatch_executed);
-    orochi_obs::registry::counter_owned(&format!("vm_dispatch_represented_{engine}_total"))
-        .add(outcome.stats.vm_dispatch_total);
     let mut exec_stats = ExecutorStats::default();
     for e in &executors {
         exec_stats.merge(&e.stats);

@@ -278,9 +278,10 @@ pub fn counter(name: &'static str) -> &'static Counter {
     counter_owned(name)
 }
 
-/// [`counter`] for a runtime-constructed name (per-engine metrics like
-/// `vm_dispatch_executed_register_total`). The name is leaked only on
-/// first registration, so repeated lookups do not accumulate memory.
+/// [`counter`] for a name built at runtime, the way the front-end names
+/// its per-worker `frontend_worker{w}_service_ns` histograms through
+/// [`histogram_owned`]. The name is leaked only on first registration,
+/// so repeated lookups do not accumulate memory.
 pub fn counter_owned(name: &str) -> &'static Counter {
     let mut reg = lock_registry();
     for (n, m) in &reg.entries {

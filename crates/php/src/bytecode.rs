@@ -1,138 +1,15 @@
-//! The bytecode the VM executes.
+//! The bytecode the VMs execute.
 //!
-//! A stack machine close in spirit to HHVM's (§4.2: "the PHP runtime
-//! translates each program line to byte code"). The opcode set includes
-//! the instruction categories Fig. 10 measures: `Mul` (Multiply),
-//! `Concat`, `IssetPath*` (Isset), conditional jumps (Jump), `Load*`
-//! (GetVal), `SetPath*` (ArraySet), `IterNext*` (Iteration),
-//! `CallBuiltin` (Microtime et al.), `*Inc`/`*Dec` (Increment), and
-//! `NewArray`.
+//! A register machine (§4.2: "the PHP runtime translates each program
+//! line to byte code"). The opcode set includes the instruction
+//! categories Fig. 10 measures: `Mul` (Multiply), `Concat`, `IssetPath*`
+//! (Isset), conditional jumps (Jump), `Load*` (GetVal), `SetPath*`
+//! (ArraySet), `IterNext*` (Iteration), `CallBuiltin` (Microtime et
+//! al.), `IncDec*` (Increment), and `NewArray`.
 
 use crate::value::Value;
 
-/// One VM instruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Op {
-    /// Push constant `consts[i]`.
-    Const(u16),
-    /// Push the value of local slot `i`.
-    LoadLocal(u16),
-    /// Pop into local slot `i`.
-    StoreLocal(u16),
-    /// Push the value of global slot `i`.
-    LoadGlobal(u16),
-    /// Pop into global slot `i`.
-    StoreGlobal(u16),
-    /// Pop and discard.
-    Pop,
-    /// Duplicate the top of stack.
-    Dup,
-    /// Swap the top two stack values (used by by-reference builtins).
-    Swap,
-    /// `+` with PHP numeric semantics.
-    Add,
-    /// `-`.
-    Sub,
-    /// `*`.
-    Mul,
-    /// `/` (float division; integral results stay int when exact).
-    Div,
-    /// `%` (integer modulo).
-    Mod,
-    /// `.` string concatenation.
-    Concat,
-    /// `==` loose equality.
-    Eq,
-    /// `!=`.
-    Ne,
-    /// `===`.
-    Identical,
-    /// `!==`.
-    NotIdentical,
-    /// `<`.
-    Lt,
-    /// `<=`.
-    Le,
-    /// `>`.
-    Gt,
-    /// `>=`.
-    Ge,
-    /// `!`.
-    Not,
-    /// Unary `-`.
-    Neg,
-    /// Unconditional jump.
-    Jump(u32),
-    /// Pop; jump when falsy. Updates the control-flow digest.
-    JumpIfFalse(u32),
-    /// Pop; jump when truthy. Updates the control-flow digest.
-    JumpIfTrue(u32),
-    /// Push an empty array.
-    NewArray,
-    /// `[arr, v] -> [arr']`: append with the next integer key.
-    AppendStack,
-    /// `[arr, k, v] -> [arr']`: set a key.
-    InsertStack,
-    /// `[base, k] -> [v]`: index read (array or string; null when
-    /// missing).
-    IndexGet,
-    /// `[v, k1..kn] -> [v]`: set `local[slot][k1]..[kn] = v`.
-    SetPathLocal(u16, u8),
-    /// `[v, k1..kn] -> [v]`: set through a global slot.
-    SetPathGlobal(u16, u8),
-    /// `[v, k1..k(n-1)] -> [v]`: append at the end of the path
-    /// (`$a[k1]..[] = v`); `n = 1` is the plain `$a[] = v`.
-    AppendPathLocal(u16, u8),
-    /// Append through a global slot.
-    AppendPathGlobal(u16, u8),
-    /// `[k1..kn] -> []`: unset `local[slot][k1]..[kn]`; `n = 0` clears
-    /// the variable itself.
-    UnsetPathLocal(u16, u8),
-    /// Unset through a global slot.
-    UnsetPathGlobal(u16, u8),
-    /// `[k1..kn] -> [bool]`: isset on a local path; `n = 0` tests the
-    /// variable.
-    IssetPathLocal(u16, u8),
-    /// Isset through a global slot.
-    IssetPathGlobal(u16, u8),
-    /// `++$local` (push new value).
-    PreIncLocal(u16),
-    /// `$local++` (push old value).
-    PostIncLocal(u16),
-    /// `--$local`.
-    PreDecLocal(u16),
-    /// `$local--`.
-    PostDecLocal(u16),
-    /// `++$global`.
-    PreIncGlobal(u16),
-    /// `$global++`.
-    PostIncGlobal(u16),
-    /// `--$global`.
-    PreDecGlobal(u16),
-    /// `$global--`.
-    PostDecGlobal(u16),
-    /// Call user function `i` with `argc` stack arguments.
-    Call(u16, u8),
-    /// Call builtin `i` with `argc` stack arguments.
-    CallBuiltin(u16, u8),
-    /// Return the top of stack to the caller.
-    Return,
-    /// Return null.
-    ReturnNull,
-    /// Pop and append to the output buffer.
-    Echo,
-    /// `[arr] -> []`: push a fresh iterator over the array snapshot.
-    IterInit,
-    /// Advance the top iterator: push the next value, or jump to the
-    /// target when exhausted. Updates the control-flow digest.
-    IterNext(u32),
-    /// Advance pushing key then value, or jump when exhausted.
-    IterNextKV(u32),
-    /// Pop the top iterator.
-    IterPop,
-}
-
-/// Register-bytecode opcodes (the primary execution encoding).
+/// Register-bytecode opcodes.
 ///
 /// Fixed-width 32-bit instructions in two formats:
 ///
@@ -485,9 +362,8 @@ pub fn disasm(code: &[u32]) -> String {
     out
 }
 
-/// A compiled function body. Carries both encodings: the register code
-/// (primary; executed by `vm::run_request` and the grouped VM) and the
-/// stack code (the retained differential oracle, `vm::stack`).
+/// A compiled function body: the register code the scalar VM
+/// (`vm::run_request`) and the group VM execute.
 #[derive(Debug, Clone)]
 pub struct CompiledFunction {
     /// Function name (lowercased; `"{main}"` for the script body).
@@ -496,11 +372,7 @@ pub struct CompiledFunction {
     pub num_params: u16,
     /// Constant-pool indices of parameter defaults (`None` = required).
     pub defaults: Vec<Option<u16>>,
-    /// Total local slots (params first) used by the stack encoding.
-    pub num_locals: u16,
-    /// The stack code (differential oracle).
-    pub code: Vec<Op>,
-    /// The register code (primary encoding).
+    /// The register code.
     pub reg_code: Vec<u32>,
     /// Registers this function's frame window needs (locals + temp high
     /// watermark); the VM grows its pooled register file by this much
@@ -508,18 +380,20 @@ pub struct CompiledFunction {
     pub register_count: u16,
 }
 
-/// A compiled script: the unit the server routes requests to.
+/// A compiled script: the unit the server routes requests to. `F` is
+/// the function encoding: register code, except in the stack oracle's
+/// `StackScript`.
 #[derive(Debug, Clone)]
-pub struct CompiledScript {
+pub struct CompiledScript<F = CompiledFunction> {
     /// Script path (e.g. `/wiki.php`), mixed into the control-flow
     /// digest seed.
     pub path: String,
     /// Constant pool.
     pub consts: Vec<Value>,
     /// The script body.
-    pub main: CompiledFunction,
-    /// User functions, indexed by [`Op::Call`].
-    pub functions: Vec<CompiledFunction>,
+    pub main: F,
+    /// User functions, indexed by the A operand of [`ROp::Call`].
+    pub functions: Vec<F>,
     /// Global slot names (superglobals first).
     pub global_names: Vec<String>,
 }
@@ -536,10 +410,15 @@ pub fn superglobal_slot(name: &str) -> Option<u16> {
 }
 
 impl CompiledScript {
-    /// Total instruction count across main and functions (the `ℓ_c`
+    /// Register instructions across main and functions (the `ℓ_c`
     /// statistic of Fig. 11 counts *executed* instructions; this is the
     /// static size).
     pub fn code_size(&self) -> usize {
-        self.main.code.len() + self.functions.iter().map(|f| f.code.len()).sum::<usize>()
+        self.main.reg_code.len()
+            + self
+                .functions
+                .iter()
+                .map(|f| f.reg_code.len())
+                .sum::<usize>()
     }
 }

@@ -13,14 +13,18 @@
 //!   functions, superglobals, `if`/`while`/`for`/`foreach`/`switch`,
 //!   arrays, and ~70 builtins. No classes or closures (DESIGN.md
 //!   documents the scope).
-//! * [`compiler`] / [`bytecode`] — AST to stack bytecode. The opcode set
-//!   deliberately includes the instruction categories Fig. 10
-//!   benchmarks (multiply, concat, isset, jump, variable get, array
-//!   set, iteration, increment, new-array, builtin call).
+//! * [`compiler`] / [`bytecode`] — AST to register bytecode, compiled
+//!   once per script. The opcode set deliberately includes the
+//!   instruction categories Fig. 10 benchmarks (multiply, concat, isset,
+//!   jump, variable get, array set, iteration, increment, new-array,
+//!   builtin call).
 //! * [`vm`] — the scalar interpreter. It maintains the **control-flow
 //!   digest** (updated at every conditional branch, switch dispatch,
 //!   and iteration step, §4.3) and routes state operations and
-//!   nondeterministic builtins through the [`backend`] traits.
+//!   nondeterministic builtins through the [`backend`] traits. Its
+//!   `stack` submodule is a test oracle: a stack-bytecode compiler and
+//!   interpreter of its own, run beside the register VM by the
+//!   differential tests.
 //! * [`builtins`] — the builtin function registry.
 //!
 //! The SIMD-on-demand multivalue VM lives in `orochi-accphp` and shares
@@ -37,7 +41,7 @@ pub mod value;
 pub mod vm;
 
 pub use backend::{BackendError, DbResult, NondetProvider, RuntimeBackend, StateBackend};
-pub use bytecode::{CompiledScript, Op};
+pub use bytecode::CompiledScript;
 pub use compiler::compile;
 pub use parser::parse_script;
 pub use value::{ArrayKey, Key, PhpArray, Value};

@@ -1,22 +1,21 @@
 //! The scalar VM: executes compiled scripts one request at a time.
 //!
-//! The primary engine is a **register VM**: fixed-width 32-bit
-//! instructions with explicit source/destination register operands (see
+//! It is a **register VM**: fixed-width 32-bit instructions with
+//! explicit source/destination register operands (see
 //! [`crate::bytecode::ROp`]), a flat pooled register file shared by all
 //! frames (a call's window starts where the caller's ends, so calls
 //! allocate nothing on the hot path), and literal/global/builtin
 //! references resolved to dense table indices at compile time. The
-//! previous stack-bytecode interpreter survives as [`stack`] — the
-//! differential oracle for property tests and the `--engine stack`
-//! baseline in benchmarks.
+//! [`stack`] submodule is a test oracle: its own compiler and a
+//! stack-bytecode interpreter over the same request runtime.
 //!
-//! Both engines maintain the **control-flow digest** (§4.3): at every
+//! The VM maintains the **control-flow digest** (§4.3): at every
 //! conditional branch and iteration step, the digest absorbs the
 //! per-request *branch-event ordinal* and the direction taken, so
 //! requests with identical digests followed identical control-flow
 //! paths. Mixing the event ordinal (not the program counter) keeps
-//! digests identical across the two encodings: the compiler emits
-//! digest-mixed events in the same evaluation order in both.
+//! digests independent of the encoding: the oracle's compiler emits
+//! digest-mixed events in the same evaluation order.
 //!
 //! PHP semantics implemented here (arithmetic overflow to float, `/`
 //! returning int only for exact integer division, string offsets, array
@@ -25,7 +24,7 @@
 
 use crate::backend::{BackendError, RuntimeBackend};
 use crate::builtins::{self, Host};
-use crate::bytecode::{rinsn, CompiledScript, Op, ROp};
+use crate::bytecode::{rinsn, CompiledScript, ROp};
 use crate::value::{ForeachIter, Key, NextKeyOccupied, PhpArray, Value};
 use orochi_common::codec::Wire;
 use std::borrow::Borrow;
@@ -131,9 +130,9 @@ pub struct RunResult {
 }
 
 /// Instructions one request may execute before it fails with
-/// [`STEP_LIMIT_EXCEEDED`]. The server and every re-execution engine
-/// (scalar and grouped, register and stack) stop at this same count, so
-/// a runaway script produces the same fatal page online and in the audit.
+/// [`STEP_LIMIT_EXCEEDED`]. The server, the scalar and group VMs and the
+/// stack oracle stop at this same count, so a runaway script produces
+/// the same fatal page online and in the audit.
 pub const STEP_LIMIT: u64 = 200_000_000;
 
 /// The fatal message of a request that ran past [`STEP_LIMIT`].
@@ -144,9 +143,8 @@ pub const STEP_LIMIT_EXCEEDED: &str = "execution step limit exceeded";
 pub use orochi_common::hash::fnv1a;
 
 /// Mixes one branch decision into a digest. `event` is the per-request
-/// branch-event ordinal (0, 1, 2, …), not a program counter: both
-/// bytecode encodings emit the same event sequence, so the digest is
-/// engine-independent.
+/// branch-event ordinal (0, 1, 2, …), not a program counter, so the
+/// digest does not depend on the bytecode encoding.
 #[inline]
 pub fn digest_mix(digest: u64, event: u64, taken: bool) -> u64 {
     (digest ^ ((event << 1) | taken as u64)).wrapping_mul(orochi_common::hash::FNV_PRIME)
@@ -178,8 +176,7 @@ struct RFrame {
 /// The scalar register virtual machine.
 pub struct Vm<'a> {
     script: &'a CompiledScript,
-    backend: &'a mut dyn RuntimeBackend,
-    pub(crate) globals: Vec<Value>,
+    rt: Runtime<'a>,
     /// The flat register file; frame windows are disjoint slices.
     regs: Vec<Value>,
     frames: Vec<RFrame>,
@@ -187,20 +184,9 @@ pub struct Vm<'a> {
     depth: usize,
     /// Scratch buffer for builtin argument marshalling (reused).
     args_buf: Vec<Value>,
-    pub(crate) output: String,
-    pub(crate) headers: Vec<(String, String)>,
-    pub(crate) status: u16,
-    digest: u64,
-    branch_events: u64,
-    pub(crate) session_started: bool,
-    session_cookie: Option<String>,
-    pub(crate) last_insert_id: i64,
-    pub(crate) last_affected: i64,
-    stats: ExecStats,
-    step_limit: u64,
 }
 
-/// Runs one request through a compiled script (register engine).
+/// Runs one request through a compiled script.
 ///
 /// On a fatal error the result is a deterministic 500 response — the
 /// online server and the verifier produce the identical page. An
@@ -235,56 +221,7 @@ pub fn run_request(
     backend: &mut dyn RuntimeBackend,
     input: &RequestInput<'_>,
 ) -> Result<RunResult, String> {
-    run_vm(Vm::new(script, backend, input))
-}
-
-/// Runs a constructed VM to its response.
-fn run_vm(mut vm: Vm<'_>) -> Result<RunResult, String> {
-    let outcome = vm.run_main();
-    match outcome {
-        Ok(()) | Err(VmError::Exit) => {
-            // End-of-request hook: leaked transactions become a
-            // deterministic fatal on both the server and the verifier.
-            if let Err(e) = vm.backend.end_of_request() {
-                match VmError::from(e) {
-                    VmError::AuditReject(m) => return Err(m),
-                    VmError::Fatal(m) => return Ok(vm.into_fatal_result(m)),
-                    VmError::Exit => unreachable!("end_of_request cannot exit"),
-                }
-            }
-            // Normal completion: persist the session if one was started.
-            if let Err(e) = vm.write_session_back() {
-                match e {
-                    VmError::AuditReject(m) => return Err(m),
-                    VmError::Fatal(m) => return Ok(vm.into_fatal_result(m)),
-                    VmError::Exit => unreachable!("session write cannot exit"),
-                }
-            }
-            Ok(RunResult {
-                output: RequestOutput {
-                    status: vm.status,
-                    headers: vm.headers.clone(),
-                    body: std::mem::take(&mut vm.output),
-                },
-                digest: vm.digest,
-                stats: vm.stats,
-            })
-        }
-        Err(VmError::Fatal(m)) => Ok(vm.into_fatal_result(m)),
-        Err(VmError::AuditReject(m)) => Err(m),
-    }
-}
-
-/// Builds the initial globals table for a request (shared by both
-/// engines).
-fn init_globals(script: &CompiledScript, input: &RequestInput<'_>) -> Vec<Value> {
-    let mut globals = vec![Value::Null; script.global_names.len()];
-    globals[0] = pairs_to_array(input.get);
-    globals[1] = pairs_to_array(input.post);
-    globals[2] = pairs_to_array(input.cookies);
-    globals[3] = Value::empty_array(); // $_SESSION until session_start.
-    globals[4] = server_array(input);
-    globals
+    Vm::new(script, backend, input).run()
 }
 
 /// `$_SERVER` for a request.
@@ -295,20 +232,44 @@ pub fn server_array(input: &RequestInput<'_>) -> Value {
     Value::array(server)
 }
 
-impl<'a> Vm<'a> {
-    fn new(
-        script: &'a CompiledScript,
+/// One request's side of a scalar run, shared by the register VM and
+/// the stack oracle: the backend, the globals, the response being
+/// built, the control-flow digest and the step budget. The two
+/// interpreters differ only in operand traffic — the scalar counterpart
+/// of the group VM's `Group`.
+struct Runtime<'a> {
+    backend: &'a mut dyn RuntimeBackend,
+    globals: Vec<Value>,
+    output: String,
+    headers: Vec<(String, String)>,
+    status: u16,
+    digest: u64,
+    branch_events: u64,
+    session_started: bool,
+    session_cookie: Option<String>,
+    last_insert_id: i64,
+    last_affected: i64,
+    stats: ExecStats,
+    step_limit: u64,
+}
+
+impl<'a> Runtime<'a> {
+    /// A request's starting state: superglobals in their fixed slots,
+    /// every other global null, the digest seeded with the script path.
+    fn new<F>(
+        script: &CompiledScript<F>,
         backend: &'a mut dyn RuntimeBackend,
         input: &RequestInput<'_>,
     ) -> Self {
-        Vm {
-            script,
+        let mut globals = vec![Value::Null; script.global_names.len()];
+        globals[0] = pairs_to_array(input.get);
+        globals[1] = pairs_to_array(input.post);
+        globals[2] = pairs_to_array(input.cookies);
+        globals[3] = Value::empty_array(); // $_SESSION until session_start.
+        globals[4] = server_array(input);
+        Runtime {
             backend,
-            globals: init_globals(script, input),
-            regs: Vec::new(),
-            frames: Vec::new(),
-            depth: 0,
-            args_buf: Vec::new(),
+            globals,
             output: String::new(),
             headers: Vec::new(),
             status: 200,
@@ -323,16 +284,57 @@ impl<'a> Vm<'a> {
         }
     }
 
-    fn into_fatal_result(mut self, message: String) -> RunResult {
-        RunResult {
-            output: RequestOutput {
+    /// Counts one dispatched instruction, failing past the step limit.
+    #[inline]
+    fn step(&mut self) -> Result<(), VmError> {
+        if self.stats.instructions >= self.step_limit {
+            return Err(VmError::Fatal(STEP_LIMIT_EXCEEDED.into()));
+        }
+        self.stats.instructions += 1;
+        Ok(())
+    }
+
+    /// Mixes the next branch-event ordinal into the digest.
+    #[inline]
+    fn mix_event(&mut self, taken: bool) {
+        self.digest = digest_mix(self.digest, self.branch_events, taken);
+        self.branch_events += 1;
+    }
+
+    /// Turns the interpreter's outcome into the response: on normal
+    /// completion the end-of-request hook runs and the session is
+    /// written back; a fatal error becomes the deterministic 500 page.
+    fn finish(mut self, outcome: Result<(), VmError>) -> Result<RunResult, String> {
+        let closed = match outcome {
+            // End-of-request hook: leaked transactions become a
+            // deterministic fatal on both the server and the verifier.
+            // Then, on normal completion, persist the session if one
+            // was started.
+            Ok(()) | Err(VmError::Exit) => self
+                .backend
+                .end_of_request()
+                .map_err(VmError::from)
+                .and_then(|()| self.write_session_back()),
+            Err(e) => Err(e),
+        };
+        let output = match closed {
+            Ok(()) | Err(VmError::Exit) => RequestOutput {
+                status: self.status,
+                headers: self.headers,
+                body: self.output,
+            },
+            Err(VmError::Fatal(message)) => RequestOutput {
                 status: 500,
                 headers: Vec::new(),
                 body: format!("Fatal error: {message}"),
             },
+            Err(VmError::AuditReject(m)) => return Err(m),
+        };
+        Ok(RunResult {
+            output,
             digest: self.digest,
-            stats: std::mem::take(&mut self.stats),
-        }
+            stats: self.stats,
+        })
     }
 
     fn write_session_back(&mut self) -> Result<(), VmError> {
@@ -347,12 +349,31 @@ impl<'a> Vm<'a> {
             .register_write(&format!("reg:sess:{cookie}"), bytes)?;
         Ok(())
     }
+}
 
-    fn run_main(&mut self) -> Result<(), VmError> {
+impl<'a> Vm<'a> {
+    fn new(
+        script: &'a CompiledScript,
+        backend: &'a mut dyn RuntimeBackend,
+        input: &RequestInput<'_>,
+    ) -> Self {
+        Vm {
+            script,
+            rt: Runtime::new(script, backend, input),
+            regs: Vec::new(),
+            frames: Vec::new(),
+            depth: 0,
+            args_buf: Vec::new(),
+        }
+    }
+
+    /// Runs the script body to its response.
+    fn run(mut self) -> Result<RunResult, String> {
         let top = self.script.main.register_count as usize;
         self.regs.resize(top, Value::Null);
         self.push_frame(FnRef::Main, 0, top, 0);
-        self.interp()
+        let outcome = self.interp();
+        self.rt.finish(outcome)
     }
 
     /// Activates a frame, reusing a pooled record when one is available.
@@ -380,10 +401,7 @@ impl<'a> Vm<'a> {
 
     fn interp(&mut self) -> Result<(), VmError> {
         loop {
-            if self.stats.instructions >= self.step_limit {
-                return Err(VmError::Fatal(STEP_LIMIT_EXCEEDED.into()));
-            }
-            self.stats.instructions += 1;
+            self.rt.step()?;
             let fi = self.depth - 1;
             let (func, base) = {
                 let f = &self.frames[fi];
@@ -406,18 +424,17 @@ impl<'a> Vm<'a> {
                     self.regs[a] = self.script.consts[rinsn::bx(insn)].clone();
                 }
                 ROp::LoadGlobal => {
-                    self.regs[a] = self.globals[rinsn::b(insn)].clone();
+                    self.regs[a] = self.rt.globals[rinsn::b(insn)].clone();
                 }
                 ROp::StoreGlobal => {
                     // A-field is the global slot for stores.
                     let b = base + rinsn::b(insn);
-                    self.globals[rinsn::a(insn)] = self.regs[b].clone();
+                    self.rt.globals[rinsn::a(insn)] = self.regs[b].clone();
                 }
                 ROp::Add | ROp::Sub | ROp::Mul | ROp::Div | ROp::Mod | ROp::Concat => {
                     let b = base + rinsn::b(insn);
                     let c = base + rinsn::c(insn);
-                    let sop = scalar_binop(rinsn::op(insn));
-                    self.regs[a] = ops::binary(sop, &self.regs[b], &self.regs[c])?;
+                    self.regs[a] = ops::binary(rinsn::op(insn), &self.regs[b], &self.regs[c])?;
                 }
                 ROp::Eq => {
                     let r = self.regs[base + rinsn::b(insn)]
@@ -440,9 +457,8 @@ impl<'a> Vm<'a> {
                     self.regs[a] = Value::Bool(!r);
                 }
                 ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
-                    let sop = scalar_binop(rinsn::op(insn));
                     let r = ops::relational(
-                        sop,
+                        rinsn::op(insn),
                         &self.regs[base + rinsn::b(insn)],
                         &self.regs[base + rinsn::c(insn)],
                     );
@@ -460,16 +476,14 @@ impl<'a> Vm<'a> {
                 }
                 ROp::JumpIfFalse => {
                     let taken = !self.regs[a].is_truthy();
-                    self.digest = digest_mix(self.digest, self.branch_events, taken);
-                    self.branch_events += 1;
+                    self.rt.mix_event(taken);
                     if taken {
                         self.frames[fi].pc = rinsn::bx(insn);
                     }
                 }
                 ROp::JumpIfTrue => {
                     let taken = self.regs[a].is_truthy();
-                    self.digest = digest_mix(self.digest, self.branch_events, taken);
-                    self.branch_events += 1;
+                    self.rt.mix_event(taken);
                     if taken {
                         self.frames[fi].pc = rinsn::bx(insn);
                     }
@@ -508,7 +522,11 @@ impl<'a> Vm<'a> {
                     let n = rinsn::c(insn);
                     let value = self.regs[a].clone();
                     let slot = rinsn::b(insn);
-                    ops::set_path(&mut self.globals[slot], &self.regs[a + 1..a + 1 + n], value)?;
+                    ops::set_path(
+                        &mut self.rt.globals[slot],
+                        &self.regs[a + 1..a + 1 + n],
+                        value,
+                    )?;
                 }
                 ROp::AppendPathLocal => {
                     let n = rinsn::c(insn);
@@ -521,7 +539,7 @@ impl<'a> Vm<'a> {
                     let n = rinsn::c(insn);
                     let value = self.regs[a].clone();
                     let slot = rinsn::b(insn);
-                    ops::append_path(&mut self.globals[slot], &self.regs[a + 1..a + n], value)?;
+                    ops::append_path(&mut self.rt.globals[slot], &self.regs[a + 1..a + n], value)?;
                 }
                 ROp::UnsetPathLocal => {
                     let n = rinsn::c(insn);
@@ -536,7 +554,7 @@ impl<'a> Vm<'a> {
                 ROp::UnsetPathGlobal => {
                     let n = rinsn::c(insn);
                     let slot = rinsn::b(insn);
-                    ops::unset_path(&mut self.globals[slot], &self.regs[a..a + n]);
+                    ops::unset_path(&mut self.rt.globals[slot], &self.regs[a..a + n]);
                 }
                 ROp::IssetPathLocal => {
                     let n = rinsn::c(insn);
@@ -547,19 +565,17 @@ impl<'a> Vm<'a> {
                 ROp::IssetPathGlobal => {
                     let n = rinsn::c(insn);
                     let slot = rinsn::b(insn);
-                    let r = ops::isset_path(&self.globals[slot], &self.regs[a..a + n]);
+                    let r = ops::isset_path(&self.rt.globals[slot], &self.regs[a..a + n]);
                     self.regs[a] = Value::Bool(r);
                 }
                 ROp::IncDecLocal => {
                     let t = base + rinsn::b(insn);
-                    let sop = incdec_variant(rinsn::c(insn));
-                    let r = ops::incdec(&mut self.regs[t], sop)?;
+                    let r = ops::incdec(&mut self.regs[t], rinsn::c(insn))?;
                     self.regs[a] = r;
                 }
                 ROp::IncDecGlobal => {
                     let slot = rinsn::b(insn);
-                    let sop = incdec_variant(rinsn::c(insn));
-                    let r = ops::incdec(&mut self.globals[slot], sop)?;
+                    let r = ops::incdec(&mut self.rt.globals[slot], rinsn::c(insn))?;
                     self.regs[a] = r;
                 }
                 ROp::Call => {
@@ -574,8 +590,7 @@ impl<'a> Vm<'a> {
                     }
                     let num_params = func.num_params as usize;
                     // Move args into the callee window (they are dead
-                    // temps in the caller); extras are dropped like the
-                    // stack engine does.
+                    // temps in the caller); extras are dropped.
                     for i in 0..argc {
                         let v = std::mem::replace(&mut self.regs[args_abs + i], Value::Null);
                         if i < num_params {
@@ -621,7 +636,7 @@ impl<'a> Vm<'a> {
                         for i in 0..argc {
                             buf.push(std::mem::replace(&mut self.regs[abs + i], Value::Null));
                         }
-                        let ret = builtins::dispatch(bidx, &buf, self);
+                        let ret = builtins::dispatch(bidx, &buf, &mut self.rt);
                         self.args_buf = buf;
                         self.regs[abs] = ret?;
                     }
@@ -644,7 +659,7 @@ impl<'a> Vm<'a> {
                     self.regs[ret_abs] = Value::Null;
                 }
                 ROp::Echo => {
-                    self.output.push_str(&self.regs[a].as_php_str());
+                    self.rt.output.push_str(&self.regs[a].as_php_str());
                 }
                 ROp::IterInit => {
                     let iter = ForeachIter::over(&self.regs[a]);
@@ -661,12 +676,10 @@ impl<'a> Vm<'a> {
                         } else {
                             self.regs[a] = v.clone();
                         }
-                        self.digest = digest_mix(self.digest, self.branch_events, true);
-                        self.branch_events += 1;
+                        self.rt.mix_event(true);
                     } else {
                         frame.pc = rinsn::bx(insn);
-                        self.digest = digest_mix(self.digest, self.branch_events, false);
-                        self.branch_events += 1;
+                        self.rt.mix_event(false);
                     }
                 }
                 ROp::IterPop => {
@@ -677,35 +690,7 @@ impl<'a> Vm<'a> {
     }
 }
 
-/// Maps a register opcode to the scalar-op selector shared with the
-/// stack engine (`ops::binary` / `ops::relational` match on `Op`).
-fn scalar_binop(op: ROp) -> Op {
-    match op {
-        ROp::Add => Op::Add,
-        ROp::Sub => Op::Sub,
-        ROp::Mul => Op::Mul,
-        ROp::Div => Op::Div,
-        ROp::Mod => Op::Mod,
-        ROp::Concat => Op::Concat,
-        ROp::Lt => Op::Lt,
-        ROp::Le => Op::Le,
-        ROp::Gt => Op::Gt,
-        ROp::Ge => Op::Ge,
-        other => unreachable!("not a shared scalar op: {other:?}"),
-    }
-}
-
-/// Maps the IncDec variant operand to the scalar-op selector.
-fn incdec_variant(c: usize) -> Op {
-    match c {
-        0 => Op::PreIncLocal(0),
-        1 => Op::PostIncLocal(0),
-        2 => Op::PreDecLocal(0),
-        _ => Op::PostDecLocal(0),
-    }
-}
-
-impl Host for Vm<'_> {
+impl Host for Runtime<'_> {
     fn echo(&mut self, s: &str) {
         self.output.push_str(s);
     }
@@ -824,25 +809,26 @@ pub fn pairs_to_array(pairs: &[(String, String)]) -> Value {
     Value::array(a)
 }
 
-/// Shared scalar operation semantics, used by both engines and the
-/// multivalue VM (which applies them per lane).
+/// Shared scalar operation semantics, used by the scalar VM, the
+/// multivalue VM (which applies them per lane) and the stack oracle.
+/// Operators are named by their register opcode.
 pub mod ops {
     use super::*;
 
     /// Binary arithmetic/string ops with PHP coercions.
-    pub fn binary(op: Op, a: &Value, b: &Value) -> Result<Value, VmError> {
+    pub fn binary(op: ROp, a: &Value, b: &Value) -> Result<Value, VmError> {
         match op {
-            Op::Concat => Ok(Value::concat(a, b)),
-            Op::Add | Op::Sub | Op::Mul => {
+            ROp::Concat => Ok(Value::concat(a, b)),
+            ROp::Add | ROp::Sub | ROp::Mul => {
                 if let (Value::Array(_), _) | (_, Value::Array(_)) = (a, b) {
                     return Err(VmError::Fatal("unsupported operand types: array".into()));
                 }
                 match (int_view(a), int_view(b)) {
                     (Some(x), Some(y)) => {
                         let r = match op {
-                            Op::Add => x.checked_add(y),
-                            Op::Sub => x.checked_sub(y),
-                            Op::Mul => x.checked_mul(y),
+                            ROp::Add => x.checked_add(y),
+                            ROp::Sub => x.checked_sub(y),
+                            ROp::Mul => x.checked_mul(y),
                             _ => unreachable!("arith subset"),
                         };
                         Ok(match r {
@@ -851,9 +837,9 @@ pub mod ops {
                             None => {
                                 let (x, y) = (x as f64, y as f64);
                                 Value::Float(match op {
-                                    Op::Add => x + y,
-                                    Op::Sub => x - y,
-                                    Op::Mul => x * y,
+                                    ROp::Add => x + y,
+                                    ROp::Sub => x - y,
+                                    ROp::Mul => x * y,
                                     _ => unreachable!("arith subset"),
                                 })
                             }
@@ -862,15 +848,15 @@ pub mod ops {
                     _ => {
                         let (x, y) = (a.to_php_float(), b.to_php_float());
                         Ok(Value::Float(match op {
-                            Op::Add => x + y,
-                            Op::Sub => x - y,
-                            Op::Mul => x * y,
+                            ROp::Add => x + y,
+                            ROp::Sub => x - y,
+                            ROp::Mul => x * y,
                             _ => unreachable!("arith subset"),
                         }))
                     }
                 }
             }
-            Op::Div => {
+            ROp::Div => {
                 if b.to_php_float() == 0.0 {
                     return Err(VmError::Fatal("division by zero".into()));
                 }
@@ -879,7 +865,7 @@ pub mod ops {
                     _ => Ok(Value::Float(a.to_php_float() / b.to_php_float())),
                 }
             }
-            Op::Mod => {
+            ROp::Mod => {
                 let y = b.to_php_int();
                 if y == 0 {
                     return Err(VmError::Fatal("modulo by zero".into()));
@@ -891,15 +877,15 @@ pub mod ops {
     }
 
     /// `<`, `<=`, `>`, `>=` (incomparable pairs yield false).
-    pub fn relational(op: Op, a: &Value, b: &Value) -> bool {
+    pub fn relational(op: ROp, a: &Value, b: &Value) -> bool {
         use std::cmp::Ordering::*;
         match a.loose_cmp(b) {
             None => false,
             Some(ord) => match op {
-                Op::Lt => ord == Less,
-                Op::Le => ord != Greater,
-                Op::Gt => ord == Greater,
-                Op::Ge => ord != Less,
+                ROp::Lt => ord == Less,
+                ROp::Le => ord != Greater,
+                ROp::Gt => ord == Greater,
+                ROp::Ge => ord != Less,
                 other => unreachable!("not relational: {other:?}"),
             },
         }
@@ -937,27 +923,26 @@ pub mod ops {
     }
 
     /// `++`/`--` on a storage slot (PHP: `null++` is 1, `null--` stays
-    /// null).
-    pub fn incdec(slot: &mut Value, op: Op) -> Result<Value, VmError> {
-        let inc = matches!(
-            op,
-            Op::PreIncLocal(_) | Op::PostIncLocal(_) | Op::PreIncGlobal(_) | Op::PostIncGlobal(_)
-        );
-        let pre = matches!(
-            op,
-            Op::PreIncLocal(_) | Op::PreDecLocal(_) | Op::PreIncGlobal(_) | Op::PreDecGlobal(_)
-        );
+    /// null). `variant` is the C operand of [`ROp::IncDecLocal`]: 0
+    /// `++$x`, 1 `$x++`, 2 `--$x`, 3 `$x--`.
+    pub fn incdec(slot: &mut Value, variant: usize) -> Result<Value, VmError> {
+        let (inc, pre) = match variant {
+            0 => (true, true),
+            1 => (true, false),
+            2 => (false, true),
+            _ => (false, false),
+        };
         let old = slot.clone();
         let new = match (&old, inc) {
             (Value::Null, true) => Value::Int(1),
             (Value::Null, false) => Value::Null,
-            _ => binary(if inc { Op::Add } else { Op::Sub }, &old, &Value::Int(1))?,
+            _ => binary(if inc { ROp::Add } else { ROp::Sub }, &old, &Value::Int(1))?,
         };
         *slot = new.clone();
         Ok(if pre { new } else { old })
     }
 
-    /// `$a[] = v` on a stack value (array literals).
+    /// `$a[] = v` on an array literal under construction.
     pub fn array_append(arr: Value, v: Value) -> Result<Value, VmError> {
         match arr {
             Value::Array(mut rc) => {
@@ -968,7 +953,7 @@ pub mod ops {
         }
     }
 
-    /// `$a[k] = v` on a stack value (array literals).
+    /// `$a[k] = v` on an array literal under construction.
     pub fn array_insert(arr: Value, k: &Value, v: Value) -> Result<Value, VmError> {
         match arr {
             Value::Array(mut rc) => {
@@ -1124,11 +1109,13 @@ mod tests {
     use crate::compiler::compile;
     use crate::parser::parse_script;
 
-    /// Runs a source snippet through BOTH engines and asserts they agree
-    /// on output and digest — every VM test doubles as a differential
-    /// check on the register encoding.
+    /// Runs a source snippet on the register VM and on the stack oracle
+    /// and asserts they agree on output and digest — every VM test
+    /// doubles as a differential check on the register compiler.
     fn run_both(src: &str, get: &[(&str, &str)]) -> RunResult {
-        let script = compile("/t.php", &parse_script(src).unwrap()).unwrap();
+        let parsed = parse_script(src).unwrap();
+        let script = compile("/t.php", &parsed).unwrap();
+        let oracle = stack::compile("/t.php", &parsed).unwrap();
         let get: Vec<(String, String)> = get
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -1142,7 +1129,7 @@ mod tests {
         let mut b1 = NullBackend;
         let reg = run_request(&script, &mut b1, &input).unwrap();
         let mut b2 = NullBackend;
-        let stk = stack::run_request(&script, &mut b2, &input).unwrap();
+        let stk = stack::run_request(&oracle, &mut b2, &input).unwrap();
         assert_eq!(reg.output, stk.output, "engines disagree on output");
         assert_eq!(reg.digest, stk.digest, "engines disagree on digest");
         reg
@@ -1351,35 +1338,29 @@ mod tests {
 
     #[test]
     fn fatal_errors_produce_500() {
-        let script = compile("/t.php", &parse_script("echo 1 / 0;").unwrap()).unwrap();
-        let input = RequestInput {
-            path: "/t.php",
-            ..Default::default()
-        };
-        for runner in [run_request, stack::run_request] {
-            let mut b = NullBackend;
-            let result = runner(&script, &mut b, &input).unwrap();
-            assert_eq!(result.output.status, 500);
-            assert!(result.output.body.contains("division by zero"));
-        }
+        let result = run_both("echo 1 / 0;", &[]);
+        assert_eq!(result.output.status, 500);
+        assert!(result.output.body.contains("division by zero"));
     }
 
     #[test]
-    fn runaway_loop_stops_at_the_step_limit_on_both_engines() {
+    fn runaway_loop_stops_at_the_step_limit_on_the_register_vm_and_the_oracle() {
         // Lowered through the private field: the limit is a constant,
-        // not a knob. `accphp` runs the same script through the two
-        // group engines and expects this exact page.
-        let script = compile("/t.php", &parse_script("while (true) { $i = 1; }").unwrap()).unwrap();
+        // not a knob. `accphp` runs the same script through the group
+        // VM and expects this exact page.
+        let parsed = parse_script("while (true) { $i = 1; }").unwrap();
+        let script = compile("/t.php", &parsed).unwrap();
+        let oracle = stack::compile("/t.php", &parsed).unwrap();
         let input = RequestInput {
             path: "/t.php",
             ..Default::default()
         };
         let (mut b1, mut b2) = (NullBackend, NullBackend);
         let mut reg = Vm::new(&script, &mut b1, &input);
-        reg.step_limit = 10_000;
-        let mut stk = stack::Vm::new(&script, &mut b2, &input);
-        stk.step_limit = 10_000;
-        for result in [run_vm(reg).unwrap(), stack::run_vm(stk).unwrap()] {
+        reg.rt.step_limit = 10_000;
+        let mut stk = stack::Vm::new(&oracle, &mut b2, &input);
+        stk.rt.step_limit = 10_000;
+        for result in [reg.run().unwrap(), stk.run().unwrap()] {
             assert_eq!(result.stats.instructions, 10_000);
             assert_eq!(result.output.status, 500);
             assert_eq!(
@@ -1462,8 +1443,8 @@ mod tests {
 
     #[test]
     fn register_windows_pool_across_calls() {
-        // Deep call chains + loops stress window reuse; both engines
-        // must still agree (checked inside run_both).
+        // Deep call chains + loops stress window reuse; the oracle must
+        // still agree (checked inside run_both).
         let src = "function leaf($x) { $t = $x * 2; return $t; }
             function mid($x) { $acc = 0; for ($i = 0; $i < 3; $i++) { $acc += leaf($x + $i); } return $acc; }
             $sum = 0;

@@ -1,33 +1,32 @@
-//! The stack-bytecode scalar VM, retained as the differential oracle.
+//! The stack-bytecode oracle: a second compiler and interpreter for the
+//! same AST, used only by tests.
 //!
-//! This was the original scalar engine: a `Vec<Value>` operand stack,
-//! per-frame locals vectors, and the push/pop instruction shapes in
-//! [`crate::bytecode::Op`]. The register engine in [`super`] replaced it
-//! on the hot path; this module stays behind as the semantic baseline —
-//! property tests run both engines on the same inputs and require
-//! identical outputs, state operations, and digests, the same oracle
-//! pattern `graph::two_phase` serves for the ordering verifier.
+//! Production compiles and runs register code only. This module lowers
+//! the AST on its own ([`compile`]) to push/pop bytecode with per-frame
+//! locals vectors and runs it over the same request runtime as the
+//! register VM ([`super::run_request`]): builtins, state operations,
+//! the session epilogue and the fatal page are shared, the compiler and
+//! the operand traffic are not. Differential tests run both on the same
+//! inputs and require identical outputs, state operations and digests,
+//! so a register-allocation or code-generation bug in the production
+//! compiler shows up as a disagreement — a bug class a comparison of the
+//! group VM against the scalar VM cannot see, since both execute the
+//! same register code. It is the same oracle pattern `graph::two_phase`
+//! serves for the ordering verifier.
 //!
 //! The control-flow digest mixes the per-request branch-event ordinal
 //! (see [`super::digest_mix`]), not the program counter, so digests are
-//! identical across the two bytecode encodings by construction.
+//! identical across the two encodings by construction.
 
-use super::{
-    digest_mix, fnv1a, init_globals, ops, ExecStats, RequestInput, RequestOutput, RunResult,
-    VmError, STEP_LIMIT, STEP_LIMIT_EXCEEDED,
-};
+use super::{ops, FnRef, RequestInput, RunResult, Runtime, VmError};
 use crate::backend::RuntimeBackend;
-use crate::builtins::{self, Host};
-use crate::bytecode::{CompiledScript, Op};
+use crate::builtins;
+use crate::bytecode::ROp;
 use crate::value::{ForeachIter, Value};
-use orochi_common::codec::Wire;
 
-/// Which function a frame executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FnRef {
-    Main,
-    User(u16),
-}
+mod compiler;
+
+pub use compiler::{compile, Op, StackFunction, StackScript};
 
 #[derive(Debug)]
 struct Frame {
@@ -40,125 +39,67 @@ struct Frame {
 
 /// The stack-bytecode scalar virtual machine.
 pub struct Vm<'a> {
-    script: &'a CompiledScript,
-    backend: &'a mut dyn RuntimeBackend,
-    pub(crate) globals: Vec<Value>,
+    script: &'a StackScript,
+    pub(super) rt: Runtime<'a>,
     stack: Vec<Value>,
     frames: Vec<Frame>,
-    pub(crate) output: String,
-    pub(crate) headers: Vec<(String, String)>,
-    pub(crate) status: u16,
-    digest: u64,
-    branch_events: u64,
-    pub(crate) session_started: bool,
-    session_cookie: Option<String>,
-    pub(crate) last_insert_id: i64,
-    pub(crate) last_affected: i64,
-    stats: ExecStats,
-    pub(super) step_limit: u64,
 }
 
-/// Runs one request through a compiled script on the stack engine.
+/// Runs one request through a script compiled by [`compile`].
 ///
-/// Same contract as [`super::run_request`]; kept public so property
-/// tests and benchmarks can compare the engines head to head.
+/// Same contract as [`super::run_request`].
 pub fn run_request(
-    script: &CompiledScript,
+    script: &StackScript,
     backend: &mut dyn RuntimeBackend,
     input: &RequestInput<'_>,
 ) -> Result<RunResult, String> {
-    run_vm(Vm::new(script, backend, input))
+    Vm::new(script, backend, input).run()
 }
 
-/// Runs a constructed VM to its response.
-pub(super) fn run_vm(mut vm: Vm<'_>) -> Result<RunResult, String> {
-    let outcome = vm.run_main();
-    match outcome {
-        Ok(()) | Err(VmError::Exit) => {
-            // End-of-request hook: leaked transactions become a
-            // deterministic fatal on both the server and the verifier.
-            if let Err(e) = vm.backend.end_of_request() {
-                match VmError::from(e) {
-                    VmError::AuditReject(m) => return Err(m),
-                    VmError::Fatal(m) => return Ok(vm.into_fatal_result(m)),
-                    VmError::Exit => unreachable!("end_of_request cannot exit"),
-                }
-            }
-            // Normal completion: persist the session if one was started.
-            if let Err(e) = vm.write_session_back() {
-                match e {
-                    VmError::AuditReject(m) => return Err(m),
-                    VmError::Fatal(m) => return Ok(vm.into_fatal_result(m)),
-                    VmError::Exit => unreachable!("session write cannot exit"),
-                }
-            }
-            Ok(RunResult {
-                output: RequestOutput {
-                    status: vm.status,
-                    headers: vm.headers.clone(),
-                    body: std::mem::take(&mut vm.output),
-                },
-                digest: vm.digest,
-                stats: vm.stats,
-            })
-        }
-        Err(VmError::Fatal(m)) => Ok(vm.into_fatal_result(m)),
-        Err(VmError::AuditReject(m)) => Err(m),
+/// The shared `ops` helpers' opcode for a stack arithmetic or
+/// comparison instruction.
+fn register_op(op: Op) -> ROp {
+    match op {
+        Op::Add => ROp::Add,
+        Op::Sub => ROp::Sub,
+        Op::Mul => ROp::Mul,
+        Op::Div => ROp::Div,
+        Op::Mod => ROp::Mod,
+        Op::Concat => ROp::Concat,
+        Op::Lt => ROp::Lt,
+        Op::Le => ROp::Le,
+        Op::Gt => ROp::Gt,
+        Op::Ge => ROp::Ge,
+        other => unreachable!("not an ops instruction: {other:?}"),
+    }
+}
+
+/// The [`ops::incdec`] variant of a stack `++`/`--` instruction.
+fn incdec_of(op: Op) -> usize {
+    match op {
+        Op::PreIncLocal(_) | Op::PreIncGlobal(_) => 0,
+        Op::PostIncLocal(_) | Op::PostIncGlobal(_) => 1,
+        Op::PreDecLocal(_) | Op::PreDecGlobal(_) => 2,
+        _ => 3,
     }
 }
 
 impl<'a> Vm<'a> {
     pub(super) fn new(
-        script: &'a CompiledScript,
+        script: &'a StackScript,
         backend: &'a mut dyn RuntimeBackend,
         input: &RequestInput<'_>,
     ) -> Self {
         Vm {
             script,
-            backend,
-            globals: init_globals(script, input),
+            rt: Runtime::new(script, backend, input),
             stack: Vec::with_capacity(64),
             frames: Vec::new(),
-            output: String::new(),
-            headers: Vec::new(),
-            status: 200,
-            digest: fnv1a(script.path.as_bytes()),
-            branch_events: 0,
-            session_started: false,
-            session_cookie: input.session_cookie().map(str::to_string),
-            last_insert_id: 0,
-            last_affected: 0,
-            stats: ExecStats::default(),
-            step_limit: STEP_LIMIT,
         }
     }
 
-    fn into_fatal_result(mut self, message: String) -> RunResult {
-        RunResult {
-            output: RequestOutput {
-                status: 500,
-                headers: Vec::new(),
-                body: format!("Fatal error: {message}"),
-            },
-            digest: self.digest,
-            stats: std::mem::take(&mut self.stats),
-        }
-    }
-
-    fn write_session_back(&mut self) -> Result<(), VmError> {
-        if !self.session_started {
-            return Ok(());
-        }
-        let Some(cookie) = self.session_cookie.clone() else {
-            return Ok(());
-        };
-        let bytes = self.globals[3].to_wire_bytes();
-        self.backend
-            .register_write(&format!("reg:sess:{cookie}"), bytes)?;
-        Ok(())
-    }
-
-    fn run_main(&mut self) -> Result<(), VmError> {
+    /// Runs the script body to its response.
+    pub(super) fn run(mut self) -> Result<RunResult, String> {
         self.frames.push(Frame {
             func: FnRef::Main,
             pc: 0,
@@ -166,25 +107,17 @@ impl<'a> Vm<'a> {
             iters: Vec::new(),
             stack_base: 0,
         });
-        self.interp()
+        let outcome = self.interp();
+        self.rt.finish(outcome)
     }
 
     fn pop(&mut self) -> Value {
         self.stack.pop().expect("compiler guarantees stack depth")
     }
 
-    /// Mixes the next branch-event ordinal into the digest.
-    fn mix_event(&mut self, taken: bool) {
-        self.digest = digest_mix(self.digest, self.branch_events, taken);
-        self.branch_events += 1;
-    }
-
     fn interp(&mut self) -> Result<(), VmError> {
         loop {
-            if self.stats.instructions >= self.step_limit {
-                return Err(VmError::Fatal(STEP_LIMIT_EXCEEDED.into()));
-            }
-            self.stats.instructions += 1;
+            self.rt.step()?;
             let frame = self.frames.last_mut().expect("frame present while running");
             let code = match frame.func {
                 FnRef::Main => &self.script.main.code,
@@ -204,10 +137,10 @@ impl<'a> Vm<'a> {
                     let frame = self.frames.last_mut().expect("running frame");
                     frame.locals[s as usize] = v;
                 }
-                Op::LoadGlobal(s) => self.stack.push(self.globals[s as usize].clone()),
+                Op::LoadGlobal(s) => self.stack.push(self.rt.globals[s as usize].clone()),
                 Op::StoreGlobal(s) => {
                     let v = self.pop();
-                    self.globals[s as usize] = v;
+                    self.rt.globals[s as usize] = v;
                 }
                 Op::Pop => {
                     self.pop();
@@ -223,7 +156,7 @@ impl<'a> Vm<'a> {
                 Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Mod | Op::Concat => {
                     let b = self.pop();
                     let a = self.pop();
-                    self.stack.push(ops::binary(op, &a, &b)?);
+                    self.stack.push(ops::binary(register_op(op), &a, &b)?);
                 }
                 Op::Eq => {
                     let b = self.pop();
@@ -248,7 +181,8 @@ impl<'a> Vm<'a> {
                 Op::Lt | Op::Le | Op::Gt | Op::Ge => {
                     let b = self.pop();
                     let a = self.pop();
-                    self.stack.push(Value::Bool(ops::relational(op, &a, &b)));
+                    self.stack
+                        .push(Value::Bool(ops::relational(register_op(op), &a, &b)));
                 }
                 Op::Not => {
                     let v = self.pop();
@@ -264,7 +198,7 @@ impl<'a> Vm<'a> {
                 Op::JumpIfFalse(t) => {
                     let v = self.pop();
                     let taken = !v.is_truthy();
-                    self.mix_event(taken);
+                    self.rt.mix_event(taken);
                     if taken {
                         self.frames.last_mut().expect("running frame").pc = t as usize;
                     }
@@ -272,7 +206,7 @@ impl<'a> Vm<'a> {
                 Op::JumpIfTrue(t) => {
                     let v = self.pop();
                     let taken = v.is_truthy();
-                    self.mix_event(taken);
+                    self.rt.mix_event(taken);
                     if taken {
                         self.frames.last_mut().expect("running frame").pc = t as usize;
                     }
@@ -304,7 +238,7 @@ impl<'a> Vm<'a> {
                 Op::SetPathGlobal(slot, n) => {
                     let keys = self.pop_keys(n as usize);
                     let value = self.pop();
-                    ops::set_path(&mut self.globals[slot as usize], &keys, value.clone())?;
+                    ops::set_path(&mut self.rt.globals[slot as usize], &keys, value.clone())?;
                     self.stack.push(value);
                 }
                 Op::AppendPathLocal(slot, n) => {
@@ -317,7 +251,7 @@ impl<'a> Vm<'a> {
                 Op::AppendPathGlobal(slot, n) => {
                     let keys = self.pop_keys(n as usize - 1);
                     let value = self.pop();
-                    ops::append_path(&mut self.globals[slot as usize], &keys, value.clone())?;
+                    ops::append_path(&mut self.rt.globals[slot as usize], &keys, value.clone())?;
                     self.stack.push(value);
                 }
                 Op::UnsetPathLocal(slot, n) => {
@@ -327,7 +261,7 @@ impl<'a> Vm<'a> {
                 }
                 Op::UnsetPathGlobal(slot, n) => {
                     let keys = self.pop_keys(n as usize);
-                    ops::unset_path(&mut self.globals[slot as usize], &keys);
+                    ops::unset_path(&mut self.rt.globals[slot as usize], &keys);
                 }
                 Op::IssetPathLocal(slot, n) => {
                     let keys = self.pop_keys(n as usize);
@@ -340,7 +274,7 @@ impl<'a> Vm<'a> {
                 Op::IssetPathGlobal(slot, n) => {
                     let keys = self.pop_keys(n as usize);
                     self.stack.push(Value::Bool(ops::isset_path(
-                        &self.globals[slot as usize],
+                        &self.rt.globals[slot as usize],
                         &keys,
                     )));
                 }
@@ -349,14 +283,14 @@ impl<'a> Vm<'a> {
                 | Op::PreDecLocal(s)
                 | Op::PostDecLocal(s) => {
                     let frame = self.frames.last_mut().expect("running frame");
-                    let result = ops::incdec(&mut frame.locals[s as usize], op)?;
+                    let result = ops::incdec(&mut frame.locals[s as usize], incdec_of(op))?;
                     self.stack.push(result);
                 }
                 Op::PreIncGlobal(s)
                 | Op::PostIncGlobal(s)
                 | Op::PreDecGlobal(s)
                 | Op::PostDecGlobal(s) => {
-                    let result = ops::incdec(&mut self.globals[s as usize], op)?;
+                    let result = ops::incdec(&mut self.rt.globals[s as usize], incdec_of(op))?;
                     self.stack.push(result);
                 }
                 Op::Call(fidx, argc) => {
@@ -402,7 +336,7 @@ impl<'a> Vm<'a> {
                         self.stack.push(new_target);
                         self.stack.push(ret);
                     } else {
-                        let ret = builtins::dispatch(bidx, &args, self)?;
+                        let ret = builtins::dispatch(bidx, &args, &mut self.rt)?;
                         self.stack.push(ret);
                     }
                 }
@@ -425,7 +359,7 @@ impl<'a> Vm<'a> {
                 }
                 Op::Echo => {
                     let v = self.pop();
-                    self.output.push_str(&v.to_php_string());
+                    self.rt.output.push_str(&v.to_php_string());
                 }
                 Op::IterInit => {
                     let iter = ForeachIter::over(&self.pop());
@@ -443,10 +377,10 @@ impl<'a> Vm<'a> {
                             self.stack.push(k.to_value());
                         }
                         self.stack.push(v.clone());
-                        self.mix_event(true);
+                        self.rt.mix_event(true);
                     } else {
                         frame.pc = t as usize;
-                        self.mix_event(false);
+                        self.rt.mix_event(false);
                     }
                 }
                 Op::IterPop => {
@@ -461,104 +395,5 @@ impl<'a> Vm<'a> {
             return Vec::new();
         }
         self.stack.split_off(self.stack.len() - n)
-    }
-}
-
-impl Host for Vm<'_> {
-    fn echo(&mut self, s: &str) {
-        self.output.push_str(s);
-    }
-
-    fn add_header(&mut self, name: String, value: String) {
-        self.headers.push((name, value));
-    }
-
-    fn set_status(&mut self, code: u16) {
-        self.status = code;
-    }
-
-    fn session_start(&mut self) -> Result<(), VmError> {
-        if self.session_started {
-            return Ok(());
-        }
-        self.session_started = true;
-        let Some(cookie) = self.session_cookie.clone() else {
-            self.globals[3] = Value::empty_array();
-            return Ok(());
-        };
-        let bytes = self.backend.register_read(&format!("reg:sess:{cookie}"))?;
-        self.globals[3] = match bytes {
-            Some(b) => Value::from_wire_bytes(&b)
-                .map_err(|_| VmError::Fatal("corrupt session data".into()))?,
-            None => Value::empty_array(),
-        };
-        Ok(())
-    }
-
-    fn kv_get(&mut self, key: &str) -> Result<Value, VmError> {
-        let bytes = self.backend.kv_get("kv:apc", key)?;
-        Ok(match bytes {
-            Some(b) => {
-                Value::from_wire_bytes(&b).map_err(|_| VmError::Fatal("corrupt apc data".into()))?
-            }
-            None => Value::Bool(false),
-        })
-    }
-
-    fn kv_set(&mut self, key: &str, value: Option<&Value>) -> Result<(), VmError> {
-        let bytes = value.map(|v| v.to_wire_bytes());
-        self.backend.kv_set("kv:apc", key, bytes)?;
-        Ok(())
-    }
-
-    fn db_begin(&mut self) -> Result<(), VmError> {
-        self.backend.db_begin("db:main")?;
-        Ok(())
-    }
-
-    fn db_query(&mut self, sql: &str) -> Result<Value, VmError> {
-        let result = self.backend.db_query("db:main", sql)?;
-        Ok(builtins::db_result_to_value(
-            result,
-            &mut self.last_insert_id,
-            &mut self.last_affected,
-        ))
-    }
-
-    fn db_commit(&mut self) -> Result<bool, VmError> {
-        Ok(self.backend.db_commit("db:main")?)
-    }
-
-    fn db_rollback(&mut self) -> Result<(), VmError> {
-        self.backend.db_rollback("db:main")?;
-        Ok(())
-    }
-
-    fn db_insert_id(&mut self) -> i64 {
-        self.last_insert_id
-    }
-
-    fn db_affected_rows(&mut self) -> i64 {
-        self.last_affected
-    }
-
-    fn nd_time(&mut self) -> Result<i64, VmError> {
-        Ok(self.backend.time()?)
-    }
-
-    fn nd_microtime(&mut self) -> Result<f64, VmError> {
-        Ok(self.backend.microtime()?)
-    }
-
-    fn nd_getpid(&mut self) -> Result<i64, VmError> {
-        Ok(self.backend.getpid()?)
-    }
-
-    fn nd_rand_raw(&mut self) -> Result<i64, VmError> {
-        Ok(self.backend.mt_rand()?)
-    }
-
-    fn nd_uniqid(&mut self) -> Result<String, VmError> {
-        Ok(self.backend.uniqid()?)
     }
 }

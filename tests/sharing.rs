@@ -5,18 +5,20 @@
 //! VM turns one handle into one PHP array for all of them, and a
 //! multivalent operation over shared operands runs once per distinct
 //! operand. These tests pin what that must not disturb: what the engines
-//! compute (each against the scalar VM, on every application script),
+//! compute (the group VM and the stack oracle, each against the scalar
+//! VM, on every traced request of every application),
 //! PHP's value semantics (a write through a shared array copies), and
 //! soundness (a lie about a read is caught, identically, on every audit
 //! path).
 
-use orochi::accphp::executor::{request_input, run_scalar_request};
-use orochi::accphp::groupvm::{self, GroupOutcome, GroupRunError};
-use orochi::accphp::{AccPhpExecutor, VmEngine};
+use orochi::accphp::executor::{request_input, run_checked, run_scalar_request};
+use orochi::accphp::groupvm::{self, GroupRunError};
+use orochi::accphp::AccPhpExecutor;
 use orochi::core::audit::{audit, audit_parallel, AuditConfig, AuditContext, Rejection};
 use orochi::core::reports::Reports;
 use orochi::core::streaming::audit_streaming_source;
 use orochi::harness::driver::{serve, AppWorkload, ServeOptions};
+use orochi::php::vm::stack;
 use orochi::php::{compile, parse_script, CompiledScript};
 use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
@@ -26,35 +28,35 @@ use orochi_common::ids::RequestId;
 use std::collections::HashMap;
 
 /// Lanes per grouped run in the differential test: enough for repeats
-/// and collapse, small enough to run four engines over four workloads.
+/// and collapse, small enough to run three engines over four workloads.
 const MAX_LANES: usize = 48;
 
-fn run_group_on(
-    engine: VmEngine,
-    script: &CompiledScript,
-    rids: &[RequestId],
-    requests: &[&HttpRequest],
-    ctx: &mut AuditContext<'_>,
-) -> Result<GroupOutcome, GroupRunError> {
-    let inputs: Vec<_> = requests.iter().map(|r| request_input(r)).collect();
-    match engine {
-        VmEngine::Register => groupvm::run_group(script, rids, &inputs, ctx),
-        VmEngine::Stack => groupvm::stack::run_group(script, rids, &inputs, ctx),
-    }
-}
-
-/// (a) Register group VM vs `groupvm::stack` vs the scalar VM of each
-/// encoding, over every control-flow group the four applications
-/// produce: the same outputs (which are the traced ones), the server's
-/// control-flow digest from every scalar run, and — within an encoding —
-/// a superposed instruction count (univalent + multivalent) equal to
-/// each member's own scalar count, since the group executes exactly the
+/// (a) The group VM, the scalar VM and the stack oracle over every
+/// traced request of the four applications. Every request, singletons
+/// included, runs on the scalar VM and on the oracle, each through the
+/// audit's checking backend: both reproduce the traced response and the
+/// server's control-flow digest. The oracle compiles the AST on its
+/// own, so this is what checks the register compiler. Each group of
+/// more than one request also runs superposed: the same outputs, and a
+/// superposed instruction count (univalent + multivalent) equal to each
+/// member's own scalar count, since the group executes exactly the
 /// stream each member would.
 #[test]
 fn group_engines_agree_with_scalar_on_every_app_script() {
+    let mut singletons = 0;
     for work in AppWorkload::paper(0.01, 7) {
         let app = work.app.name;
         let scripts = work.app.compile().expect("application compiles");
+        let oracles: HashMap<&str, stack::StackScript> = work
+            .app
+            .scripts
+            .iter()
+            .map(|(path, src)| {
+                let parsed = parse_script(src).expect("application parses");
+                let oracle = stack::compile(path, &parsed).expect("oracle compiles");
+                (path.as_str(), oracle)
+            })
+            .collect();
         let AuditBundle { trace, reports, .. } = serve(&work, &ServeOptions::default()).bundle;
         let config = work.audit_config();
         let requests: HashMap<RequestId, &HttpRequest> = trace
@@ -75,62 +77,76 @@ fn group_engines_agree_with_scalar_on_every_app_script() {
             .collect();
         // One context per engine: every request runs once in each.
         let prepare = || AuditContext::prepare(&trace, &reports, &config).expect("honest reports");
-        let (mut reg_ctx, mut stk_ctx) = (prepare(), prepare());
-        let (mut sreg_ctx, mut sstk_ctx) = (prepare(), prepare());
+        let (mut group_ctx, mut scalar_ctx, mut oracle_ctx) = (prepare(), prepare(), prepare());
 
-        let mut grouped_runs = 0;
+        let (mut grouped_runs, mut checked) = (0, 0);
         for (tag, members) in &reports.groupings {
-            for rids in members.chunks(MAX_LANES).filter(|c| c.len() > 1) {
+            for rids in members.chunks(MAX_LANES) {
                 let lanes: Vec<&HttpRequest> = rids.iter().map(|r| requests[r]).collect();
-                let Some(script) = scripts.get(&lanes[0].path) else {
-                    continue;
-                };
-                let reg = run_group_on(VmEngine::Register, script, rids, &lanes, &mut reg_ctx);
-                let stk = run_group_on(VmEngine::Stack, script, rids, &lanes, &mut stk_ctx);
-                let (reg, stk) = match (reg, stk) {
-                    (Ok(reg), Ok(stk)) => (reg, stk),
-                    (Err(GroupRunError::Diverged(_)), Err(GroupRunError::Diverged(_))) => {
-                        reg_ctx.reset_requests(rids);
-                        stk_ctx.reset_requests(rids);
-                        continue;
+                let path = lanes[0].path.as_str();
+                let (script, oracle) = (&scripts[path], &oracles[path]);
+                let grouped = if rids.len() > 1 {
+                    let inputs: Vec<_> = lanes.iter().map(|r| request_input(r)).collect();
+                    match groupvm::run_group(script, rids, &inputs, &mut group_ctx) {
+                        Ok(outcome) => Some(outcome),
+                        Err(GroupRunError::Diverged(_)) => {
+                            group_ctx.reset_requests(rids);
+                            None
+                        }
+                        Err(e) => panic!("{app} {tag}: group VM: {e:?}"),
                     }
-                    (reg, stk) => panic!("{app} {tag}: register {reg:?} vs stack {stk:?}"),
+                } else {
+                    singletons += 1;
+                    None
                 };
-                grouped_runs += 1;
-                assert_eq!(reg.outputs, stk.outputs, "{app} {tag}: group engines");
+                grouped_runs += usize::from(grouped.is_some());
                 for (l, rid) in rids.iter().enumerate() {
                     let input = request_input(lanes[l]);
-                    let sreg =
-                        run_scalar_request(script, *rid, &input, &mut sreg_ctx, VmEngine::Register)
-                            .unwrap_or_else(|r| panic!("{app} {rid}: scalar register: {r}"));
-                    let sstk =
-                        run_scalar_request(script, *rid, &input, &mut sstk_ctx, VmEngine::Stack)
-                            .unwrap_or_else(|r| panic!("{app} {rid}: scalar stack: {r}"));
-                    assert_eq!(reg.outputs[l], sreg.output, "{app} {rid}: group vs scalar");
-                    assert_eq!(sreg.output, sstk.output, "{app} {rid}: scalar engines");
+                    let scalar = run_scalar_request(script, *rid, &input, &mut scalar_ctx)
+                        .unwrap_or_else(|r| panic!("{app} {rid}: scalar VM: {r}"));
+                    let stk = run_checked(&mut oracle_ctx, *rid, |backend| {
+                        stack::run_request(oracle, backend, &input)
+                    })
+                    .unwrap_or_else(|r| panic!("{app} {rid}: stack oracle: {r}"));
+                    checked += 1;
+                    assert_eq!(
+                        scalar.output, stk.output,
+                        "{app} {rid}: scalar VM vs oracle"
+                    );
                     let traced = responses[rid];
                     assert_eq!(
                         (traced.status, &traced.headers, &traced.body),
-                        (sreg.output.status, &sreg.output.headers, &sreg.output.body),
+                        (
+                            scalar.output.status,
+                            &scalar.output.headers,
+                            &scalar.output.body
+                        ),
                         "{app} {rid}: re-execution vs trace"
                     );
-                    assert_eq!(sreg.digest, tag.0, "{app} {rid}: register digest");
-                    assert_eq!(sstk.digest, tag.0, "{app} {rid}: stack digest");
-                    assert_eq!(
-                        reg.univalent + reg.multivalent,
-                        sreg.stats.instructions,
-                        "{app} {rid}: register group length"
-                    );
-                    assert_eq!(
-                        stk.univalent + stk.multivalent,
-                        sstk.stats.instructions,
-                        "{app} {rid}: stack group length"
-                    );
+                    assert_eq!(scalar.digest, tag.0, "{app} {rid}: scalar digest");
+                    assert_eq!(stk.digest, tag.0, "{app} {rid}: oracle digest");
+                    if let Some(group) = &grouped {
+                        assert_eq!(
+                            group.outputs[l], scalar.output,
+                            "{app} {rid}: group vs scalar"
+                        );
+                        assert_eq!(
+                            group.univalent + group.multivalent,
+                            scalar.stats.instructions,
+                            "{app} {rid}: group length"
+                        );
+                    }
                 }
             }
         }
         assert!(grouped_runs > 0, "{app}: no group ran superposed");
+        assert_eq!(
+            checked,
+            requests.len(),
+            "{app}: a traced request went unchecked"
+        );
     }
+    assert!(singletons > 0, "no app produced a singleton group");
 }
 
 fn php(path: &str, body: &str) -> (String, CompiledScript) {
