@@ -11,6 +11,13 @@
 //! strictly more complete than Fig. 12's REJECT-on-divergence and
 //! equally sound.
 //!
+//! The audit calls [`GroupExecutor::check_group`], which this executor
+//! overrides: a grouped run compares each member's echoes against its
+//! traced response in place ([`groupvm::check_group`]) and builds no
+//! page, and the scalar fallback compares each output with its traced
+//! response as soon as it exists and drops it. [`GroupExecutor::execute_group`]
+//! still builds every response, for callers that want them.
+//!
 //! The executor also collects the per-group `(n_c, α_c, ℓ_c)` triples of
 //! Fig. 11 (group size, univalent-instruction proportion, instruction
 //! count).
@@ -18,15 +25,16 @@
 use crate::groupvm::{self, db_result, rows_to_value, GroupRunError};
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
-use orochi_core::exec::{DbTxnHandle, GroupExecutor};
+use orochi_core::exec::{DbTxnHandle, GroupExecutor, OutputCheck};
 use orochi_core::nondet::NondetValue;
 use orochi_php::backend::{BackendError, DbResult, NondetProvider, RuntimeBackend, StateBackend};
 use orochi_php::bytecode::CompiledScript;
 use orochi_php::vm::{not_found_output, run_request, RequestInput, RequestOutput, RunResult};
 use orochi_state::object::ObjectName;
-use orochi_trace::{HttpRequest, HttpResponse};
+use orochi_trace::{HttpRequest, HttpResponse, ResponseRef};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The PHP engine the executor re-executes requests on. There is one,
 /// the register VM; the type and [`AccPhpExecutor::engine`] stay only
@@ -179,18 +187,30 @@ impl AccPhpExecutor {
         ctx.record_vm_dispatches(result.stats.instructions, result.stats.instructions);
         Ok(result.output)
     }
-}
 
-impl GroupExecutor for AccPhpExecutor {
-    fn execute_group(
+    /// The one re-execution path under both trait methods: grouped in
+    /// chunks of [`MAX_GROUP`] through `grouped` (given a chunk's
+    /// script, offset, rids and inputs), or — for a mixed-script group,
+    /// a singleton, `force_scalar`, or after a divergence — per request
+    /// on the scalar VM, each output handed to `scalar` with its
+    /// position. Yields one `T` per member, in order.
+    fn run<T>(
         &mut self,
         requests: &[(RequestId, HttpRequest)],
         ctx: &mut AuditContext<'_>,
-    ) -> Result<Vec<(RequestId, HttpResponse)>, Rejection> {
+        mut grouped: impl FnMut(
+            &CompiledScript,
+            usize,
+            &[RequestId],
+            &[RequestInput<'_>],
+            &mut AuditContext<'_>,
+        ) -> Result<groupvm::GroupOutcome<T>, GroupRunError>,
+        mut scalar: impl FnMut(usize, RequestOutput, &mut AuditContext<'_>) -> T,
+    ) -> Result<Vec<T>, Rejection> {
         let rids: Vec<RequestId> = requests.iter().map(|(r, _)| *r).collect();
         let inputs: Vec<RequestInput<'_>> =
             requests.iter().map(|(_, req)| request_input(req)).collect();
-        let mut outputs: Vec<(RequestId, HttpResponse)> = Vec::with_capacity(requests.len());
+        let mut outputs: Vec<T> = Vec::with_capacity(requests.len());
 
         // Grouped execution requires a single script; groups beyond
         // MAX_GROUP split into chunks. Anything else goes scalar.
@@ -199,10 +219,9 @@ impl GroupExecutor for AccPhpExecutor {
         let script = self.scripts.get(inputs[0].path).filter(|_| try_grouped);
 
         if let Some(script) = script.cloned() {
-            let mut diverged = false;
-            let mut chunk_outputs = Vec::with_capacity(requests.len());
-            for (rid_chunk, input_chunk) in rids.chunks(MAX_GROUP).zip(inputs.chunks(MAX_GROUP)) {
-                match groupvm::run_group(&script, rid_chunk, input_chunk, ctx) {
+            let chunks = rids.chunks(MAX_GROUP).zip(inputs.chunks(MAX_GROUP));
+            for (k, (rid_chunk, input_chunk)) in chunks.enumerate() {
+                match grouped(&script, k * MAX_GROUP, rid_chunk, input_chunk, ctx) {
                     Ok(outcome) => {
                         self.stats.grouped += 1;
                         self.stats.logged_decodes += outcome.logged_decodes;
@@ -219,31 +238,74 @@ impl GroupExecutor for AccPhpExecutor {
                             n * (outcome.univalent + outcome.multivalent),
                             outcome.univalent + n * outcome.multivalent,
                         );
-                        for (rid, out) in rid_chunk.iter().zip(outcome.outputs) {
-                            chunk_outputs.push((*rid, Self::to_response(*rid, out)));
-                        }
+                        outputs.extend(outcome.outputs);
                     }
                     Err(GroupRunError::Reject(r)) => return Err(r),
                     Err(GroupRunError::Diverged(_why)) => {
                         // Retry the whole group per request; checks rerun
                         // identically after the reset.
-                        diverged = true;
+                        outputs.clear();
                         break;
                     }
                 }
             }
-            if !diverged {
-                return Ok(chunk_outputs);
+            if outputs.len() == requests.len() {
+                return Ok(outputs);
             }
             self.stats.fallbacks += 1;
             ctx.reset_requests(&rids);
         }
 
-        for (rid, input) in rids.iter().zip(&inputs) {
+        for (p, (rid, input)) in rids.iter().zip(&inputs).enumerate() {
             let out = self.run_scalar(*rid, input, ctx)?;
-            outputs.push((*rid, Self::to_response(*rid, out)));
+            outputs.push(scalar(p, out, ctx));
         }
         Ok(outputs)
+    }
+}
+
+impl GroupExecutor for AccPhpExecutor {
+    fn execute_group(
+        &mut self,
+        requests: &[(RequestId, HttpRequest)],
+        ctx: &mut AuditContext<'_>,
+    ) -> Result<Vec<(RequestId, HttpResponse)>, Rejection> {
+        let built = self.run(
+            requests,
+            ctx,
+            |script, _, rids, inputs, ctx| groupvm::run_group(script, rids, inputs, ctx),
+            |_, out, _| out,
+        )?;
+        Ok(requests
+            .iter()
+            .zip(built)
+            .map(|((rid, _), out)| (*rid, Self::to_response(*rid, out)))
+            .collect())
+    }
+
+    /// Checks in place: see the module docs.
+    fn check_group(
+        &mut self,
+        requests: &[(RequestId, HttpRequest)],
+        expected: &[ResponseRef<'_>],
+        ctx: &mut AuditContext<'_>,
+    ) -> Result<Vec<OutputCheck>, Rejection> {
+        let matched = self.run(
+            requests,
+            ctx,
+            |script, from, rids, inputs, ctx| {
+                let expected = &expected[from..from + rids.len()];
+                groupvm::check_group(script, rids, inputs, expected, ctx)
+            },
+            |p, out, ctx| {
+                let t0 = Instant::now();
+                let rid = requests[p].0;
+                let matched = expected[p] == Self::to_response(rid, out);
+                ctx.record_output_wall(t0.elapsed());
+                matched
+            },
+        )?;
+        Ok(matched.into_iter().map(OutputCheck::of).collect())
     }
 }
 

@@ -24,8 +24,11 @@
 //!
 //! This file is the operand traffic; lane effects, accounting, the
 //! per-lane helper and the builtins are the `group` module.
-//! `tests/sharing.rs` checks every group run against the scalar VM,
-//! member by member.
+//! [`run_group`] builds each member's page; [`check_group`], what the
+//! audit runs, compares each member's echoes against its traced
+//! response in place and builds none. `tests/sharing.rs` checks every
+//! group run against the scalar VM, member by member, and the check
+//! against the built pages.
 
 use crate::mval::MVal;
 use orochi_common::ids::RequestId;
@@ -33,11 +36,13 @@ use orochi_core::audit::{AuditContext, Rejection};
 use orochi_php::bytecode::{rinsn, CompiledScript, ROp};
 use orochi_php::value::Value;
 use orochi_php::vm::{ops, RequestInput, RequestOutput, VmError, STEP_LIMIT};
+use orochi_trace::ResponseRef;
+use std::time::Instant;
 
 mod group;
 
 pub(crate) use group::{db_result, rows_to_value};
-use group::{Flow, Group, GroupIter};
+use group::{Build, Check, Flow, Group, GroupIter, Sink};
 
 /// Why grouped execution stopped without producing outputs.
 #[derive(Debug)]
@@ -58,9 +63,11 @@ impl From<Rejection> for GroupRunError {
 
 /// Result of a grouped run.
 #[derive(Debug)]
-pub struct GroupOutcome {
-    /// Per-lane response outputs (same order as the input requests).
-    pub outputs: Vec<RequestOutput>,
+pub struct GroupOutcome<O = RequestOutput> {
+    /// Per lane (same order as the input requests): its response for
+    /// [`run_group`], whether it equals the traced one for
+    /// [`check_group`].
+    pub outputs: Vec<O>,
     /// Instructions that executed once for the whole group.
     pub univalent: u64,
     /// Instructions that executed per lane.
@@ -103,35 +110,58 @@ struct RFrame {
     iters: Vec<GroupIter>,
 }
 
-struct GroupVm<'c, 'a> {
+struct GroupVm<'c, 'a, S> {
     script: &'c CompiledScript,
-    g: Group<'c, 'a>,
+    g: Group<'c, 'a, S>,
     /// The flat multivalue register file; frame windows are disjoint.
     regs: Vec<MVal>,
     frames: Vec<RFrame>,
     depth: usize,
 }
 
-/// Runs one control-flow group's superposed execution.
+/// Runs one control-flow group's superposed execution and builds each
+/// member's response.
 pub fn run_group(
     script: &CompiledScript,
     rids: &[RequestId],
     inputs: &[RequestInput<'_>],
     ctx: &mut AuditContext<'_>,
 ) -> Result<GroupOutcome, GroupRunError> {
-    run_group_limited(script, rids, inputs, ctx, STEP_LIMIT)
+    let pages = Build(vec![String::new(); rids.len()]);
+    run_group_limited(script, rids, inputs, pages, ctx, STEP_LIMIT)
 }
 
-fn run_group_limited(
+/// Runs one control-flow group's superposed execution and checks each
+/// member's output against `expected` (its traced response, one per
+/// member, same order) without building it: `outputs[l]` is exactly
+/// `expected[l] == ` the response [`run_group`] would build for lane
+/// `l`, labelled with `rids[l]`. Setting up the output classes counts
+/// as output time.
+pub fn check_group(
     script: &CompiledScript,
     rids: &[RequestId],
     inputs: &[RequestInput<'_>],
+    expected: &[ResponseRef<'_>],
+    ctx: &mut AuditContext<'_>,
+) -> Result<GroupOutcome<bool>, GroupRunError> {
+    debug_assert_eq!(rids.len(), expected.len(), "one response per rid");
+    let t0 = Instant::now();
+    let check = Check::new(expected);
+    ctx.record_output_wall(t0.elapsed());
+    run_group_limited(script, rids, inputs, check, ctx, STEP_LIMIT)
+}
+
+fn run_group_limited<S: Sink>(
+    script: &CompiledScript,
+    rids: &[RequestId],
+    inputs: &[RequestInput<'_>],
+    out: S,
     ctx: &mut AuditContext<'_>,
     step_limit: u64,
-) -> Result<GroupOutcome, GroupRunError> {
+) -> Result<GroupOutcome<S::Out>, GroupRunError> {
     let mut vm = GroupVm {
         script,
-        g: Group::new(script, rids, inputs, ctx, step_limit),
+        g: Group::new(script, rids, inputs, out, ctx, step_limit),
         regs: Vec::new(),
         frames: Vec::new(),
         depth: 0,
@@ -143,7 +173,7 @@ fn run_group_limited(
     vm.g.finish(flow)
 }
 
-impl GroupVm<'_, '_> {
+impl<S: Sink> GroupVm<'_, '_, S> {
     fn push_frame(&mut self, func: FnRef, base: usize, top: usize, ret_abs: usize) {
         if self.depth == self.frames.len() {
             self.frames.push(RFrame {
@@ -485,7 +515,8 @@ mod tests {
         let (trace, config) = (Trace { events }, AuditConfig::new());
         let inputs: Vec<_> = requests.iter().map(request_input).collect();
         let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
-        let outcome = run_group_limited(&script, &rids, &inputs, &mut ctx, 10_000).unwrap();
+        let pages = Build(vec![String::new(); rids.len()]);
+        let outcome = run_group_limited(&script, &rids, &inputs, pages, &mut ctx, 10_000).unwrap();
         assert_eq!(outcome.univalent + outcome.multivalent, 10_000);
         for out in &outcome.outputs {
             assert_eq!(out.status, 500);

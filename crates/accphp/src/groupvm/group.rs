@@ -4,6 +4,11 @@
 //! per-lane apply helper every multivalent instruction goes through, and
 //! the builtins. The interpreter in [`super`] supplies the operand
 //! traffic: where operands come from and where results go.
+//!
+//! Page bodies go to a [`Sink`]: [`Build`] writes one `String` per lane,
+//! [`Check`] compares each echo against the traced bodies in place, one
+//! compare per *output class* — lanes whose expected body is one slice —
+//! rather than per lane.
 
 use crate::mval::{LaneMemo, MVal};
 use orochi_common::codec::{Encoder, Wire};
@@ -21,9 +26,12 @@ use orochi_php::vm::{
 };
 use orochi_sqldb::{ExecOutcome, SqlValue};
 use orochi_state::object::ObjectName;
+use orochi_trace::ResponseRef;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
+use std::time::Instant;
 
 use super::{GroupOutcome, GroupRunError};
 
@@ -195,14 +203,253 @@ pub(super) enum GroupIter {
     },
 }
 
+/// Where a group's page bodies go.
+pub(super) trait Sink {
+    /// What the group hands back per lane.
+    type Out;
+    /// Every lane appends `s`.
+    fn echo_all(&mut self, s: &str);
+    /// Each lane `l` appends `text(l)`; a sink may skip lanes whose
+    /// output no longer matters.
+    fn echo_each<'v>(&mut self, text: impl FnMut(usize) -> Cow<'v, str>);
+    /// The run ended normally with these per-lane statuses and headers.
+    fn finish(
+        self,
+        rids: &[RequestId],
+        statuses: &[u16],
+        headers: Vec<Vec<(String, String)>>,
+    ) -> Vec<Self::Out>;
+    /// A uniform fatal: every lane answers `page` with status 500 and
+    /// no headers, whatever it echoed before.
+    fn fatal(self, rids: &[RequestId], page: &str) -> Vec<Self::Out>;
+}
+
+/// The built pages, one per lane: what [`super::run_group`] returns and
+/// the differential tests compare with the scalar VM.
+pub(super) struct Build(pub(super) Vec<String>);
+
+impl Sink for Build {
+    type Out = RequestOutput;
+
+    fn echo_all(&mut self, s: &str) {
+        for out in &mut self.0 {
+            out.push_str(s);
+        }
+    }
+
+    fn echo_each<'v>(&mut self, mut text: impl FnMut(usize) -> Cow<'v, str>) {
+        for (l, out) in self.0.iter_mut().enumerate() {
+            out.push_str(&text(l));
+        }
+    }
+
+    fn finish(
+        self,
+        _rids: &[RequestId],
+        statuses: &[u16],
+        headers: Vec<Vec<(String, String)>>,
+    ) -> Vec<RequestOutput> {
+        self.0
+            .into_iter()
+            .zip(headers)
+            .zip(statuses)
+            .map(|((body, headers), &status)| RequestOutput {
+                status,
+                headers,
+                body,
+            })
+            .collect()
+    }
+
+    fn fatal(self, _rids: &[RequestId], page: &str) -> Vec<RequestOutput> {
+        let out = RequestOutput {
+            status: 500,
+            headers: Vec::new(),
+            body: page.to_owned(),
+        };
+        vec![out; self.0.len()]
+    }
+}
+
+/// Bytes of its body a class has matched once its lanes echoed
+/// something the body does not continue with.
+const FAILED: usize = usize::MAX;
+
+/// Lanes whose expected body is one slice, and how far they have
+/// matched it.
+#[derive(Clone, Copy)]
+struct Class<'e> {
+    body: &'e [u8],
+    /// Bytes of `body` the lanes' echoes have matched, or [`FAILED`].
+    at: usize,
+}
+
+impl Class<'_> {
+    /// Where the class stands after its lanes echo `s`.
+    fn after(&self, s: &str) -> usize {
+        match self.body.get(self.at..) {
+            Some(rest) if rest.starts_with(s.as_bytes()) => self.at + s.len(),
+            _ => FAILED,
+        }
+    }
+}
+
+/// The in-place output check: each lane's echoes are compared against
+/// its traced response as they happen, and no page is built.
+///
+/// Lanes are classed by the identity — address and length — of their
+/// expected body. That is sound on any input (one slice is one byte
+/// string) and reads no server-controlled bytes; the trace store's
+/// per-segment dictionary gives equal bodies one slice, so the lanes of
+/// a segment that owe the same page share a class. A univalent echo
+/// costs one prefix compare per live class. A multivalent one compares
+/// per lane, and a class splits only when its lanes land at different
+/// cursors: the first lane's outcome keeps the class, each other
+/// outcome gets one new class, found through a chain from the original
+/// (no hashing). A class that failed stops comparing.
+pub(super) struct Check<'e> {
+    expected: &'e [ResponseRef<'e>],
+    classes: Vec<Class<'e>>,
+    /// Per lane, its class.
+    class_of: Vec<u32>,
+    /// Scratch for [`Sink::echo_each`], per class: where this echo's
+    /// first lane landed, and the class for the next outcome.
+    landed: Vec<Option<usize>>,
+    next: Vec<Option<u32>>,
+}
+
+impl<'e> Check<'e> {
+    /// Classes the lanes owing `expected` (one response per lane).
+    pub(super) fn new(expected: &'e [ResponseRef<'e>]) -> Self {
+        let mut by_body: HashMap<(*const u8, usize), u32> = HashMap::new();
+        let mut classes = Vec::new();
+        let class_of = expected
+            .iter()
+            .map(|resp| {
+                let body = resp.body_bytes();
+                *by_body
+                    .entry((body.as_ptr(), body.len()))
+                    .or_insert_with(|| {
+                        classes.push(Class { body, at: 0 });
+                        classes.len() as u32 - 1
+                    })
+            })
+            .collect();
+        Check {
+            expected,
+            classes,
+            class_of,
+            landed: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// The response lane `l` owes, minus its body, against what it
+    /// produced.
+    fn frame_matches(
+        &self,
+        l: usize,
+        rid: RequestId,
+        status: u16,
+        headers: &[(String, String)],
+    ) -> bool {
+        let expected = &self.expected[l];
+        expected.rid_label() == rid && expected.status() == status && expected.headers() == *headers
+    }
+}
+
+impl Sink for Check<'_> {
+    type Out = bool;
+
+    fn echo_all(&mut self, s: &str) {
+        for class in &mut self.classes {
+            if class.at != FAILED {
+                class.at = class.after(s);
+            }
+        }
+    }
+
+    fn echo_each<'v>(&mut self, mut text: impl FnMut(usize) -> Cow<'v, str>) {
+        let n = self.classes.len();
+        self.landed.clear();
+        self.landed.resize(n, None);
+        self.next.clear();
+        self.next.resize(n, None);
+        for l in 0..self.class_of.len() {
+            let c = self.class_of[l] as usize;
+            let class = self.classes[c];
+            if class.at == FAILED {
+                continue;
+            }
+            let to = class.after(&text(l));
+            // The class for lanes of `c` that land at `to`: the first
+            // outcome keeps `c`, every other one has its own.
+            let mut k = c;
+            loop {
+                match self.landed[k] {
+                    None => self.landed[k] = Some(to),
+                    Some(first) if first != to => {
+                        k = match self.next[k] {
+                            Some(next) => next as usize,
+                            None => {
+                                let split = self.classes.len();
+                                self.next[k] = Some(split as u32);
+                                self.classes.push(class);
+                                self.landed.push(None);
+                                self.next.push(None);
+                                split
+                            }
+                        };
+                        continue;
+                    }
+                    Some(_) => {}
+                }
+                break;
+            }
+            self.class_of[l] = k as u32;
+        }
+        for (class, landed) in self.classes.iter_mut().zip(&self.landed) {
+            if let Some(to) = *landed {
+                class.at = to;
+            }
+        }
+    }
+
+    fn finish(
+        self,
+        rids: &[RequestId],
+        statuses: &[u16],
+        headers: Vec<Vec<(String, String)>>,
+    ) -> Vec<bool> {
+        (0..rids.len())
+            .map(|l| {
+                let class = self.classes[self.class_of[l] as usize];
+                class.at == class.body.len()
+                    && self.frame_matches(l, rids[l], statuses[l], &headers[l])
+            })
+            .collect()
+    }
+
+    fn fatal(self, rids: &[RequestId], page: &str) -> Vec<bool> {
+        let is_page: Vec<bool> = self
+            .classes
+            .iter()
+            .map(|class| class.body == page.as_bytes())
+            .collect();
+        (0..rids.len())
+            .map(|l| is_page[self.class_of[l] as usize] && self.frame_matches(l, rids[l], 500, &[]))
+            .collect()
+    }
+}
+
 /// One group's run, minus the operand store.
-pub(super) struct Group<'c, 'a> {
+pub(super) struct Group<'c, 'a, S> {
     pub(super) ctx: &'c mut AuditContext<'a>,
     rids: &'c [RequestId],
     pub(super) lanes: usize,
     pub(super) globals: Vec<MVal>,
     // Per-lane request effects.
-    outputs: Vec<String>,
+    out: S,
     headers: Vec<Vec<(String, String)>>,
     statuses: Vec<u16>,
     session_started: bool,
@@ -233,11 +480,12 @@ pub(super) struct Group<'c, 'a> {
     memo: LaneMemo,
 }
 
-impl<'c, 'a> Group<'c, 'a> {
+impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
     pub(super) fn new(
         script: &CompiledScript,
         rids: &'c [RequestId],
         inputs: &'c [RequestInput<'c>],
+        out: S,
         ctx: &'c mut AuditContext<'a>,
         step_limit: u64,
     ) -> Self {
@@ -254,7 +502,7 @@ impl<'c, 'a> Group<'c, 'a> {
             rids,
             lanes,
             globals,
-            outputs: vec![String::new(); lanes],
+            out,
             headers: vec![Vec::new(); lanes],
             statuses: vec![200; lanes],
             session_started: false,
@@ -276,34 +524,40 @@ impl<'c, 'a> Group<'c, 'a> {
         }
     }
 
-    /// Turns the interpreter's exit into the group's outcome.
-    pub(super) fn finish(mut self, flow: Result<(), Flow>) -> Result<GroupOutcome, GroupRunError> {
-        match flow {
+    /// Turns the interpreter's exit into the group's outcome. Handing
+    /// the sink its ending counts as output time.
+    pub(super) fn finish(
+        mut self,
+        flow: Result<(), Flow>,
+    ) -> Result<GroupOutcome<S::Out>, GroupRunError> {
+        let fatal = match flow {
             Ok(()) | Err(Flow::Exit) => {
                 if self.close_leaked_txns()? {
-                    return Ok(self.uniform_fatal_outcome("script ended with open transaction"));
+                    Some("script ended with open transaction".to_owned())
+                } else {
+                    self.write_sessions_back()?;
+                    None
                 }
-                self.write_sessions_back()?;
-                Ok(GroupOutcome {
-                    outputs: (0..self.lanes)
-                        .map(|l| RequestOutput {
-                            status: self.statuses[l],
-                            headers: std::mem::take(&mut self.headers[l]),
-                            body: std::mem::take(&mut self.outputs[l]),
-                        })
-                        .collect(),
-                    univalent: self.univalent,
-                    multivalent: self.multivalent,
-                    logged_decodes: self.decoded.len() as u64,
-                })
             }
             // Uniform fatal: all lanes produce the identical 500 page
             // (no headers, no session write) — exactly what the scalar
             // runtime does per request.
-            Err(Flow::GroupFatal(m)) => Ok(self.uniform_fatal_outcome(&m)),
-            Err(Flow::Diverged(why)) => Err(GroupRunError::Diverged(why)),
-            Err(Flow::Reject(r)) => Err(GroupRunError::Reject(r)),
-        }
+            Err(Flow::GroupFatal(m)) => Some(m),
+            Err(Flow::Diverged(why)) => return Err(GroupRunError::Diverged(why)),
+            Err(Flow::Reject(r)) => return Err(GroupRunError::Reject(r)),
+        };
+        let t0 = Instant::now();
+        let outputs = match fatal {
+            Some(m) => self.out.fatal(self.rids, &format!("Fatal error: {m}")),
+            None => self.out.finish(self.rids, &self.statuses, self.headers),
+        };
+        self.ctx.record_output_wall(t0.elapsed());
+        Ok(GroupOutcome {
+            outputs,
+            univalent: self.univalent,
+            multivalent: self.multivalent,
+            logged_decodes: self.decoded.len() as u64,
+        })
     }
 
     /// Closes transactions the script leaked (uniform control flow
@@ -317,23 +571,6 @@ impl<'c, 'a> Group<'c, 'a> {
             }
         }
         Ok(any)
-    }
-
-    /// All lanes answer with the same fatal page (no headers/session).
-    fn uniform_fatal_outcome(&self, message: &str) -> GroupOutcome {
-        let body = format!("Fatal error: {message}");
-        GroupOutcome {
-            outputs: (0..self.lanes)
-                .map(|_| RequestOutput {
-                    status: 500,
-                    headers: Vec::new(),
-                    body: body.clone(),
-                })
-                .collect(),
-            univalent: self.univalent,
-            multivalent: self.multivalent,
-            logged_decodes: self.decoded.len() as u64,
-        }
     }
 
     fn write_sessions_back(&mut self) -> Result<(), Rejection> {
@@ -489,17 +726,8 @@ impl<'c, 'a> Group<'c, 'a> {
     pub(super) fn echo(&mut self, v: &MVal) {
         self.account(!v.is_uni());
         match v {
-            MVal::Uni(val) => {
-                let s = val.as_php_str();
-                for out in &mut self.outputs {
-                    out.push_str(&s);
-                }
-            }
-            MVal::Multi(vals) => {
-                for (out, val) in self.outputs.iter_mut().zip(vals.iter()) {
-                    out.push_str(&val.as_php_str());
-                }
-            }
+            MVal::Uni(val) => self.out.echo_all(&val.as_php_str()),
+            MVal::Multi(vals) => self.out.echo_each(|l| vals[l].as_php_str()),
         }
     }
 
@@ -650,12 +878,14 @@ impl<'c, 'a> Group<'c, 'a> {
             }
             Builtin::Exit | Builtin::Die => {
                 self.account(false);
-                if let Some(v) = args.first() {
-                    for (l, out) in self.outputs.iter_mut().enumerate() {
-                        if let Value::Str(s) = v.lane(l) {
-                            out.push_str(s);
-                        }
-                    }
+                // The message is printed only when it is a string.
+                match args.first() {
+                    Some(MVal::Uni(Value::Str(s))) => self.out.echo_all(s),
+                    Some(MVal::Multi(vals)) => self.out.echo_each(|l| match &vals[l] {
+                        Value::Str(s) => Cow::Borrowed(&**s),
+                        _ => Cow::Borrowed(""),
+                    }),
+                    _ => {}
                 }
                 Err(Flow::Exit)
             }
@@ -854,4 +1084,217 @@ enum Applied<T> {
     Once(T),
     /// One result per lane.
     PerLane(Vec<T>),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{check_group, run_group};
+    use crate::executor::request_input;
+    use orochi_common::ids::{CtlFlowTag, RequestId};
+    use orochi_core::audit::{AuditConfig, AuditContext};
+    use orochi_core::reports::Reports;
+    use orochi_php::{compile, parse_script};
+    use orochi_trace::segment::{encode_segment, SegmentView};
+    use orochi_trace::{Event, EventRef, HttpRequest, HttpResponse, ResponseRef, Trace};
+
+    /// A traced response: status, headers, body.
+    type Traced<'t> = (u16, &'t [(&'t str, &'t str)], &'t str);
+
+    /// Runs `body` as one group whose lane `l` gets the query
+    /// `queries[l]`, and checks lane `l` against `traced[l]`, labelled
+    /// with its own rid. The traced responses are read out of one
+    /// sealed segment, so equal bodies are one slice and their lanes
+    /// one class. Every bit must equal the comparison of the traced
+    /// response with the page the same group builds.
+    fn check(body: &str, queries: &[&[(&str, &str)]], traced: &[Traced<'_>]) -> Vec<bool> {
+        check_labelled(body, queries, traced, |rid| rid)
+    }
+
+    /// [`check`], with the traced response of `rid` labelled `label(rid)`.
+    fn check_labelled(
+        body: &str,
+        queries: &[&[(&str, &str)]],
+        traced: &[Traced<'_>],
+        label: impl Fn(RequestId) -> RequestId,
+    ) -> Vec<bool> {
+        let script = compile("/t.php", &parse_script(&format!("<?php {body}")).unwrap()).unwrap();
+        let rids: Vec<RequestId> = (1..=queries.len() as u64).map(RequestId).collect();
+        let requests: Vec<HttpRequest> = queries
+            .iter()
+            .map(|q| HttpRequest::get("/t.php", q))
+            .collect();
+        let responses: Vec<HttpResponse> = rids
+            .iter()
+            .zip(traced)
+            .map(|(rid, (status, headers, body))| HttpResponse {
+                rid_label: label(*rid),
+                status: *status,
+                headers: headers
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                body: body.to_string(),
+            })
+            .collect();
+        let mut events: Vec<Event> = rids
+            .iter()
+            .zip(&requests)
+            .map(|(rid, req)| Event::Request(*rid, req.clone()))
+            .collect();
+        events.extend(
+            rids.iter()
+                .zip(&responses)
+                .map(|(rid, r)| Event::Response(*rid, r.clone())),
+        );
+        let segment = encode_segment(&events);
+        let view = SegmentView::parse(&segment, "t").unwrap();
+        let expected: Vec<ResponseRef<'_>> = view
+            .events()
+            .filter_map(|e| match e {
+                EventRef::Response(_, resp) => Some(resp),
+                EventRef::Request(..) => None,
+            })
+            .collect();
+        let reports = Reports {
+            groupings: vec![(CtlFlowTag(1), rids.clone())],
+            op_logs: Default::default(),
+            op_counts: rids.iter().map(|r| (*r, 0)).collect(),
+            nondet: Default::default(),
+        };
+        // The context's own trace is labelled honestly: a mislabelled
+        // response never gets past the balance scan of an audit.
+        for event in &mut events {
+            if let Event::Response(rid, resp) = event {
+                resp.rid_label = *rid;
+            }
+        }
+        let (trace, config) = (Trace { events }, AuditConfig::new());
+        let inputs: Vec<_> = requests.iter().map(request_input).collect();
+        let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
+        let checked = check_group(&script, &rids, &inputs, &expected, &mut ctx).unwrap();
+        ctx.reset_requests(&rids);
+        let built = run_group(&script, &rids, &inputs, &mut ctx).unwrap();
+        for (l, out) in built.outputs.into_iter().enumerate() {
+            let page = HttpResponse {
+                rid_label: rids[l],
+                status: out.status,
+                headers: out.headers,
+                body: out.body,
+            };
+            assert_eq!(
+                checked.outputs[l],
+                expected[l] == page,
+                "lane {l}: {page:?}"
+            );
+        }
+        checked.outputs
+    }
+
+    const OK: u16 = 200;
+
+    #[test]
+    fn a_class_splits_where_its_lanes_echo_different_cuts_and_both_match() {
+        // Three lanes owe one page, so they start as one class; the
+        // first echo lands them at cursors 2, 1 and 2.
+        let bits = check(
+            "echo $_GET['a']; echo $_GET['b']; echo '!';",
+            &[
+                &[("a", "ab"), ("b", "c")],
+                &[("a", "a"), ("b", "bc")],
+                &[("a", "ab"), ("b", "d")],
+            ],
+            &[(OK, &[], "abc!"), (OK, &[], "abc!"), (OK, &[], "abc!")],
+        );
+        assert_eq!(bits, [true, true, false]);
+    }
+
+    #[test]
+    fn die_prints_its_string_after_the_echoes() {
+        let page = |s| (OK, &[][..], s);
+        let bits = check(
+            "echo 'x'; echo $_GET['a']; die($_GET['m']); echo 'z';",
+            &[
+                &[("a", "1"), ("m", "y")],
+                &[("a", "2"), ("m", "w")],
+                &[("a", "1"), ("m", "y")],
+                &[("a", "1"), ("m", "y")],
+            ],
+            // A prefix of the page, and the page plus what follows the
+            // `die`, must not pass.
+            &[page("x1y"), page("x2w"), page("x1"), page("x1yz")],
+        );
+        assert_eq!(bits, [true, true, false, false]);
+        let bits = check(
+            "echo $_GET['a']; die('bye');",
+            &[&[("a", "1")], &[("a", "2")]],
+            &[page("1bye"), page("2bye")],
+        );
+        assert_eq!(bits, [true, true]);
+    }
+
+    #[test]
+    fn a_uniform_fatal_after_echoes_answers_the_500_page_alone() {
+        let fatal = "Fatal error: header(): malformed header";
+        let bits = check(
+            "echo 'x'; echo $_GET['a']; header('no colon'); echo 'z';",
+            &[
+                &[("a", "1")],
+                &[("a", "2")],
+                &[("a", "3")],
+                &[("a", "4")],
+                &[("a", "5")],
+            ],
+            &[
+                (500, &[], fatal),
+                (500, &[], fatal),
+                // Status, headers and the echoes before the fatal all
+                // count against a lane.
+                (OK, &[], fatal),
+                (500, &[("X", "1")], fatal),
+                (500, &[], "x3"),
+            ],
+        );
+        assert_eq!(bits, [true, true, false, false, false]);
+    }
+
+    #[test]
+    fn an_empty_page_matches_only_an_empty_body() {
+        let bits = check(
+            "$x = $_GET['a'];",
+            &[&[("a", "1")], &[("a", "2")]],
+            &[(OK, &[], ""), (OK, &[], "a")],
+        );
+        assert_eq!(bits, [true, false]);
+    }
+
+    #[test]
+    fn status_and_headers_are_judged_per_lane_inside_a_class() {
+        let bits = check(
+            "header('X-A: ' . $_GET['a']); http_response_code(201); echo 'same';",
+            &[&[("a", "1")], &[("a", "2")], &[("a", "3")]],
+            &[
+                (201, &[("X-A", "1")], "same"),
+                (201, &[("X-A", "9")], "same"),
+                (200, &[("X-A", "3")], "same"),
+            ],
+        );
+        assert_eq!(bits, [true, false, false]);
+    }
+
+    #[test]
+    fn a_response_labelled_for_another_request_does_not_match() {
+        let bits = check_labelled(
+            "echo 'same';",
+            &[&[("a", "1")], &[("a", "2")]],
+            &[(OK, &[], "same"), (OK, &[], "same")],
+            |rid| {
+                if rid == RequestId(2) {
+                    RequestId(1)
+                } else {
+                    rid
+                }
+            },
+        );
+        assert_eq!(bits, [true, false]);
+    }
 }

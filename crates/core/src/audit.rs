@@ -342,9 +342,10 @@ pub struct AuditStats {
     /// query" row). Accumulated per context and absorbed like any
     /// other counter, so the parallel merge needs no side channel.
     pub db_query_wall: Duration,
-    /// Busy time spent comparing produced outputs against the traced
-    /// responses (the per-group share of the Fig. 9 "Output" row);
-    /// absorbed like `db_query_wall`.
+    /// Busy time spent judging produced outputs against the traced
+    /// responses — comparing built pages, or setting up output classes
+    /// and computing the final bits of an in-place check (the per-group
+    /// share of the Fig. 9 "Output" row); absorbed like `db_query_wall`.
     pub output_wall: Duration,
     /// Wall time per phase ("ProcOpRep", "DB redo", "ReExec", "DB query",
     /// "Output"), in the style of Fig. 9.
@@ -972,6 +973,12 @@ impl<'a> AuditContext<'a> {
         self.in_txn[idx] = false;
         self.opnum_next[idx] += 1;
         Ok(result)
+    }
+
+    /// Adds time the executor spent judging outputs against the trace
+    /// (the Fig. 9 "Output" row).
+    pub fn record_output_wall(&mut self, wall: Duration) {
+        self.stats.output_wall += wall;
     }
 
     /// Records VM instruction-dispatch work done by the executor:

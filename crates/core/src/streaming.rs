@@ -10,7 +10,7 @@
 //!          │ ingest: §3 balance scan, one event at a time
 //!          │ grow:   OpMap rows for the requests that arrived
 //!          │ run:    the (sub-)groups this epoch's responses completed,
-//!          │         over the worker pool, outputs compared in-worker
+//!          │         over the worker pool, outputs checked in-worker
 //! ```
 //!
 //! * **Batch is streaming with one epoch.** [`crate::audit::audit`] and
@@ -62,7 +62,7 @@ use crate::audit::{
     assemble_outcome, AuditCarry, AuditConfig, AuditContext, AuditOutcome, AuditShared, AuditStats,
     Rejection,
 };
-use crate::exec::GroupExecutor;
+use crate::exec::{GroupExecutor, OutputCheck};
 use crate::graph::{process_op_reports_interned, OpMap};
 use crate::reports::Reports;
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId, SeqNum};
@@ -218,9 +218,11 @@ struct Unit<'e> {
     /// Per member, its request; taken by the worker that runs the unit
     /// (a pass runs a unit at most once).
     requests: Mutex<Vec<Payload<'e>>>,
-    /// Per member: dense index and the traced response, still in the
-    /// epoch it arrived in.
-    expected: Vec<(u32, ResponseRef<'e>)>,
+    /// Per member, its dense index.
+    indices: Vec<u32>,
+    /// Per member, its traced response, still in the epoch it arrived
+    /// in.
+    expected: Vec<ResponseRef<'e>>,
     /// Covers every member of the planned group.
     whole: bool,
 }
@@ -247,11 +249,6 @@ type LogIndex = HashMap<RequestId, Vec<(u32, SeqNum, OpNum)>>;
 /// rather than all of them.
 const SCAN_EVENTS: usize = 4096;
 
-/// Output-comparison state per dense request index.
-const OUT_NONE: u8 = 0;
-const OUT_MATCH: u8 = 1;
-const OUT_MISMATCH: u8 = 2;
-
 /// The executors a re-execution pass fans out over. A lone borrowed
 /// executor never leaves the calling thread, so it need not be `Send`.
 pub(crate) enum Pool<'p> {
@@ -277,13 +274,13 @@ impl<'p> Pool<'p> {
 }
 
 /// Re-executes one unit and runs the per-group driver checks — executor
-/// protocol, output comparison, Fig. 12 line 51 op counts, leftover
+/// protocol, output check, Fig. 12 line 51 op counts, leftover
 /// nondeterminism — in the order the sequential walk applies them.
 fn run_one_group(
     executor: &mut dyn GroupExecutor,
     ctx: &mut AuditContext<'_>,
     unit: &Unit<'_>,
-) -> Result<Vec<u8>, Rejection> {
+) -> Result<Vec<OutputCheck>, Rejection> {
     // The one copy of a lent request's bytes, alive while the unit runs.
     let payloads = std::mem::take(&mut *unit.requests.lock().expect("unit poisoned"));
     let requests: Vec<(RequestId, HttpRequest)> = unit
@@ -295,40 +292,21 @@ fn run_one_group(
             Payload::Owned(req) => (*rid, *req),
         })
         .collect();
-    let outputs = executor.execute_group(&requests, ctx)?;
+    let checked = executor.check_group(&requests, &unit.expected, ctx)?;
     drop(requests);
-    let compare_t0 = Instant::now();
-    let position: HashMap<RequestId, usize> = unit
-        .rids
-        .iter()
-        .enumerate()
-        .map(|(p, rid)| (*rid, p))
-        .collect();
-    let mut bits = vec![OUT_NONE; unit.rids.len()];
-    for (rid, output) in &outputs {
-        let Some(&p) = position.get(rid) else {
-            return Err(Rejection::ExecutorProtocol(format!(
-                "output for {rid} not in group {}",
-                unit.tag
-            )));
-        };
-        if bits[p] != OUT_NONE {
-            return Err(Rejection::ExecutorProtocol(format!(
-                "duplicate output for {rid}"
-            )));
-        }
-        bits[p] = if unit.expected[p].1 == *output {
-            OUT_MATCH
-        } else {
-            OUT_MISMATCH
-        };
+    if checked.len() != unit.rids.len() {
+        return Err(Rejection::ExecutorProtocol(format!(
+            "{} output checks for the {} requests of group {}",
+            checked.len(),
+            unit.rids.len(),
+            unit.tag
+        )));
     }
-    ctx.stats.output_wall += compare_t0.elapsed();
     for rid in &unit.rids {
         ctx.finish_request(*rid)?;
     }
     ctx.stats.requests_reexecuted += unit.rids.len();
-    Ok(bits)
+    Ok(checked)
 }
 
 /// The audit engine. Feed sealed epochs with
@@ -355,8 +333,8 @@ pub struct StreamingAudit<'a> {
     /// end of the epoch they arrived in, by dense index.
     pending_req: HashMap<u32, HttpRequest>,
     pending_bytes: usize,
-    /// Output-comparison verdict per dense index (`OUT_*`).
-    out_state: Vec<u8>,
+    /// Output-check verdict per dense index.
+    out_state: Vec<OutputCheck>,
     /// One carry per worker slot, persisted across epochs.
     carries: Vec<AuditCarry>,
     /// The run's statistics outside the worker carries: the graph
@@ -523,7 +501,7 @@ impl<'a> StreamingAudit<'a> {
             match event {
                 EventRef::Request(_, req) => {
                     arrived.push(planned.then_some(req));
-                    self.out_state.push(OUT_NONE);
+                    self.out_state.push(OutputCheck::None);
                 }
                 EventRef::Response(_, resp) if planned => answered.push((idx, resp)),
                 EventRef::Response(..) => {}
@@ -629,7 +607,8 @@ impl<'a> StreamingAudit<'a> {
                     group: g as usize,
                     tag: *tag,
                     whole: members.len() == planned.len(),
-                    expected: members.iter().map(|m| (m.1, m.3)).collect(),
+                    indices: members.iter().map(|m| m.1).collect(),
+                    expected: members.iter().map(|m| m.3).collect(),
                     rids: members.iter().map(|m| interner.rid(m.1)).collect(),
                     requests: Mutex::new(members.into_iter().map(|m| m.2).collect()),
                 }
@@ -661,8 +640,8 @@ impl<'a> StreamingAudit<'a> {
         // walk stops there, so higher groups cannot reach the verdict
         // unless that failure is later re-run — and then so are they.
         let first_failed = AtomicUsize::new(usize::MAX);
-        // Per unit: its output bits or rejection; absent when skipped.
-        type Ran = (usize, Result<Vec<u8>, Rejection>);
+        // Per unit: its output checks or rejection; absent when skipped.
+        type Ran = (usize, Result<Vec<OutputCheck>, Rejection>);
         let done: Mutex<(Vec<Ran>, Duration)> = Mutex::default();
         let worker = |w: usize, executor: &mut dyn GroupExecutor, carry: &mut AuditCarry| {
             let t0 = Instant::now();
@@ -710,11 +689,11 @@ impl<'a> StreamingAudit<'a> {
         for (k, result) in ran {
             let (unit, progress) = (&units[k], &mut self.groups[units[k].group]);
             match result {
-                Ok(bits) => {
+                Ok(checked) => {
                     progress.unsettled = None;
-                    progress.executed += bits.len();
-                    for (&(idx, _), bit) in unit.expected.iter().zip(bits) {
-                        self.out_state[idx as usize] = bit;
+                    progress.executed += checked.len();
+                    for (&idx, check) in unit.indices.iter().zip(checked) {
+                        self.out_state[idx as usize] = check;
                     }
                 }
                 Err(rejection) if unit.whole => {
@@ -792,10 +771,10 @@ impl<'a> StreamingAudit<'a> {
         }
         if self.verdict.open(Stage::Output) {
             let output_t0 = Instant::now();
-            if let Some(k) = self.out_state.iter().position(|&s| s != OUT_MATCH) {
+            if let Some(k) = self.out_state.iter().position(|&s| s != OutputCheck::Match) {
                 let rid = self.balance.interner().rid(k as u32);
                 let rejection = match self.out_state[k] {
-                    OUT_NONE => Rejection::MissingOutput { rid },
+                    OutputCheck::None => Rejection::MissingOutput { rid },
                     _ => Rejection::OutputMismatch { rid },
                 };
                 self.verdict.record(Stage::Output, rejection);
@@ -901,13 +880,11 @@ impl<'a> StreamingAudit<'a> {
                 group: g,
                 tag: self.plan.groups[g].0,
                 whole: true,
+                indices: members(g)
+                    .map(|rid| interner.index_of(*rid).expect("below the cut"))
+                    .collect(),
                 expected: members(g)
-                    .map(|rid| {
-                        (
-                            interner.index_of(*rid).expect("below the cut"),
-                            ResponseRef::from(&responses[rid]),
-                        )
-                    })
+                    .map(|rid| ResponseRef::from(&responses[rid]))
                     .collect(),
                 rids: members(g).copied().collect(),
                 requests: Mutex::new(

@@ -201,7 +201,9 @@ impl<'a> ResponseRef<'a> {
     }
 
     /// The body's bytes; for a segment, as stored — no UTF-8 re-check.
-    fn body_bytes(&self) -> &'a [u8] {
+    /// Equal bodies within one segment are one dictionary string, so
+    /// they are the same slice.
+    pub fn body_bytes(&self) -> &'a [u8] {
         match self {
             ResponseRef::Owned(resp) => resp.body.as_bytes(),
             ResponseRef::Lane(resp) => resp.body_bytes(),

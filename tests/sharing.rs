@@ -23,7 +23,8 @@ use orochi::php::{compile, parse_script, CompiledScript};
 use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
 use orochi::sqldb::Database;
-use orochi::trace::{Event, HttpRequest, HttpResponse, Trace};
+use orochi::trace::segment::{encode_segment, SegmentView};
+use orochi::trace::{Event, EventRef, HttpRequest, HttpResponse, ResponseRef, Trace};
 use orochi_common::ids::RequestId;
 use std::collections::HashMap;
 
@@ -40,7 +41,11 @@ const MAX_LANES: usize = 48;
 /// more than one request also runs superposed: the same outputs, and a
 /// superposed instruction count (univalent + multivalent) equal to each
 /// member's own scalar count, since the group executes exactly the
-/// stream each member would.
+/// stream each member would. Each such group also runs the in-place
+/// output check against the traced responses, read out of one sealed
+/// segment so that equal pages share a class: every bit equals the
+/// comparison of the traced response with the built page, and flipping
+/// one byte of one member's traced body flips exactly that member's bit.
 #[test]
 fn group_engines_agree_with_scalar_on_every_app_script() {
     let mut singletons = 0;
@@ -75,9 +80,20 @@ fn group_engines_agree_with_scalar_on_every_app_script() {
                 Event::Request(..) => None,
             })
             .collect();
-        // One context per engine: every request runs once in each.
+        let segment = encode_segment(&trace.events);
+        let view = SegmentView::parse(&segment, app).expect("the segment parses");
+        let sealed: HashMap<RequestId, ResponseRef<'_>> = view
+            .events()
+            .filter_map(|e| match e {
+                EventRef::Response(rid, resp) => Some((rid, resp)),
+                EventRef::Request(..) => None,
+            })
+            .collect();
+        // One context per engine, and one for the output check: every
+        // request runs once in each.
         let prepare = || AuditContext::prepare(&trace, &reports, &config).expect("honest reports");
         let (mut group_ctx, mut scalar_ctx, mut oracle_ctx) = (prepare(), prepare(), prepare());
+        let mut check_ctx = prepare();
 
         let (mut grouped_runs, mut checked) = (0, 0);
         for (tag, members) in &reports.groupings {
@@ -100,6 +116,51 @@ fn group_engines_agree_with_scalar_on_every_app_script() {
                     None
                 };
                 grouped_runs += usize::from(grouped.is_some());
+                if let Some(group) = &grouped {
+                    let inputs: Vec<_> = lanes.iter().map(|r| request_input(r)).collect();
+                    let mut expected: Vec<ResponseRef<'_>> =
+                        rids.iter().map(|r| sealed[r]).collect();
+                    let mut check = |expected: &[ResponseRef<'_>]| {
+                        let checked =
+                            groupvm::check_group(script, rids, &inputs, expected, &mut check_ctx)
+                                .unwrap_or_else(|e| panic!("{app} {tag}: in-place check: {e:?}"));
+                        check_ctx.reset_requests(rids);
+                        checked.outputs
+                    };
+                    let bits = check(&expected);
+                    for (l, out) in group.outputs.iter().enumerate() {
+                        let built = HttpResponse {
+                            rid_label: rids[l],
+                            status: out.status,
+                            headers: out.headers.clone(),
+                            body: out.body.clone(),
+                        };
+                        assert_eq!(
+                            bits[l],
+                            expected[l] == built,
+                            "{app} {}: in-place check vs built page",
+                            rids[l]
+                        );
+                    }
+                    assert!(
+                        bits.iter().all(|b| *b),
+                        "{app} {tag}: an honest page failed"
+                    );
+                    // Replace the last character of one member's body
+                    // (an empty body gains one instead).
+                    let flip = grouped_runs % rids.len();
+                    let mut forged = expected[flip].to_owned();
+                    let last = forged
+                        .body
+                        .pop()
+                        .map_or('x', |c| if c == 'x' { 'y' } else { 'x' });
+                    forged.body.push(last);
+                    expected[flip] = ResponseRef::from(&forged);
+                    let flipped = check(&expected);
+                    for (l, now) in flipped.iter().enumerate() {
+                        assert_eq!(*now, l != flip, "{app} {}: flipped lane {flip}", rids[l]);
+                    }
+                }
                 for (l, rid) in rids.iter().enumerate() {
                     let input = request_input(lanes[l]);
                     let scalar = run_scalar_request(script, *rid, &input, &mut scalar_ctx)
