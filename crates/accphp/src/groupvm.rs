@@ -37,7 +37,6 @@ use orochi_php::bytecode::{rinsn, CompiledScript, ROp};
 use orochi_php::value::Value;
 use orochi_php::vm::{ops, RequestInput, RequestOutput, VmError, STEP_LIMIT};
 use orochi_trace::ResponseRef;
-use std::time::Instant;
 
 mod group;
 
@@ -135,8 +134,7 @@ pub fn run_group(
 /// member's output against `expected` (its traced response, one per
 /// member, same order) without building it: `outputs[l]` is exactly
 /// `expected[l] == ` the response [`run_group`] would build for lane
-/// `l`, labelled with `rids[l]`. Setting up the output classes counts
-/// as output time.
+/// `l`, labelled with `rids[l]`.
 pub fn check_group(
     script: &CompiledScript,
     rids: &[RequestId],
@@ -145,10 +143,7 @@ pub fn check_group(
     ctx: &mut AuditContext<'_>,
 ) -> Result<GroupOutcome<bool>, GroupRunError> {
     debug_assert_eq!(rids.len(), expected.len(), "one response per rid");
-    let t0 = Instant::now();
-    let check = Check::new(expected);
-    ctx.record_output_wall(t0.elapsed());
-    run_group_limited(script, rids, inputs, check, ctx, STEP_LIMIT)
+    run_group_limited(script, rids, inputs, Check::new(expected), ctx, STEP_LIMIT)
 }
 
 fn run_group_limited<S: Sink>(

@@ -6,9 +6,7 @@
 //! traffic: where operands come from and where results go.
 //!
 //! Page bodies go to a [`Sink`]: [`Build`] writes one `String` per lane,
-//! [`Check`] compares each echo against the traced bodies in place, one
-//! compare per *output class* — lanes whose expected body is one slice —
-//! rather than per lane.
+//! [`Check`] compares each echo against the lane's traced body in place.
 
 use crate::mval::{LaneMemo, MVal};
 use orochi_common::codec::{Encoder, Wire};
@@ -271,76 +269,31 @@ impl Sink for Build {
     }
 }
 
-/// Bytes of its body a class has matched once its lanes echoed
-/// something the body does not continue with.
-const FAILED: usize = usize::MAX;
-
-/// Lanes whose expected body is one slice, and how far they have
-/// matched it.
-#[derive(Clone, Copy)]
-struct Class<'e> {
-    body: &'e [u8],
-    /// Bytes of `body` the lanes' echoes have matched, or [`FAILED`].
-    at: usize,
-}
-
-impl Class<'_> {
-    /// Where the class stands after its lanes echo `s`.
-    fn after(&self, s: &str) -> usize {
-        match self.body.get(self.at..) {
-            Some(rest) if rest.starts_with(s.as_bytes()) => self.at + s.len(),
-            _ => FAILED,
-        }
-    }
-}
-
 /// The in-place output check: each lane's echoes are compared against
-/// its traced response as they happen, and no page is built.
-///
-/// Lanes are classed by the identity — address and length — of their
-/// expected body. That is sound on any input (one slice is one byte
-/// string) and reads no server-controlled bytes; the trace store's
-/// per-segment dictionary gives equal bodies one slice, so the lanes of
-/// a segment that owe the same page share a class. A univalent echo
-/// costs one prefix compare per live class. A multivalent one compares
-/// per lane, and a class splits only when its lanes land at different
-/// cursors: the first lane's outcome keeps the class, each other
-/// outcome gets one new class, found through a chain from the original
-/// (no hashing). A class that failed stops comparing.
+/// its traced body as they happen, through one cursor per lane, and no
+/// page is built. A lane whose echo its body does not continue with
+/// stops comparing.
 pub(super) struct Check<'e> {
     expected: &'e [ResponseRef<'e>],
-    classes: Vec<Class<'e>>,
-    /// Per lane, its class.
-    class_of: Vec<u32>,
-    /// Scratch for [`Sink::echo_each`], per class: where this echo's
-    /// first lane landed, and the class for the next outcome.
-    landed: Vec<Option<usize>>,
-    next: Vec<Option<u32>>,
+    /// Per lane, the bytes of its expected body its echoes have matched,
+    /// or `None` once one did not.
+    at: Vec<Option<usize>>,
 }
 
 impl<'e> Check<'e> {
-    /// Classes the lanes owing `expected` (one response per lane).
+    /// Checks the lanes owing `expected` (one response per lane).
     pub(super) fn new(expected: &'e [ResponseRef<'e>]) -> Self {
-        let mut by_body: HashMap<(*const u8, usize), u32> = HashMap::new();
-        let mut classes = Vec::new();
-        let class_of = expected
-            .iter()
-            .map(|resp| {
-                let body = resp.body_bytes();
-                *by_body
-                    .entry((body.as_ptr(), body.len()))
-                    .or_insert_with(|| {
-                        classes.push(Class { body, at: 0 });
-                        classes.len() as u32 - 1
-                    })
-            })
-            .collect();
         Check {
             expected,
-            classes,
-            class_of,
-            landed: Vec::new(),
-            next: Vec::new(),
+            at: vec![Some(0); expected.len()],
+        }
+    }
+
+    /// Lane `l`'s cursor after it echoes `s`.
+    fn advance(&mut self, l: usize, s: &str) {
+        if let Some(at) = self.at[l] {
+            let body = self.expected[l].body_bytes();
+            self.at[l] = body[at..].starts_with(s.as_bytes()).then_some(at + s.len());
         }
     }
 
@@ -362,55 +315,15 @@ impl Sink for Check<'_> {
     type Out = bool;
 
     fn echo_all(&mut self, s: &str) {
-        for class in &mut self.classes {
-            if class.at != FAILED {
-                class.at = class.after(s);
-            }
+        for l in 0..self.at.len() {
+            self.advance(l, s);
         }
     }
 
     fn echo_each<'v>(&mut self, mut text: impl FnMut(usize) -> Cow<'v, str>) {
-        let n = self.classes.len();
-        self.landed.clear();
-        self.landed.resize(n, None);
-        self.next.clear();
-        self.next.resize(n, None);
-        for l in 0..self.class_of.len() {
-            let c = self.class_of[l] as usize;
-            let class = self.classes[c];
-            if class.at == FAILED {
-                continue;
-            }
-            let to = class.after(&text(l));
-            // The class for lanes of `c` that land at `to`: the first
-            // outcome keeps `c`, every other one has its own.
-            let mut k = c;
-            loop {
-                match self.landed[k] {
-                    None => self.landed[k] = Some(to),
-                    Some(first) if first != to => {
-                        k = match self.next[k] {
-                            Some(next) => next as usize,
-                            None => {
-                                let split = self.classes.len();
-                                self.next[k] = Some(split as u32);
-                                self.classes.push(class);
-                                self.landed.push(None);
-                                self.next.push(None);
-                                split
-                            }
-                        };
-                        continue;
-                    }
-                    Some(_) => {}
-                }
-                break;
-            }
-            self.class_of[l] = k as u32;
-        }
-        for (class, landed) in self.classes.iter_mut().zip(&self.landed) {
-            if let Some(to) = *landed {
-                class.at = to;
+        for l in 0..self.at.len() {
+            if self.at[l].is_some() {
+                self.advance(l, &text(l));
             }
         }
     }
@@ -423,21 +336,18 @@ impl Sink for Check<'_> {
     ) -> Vec<bool> {
         (0..rids.len())
             .map(|l| {
-                let class = self.classes[self.class_of[l] as usize];
-                class.at == class.body.len()
+                self.at[l] == Some(self.expected[l].body_bytes().len())
                     && self.frame_matches(l, rids[l], statuses[l], &headers[l])
             })
             .collect()
     }
 
     fn fatal(self, rids: &[RequestId], page: &str) -> Vec<bool> {
-        let is_page: Vec<bool> = self
-            .classes
-            .iter()
-            .map(|class| class.body == page.as_bytes())
-            .collect();
         (0..rids.len())
-            .map(|l| is_page[self.class_of[l] as usize] && self.frame_matches(l, rids[l], 500, &[]))
+            .map(|l| {
+                self.expected[l].body_bytes() == page.as_bytes()
+                    && self.frame_matches(l, rids[l], 500, &[])
+            })
             .collect()
     }
 }
@@ -1103,9 +1013,9 @@ mod tests {
     /// Runs `body` as one group whose lane `l` gets the query
     /// `queries[l]`, and checks lane `l` against `traced[l]`, labelled
     /// with its own rid. The traced responses are read out of one
-    /// sealed segment, so equal bodies are one slice and their lanes
-    /// one class. Every bit must equal the comparison of the traced
-    /// response with the page the same group builds.
+    /// sealed segment, as an audit of a store reads them. Every bit must
+    /// equal the comparison of the traced response with the page the
+    /// same group builds.
     fn check(body: &str, queries: &[&[(&str, &str)]], traced: &[Traced<'_>]) -> Vec<bool> {
         check_labelled(body, queries, traced, |rid| rid)
     }
@@ -1193,9 +1103,9 @@ mod tests {
     const OK: u16 = 200;
 
     #[test]
-    fn a_class_splits_where_its_lanes_echo_different_cuts_and_both_match() {
-        // Three lanes owe one page, so they start as one class; the
-        // first echo lands them at cursors 2, 1 and 2.
+    fn lanes_that_echo_different_cuts_of_one_page_both_match() {
+        // Three lanes owe one page; the first echo lands them at
+        // cursors 2, 1 and 2.
         let bits = check(
             "echo $_GET['a']; echo $_GET['b']; echo '!';",
             &[
@@ -1268,7 +1178,7 @@ mod tests {
     }
 
     #[test]
-    fn status_and_headers_are_judged_per_lane_inside_a_class() {
+    fn status_and_headers_are_judged_per_lane_under_one_body() {
         let bits = check(
             "header('X-A: ' . $_GET['a']); http_response_code(201); echo 'same';",
             &[&[("a", "1")], &[("a", "2")], &[("a", "3")]],

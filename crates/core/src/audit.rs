@@ -343,9 +343,9 @@ pub struct AuditStats {
     /// other counter, so the parallel merge needs no side channel.
     pub db_query_wall: Duration,
     /// Busy time spent judging produced outputs against the traced
-    /// responses — comparing built pages, or setting up output classes
-    /// and computing the final bits of an in-place check (the per-group
-    /// share of the Fig. 9 "Output" row); absorbed like `db_query_wall`.
+    /// responses — comparing built pages, or computing the final bits
+    /// of an in-place check (the per-group share of the Fig. 9 "Output"
+    /// row); absorbed like `db_query_wall`.
     pub output_wall: Duration,
     /// Wall time per phase ("ProcOpRep", "DB redo", "ReExec", "DB query",
     /// "Output"), in the style of Fig. 9.

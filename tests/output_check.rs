@@ -2,19 +2,19 @@
 //! a traced response can differ from the re-executed one is caught,
 //! with the same diagnostic on every audit path.
 //!
-//! One control-flow group of 240 lanes owes six distinct pages (the
-//! output classes), spilled into a store of several segments so that
-//! each class is one dictionary string per segment. Each page is
-//! echoed in two pieces cut at a per-lane position, so multivalent
-//! echoes split classes that later reconverge. A second, small group
-//! gives the worker pool more than one unit.
+//! One control-flow group of 240 lanes owes six distinct pages,
+//! spilled into a store of several segments so that each page is one
+//! dictionary string per segment, lent to every lane that owes it.
+//! Each page is echoed in two pieces cut at a per-lane position, so
+//! lanes that owe one page stand at different cursors mid-run. A
+//! second, small group gives the worker pool more than one unit.
 //!
-//! In one request of each class the trace is altered: a flipped byte,
-//! a body one byte short (a prefix of the page must not pass), one byte
-//! extra, a changed status, a changed header, or a changed rid label.
-//! One more request is given the body of the page before it, in
-//! another class: its lane joins that class, and only the split of a
-//! class can tell it apart. Each alteration alone, and the output ones together, must
+//! For each of the six pages, one request owing it has its trace
+//! altered: a flipped byte, a body one byte short (a prefix of the page
+//! must not pass), one byte extra, a changed status, a changed header,
+//! or a changed rid label. One more request is given the body of the
+//! page before it, which other lanes owe: it must be judged against its
+//! own page. Each alteration alone, and the output ones together, must
 //! be rejected naming the first altered request in arrival order, with a
 //! diagnostic identical on the resident trace, the batch audit of the
 //! store, the pool at 1, 2 and 8 workers and the streaming audit at
@@ -34,7 +34,7 @@ use orochi_common::ids::RequestId;
 use std::collections::HashMap;
 
 const PAGES: usize = 240;
-const CLASSES: usize = 6;
+const DISTINCT: usize = 6;
 
 const PAGE: &str = r#"<?php
 $k = intval($_GET['k']);
@@ -60,7 +60,7 @@ fn scripts() -> HashMap<String, CompiledScript> {
         .collect()
 }
 
-/// Serves the 240 page requests (lane `i` is in class `i % 6`) with a
+/// Serves the 240 page requests (lane `i` owes page `i % 6`) with a
 /// ping every tenth request.
 fn served(scripts: &HashMap<String, CompiledScript>) -> AuditBundle {
     let server = Server::new(ServerConfig {
@@ -70,7 +70,7 @@ fn served(scripts: &HashMap<String, CompiledScript>) -> AuditBundle {
         ..Default::default()
     });
     for i in 0..PAGES {
-        let (k, cut) = ((i % CLASSES).to_string(), (i % 7 * 3).to_string());
+        let (k, cut) = ((i % DISTINCT).to_string(), (i % 7 * 3).to_string());
         server.handle(HttpRequest::get("/page.php", &[("k", &k), ("cut", &cut)]));
         if i % 10 == 0 {
             server.handle(HttpRequest::get("/ping.php", &[("n", &i.to_string())]));
@@ -92,9 +92,9 @@ enum Alter {
     Borrowed,
 }
 
-/// Per class, its alteration and the page request (by arrival order
-/// among pages) it is planted in; then the borrowed page, in class 2.
-const PLANTED: [(Alter, usize); CLASSES + 1] = [
+/// Per page, its alteration and the page request (by arrival order
+/// among pages) it is planted in; then the borrowed body, on page 2.
+const PLANTED: [(Alter, usize); DISTINCT + 1] = [
     (Alter::FlipByte, 102),
     (Alter::OneShort, 37),
     (Alter::OneExtra, 152),
@@ -282,7 +282,7 @@ fn each_alteration_is_rejected_naming_its_request_on_every_path() {
     for (k, (alter, at)) in PLANTED.iter().enumerate() {
         let trace = altered(&bundle.trace, &[(*alter, *at)]);
         let runs = every_path(&trace, &bundle.reports, &scripts, &format!("alter-{k}"));
-        assert_eq!(diagnostic(&runs), expected[k], "class {k}");
+        assert_eq!(diagnostic(&runs), expected[k], "alteration {k}");
     }
 }
 

@@ -43,7 +43,7 @@ const MAX_LANES: usize = 48;
 /// member's own scalar count, since the group executes exactly the
 /// stream each member would. Each such group also runs the in-place
 /// output check against the traced responses, read out of one sealed
-/// segment so that equal pages share a class: every bit equals the
+/// segment as an audit of a store reads them: every bit equals the
 /// comparison of the traced response with the built page, and flipping
 /// one byte of one member's traced body flips exactly that member's bit.
 #[test]
