@@ -18,9 +18,8 @@
 //! response as soon as it exists and drops it. [`GroupExecutor::execute_group`]
 //! still builds every response, for callers that want them.
 //!
-//! The executor also collects the per-group `(n_c, α_c, ℓ_c)` triples of
-//! Fig. 11 (group size, univalent-instruction proportion, instruction
-//! count).
+//! Each grouped run's univalent and multivalent dispatch counts go to
+//! the audit's Fig. 10 counters (`AuditContext::record_vm_dispatches`).
 
 use crate::groupvm::{self, db_result, rows_to_value, GroupRunError};
 use orochi_common::ids::RequestId;
@@ -61,39 +60,6 @@ pub fn request_input(req: &HttpRequest) -> RequestInput<'_> {
     }
 }
 
-/// Per-group statistics: the Fig. 11 bubble for one group.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupStat {
-    /// `n_c`: requests in the group.
-    pub n: usize,
-    /// Instructions that executed once for the whole group.
-    pub univalent: u64,
-    /// Instructions that executed per lane.
-    pub multivalent: u64,
-}
-
-impl GroupStat {
-    /// `α_c`: the proportion of univalent instructions.
-    pub fn alpha(&self) -> f64 {
-        let total = self.univalent + self.multivalent;
-        if total == 0 {
-            1.0
-        } else {
-            self.univalent as f64 / total as f64
-        }
-    }
-
-    /// `ℓ_c`: instructions in the group's superposed execution.
-    pub fn len(&self) -> u64 {
-        self.univalent + self.multivalent
-    }
-
-    /// True when no instructions ran.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Aggregate executor statistics.
 #[derive(Debug, Default, Clone)]
 pub struct ExecutorStats {
@@ -103,8 +69,6 @@ pub struct ExecutorStats {
     pub fallbacks: usize,
     /// Requests executed on the scalar path.
     pub scalar_requests: usize,
-    /// Per-group Fig. 11 triples (grouped mode only).
-    pub group_stats: Vec<GroupStat>,
     /// Logged session/APC versions decoded by grouped runs (one per
     /// distinct version per group, not one per reading lane).
     pub logged_decodes: u64,
@@ -113,14 +77,11 @@ pub struct ExecutorStats {
 impl ExecutorStats {
     /// Folds another executor's statistics into this one. The parallel
     /// audit runs one executor per worker thread; the harness merges
-    /// their counters afterwards. Counter sums are order-independent;
-    /// only the order of the Fig. 11 triples depends on scheduling (the
-    /// triples themselves do not — consumers sort before rendering).
+    /// their counters afterwards; the sums are order-independent.
     pub fn merge(&mut self, other: &ExecutorStats) {
         self.grouped += other.grouped;
         self.fallbacks += other.fallbacks;
         self.scalar_requests += other.scalar_requests;
-        self.group_stats.extend_from_slice(&other.group_stats);
         self.logged_decodes += other.logged_decodes;
     }
 }
@@ -225,11 +186,6 @@ impl AccPhpExecutor {
                     Ok(outcome) => {
                         self.stats.grouped += 1;
                         self.stats.logged_decodes += outcome.logged_decodes;
-                        self.stats.group_stats.push(GroupStat {
-                            n: rid_chunk.len(),
-                            univalent: outcome.univalent,
-                            multivalent: outcome.multivalent,
-                        });
                         // A fully scalar audit would dispatch every
                         // group instruction once per lane; superposed
                         // execution pays univalent instructions once.

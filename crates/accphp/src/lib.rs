@@ -23,12 +23,12 @@
 //! * [`executor`] — the [`orochi_core::GroupExecutor`] implementation:
 //!   grouped execution with a scalar per-request fallback (mirroring
 //!   acc-PHP's "re-execute separately" escape hatch), plus the
-//!   univalent/multivalent accounting behind Figs. 10 and 11.
+//!   univalent/multivalent accounting behind Fig. 10.
 
 pub mod executor;
 pub mod groupvm;
 pub mod mval;
 
-pub use executor::{AccPhpExecutor, GroupStat, VmEngine};
+pub use executor::{AccPhpExecutor, VmEngine};
 pub use groupvm::GroupRunError;
 pub use mval::{LaneMemo, MVal};

@@ -226,6 +226,20 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// Most bytes a decoder reserves for a collection before its elements
+/// arrive. A length prefix is only a claim: a forged one can name as
+/// many elements as the buffer has bytes, and each element may take
+/// many times its wire size in memory. Past this a collection grows as
+/// it decodes.
+pub const MAX_PREALLOC_BYTES: usize = 64 << 10;
+
+/// The capacity to reserve for a collection of `T` whose wire length
+/// prefix claims `len` elements: the claim, capped at
+/// [`MAX_PREALLOC_BYTES`] worth of elements.
+pub fn prealloc<T>(len: usize) -> usize {
+    len.min(MAX_PREALLOC_BYTES / std::mem::size_of::<T>().max(1))
+}
+
 /// Types that know how to serialize themselves on the wire.
 ///
 /// # Examples
@@ -314,7 +328,7 @@ impl<T: Wire> Wire for Vec<T> {
         if len > dec.remaining() {
             return Err(WireError::Malformed("vector length exceeds buffer"));
         }
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(prealloc::<T>(len));
         for _ in 0..len {
             out.push(T::decode(dec)?);
         }

@@ -1,98 +1,12 @@
-//! Timing and measurement helpers for the evaluation harness.
+//! Measurement helpers: an order statistic and a counting allocator.
 //!
-//! The paper decomposes audit-time CPU cost into phases (Fig. 9: "PHP",
-//! "DB query", "ProcOpRep", "DB redo", "Other") and reports latency
-//! percentiles (Fig. 8 right). [`PhaseTimer`] accumulates named phase
-//! durations; [`percentile`] computes the order statistics.
-
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-/// Accumulates named phase durations, in the style of Fig. 9.
-///
-/// # Examples
-///
-/// ```
-/// use orochi_common::metrics::PhaseTimer;
-///
-/// let mut timer = PhaseTimer::new();
-/// timer.time("redo", || { let _ = 1 + 1; });
-/// assert!(timer.get("redo").as_nanos() > 0);
-/// assert_eq!(timer.get("absent").as_nanos(), 0);
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct PhaseTimer {
-    phases: BTreeMap<&'static str, Duration>,
-}
-
-impl PhaseTimer {
-    /// Creates an empty timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f`, charging its wall time to `phase`. Panic-safe: if `f`
-    /// unwinds, the time spent before the panic is still recorded
-    /// (the accounting happens in an RAII guard's drop).
-    pub fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
-        let _guard = self.phase(phase);
-        f()
-    }
-
-    /// Opens an RAII guard charging `phase` from now until the guard
-    /// drops — including on unwind, so a panicking phase cannot
-    /// silently drop its accumulated time the way a forgotten manual
-    /// `stop()` would.
-    pub fn phase(&mut self, phase: &'static str) -> PhaseGuard<'_> {
-        PhaseGuard {
-            timer: self,
-            phase,
-            t0: Instant::now(),
-        }
-    }
-
-    /// Adds an externally measured duration to `phase`.
-    pub fn add(&mut self, phase: &'static str, d: Duration) {
-        *self.phases.entry(phase).or_default() += d;
-    }
-
-    /// Accumulated time for `phase` (zero if never recorded).
-    pub fn get(&self, phase: &str) -> Duration {
-        self.phases.get(phase).copied().unwrap_or_default()
-    }
-
-    /// Sum of all phases.
-    pub fn total(&self) -> Duration {
-        self.phases.values().sum()
-    }
-
-    /// Iterates phases in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Duration)> + '_ {
-        self.phases.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Merges another timer's phases into this one.
-    pub fn merge(&mut self, other: &PhaseTimer) {
-        for (phase, d) in other.iter() {
-            self.add(phase, d);
-        }
-    }
-}
-
-/// Charges elapsed time to one phase of a [`PhaseTimer`] when
-/// dropped. Created by [`PhaseTimer::phase`].
-#[must_use = "a PhaseGuard records on drop; binding it to `_` drops it immediately"]
-pub struct PhaseGuard<'a> {
-    timer: &'a mut PhaseTimer,
-    phase: &'static str,
-    t0: Instant,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        self.timer.add(self.phase, self.t0.elapsed());
-    }
-}
+//! [`percentile`] is the exact nearest-rank reference that the
+//! histogram bounds of `orochi_obs` are tested against, and
+//! [`TrackingAllocator`] counts live heap bytes for the tests that bound
+//! peak memory. Everything that accumulates at run time — counters,
+//! gauges, histograms, spans — lives in `orochi_obs`; the audit's Fig. 9
+//! phase walls are typed fields of `orochi_core::AuditStats`, mirrored
+//! into `orochi_obs` once per audit.
 
 /// Returns the `p`-th percentile (0.0–100.0) of `samples` using
 /// nearest-rank on a sorted copy.
@@ -237,39 +151,6 @@ pub mod alloc_tracking {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phase_timer_merges() {
-        let mut a = PhaseTimer::new();
-        a.add("x", Duration::from_millis(5));
-        let mut b = PhaseTimer::new();
-        b.add("x", Duration::from_millis(3));
-        b.add("y", Duration::from_millis(2));
-        a.merge(&b);
-        assert_eq!(a.get("x"), Duration::from_millis(8));
-        assert_eq!(a.get("y"), Duration::from_millis(2));
-        assert_eq!(a.total(), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn phase_guard_records_on_panic() {
-        let mut timer = PhaseTimer::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            timer.time("doomed", || panic!("phase body panicked"));
-        }));
-        assert!(result.is_err());
-        assert!(timer.get("doomed").as_nanos() > 0);
-    }
-
-    #[test]
-    fn phase_guard_manual_scope() {
-        let mut timer = PhaseTimer::new();
-        {
-            let _g = timer.phase("scoped");
-            let _work: u64 = (0..100).sum();
-        }
-        assert!(timer.get("scoped").as_nanos() > 0);
-    }
 
     #[test]
     fn percentile_nearest_rank() {

@@ -34,7 +34,6 @@ use crate::nondet::NondetValue;
 use crate::reports::Reports;
 use crate::streaming::{self, Pool, StreamingAudit};
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId, SeqNum};
-use orochi_common::metrics::PhaseTimer;
 use orochi_sqldb::engine::WriteOutcome;
 use orochi_sqldb::{
     Database, ExecOutcome, PreparedQuery, RedoError, RedoStats, SqlError, VersionedDb, MAXQ,
@@ -296,6 +295,11 @@ impl AuditConfig {
 }
 
 /// Counters and phase timings collected during an audit.
+///
+/// Each Fig. 9 row is a typed field (`balance_wall` … `output_wall`,
+/// listed in order by [`AuditStats::phase_rows`]); the audit mirrors
+/// them into the `audit_phase_*_ns` registry counters once, when it
+/// assembles the outcome.
 #[derive(Debug, Default, Clone)]
 pub struct AuditStats {
     /// Control-flow groups re-executed.
@@ -338,24 +342,45 @@ pub struct AuditStats {
     /// Wall time of the streamed two-pass CSR graph build — the slice
     /// of the "ProcOpRep" phase the graph layer accounts for.
     pub graph_build: Duration,
-    /// Busy time spent answering database queries (the Fig. 9 "DB
-    /// query" row). Accumulated per context and absorbed like any
-    /// other counter, so the parallel merge needs no side channel.
+    /// Fig. 9 "Balance": the balance scan over the trace's events.
+    pub balance_wall: Duration,
+    /// Fig. 9 "ProcOpRep": the OpMap grown as requests arrive, then the
+    /// full Fig. 5 validation (`graph_build` is part of it).
+    pub proc_op_rep_wall: Duration,
+    /// Fig. 9 "DB redo": the prologue's versioned-store builds.
+    pub db_redo_wall: Duration,
+    /// Fig. 9 "DB query": busy time spent answering database queries.
+    /// Accumulated per context and absorbed like any other counter, so
+    /// the parallel merge needs no side channel.
     pub db_query_wall: Duration,
-    /// Busy time spent judging produced outputs against the traced
-    /// responses — comparing built pages, or computing the final bits
-    /// of an in-place check (the per-group share of the Fig. 9 "Output"
-    /// row); absorbed like `db_query_wall`.
+    /// Fig. 9 "ReExec": summed worker busy time re-executing groups,
+    /// less its "DB query" and "Output" shares — CPU time, not wall
+    /// time.
+    pub reexec_wall: Duration,
+    /// Fig. 9 "Output": busy time spent judging produced outputs against
+    /// the traced responses — comparing built pages, or computing the
+    /// final bits of an in-place check — absorbed like `db_query_wall`,
+    /// plus the verdict's final scan of the per-request results.
     pub output_wall: Duration,
-    /// Wall time per phase ("ProcOpRep", "DB redo", "ReExec", "DB query",
-    /// "Output"), in the style of Fig. 9.
-    pub phases: PhaseTimer,
 }
 
 impl AuditStats {
-    /// Folds one worker's per-context counters into an aggregate. Phase
-    /// timings, redo statistics, and byte counts are not per-worker; the
-    /// audit driver fills them in once at the end.
+    /// The Fig. 9 phase rows in the figure's order: the paper's row name
+    /// and this run's time in it.
+    pub fn phase_rows(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("Balance", self.balance_wall),
+            ("ProcOpRep", self.proc_op_rep_wall),
+            ("DB redo", self.db_redo_wall),
+            ("DB query", self.db_query_wall),
+            ("ReExec", self.reexec_wall),
+            ("Output", self.output_wall),
+        ]
+    }
+
+    /// Folds one worker's per-context counters into an aggregate. The
+    /// prologue and settle phase walls, redo statistics, and byte counts
+    /// are not per-worker; the audit driver fills them in once.
     pub(crate) fn absorb(&mut self, other: &AuditStats) {
         self.groups_executed += other.groups_executed;
         self.requests_reexecuted += other.requests_reexecuted;
@@ -1070,14 +1095,9 @@ impl AuditCarry {
 /// Folds the redo statistics and store sizes into the final outcome,
 /// and mirrors the phase walls and dispatch counters into the
 /// telemetry registry — the single write point, so Fig. 9 consumers
-/// can read either the per-run `PhaseTimer` or the process-wide
+/// can read either the run's [`AuditStats`] or the process-wide
 /// metrics and see the same accounting.
-pub(crate) fn assemble_outcome(
-    shared: &AuditShared<'_>,
-    mut stats: AuditStats,
-    phases: PhaseTimer,
-) -> AuditOutcome {
-    stats.phases = phases;
+pub(crate) fn assemble_outcome(shared: &AuditShared<'_>, mut stats: AuditStats) -> AuditOutcome {
     let dbs = shared.stores.iter().filter_map(|stores| stores.db.as_ref());
     for vdb in dbs.map(|db| &db.store) {
         let s = vdb.stats();
@@ -1092,20 +1112,20 @@ pub(crate) fn assemble_outcome(
     AuditOutcome { stats }
 }
 
-/// The Fig. 9 phase rows and their registry counter names.
-const PHASE_COUNTERS: [(&str, &str); 6] = [
-    ("Balance", "audit_phase_balance_ns"),
-    ("ProcOpRep", "audit_phase_procoprep_ns"),
-    ("DB redo", "audit_phase_db_redo_ns"),
-    ("DB query", "audit_phase_db_query_ns"),
-    ("ReExec", "audit_phase_reexec_ns"),
-    ("Output", "audit_phase_output_ns"),
+/// The registry counters of [`AuditStats::phase_rows`], row for row.
+const PHASE_COUNTERS: [&str; 6] = [
+    "audit_phase_balance_ns",
+    "audit_phase_procoprep_ns",
+    "audit_phase_db_redo_ns",
+    "audit_phase_db_query_ns",
+    "audit_phase_reexec_ns",
+    "audit_phase_output_ns",
 ];
 
 fn mirror_stats_into_registry(stats: &AuditStats) {
     use orochi_obs::registry;
-    for (phase, name) in PHASE_COUNTERS {
-        let ns = u64::try_from(stats.phases.get(phase).as_nanos()).unwrap_or(u64::MAX);
+    for ((_, wall), name) in stats.phase_rows().into_iter().zip(PHASE_COUNTERS) {
+        let ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
         registry::counter(name).add(ns);
     }
     registry::counter("audit_groups_executed_total").add(stats.groups_executed as u64);

@@ -31,7 +31,6 @@
 //! oracle.
 
 pub mod audit;
-pub mod coldstore;
 pub mod exec;
 pub mod graph;
 pub mod nondet;
@@ -44,10 +43,8 @@ pub use audit::{
     audit, audit_parallel, audit_parallel_source, audit_source, AuditConfig, AuditContext,
     AuditOutcome, AuditStats, Rejection,
 };
-pub use coldstore::{load_reports, spill_reports};
 pub use exec::{DbTxnHandle, GroupExecutor};
 pub use graph::{process_op_reports, AuditGraph, OpMap};
 pub use nondet::{NondetLog, NondetValue};
-pub use precedence::{create_time_precedence_graph, dense_time_precedence, TimePrecedenceGraph};
-pub use reports::Reports;
+pub use reports::{load_reports, spill_reports, Reports};
 pub use streaming::{audit_streaming_source, StreamingAudit};

@@ -9,7 +9,7 @@
 //! best-effort: the executor retains discretion over the actual values
 //! (§4.6, §5.5).
 
-use orochi_common::codec::{Decoder, Encoder, Wire, WireError};
+use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
 use orochi_common::ids::RequestId;
 use std::collections::HashMap;
 
@@ -164,7 +164,7 @@ impl Wire for NondetLog {
         if n > dec.remaining() {
             return Err(WireError::Malformed("nondet count exceeds buffer"));
         }
-        let mut entries = HashMap::with_capacity(n);
+        let mut entries = HashMap::with_capacity(prealloc::<(RequestId, Vec<NondetValue>)>(n));
         for _ in 0..n {
             let rid = RequestId::decode(dec)?;
             let values = Vec::<NondetValue>::decode(dec)?;

@@ -11,12 +11,21 @@
 //!    nondeterministic builtins.
 //!
 //! All of it is untrusted; the audit validates it as a whole.
+//!
+//! The bundle has one encoding, its [`Wire`] bytes: they are what
+//! [`Reports::wire_size`] counts (Fig. 8's report column) and what
+//! [`spill_reports`] stores beside a sealed trace as the
+//! [`REPORTS_BLOB`] blob.
 
 use crate::nondet::NondetLog;
-use orochi_common::codec::{Decoder, Encoder, Wire, WireError};
+use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
 use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_state::oplog::OpLogs;
+use orochi_trace::{TraceStoreError, TraceStoreReader, TraceStoreWriter};
 use std::collections::HashMap;
+
+/// Blob name under which the report bundle is stored.
+pub const REPORTS_BLOB: &str = "reports";
 
 /// The full report bundle.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -85,7 +94,7 @@ impl Wire for Reports {
         if n > dec.remaining() {
             return Err(WireError::Malformed("grouping count exceeds buffer"));
         }
-        let mut groupings = Vec::with_capacity(n);
+        let mut groupings = Vec::with_capacity(prealloc::<(CtlFlowTag, Vec<RequestId>)>(n));
         for _ in 0..n {
             groupings.push((CtlFlowTag::decode(dec)?, Vec::<RequestId>::decode(dec)?));
         }
@@ -94,7 +103,7 @@ impl Wire for Reports {
         if m > dec.remaining() {
             return Err(WireError::Malformed("count entries exceed buffer"));
         }
-        let mut op_counts = HashMap::with_capacity(m);
+        let mut op_counts = HashMap::with_capacity(prealloc::<(RequestId, u32)>(m));
         for _ in 0..m {
             let rid = RequestId::decode(dec)?;
             let count = dec.u64()?;
@@ -113,6 +122,23 @@ impl Wire for Reports {
             nondet,
         })
     }
+}
+
+/// Spills `reports` into `writer`'s directory as the [`REPORTS_BLOB`]
+/// checksummed blob: the bundle's wire bytes.
+pub fn spill_reports(writer: &mut TraceStoreWriter, reports: &Reports) -> std::io::Result<()> {
+    writer.write_blob(REPORTS_BLOB, &reports.to_wire_bytes())
+}
+
+/// Loads the report bundle spilled next to `reader`'s segments.
+pub fn load_reports(reader: &TraceStoreReader) -> Result<Reports, TraceStoreError> {
+    let bytes = reader.read_blob(REPORTS_BLOB)?;
+    Reports::from_wire_bytes(&bytes).map_err(|e| {
+        TraceStoreError::corrupt(
+            reader.dir().join("reports.blob").display().to_string(),
+            format!("reports blob malformed: {e}"),
+        )
+    })
 }
 
 #[cfg(test)]

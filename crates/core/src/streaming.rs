@@ -66,7 +66,6 @@ use crate::exec::{GroupExecutor, OutputCheck};
 use crate::graph::{process_op_reports_interned, OpMap};
 use crate::reports::Reports;
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId, SeqNum};
-use orochi_common::metrics::PhaseTimer;
 use orochi_obs::LazyHistogram;
 use orochi_trace::record::{BalanceError, RidInterner, StreamingBalance};
 use orochi_trace::{
@@ -338,9 +337,8 @@ pub struct StreamingAudit<'a> {
     /// One carry per worker slot, persisted across epochs.
     carries: Vec<AuditCarry>,
     /// The run's statistics outside the worker carries: the graph
-    /// layer's, filled by validation.
+    /// layer's, filled by validation, and the prologue's phase walls.
     stats: AuditStats,
-    phases: PhaseTimer,
     reexec_busy: Duration,
     epochs: u64,
     /// The trace's length, when the driver knows it: the epoch that
@@ -358,15 +356,16 @@ impl<'a> StreamingAudit<'a> {
     /// and report validation outrank it.
     pub fn new(reports: &'a Reports, config: &'a AuditConfig, threads: usize) -> Self {
         let threads = threads.max(1);
-        let mut phases = PhaseTimer::new();
+        let mut stats = AuditStats::default();
         let mut verdict = Verdict::default();
         let built = match reports.nondet.validate() {
             Err(rid) => Err((Stage::Nondet, Rejection::NondetInvalid(rid))),
-            Ok(()) => phases
-                .time("DB redo", || {
-                    AuditShared::build(reports, OpMap::streaming_empty(), config, threads)
-                })
-                .map_err(|rejection| (Stage::Redo, rejection)),
+            Ok(()) => {
+                let redo_t0 = Instant::now();
+                let built = AuditShared::build(reports, OpMap::streaming_empty(), config, threads);
+                stats.db_redo_wall = redo_t0.elapsed();
+                built.map_err(|rejection| (Stage::Redo, rejection))
+            }
         };
         let shared = match built {
             Ok(shared) => Some(Arc::new(shared)),
@@ -389,8 +388,7 @@ impl<'a> StreamingAudit<'a> {
             pending_bytes: 0,
             out_state: Vec::new(),
             carries: Vec::new(),
-            stats: AuditStats::default(),
-            phases,
+            stats,
             reexec_busy: Duration::ZERO,
             epochs: 0,
             total_events: None,
@@ -507,7 +505,7 @@ impl<'a> StreamingAudit<'a> {
                 EventRef::Response(..) => {}
             }
         }
-        self.phases.add("Balance", balance_t0.elapsed());
+        self.stats.balance_wall += balance_t0.elapsed();
 
         if self.total_events == Some(self.balance.events_seen()) {
             self.validate();
@@ -579,7 +577,7 @@ impl<'a> StreamingAudit<'a> {
                 opmap.fill_slot(idx, opnum, i, seq);
             }
         }
-        self.phases.add("ProcOpRep", proc_t0.elapsed());
+        self.stats.proc_op_rep_wall += proc_t0.elapsed();
     }
 
     /// Groups this epoch's answered members into units.
@@ -725,9 +723,9 @@ impl<'a> StreamingAudit<'a> {
             shared.opmap = OpMap::streaming_empty();
         }
         let (interner, reports, threads) = (self.balance.interner(), self.reports, self.threads);
-        let validated = self.phases.time("ProcOpRep", || {
-            process_op_reports_interned(interner, reports, threads)
-        });
+        let proc_t0 = Instant::now();
+        let validated = process_op_reports_interned(interner, reports, threads);
+        self.stats.proc_op_rep_wall += proc_t0.elapsed();
         match validated {
             Err(e) => self.verdict.record(Stage::Reports, Rejection::Graph(e)),
             Ok((graph, opmap)) => {
@@ -769,6 +767,7 @@ impl<'a> StreamingAudit<'a> {
         if self.verdict.open(WALK) {
             self.settle_walk(source, pool)?;
         }
+        let mut output_scan = Duration::ZERO;
         if self.verdict.open(Stage::Output) {
             let output_t0 = Instant::now();
             if let Some(k) = self.out_state.iter().position(|&s| s != OutputCheck::Match) {
@@ -779,7 +778,7 @@ impl<'a> StreamingAudit<'a> {
                 };
                 self.verdict.record(Stage::Output, rejection);
             }
-            self.phases.add("Output", output_t0.elapsed());
+            output_scan = output_t0.elapsed();
         }
         if let Some((_, rejection)) = self.verdict.0 {
             return Err(rejection);
@@ -792,16 +791,11 @@ impl<'a> StreamingAudit<'a> {
         stats.groups_executed = (0..self.groups.len()).filter(finished).count();
         // Phase rows keep Fig. 9's CPU-decomposition meaning: summed
         // worker busy time, not wall time.
-        let mut phases = self.phases;
-        phases.add("DB query", stats.db_query_wall);
-        phases.add("Output", stats.output_wall);
-        let reexec = self.reexec_busy;
-        phases.add(
-            "ReExec",
-            reexec.saturating_sub(stats.db_query_wall + stats.output_wall),
-        );
+        let in_workers = stats.db_query_wall + stats.output_wall;
+        stats.reexec_wall = self.reexec_busy.saturating_sub(in_workers);
+        stats.output_wall += output_scan;
         let shared = self.shared.expect("an open verdict implies the prologue");
-        Ok(assemble_outcome(&shared, stats, phases))
+        Ok(assemble_outcome(&shared, stats))
     }
 
     /// Records what the walk over the planned groups contributes: the

@@ -10,8 +10,8 @@ use orochi_accphp::executor::ExecutorStats;
 use orochi_accphp::AccPhpExecutor;
 use orochi_apps::AppDefinition;
 use orochi_core::audit::{AuditConfig, AuditOutcome, Rejection};
-use orochi_core::coldstore;
 use orochi_core::streaming::{audit_streaming_source, StreamingAudit};
+use orochi_core::{load_reports, spill_reports};
 use orochi_obs::HistogramSnapshot;
 use orochi_server::server::AuditBundle;
 use orochi_server::{Frontend, FrontendConfig, Server, ServerConfig, ShedPolicy};
@@ -286,8 +286,8 @@ pub fn serve_open_loop_with(
 pub struct AuditRun {
     /// Audit statistics (phase timings, dedup counters, redo stats).
     pub outcome: AuditOutcome,
-    /// Executor statistics (groups, fallbacks, Fig. 11 triples), merged
-    /// across workers for parallel runs.
+    /// Executor statistics (grouped runs, fallbacks, scalar requests),
+    /// merged across workers for parallel runs.
     pub exec_stats: ExecutorStats,
     /// Total audit wall time.
     pub wall: Duration,
@@ -393,7 +393,7 @@ pub fn spill_bundle(
 ) -> std::io::Result<TraceStoreSummary> {
     let mut writer = TraceStoreWriter::create(dir.as_ref(), segment_bytes)?;
     writer.append_trace(&bundle.trace)?;
-    coldstore::spill_reports(&mut writer, &bundle.reports)?;
+    spill_reports(&mut writer, &bundle.reports)?;
     writer.finish()
 }
 
@@ -419,7 +419,7 @@ pub fn run_audit_streaming(
     opts: &AuditOptions,
     epoch_events: usize,
 ) -> Result<AuditRun, Rejection> {
-    let reports = coldstore::load_reports(reader).map_err(Rejection::TraceStore)?;
+    let reports = load_reports(reader).map_err(Rejection::TraceStore)?;
     run_on(work, opts, |executors, config| {
         audit_streaming_source(reader, &reports, executors, config, epoch_events)
     })
@@ -479,7 +479,7 @@ pub fn serve_and_audit(
                 feeding = audit.feed_epoch(epoch, executors);
             }
         }
-        coldstore::spill_reports(&mut writer, &bundle.reports).map_err(io_err)?;
+        spill_reports(&mut writer, &bundle.reports).map_err(io_err)?;
         store = Some(writer.finish().map_err(io_err)?);
         epochs = audit.epochs();
         let reader = TraceStoreReader::open(dir).map_err(Rejection::TraceStore)?;

@@ -7,7 +7,7 @@
 //! stored in the verifier's `OpMap`.
 
 use crate::object::{ObjectName, OpContents, OpType};
-use orochi_common::codec::{Decoder, Encoder, Wire, WireError};
+use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
 use orochi_common::ids::{OpNum, RequestId, SeqNum};
 
 /// One entry of an operation log.
@@ -202,7 +202,7 @@ impl Wire for OpLogs {
         if n > dec.remaining() {
             return Err(WireError::Malformed("log count exceeds buffer"));
         }
-        let mut logs = Vec::with_capacity(n);
+        let mut logs = Vec::with_capacity(prealloc::<(ObjectName, OpLog)>(n));
         for _ in 0..n {
             logs.push((ObjectName::decode(dec)?, OpLog::decode(dec)?));
         }

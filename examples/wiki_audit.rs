@@ -37,7 +37,7 @@ fn main() {
     println!("\n-- OROCHI audit (grouped + dedup) --");
     let stats = &orochi_run.outcome.stats;
     println!("wall: {:.2?}", orochi_run.wall);
-    for (phase, t) in stats.phases.iter() {
+    for (phase, t) in stats.phase_rows() {
         println!("  {phase:<10} {t:.2?}");
     }
     println!(
