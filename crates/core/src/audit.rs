@@ -1106,7 +1106,7 @@ pub(crate) fn assemble_outcome(shared: &AuditShared<'_>, mut stats: AuditStats) 
         stats.redo.versions_created += s.versions_created;
         stats.redo.aborted += s.aborted;
         stats.db_versioned_bytes += vdb.estimated_bytes();
-        stats.db_final_bytes += vdb.latest_snapshot().estimated_bytes();
+        stats.db_final_bytes += vdb.latest().estimated_bytes();
     }
     mirror_stats_into_registry(&stats);
     AuditOutcome { stats }

@@ -78,6 +78,7 @@ mod tests {
 
     #[test]
     fn lag_round_trip() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(true);
         mark_sealed();
         let before = AUDIT_LAG_NS.snapshot().count;
@@ -90,6 +91,7 @@ mod tests {
 
     #[test]
     fn epoch_marks_count_even_when_disabled() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(false);
         let before = AUDIT_EPOCHS.value();
         assert!(mark_epoch(4096).is_none());

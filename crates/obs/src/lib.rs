@@ -81,12 +81,24 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
+/// Serialises the unit tests that flip the process-global [`ENABLED`]
+/// flag: the test harness runs them on parallel threads, and one test
+/// turning telemetry off mid-way through another's span would fail it.
+#[cfg(test)]
+pub(crate) fn enabled_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the flag it guards is still valid.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn set_enabled_round_trips() {
+        let _flag = enabled_flag_lock();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);

@@ -78,6 +78,7 @@ mod tests {
 
     #[test]
     fn disabled_span_is_none() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(false);
         let lane = journal::lane("test-span-disabled");
         assert!(span(lane, "noop").is_none());
@@ -88,6 +89,7 @@ mod tests {
 
     #[test]
     fn span_records_into_histogram_and_lane() {
+        let _flag = crate::enabled_flag_lock();
         crate::set_enabled(true);
         let lane = journal::lane("test-span-records");
         let hist = crate::registry::histogram("test_span_ns");

@@ -125,11 +125,11 @@ pub(crate) struct Table {
     /// Rows keyed by rowid; iteration order (rowid order) is the
     /// deterministic scan order that the versioned store must reproduce.
     pub(crate) rows: BTreeMap<u64, Vec<SqlValue>>,
-    pub(crate) next_rowid: u64,
+    next_rowid: u64,
     /// Next auto-increment value.
-    pub(crate) auto_inc: i64,
+    auto_inc: i64,
     /// Primary-key uniqueness index: pk value -> rowid.
-    pub(crate) pk_index: HashMap<IndexKey, u64>,
+    pk_index: HashMap<IndexKey, u64>,
 }
 
 impl Table {
@@ -153,9 +153,10 @@ impl Table {
     }
 }
 
-/// Undo record for transaction rollback.
+/// Undo record for transaction rollback; also the record of what a
+/// statement changed, which the versioned store turns into row versions.
 #[derive(Debug, Clone)]
-enum UndoOp {
+pub(crate) enum UndoOp {
     InsertedRow {
         table: String,
         rowid: u64,
@@ -235,39 +236,25 @@ impl Database {
             .sum()
     }
 
-    /// Internal iteration for snapshotting: `(rowid, row)` pairs in scan
-    /// order, plus counters.
+    /// A table's rows in scan order, for the versioned store.
     pub(crate) fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name)
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
+    /// A mark in the open transaction's undo log: the records a later
+    /// [`Self::undo_since`] returns are the changes made after it.
+    pub(crate) fn undo_mark(&self) -> usize {
+        self.txn.as_ref().map_or(0, |t| t.undo.len())
     }
 
-    /// Installs a table with explicit contents and counters (used by the
-    /// versioned store's materialization and snapshot paths).
-    pub(crate) fn install_table(&mut self, table: Table) {
-        self.tables.insert(table.schema.name.clone(), table);
-    }
-
-    pub(crate) fn make_table(
-        schema: TableSchema,
-        rows: Vec<Vec<SqlValue>>,
-        next_rowid: u64,
-        auto_inc: i64,
-    ) -> Table {
-        let mut t = Table::new(schema);
-        for row in rows {
-            let rowid = t.next_rowid;
-            t.next_rowid += 1;
-            t.rows.insert(rowid, row);
-        }
-        t.next_rowid = t.next_rowid.max(next_rowid);
-        t.auto_inc = auto_inc;
-        t.rebuild_pk_index();
-        t
+    /// The open transaction's undo records since `mark`, in the order
+    /// the changes were made (empty once the transaction is poisoned,
+    /// its changes having been undone).
+    pub(crate) fn undo_since(&self, mark: usize) -> &[UndoOp] {
+        self.txn
+            .as_ref()
+            .and_then(|t| t.undo.get(mark..))
+            .unwrap_or_default()
     }
 
     /// Begins a transaction.
@@ -676,7 +663,8 @@ impl Database {
     }
 }
 
-fn row_bytes(row: &[SqlValue]) -> usize {
+/// Rough byte size of one row image.
+pub(crate) fn row_bytes(row: &[SqlValue]) -> usize {
     row.iter()
         .map(|v| match v {
             SqlValue::Null => 1,

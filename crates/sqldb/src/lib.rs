@@ -20,10 +20,11 @@
 //!   control that provides strict serializability with per-transaction
 //!   sequence numbers assigned at commit (the linearization point).
 //! * [`versioned`] — the audit-time versioned store: the redo pass over
-//!   an untrusted operation log (including write-result checking and
-//!   aborted-transaction replay on an overlay), timestamped reads with
-//!   `ts = s·MAXQ + q`, table-modification epochs for read-query
-//!   deduplication, and the final-state snapshot the verifier keeps.
+//!   an untrusted operation log, which runs every logged write on a kept
+//!   [`Database`] and versions what it changed (including write-result
+//!   checking and aborted-transaction replay with rollback), timestamped
+//!   reads with `ts = s·MAXQ + q`, table-modification epochs for
+//!   read-query deduplication, and the final state the verifier keeps.
 //!
 //! The dialect covers what the three evaluation applications need:
 //! `CREATE TABLE`, multi-row `INSERT`, `SELECT` with `WHERE`/`ORDER BY`/

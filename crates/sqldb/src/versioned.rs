@@ -14,11 +14,17 @@
 //! transaction (10,000, as in the paper) — so intra-transaction reads see
 //! the transaction's earlier writes (§A.7).
 //!
+//! The store keeps the latest state as a plain [`Database`], and the
+//! redo runs every logged write on it: the online engine is the one
+//! place a SQL write is applied (auto-increment, type admission,
+//! primary-key uniqueness, affected counts). What a statement changed —
+//! its undo records — becomes row versions at the statement's `ts`.
+//!
 //! Beyond the paper's description, the redo pass here also *checks*:
 //! committed transactions must replay without error and reproduce the
 //! logged per-statement write results (affected counts, auto-increment
-//! ids); aborted transactions are replayed on a scratch copy of the
-//! touched tables, must fail exactly where the log says they failed, and
+//! ids); aborted transactions are replayed on the latest state and
+//! rolled back, must fail exactly where the log says they failed, and
 //! their read results are captured for re-execution (an aborted
 //! transaction's reads are not expressible as a `[start_ts, end_ts)`
 //! interval query, since its writes must be visible to later queries of
@@ -41,7 +47,7 @@
 
 use crate::ast::{BinOp, Expr, Statement};
 use crate::engine::{
-    eval_expr, eval_where, run_select, Database, ExecOutcome, SelectPlan, SqlError, WriteOutcome,
+    row_bytes, run_select, Database, ExecOutcome, SelectPlan, SqlError, UndoOp, WriteOutcome,
 };
 use crate::parser::{parse_statement, ParseError};
 use crate::schema::TableSchema;
@@ -128,7 +134,7 @@ pub struct RedoStats {
     pub queries: u64,
     /// Row versions created (initial snapshot included).
     pub versions_created: u64,
-    /// Aborted transactions replayed on scratch.
+    /// Aborted transactions replayed and rolled back.
     pub aborted: u64,
 }
 
@@ -150,17 +156,13 @@ struct RowVersion {
 struct VersionedTable {
     schema: TableSchema,
     versions: Vec<RowVersion>,
-    /// rowid -> index of the live version (end == MAX), in rowid order.
-    live: BTreeMap<u64, usize>,
-    /// Live primary-key uniqueness index: pk -> rowid.
-    pk_live: HashMap<IndexKey, u64>,
+    /// rowid -> index of the live version (end == MAX).
+    live: HashMap<u64, usize>,
     /// Equality indexes over *all* versions: column position -> key ->
     /// version indices.
     eq_index: HashMap<usize, HashMap<IndexKey, Vec<usize>>>,
     /// Timestamps at which the table was modified, increasing.
     mod_ts: Vec<u64>,
-    next_rowid: u64,
-    auto_inc: i64,
 }
 
 impl VersionedTable {
@@ -173,12 +175,9 @@ impl VersionedTable {
         Self {
             schema,
             versions: Vec::new(),
-            live: BTreeMap::new(),
-            pk_live: HashMap::new(),
+            live: HashMap::new(),
             eq_index,
             mod_ts: Vec::new(),
-            next_rowid: 1,
-            auto_inc: 1,
         }
     }
 
@@ -187,9 +186,6 @@ impl VersionedTable {
         let idx = self.versions.len();
         for (col, index) in self.eq_index.iter_mut() {
             index.entry(row[*col].index_key()).or_default().push(idx);
-        }
-        if let Some(pk) = self.schema.primary_key_index() {
-            self.pk_live.insert(row[pk].index_key(), rowid);
         }
         self.versions.push(RowVersion {
             rowid,
@@ -204,10 +200,6 @@ impl VersionedTable {
     fn kill_version(&mut self, rowid: u64, ts: u64) {
         if let Some(idx) = self.live.remove(&rowid) {
             self.versions[idx].end = ts;
-            if let Some(pk) = self.schema.primary_key_index() {
-                let key = self.versions[idx].row[pk].index_key();
-                self.pk_live.remove(&key);
-            }
         }
     }
 
@@ -355,6 +347,8 @@ impl Selects {
 
 /// The audit-time versioned database.
 pub struct VersionedDb {
+    /// The latest state, on which the redo runs every write.
+    latest: Database,
     /// Tables in creation order; a table's position is its id for the
     /// store's lifetime (tables are never dropped).
     tables: Vec<VersionedTable>,
@@ -389,6 +383,7 @@ impl VersionedDb {
     /// period; initial rows get `start_ts = 0`.
     pub fn from_snapshot(db: &Database) -> Self {
         let mut out = Self {
+            latest: db.deep_clone(),
             tables: Vec::new(),
             table_ids: BTreeMap::new(),
             selects: Selects::default(),
@@ -405,29 +400,10 @@ impl VersionedDb {
                 vt.push_version(*rowid, 0, row.clone());
                 out.stats.versions_created += 1;
             }
-            vt.next_rowid = src.next_rowid;
-            vt.auto_inc = src.auto_inc;
-            out.add_table(name, vt);
+            out.table_ids.insert(name, out.tables.len());
+            out.tables.push(vt);
         }
         out
-    }
-
-    fn add_table(&mut self, name: String, table: VersionedTable) {
-        self.table_ids.insert(name, self.tables.len());
-        self.tables.push(table);
-    }
-
-    fn table(&self, name: &str) -> Result<&VersionedTable, SqlError> {
-        match self.table_ids.get(name) {
-            Some(&id) => Ok(&self.tables[id]),
-            None => Err(SqlError::NoSuchTable(name.to_string())),
-        }
-    }
-
-    /// The table a redo step already found with [`Self::table`].
-    fn table_mut(&mut self, name: &str) -> &mut VersionedTable {
-        let id = *self.table_ids.get(name).expect("looked up by the caller");
-        &mut self.tables[id]
     }
 
     /// Statistics accumulated so far.
@@ -441,9 +417,11 @@ impl VersionedDb {
     /// the paper's unverifiable database nondeterminism (§4.6) into a
     /// checked report.
     ///
-    /// For `succeeded = false`, the transaction is replayed on a scratch
-    /// copy of the touched tables; its SELECT results are retained for
+    /// For `succeeded = false`, the transaction is replayed on the latest
+    /// state and rolled back; its SELECT results are retained for
     /// [`Self::aborted_read`] and the store itself is unchanged.
+    ///
+    /// After an error the store is not to be read: the audit rejects.
     pub fn redo_transaction(
         &mut self,
         seq: u64,
@@ -463,12 +441,21 @@ impl VersionedDb {
         }
         self.stats.transactions += 1;
         self.stats.queries += queries.len() as u64;
-        if succeeded {
+        self.latest
+            .begin()
+            .expect("no transaction open between redo steps");
+        let redone = if succeeded {
             self.redo_committed(seq, queries, logged_results)
         } else {
             self.stats.aborted += 1;
             self.redo_aborted(seq, queries, logged_results)
+        };
+        if succeeded && redone.is_ok() {
+            self.latest.commit().expect("transaction open");
+        } else {
+            self.latest.rollback().expect("transaction open");
         }
+        redone
     }
 
     fn redo_committed(
@@ -479,40 +466,22 @@ impl VersionedDb {
     ) -> Result<(), RedoError> {
         for (pos, sql) in queries.iter().enumerate() {
             let q = pos as u64 + 1;
-            let ts = seq * MAXQ + q;
-            let fail = |error: SqlError| RedoError::CommittedTxnFailed {
-                seq,
-                query: q,
-                error,
-            };
             let parsed = self.selects.parse(sql);
             self.redone.push(parsed.select_id());
-            let write = match parsed {
-                // A repeated SELECT costs only this check of its logged
-                // result.
+            let computed = match parsed {
+                // A SELECT changes nothing: a repeated one costs only
+                // this check of its logged result.
                 Parsed::Select(_) => None,
-                Parsed::Other(Err(e)) => return Err(fail(e.into())),
-                Parsed::Other(Ok(write)) => Some(write),
-            };
-            let computed: Option<WriteOutcome> = match &write {
-                None | Some(Statement::Select(_)) => None,
-                Some(Statement::CreateTable(schema)) => {
-                    if self.table_ids.contains_key(&schema.name) {
-                        return Err(fail(SqlError::DuplicateTable(schema.name.clone())));
-                    }
-                    let mut vt = VersionedTable::new(schema.clone());
-                    vt.mark_modified(ts);
-                    self.add_table(schema.name.clone(), vt);
-                    Some(WriteOutcome::default())
-                }
-                Some(Statement::Insert(insert)) => {
-                    Some(self.redo_insert(insert, ts).map_err(fail)?)
-                }
-                Some(Statement::Update(update)) => {
-                    Some(self.redo_update(update, ts).map_err(fail)?)
-                }
-                Some(Statement::Delete(delete)) => {
-                    Some(self.redo_delete(delete, ts).map_err(fail)?)
+                Parsed::Other(stmt) => {
+                    let mark = self.latest.undo_mark();
+                    let outcome = self.latest.execute_parsed_in_txn(stmt.as_ref());
+                    let outcome = outcome.map_err(|error| RedoError::CommittedTxnFailed {
+                        seq,
+                        query: q,
+                        error,
+                    })?;
+                    self.version_changes(mark, seq * MAXQ + q);
+                    outcome.write()
                 }
             };
             if computed != logged_results[pos] {
@@ -522,29 +491,47 @@ impl VersionedDb {
         Ok(())
     }
 
+    /// Turns the latest state's undo records since `mark` — one
+    /// statement's changes — into row versions starting at `ts`.
+    fn version_changes(&mut self, mark: usize, ts: u64) {
+        for change in self.latest.undo_since(mark) {
+            let (name, rowid, live) = match change {
+                UndoOp::CreatedTable { table } => {
+                    let schema = self.latest.schema(table).expect("table just created");
+                    let mut vt = VersionedTable::new(schema.clone());
+                    vt.mark_modified(ts);
+                    self.table_ids.insert(table.clone(), self.tables.len());
+                    self.tables.push(vt);
+                    continue;
+                }
+                UndoOp::Counters { .. } => continue,
+                UndoOp::InsertedRow { table, rowid } | UndoOp::UpdatedRow { table, rowid, .. } => {
+                    (table, *rowid, true)
+                }
+                UndoOp::DeletedRow { table, rowid, .. } => (table, *rowid, false),
+            };
+            let vt = &mut self.tables[self.table_ids[name]];
+            vt.kill_version(rowid, ts);
+            if live {
+                let row = &self.latest.table(name).expect("changed table").rows[&rowid];
+                vt.push_version(rowid, ts, row.clone());
+                self.stats.versions_created += 1;
+            }
+            vt.mark_modified(ts);
+        }
+    }
+
     fn redo_aborted(
         &mut self,
         seq: u64,
         queries: &[String],
         logged_results: &[Option<WriteOutcome>],
     ) -> Result<(), RedoError> {
-        let parsed: Vec<Parsed> = queries.iter().map(|sql| self.selects.parse(sql)).collect();
-        self.redone.extend(parsed.iter().map(Parsed::select_id));
-        let selects = &self.selects;
-        // Scratch database holding live images of the touched tables.
-        let mut touched: Vec<&str> = parsed
-            .iter()
-            .filter_map(|p| selects.get(p).ok())
-            .map(Statement::table)
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let mut scratch = self.materialize_live(&touched);
-        scratch.begin().expect("fresh scratch database");
-        for (pos, p) in parsed.iter().enumerate() {
+        for (pos, sql) in queries.iter().enumerate() {
             let q = pos as u64 + 1;
-            let last = pos == queries.len() - 1;
-            match scratch.execute_parsed_in_txn(selects.get(p)) {
+            let parsed = self.selects.parse(sql);
+            self.redone.push(parsed.select_id());
+            match self.latest.execute_parsed_in_txn(self.selects.get(&parsed)) {
                 Ok(outcome) => {
                     let computed = outcome.write();
                     if computed != logged_results[pos] {
@@ -557,7 +544,7 @@ impl VersionedDb {
                 Err(_) => {
                     // An error is only consistent with the log if it hit
                     // the final logged statement with no logged result.
-                    if !last || logged_results[pos].is_some() {
+                    if q != queries.len() as u64 || logged_results[pos].is_some() {
                         return Err(RedoError::AbortShapeMismatch { seq });
                     }
                     self.aborted_failures.insert(seq);
@@ -567,152 +554,6 @@ impl VersionedDb {
         }
         // No statement failed: consistent with an explicit rollback.
         Ok(())
-    }
-
-    fn redo_insert(
-        &mut self,
-        insert: &crate::ast::Insert,
-        ts: u64,
-    ) -> Result<WriteOutcome, SqlError> {
-        let schema = self.table(&insert.table)?.schema.clone();
-        let mut positions = Vec::with_capacity(insert.columns.len());
-        for col in &insert.columns {
-            positions.push(
-                schema
-                    .column_index(col)
-                    .ok_or_else(|| SqlError::NoSuchColumn(col.clone()))?,
-            );
-        }
-        let pk = schema.primary_key_index();
-        let auto = schema.has_auto_increment();
-        let mut last_id = None;
-        let mut inserted = 0u64;
-        for tuple in &insert.rows {
-            let mut row = vec![SqlValue::Null; schema.columns.len()];
-            for (expr, pos) in tuple.iter().zip(&positions) {
-                row[*pos] = eval_expr(expr, None, &schema)?.into_owned();
-            }
-            let vt = self.table_mut(&insert.table);
-            if let (Some(pk_pos), true) = (pk, auto) {
-                if row[pk_pos].is_null() {
-                    row[pk_pos] = SqlValue::Int(vt.auto_inc);
-                    last_id = Some(vt.auto_inc);
-                    vt.auto_inc += 1;
-                } else if let Some(v) = row[pk_pos].as_i64() {
-                    vt.auto_inc = vt.auto_inc.max(v + 1);
-                }
-            }
-            for (pos, col) in schema.columns.iter().enumerate() {
-                if !col.ty.admits(&row[pos]) {
-                    return Err(SqlError::TypeError(format!(
-                        "value {} not valid for column {}",
-                        row[pos], col.name
-                    )));
-                }
-            }
-            if let Some(pk_pos) = pk {
-                if vt.pk_live.contains_key(&row[pk_pos].index_key()) {
-                    return Err(SqlError::DuplicateKey(format!("{}", row[pk_pos])));
-                }
-            }
-            let rowid = vt.next_rowid;
-            vt.next_rowid += 1;
-            vt.push_version(rowid, ts, row);
-            vt.mark_modified(ts);
-            self.stats.versions_created += 1;
-            inserted += 1;
-        }
-        Ok(WriteOutcome {
-            affected: inserted,
-            last_insert_id: last_id,
-        })
-    }
-
-    fn redo_update(
-        &mut self,
-        update: &crate::ast::Update,
-        ts: u64,
-    ) -> Result<WriteOutcome, SqlError> {
-        let vt = self.table(&update.table)?;
-        let schema = vt.schema.clone();
-        let mut set_positions = Vec::with_capacity(update.assignments.len());
-        for (col, _) in &update.assignments {
-            set_positions.push(
-                schema
-                    .column_index(col)
-                    .ok_or_else(|| SqlError::NoSuchColumn(col.clone()))?,
-            );
-        }
-        // Live rows matching WHERE, in rowid order.
-        let mut matches: Vec<(u64, Vec<SqlValue>)> = Vec::new();
-        for (rowid, &vidx) in &vt.live {
-            let row = &vt.versions[vidx].row;
-            if eval_where(update.where_clause.as_ref(), row, &schema)? {
-                matches.push((*rowid, row.clone()));
-            }
-        }
-        let pk = schema.primary_key_index();
-        let mut affected = 0u64;
-        for (rowid, old) in matches {
-            let mut new = old.clone();
-            for ((_, expr), pos) in update.assignments.iter().zip(&set_positions) {
-                new[*pos] = eval_expr(expr, Some(&old), &schema)?.into_owned();
-                if !schema.columns[*pos].ty.admits(&new[*pos]) {
-                    return Err(SqlError::TypeError(format!(
-                        "value {} not valid for column {}",
-                        new[*pos], schema.columns[*pos].name
-                    )));
-                }
-            }
-            let vt = self.table_mut(&update.table);
-            if let Some(pk_pos) = pk {
-                let old_key = old[pk_pos].index_key();
-                let new_key = new[pk_pos].index_key();
-                if old_key != new_key && vt.pk_live.contains_key(&new_key) {
-                    return Err(SqlError::DuplicateKey(format!("{}", new[pk_pos])));
-                }
-            }
-            vt.kill_version(rowid, ts);
-            vt.push_version(rowid, ts, new);
-            vt.mark_modified(ts);
-            self.stats.versions_created += 1;
-            affected += 1;
-        }
-        Ok(WriteOutcome {
-            affected,
-            last_insert_id: None,
-        })
-    }
-
-    fn redo_delete(
-        &mut self,
-        delete: &crate::ast::Delete,
-        ts: u64,
-    ) -> Result<WriteOutcome, SqlError> {
-        let vt = self.table(&delete.table)?;
-        let schema = vt.schema.clone();
-        let mut matches: Vec<u64> = Vec::new();
-        for (rowid, &vidx) in &vt.live {
-            if eval_where(
-                delete.where_clause.as_ref(),
-                &vt.versions[vidx].row,
-                &schema,
-            )? {
-                matches.push(*rowid);
-            }
-        }
-        let affected = matches.len() as u64;
-        let vt = self.table_mut(&delete.table);
-        for rowid in matches {
-            vt.kill_version(rowid, ts);
-        }
-        if affected > 0 {
-            vt.mark_modified(ts);
-        }
-        Ok(WriteOutcome {
-            affected,
-            last_insert_id: None,
-        })
     }
 
     /// How many queries the store has redone: the flat position the
@@ -824,32 +665,16 @@ impl VersionedDb {
         mod_ts.partition_point(|&m| m <= ts) as u64
     }
 
-    /// Materializes the live image of the named tables into a plain
-    /// [`Database`] (scratch for aborted-transaction replay). Unknown
-    /// names are skipped; the replay will then fail like the original.
-    fn materialize_live(&self, names: &[&str]) -> Database {
-        let mut db = Database::new();
-        for name in names {
-            if let Ok(vt) = self.table(name) {
-                let rows: Vec<Vec<SqlValue>> = vt
-                    .live
-                    .values()
-                    .map(|&idx| vt.versions[idx].row.clone())
-                    .collect();
-                let table =
-                    Database::make_table(vt.schema.clone(), rows, vt.next_rowid, vt.auto_inc);
-                db.install_table(table);
-            }
-        }
-        db
+    /// The latest state (§4.5's "migration" at the end of the redo pass
+    /// is already done: the redo keeps it as a plain database).
+    pub fn latest(&self) -> &Database {
+        &self.latest
     }
 
-    /// The "migration" at the end of the redo pass (§4.5): dumps the
-    /// final state of every table into a plain database — the latest
-    /// state the verifier keeps after the audit (§5.1).
+    /// An owned copy of [`Self::latest`]: the state the verifier keeps
+    /// after the audit (§5.1).
     pub fn latest_snapshot(&self) -> Database {
-        let names: Vec<&str> = self.table_ids.keys().map(String::as_str).collect();
-        self.materialize_live(&names)
+        self.latest.deep_clone()
     }
 
     /// Total row versions held (the audit-time storage overhead of
@@ -861,25 +686,8 @@ impl VersionedDb {
     /// Rough byte size of the versioned store (row bytes plus the two
     /// timestamp columns per version).
     pub fn estimated_bytes(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|t| {
-                t.versions
-                    .iter()
-                    .map(|v| {
-                        16 + v
-                            .row
-                            .iter()
-                            .map(|val| match val {
-                                SqlValue::Null => 1,
-                                SqlValue::Int(_) | SqlValue::Float(_) => 8,
-                                SqlValue::Text(s) => s.len() + 1,
-                            })
-                            .sum::<usize>()
-                    })
-                    .sum::<usize>()
-            })
-            .sum()
+        let versions = self.tables.iter().flat_map(|t| &t.versions);
+        versions.map(|v| 16 + row_bytes(&v.row)).sum()
     }
 }
 
@@ -1081,7 +889,31 @@ mod tests {
     }
 
     #[test]
-    fn aborted_txn_replays_on_scratch() {
+    fn committed_create_with_unknown_index_column_is_rejected() {
+        // The online engine fails this CREATE, so a log that claims it
+        // committed describes no real execution.
+        let sql = "CREATE TABLE t (id INT PRIMARY KEY, INDEX(nope))";
+        let mut online = Database::new();
+        assert_eq!(
+            online.execute_autocommit(sql).0.unwrap_err(),
+            SqlError::NoSuchColumn("nope".into())
+        );
+        let mut vdb = VersionedDb::from_snapshot(&seed());
+        let err = vdb
+            .redo_transaction(1, &[sql.into()], true, &[Some(WriteOutcome::default())])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RedoError::CommittedTxnFailed {
+                seq: 1,
+                query: 1,
+                error: SqlError::NoSuchColumn("nope".into()),
+            }
+        );
+    }
+
+    #[test]
+    fn aborted_txn_replays_and_rolls_back() {
         let base = seed();
         let mut vdb = VersionedDb::from_snapshot(&base);
         vdb.redo_transaction(

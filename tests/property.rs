@@ -5,8 +5,9 @@
 //!   and `BalancedTrace::precedes`.
 //! * Wire codecs roundtrip for PHP values and report bundles.
 //! * The versioned KV equals the replay-prefix model at every position.
-//! * The versioned DB redo reproduces the online engine's state at every
-//!   transaction boundary.
+//! * The versioned DB redo reproduces the online engine's state after
+//!   every committed statement and at every transaction boundary, and an
+//!   aborted transaction's reads as the engine answered them.
 //! * PHP arrays behave like an ordered-map reference model.
 //! * End-to-end completeness: honest random workloads always pass the
 //!   audit (the Completeness property of §2, fuzzed).
@@ -316,50 +317,100 @@ proptest! {
     }
 }
 
-/// Random single-statement transactions over a small schema.
-fn sql_ops_strategy() -> impl Strategy<Value = Vec<String>> {
-    proptest::collection::vec(
+/// Random transactions over a small schema: one to four statements,
+/// some of which fail (a duplicate or retyped key, an unknown table), each
+/// transaction ending in a commit or an explicit rollback.
+fn sql_txns_strategy() -> impl Strategy<Value = Vec<(Vec<String>, bool)>> {
+    let stmt = prop_oneof![
+        (0u8..20, 0i64..100).prop_map(|(k, v)| format!("INSERT INTO t (k, v) VALUES ({k}, {v})")),
+        (1u8..12, 0u8..20)
+            .prop_map(|(id, k)| format!("INSERT INTO t (id, k, v) VALUES ({id}, {k}, 0)")),
+        (0u8..20, 0i64..100).prop_map(|(k, v)| format!("UPDATE t SET v = {v} WHERE k = {k}")),
+        (1u8..12, 0u8..20).prop_map(|(id, k)| format!("UPDATE t SET id = {id} WHERE k = {k}")),
+        (0u8..20).prop_map(|k| format!("DELETE FROM t WHERE k = {k}")),
+        (0i64..100).prop_map(|v| format!("UPDATE t SET v = v + 1 WHERE v < {v}")),
+        (0u8..20).prop_map(|k| format!("SELECT id, v FROM t WHERE k = {k}")),
         prop_oneof![
-            (0u8..20, 0i64..100)
-                .prop_map(|(k, v)| format!("INSERT INTO t (k, v) VALUES ({k}, {v})")),
-            (0u8..20, 0i64..100).prop_map(|(k, v)| format!("UPDATE t SET v = {v} WHERE k = {k}")),
-            (0u8..20).prop_map(|k| format!("DELETE FROM t WHERE k = {k}")),
-            (0i64..100).prop_map(|v| format!("UPDATE t SET v = v + 1 WHERE v < {v}")),
+            Just("INSERT INTO t (k, v) VALUES ('x', 1)".to_string()),
+            Just("DELETE FROM nope".to_string()),
         ],
-        0..25,
+    ];
+    proptest::collection::vec(
+        (proptest::collection::vec(stmt, 1..5), any::<bool>()),
+        0..16,
     )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The one check that the redo turns the engine's undo records into
+    /// row versions correctly: after every statement of a committed
+    /// transaction, after every transaction, and at the end, the
+    /// versioned view equals the online engine's state; an aborted
+    /// transaction's reads are captured as the engine answered them and
+    /// leave the store as it was.
     #[test]
-    fn versioned_redo_matches_online_engine(ops in sql_ops_strategy()) {
+    fn versioned_redo_matches_online_engine(txns in sql_txns_strategy()) {
         let schema = "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, k INT, v INT, INDEX(k))";
+        let all = "SELECT id, k, v FROM t ORDER BY id";
         let mut online = Database::new();
         online.execute_autocommit(schema).0.unwrap();
         let mut base = Database::new();
         base.execute_autocommit(schema).0.unwrap();
         let mut vdb = VersionedDb::from_snapshot(&base);
-        for sql in &ops {
-            let (result, seq) = online.execute_autocommit(sql);
-            let logged = match &result {
-                Ok(out) => vec![out.write()],
-                Err(_) => vec![None],
+        for (stmts, commit) in &txns {
+            online.begin().unwrap();
+            let (mut queries, mut logged, mut states, mut reads) = (vec![], vec![], vec![], vec![]);
+            for sql in stmts {
+                queries.push(sql.clone());
+                match online.execute_in_txn(sql) {
+                    Ok(out) => {
+                        logged.push(out.write());
+                        reads.push(out.rows().map(<[_]>::to_vec));
+                        states.push(online.execute_in_txn(all).unwrap());
+                    }
+                    // The engine poisons the transaction: it fails here.
+                    Err(_) => {
+                        logged.push(None);
+                        break;
+                    }
+                }
+            }
+            let (seq, succeeded) = if *commit || online.txn_poisoned() {
+                online.commit().unwrap()
+            } else {
+                (online.rollback().unwrap(), false)
             };
-            vdb.redo_transaction(seq, std::slice::from_ref(sql), result.is_ok(), &logged)
-                .unwrap();
-            // The versioned view at this point equals the online state.
-            let (want, _) = online.execute_autocommit("SELECT id, k, v FROM t ORDER BY id");
-            let got = vdb
-                .query_at("SELECT id, k, v FROM t ORDER BY id", seq * MAXQ + MAXQ - 1)
-                .unwrap();
+            vdb.redo_transaction(seq, &queries, succeeded, &logged).unwrap();
+            for (pos, (state, read)) in states.iter().zip(&reads).enumerate() {
+                let q = pos as u64 + 1;
+                if succeeded {
+                    // Statement q's writes are visible from its own ts on.
+                    prop_assert_eq!(&vdb.query_at(all, seq * MAXQ + q).unwrap(), state);
+                } else if let Some(rows) = read {
+                    let captured = vdb.aborted_read(seq, q).unwrap();
+                    prop_assert_eq!(captured.rows().unwrap(), rows.as_slice());
+                }
+            }
+            prop_assert_eq!(
+                vdb.aborted_failed_at_last(seq),
+                !succeeded && states.len() < queries.len()
+            );
+            // The versioned view at the transaction's end equals the
+            // online state.
+            let (want, _) = online.execute_autocommit(all);
+            let got = vdb.query_at(all, seq * MAXQ + MAXQ - 1).unwrap();
             prop_assert_eq!(got, want.unwrap());
         }
-        // And the migrated snapshot matches the final online state.
+        // And the migrated snapshot matches the final online state,
+        // auto-increment counter included.
         let mut migrated = vdb.latest_snapshot();
-        let (want, _) = online.execute_autocommit("SELECT id, k, v FROM t ORDER BY id");
-        let (got, _) = migrated.execute_autocommit("SELECT id, k, v FROM t ORDER BY id");
+        for db in [&mut online, &mut migrated] {
+            db.execute_autocommit("INSERT INTO t (k, v) VALUES (0, 0)").0.unwrap();
+        }
+        let (want, _) = online.execute_autocommit(all);
+        let (got, _) = migrated.execute_autocommit(all);
         prop_assert_eq!(got.unwrap(), want.unwrap());
     }
 }
