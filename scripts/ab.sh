@@ -2,43 +2,51 @@
 # A/B comparison of the working tree against a base commit on the
 # benchmark declared in BENCHMARK.json.
 #
-#   scripts/ab.sh [-n PAIRS] [-m MIXED_PAIRS] [-s SECONDS] [-r REV] [WORKLOAD...]
+#   scripts/ab.sh [-n PAIRS] [-r REV] [WORKLOAD...]
 #
-#   -n  pairs per workload (default 5)
-#   -m  pairs on mixed-live, whose walls spread widest (default 10)
-#   -s  --seconds per run (default: BENCHMARK.json's run_seconds)
-#   -r  base revision (default HEAD, the parent of uncommitted work)
+#   -n  pairs per workload (default 5); mixed-live, whose walls spread
+#       widest, always runs at least 10
+#   -r  base revision (default HEAD, the parent of uncommitted work;
+#       give -r HEAD~1 to measure the last commit)
 #   WORKLOAD...  default: every workload in BENCHMARK.json
 #
 # Builds REV (exported with `git archive`) and the working tree side by
 # side, each with its own target directory under $AB_DIR (default
-# target/ab). Pair i of a workload runs seed 42+i-1 on both sides through
-# the benchmark's `run` subcommand; which side runs first swaps every
-# pair. For each end-to-end metric it prints the base and change
-# medians, the base IQR, the pairs the change won, the pairs with equal
-# values, and a note: `worse>bound` when the change's median is worse
-# than the base's by more than the metric's bound, `unresolved` when the
-# base IQR exceeds a third of the bound (the pairs cannot tell). Each
-# workload's header says whether every run was correct and how many
-# operations failed. Run JSON lines are kept in $AB_DIR/runs.
+# target/ab). Every run lasts BENCHMARK.json's run_seconds. Pair i of a
+# workload runs seed 42+i-1 on both sides through the benchmark's `run`
+# subcommand; which side runs first swaps every pair. For each
+# end-to-end metric it prints the base and change medians, the base IQR
+# (exclusive-method quartiles, as the benchmark's own summaries use),
+# the pairs the change won, the pairs with equal values, and a note:
+# `worse>bound` when the change's median is worse than the base's by
+# more than the metric's bound, `unresolved` when the base IQR exceeds a
+# third of the bound (the pairs cannot tell). Each workload's header
+# says whether every run was correct and how many operations failed.
+# Run JSON lines are kept in $AB_DIR/runs.
 set -euo pipefail
 
-pairs=5 mixed_pairs=10 seconds="" rev=HEAD
-while getopts "n:m:s:r:" opt; do
+pairs=5 rev=""
+while getopts "n:r:" opt; do
   case "$opt" in
     n) pairs=$OPTARG ;;
-    m) mixed_pairs=$OPTARG ;;
-    s) seconds=$OPTARG ;;
     r) rev=$OPTARG ;;
-    *) sed -n '2,24p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,25p' "$0" >&2; exit 2 ;;
   esac
 done
 shift $((OPTIND - 1))
+mixed_pairs=$((pairs > 10 ? pairs : 10))
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
+if [ -z "$rev" ]; then
+  if git diff --quiet HEAD; then
+    echo "ab.sh: no uncommitted change to compare with HEAD; give -r REV (e.g. -r HEAD~1)" >&2
+    exit 2
+  fi
+  rev=HEAD
+fi
 spec=$root/BENCHMARK.json
-seconds=${seconds:-$(jq -r .run_seconds "$spec")}
+seconds=$(jq -r .run_seconds "$spec")
 workloads=("$@")
 [ ${#workloads[@]} -gt 0 ] || mapfile -t workloads < <(jq -r '.workloads[].name' "$spec")
 ab=${AB_DIR:-$root/target/ab}
@@ -86,9 +94,12 @@ for workload in "${workloads[@]}"; do
     def median: sort | if length == 0 then null
       elif length % 2 == 1 then .[length / 2 | floor]
       else (.[length / 2 - 1] + .[length / 2]) / 2 end;
-    def quantile($p): sort | if length == 0 then null else
-      ((length - 1) * $p) as $h | ($h | floor) as $lo |
-      .[$lo] + ($h - $lo) * ((.[[$lo + 1, length - 1] | min]) - .[$lo]) end;
+    # Exclusive-method quartile $i (1 or 3), as benchmark/src/stats.rs.
+    def quartile($i): sort as $v | length as $n
+      | if $n == 0 then null elif $n == 1 then $v[0] else
+          ([([($i * ($n + 1) / 4 | floor), 1] | max), $n - 1] | min) as $j
+          | ($i * ($n + 1) - $j * 4) as $d
+          | ($v[$j - 1] * (4 - $d) + $v[$j] * $d) / 4 end;
     def fmt: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;
     [inputs] as $runs
     | [range(0; $runs | length; 2) | [$runs[.], $runs[. + 1]]] as $pairs
@@ -100,7 +111,7 @@ for workload in "${workloads[@]}"; do
                     | select(.[0] != null and .[1] != null)] as $vals
         | select($vals | length > 0)
         | ([$vals[][0]] | median) as $b | ([$vals[][1]] | median) as $c
-        | (([$vals[][0]] | quantile(0.75)) - ([$vals[][0]] | quantile(0.25))) as $iqr
+        | (([$vals[][0]] | quartile(3)) - ([$vals[][0]] | quartile(1))) as $iqr
         | (if $b == 0 then 0 else ($c - $b) / $b end) as $rel
         | (if $m.better == "lower" then $rel else -$rel end) as $worse
         | [$m.name, $m.unit, ($b | fmt), ($c | fmt),
