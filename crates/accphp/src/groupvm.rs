@@ -474,48 +474,78 @@ mod tests {
     use orochi_common::ids::CtlFlowTag;
     use orochi_core::audit::AuditConfig;
     use orochi_core::reports::Reports;
-    use orochi_php::vm::STEP_LIMIT_EXCEEDED;
+    use orochi_php::backend::NullBackend;
+    use orochi_php::vm::{run_request, STEP_LIMIT_EXCEEDED};
     use orochi_php::{compile, parse_script};
     use orochi_trace::{Event, HttpRequest, HttpResponse, Trace};
 
-    /// The group VM's part of the step-limit check (`orochi_php::vm`
-    /// holds the scalar VM's and the stack oracle's): a runaway script
-    /// stops after exactly the limit's instructions with the page the
-    /// scalar VM produces. The limit is lowered through the private
-    /// entry point — it is a constant, not a knob.
+    /// The loop's fatal paths: each script stops with one uniform fatal,
+    /// and every lane of a group answers the page the scalar VM answers
+    /// for it alone. The step limit is lowered through the private entry
+    /// point — it is a constant, not a knob — so its scalar page is the
+    /// one `orochi_php::vm` pins for the scalar VM and the stack oracle.
     #[test]
     fn runaway_loop_stops_at_the_step_limit_on_the_group_vm() {
-        let script = compile(
-            "/t.php",
-            &parse_script("<?php while (true) { $i = 1; }").unwrap(),
-        )
-        .unwrap();
-        let rids = [RequestId(1), RequestId(2)];
-        let requests = [
-            HttpRequest::get("/t.php", &[("x", "1")]),
-            HttpRequest::get("/t.php", &[]),
+        const LIMIT: u64 = 10_000;
+        let cases = [
+            ("while (true) { $i = 1; }", LIMIT),
+            (
+                "function f($n) { return f($n + 1); } echo 'a'; f(0);",
+                STEP_LIMIT,
+            ),
+            (
+                "function g($a, $b) { return $a; } echo $_GET['x']; g(1);",
+                STEP_LIMIT,
+            ),
+            ("echo 'x'; header('no colon');", STEP_LIMIT),
+            ("http_response_code(42); echo 'y';", STEP_LIMIT),
         ];
-        let mut events: Vec<Event> = rids
-            .iter()
-            .zip(&requests)
-            .map(|(rid, req)| Event::Request(*rid, req.clone()))
-            .collect();
-        events.extend(rids.map(|rid| Event::Response(rid, HttpResponse::ok(rid, ""))));
-        let reports = Reports {
-            groupings: vec![(CtlFlowTag(1), rids.to_vec())],
-            op_logs: Default::default(),
-            op_counts: rids.iter().map(|r| (*r, 0)).collect(),
-            nondet: Default::default(),
-        };
-        let (trace, config) = (Trace { events }, AuditConfig::new());
-        let inputs: Vec<_> = requests.iter().map(request_input).collect();
-        let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
-        let pages = Build(vec![String::new(); rids.len()]);
-        let outcome = run_group_limited(&script, &rids, &inputs, pages, &mut ctx, 10_000).unwrap();
-        assert_eq!(outcome.univalent + outcome.multivalent, 10_000);
-        for out in &outcome.outputs {
-            assert_eq!(out.status, 500);
-            assert_eq!(out.body, format!("Fatal error: {STEP_LIMIT_EXCEEDED}"));
+        for (body, limit) in cases {
+            let script =
+                compile("/t.php", &parse_script(&format!("<?php {body}")).unwrap()).unwrap();
+            let rids = [RequestId(1), RequestId(2), RequestId(3)];
+            let requests = [
+                HttpRequest::get("/t.php", &[("x", "1")]),
+                HttpRequest::get("/t.php", &[]),
+                HttpRequest::get("/t.php", &[("x", "2")]),
+            ];
+            let inputs: Vec<_> = requests.iter().map(request_input).collect();
+            let scalar = |input| match limit {
+                LIMIT => RequestOutput {
+                    status: 500,
+                    headers: Vec::new(),
+                    body: format!("Fatal error: {STEP_LIMIT_EXCEEDED}"),
+                },
+                _ => {
+                    run_request(&script, &mut NullBackend, input)
+                        .unwrap()
+                        .output
+                }
+            };
+            let mut events: Vec<Event> = rids
+                .iter()
+                .zip(&requests)
+                .map(|(rid, req)| Event::Request(*rid, req.clone()))
+                .collect();
+            events.extend(rids.map(|rid| Event::Response(rid, HttpResponse::ok(rid, ""))));
+            let reports = Reports {
+                groupings: vec![(CtlFlowTag(1), rids.to_vec())],
+                op_logs: Default::default(),
+                op_counts: rids.iter().map(|r| (*r, 0)).collect(),
+                nondet: Default::default(),
+            };
+            let (trace, config) = (Trace { events }, AuditConfig::new());
+            let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
+            let pages = Build(vec![String::new(); rids.len()]);
+            let outcome = run_group_limited(&script, &rids, &inputs, pages, &mut ctx, limit)
+                .unwrap_or_else(|e| panic!("{body}: {e:?}"));
+            if limit == LIMIT {
+                assert_eq!(outcome.univalent + outcome.multivalent, LIMIT);
+            }
+            for (out, input) in outcome.outputs.iter().zip(&inputs) {
+                assert_eq!(out.status, 500, "{body}: {}", out.body);
+                assert_eq!(*out, scalar(input), "{body}");
+            }
         }
     }
 }
