@@ -312,36 +312,43 @@ struct AuditBackend<'b, 'a> {
 }
 
 impl AuditBackend<'_, '_> {
-    fn reject<T>(&mut self, r: Rejection) -> Result<T, BackendError> {
-        let msg = r.to_string();
-        self.rejection = Some(r);
-        Err(BackendError::AuditReject(msg))
+    /// `result`, its rejection kept for the driver and handed to the
+    /// runtime as an audit failure.
+    fn check<T>(&mut self, result: Result<T, Rejection>) -> Result<T, BackendError> {
+        result.map_err(|r| {
+            let msg = r.to_string();
+            self.rejection = Some(r);
+            BackendError::AuditReject(msg)
+        })
+    }
+
+    /// The payload of the request's next nondeterministic value (see
+    /// [`AuditContext::nondet`]).
+    fn nondet<T>(&mut self, payload: fn(&NondetValue) -> Option<T>) -> Result<T, BackendError> {
+        let result = self.ctx.nondet(self.rid, payload);
+        self.check(result)
     }
 }
 
 impl StateBackend for AuditBackend<'_, '_> {
     fn register_read(&mut self, object: &str) -> Result<Option<Vec<u8>>, BackendError> {
         let name = ObjectName(object.to_string());
-        match self.ctx.register_read(self.rid, &name) {
-            Ok(v) => Ok(v.map(<[u8]>::to_vec)),
-            Err(r) => self.reject(r),
-        }
+        let result = self.ctx.register_read(self.rid, &name);
+        let result = result.map(|v| v.map(<[u8]>::to_vec));
+        self.check(result)
     }
 
     fn register_write(&mut self, object: &str, value: Vec<u8>) -> Result<(), BackendError> {
         let name = ObjectName(object.to_string());
-        match self.ctx.register_write(self.rid, &name, &value) {
-            Ok(()) => Ok(()),
-            Err(r) => self.reject(r),
-        }
+        let result = self.ctx.register_write(self.rid, &name, &value);
+        self.check(result)
     }
 
     fn kv_get(&mut self, object: &str, key: &str) -> Result<Option<Vec<u8>>, BackendError> {
         let name = ObjectName(object.to_string());
-        match self.ctx.kv_get(self.rid, &name, key) {
-            Ok(v) => Ok(v.map(<[u8]>::to_vec)),
-            Err(r) => self.reject(r),
-        }
+        let result = self.ctx.kv_get(self.rid, &name, key);
+        let result = result.map(|v| v.map(<[u8]>::to_vec));
+        self.check(result)
     }
 
     fn kv_set(
@@ -351,55 +358,40 @@ impl StateBackend for AuditBackend<'_, '_> {
         value: Option<Vec<u8>>,
     ) -> Result<(), BackendError> {
         let name = ObjectName(object.to_string());
-        match self.ctx.kv_set(self.rid, &name, key, value.as_deref()) {
-            Ok(()) => Ok(()),
-            Err(r) => self.reject(r),
-        }
+        let result = self.ctx.kv_set(self.rid, &name, key, value.as_deref());
+        self.check(result)
     }
 
     fn db_begin(&mut self, object: &str) -> Result<(), BackendError> {
         if self.txn.is_some() {
             return Err(BackendError::Fatal("nested transaction".into()));
         }
-        let name = ObjectName(object.to_string());
-        match self.ctx.db_begin(self.rid, &name) {
-            Ok(h) => {
-                self.txn = Some(h);
-                Ok(())
-            }
-            Err(r) => self.reject(r),
-        }
+        let result = self.ctx.db_begin(self.rid, &ObjectName(object.to_string()));
+        self.txn = Some(self.check(result)?);
+        Ok(())
     }
 
     fn db_query(&mut self, object: &str, sql: &str) -> Result<DbResult, BackendError> {
-        if self.txn.is_some() {
-            let mut handle = self.txn.take().expect("checked above");
-            let result = self.ctx.db_query(&mut handle, sql);
-            self.txn = Some(handle);
-            match result {
-                Ok(out) => Ok(db_result(out, |_, columns, rows| {
-                    rows_to_value(columns, rows)
-                })),
-                Err(r) => self.reject(r),
+        let result = match self.txn.take() {
+            Some(mut handle) => {
+                let result = self.ctx.db_query(&mut handle, sql);
+                self.txn = Some(handle);
+                result
             }
-        } else {
             // Auto-commit single-statement transaction.
-            let name = ObjectName(object.to_string());
-            let mut handle = match self.ctx.db_begin(self.rid, &name) {
-                Ok(h) => h,
-                Err(r) => return self.reject(r),
-            };
-            let result = match self.ctx.db_query(&mut handle, sql) {
-                Ok(out) => out,
-                Err(r) => return self.reject(r),
-            };
-            if let Err(r) = self.ctx.db_finish(handle, true) {
-                return self.reject(r);
-            }
-            Ok(db_result(result, |_, columns, rows| {
-                rows_to_value(columns, rows)
-            }))
-        }
+            None => self
+                .ctx
+                .db_begin(self.rid, &ObjectName(object.to_string()))
+                .and_then(|mut handle| {
+                    let result = self.ctx.db_query(&mut handle, sql)?;
+                    self.ctx.db_finish(handle, true)?;
+                    Ok(result)
+                }),
+        };
+        let out = self.check(result)?;
+        Ok(db_result(out, |_, columns, rows| {
+            rows_to_value(columns, rows)
+        }))
     }
 
     fn db_commit(&mut self, _object: &str) -> Result<bool, BackendError> {
@@ -407,10 +399,8 @@ impl StateBackend for AuditBackend<'_, '_> {
             .txn
             .take()
             .ok_or_else(|| BackendError::Fatal("commit without transaction".into()))?;
-        match self.ctx.db_finish(handle, true) {
-            Ok(ok) => Ok(ok),
-            Err(r) => self.reject(r),
-        }
+        let result = self.ctx.db_finish(handle, true);
+        self.check(result)
     }
 
     fn db_rollback(&mut self, _object: &str) -> Result<(), BackendError> {
@@ -418,10 +408,8 @@ impl StateBackend for AuditBackend<'_, '_> {
             .txn
             .take()
             .ok_or_else(|| BackendError::Fatal("rollback without transaction".into()))?;
-        match self.ctx.db_finish(handle, false) {
-            Ok(_) => Ok(()),
-            Err(r) => self.reject(r),
-        }
+        let result = self.ctx.db_finish(handle, false);
+        self.check(result).map(drop)
     }
 
     fn in_txn(&self) -> bool {
@@ -433,9 +421,8 @@ impl StateBackend for AuditBackend<'_, '_> {
             // Mirror the server: the leaked transaction was rolled back
             // and logged online; consume the operation, then fail the
             // request with the server's exact message.
-            if let Err(r) = self.ctx.db_finish(handle, false) {
-                return self.reject(r);
-            }
+            let result = self.ctx.db_finish(handle, false);
+            self.check(result)?;
             return Err(BackendError::Fatal(
                 "script ended with open transaction".into(),
             ));
@@ -446,42 +433,37 @@ impl StateBackend for AuditBackend<'_, '_> {
 
 impl NondetProvider for AuditBackend<'_, '_> {
     fn time(&mut self) -> Result<i64, BackendError> {
-        match self.ctx.nondet(self.rid, "time") {
-            Ok(NondetValue::Time(t)) => Ok(t),
-            Ok(_) => unreachable!("kind checked by nondet()"),
-            Err(r) => self.reject(r),
-        }
+        self.nondet(|v| match v {
+            NondetValue::Time(t) => Some(*t),
+            _ => None,
+        })
     }
 
     fn microtime(&mut self) -> Result<f64, BackendError> {
-        match self.ctx.nondet(self.rid, "microtime") {
-            Ok(NondetValue::Microtime(t)) => Ok(t),
-            Ok(_) => unreachable!("kind checked by nondet()"),
-            Err(r) => self.reject(r),
-        }
+        self.nondet(|v| match v {
+            NondetValue::Microtime(t) => Some(*t),
+            _ => None,
+        })
     }
 
     fn getpid(&mut self) -> Result<i64, BackendError> {
-        match self.ctx.nondet(self.rid, "pid") {
-            Ok(NondetValue::Pid(p)) => Ok(p),
-            Ok(_) => unreachable!("kind checked by nondet()"),
-            Err(r) => self.reject(r),
-        }
+        self.nondet(|v| match v {
+            NondetValue::Pid(p) => Some(*p),
+            _ => None,
+        })
     }
 
     fn mt_rand(&mut self) -> Result<i64, BackendError> {
-        match self.ctx.nondet(self.rid, "rand") {
-            Ok(NondetValue::Rand(v)) => Ok(v),
-            Ok(_) => unreachable!("kind checked by nondet()"),
-            Err(r) => self.reject(r),
-        }
+        self.nondet(|v| match v {
+            NondetValue::Rand(r) => Some(*r),
+            _ => None,
+        })
     }
 
     fn uniqid(&mut self) -> Result<String, BackendError> {
-        match self.ctx.nondet(self.rid, "uniqid") {
-            Ok(NondetValue::Uniqid(u)) => Ok(u),
-            Ok(_) => unreachable!("kind checked by nondet()"),
-            Err(r) => self.reject(r),
-        }
+        self.nondet(|v| match v {
+            NondetValue::Uniqid(u) => Some(u.clone()),
+            _ => None,
+        })
     }
 }

@@ -1,10 +1,11 @@
 //! The multivalue VM: superposed execution of one control-flow group.
 //!
-//! Runs the same register bytecode as the scalar runtime, but every
-//! register and global holds an [`MVal`] — the multivalue lanes are
-//! widened *over the register file*, so one 32-bit instruction executes
-//! across all member requests at once. The execution discipline follows
-//! §3.1/§4.3:
+//! Runs the same register bytecode through the same dispatch loop as
+//! the scalar runtime ([`orochi_php::vm::execute`]), in a lane domain of
+//! one lane per member: every register and global holds an
+//! [`MVal`](crate::mval::MVal) — the multivalue lanes are widened *over
+//! the register file*, so one 32-bit instruction executes across all
+//! member requests at once. The execution discipline follows §3.1/§4.3:
 //!
 //! * instructions with univalue operands execute **once**;
 //! * instructions with multivalue operands execute **per lane** — once
@@ -22,26 +23,24 @@
 //!   of the *same* implementations the scalar VM uses (§4.3 "built-in
 //!   functions").
 //!
-//! This file is the operand traffic; lane effects, accounting, the
-//! per-lane helper and the builtins are the `group` module.
-//! [`run_group`] builds each member's page; [`check_group`], what the
+//! This file holds the entry points; the domain — lane effects,
+//! accounting, the per-lane helper and the builtins — is the `group`
+//! module. [`run_group`] builds each member's page; [`check_group`], what the
 //! audit runs, compares each member's echoes against its traced
 //! response in place and builds none. `tests/sharing.rs` checks every
 //! group run against the scalar VM, member by member, and the check
 //! against the built pages.
 
-use crate::mval::MVal;
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
-use orochi_php::bytecode::{rinsn, CompiledScript, ROp};
-use orochi_php::value::Value;
-use orochi_php::vm::{ops, RequestInput, RequestOutput, VmError, STEP_LIMIT};
+use orochi_php::bytecode::CompiledScript;
+use orochi_php::vm::{execute, RequestInput, RequestOutput, STEP_LIMIT};
 use orochi_trace::ResponseRef;
 
 mod group;
 
 pub(crate) use group::{db_result, rows_to_value};
-use group::{Build, Check, Flow, Group, GroupIter, Sink};
+use group::{Build, Check, Group, Sink};
 
 /// Why grouped execution stopped without producing outputs.
 #[derive(Debug)]
@@ -74,48 +73,6 @@ pub struct GroupOutcome<O = RequestOutput> {
     /// Logged session/APC versions decoded: one per distinct version
     /// the group read, however many lanes read it.
     pub logged_decodes: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FnRef {
-    Main,
-    User(u16),
-}
-
-/// `$a[] = v` / `$a[k] = v` on an array literal under construction, and
-/// `unset`, in the shape [`Group::modify_path`] applies.
-fn array_append(arr: &mut Value, _keys: &[&Value], v: Value) -> Result<(), VmError> {
-    *arr = ops::array_append(std::mem::replace(arr, Value::Null), v)?;
-    Ok(())
-}
-
-fn array_insert(arr: &mut Value, keys: &[&Value], v: Value) -> Result<(), VmError> {
-    *arr = ops::array_insert(std::mem::replace(arr, Value::Null), keys[0], v)?;
-    Ok(())
-}
-
-fn unset_path(container: &mut Value, keys: &[&Value], _v: Value) -> Result<(), VmError> {
-    ops::unset_path(container, keys);
-    Ok(())
-}
-
-/// A pooled activation record over the multivalue register file.
-struct RFrame {
-    func: FnRef,
-    pc: usize,
-    base: usize,
-    top: usize,
-    ret_abs: usize,
-    iters: Vec<GroupIter>,
-}
-
-struct GroupVm<'c, 'a, S> {
-    script: &'c CompiledScript,
-    g: Group<'c, 'a, S>,
-    /// The flat multivalue register file; frame windows are disjoint.
-    regs: Vec<MVal>,
-    frames: Vec<RFrame>,
-    depth: usize,
 }
 
 /// Runs one control-flow group's superposed execution and builds each
@@ -154,317 +111,9 @@ fn run_group_limited<S: Sink>(
     ctx: &mut AuditContext<'_>,
     step_limit: u64,
 ) -> Result<GroupOutcome<S::Out>, GroupRunError> {
-    let mut vm = GroupVm {
-        script,
-        g: Group::new(script, rids, inputs, out, ctx, step_limit),
-        regs: Vec::new(),
-        frames: Vec::new(),
-        depth: 0,
-    };
-    let top = script.main.register_count as usize;
-    vm.regs.resize(top, MVal::Uni(Value::Null));
-    vm.push_frame(FnRef::Main, 0, top, 0);
-    let flow = vm.interp();
-    vm.g.finish(flow)
-}
-
-impl<S: Sink> GroupVm<'_, '_, S> {
-    fn push_frame(&mut self, func: FnRef, base: usize, top: usize, ret_abs: usize) {
-        if self.depth == self.frames.len() {
-            self.frames.push(RFrame {
-                func,
-                pc: 0,
-                base,
-                top,
-                ret_abs,
-                iters: Vec::new(),
-            });
-        } else {
-            let f = &mut self.frames[self.depth];
-            f.func = func;
-            f.pc = 0;
-            f.base = base;
-            f.top = top;
-            f.ret_abs = ret_abs;
-            f.iters.clear();
-        }
-        self.depth += 1;
-    }
-
-    /// The slot a path instruction targets: a local register or a global.
-    fn slot(&mut self, is_local: bool, base: usize, index: usize) -> &mut MVal {
-        if is_local {
-            &mut self.regs[base + index]
-        } else {
-            &mut self.g.globals[index]
-        }
-    }
-
-    fn interp(&mut self) -> Result<(), Flow> {
-        loop {
-            self.g.step()?;
-            let fi = self.depth - 1;
-            let (func, base) = {
-                let f = &self.frames[fi];
-                (f.func, f.base)
-            };
-            let code = match func {
-                FnRef::Main => &self.script.main.reg_code,
-                FnRef::User(i) => &self.script.functions[i as usize].reg_code,
-            };
-            let pc = self.frames[fi].pc;
-            let insn = code[pc];
-            self.frames[fi].pc = pc + 1;
-            let a = base + rinsn::a(insn);
-            let rop = rinsn::op(insn);
-            match rop {
-                ROp::Move => {
-                    let v = self.regs[base + rinsn::b(insn)].clone();
-                    self.g.account(!v.is_uni());
-                    self.regs[a] = v;
-                }
-                ROp::LoadConst => {
-                    self.g.account(false);
-                    self.regs[a] = MVal::Uni(self.script.consts[rinsn::bx(insn)].clone());
-                }
-                ROp::LoadGlobal => {
-                    let v = self.g.globals[rinsn::b(insn)].clone();
-                    self.g.account(!v.is_uni());
-                    self.regs[a] = v;
-                }
-                ROp::StoreGlobal => {
-                    let v = self.regs[base + rinsn::b(insn)].clone();
-                    self.g.account(!v.is_uni());
-                    self.g.globals[rinsn::a(insn)] = v;
-                }
-                ROp::Add | ROp::Sub | ROp::Mul | ROp::Div | ROp::Mod | ROp::Concat => {
-                    let (x, y) = (
-                        &self.regs[base + rinsn::b(insn)],
-                        &self.regs[base + rinsn::c(insn)],
-                    );
-                    let r = self
-                        .g
-                        .op(&[x, y], |l| ops::binary(rop, x.lane(l), y.lane(l)))?;
-                    self.regs[a] = r;
-                }
-                ROp::Eq | ROp::Ne | ROp::Identical | ROp::NotIdentical => {
-                    let (x, y) = (
-                        &self.regs[base + rinsn::b(insn)],
-                        &self.regs[base + rinsn::c(insn)],
-                    );
-                    let r = self.g.total_op(&[x, y], |l| {
-                        let (p, q) = (x.lane(l), y.lane(l));
-                        Value::Bool(match rop {
-                            ROp::Eq => p.loose_eq(q),
-                            ROp::Ne => !p.loose_eq(q),
-                            ROp::Identical => p.identical(q),
-                            _ => !p.identical(q),
-                        })
-                    })?;
-                    self.regs[a] = r;
-                }
-                ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
-                    let (x, y) = (
-                        &self.regs[base + rinsn::b(insn)],
-                        &self.regs[base + rinsn::c(insn)],
-                    );
-                    let r = self.g.total_op(&[x, y], |l| {
-                        Value::Bool(ops::relational(rop, x.lane(l), y.lane(l)))
-                    })?;
-                    self.regs[a] = r;
-                }
-                ROp::Not => {
-                    let v = &self.regs[base + rinsn::b(insn)];
-                    let r = self
-                        .g
-                        .total_op(&[v], |l| Value::Bool(!v.lane(l).is_truthy()))?;
-                    self.regs[a] = r;
-                }
-                ROp::Neg => {
-                    let v = &self.regs[base + rinsn::b(insn)];
-                    let r = self.g.op(&[v], |l| ops::negate(v.lane(l)))?;
-                    self.regs[a] = r;
-                }
-                ROp::Jump => {
-                    self.g.account(false);
-                    self.frames[fi].pc = rinsn::bx(insn);
-                }
-                ROp::JumpIfFalse | ROp::JumpIfTrue => {
-                    let v = &self.regs[a];
-                    self.g.account(!v.is_uni());
-                    let truth = v
-                        .uniform_truthiness(self.g.lanes)
-                        .map_err(|()| Flow::Diverged("non-uniform branch"))?;
-                    if truth == (rop == ROp::JumpIfTrue) {
-                        self.frames[fi].pc = rinsn::bx(insn);
-                    }
-                }
-                ROp::NewArray => {
-                    self.g.account(false);
-                    self.regs[a] = MVal::Uni(Value::empty_array());
-                }
-                ROp::ArrayAppend => {
-                    let arr = std::mem::replace(&mut self.regs[a], MVal::Uni(Value::Null));
-                    let v = &self.regs[base + rinsn::b(insn)];
-                    self.regs[a] = self.g.modify_path(arr, &[], Some(v), array_append)?;
-                }
-                ROp::ArrayInsert => {
-                    let arr = std::mem::replace(&mut self.regs[a], MVal::Uni(Value::Null));
-                    let k = std::slice::from_ref(&self.regs[base + rinsn::b(insn)]);
-                    let v = &self.regs[base + rinsn::c(insn)];
-                    self.regs[a] = self.g.modify_path(arr, k, Some(v), array_insert)?;
-                }
-                ROp::IndexGet => {
-                    let (b, k) = (
-                        &self.regs[base + rinsn::b(insn)],
-                        &self.regs[base + rinsn::c(insn)],
-                    );
-                    let r = self
-                        .g
-                        .total_op(&[b, k], |l| ops::index_get(b.lane(l), k.lane(l)))?;
-                    self.regs[a] = r;
-                }
-                ROp::SetPathLocal
-                | ROp::SetPathGlobal
-                | ROp::AppendPathLocal
-                | ROp::AppendPathGlobal
-                | ROp::UnsetPathLocal
-                | ROp::UnsetPathGlobal => {
-                    let n = rinsn::c(insn);
-                    let is_local = matches!(
-                        rop,
-                        ROp::SetPathLocal | ROp::AppendPathLocal | ROp::UnsetPathLocal
-                    );
-                    let cur = std::mem::replace(
-                        self.slot(is_local, base, rinsn::b(insn)),
-                        MVal::Uni(Value::Null),
-                    );
-                    // Set: value at `a`, then n keys. Append: value at
-                    // `a`, then n-1 keys. Unset: n keys from `a`.
-                    let new = match rop {
-                        ROp::SetPathLocal | ROp::SetPathGlobal => self.g.modify_path(
-                            cur,
-                            &self.regs[a + 1..a + 1 + n],
-                            Some(&self.regs[a]),
-                            ops::set_path,
-                        ),
-                        ROp::AppendPathLocal | ROp::AppendPathGlobal => self.g.modify_path(
-                            cur,
-                            &self.regs[a + 1..a + n],
-                            Some(&self.regs[a]),
-                            ops::append_path,
-                        ),
-                        _ => self
-                            .g
-                            .modify_path(cur, &self.regs[a..a + n], None, unset_path),
-                    }?;
-                    *self.slot(is_local, base, rinsn::b(insn)) = new;
-                }
-                ROp::IssetPathLocal | ROp::IssetPathGlobal => {
-                    let n = rinsn::c(insn);
-                    let is_local = rop == ROp::IssetPathLocal;
-                    let cur = self.slot(is_local, base, rinsn::b(insn)).clone();
-                    let r = self.g.isset_path(&cur, &self.regs[a..a + n])?;
-                    self.regs[a] = r;
-                }
-                ROp::IncDecLocal | ROp::IncDecGlobal => {
-                    let is_local = rop == ROp::IncDecLocal;
-                    let cur = self.slot(is_local, base, rinsn::b(insn)).clone();
-                    let (new_slot, result) = self.g.incdec(&cur, rinsn::c(insn))?;
-                    *self.slot(is_local, base, rinsn::b(insn)) = new_slot;
-                    self.regs[a] = result;
-                }
-                ROp::Call => {
-                    self.g.account(false);
-                    let fidx = rinsn::a(insn) as u16;
-                    let func = &self.script.functions[fidx as usize];
-                    let argc = rinsn::c(insn);
-                    let args_abs = base + rinsn::b(insn);
-                    let callee_base = self.frames[fi].top;
-                    let callee_top = callee_base + func.register_count as usize;
-                    if self.regs.len() < callee_top {
-                        self.regs.resize(callee_top, MVal::Uni(Value::Null));
-                    }
-                    let num_params = func.num_params as usize;
-                    for i in 0..argc {
-                        let v =
-                            std::mem::replace(&mut self.regs[args_abs + i], MVal::Uni(Value::Null));
-                        if i < num_params {
-                            self.regs[callee_base + i] = v;
-                        }
-                    }
-                    for p in argc..num_params {
-                        match func.defaults[p] {
-                            Some(cidx) => {
-                                self.regs[callee_base + p] =
-                                    MVal::Uni(self.script.consts[cidx as usize].clone())
-                            }
-                            None => {
-                                return Err(Flow::GroupFatal(format!(
-                                    "too few arguments to function {}()",
-                                    func.name
-                                )))
-                            }
-                        }
-                    }
-                    if self.depth >= 200 {
-                        return Err(Flow::GroupFatal("call stack depth exceeded".into()));
-                    }
-                    for r in &mut self.regs[callee_base + num_params..callee_top] {
-                        *r = MVal::Uni(Value::Null);
-                    }
-                    self.push_frame(FnRef::User(fidx), callee_base, callee_top, args_abs);
-                }
-                ROp::CallBuiltin => {
-                    // The result lands in `regs[abs]`; a by-reference
-                    // builtin's new target does, with its return value
-                    // at `abs + 1`.
-                    let abs = base + rinsn::b(insn);
-                    let args = &self.regs[abs..abs + rinsn::c(insn)];
-                    let (first, second) = self.g.builtin(rinsn::a(insn) as u16, args)?;
-                    self.regs[abs] = first;
-                    if let Some(ret) = second {
-                        self.regs[abs + 1] = ret;
-                    }
-                }
-                ROp::Return | ROp::ReturnNull => {
-                    self.g.account(false);
-                    let value = match rop {
-                        ROp::Return => std::mem::replace(&mut self.regs[a], MVal::Uni(Value::Null)),
-                        _ => MVal::Uni(Value::Null),
-                    };
-                    let ret_abs = self.frames[fi].ret_abs;
-                    self.depth -= 1;
-                    if self.depth == 0 {
-                        return Ok(());
-                    }
-                    self.regs[ret_abs] = value;
-                }
-                ROp::Echo => self.g.echo(&self.regs[a]),
-                ROp::IterInit => {
-                    let iter = self.g.iter_init(&self.regs[a]);
-                    self.frames[fi].iters.push(iter);
-                }
-                ROp::IterNext | ROp::IterNextKV => {
-                    let want_key = rop == ROp::IterNextKV;
-                    let frame = &mut self.frames[fi];
-                    let iter = frame.iters.last_mut().expect("IterInit precedes IterNext");
-                    match self.g.iter_next(iter, want_key)? {
-                        Some((Some(key), value)) => {
-                            self.regs[a] = key;
-                            self.regs[a + 1] = value;
-                        }
-                        Some((None, value)) => self.regs[a] = value,
-                        None => frame.pc = rinsn::bx(insn),
-                    }
-                }
-                ROp::IterPop => {
-                    self.g.account(false);
-                    self.frames[fi].iters.pop();
-                }
-            }
-        }
-    }
+    let mut group = Group::new(script, rids, inputs, out, ctx, step_limit);
+    let flow = execute(script, &mut group);
+    group.finish(flow)
 }
 
 #[cfg(test)]

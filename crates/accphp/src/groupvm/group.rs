@@ -1,9 +1,8 @@
-//! The state and semantics of one group's superposed run that do not
-//! depend on the bytecode encoding: lane effects (output, headers,
-//! status, session, transactions), the uni/multi accounting, the single
-//! per-lane apply helper every multivalent instruction goes through, and
-//! the builtins. The interpreter in [`super`] supplies the operand
-//! traffic: where operands come from and where results go.
+//! One group's superposed run as a lane domain of the register loop
+//! ([`orochi_php::vm::execute`], which supplies the operand traffic):
+//! lane effects (output, headers, status, session, transactions), the
+//! uni/multi accounting, the single per-lane apply helper every
+//! multivalent instruction goes through, and the builtins.
 //!
 //! Page bodies go to a [`Sink`]: [`Build`] writes one `String` per lane,
 //! [`Check`] compares each echo against the lane's traced body in place.
@@ -16,11 +15,12 @@ use orochi_core::exec::{DbQueryResult, DbTxnHandle};
 use orochi_core::nondet::NondetValue;
 use orochi_obs::LazyCounter;
 use orochi_php::backend::DbResult;
-use orochi_php::builtins::{self, Builtin, Host};
+use orochi_php::builtins::{self, Builtin};
 use orochi_php::bytecode::CompiledScript;
 use orochi_php::value::{ForeachIter, Value};
 use orochi_php::vm::{
-    ops, pairs_to_array, server_array, RequestInput, RequestOutput, VmError, STEP_LIMIT_EXCEEDED,
+    ops, pairs_to_array, server_array, LaneDomain, PathOp, RequestInput, RequestOutput, Slot,
+    VmError, STEP_LIMIT_EXCEEDED,
 };
 use orochi_sqldb::{ExecOutcome, SqlValue};
 use orochi_state::object::ObjectName;
@@ -72,57 +72,6 @@ fn lane_err(e: VmError) -> Flow {
         VmError::Fatal(_) => Flow::Diverged("per-lane error"),
         VmError::Exit => Flow::Diverged("per-lane exit"),
         VmError::AuditReject(m) => Flow::Reject(Rejection::ExecFailure(m)),
-    }
-}
-
-/// A [`Host`] that pure builtins never actually call.
-struct NoHost;
-
-impl Host for NoHost {
-    fn echo(&mut self, _s: &str) {}
-    fn add_header(&mut self, _n: String, _v: String) {}
-    fn set_status(&mut self, _c: u16) {}
-    fn session_start(&mut self) -> Result<(), VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn kv_get(&mut self, _k: &str) -> Result<Value, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn kv_set(&mut self, _k: &str, _v: Option<&Value>) -> Result<(), VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_begin(&mut self) -> Result<(), VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_query(&mut self, _sql: &str) -> Result<Value, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_commit(&mut self) -> Result<bool, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_rollback(&mut self) -> Result<(), VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn db_insert_id(&mut self) -> i64 {
-        0
-    }
-    fn db_affected_rows(&mut self) -> i64 {
-        0
-    }
-    fn nd_time(&mut self) -> Result<i64, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn nd_microtime(&mut self) -> Result<f64, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn nd_getpid(&mut self) -> Result<i64, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn nd_rand_raw(&mut self) -> Result<i64, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
-    }
-    fn nd_uniqid(&mut self) -> Result<String, VmError> {
-        Err(VmError::Fatal("impure builtin in pure dispatch".into()))
     }
 }
 
@@ -354,10 +303,10 @@ impl Sink for Check<'_> {
 
 /// One group's run, minus the operand store.
 pub(super) struct Group<'c, 'a, S> {
-    pub(super) ctx: &'c mut AuditContext<'a>,
+    ctx: &'c mut AuditContext<'a>,
     rids: &'c [RequestId],
-    pub(super) lanes: usize,
-    pub(super) globals: Vec<MVal>,
+    lanes: usize,
+    globals: Vec<MVal>,
     // Per-lane request effects.
     out: S,
     headers: Vec<Vec<(String, String)>>,
@@ -499,17 +448,8 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
         Ok(())
     }
 
-    /// Counts one dispatched instruction against the step limit.
-    pub(super) fn step(&mut self) -> Result<(), Flow> {
-        self.steps += 1;
-        if self.steps > self.step_limit {
-            return Err(Flow::GroupFatal(STEP_LIMIT_EXCEEDED.into()));
-        }
-        Ok(())
-    }
-
     /// Counts an instruction as univalent or multivalent.
-    pub(super) fn account(&mut self, multivalent: bool) {
+    fn account(&mut self, multivalent: bool) {
         if multivalent {
             self.multivalent += 1;
         } else {
@@ -539,7 +479,7 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
     }
 
     /// A one-result instruction over `operands`.
-    pub(super) fn op(
+    fn op(
         &mut self,
         operands: &[&MVal],
         f: impl FnMut(usize) -> Result<Value, VmError>,
@@ -565,35 +505,16 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
         })
     }
 
-    /// [`Self::op`] for an operation that cannot fail.
-    pub(super) fn total_op(
-        &mut self,
-        operands: &[&MVal],
-        mut f: impl FnMut(usize) -> Value,
-    ) -> Result<MVal, Flow> {
-        self.op(operands, |l| Ok(f(l)))
-    }
-
-    /// `++`/`--` on a slot (`variant` as in [`ops::incdec`]); returns
-    /// (new slot value, expression result).
-    pub(super) fn incdec(&mut self, cur: &MVal, variant: usize) -> Result<(MVal, MVal), Flow> {
-        self.op2(&[cur], |l| {
-            let mut slot = cur.lane(l).clone();
-            let result = ops::incdec(&mut slot, variant)?;
-            Ok((slot, result))
-        })
-    }
-
     /// Read-modify-write of a value through an index path. `cur` is
     /// taken, not borrowed: when everything is a univalue the update
     /// runs on the value itself, so an array nobody else holds is
     /// written in place rather than copied per element.
-    pub(super) fn modify_path<'k>(
+    fn modify_path<'k>(
         &mut self,
         cur: MVal,
         keys: &'k [MVal],
         value: Option<&MVal>,
-        f: impl Fn(&mut Value, &[&'k Value], Value) -> Result<(), VmError>,
+        path: PathOp,
     ) -> Result<MVal, Flow> {
         // One buffer of key references serves every lane.
         let mut lane_keys: Vec<&'k Value> = Vec::with_capacity(keys.len());
@@ -602,7 +523,8 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
             MVal::Uni(mut v) if keys.iter().chain(value).all(MVal::is_uni) => {
                 self.account(false);
                 lane_keys.extend(keys.iter().map(|k| k.lane(0)));
-                f(&mut v, &lane_keys, lane_value(0)).map_err(uni_err)?;
+                path.apply(&mut v, &lane_keys, lane_value(0))
+                    .map_err(uni_err)?;
                 Ok(MVal::Uni(v))
             }
             cur => {
@@ -615,85 +537,9 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
                     // array — another lane, a query result in the dedup
                     // cache — ever sees the change.
                     let mut v = cur.lane(l).clone();
-                    f(&mut v, &lane_keys, lane_value(l))?;
+                    path.apply(&mut v, &lane_keys, lane_value(l))?;
                     Ok(v)
                 })
-            }
-        }
-    }
-
-    /// `isset` through an index path.
-    pub(super) fn isset_path(&mut self, cur: &MVal, keys: &[MVal]) -> Result<MVal, Flow> {
-        let operands: Vec<&MVal> = std::iter::once(cur).chain(keys).collect();
-        let mut lane_keys: Vec<&Value> = Vec::with_capacity(keys.len());
-        self.total_op(&operands, |l| {
-            lane_keys.clear();
-            lane_keys.extend(keys.iter().map(|k| k.lane(l)));
-            Value::Bool(ops::isset_path(cur.lane(l), &lane_keys))
-        })
-    }
-
-    pub(super) fn echo(&mut self, v: &MVal) {
-        self.account(!v.is_uni());
-        match v {
-            MVal::Uni(val) => self.out.echo_all(&val.as_php_str()),
-            MVal::Multi(vals) => self.out.echo_each(|l| vals[l].as_php_str()),
-        }
-    }
-
-    pub(super) fn iter_init(&mut self, arr: &MVal) -> GroupIter {
-        self.account(!arr.is_uni());
-        match arr {
-            MVal::Uni(v) => GroupIter::Uni(ForeachIter::over(v)),
-            MVal::Multi(vs) => GroupIter::PerLane {
-                arrays: arr.clone(),
-                iters: vs.iter().map(ForeachIter::over).collect(),
-            },
-        }
-    }
-
-    /// One iteration step: the next `(key, value)` — the key only when
-    /// `want_key` — or `None` when every lane is exhausted.
-    pub(super) fn iter_next(
-        &mut self,
-        iter: &mut GroupIter,
-        want_key: bool,
-    ) -> Result<Option<(Option<MVal>, MVal)>, Flow> {
-        match iter {
-            GroupIter::Uni(iter) => {
-                self.account(false);
-                let next = iter.next_entry().map(|(k, v)| {
-                    let key = want_key.then(|| MVal::Uni(k.to_value()));
-                    (key, MVal::Uni(v.clone()))
-                });
-                Ok(next)
-            }
-            GroupIter::PerLane { arrays, iters } => {
-                let has_next = iters[0].peek().is_some();
-                if iters.iter().any(|it| it.peek().is_some() != has_next) {
-                    self.account(true);
-                    return Err(Flow::Diverged("non-uniform iteration"));
-                }
-                if !has_next {
-                    self.account(true);
-                    return Ok(None);
-                }
-                let lanes = &*iters;
-                let entry = |l: usize| lanes[l].peek().expect("every lane has a next entry");
-                let next = if want_key {
-                    let step = |l: usize| {
-                        let (k, v) = entry(l);
-                        Ok((k.to_value(), v.clone()))
-                    };
-                    let (keys, vals) = self.op2(&[arrays], step)?;
-                    (Some(keys), vals)
-                } else {
-                    (None, self.op(&[arrays], |l| Ok(entry(l).1.clone()))?)
-                };
-                for iter in iters.iter_mut() {
-                    iter.next_entry();
-                }
-                Ok(Some(next))
             }
         }
     }
@@ -702,11 +548,7 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
     /// a multivalue (§4.3); impure builtins route through the audit
     /// context per lane. By-reference builtins return the new target
     /// first and the PHP return value second.
-    pub(super) fn builtin(
-        &mut self,
-        bidx: u16,
-        args: &[MVal],
-    ) -> Result<(MVal, Option<MVal>), Flow> {
+    fn builtin(&mut self, bidx: u16, args: &[MVal]) -> Result<(MVal, Option<MVal>), Flow> {
         if builtins::is_impure(bidx) {
             return Ok((self.impure_builtin(Builtin::from_id(bidx), args)?, None));
         }
@@ -725,7 +567,7 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
         } else {
             self.op(&operands, |l| {
                 lane_args(&mut buf, l);
-                builtins::dispatch(bidx, &buf, &mut NoHost)
+                builtins::dispatch_pure(bidx, &buf)
             })
             .map(|ret| (ret, None))
         };
@@ -770,10 +612,6 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
         })?;
         self.decoded.insert(key, v.clone());
         Ok(v)
-    }
-
-    fn nondet(&mut self, l: usize, kind: &str) -> Result<NondetValue, Flow> {
-        Ok(self.ctx.nondet(self.rids[l], kind)?)
     }
 
     /// Impure builtins count as multivalent when their arguments (or
@@ -948,22 +786,15 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
             }
             Builtin::Time | Builtin::Microtime | Builtin::Getpid | Builtin::Uniqid => {
                 self.account(true);
-                let kind = match builtin {
-                    Builtin::Getpid => "pid",
-                    other => other.name(),
-                };
                 let mut out = Vec::with_capacity(self.lanes);
-                for l in 0..self.lanes {
-                    out.push(match self.nondet(l, kind)? {
-                        NondetValue::Time(t) => Value::Int(t),
-                        NondetValue::Microtime(t) => Value::Float(t),
-                        NondetValue::Pid(p) => Value::Int(p),
-                        NondetValue::Uniqid(u) => Value::str(u),
-                        NondetValue::Rand(_) => {
-                            let rid = self.rids[l];
-                            return Err(Rejection::NondetKindMismatch { rid }.into());
-                        }
-                    });
+                for &rid in self.rids {
+                    out.push(self.ctx.nondet(rid, |v| match (builtin, v) {
+                        (Builtin::Time, NondetValue::Time(t)) => Some(Value::Int(*t)),
+                        (Builtin::Microtime, NondetValue::Microtime(t)) => Some(Value::Float(*t)),
+                        (Builtin::Getpid, NondetValue::Pid(p)) => Some(Value::Int(*p)),
+                        (Builtin::Uniqid, NondetValue::Uniqid(u)) => Some(Value::str(u.as_str())),
+                        _ => None,
+                    })?);
                 }
                 Ok(MVal::from_lanes(out))
             }
@@ -971,10 +802,10 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
                 self.account(true);
                 let mut out = Vec::with_capacity(self.lanes);
                 for l in 0..self.lanes {
-                    let NondetValue::Rand(raw) = self.nondet(l, "rand")? else {
-                        let rid = self.rids[l];
-                        return Err(Rejection::NondetKindMismatch { rid }.into());
-                    };
+                    let raw = self.ctx.nondet(self.rids[l], |v| match v {
+                        NondetValue::Rand(raw) => Some(*raw),
+                        _ => None,
+                    })?;
                     let lane_args: Vec<Value> = args.iter().map(|v| v.lane(l).clone()).collect();
                     out.push(builtins::mt_rand_reduce(raw, &lane_args).map_err(lane_err)?);
                 }
@@ -985,6 +816,195 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
                 other.name()
             ))),
         }
+    }
+}
+
+/// A group is a domain of one lane per member: registers hold
+/// [`MVal`]s, an instruction with univalent operands runs once and one
+/// with multivalent operands per lane, and a branch must decide the same
+/// way in every lane or the group diverges.
+impl<S: Sink> LaneDomain for Group<'_, '_, S> {
+    type Reg = MVal;
+    type Iter = GroupIter;
+    type Error = Flow;
+
+    #[inline]
+    fn uni(v: Value) -> MVal {
+        MVal::Uni(v)
+    }
+
+    fn fatal(msg: String) -> Flow {
+        Flow::GroupFatal(msg)
+    }
+
+    #[inline]
+    fn step(&mut self) -> Result<(), Flow> {
+        self.steps += 1;
+        if self.steps > self.step_limit {
+            return Err(Flow::GroupFatal(STEP_LIMIT_EXCEEDED.into()));
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn once(&mut self) {
+        self.account(false);
+    }
+
+    #[inline]
+    fn copy(&mut self, v: &MVal) -> MVal {
+        self.account(!v.is_uni());
+        v.clone()
+    }
+
+    #[inline]
+    fn load_global(&mut self, slot: usize) -> MVal {
+        let v = self.globals[slot].clone();
+        self.account(!v.is_uni());
+        v
+    }
+
+    #[inline]
+    fn store_global(&mut self, slot: usize, v: &MVal) {
+        self.globals[slot] = self.copy(v);
+    }
+
+    fn lift1(
+        &mut self,
+        x: &MVal,
+        f: impl Fn(&Value) -> Result<Value, VmError>,
+    ) -> Result<MVal, Flow> {
+        self.op(&[x], |l| f(x.lane(l)))
+    }
+
+    fn lift2(
+        &mut self,
+        x: &MVal,
+        y: &MVal,
+        f: impl Fn(&Value, &Value) -> Result<Value, VmError>,
+    ) -> Result<MVal, Flow> {
+        self.op(&[x, y], |l| f(x.lane(l), y.lane(l)))
+    }
+
+    fn branch(&mut self, cond: &MVal, jump_if: bool) -> Result<bool, Flow> {
+        self.account(!cond.is_uni());
+        let truth = cond
+            .uniform_truthiness(self.lanes)
+            .map_err(|()| Flow::Diverged("non-uniform branch"))?;
+        Ok(truth == jump_if)
+    }
+
+    fn write_path(
+        &mut self,
+        mut slot: Slot<&mut MVal>,
+        keys: &[MVal],
+        value: Option<&MVal>,
+        op: PathOp,
+    ) -> Result<(), Flow> {
+        let cur = std::mem::replace(slot.resolve(&mut self.globals), MVal::Uni(Value::Null));
+        let new = self.modify_path(cur, keys, value, op)?;
+        *slot.resolve(&mut self.globals) = new;
+        Ok(())
+    }
+
+    fn isset_path(&mut self, slot: Slot<&MVal>, keys: &[MVal]) -> Result<MVal, Flow> {
+        let cur = slot.get(&self.globals).clone();
+        let operands: Vec<&MVal> = std::iter::once(&cur).chain(keys).collect();
+        let mut lane_keys: Vec<&Value> = Vec::with_capacity(keys.len());
+        self.op(&operands, |l| {
+            lane_keys.clear();
+            lane_keys.extend(keys.iter().map(|k| k.lane(l)));
+            Ok(Value::Bool(ops::isset_path(cur.lane(l), &lane_keys)))
+        })
+    }
+
+    fn incdec(&mut self, mut slot: Slot<&mut MVal>, variant: usize) -> Result<MVal, Flow> {
+        let cur = slot.resolve(&mut self.globals).clone();
+        let (new, result) = self.op2(&[&cur], |l| {
+            let mut slot = cur.lane(l).clone();
+            let result = ops::incdec(&mut slot, variant)?;
+            Ok((slot, result))
+        })?;
+        *slot.resolve(&mut self.globals) = new;
+        Ok(result)
+    }
+
+    fn call_builtin(&mut self, bidx: u16, regs: &mut [MVal], argc: usize) -> Result<(), Flow> {
+        let (first, second) = self.builtin(bidx, &regs[..argc])?;
+        regs[0] = first;
+        if let Some(ret) = second {
+            regs[1] = ret;
+        }
+        Ok(())
+    }
+
+    fn echo(&mut self, v: &MVal) {
+        self.account(!v.is_uni());
+        match v {
+            MVal::Uni(val) => self.out.echo_all(&val.as_php_str()),
+            MVal::Multi(vals) => self.out.echo_each(|l| vals[l].as_php_str()),
+        }
+    }
+
+    fn iter_init(&mut self, arr: &MVal) -> GroupIter {
+        self.account(!arr.is_uni());
+        match arr {
+            MVal::Uni(v) => GroupIter::Uni(ForeachIter::over(v)),
+            MVal::Multi(vs) => GroupIter::PerLane {
+                arrays: arr.clone(),
+                iters: vs.iter().map(ForeachIter::over).collect(),
+            },
+        }
+    }
+
+    fn iter_next(
+        &mut self,
+        iter: &mut GroupIter,
+        want_key: bool,
+        dst: &mut [MVal],
+    ) -> Result<bool, Flow> {
+        let (key, value) = match iter {
+            GroupIter::Uni(iter) => {
+                self.account(false);
+                let Some((k, v)) = iter.next_entry() else {
+                    return Ok(false);
+                };
+                let key = want_key.then(|| MVal::Uni(k.to_value()));
+                (key, MVal::Uni(v.clone()))
+            }
+            GroupIter::PerLane { arrays, iters } => {
+                let has_next = iters[0].peek().is_some();
+                if iters.iter().any(|it| it.peek().is_some() != has_next) {
+                    self.account(true);
+                    return Err(Flow::Diverged("non-uniform iteration"));
+                }
+                if !has_next {
+                    self.account(true);
+                    return Ok(false);
+                }
+                let lanes = &*iters;
+                let entry = |l: usize| lanes[l].peek().expect("every lane has a next entry");
+                let next = if want_key {
+                    let step = |l: usize| {
+                        let (k, v) = entry(l);
+                        Ok((k.to_value(), v.clone()))
+                    };
+                    let (keys, vals) = self.op2(&[arrays], step)?;
+                    (Some(keys), vals)
+                } else {
+                    (None, self.op(&[arrays], |l| Ok(entry(l).1.clone()))?)
+                };
+                for iter in iters.iter_mut() {
+                    iter.next_entry();
+                }
+                next
+            }
+        };
+        if let Some(key) = key {
+            dst[0] = key;
+        }
+        dst[usize::from(want_key)] = value;
+        Ok(true)
     }
 }
 

@@ -14,8 +14,9 @@
 //!   `Multi(Vec<Value>)`, with collapse, and the per-lane helper that
 //!   computes a multivalent operation once per distinct operand
 //!   identity.
-//! * [`groupvm`] — the multivalue VM over the same bytecode as the
-//!   scalar runtime. Conditional branches on non-uniform conditions
+//! * [`groupvm`] — the multivalue VM: the scalar runtime's dispatch
+//!   loop (`orochi_php::vm::execute`) run in a lane domain of one lane
+//!   per group member. Conditional branches on non-uniform conditions
 //!   signal *divergence* (Fig. 12 line 39); state and nondeterministic
 //!   builtins split into per-lane calls against the audit context
 //!   (Fig. 12 lines 41–47); pure builtins split per lane exactly as

@@ -3,11 +3,14 @@
 
 use orochi_accphp::executor::request_input;
 use orochi_accphp::groupvm::{run_group, GroupRunError};
+use orochi_accphp::AccPhpExecutor;
 use orochi_common::ids::{CtlFlowTag, RequestId};
-use orochi_core::audit::{AuditConfig, AuditContext};
+use orochi_core::audit::{audit, AuditConfig, AuditContext, Rejection};
+use orochi_core::nondet::NondetValue;
 use orochi_core::reports::Reports;
 use orochi_php::{compile, parse_script};
 use orochi_trace::{Event, HttpRequest, HttpResponse, Trace};
+use std::collections::HashMap;
 
 /// Builds a (trace, reports) pair for `lanes` op-less requests with the
 /// given GET parameters, plus the audit context inputs.
@@ -191,4 +194,39 @@ fn single_lane_group_is_fully_univalent() {
     let outcome = run_group(&script, &rids, &inputs, &mut ctx).unwrap();
     assert_eq!(outcome.outputs[0].body, "15");
     assert_eq!(outcome.multivalent, 0);
+}
+
+#[test]
+fn a_recorded_value_of_the_wrong_kind_rejects_alike_grouped_and_scalar() {
+    // Each call site reads one kind; the report recorded the other.
+    let cases = [
+        ("<?php echo time();", NondetValue::Rand(5)),
+        ("<?php echo mt_rand(1, 6);", NondetValue::Time(100)),
+    ];
+    for (src, recorded) in cases {
+        let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
+        let (rids, _, trace, mut reports) = fixtures(&[vec![("a", "1")], vec![("a", "2")]]);
+        for &rid in &rids {
+            reports.nondet.push(rid, recorded.clone());
+        }
+        let diagnostics = [false, true].map(|force_scalar| {
+            let scripts = HashMap::from([("/prog.php".to_string(), script.clone())]);
+            let mut exec = AccPhpExecutor::new(scripts);
+            exec.force_scalar = force_scalar;
+            let err = audit(&trace, &reports, &mut exec, &AuditConfig::new()).unwrap_err();
+            // The grouped run rejects before any request goes scalar.
+            assert_eq!(exec.stats.scalar_requests > 0, force_scalar, "{src}");
+            (format!("{err:?}"), err.to_string())
+        });
+        let rid = rids[0];
+        assert_eq!(
+            diagnostics[0],
+            (
+                format!("{:?}", Rejection::NondetKindMismatch { rid }),
+                format!("{rid} nondet value kind mismatch")
+            ),
+            "{src}"
+        );
+        assert_eq!(diagnostics[0], diagnostics[1], "{src}");
+    }
 }

@@ -1015,9 +1015,14 @@ impl<'a> AuditContext<'a> {
         self.stats.vm_dispatch_executed += executed;
     }
 
-    /// Feeds the next recorded nondeterministic value for `rid`,
-    /// checking its kind matches the call site (§4.6).
-    pub fn nondet(&mut self, rid: RequestId, kind: &str) -> Result<NondetValue, Rejection> {
+    /// Feeds the next recorded nondeterministic value for `rid` (§4.6):
+    /// its payload, as `payload` takes it out of a value of the kind the
+    /// call site reads; any other kind is [`Rejection::NondetKindMismatch`].
+    pub fn nondet<T>(
+        &mut self,
+        rid: RequestId,
+        payload: impl FnOnce(&NondetValue) -> Option<T>,
+    ) -> Result<T, Rejection> {
         // A rid outside the trace owns no recorded values, so the
         // cursor (0) is already past the end.
         let Some(idx) = self.dense(rid) else {
@@ -1028,11 +1033,9 @@ impl<'a> AuditContext<'a> {
         let value = recorded
             .get(*cursor)
             .ok_or(Rejection::NondetExhausted { rid })?;
-        if value.kind() != kind {
-            return Err(Rejection::NondetKindMismatch { rid });
-        }
+        let value = payload(value).ok_or(Rejection::NondetKindMismatch { rid })?;
         *cursor += 1;
-        Ok(value.clone())
+        Ok(value)
     }
 
     /// Driver-side end-of-request checks: the request must have consumed

@@ -6,6 +6,7 @@
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId};
 use orochi_core::audit::{audit, AuditConfig, Rejection};
 use orochi_core::exec::{DbQueryResult, FnExecutor};
+use orochi_core::nondet::NondetValue;
 use orochi_core::reports::Reports;
 use orochi_sqldb::{Database, SqlValue};
 use orochi_state::object::{DbWriteResult, ObjectName, OpContents};
@@ -168,7 +169,8 @@ fn nondet_exhaustion_and_leftover_rejected() {
     // No nondet was recorded: consuming any must reject.
     let mut exec = FnExecutor::new(|requests, ctx| {
         let (rid, _) = requests[0];
-        let _ = ctx.nondet(rid, "time")?;
+        let time = |v: &NondetValue| matches!(v, NondetValue::Time(_)).then_some(());
+        ctx.nondet(rid, time)?;
         Ok(vec![(rid, HttpResponse::ok(rid, "1"))])
     });
     let mut reports0 = reports();

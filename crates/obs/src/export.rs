@@ -1,5 +1,4 @@
-//! Exporters: a JSON snapshot of the registry and a Prometheus-style
-//! text dump.
+//! The registry exporter: a JSON snapshot of every metric.
 
 use crate::registry::{snapshot_all, HistogramSnapshot, MetricValue};
 
@@ -69,45 +68,6 @@ pub fn json_snapshot() -> String {
     out
 }
 
-/// Renders every registered metric in the Prometheus text exposition
-/// format. Histograms expose `_count`, `_sum`, and cumulative
-/// `_bucket{le="..."}` series at each nonzero log2 boundary.
-pub fn prometheus_text() -> String {
-    let snap = snapshot_all();
-    let mut out = String::new();
-    for (name, value) in &snap {
-        match value {
-            MetricValue::Counter(v) => {
-                out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-            }
-            MetricValue::Gauge(v) => {
-                out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-            }
-            MetricValue::Histogram(s) => {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-                let mut cum = 0u64;
-                for (idx, &n) in s.buckets.iter().enumerate() {
-                    if n == 0 {
-                        continue;
-                    }
-                    cum += n;
-                    let le = if idx >= 64 {
-                        u64::MAX
-                    } else if idx == 0 {
-                        0
-                    } else {
-                        (1u64 << idx) - 1
-                    };
-                    out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
-                }
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", s.count));
-                out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", s.sum, s.count));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,16 +81,5 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"test_export_counter\":"));
         assert!(json.contains("\"test_export_hist_ns\":{\"count\":"));
-    }
-
-    #[test]
-    fn prometheus_text_has_type_lines() {
-        registry::counter("test_export_prom_total").inc();
-        registry::histogram("test_export_prom_ns").record(42);
-        let text = prometheus_text();
-        assert!(text.contains("# TYPE test_export_prom_total counter"));
-        assert!(text.contains("# TYPE test_export_prom_ns histogram"));
-        assert!(text.contains("test_export_prom_ns_bucket{le=\"+Inf\"}"));
-        assert!(text.contains("test_export_prom_ns_count"));
     }
 }

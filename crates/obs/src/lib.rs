@@ -20,7 +20,7 @@
 //!   per serve worker / audit worker / trace-store writer, exportable
 //!   as chrome://tracing JSON so a whole serve→spill→cold-audit run
 //!   can be opened in a trace viewer.
-//! * [`export`] — a JSON snapshot and a Prometheus-style text dump.
+//! * [`export`] — a JSON snapshot of the registry.
 //! * [`lag`] — the audit-lag epoch marks: trace-seal → verdict wall,
 //!   the first-class metric the streaming-epoch audit will stream.
 //!

@@ -326,8 +326,90 @@ pub fn db_result_to_value(result: DbResult, last_id: &mut i64, last_aff: &mut i6
 }
 
 /// Calls a value builtin. Args are borrowed so the register VM can pass
-/// its marshalling buffer (and a group VM a lane slice) without moving.
+/// its marshalling buffer without moving. The [`is_impure`] ones go
+/// through `host`; the rest are [`dispatch_pure`].
 pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, VmError> {
+    Ok(match Builtin::from_id(id) {
+        // ------------------------------------------------ output
+        Builtin::Print => {
+            host.echo(&arg_str(args, 0));
+            Value::Int(1)
+        }
+        Builtin::Exit | Builtin::Die => {
+            if let Some(v) = args.first() {
+                if matches!(v, Value::Str(_)) {
+                    host.echo(&v.to_php_string());
+                }
+            }
+            return Err(VmError::Exit);
+        }
+        Builtin::Header => {
+            let h = arg_str(args, 0);
+            match h.split_once(':') {
+                Some((name, value)) => {
+                    host.add_header(name.trim().to_string(), value.trim().to_string())
+                }
+                None => return Err(VmError::Fatal("header(): malformed header".into())),
+            }
+            Value::Null
+        }
+        Builtin::HttpResponseCode => {
+            let code = arg_int(args, 0);
+            if !(100..=599).contains(&code) {
+                return Err(VmError::Fatal("http_response_code(): bad code".into()));
+            }
+            host.set_status(code as u16);
+            Value::Bool(true)
+        }
+        Builtin::Setcookie => {
+            let (name, value) = (arg_str(args, 0), arg_str(args, 1));
+            host.add_header("Set-Cookie".to_string(), format!("{name}={value}"));
+            Value::Bool(true)
+        }
+        // ------------------------------------------------ state
+        Builtin::SessionStart => {
+            host.session_start()?;
+            Value::Bool(true)
+        }
+        Builtin::ApcFetch => host.kv_get(&arg_str(args, 0))?,
+        Builtin::ApcStore => {
+            let key = arg_str(args, 0);
+            let value = arg(args, 1);
+            host.kv_set(&key, Some(value))?;
+            Value::Bool(true)
+        }
+        Builtin::ApcDelete => {
+            host.kv_set(&arg_str(args, 0), None)?;
+            Value::Bool(true)
+        }
+        Builtin::DbQuery => host.db_query(&arg_str(args, 0))?,
+        Builtin::DbBegin => {
+            host.db_begin()?;
+            Value::Bool(true)
+        }
+        Builtin::DbCommit => Value::Bool(host.db_commit()?),
+        Builtin::DbRollback => {
+            host.db_rollback()?;
+            Value::Bool(true)
+        }
+        Builtin::DbInsertId => Value::Int(host.db_insert_id()),
+        Builtin::DbAffectedRows => Value::Int(host.db_affected_rows()),
+        // ------------------------------------------------ nondeterminism
+        Builtin::Time => Value::Int(host.nd_time()?),
+        Builtin::Microtime => Value::Float(host.nd_microtime()?),
+        Builtin::Getpid => Value::Int(host.nd_getpid()?),
+        Builtin::MtRand | Builtin::Rand => {
+            let raw = host.nd_rand_raw()?;
+            mt_rand_reduce(raw, args)?
+        }
+        Builtin::Uniqid => Value::str(host.nd_uniqid()?),
+        _ => return dispatch_pure(id, args),
+    })
+}
+
+/// Calls a value builtin that is not [`is_impure`]: a function of its
+/// arguments alone, which a group VM may run once per distinct lane.
+pub fn dispatch_pure(id: u16, args: &[Value]) -> Result<Value, VmError> {
     let builtin = Builtin::from_id(id);
     Ok(match builtin {
         // ------------------------------------------------ strings
@@ -810,79 +892,6 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
         Builtin::IsFloat => Value::Bool(matches!(arg(args, 0), Value::Float(_))),
         // ------------------------------------------------ encoding
         Builtin::JsonEncode => Value::str(json_encode(arg(args, 0))),
-        // ------------------------------------------------ output
-        Builtin::Print => {
-            host.echo(&arg_str(args, 0));
-            Value::Int(1)
-        }
-        Builtin::Exit | Builtin::Die => {
-            if let Some(v) = args.first() {
-                if matches!(v, Value::Str(_)) {
-                    host.echo(&v.to_php_string());
-                }
-            }
-            return Err(VmError::Exit);
-        }
-        Builtin::Header => {
-            let h = arg_str(args, 0);
-            match h.split_once(':') {
-                Some((name, value)) => {
-                    host.add_header(name.trim().to_string(), value.trim().to_string())
-                }
-                None => return Err(VmError::Fatal("header(): malformed header".into())),
-            }
-            Value::Null
-        }
-        Builtin::HttpResponseCode => {
-            let code = arg_int(args, 0);
-            if !(100..=599).contains(&code) {
-                return Err(VmError::Fatal("http_response_code(): bad code".into()));
-            }
-            host.set_status(code as u16);
-            Value::Bool(true)
-        }
-        Builtin::Setcookie => {
-            let (name, value) = (arg_str(args, 0), arg_str(args, 1));
-            host.add_header("Set-Cookie".to_string(), format!("{name}={value}"));
-            Value::Bool(true)
-        }
-        // ------------------------------------------------ state
-        Builtin::SessionStart => {
-            host.session_start()?;
-            Value::Bool(true)
-        }
-        Builtin::ApcFetch => host.kv_get(&arg_str(args, 0))?,
-        Builtin::ApcStore => {
-            let key = arg_str(args, 0);
-            let value = arg(args, 1);
-            host.kv_set(&key, Some(value))?;
-            Value::Bool(true)
-        }
-        Builtin::ApcDelete => {
-            host.kv_set(&arg_str(args, 0), None)?;
-            Value::Bool(true)
-        }
-        Builtin::DbQuery => host.db_query(&arg_str(args, 0))?,
-        Builtin::DbBegin => {
-            host.db_begin()?;
-            Value::Bool(true)
-        }
-        Builtin::DbCommit => Value::Bool(host.db_commit()?),
-        Builtin::DbRollback => {
-            host.db_rollback()?;
-            Value::Bool(true)
-        }
-        Builtin::DbInsertId => Value::Int(host.db_insert_id()),
-        Builtin::DbAffectedRows => Value::Int(host.db_affected_rows()),
-        // ------------------------------------------------ nondeterminism
-        Builtin::Time => Value::Int(host.nd_time()?),
-        Builtin::Microtime => Value::Float(host.nd_microtime()?),
-        Builtin::Getpid => Value::Int(host.nd_getpid()?),
-        Builtin::MtRand | Builtin::Rand => {
-            let raw = host.nd_rand_raw()?;
-            mt_rand_reduce(raw, args)?
-        }
-        Builtin::Uniqid => Value::str(host.nd_uniqid()?),
         Builtin::MtGetrandmax => Value::Int(MT_MAX),
         other => {
             return Err(VmError::Fatal(format!(

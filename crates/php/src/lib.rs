@@ -18,8 +18,9 @@
 //!   instruction categories Fig. 10 benchmarks (multiply, concat, isset,
 //!   jump, variable get, array set, iteration, increment, new-array,
 //!   builtin call).
-//! * [`vm`] — the scalar interpreter. It maintains the **control-flow
-//!   digest** (updated at every conditional branch, switch dispatch,
+//! * [`vm`] — the register interpreter, one dispatch loop generic over
+//!   the lanes it runs in, and its scalar domain, one request. That
+//!   domain maintains the **control-flow digest** (updated at every conditional branch, switch dispatch,
 //!   and iteration step, §4.3) and routes state operations and
 //!   nondeterministic builtins through the [`backend`] traits. Its
 //!   `stack` submodule is a test oracle: a stack-bytecode compiler and
@@ -27,8 +28,9 @@
 //!   differential tests.
 //! * [`builtins`] — the builtin function registry.
 //!
-//! The SIMD-on-demand multivalue VM lives in `orochi-accphp` and shares
-//! this crate's bytecode, values, and builtin semantics.
+//! The SIMD-on-demand multivalue VM lives in `orochi-accphp`: it runs
+//! this crate's dispatch loop in a domain of multivalue lanes and shares
+//! its bytecode, values, and builtin semantics.
 
 pub mod ast;
 pub mod backend;
@@ -45,4 +47,4 @@ pub use bytecode::CompiledScript;
 pub use compiler::compile;
 pub use parser::parse_script;
 pub use value::{ArrayKey, Key, PhpArray, Value};
-pub use vm::{RequestInput, RequestOutput, Vm, VmError};
+pub use vm::{RequestInput, RequestOutput, VmError};

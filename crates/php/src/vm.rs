@@ -1,15 +1,19 @@
-//! The scalar VM: executes compiled scripts one request at a time.
+//! The register VM: one dispatch loop ([`execute`]) over fixed-width
+//! 32-bit instructions with explicit source/destination register
+//! operands (see [`crate::bytecode::ROp`]), a flat pooled register file
+//! shared by all frames (a call's window starts where the caller's
+//! ends, so calls allocate nothing on the hot path), and
+//! literal/global/builtin references resolved to dense table indices at
+//! compile time.
 //!
-//! It is a **register VM**: fixed-width 32-bit instructions with
-//! explicit source/destination register operands (see
-//! [`crate::bytecode::ROp`]), a flat pooled register file shared by all
-//! frames (a call's window starts where the caller's ends, so calls
-//! allocate nothing on the hot path), and literal/global/builtin
-//! references resolved to dense table indices at compile time. The
-//! [`stack`] submodule is a test oracle: its own compiler and a
-//! stack-bytecode interpreter over the same request runtime.
+//! The loop is generic over the lanes it runs in ([`LaneDomain`]). This
+//! module's domain is one request ([`run_request`]: the server's VM and
+//! the verifier's scalar re-execution); acc-PHP's group of requests is
+//! the other, in `orochi-accphp`. The [`stack`] submodule is a test
+//! oracle: its own compiler and a stack-bytecode interpreter over the
+//! same request runtime.
 //!
-//! The VM maintains the **control-flow digest** (§4.3): at every
+//! The scalar domain maintains the **control-flow digest** (§4.3): at every
 //! conditional branch and iteration step, the digest absorbs the
 //! per-request *branch-event ordinal* and the direction taken, so
 //! requests with identical digests followed identical control-flow
@@ -150,40 +154,11 @@ pub fn digest_mix(digest: u64, event: u64, taken: bool) -> u64 {
     (digest ^ ((event << 1) | taken as u64)).wrapping_mul(orochi_common::hash::FNV_PRIME)
 }
 
-/// Which function a frame executes.
+/// Which function a stack-oracle frame executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FnRef {
     Main,
     User(u16),
-}
-
-/// A pooled activation record. Frames are reused across calls (`depth`
-/// tracks the live prefix of `Vm::frames`), so the iterator vector's
-/// capacity survives pops.
-#[derive(Debug)]
-struct RFrame {
-    func: FnRef,
-    pc: usize,
-    /// First register of this frame's window in the flat file.
-    base: usize,
-    /// One past the window (`base + register_count`): the callee base.
-    top: usize,
-    /// Absolute register that receives this frame's return value.
-    ret_abs: usize,
-    iters: Vec<ForeachIter>,
-}
-
-/// The scalar register virtual machine.
-pub struct Vm<'a> {
-    script: &'a CompiledScript,
-    rt: Runtime<'a>,
-    /// The flat register file; frame windows are disjoint slices.
-    regs: Vec<Value>,
-    frames: Vec<RFrame>,
-    /// Live frames (`frames[..depth]`); the rest are pooled for reuse.
-    depth: usize,
-    /// Scratch buffer for builtin argument marshalling (reused).
-    args_buf: Vec<Value>,
 }
 
 /// Runs one request through a compiled script.
@@ -221,7 +196,9 @@ pub fn run_request(
     backend: &mut dyn RuntimeBackend,
     input: &RequestInput<'_>,
 ) -> Result<RunResult, String> {
-    Vm::new(script, backend, input).run()
+    let mut rt = Runtime::new(script, backend, input);
+    let outcome = execute(script, &mut rt);
+    rt.finish(outcome)
 }
 
 /// `$_SERVER` for a request.
@@ -232,11 +209,11 @@ pub fn server_array(input: &RequestInput<'_>) -> Value {
     Value::array(server)
 }
 
-/// One request's side of a scalar run, shared by the register VM and
-/// the stack oracle: the backend, the globals, the response being
-/// built, the control-flow digest and the step budget. The two
-/// interpreters differ only in operand traffic — the scalar counterpart
-/// of the group VM's `Group`.
+/// One request's side of a scalar run: the backend, the globals, the
+/// response being built, the control-flow digest and the step budget.
+/// It is the register loop's one-lane domain (the counterpart of
+/// acc-PHP's `Group`), and the stack oracle runs its own operand
+/// traffic over it.
 struct Runtime<'a> {
     backend: &'a mut dyn RuntimeBackend,
     globals: Vec<Value>,
@@ -251,6 +228,8 @@ struct Runtime<'a> {
     last_affected: i64,
     stats: ExecStats,
     step_limit: u64,
+    /// Scratch buffer for builtin argument marshalling (reused).
+    args_buf: Vec<Value>,
 }
 
 impl<'a> Runtime<'a> {
@@ -281,6 +260,7 @@ impl<'a> Runtime<'a> {
             last_affected: 0,
             stats: ExecStats::default(),
             step_limit: STEP_LIMIT,
+            args_buf: Vec::new(),
         }
     }
 
@@ -351,36 +331,228 @@ impl<'a> Runtime<'a> {
     }
 }
 
-impl<'a> Vm<'a> {
-    fn new(
-        script: &'a CompiledScript,
-        backend: &'a mut dyn RuntimeBackend,
-        input: &RequestInput<'_>,
-    ) -> Self {
-        Vm {
-            script,
-            rt: Runtime::new(script, backend, input),
-            regs: Vec::new(),
-            frames: Vec::new(),
-            depth: 0,
-            args_buf: Vec::new(),
+/// Where a path instruction's container lives: a register, or a global
+/// slot the domain resolves against its own globals.
+#[derive(Debug)]
+pub enum Slot<R> {
+    /// A register of the running frame (or an array literal under
+    /// construction).
+    Reg(R),
+    /// A global, by slot.
+    Global(usize),
+}
+
+impl<R> Slot<&mut R> {
+    /// The container, a global taken from `globals`.
+    pub fn resolve<'s>(&'s mut self, globals: &'s mut [R]) -> &'s mut R {
+        match self {
+            Slot::Reg(r) => r,
+            Slot::Global(slot) => &mut globals[*slot],
         }
     }
+}
 
-    /// Runs the script body to its response.
-    fn run(mut self) -> Result<RunResult, String> {
-        let top = self.script.main.register_count as usize;
-        self.regs.resize(top, Value::Null);
-        self.push_frame(FnRef::Main, 0, top, 0);
-        let outcome = self.interp();
-        self.rt.finish(outcome)
+impl<R> Slot<&R> {
+    /// The container, a global read from `globals`.
+    pub fn get<'s>(&'s self, globals: &'s [R]) -> &'s R {
+        match self {
+            Slot::Reg(r) => r,
+            Slot::Global(slot) => &globals[*slot],
+        }
+    }
+}
+
+/// A write through an index path, as [`LaneDomain::write_path`] applies
+/// it to each lane's container.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathOp {
+    /// `$c[k1]..[kn] = v`.
+    Set,
+    /// `$c[k1]..[kn][] = v`.
+    Append,
+    /// `unset($c[k1]..[kn])`; the value is ignored.
+    Unset,
+    /// `[.., v]`: appends to an array literal under construction.
+    LiteralAppend,
+    /// `[.., k => v]`: inserts under the one key.
+    LiteralInsert,
+}
+
+impl PathOp {
+    /// Applies the write to one lane's `container`.
+    pub fn apply<K: Borrow<Value>>(
+        self,
+        container: &mut Value,
+        keys: &[K],
+        value: Value,
+    ) -> Result<(), VmError> {
+        match self {
+            PathOp::Set => ops::set_path(container, keys, value),
+            PathOp::Append => ops::append_path(container, keys, value),
+            PathOp::Unset => {
+                ops::unset_path(container, keys);
+                Ok(())
+            }
+            PathOp::LiteralAppend => {
+                *container = ops::array_append(std::mem::replace(container, Value::Null), value)?;
+                Ok(())
+            }
+            PathOp::LiteralInsert => {
+                let key = keys[0].borrow();
+                *container =
+                    ops::array_insert(std::mem::replace(container, Value::Null), key, value)?;
+                Ok(())
+            }
+        }
+    }
+}
+
+/// The lanes the register loop ([`execute`]) runs in. The loop owns the
+/// register file, the frames and the calls; a domain supplies what a
+/// register holds and everything an instruction does with it. One
+/// request is a domain of one lane ([`Value`] registers, the serving VM
+/// and simple re-execution); a control-flow group is a domain of one
+/// lane per member (multivalue registers, acc-PHP's superposed run).
+pub trait LaneDomain {
+    /// What a register holds.
+    type Reg: Clone;
+    /// An active `foreach`.
+    type Iter;
+    /// Why a run stops early.
+    type Error;
+
+    /// A register every lane agrees on.
+    fn uni(v: Value) -> Self::Reg;
+
+    /// An empty register.
+    fn null() -> Self::Reg {
+        Self::uni(Value::Null)
     }
 
-    /// Activates a frame, reusing a pooled record when one is available.
-    fn push_frame(&mut self, func: FnRef, base: usize, top: usize, ret_abs: usize) {
-        if self.depth == self.frames.len() {
-            self.frames.push(RFrame {
-                func,
+    /// The fatal error `msg`, uniform across lanes.
+    fn fatal(msg: String) -> Self::Error;
+
+    /// Counts one dispatched instruction, failing past the step limit.
+    fn step(&mut self) -> Result<(), Self::Error>;
+
+    /// Counts an instruction no operand of which can differ between
+    /// lanes (a constant, a jump, a call, a return).
+    fn once(&mut self) {}
+
+    /// `v`, copied into another register.
+    fn copy(&mut self, v: &Self::Reg) -> Self::Reg {
+        v.clone()
+    }
+
+    /// Loads constant `v` into `dst`.
+    fn load_const(&mut self, dst: &mut Self::Reg, v: &Value) {
+        self.once();
+        *dst = Self::uni(v.clone());
+    }
+
+    /// A copy of global `slot`.
+    fn load_global(&mut self, slot: usize) -> Self::Reg;
+
+    /// Stores a copy of `v` in global `slot`.
+    fn store_global(&mut self, slot: usize, v: &Self::Reg);
+
+    /// `f` over one operand in every lane.
+    fn lift1(
+        &mut self,
+        x: &Self::Reg,
+        f: impl Fn(&Value) -> Result<Value, VmError>,
+    ) -> Result<Self::Reg, Self::Error>;
+
+    /// `f` over two operands in every lane.
+    fn lift2(
+        &mut self,
+        x: &Self::Reg,
+        y: &Self::Reg,
+        f: impl Fn(&Value, &Value) -> Result<Value, VmError>,
+    ) -> Result<Self::Reg, Self::Error>;
+
+    /// Whether a conditional jump on `cond` is taken: it jumps when the
+    /// condition's truthiness is `jump_if`.
+    fn branch(&mut self, cond: &Self::Reg, jump_if: bool) -> Result<bool, Self::Error>;
+
+    /// Writes through an index path: `op` on the container at `slot`
+    /// with `keys` and `value`.
+    fn write_path(
+        &mut self,
+        slot: Slot<&mut Self::Reg>,
+        keys: &[Self::Reg],
+        value: Option<&Self::Reg>,
+        op: PathOp,
+    ) -> Result<(), Self::Error>;
+
+    /// `isset` through an index path.
+    fn isset_path(
+        &mut self,
+        slot: Slot<&Self::Reg>,
+        keys: &[Self::Reg],
+    ) -> Result<Self::Reg, Self::Error>;
+
+    /// `++`/`--` on a slot (`variant` as in [`ops::incdec`]); returns the
+    /// expression's value.
+    fn incdec(
+        &mut self,
+        slot: Slot<&mut Self::Reg>,
+        variant: usize,
+    ) -> Result<Self::Reg, Self::Error>;
+
+    /// Calls builtin `bidx` on `regs[..argc]`. The result lands in
+    /// `regs[0]`; a by-reference builtin's new target does, with its
+    /// return value in `regs[1]`.
+    fn call_builtin(
+        &mut self,
+        bidx: u16,
+        regs: &mut [Self::Reg],
+        argc: usize,
+    ) -> Result<(), Self::Error>;
+
+    /// `echo v`.
+    fn echo(&mut self, v: &Self::Reg);
+
+    /// Starts a `foreach` over `v` (snapshot semantics).
+    fn iter_init(&mut self, v: &Self::Reg) -> Self::Iter;
+
+    /// One iteration step: stores the next key and value in `dst[0]`
+    /// and `dst[1]` when `want_key`, else the value in `dst[0]`; false
+    /// at the end.
+    fn iter_next(
+        &mut self,
+        iter: &mut Self::Iter,
+        want_key: bool,
+        dst: &mut [Self::Reg],
+    ) -> Result<bool, Self::Error>;
+}
+
+/// An activation record. The running frame's code, pc and base live in
+/// the loop's locals; the record keeps a caller's while a callee runs.
+struct Frame<'s, I> {
+    code: &'s [u32],
+    pc: usize,
+    /// First register of this frame's window in the flat file.
+    base: usize,
+    /// One past the window (`base + register_count`): the callee base.
+    top: usize,
+    /// Absolute register that receives this frame's return value.
+    ret_abs: usize,
+    iters: Vec<I>,
+}
+
+/// The call stack. Records are pooled: `pool[..depth]` are live, and a
+/// popped record keeps its iterator vector's capacity for the next call.
+struct Frames<'s, I> {
+    pool: Vec<Frame<'s, I>>,
+    depth: usize,
+}
+
+impl<'s, I> Frames<'s, I> {
+    fn push(&mut self, code: &'s [u32], base: usize, top: usize, ret_abs: usize) {
+        if self.depth == self.pool.len() {
+            self.pool.push(Frame {
+                code,
                 pc: 0,
                 base,
                 top,
@@ -388,8 +560,8 @@ impl<'a> Vm<'a> {
                 iters: Vec::new(),
             });
         } else {
-            let f = &mut self.frames[self.depth];
-            f.func = func;
+            let f = &mut self.pool[self.depth];
+            f.code = code;
             f.pc = 0;
             f.base = base;
             f.top = top;
@@ -399,294 +571,370 @@ impl<'a> Vm<'a> {
         self.depth += 1;
     }
 
-    fn interp(&mut self) -> Result<(), VmError> {
-        loop {
-            self.rt.step()?;
-            let fi = self.depth - 1;
-            let (func, base) = {
-                let f = &self.frames[fi];
-                (f.func, f.base)
-            };
-            let code = match func {
-                FnRef::Main => &self.script.main.reg_code,
-                FnRef::User(i) => &self.script.functions[i as usize].reg_code,
-            };
-            let pc = self.frames[fi].pc;
-            let insn = code[pc];
-            self.frames[fi].pc = pc + 1;
-            let a = base + rinsn::a(insn);
-            match rinsn::op(insn) {
-                ROp::Move => {
-                    let b = base + rinsn::b(insn);
-                    self.regs[a] = self.regs[b].clone();
-                }
-                ROp::LoadConst => {
-                    self.regs[a] = self.script.consts[rinsn::bx(insn)].clone();
-                }
-                ROp::LoadGlobal => {
-                    self.regs[a] = self.rt.globals[rinsn::b(insn)].clone();
-                }
-                ROp::StoreGlobal => {
-                    // A-field is the global slot for stores.
-                    let b = base + rinsn::b(insn);
-                    self.rt.globals[rinsn::a(insn)] = self.regs[b].clone();
-                }
-                ROp::Add | ROp::Sub | ROp::Mul | ROp::Div | ROp::Mod | ROp::Concat => {
-                    let b = base + rinsn::b(insn);
-                    let c = base + rinsn::c(insn);
-                    self.regs[a] = ops::binary(rinsn::op(insn), &self.regs[b], &self.regs[c])?;
-                }
-                ROp::Eq => {
-                    let r = self.regs[base + rinsn::b(insn)]
-                        .loose_eq(&self.regs[base + rinsn::c(insn)]);
-                    self.regs[a] = Value::Bool(r);
-                }
-                ROp::Ne => {
-                    let r = self.regs[base + rinsn::b(insn)]
-                        .loose_eq(&self.regs[base + rinsn::c(insn)]);
-                    self.regs[a] = Value::Bool(!r);
-                }
-                ROp::Identical => {
-                    let r = self.regs[base + rinsn::b(insn)]
-                        .identical(&self.regs[base + rinsn::c(insn)]);
-                    self.regs[a] = Value::Bool(r);
-                }
-                ROp::NotIdentical => {
-                    let r = self.regs[base + rinsn::b(insn)]
-                        .identical(&self.regs[base + rinsn::c(insn)]);
-                    self.regs[a] = Value::Bool(!r);
-                }
-                ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
-                    let r = ops::relational(
-                        rinsn::op(insn),
-                        &self.regs[base + rinsn::b(insn)],
-                        &self.regs[base + rinsn::c(insn)],
-                    );
-                    self.regs[a] = Value::Bool(r);
-                }
-                ROp::Not => {
-                    let r = !self.regs[base + rinsn::b(insn)].is_truthy();
-                    self.regs[a] = Value::Bool(r);
-                }
-                ROp::Neg => {
-                    self.regs[a] = ops::negate(&self.regs[base + rinsn::b(insn)])?;
-                }
-                ROp::Jump => {
-                    self.frames[fi].pc = rinsn::bx(insn);
-                }
-                ROp::JumpIfFalse => {
-                    let taken = !self.regs[a].is_truthy();
-                    self.rt.mix_event(taken);
-                    if taken {
-                        self.frames[fi].pc = rinsn::bx(insn);
-                    }
-                }
-                ROp::JumpIfTrue => {
-                    let taken = self.regs[a].is_truthy();
-                    self.rt.mix_event(taken);
-                    if taken {
-                        self.frames[fi].pc = rinsn::bx(insn);
-                    }
-                }
-                ROp::NewArray => {
-                    self.regs[a] = Value::empty_array();
-                }
-                ROp::ArrayAppend => {
-                    let arr = std::mem::replace(&mut self.regs[a], Value::Null);
-                    let v = self.regs[base + rinsn::b(insn)].clone();
-                    self.regs[a] = ops::array_append(arr, v)?;
-                }
-                ROp::ArrayInsert => {
-                    let arr = std::mem::replace(&mut self.regs[a], Value::Null);
-                    let v = self.regs[base + rinsn::c(insn)].clone();
-                    let r = ops::array_insert(arr, &self.regs[base + rinsn::b(insn)], v)?;
-                    self.regs[a] = r;
-                }
-                ROp::IndexGet => {
-                    let r = ops::index_get(
-                        &self.regs[base + rinsn::b(insn)],
-                        &self.regs[base + rinsn::c(insn)],
-                    );
-                    self.regs[a] = r;
-                }
-                ROp::SetPathLocal => {
-                    let n = rinsn::c(insn);
-                    let value = self.regs[a].clone();
-                    let t = base + rinsn::b(insn);
-                    // Locals sit below temps, so the target register is
-                    // strictly below the value/key block.
-                    let (lo, hi) = self.regs.split_at_mut(a + 1);
-                    ops::set_path(&mut lo[t], &hi[..n], value)?;
-                }
-                ROp::SetPathGlobal => {
-                    let n = rinsn::c(insn);
-                    let value = self.regs[a].clone();
-                    let slot = rinsn::b(insn);
-                    ops::set_path(
-                        &mut self.rt.globals[slot],
-                        &self.regs[a + 1..a + 1 + n],
-                        value,
-                    )?;
-                }
-                ROp::AppendPathLocal => {
-                    let n = rinsn::c(insn);
-                    let value = self.regs[a].clone();
-                    let t = base + rinsn::b(insn);
-                    let (lo, hi) = self.regs.split_at_mut(a + 1);
-                    ops::append_path(&mut lo[t], &hi[..n - 1], value)?;
-                }
-                ROp::AppendPathGlobal => {
-                    let n = rinsn::c(insn);
-                    let value = self.regs[a].clone();
-                    let slot = rinsn::b(insn);
-                    ops::append_path(&mut self.rt.globals[slot], &self.regs[a + 1..a + n], value)?;
-                }
-                ROp::UnsetPathLocal => {
-                    let n = rinsn::c(insn);
-                    let t = base + rinsn::b(insn);
-                    if n == 0 {
-                        ops::unset_path::<Value>(&mut self.regs[t], &[]);
-                    } else {
-                        let (lo, hi) = self.regs.split_at_mut(a);
-                        ops::unset_path(&mut lo[t], &hi[..n]);
-                    }
-                }
-                ROp::UnsetPathGlobal => {
-                    let n = rinsn::c(insn);
-                    let slot = rinsn::b(insn);
-                    ops::unset_path(&mut self.rt.globals[slot], &self.regs[a..a + n]);
-                }
-                ROp::IssetPathLocal => {
-                    let n = rinsn::c(insn);
-                    let t = base + rinsn::b(insn);
-                    let r = ops::isset_path(&self.regs[t], &self.regs[a..a + n]);
-                    self.regs[a] = Value::Bool(r);
-                }
-                ROp::IssetPathGlobal => {
-                    let n = rinsn::c(insn);
-                    let slot = rinsn::b(insn);
-                    let r = ops::isset_path(&self.rt.globals[slot], &self.regs[a..a + n]);
-                    self.regs[a] = Value::Bool(r);
-                }
-                ROp::IncDecLocal => {
-                    let t = base + rinsn::b(insn);
-                    let r = ops::incdec(&mut self.regs[t], rinsn::c(insn))?;
-                    self.regs[a] = r;
-                }
-                ROp::IncDecGlobal => {
-                    let slot = rinsn::b(insn);
-                    let r = ops::incdec(&mut self.rt.globals[slot], rinsn::c(insn))?;
-                    self.regs[a] = r;
-                }
-                ROp::Call => {
-                    let fidx = rinsn::a(insn) as u16;
-                    let func = &self.script.functions[fidx as usize];
-                    let argc = rinsn::c(insn);
-                    let args_abs = base + rinsn::b(insn);
-                    let callee_base = self.frames[fi].top;
-                    let callee_top = callee_base + func.register_count as usize;
-                    if self.regs.len() < callee_top {
-                        self.regs.resize(callee_top, Value::Null);
-                    }
-                    let num_params = func.num_params as usize;
-                    // Move args into the callee window (they are dead
-                    // temps in the caller); extras are dropped.
-                    for i in 0..argc {
-                        let v = std::mem::replace(&mut self.regs[args_abs + i], Value::Null);
-                        if i < num_params {
-                            self.regs[callee_base + i] = v;
-                        }
-                    }
-                    for p in argc..num_params {
-                        match func.defaults[p] {
-                            Some(cidx) => {
-                                self.regs[callee_base + p] =
-                                    self.script.consts[cidx as usize].clone()
-                            }
-                            None => {
-                                return Err(VmError::Fatal(format!(
-                                    "too few arguments to function {}()",
-                                    func.name
-                                )))
-                            }
-                        }
-                    }
-                    if self.depth >= 200 {
-                        return Err(VmError::Fatal("call stack depth exceeded".into()));
-                    }
-                    // Clear the rest of the (pooled) window so stale
-                    // values from earlier activations never leak in.
-                    for r in &mut self.regs[callee_base + num_params..callee_top] {
-                        *r = Value::Null;
-                    }
-                    self.push_frame(FnRef::User(fidx), callee_base, callee_top, args_abs);
-                }
-                ROp::CallBuiltin => {
-                    let bidx = rinsn::a(insn) as u16;
-                    let argc = rinsn::c(insn);
-                    let abs = base + rinsn::b(insn);
-                    if builtins::is_byref(bidx) {
-                        let (new_target, ret) =
-                            builtins::dispatch_byref(bidx, &mut self.regs[abs..abs + argc])?;
-                        self.regs[abs] = new_target;
-                        self.regs[abs + 1] = ret;
-                    } else {
-                        let mut buf = std::mem::take(&mut self.args_buf);
-                        buf.clear();
-                        for i in 0..argc {
-                            buf.push(std::mem::replace(&mut self.regs[abs + i], Value::Null));
-                        }
-                        let ret = builtins::dispatch(bidx, &buf, &mut self.rt);
-                        self.args_buf = buf;
-                        self.regs[abs] = ret?;
-                    }
-                }
-                ROp::Return => {
-                    let value = std::mem::replace(&mut self.regs[a], Value::Null);
-                    let ret_abs = self.frames[fi].ret_abs;
-                    self.depth -= 1;
-                    if self.depth == 0 {
-                        return Ok(());
-                    }
-                    self.regs[ret_abs] = value;
-                }
-                ROp::ReturnNull => {
-                    let ret_abs = self.frames[fi].ret_abs;
-                    self.depth -= 1;
-                    if self.depth == 0 {
-                        return Ok(());
-                    }
-                    self.regs[ret_abs] = Value::Null;
-                }
-                ROp::Echo => {
-                    self.rt.output.push_str(&self.regs[a].as_php_str());
-                }
-                ROp::IterInit => {
-                    let iter = ForeachIter::over(&self.regs[a]);
-                    self.frames[fi].iters.push(iter);
-                }
-                ROp::IterNext | ROp::IterNextKV => {
-                    let kv = rinsn::op(insn) == ROp::IterNextKV;
-                    let frame = &mut self.frames[fi];
-                    let iter = frame.iters.last_mut().expect("IterInit precedes IterNext");
-                    if let Some((k, v)) = iter.next_entry() {
-                        if kv {
-                            self.regs[a] = k.to_value();
-                            self.regs[a + 1] = v.clone();
-                        } else {
-                            self.regs[a] = v.clone();
-                        }
-                        self.rt.mix_event(true);
-                    } else {
-                        frame.pc = rinsn::bx(insn);
-                        self.rt.mix_event(false);
-                    }
-                }
-                ROp::IterPop => {
-                    self.frames[fi].iters.pop();
+    fn running(&mut self) -> &mut Frame<'s, I> {
+        &mut self.pool[self.depth - 1]
+    }
+}
+
+/// Runs `script`'s main body in `dom` to its end: the one register
+/// dispatch loop. A flat register file is shared by all frames (a
+/// call's window starts where the caller's ends, so calls allocate
+/// nothing on the hot path); the domain's error ends the run.
+pub fn execute<D: LaneDomain>(script: &CompiledScript, dom: &mut D) -> Result<(), D::Error> {
+    let main = &script.main;
+    let top = main.register_count as usize;
+    let mut regs: Vec<D::Reg> = vec![D::null(); top];
+    let mut frames = Frames {
+        pool: Vec::new(),
+        depth: 0,
+    };
+    frames.push(&main.reg_code, 0, top, 0);
+    let (mut code, mut pc, mut base): (&[u32], usize, usize) = (&main.reg_code, 0, 0);
+    loop {
+        dom.step()?;
+        let insn = code[pc];
+        pc += 1;
+        let a = base + rinsn::a(insn);
+        let op = rinsn::op(insn);
+        match op {
+            ROp::Move => {
+                regs[a] = dom.copy(&regs[base + rinsn::b(insn)]);
+            }
+            ROp::LoadConst => {
+                dom.load_const(&mut regs[a], &script.consts[rinsn::bx(insn)]);
+            }
+            ROp::LoadGlobal => {
+                regs[a] = dom.load_global(rinsn::b(insn));
+            }
+            ROp::StoreGlobal => {
+                // A-field is the global slot for stores.
+                dom.store_global(rinsn::a(insn), &regs[base + rinsn::b(insn)]);
+            }
+            ROp::Add | ROp::Sub | ROp::Mul | ROp::Div | ROp::Mod | ROp::Concat => {
+                let (x, y) = (&regs[base + rinsn::b(insn)], &regs[base + rinsn::c(insn)]);
+                regs[a] = dom.lift2(x, y, |x, y| ops::binary(op, x, y))?;
+            }
+            ROp::Eq => {
+                let (x, y) = (&regs[base + rinsn::b(insn)], &regs[base + rinsn::c(insn)]);
+                regs[a] = dom.lift2(x, y, |x, y| Ok(Value::Bool(x.loose_eq(y))))?;
+            }
+            ROp::Ne => {
+                let (x, y) = (&regs[base + rinsn::b(insn)], &regs[base + rinsn::c(insn)]);
+                regs[a] = dom.lift2(x, y, |x, y| Ok(Value::Bool(!x.loose_eq(y))))?;
+            }
+            ROp::Identical => {
+                let (x, y) = (&regs[base + rinsn::b(insn)], &regs[base + rinsn::c(insn)]);
+                regs[a] = dom.lift2(x, y, |x, y| Ok(Value::Bool(x.identical(y))))?;
+            }
+            ROp::NotIdentical => {
+                let (x, y) = (&regs[base + rinsn::b(insn)], &regs[base + rinsn::c(insn)]);
+                regs[a] = dom.lift2(x, y, |x, y| Ok(Value::Bool(!x.identical(y))))?;
+            }
+            ROp::Lt | ROp::Le | ROp::Gt | ROp::Ge => {
+                let (x, y) = (&regs[base + rinsn::b(insn)], &regs[base + rinsn::c(insn)]);
+                regs[a] = dom.lift2(x, y, |x, y| Ok(Value::Bool(ops::relational(op, x, y))))?;
+            }
+            ROp::Not => {
+                let x = &regs[base + rinsn::b(insn)];
+                regs[a] = dom.lift1(x, |x| Ok(Value::Bool(!x.is_truthy())))?;
+            }
+            ROp::Neg => {
+                regs[a] = dom.lift1(&regs[base + rinsn::b(insn)], ops::negate)?;
+            }
+            ROp::Jump => {
+                dom.once();
+                pc = rinsn::bx(insn);
+            }
+            ROp::JumpIfFalse | ROp::JumpIfTrue => {
+                if dom.branch(&regs[a], op == ROp::JumpIfTrue)? {
+                    pc = rinsn::bx(insn);
                 }
             }
+            ROp::NewArray => {
+                dom.once();
+                regs[a] = D::uni(Value::empty_array());
+            }
+            ROp::ArrayAppend | ROp::ArrayInsert => {
+                let mut arr = std::mem::replace(&mut regs[a], D::null());
+                let (keys, value, path) = match op {
+                    ROp::ArrayAppend => (&[][..], base + rinsn::b(insn), PathOp::LiteralAppend),
+                    _ => {
+                        let key = std::slice::from_ref(&regs[base + rinsn::b(insn)]);
+                        (key, base + rinsn::c(insn), PathOp::LiteralInsert)
+                    }
+                };
+                dom.write_path(Slot::Reg(&mut arr), keys, Some(&regs[value]), path)?;
+                regs[a] = arr;
+            }
+            ROp::IndexGet => {
+                let (x, k) = (&regs[base + rinsn::b(insn)], &regs[base + rinsn::c(insn)]);
+                regs[a] = dom.lift2(x, k, |x, k| Ok(ops::index_get(x, k)))?;
+            }
+            ROp::SetPathLocal
+            | ROp::SetPathGlobal
+            | ROp::AppendPathLocal
+            | ROp::AppendPathGlobal
+            | ROp::UnsetPathLocal
+            | ROp::UnsetPathGlobal => {
+                let n = rinsn::c(insn);
+                // Set: value at `a`, then n keys. Append: value at `a`,
+                // then n-1 keys. Unset: n keys from `a`.
+                let (path, keys) = match op {
+                    ROp::SetPathLocal | ROp::SetPathGlobal => (PathOp::Set, 1..1 + n),
+                    ROp::AppendPathLocal | ROp::AppendPathGlobal => (PathOp::Append, 1..n),
+                    _ => (PathOp::Unset, 0..n),
+                };
+                let target = rinsn::b(insn);
+                let local = matches!(
+                    op,
+                    ROp::SetPathLocal | ROp::AppendPathLocal | ROp::UnsetPathLocal
+                );
+                // Locals sit below temps, so a local target is strictly
+                // below the value/key block and is written in place.
+                let (slot, block) = if local {
+                    let t = base + target;
+                    let (lo, hi) = regs.split_at_mut(a.max(t + 1));
+                    (Slot::Reg(&mut lo[t]), &*hi)
+                } else {
+                    (Slot::Global(target), &regs[a..])
+                };
+                let value = (path != PathOp::Unset).then(|| &block[0]);
+                dom.write_path(slot, &block[keys], value, path)?;
+            }
+            ROp::IssetPathLocal | ROp::IssetPathGlobal => {
+                let n = rinsn::c(insn);
+                let target = rinsn::b(insn);
+                let slot = match op {
+                    ROp::IssetPathLocal => Slot::Reg(&regs[base + target]),
+                    _ => Slot::Global(target),
+                };
+                regs[a] = dom.isset_path(slot, &regs[a..a + n])?;
+            }
+            ROp::IncDecLocal | ROp::IncDecGlobal => {
+                let target = rinsn::b(insn);
+                let slot = match op {
+                    ROp::IncDecLocal => Slot::Reg(&mut regs[base + target]),
+                    _ => Slot::Global(target),
+                };
+                regs[a] = dom.incdec(slot, rinsn::c(insn))?;
+            }
+            ROp::Call => {
+                dom.once();
+                let func = &script.functions[rinsn::a(insn)];
+                let argc = rinsn::c(insn);
+                let args_abs = base + rinsn::b(insn);
+                let callee_base = frames.running().top;
+                let callee_top = callee_base + func.register_count as usize;
+                if regs.len() < callee_top {
+                    regs.resize(callee_top, D::null());
+                }
+                let num_params = func.num_params as usize;
+                // Move args into the callee window (they are dead temps
+                // in the caller); extras are dropped.
+                for i in 0..argc {
+                    let v = std::mem::replace(&mut regs[args_abs + i], D::null());
+                    if i < num_params {
+                        regs[callee_base + i] = v;
+                    }
+                }
+                for p in argc..num_params {
+                    match func.defaults[p] {
+                        Some(cidx) => {
+                            regs[callee_base + p] = D::uni(script.consts[cidx as usize].clone())
+                        }
+                        None => {
+                            return Err(D::fatal(format!(
+                                "too few arguments to function {}()",
+                                func.name
+                            )))
+                        }
+                    }
+                }
+                if frames.depth >= 200 {
+                    return Err(D::fatal("call stack depth exceeded".into()));
+                }
+                // Clear the rest of the (pooled) window so stale values
+                // from earlier activations never leak in.
+                for r in &mut regs[callee_base + num_params..callee_top] {
+                    *r = D::null();
+                }
+                frames.running().pc = pc;
+                frames.push(&func.reg_code, callee_base, callee_top, args_abs);
+                (code, pc, base) = (&func.reg_code, 0, callee_base);
+            }
+            ROp::CallBuiltin => {
+                let abs = base + rinsn::b(insn);
+                dom.call_builtin(rinsn::a(insn) as u16, &mut regs[abs..], rinsn::c(insn))?;
+            }
+            ROp::Return | ROp::ReturnNull => {
+                dom.once();
+                let ret_abs = frames.running().ret_abs;
+                frames.depth -= 1;
+                if frames.depth == 0 {
+                    return Ok(());
+                }
+                // The callee's window is dead: the value moves out of it.
+                match op {
+                    ROp::Return => regs.swap(a, ret_abs),
+                    _ => regs[ret_abs] = D::null(),
+                }
+                let caller = frames.running();
+                (code, pc, base) = (caller.code, caller.pc, caller.base);
+            }
+            ROp::Echo => dom.echo(&regs[a]),
+            ROp::IterInit => {
+                let iter = dom.iter_init(&regs[a]);
+                frames.running().iters.push(iter);
+            }
+            ROp::IterNext | ROp::IterNextKV => {
+                let iter = frames.running().iters.last_mut();
+                let iter = iter.expect("IterInit precedes IterNext");
+                if !dom.iter_next(iter, op == ROp::IterNextKV, &mut regs[a..])? {
+                    pc = rinsn::bx(insn);
+                }
+            }
+            ROp::IterPop => {
+                dom.once();
+                frames.running().iters.pop();
+            }
         }
+    }
+}
+
+/// One request is a domain of one lane: registers hold [`Value`]s, a
+/// branch mixes its direction into the digest, and impure builtins go
+/// through the [`Host`] side of the runtime to its backend.
+impl LaneDomain for Runtime<'_> {
+    type Reg = Value;
+    type Iter = ForeachIter;
+    type Error = VmError;
+
+    #[inline]
+    fn uni(v: Value) -> Value {
+        v
+    }
+
+    fn fatal(msg: String) -> VmError {
+        VmError::Fatal(msg)
+    }
+
+    #[inline]
+    fn step(&mut self) -> Result<(), VmError> {
+        Runtime::step(self)
+    }
+
+    #[inline]
+    fn load_const(&mut self, dst: &mut Value, v: &Value) {
+        *dst = v.clone();
+    }
+
+    #[inline]
+    fn load_global(&mut self, slot: usize) -> Value {
+        self.globals[slot].clone()
+    }
+
+    #[inline]
+    fn store_global(&mut self, slot: usize, v: &Value) {
+        self.globals[slot] = v.clone();
+    }
+
+    #[inline]
+    fn lift1(
+        &mut self,
+        x: &Value,
+        f: impl Fn(&Value) -> Result<Value, VmError>,
+    ) -> Result<Value, VmError> {
+        f(x)
+    }
+
+    #[inline]
+    fn lift2(
+        &mut self,
+        x: &Value,
+        y: &Value,
+        f: impl Fn(&Value, &Value) -> Result<Value, VmError>,
+    ) -> Result<Value, VmError> {
+        f(x, y)
+    }
+
+    #[inline]
+    fn branch(&mut self, cond: &Value, jump_if: bool) -> Result<bool, VmError> {
+        let taken = cond.is_truthy() == jump_if;
+        self.mix_event(taken);
+        Ok(taken)
+    }
+
+    #[inline]
+    fn write_path(
+        &mut self,
+        mut slot: Slot<&mut Value>,
+        keys: &[Value],
+        value: Option<&Value>,
+        op: PathOp,
+    ) -> Result<(), VmError> {
+        let value = value.map_or(Value::Null, Value::clone);
+        op.apply(slot.resolve(&mut self.globals), keys, value)
+    }
+
+    #[inline]
+    fn isset_path(&mut self, slot: Slot<&Value>, keys: &[Value]) -> Result<Value, VmError> {
+        Ok(Value::Bool(ops::isset_path(slot.get(&self.globals), keys)))
+    }
+
+    #[inline]
+    fn incdec(&mut self, mut slot: Slot<&mut Value>, variant: usize) -> Result<Value, VmError> {
+        ops::incdec(slot.resolve(&mut self.globals), variant)
+    }
+
+    fn call_builtin(&mut self, bidx: u16, regs: &mut [Value], argc: usize) -> Result<(), VmError> {
+        if builtins::is_byref(bidx) {
+            let (new_target, ret) = builtins::dispatch_byref(bidx, &mut regs[..argc])?;
+            regs[0] = new_target;
+            regs[1] = ret;
+        } else {
+            // The arguments are dead temps: move them into the reused
+            // buffer rather than clone them.
+            let mut buf = std::mem::take(&mut self.args_buf);
+            buf.clear();
+            buf.extend(
+                regs[..argc]
+                    .iter_mut()
+                    .map(|r| std::mem::replace(r, Value::Null)),
+            );
+            let ret = builtins::dispatch(bidx, &buf, self);
+            self.args_buf = buf;
+            regs[0] = ret?;
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn echo(&mut self, v: &Value) {
+        self.output.push_str(&v.as_php_str());
+    }
+
+    #[inline]
+    fn iter_init(&mut self, v: &Value) -> ForeachIter {
+        ForeachIter::over(v)
+    }
+
+    #[inline]
+    fn iter_next(
+        &mut self,
+        iter: &mut ForeachIter,
+        want_key: bool,
+        dst: &mut [Value],
+    ) -> Result<bool, VmError> {
+        let next = iter.next_entry();
+        self.mix_event(next.is_some());
+        let Some((k, v)) = next else {
+            return Ok(false);
+        };
+        if want_key {
+            dst[0] = k.to_value();
+        }
+        dst[usize::from(want_key)] = v.clone();
+        Ok(true)
     }
 }
 
@@ -1356,11 +1604,12 @@ mod tests {
             ..Default::default()
         };
         let (mut b1, mut b2) = (NullBackend, NullBackend);
-        let mut reg = Vm::new(&script, &mut b1, &input);
-        reg.rt.step_limit = 10_000;
+        let mut reg = Runtime::new(&script, &mut b1, &input);
+        reg.step_limit = 10_000;
+        let outcome = execute(&script, &mut reg);
         let mut stk = stack::Vm::new(&oracle, &mut b2, &input);
         stk.rt.step_limit = 10_000;
-        for result in [reg.run().unwrap(), stk.run().unwrap()] {
+        for result in [reg.finish(outcome).unwrap(), stk.run().unwrap()] {
             assert_eq!(result.stats.instructions, 10_000);
             assert_eq!(result.output.status, 500);
             assert_eq!(

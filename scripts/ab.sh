@@ -22,7 +22,12 @@
 # more than the metric's bound, `unresolved` when the base IQR exceeds a
 # third of the bound (the pairs cannot tell). Each workload's header
 # says whether every run was correct and how many operations failed.
-# Run JSON lines are kept in $AB_DIR/runs.
+# Then one `--trace 1` run per side at seed 42 compares the per-layer
+# metrics with unit `count` (but the `proc.` ones: page faults are the
+# kernel's count, not the program's): it prints each that differs, or
+# "counts equal". Mixed-live's counts follow its workers' interleaving,
+# so they are marked informational there. Run JSON lines are kept in
+# $AB_DIR/runs.
 set -euo pipefail
 
 pairs=5 rev=""
@@ -30,7 +35,7 @@ while getopts "n:r:" opt; do
   case "$opt" in
     n) pairs=$OPTARG ;;
     r) rev=$OPTARG ;;
-    *) sed -n '2,25p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,30p' "$0" >&2; exit 2 ;;
   esac
 done
 shift $((OPTIND - 1))
@@ -64,13 +69,15 @@ for side in base change; do
     cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 done
 
-# run SIDE WORKLOAD SEED: one benchmark run; its result line into runs/.
+# run SIDE WORKLOAD SEED [TRACE]: one benchmark run; its result line
+# into runs/, a traced run's with a -traced suffix.
 run() {
-  local side=$1 workload=$2 seed=$3 tree=$root
+  local side=$1 workload=$2 seed=$3 trace=${4:-0} tree=$root
   [ "$side" = base ] && tree=$base_tree
   local out=$ab/runs/$workload-$seed-$side
+  [ "$trace" = 0 ] || out=$out-traced
   (cd "$tree" && "$ab/target-$side/release/orochi-benchmark" run --workload "$workload" \
-    --seed "$seed" --seconds "$seconds" --trace 0 --out "$ab/out-$side") >"$out.log" 2>&1 ||
+    --seed "$seed" --seconds "$seconds" --trace "$trace" --out "$ab/out-$side") >"$out.log" 2>&1 ||
     echo "ab.sh: $side $workload seed $seed exited non-zero (see $out.log)" >&2
   tail -n 1 "$out.log" >"$out.json"
   jq -e . "$out.json" >/dev/null 2>&1 || echo '{"correct":false,"failed":-1,"metrics":{}}' >"$out.json"
@@ -134,5 +141,21 @@ for workload in "${workloads[@]}"; do
         sub(/ +$/, "", line); print line
       }
     }'
+  for side in base change; do
+    echo "# $workload seed 42 $side traced" >&2
+    run "$side" "$workload" 42 1
+  done
+  jq -rn --arg workload "$workload" --slurpfile spec "$spec" '
+    [inputs] as [$b, $c]
+    | (if $workload == "mixed-live" then " (informational: they follow the workers'"'"' interleaving)"
+       else "" end) as $note
+    | [$spec[0].per_layer[] | select(.unit == "count" and (.name | startswith("proc.") | not))
+       | .name as $n
+       | [$n, $b.metrics[$n].value, $c.metrics[$n].value] | select(.[1] != .[2])] as $diff
+    | if ($b.metrics | length) == 0 or ($c.metrics | length) == 0 then
+        "counts: a traced run failed (see \($workload)-42-*-traced.log)"
+      elif $diff == [] then "counts equal\($note)"
+      else "counts differ\($note):", ($diff[] | "  \(.[0])  base \(.[1])  change \(.[2])") end
+  ' "$ab/runs/$workload-42-base-traced.json" "$ab/runs/$workload-42-change-traced.json"
   echo
 done

@@ -27,7 +27,7 @@
 //!   adversary: mutation operators, tampers, and the campaign sweep.
 //! * [`obs`] — the telemetry layer: lock-free metrics registry, RAII
 //!   pipeline spans with a chrome://tracing journal, and the
-//!   JSON/Prometheus exporters behind `OROCHI_OBS`.
+//!   JSON exporter behind `OROCHI_OBS`.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and experiment index. Measurement is the standalone
