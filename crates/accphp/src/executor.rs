@@ -1,34 +1,34 @@
-//! The verifier's group executor: grouped SIMD-on-demand re-execution
-//! with a scalar per-request fallback.
+//! The verifier's group executor: each unit runs once, grouped
+//! (SIMD-on-demand) or, for a singleton, an unrouted path or a
+//! `force_scalar` audit, per request on the scalar VM.
 //!
-//! Grouped execution is purely an accelerator: every correctness check
-//! (`CheckOp`, op counts, output comparison) is enforced per request by
-//! the [`AuditContext`]. When a group diverges — hostile grouping, or a
-//! per-lane error the superposed execution cannot express — the executor
-//! resets the affected requests and re-executes each one on the scalar
-//! VM through a checking backend, mirroring acc-PHP's "re-executing the
-//! requests separately in sequence" escape hatch (§4.3). This is
-//! strictly more complete than Fig. 12's REJECT-on-divergence and
-//! equally sound.
+//! Every correctness check (`CheckOp`, op counts, output comparison) is
+//! enforced per request by the [`AuditContext`]. The server's grouping
+//! is advice the executor checks: every run recomputes the control-flow
+//! tag ([`orochi_php::vm::ctl_flow_tag`]) — once per grouped run, once
+//! per scalar request — and one that differs from the unit's claimed tag
+//! is [`Rejection::Divergence`], as is a group that diverges mid-run or
+//! whose members name different scripts (Fig. 12 line 39). An honest
+//! group, whose members share one tag, never diverges.
 //!
 //! The audit calls [`GroupExecutor::check_group`], which this executor
 //! overrides: a grouped run compares each member's echoes against its
 //! traced response in place ([`groupvm::check_group`]) and builds no
-//! page, and the scalar fallback compares each output with its traced
-//! response as soon as it exists and drops it. [`GroupExecutor::execute_group`]
+//! page, and a scalar run compares each output with its traced response
+//! as soon as it exists and drops it. [`GroupExecutor::execute_group`]
 //! still builds every response, for callers that want them.
 //!
 //! Each grouped run's univalent and multivalent dispatch counts go to
 //! the audit's Fig. 10 counters (`AuditContext::record_vm_dispatches`).
 
-use crate::groupvm::{self, db_result, rows_to_value, GroupRunError};
+use crate::groupvm::{self, db_result, rows_to_value};
 use orochi_common::ids::RequestId;
 use orochi_core::audit::{AuditContext, Rejection};
 use orochi_core::exec::{DbTxnHandle, GroupExecutor, OutputCheck};
 use orochi_core::nondet::NondetValue;
 use orochi_php::backend::{BackendError, DbResult, NondetProvider, RuntimeBackend, StateBackend};
 use orochi_php::bytecode::CompiledScript;
-use orochi_php::vm::{not_found_output, run_request, RequestInput, RequestOutput, RunResult};
+use orochi_php::vm::{not_found, run_request, RequestInput, RequestOutput, RunResult};
 use orochi_state::object::ObjectName;
 use orochi_trace::{HttpRequest, HttpResponse, ResponseRef};
 use std::collections::HashMap;
@@ -65,8 +65,6 @@ pub fn request_input(req: &HttpRequest) -> RequestInput<'_> {
 pub struct ExecutorStats {
     /// Groups executed in superposed (grouped) mode.
     pub grouped: usize,
-    /// Groups that fell back to scalar per-request execution.
-    pub fallbacks: usize,
     /// Requests executed on the scalar path.
     pub scalar_requests: usize,
     /// Logged session/APC versions decoded by grouped runs (one per
@@ -80,7 +78,6 @@ impl ExecutorStats {
     /// their counters afterwards; the sums are order-independent.
     pub fn merge(&mut self, other: &ExecutorStats) {
         self.grouped += other.grouped;
-        self.fallbacks += other.fallbacks;
         self.scalar_requests += other.scalar_requests;
         self.logged_decodes += other.logged_decodes;
     }
@@ -139,10 +136,11 @@ impl AccPhpExecutor {
         ctx: &mut AuditContext<'_>,
     ) -> Result<RequestOutput, Rejection> {
         self.stats.scalar_requests += 1;
-        let Some(script) = self.scripts.get(input.path) else {
-            return Ok(not_found_output(input.path));
+        let result = match self.scripts.get(input.path) {
+            Some(script) => run_scalar_request(script, rid, input, ctx)?,
+            None => not_found(input.path),
         };
-        let result = run_scalar_request(script, rid, input, ctx)?;
+        ctx.check_tag(result.tag())?;
         // Scalar execution dispatches every instruction once: total and
         // executed coincide.
         ctx.record_vm_dispatches(result.stats.instructions, result.stats.instructions);
@@ -151,10 +149,10 @@ impl AccPhpExecutor {
 
     /// The one re-execution path under both trait methods: grouped in
     /// chunks of [`MAX_GROUP`] through `grouped` (given a chunk's
-    /// script, offset, rids and inputs), or — for a mixed-script group,
-    /// a singleton, `force_scalar`, or after a divergence — per request
-    /// on the scalar VM, each output handed to `scalar` with its
-    /// position. Yields one `T` per member, in order.
+    /// script, offset, rids and inputs), or — for a singleton, an
+    /// unrouted path or `force_scalar` — per request on the scalar VM,
+    /// each output handed to `scalar` with its position. Yields one `T`
+    /// per member, in order.
     fn run<T>(
         &mut self,
         requests: &[(RequestId, HttpRequest)],
@@ -165,53 +163,38 @@ impl AccPhpExecutor {
             &[RequestId],
             &[RequestInput<'_>],
             &mut AuditContext<'_>,
-        ) -> Result<groupvm::GroupOutcome<T>, GroupRunError>,
+        ) -> Result<groupvm::GroupOutcome<T>, Rejection>,
         mut scalar: impl FnMut(usize, RequestOutput, &mut AuditContext<'_>) -> T,
     ) -> Result<Vec<T>, Rejection> {
         let rids: Vec<RequestId> = requests.iter().map(|(r, _)| *r).collect();
         let inputs: Vec<RequestInput<'_>> =
             requests.iter().map(|(_, req)| request_input(req)).collect();
         let mut outputs: Vec<T> = Vec::with_capacity(requests.len());
-
-        // Grouped execution requires a single script; groups beyond
-        // MAX_GROUP split into chunks. Anything else goes scalar.
-        let same_path = inputs.windows(2).all(|w| w[0].path == w[1].path);
-        let try_grouped = !self.force_scalar && requests.len() > 1 && same_path;
-        let script = self.scripts.get(inputs[0].path).filter(|_| try_grouped);
-
-        if let Some(script) = script.cloned() {
+        let group = !self.force_scalar && requests.len() > 1;
+        // The tag is seeded with the script path: members that name
+        // different scripts cannot share one.
+        if group && inputs.windows(2).any(|w| w[0].path != w[1].path) {
+            return Err(ctx.divergence());
+        }
+        if let Some(script) = self.scripts.get(inputs[0].path).filter(|_| group).cloned() {
             let chunks = rids.chunks(MAX_GROUP).zip(inputs.chunks(MAX_GROUP));
             for (k, (rid_chunk, input_chunk)) in chunks.enumerate() {
-                match grouped(&script, k * MAX_GROUP, rid_chunk, input_chunk, ctx) {
-                    Ok(outcome) => {
-                        self.stats.grouped += 1;
-                        self.stats.logged_decodes += outcome.logged_decodes;
-                        // A fully scalar audit would dispatch every
-                        // group instruction once per lane; superposed
-                        // execution pays univalent instructions once.
-                        let n = rid_chunk.len() as u64;
-                        ctx.record_vm_dispatches(
-                            n * (outcome.univalent + outcome.multivalent),
-                            outcome.univalent + n * outcome.multivalent,
-                        );
-                        outputs.extend(outcome.outputs);
-                    }
-                    Err(GroupRunError::Reject(r)) => return Err(r),
-                    Err(GroupRunError::Diverged(_why)) => {
-                        // Retry the whole group per request; checks rerun
-                        // identically after the reset.
-                        outputs.clear();
-                        break;
-                    }
-                }
+                let outcome = grouped(&script, k * MAX_GROUP, rid_chunk, input_chunk, ctx)?;
+                ctx.check_tag(outcome.tag)?;
+                self.stats.grouped += 1;
+                self.stats.logged_decodes += outcome.logged_decodes;
+                // A fully scalar audit would dispatch every group
+                // instruction once per lane; superposed execution pays
+                // univalent instructions once.
+                let n = rid_chunk.len() as u64;
+                ctx.record_vm_dispatches(
+                    n * (outcome.univalent + outcome.multivalent),
+                    outcome.univalent + n * outcome.multivalent,
+                );
+                outputs.extend(outcome.outputs);
             }
-            if outputs.len() == requests.len() {
-                return Ok(outputs);
-            }
-            self.stats.fallbacks += 1;
-            ctx.reset_requests(&rids);
+            return Ok(outputs);
         }
-
         for (p, (rid, input)) in rids.iter().zip(&inputs).enumerate() {
             let out = self.run_scalar(*rid, input, ctx)?;
             outputs.push(scalar(p, out, ctx));
@@ -266,8 +249,8 @@ impl GroupExecutor for AccPhpExecutor {
 }
 
 /// Re-executes one request on the scalar VM through the checking
-/// backend — the executor's fallback path, and the per-request reference
-/// a grouped run is compared against.
+/// backend — the executor's scalar path, and the per-request reference
+/// a grouped run is compared against. The caller checks its tag.
 pub fn run_scalar_request(
     script: &CompiledScript,
     rid: RequestId,

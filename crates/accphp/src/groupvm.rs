@@ -13,9 +13,16 @@
 //!   the result ([`crate::mval::LaneMemo`]) — and the result collapses
 //!   back to a univalue whenever the lanes agree;
 //! * conditional branches (and iteration steps) require a *uniform*
-//!   decision across lanes — otherwise the group **diverges**
-//!   (Fig. 12 line 39) and the caller falls back to per-request scalar
-//!   re-execution, acc-PHP's escape hatch (§4.3, §4.7);
+//!   decision across lanes, which goes into the group's control-flow
+//!   digest as the scalar VM mixes it per request — otherwise the group
+//!   **diverges** and the audit rejects with
+//!   [`Rejection::Divergence`] (Fig. 12 line 39);
+//! * a failure in every lane at one instruction is the group's ending,
+//!   each lane answering the 500 page of its own message; a failure in
+//!   some lanes only is divergence. The run's outcome carries the tag
+//!   ([`orochi_php::vm::ctl_flow_tag`]) of that digest, ending and
+//!   instruction count, for the executor to check against the claimed
+//!   one;
 //! * state operations split into per-lane `CheckOp`/`SimOp` calls against
 //!   the [`AuditContext`] (Fig. 12 lines 41–47), and nondeterministic
 //!   builtins consume each lane's recorded values (§4.6);
@@ -31,7 +38,7 @@
 //! group run against the scalar VM, member by member, and the check
 //! against the built pages.
 
-use orochi_common::ids::RequestId;
+use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_core::audit::{AuditContext, Rejection};
 use orochi_php::bytecode::CompiledScript;
 use orochi_php::vm::{execute, RequestInput, RequestOutput, STEP_LIMIT};
@@ -42,23 +49,6 @@ mod group;
 pub(crate) use group::{db_result, rows_to_value};
 use group::{Build, Check, Group, Sink};
 
-/// Why grouped execution stopped without producing outputs.
-#[derive(Debug)]
-pub enum GroupRunError {
-    /// Execution within the group diverged (non-uniform branch,
-    /// per-lane error, mixed types): the caller should re-execute the
-    /// requests separately.
-    Diverged(&'static str),
-    /// The audit context rejected an operation: the audit fails.
-    Reject(Rejection),
-}
-
-impl From<Rejection> for GroupRunError {
-    fn from(r: Rejection) -> Self {
-        GroupRunError::Reject(r)
-    }
-}
-
 /// Result of a grouped run.
 #[derive(Debug)]
 pub struct GroupOutcome<O = RequestOutput> {
@@ -66,6 +56,8 @@ pub struct GroupOutcome<O = RequestOutput> {
     /// [`run_group`], whether it equals the traced one for
     /// [`check_group`].
     pub outputs: Vec<O>,
+    /// The control-flow tag every member's scalar run would compute.
+    pub tag: CtlFlowTag,
     /// Instructions that executed once for the whole group.
     pub univalent: u64,
     /// Instructions that executed per lane.
@@ -82,7 +74,7 @@ pub fn run_group(
     rids: &[RequestId],
     inputs: &[RequestInput<'_>],
     ctx: &mut AuditContext<'_>,
-) -> Result<GroupOutcome, GroupRunError> {
+) -> Result<GroupOutcome, Rejection> {
     let pages = Build(vec![String::new(); rids.len()]);
     run_group_limited(script, rids, inputs, pages, ctx, STEP_LIMIT)
 }
@@ -98,7 +90,7 @@ pub fn check_group(
     inputs: &[RequestInput<'_>],
     expected: &[ResponseRef<'_>],
     ctx: &mut AuditContext<'_>,
-) -> Result<GroupOutcome<bool>, GroupRunError> {
+) -> Result<GroupOutcome<bool>, Rejection> {
     debug_assert_eq!(rids.len(), expected.len(), "one response per rid");
     run_group_limited(script, rids, inputs, Check::new(expected), ctx, STEP_LIMIT)
 }
@@ -110,7 +102,7 @@ fn run_group_limited<S: Sink>(
     out: S,
     ctx: &mut AuditContext<'_>,
     step_limit: u64,
-) -> Result<GroupOutcome<S::Out>, GroupRunError> {
+) -> Result<GroupOutcome<S::Out>, Rejection> {
     let mut group = Group::new(script, rids, inputs, out, ctx, step_limit);
     let flow = execute(script, &mut group);
     group.finish(flow)

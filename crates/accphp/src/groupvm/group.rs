@@ -19,8 +19,8 @@ use orochi_php::builtins::{self, Builtin};
 use orochi_php::bytecode::CompiledScript;
 use orochi_php::value::{ForeachIter, Value};
 use orochi_php::vm::{
-    ops, pairs_to_array, server_array, LaneDomain, PathOp, RequestInput, RequestOutput, Slot,
-    VmError, STEP_LIMIT_EXCEEDED,
+    ctl_flow_tag, digest_mix, fnv1a, ops, pairs_to_array, server_array, Ending, LaneDomain, PathOp,
+    RequestInput, RequestOutput, Slot, VmError, STEP_LIMIT_EXCEEDED,
 };
 use orochi_sqldb::{ExecOutcome, SqlValue};
 use orochi_state::object::ObjectName;
@@ -31,20 +31,22 @@ use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::{GroupOutcome, GroupRunError};
+use super::GroupOutcome;
 
 /// SELECT outcomes turned into PHP arrays. Stays at or below
 /// `db_queries_issued × groups` while conversion is per distinct result
 /// per group; per-lane conversion would put it near `db_queries`.
 static RESULT_CONVERSIONS: LazyCounter = LazyCounter::new("accphp_result_conversions");
 
-/// Internal control signals of the superposed interpreter.
+/// Why the superposed interpreter stopped early: a rejection (a
+/// non-uniform decision is [`Rejection::Divergence`]), or an ending every
+/// lane reached at one instruction.
 pub(super) enum Flow {
-    Diverged(&'static str),
     Reject(Rejection),
-    /// Uniform fatal error: the whole group produces the same 500 page.
-    GroupFatal(String),
-    /// Uniform `exit`/`die`.
+    /// A fatal error: lane `l` answers the 500 page of its own message,
+    /// `messages.lane(l)`.
+    Fatal(MVal),
+    /// `exit`/`die`.
     Exit,
 }
 
@@ -54,24 +56,14 @@ impl From<Rejection> for Flow {
     }
 }
 
-/// Lifts a scalar VmError arising from *univalent* execution: fatal
-/// errors are uniform across lanes.
-fn uni_err(e: VmError) -> Flow {
-    match e {
-        VmError::Fatal(m) => Flow::GroupFatal(m),
-        VmError::Exit => Flow::Exit,
-        VmError::AuditReject(m) => Flow::Reject(Rejection::ExecFailure(m)),
-    }
-}
-
-/// Lifts per-lane errors: a fatal in *some* lanes is divergence; the
-/// caller re-executes scalar per request, where each lane gets its own
-/// (possibly 500) output.
-fn lane_err(e: VmError) -> Flow {
-    match e {
-        VmError::Fatal(_) => Flow::Diverged("per-lane error"),
-        VmError::Exit => Flow::Diverged("per-lane exit"),
-        VmError::AuditReject(m) => Flow::Reject(Rejection::ExecFailure(m)),
+impl From<VmError> for Flow {
+    /// An error every lane met alike.
+    fn from(e: VmError) -> Self {
+        match e {
+            VmError::Fatal(m) => Flow::Fatal(MVal::Uni(Value::str(m))),
+            VmError::Exit => Flow::Exit,
+            VmError::AuditReject(m) => Flow::Reject(Rejection::ExecFailure(m)),
+        }
     }
 }
 
@@ -159,16 +151,15 @@ pub(super) trait Sink {
     /// Each lane `l` appends `text(l)`; a sink may skip lanes whose
     /// output no longer matters.
     fn echo_each<'v>(&mut self, text: impl FnMut(usize) -> Cow<'v, str>);
-    /// The run ended normally with these per-lane statuses and headers.
+    /// Every lane forgets what it echoed (a fatal replaces the page).
+    fn clear(&mut self);
+    /// The run ended with these per-lane statuses and headers.
     fn finish(
         self,
         rids: &[RequestId],
         statuses: &[u16],
         headers: Vec<Vec<(String, String)>>,
     ) -> Vec<Self::Out>;
-    /// A uniform fatal: every lane answers `page` with status 500 and
-    /// no headers, whatever it echoed before.
-    fn fatal(self, rids: &[RequestId], page: &str) -> Vec<Self::Out>;
 }
 
 /// The built pages, one per lane: what [`super::run_group`] returns and
@@ -190,6 +181,10 @@ impl Sink for Build {
         }
     }
 
+    fn clear(&mut self) {
+        self.0.iter_mut().for_each(String::clear);
+    }
+
     fn finish(
         self,
         _rids: &[RequestId],
@@ -206,15 +201,6 @@ impl Sink for Build {
                 body,
             })
             .collect()
-    }
-
-    fn fatal(self, _rids: &[RequestId], page: &str) -> Vec<RequestOutput> {
-        let out = RequestOutput {
-            status: 500,
-            headers: Vec::new(),
-            body: page.to_owned(),
-        };
-        vec![out; self.0.len()]
     }
 }
 
@@ -245,19 +231,6 @@ impl<'e> Check<'e> {
             self.at[l] = body[at..].starts_with(s.as_bytes()).then_some(at + s.len());
         }
     }
-
-    /// The response lane `l` owes, minus its body, against what it
-    /// produced.
-    fn frame_matches(
-        &self,
-        l: usize,
-        rid: RequestId,
-        status: u16,
-        headers: &[(String, String)],
-    ) -> bool {
-        let expected = &self.expected[l];
-        expected.rid_label() == rid && expected.status() == status && expected.headers() == *headers
-    }
 }
 
 impl Sink for Check<'_> {
@@ -277,25 +250,29 @@ impl Sink for Check<'_> {
         }
     }
 
+    fn clear(&mut self) {
+        self.at.fill(Some(0));
+    }
+
     fn finish(
         self,
         rids: &[RequestId],
         statuses: &[u16],
         headers: Vec<Vec<(String, String)>>,
     ) -> Vec<bool> {
-        (0..rids.len())
-            .map(|l| {
-                self.at[l] == Some(self.expected[l].body_bytes().len())
-                    && self.frame_matches(l, rids[l], statuses[l], &headers[l])
-            })
-            .collect()
-    }
-
-    fn fatal(self, rids: &[RequestId], page: &str) -> Vec<bool> {
-        (0..rids.len())
-            .map(|l| {
-                self.expected[l].body_bytes() == page.as_bytes()
-                    && self.frame_matches(l, rids[l], 500, &[])
+        // A lane matches when its label, status and headers do and its
+        // echoes reached the end of the traced body.
+        let lanes = self
+            .expected
+            .iter()
+            .zip(&self.at)
+            .zip(rids.iter().zip(statuses));
+        (lanes.zip(headers))
+            .map(|(((expected, at), (rid, status)), headers)| {
+                *at == Some(expected.body_bytes().len())
+                    && expected.rid_label() == *rid
+                    && expected.status() == *status
+                    && expected.headers() == *headers
             })
             .collect()
     }
@@ -320,6 +297,10 @@ pub(super) struct Group<'c, 'a, S> {
     multivalent: u64,
     steps: u64,
     step_limit: u64,
+    /// The control-flow digest, mixed as the scalar VM mixes each
+    /// member's: every decision is uniform, so it is every member's.
+    digest: u64,
+    branch_events: u64,
     /// The PHP array of every SELECT outcome this group has read, by
     /// handle address. Each entry keeps its handle, so an address names
     /// one outcome for as long as the map lives.
@@ -373,6 +354,8 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
             multivalent: 0,
             steps: 0,
             step_limit,
+            digest: fnv1a(script.path.as_bytes()),
+            branch_events: 0,
             converted: HashMap::new(),
             decoded: HashMap::new(),
             db_main: ObjectName("db:main".into()),
@@ -383,51 +366,85 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
         }
     }
 
-    /// Turns the interpreter's exit into the group's outcome. Handing
-    /// the sink its ending counts as output time.
+    /// Turns the interpreter's exit into the group's outcome and its
+    /// control-flow tag, both as the scalar runtime makes them per
+    /// request. Handing the sink its ending counts as output time.
     pub(super) fn finish(
         mut self,
         flow: Result<(), Flow>,
-    ) -> Result<GroupOutcome<S::Out>, GroupRunError> {
-        let fatal = match flow {
-            Ok(()) | Err(Flow::Exit) => {
-                if self.close_leaked_txns()? {
-                    Some("script ended with open transaction".to_owned())
-                } else {
-                    self.write_sessions_back()?;
-                    None
-                }
+    ) -> Result<GroupOutcome<S::Out>, Rejection> {
+        let (ending, fatal) = match flow {
+            Err(Flow::Fatal(messages)) => (Ending::Fatal, Some(messages)),
+            Err(Flow::Reject(r)) => return Err(r),
+            // The scalar runtime's end-of-request hook: a leaked
+            // transaction is a fatal; otherwise sessions are written back.
+            _ if self.close_leaked_txns()? => {
+                let leaked = Value::str("script ended with open transaction");
+                (Ending::Fatal, Some(MVal::Uni(leaked)))
             }
-            // Uniform fatal: all lanes produce the identical 500 page
-            // (no headers, no session write) — exactly what the scalar
-            // runtime does per request.
-            Err(Flow::GroupFatal(m)) => Some(m),
-            Err(Flow::Diverged(why)) => return Err(GroupRunError::Diverged(why)),
-            Err(Flow::Reject(r)) => return Err(GroupRunError::Reject(r)),
+            flow => {
+                self.write_sessions_back()?;
+                let ending = if flow.is_ok() {
+                    Ending::Normal
+                } else {
+                    Ending::Exit
+                };
+                (ending, None)
+            }
         };
         let t0 = Instant::now();
-        let outputs = match fatal {
-            Some(m) => self.out.fatal(self.rids, &format!("Fatal error: {m}")),
-            None => self.out.finish(self.rids, &self.statuses, self.headers),
-        };
+        if let Some(messages) = fatal {
+            // Each lane's 500 page replaces its echoes, status and
+            // headers; no session is written.
+            self.out.clear();
+            self.out.echo_each(|l| {
+                Cow::Owned(format!("Fatal error: {}", messages.lane(l).as_php_str()))
+            });
+            self.statuses.fill(500);
+            self.headers.iter_mut().for_each(Vec::clear);
+        }
+        let outputs = self.out.finish(self.rids, &self.statuses, self.headers);
         self.ctx.record_output_wall(t0.elapsed());
         Ok(GroupOutcome {
             outputs,
+            tag: ctl_flow_tag(self.digest, ending, self.steps),
             univalent: self.univalent,
             multivalent: self.multivalent,
             logged_decodes: self.decoded.len() as u64,
         })
     }
 
+    /// Mixes the next branch decision into the digest.
+    fn mix_event(&mut self, taken: bool) {
+        self.digest = digest_mix(self.digest, self.branch_events, taken);
+        self.branch_events += 1;
+    }
+
+    /// One instruction's per-lane results: every lane's value, or how
+    /// the run ends when every lane failed — a fatal, each lane with its
+    /// own message. A failure in some lanes only is divergence.
+    fn settle<T>(&self, results: Vec<Result<T, VmError>>) -> Result<Vec<T>, Flow> {
+        if results.iter().all(Result::is_ok) {
+            return Ok(results.into_iter().flatten().collect());
+        }
+        let mut messages = Vec::with_capacity(results.len());
+        for result in results {
+            match result {
+                Err(VmError::Fatal(m)) => messages.push(Value::str(m)),
+                Err(e) => return Err(e.into()),
+                Ok(_) => return Err(self.ctx.divergence().into()),
+            }
+        }
+        Err(Flow::Fatal(MVal::from_lanes(messages)))
+    }
+
     /// Closes transactions the script leaked (uniform control flow
     /// means all lanes leak together); returns true if any were open.
     fn close_leaked_txns(&mut self) -> Result<bool, Rejection> {
         let mut any = false;
-        for txn in &mut self.txns {
-            if let Some(handle) = txn.take() {
-                any = true;
-                self.ctx.db_finish(handle, false)?;
-            }
+        for handle in self.txns.iter_mut().filter_map(Option::take) {
+            any = true;
+            self.ctx.db_finish(handle, false)?;
         }
         Ok(any)
     }
@@ -459,8 +476,9 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
 
     /// The per-lane apply helper: runs `f`, a pure function of `lane`'s
     /// `operands`, once when every operand is a univalue and otherwise
-    /// through [`LaneMemo::per_lane`]; accounts the instruction and lifts errors
-    /// per the uni/multi discipline.
+    /// through [`LaneMemo::per_lane`]; accounts the instruction. When a
+    /// lane fails, every lane runs again plainly to [`Self::settle`] how
+    /// the group ends.
     fn apply<T: Clone>(
         &mut self,
         operands: &[&MVal],
@@ -468,13 +486,15 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
     ) -> Result<Applied<T>, Flow> {
         let multi = operands.iter().any(|m| !m.is_uni());
         self.account(multi);
-        if multi {
-            self.memo
-                .per_lane(operands, self.lanes, f)
-                .map(Applied::PerLane)
-                .map_err(lane_err)
-        } else {
-            f(0).map(Applied::Once).map_err(uni_err)
+        if !multi {
+            return Ok(Applied::Once(f(0)?));
+        }
+        match self.memo.per_lane(operands, self.lanes, &mut f) {
+            Ok(values) => Ok(Applied::PerLane(values)),
+            Err(_) => {
+                let results = (0..self.lanes).map(f).collect();
+                self.settle(results).map(Applied::PerLane)
+            }
         }
     }
 
@@ -523,8 +543,7 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
             MVal::Uni(mut v) if keys.iter().chain(value).all(MVal::is_uni) => {
                 self.account(false);
                 lane_keys.extend(keys.iter().map(|k| k.lane(0)));
-                path.apply(&mut v, &lane_keys, lane_value(0))
-                    .map_err(uni_err)?;
+                path.apply(&mut v, &lane_keys, lane_value(0))?;
                 Ok(MVal::Uni(v))
             }
             cur => {
@@ -595,21 +614,13 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
 
     /// The PHP value of logged session/APC bytes, decoded once per
     /// group (see `decoded`). Bytes that do not decode are the fatal
-    /// `corrupt`, as they are for the scalar runtime on the server; in a
-    /// group of several lanes the other lanes may decode fine, so the
-    /// group diverges and each request meets the fatal on its own.
-    fn decode_logged(&mut self, bytes: &'a [u8], corrupt: &str) -> Result<Value, Flow> {
+    /// `corrupt`, as they are for the scalar runtime on the server.
+    fn decode_logged(&mut self, bytes: &'a [u8], corrupt: &str) -> Result<Value, VmError> {
         let key = (bytes.as_ptr(), bytes.len());
         if let Some(v) = self.decoded.get(&key) {
             return Ok(v.clone());
         }
-        let v = Value::from_wire_bytes(bytes).map_err(|_| {
-            if self.lanes == 1 {
-                Flow::GroupFatal(corrupt.into())
-            } else {
-                Flow::Diverged("per-lane corrupt state")
-            }
-        })?;
+        let v = Value::from_wire_bytes(bytes).map_err(|_| VmError::Fatal(corrupt.into()))?;
         self.decoded.insert(key, v.clone());
         Ok(v)
     }
@@ -639,37 +650,17 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
             }
             Builtin::Header => {
                 let h = arg(0);
-                self.account(!h.is_uni());
-                for l in 0..self.lanes {
-                    let text = h.lane(l).as_php_str();
-                    match text.split_once(':') {
-                        Some((n, v)) => {
-                            self.headers[l].push((n.trim().to_string(), v.trim().to_string()))
-                        }
-                        None => {
-                            return Err(if h.is_uni() {
-                                Flow::GroupFatal("header(): malformed header".into())
-                            } else {
-                                Flow::Diverged("per-lane header error")
-                            })
-                        }
-                    }
+                let lines = self.apply(&[h], |l| builtins::header_line(&h.lane(l).as_php_str()))?;
+                for (l, headers) in self.headers.iter_mut().enumerate() {
+                    headers.push(lines.lane(l).clone());
                 }
                 Ok(MVal::Uni(Value::Null))
             }
             Builtin::HttpResponseCode => {
                 let c = arg(0);
-                self.account(!c.is_uni());
-                for l in 0..self.lanes {
-                    let code = c.lane(l).to_php_int();
-                    if !(100..=599).contains(&code) {
-                        return Err(if c.is_uni() {
-                            Flow::GroupFatal("http_response_code(): bad code".into())
-                        } else {
-                            Flow::Diverged("per-lane status error")
-                        });
-                    }
-                    self.statuses[l] = code as u16;
+                let codes = self.apply(&[c], |l| builtins::status_code(c.lane(l)))?;
+                for (l, status) in self.statuses.iter_mut().enumerate() {
+                    *status = *codes.lane(l);
                 }
                 Ok(MVal::Uni(Value::Bool(true)))
             }
@@ -691,16 +682,16 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
                     let mut sessions = Vec::with_capacity(self.lanes);
                     for l in 0..self.lanes {
                         let Some(cookie) = self.session_cookies[l] else {
-                            sessions.push(Value::empty_array());
+                            sessions.push(Ok(Value::empty_array()));
                             continue;
                         };
                         let obj = session_object(cookie);
                         sessions.push(match self.ctx.register_read(self.rids[l], &obj)? {
-                            Some(bytes) => self.decode_logged(bytes, "corrupt session data")?,
-                            None => Value::empty_array(),
+                            Some(bytes) => self.decode_logged(bytes, "corrupt session data"),
+                            None => Ok(Value::empty_array()),
                         });
                     }
-                    self.globals[3] = MVal::from_lanes(sessions);
+                    self.globals[3] = MVal::from_lanes(self.settle(sessions)?);
                 }
                 Ok(MVal::Uni(Value::Bool(true)))
             }
@@ -710,11 +701,11 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
                 for l in 0..self.lanes {
                     let k = arg(0).lane(l).as_php_str();
                     out.push(match self.ctx.kv_get(self.rids[l], &self.kv_apc, &k)? {
-                        Some(bytes) => self.decode_logged(bytes, "corrupt apc data")?,
-                        None => Value::Bool(false),
+                        Some(bytes) => self.decode_logged(bytes, "corrupt apc data"),
+                        None => Ok(Value::Bool(false)),
                     });
                 }
-                Ok(MVal::from_lanes(out))
+                Ok(MVal::from_lanes(self.settle(out)?))
             }
             Builtin::ApcStore | Builtin::ApcDelete => {
                 self.account(true);
@@ -733,7 +724,7 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
                 self.account(true);
                 for l in 0..self.lanes {
                     if self.txns[l].is_some() {
-                        return Err(Flow::GroupFatal("nested transaction".into()));
+                        return Err(VmError::Fatal("nested transaction".into()).into());
                     }
                     self.txns[l] = Some(self.ctx.db_begin(self.rids[l], &self.db_main)?);
                 }
@@ -764,10 +755,8 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
                 let mut out = Vec::with_capacity(self.lanes);
                 for l in 0..self.lanes {
                     let Some(handle) = self.txns[l].take() else {
-                        return Err(Flow::GroupFatal(format!(
-                            "{}() without transaction",
-                            builtin.name()
-                        )));
+                        let msg = format!("{}() without transaction", builtin.name());
+                        return Err(VmError::Fatal(msg).into());
                     };
                     let ok = self.ctx.db_finish(handle, committed)?;
                     out.push(Value::Bool(!committed || ok));
@@ -807,14 +796,17 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
                         _ => None,
                     })?;
                     let lane_args: Vec<Value> = args.iter().map(|v| v.lane(l).clone()).collect();
-                    out.push(builtins::mt_rand_reduce(raw, &lane_args).map_err(lane_err)?);
+                    out.push(builtins::mt_rand_reduce(raw, &lane_args));
                 }
-                Ok(MVal::from_lanes(out))
+                Ok(MVal::from_lanes(self.settle(out)?))
             }
-            other => Err(Flow::GroupFatal(format!(
-                "impure builtin {}() not handled in grouped mode",
-                other.name()
-            ))),
+            other => {
+                let msg = format!(
+                    "impure builtin {}() not handled in grouped mode",
+                    other.name()
+                );
+                Err(VmError::Fatal(msg).into())
+            }
         }
     }
 }
@@ -822,7 +814,7 @@ impl<'c, 'a, S: Sink> Group<'c, 'a, S> {
 /// A group is a domain of one lane per member: registers hold
 /// [`MVal`]s, an instruction with univalent operands runs once and one
 /// with multivalent operands per lane, and a branch must decide the same
-/// way in every lane or the group diverges.
+/// way in every lane or the group diverges, which rejects.
 impl<S: Sink> LaneDomain for Group<'_, '_, S> {
     type Reg = MVal;
     type Iter = GroupIter;
@@ -833,16 +825,12 @@ impl<S: Sink> LaneDomain for Group<'_, '_, S> {
         MVal::Uni(v)
     }
 
-    fn fatal(msg: String) -> Flow {
-        Flow::GroupFatal(msg)
-    }
-
     #[inline]
     fn step(&mut self) -> Result<(), Flow> {
-        self.steps += 1;
-        if self.steps > self.step_limit {
-            return Err(Flow::GroupFatal(STEP_LIMIT_EXCEEDED.into()));
+        if self.steps >= self.step_limit {
+            return Err(VmError::Fatal(STEP_LIMIT_EXCEEDED.into()).into());
         }
+        self.steps += 1;
         Ok(())
     }
 
@@ -890,7 +878,8 @@ impl<S: Sink> LaneDomain for Group<'_, '_, S> {
         self.account(!cond.is_uni());
         let truth = cond
             .uniform_truthiness(self.lanes)
-            .map_err(|()| Flow::Diverged("non-uniform branch"))?;
+            .map_err(|()| self.ctx.divergence())?;
+        self.mix_event(truth == jump_if);
         Ok(truth == jump_if)
     }
 
@@ -966,7 +955,9 @@ impl<S: Sink> LaneDomain for Group<'_, '_, S> {
         let (key, value) = match iter {
             GroupIter::Uni(iter) => {
                 self.account(false);
-                let Some((k, v)) = iter.next_entry() else {
+                let next = iter.next_entry();
+                self.mix_event(next.is_some());
+                let Some((k, v)) = next else {
                     return Ok(false);
                 };
                 let key = want_key.then(|| MVal::Uni(k.to_value()));
@@ -976,8 +967,9 @@ impl<S: Sink> LaneDomain for Group<'_, '_, S> {
                 let has_next = iters[0].peek().is_some();
                 if iters.iter().any(|it| it.peek().is_some() != has_next) {
                     self.account(true);
-                    return Err(Flow::Diverged("non-uniform iteration"));
+                    return Err(self.ctx.divergence().into());
                 }
+                self.mix_event(has_next);
                 if !has_next {
                     self.account(true);
                     return Ok(false);
@@ -1014,6 +1006,16 @@ enum Applied<T> {
     Once(T),
     /// One result per lane.
     PerLane(Vec<T>),
+}
+
+impl<T> Applied<T> {
+    /// Lane `l`'s result.
+    fn lane(&self, l: usize) -> &T {
+        match self {
+            Applied::Once(v) => v,
+            Applied::PerLane(vs) => &vs[l],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1100,10 +1102,10 @@ mod tests {
         }
         let (trace, config) = (Trace { events }, AuditConfig::new());
         let inputs: Vec<_> = requests.iter().map(request_input).collect();
-        let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
-        let checked = check_group(&script, &rids, &inputs, &expected, &mut ctx).unwrap();
-        ctx.reset_requests(&rids);
-        let built = run_group(&script, &rids, &inputs, &mut ctx).unwrap();
+        // One context per run: each runs every request once.
+        let prepare = || AuditContext::prepare(&trace, &reports, &config).unwrap();
+        let checked = check_group(&script, &rids, &inputs, &expected, &mut prepare()).unwrap();
+        let built = run_group(&script, &rids, &inputs, &mut prepare()).unwrap();
         for (l, out) in built.outputs.into_iter().enumerate() {
             let page = HttpResponse {
                 rid_label: rids[l],

@@ -16,14 +16,16 @@
 //!   identity.
 //! * [`groupvm`] — the multivalue VM: the scalar runtime's dispatch
 //!   loop (`orochi_php::vm::execute`) run in a lane domain of one lane
-//!   per group member. Conditional branches on non-uniform conditions
-//!   signal *divergence* (Fig. 12 line 39); state and nondeterministic
-//!   builtins split into per-lane calls against the audit context
-//!   (Fig. 12 lines 41–47); pure builtins split per lane exactly as
-//!   §4.3 describes.
+//!   per group member. It recomputes the group's control-flow tag as
+//!   the scalar VM computes each member's; a non-uniform branch, or a
+//!   failure in some lanes only, is a *divergence*, which rejects
+//!   (Fig. 12 line 39). State and nondeterministic builtins split into
+//!   per-lane calls against the audit context (Fig. 12 lines 41–47);
+//!   pure builtins split per lane exactly as §4.3 describes.
 //! * [`executor`] — the [`orochi_core::GroupExecutor`] implementation:
-//!   grouped execution with a scalar per-request fallback (mirroring
-//!   acc-PHP's "re-execute separately" escape hatch), plus the
+//!   one run per unit, grouped, or per request on the scalar VM for
+//!   singletons, unrouted paths and `force_scalar`; each run's
+//!   recomputed tag is checked against the claimed one. Plus the
 //!   univalent/multivalent accounting behind Fig. 10.
 
 pub mod executor;
@@ -31,5 +33,4 @@ pub mod groupvm;
 pub mod mval;
 
 pub use executor::{AccPhpExecutor, VmEngine};
-pub use groupvm::GroupRunError;
 pub use mval::{LaneMemo, MVal};

@@ -2,12 +2,14 @@
 //! worked example (§4.3 / Fig. 2).
 
 use orochi_accphp::executor::request_input;
-use orochi_accphp::groupvm::{run_group, GroupRunError};
+use orochi_accphp::groupvm::run_group;
 use orochi_accphp::AccPhpExecutor;
 use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_core::audit::{audit, AuditConfig, AuditContext, Rejection};
 use orochi_core::nondet::NondetValue;
 use orochi_core::reports::Reports;
+use orochi_php::backend::NullBackend;
+use orochi_php::vm::run_request;
 use orochi_php::{compile, parse_script};
 use orochi_trace::{Event, HttpRequest, HttpResponse, Trace};
 use std::collections::HashMap;
@@ -91,7 +93,7 @@ fn branch_divergence_detected() {
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     match run_group(&script, &rids, &inputs, &mut ctx) {
-        Err(GroupRunError::Diverged(_)) => {}
+        Err(Rejection::Divergence { .. }) => {}
         other => panic!("expected divergence, got {other:?}"),
     }
 }
@@ -126,7 +128,7 @@ fn iteration_length_divergence_detected() {
     let config = AuditConfig::new();
     let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
     match run_group(&script, &rids, &inputs, &mut ctx) {
-        Err(GroupRunError::Diverged(_)) => {}
+        Err(Rejection::Divergence { .. }) => {}
         other => panic!("expected divergence, got {other:?}"),
     }
 }
@@ -162,6 +164,67 @@ fn uniform_fatal_yields_identical_500s() {
     for out in &outcome.outputs {
         assert_eq!(out.status, 500);
         assert!(out.body.contains("modulo by zero"));
+    }
+}
+
+/// Every lane fails at one multivalent instruction, each with its own
+/// message: the group ends there, and each lane answers the page and
+/// the tag the scalar VM gives it alone.
+#[test]
+fn a_failure_in_every_lane_at_one_instruction_runs_grouped_and_matches_scalar() {
+    type Case<'c> = (&'c str, &'c [Vec<(&'c str, &'c str)>], [&'c str; 2]);
+    let cases: [Case<'_>; 2] = [
+        // Malformed in every lane, differently: `header()` per lane.
+        (
+            "<?php echo 'x'; header($_GET['h']); echo 'y';",
+            &[vec![("h", "no colon")], vec![("h", "none")]],
+            ["header(): malformed header"; 2],
+        ),
+        // `sort()` of an int in one lane and of a string in the other:
+        // one instruction, two messages.
+        (
+            "<?php $v = [intval($_GET['n']), $_GET['s']][intval($_GET['i'])]; sort($v);",
+            &[
+                vec![("n", "1"), ("s", "a"), ("i", "0")],
+                vec![("n", "1"), ("s", "a"), ("i", "1")],
+            ],
+            [
+                "sort() expects an array, int given",
+                "sort() expects an array, string given",
+            ],
+        ),
+    ];
+    for (src, params, messages) in cases {
+        let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
+        let (rids, requests, trace, reports) = fixtures(params);
+        let inputs: Vec<_> = requests.iter().map(request_input).collect();
+        let config = AuditConfig::new();
+        let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
+        let outcome =
+            run_group(&script, &rids, &inputs, &mut ctx).unwrap_or_else(|r| panic!("{src}: {r}"));
+        for (l, (out, input)) in outcome.outputs.iter().zip(&inputs).enumerate() {
+            let scalar = run_request(&script, &mut NullBackend, input).unwrap();
+            assert_eq!(out.status, 500, "{src}");
+            assert_eq!(out.body, format!("Fatal error: {}", messages[l]), "{src}");
+            assert_eq!(*out, scalar.output, "{src}");
+            assert_eq!(outcome.tag, scalar.tag(), "{src}");
+        }
+    }
+}
+
+/// A failure in some lanes only: the requests end differently, so they
+/// cannot share a tag, and the group is rejected.
+#[test]
+fn a_failure_in_some_lanes_only_is_divergence() {
+    let src = "<?php echo intdiv(10, intval($_GET['b']));";
+    let script = compile("/prog.php", &parse_script(src).unwrap()).unwrap();
+    let (rids, requests, trace, reports) = fixtures(&[vec![("b", "0")], vec![("b", "2")]]);
+    let inputs: Vec<_> = requests.iter().map(request_input).collect();
+    let config = AuditConfig::new();
+    let mut ctx = AuditContext::prepare(&trace, &reports, &config).unwrap();
+    match run_group(&script, &rids, &inputs, &mut ctx) {
+        Err(Rejection::Divergence { .. }) => {}
+        other => panic!("expected divergence, got {other:?}"),
     }
 }
 

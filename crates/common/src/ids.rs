@@ -74,8 +74,8 @@ pub struct SeqNum(pub u64);
 ///
 /// Requests that induce the same control flow are supposed to receive the
 /// same tag; the verifier re-executes each tag's request set as one group.
-/// The tag is untrusted: a wrong grouping is caught by divergence or by
-/// output mismatch during re-execution.
+/// The tag is untrusted advice: every re-execution recomputes it, and a
+/// wrong grouping is rejected as a divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CtlFlowTag(pub u64);
 

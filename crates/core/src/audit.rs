@@ -163,10 +163,12 @@ pub enum Rejection {
         /// The unknown request.
         rid: RequestId,
     },
-    /// Requests in one control-flow group diverged during grouped
-    /// re-execution (Fig. 12 line 39).
+    /// A unit's requests did not follow its claimed control-flow tag
+    /// (Fig. 12 line 39): a run recomputed another tag, a group's lanes
+    /// decided differently or failed in some lanes only, or its members
+    /// name different scripts.
     Divergence {
-        /// The group's tag.
+        /// The tag the group claims.
         tag: CtlFlowTag,
     },
     /// The re-executed program failed outright (runtime error where the
@@ -601,6 +603,9 @@ pub struct AuditContext<'a> {
     dedup_cache: HashMap<DedupKey, Arc<ExecOutcome>>,
     /// Nondeterminism cursors per dense request index.
     nondet_cursor: Vec<usize>,
+    /// The control-flow tag the unit being re-executed claims; the
+    /// driver sets it before each unit.
+    pub(crate) claimed: CtlFlowTag,
     /// Accumulated statistics (including the "DB query" busy time, so
     /// nothing timing-related is threaded beside the stats).
     pub(crate) stats: AuditStats,
@@ -632,6 +637,7 @@ impl<'a> AuditContext<'a> {
             in_txn: vec![false; x],
             dedup_cache: carry.dedup_cache,
             nondet_cursor: vec![0; x],
+            claimed: CtlFlowTag(0),
             stats: carry.stats,
         }
     }
@@ -1062,19 +1068,19 @@ impl<'a> AuditContext<'a> {
         &self.stats
     }
 
-    /// Resets per-request progress for `rids` so they can be re-executed
-    /// from scratch. Used by the grouped executor when a group diverges
-    /// and falls back to per-request scalar re-execution (acc-PHP's
-    /// retry, §4.3): checks are deterministic and side-effect-free on
-    /// the audit state, so a retry re-runs them identically.
-    pub fn reset_requests(&mut self, rids: &[RequestId]) {
-        for rid in rids {
-            if let Some(idx) = self.dense(*rid) {
-                self.opnum_next[idx] = 1;
-                self.in_txn[idx] = false;
-                self.nondet_cursor[idx] = 0;
-            }
+    /// The running unit diverged (Fig. 12 line 39).
+    pub fn divergence(&self) -> Rejection {
+        Rejection::Divergence { tag: self.claimed }
+    }
+
+    /// Checks the control-flow tag a run recomputed against the one its
+    /// unit claims: the server's grouping is advice, checked on every
+    /// run, grouped or scalar.
+    pub fn check_tag(&self, tag: CtlFlowTag) -> Result<(), Rejection> {
+        if tag != self.claimed {
+            return Err(self.divergence());
         }
+        Ok(())
     }
 }
 

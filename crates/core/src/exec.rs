@@ -98,8 +98,9 @@ impl OutputCheck {
 /// produce a response for every request in the group. The audit driver
 /// calls [`Self::check_group`], which judges each response against the
 /// trace; the driver itself verifies operation counts and picks the
-/// verdict. A misgrouped request manifests as divergence (return
-/// [`Rejection::Divergence`]) or as an output mismatch.
+/// verdict. The group's claimed control-flow tag is advice: a run that
+/// recomputes its tag checks it with [`AuditContext::check_tag`], and a
+/// misgrouped request is [`Rejection::Divergence`].
 pub trait GroupExecutor {
     /// Re-executes one group of requests that allegedly share a control
     /// flow and returns the response of each.

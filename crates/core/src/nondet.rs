@@ -107,9 +107,14 @@ impl NondetLog {
 
     /// Validates the §4.6 sanity conditions for every request: `time` and
     /// `microtime` non-decreasing within the request, `pid` constant
-    /// within the request. Returns the offending request on failure.
+    /// within the request. Returns the offending request on failure: the
+    /// first in ascending rid order (the order of the log's `Wire`
+    /// bytes), so every audit of one log names the same one.
     pub fn validate(&self) -> Result<(), RequestId> {
-        for (rid, values) in &self.entries {
+        let mut rids: Vec<&RequestId> = self.entries.keys().collect();
+        rids.sort();
+        for rid in rids {
+            let values = &self.entries[rid];
             let mut last_time: Option<i64> = None;
             let mut last_micro: Option<f64> = None;
             let mut pid: Option<i64> = None;
@@ -207,6 +212,21 @@ mod tests {
         log.push(rid, NondetValue::Rand(5));
         log.push(rid, NondetValue::Pid(11));
         assert_eq!(log.validate(), Err(rid));
+    }
+
+    #[test]
+    fn the_lowest_offending_request_is_named_whatever_the_insertion_order() {
+        // Each log hashes its rids with its own random keys, so 32 logs
+        // walk the two offenders in both orders many times over.
+        for k in 0..32 {
+            let mut log = NondetLog::new();
+            let offenders = if k % 2 == 0 { [3, 9] } else { [9, 3] };
+            for rid in offenders.map(RequestId) {
+                log.push(rid, NondetValue::Pid(1));
+                log.push(rid, NondetValue::Pid(2));
+            }
+            assert_eq!(log.validate(), Err(RequestId(3)), "log {k}");
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::graph::process_op_reports;
 use crate::reports::Reports;
 use orochi_common::ids::{CtlFlowTag, OpNum, RequestId};
 use orochi_trace::record::Trace;
+use std::collections::HashMap;
 
 /// Runs the audit with per-request "groups" ordered by a topological
 /// sort of the event graph (the op schedule `S'` of §A.5).
@@ -55,13 +56,17 @@ pub fn ooo_audit(
             request_order.push(rid);
         }
     }
-    // Per-request groups, preserving the schedule; the tags are
-    // synthetic and never compared against the reports' tags.
+    // Per-request groups, preserving the schedule, each under the tag of
+    // the first group naming it: every run checks its tag. A request no
+    // group names stays unnamed, as in the grouped audit.
+    // Collected last, the first group naming a request wins.
+    let groupings = reports.groupings.iter().rev();
+    let named = groupings.flat_map(|(tag, rids)| rids.iter().map(move |rid| (*rid, *tag)));
+    let tags: HashMap<RequestId, CtlFlowTag> = named.collect();
     let mut reports_ungrouped = reports.clone();
     reports_ungrouped.groupings = request_order
         .into_iter()
-        .enumerate()
-        .map(|(i, rid)| (CtlFlowTag(i as u64), vec![rid]))
+        .filter_map(|rid| Some((*tags.get(&rid)?, vec![rid])))
         .collect();
     audit(trace, &reports_ungrouped, executor, config)
 }

@@ -291,6 +291,7 @@ fn run_one_group(
             Payload::Owned(req) => (*rid, *req),
         })
         .collect();
+    ctx.claimed = unit.tag;
     let checked = executor.check_group(&requests, &unit.expected, ctx)?;
     drop(requests);
     if checked.len() != unit.rids.len() {

@@ -286,7 +286,7 @@ pub fn serve_open_loop_with(
 pub struct AuditRun {
     /// Audit statistics (phase timings, dedup counters, redo stats).
     pub outcome: AuditOutcome,
-    /// Executor statistics (grouped runs, fallbacks, scalar requests),
+    /// Executor statistics (grouped runs, scalar requests),
     /// merged across workers for parallel runs.
     pub exec_stats: ExecutorStats,
     /// Total audit wall time.

@@ -3,7 +3,8 @@
 //!
 //! The same bytecode runs in three harnesses: the online server (real
 //! objects + recording), the verifier's grouped re-execution
-//! (simulate-and-check per lane), and the verifier's scalar fallback.
+//! (simulate-and-check per lane), and the verifier's scalar run of a
+//! singleton, an unrouted path or a `force_scalar` audit.
 //! Each provides its own [`StateBackend`] and [`NondetProvider`]; the VM
 //! itself never touches shared state directly.
 //!

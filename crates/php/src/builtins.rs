@@ -325,6 +325,23 @@ pub fn db_result_to_value(result: DbResult, last_id: &mut i64, last_aff: &mut i6
     }
 }
 
+/// `header(text)`'s name and value.
+pub fn header_line(text: &str) -> Result<(String, String), VmError> {
+    let (name, value) = text
+        .split_once(':')
+        .ok_or_else(|| VmError::Fatal("header(): malformed header".into()))?;
+    Ok((name.trim().to_string(), value.trim().to_string()))
+}
+
+/// `http_response_code(code)`'s status.
+pub fn status_code(code: &Value) -> Result<u16, VmError> {
+    let code = code.to_php_int();
+    if !(100..=599).contains(&code) {
+        return Err(VmError::Fatal("http_response_code(): bad code".into()));
+    }
+    Ok(code as u16)
+}
+
 /// Calls a value builtin. Args are borrowed so the register VM can pass
 /// its marshalling buffer without moving. The [`is_impure`] ones go
 /// through `host`; the rest are [`dispatch_pure`].
@@ -344,21 +361,12 @@ pub fn dispatch(id: u16, args: &[Value], host: &mut dyn Host) -> Result<Value, V
             return Err(VmError::Exit);
         }
         Builtin::Header => {
-            let h = arg_str(args, 0);
-            match h.split_once(':') {
-                Some((name, value)) => {
-                    host.add_header(name.trim().to_string(), value.trim().to_string())
-                }
-                None => return Err(VmError::Fatal("header(): malformed header".into())),
-            }
+            let (name, value) = header_line(&arg_str(args, 0))?;
+            host.add_header(name, value);
             Value::Null
         }
         Builtin::HttpResponseCode => {
-            let code = arg_int(args, 0);
-            if !(100..=599).contains(&code) {
-                return Err(VmError::Fatal("http_response_code(): bad code".into()));
-            }
-            host.set_status(code as u16);
+            host.set_status(status_code(arg(args, 0))?);
             Value::Bool(true)
         }
         Builtin::Setcookie => {

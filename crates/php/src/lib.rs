@@ -5,7 +5,7 @@
 //! control-flow digests and state operations (§4.3, §4.7); its verifier
 //! runs acc-PHP, a multivalue runtime. This crate is the from-scratch
 //! equivalent of the *scalar* side, shared by the online server and the
-//! verifier's per-request fallback path:
+//! verifier's scalar runs (singletons, unrouted paths, `force_scalar`):
 //!
 //! * [`value`] — PHP values: scalars plus the ordered hash map that is
 //!   the PHP array, with copy-on-write value semantics.
@@ -20,9 +20,11 @@
 //!   builtin call).
 //! * [`vm`] — the register interpreter, one dispatch loop generic over
 //!   the lanes it runs in, and its scalar domain, one request. That
-//!   domain maintains the **control-flow digest** (updated at every conditional branch, switch dispatch,
-//!   and iteration step, §4.3) and routes state operations and
-//!   nondeterministic builtins through the [`backend`] traits. Its
+//!   domain maintains the **control-flow digest** (updated at every
+//!   conditional branch and iteration step, §4.3) and routes state
+//!   operations and nondeterministic builtins through the [`backend`]
+//!   traits. `vm::ctl_flow_tag` makes every control-flow tag from a
+//!   digest, the request's ending and its instruction count. Its
 //!   `stack` submodule is a test oracle: a stack-bytecode compiler and
 //!   interpreter of its own, run beside the register VM by the
 //!   differential tests.

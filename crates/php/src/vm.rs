@@ -19,7 +19,10 @@
 //! requests with identical digests followed identical control-flow
 //! paths. Mixing the event ordinal (not the program counter) keeps
 //! digests independent of the encoding: the oracle's compiler emits
-//! digest-mixed events in the same evaluation order.
+//! digest-mixed events in the same evaluation order. [`ctl_flow_tag`]
+//! folds the digest, the request's [`Ending`] and its register
+//! instruction count into the tag the server records; the oracle counts
+//! stack instructions, so it agrees on digest and ending, not on tag.
 //!
 //! PHP semantics implemented here (arithmetic overflow to float, `/`
 //! returning int only for exact integer division, string offsets, array
@@ -31,6 +34,7 @@ use crate::builtins::{self, Host};
 use crate::bytecode::{rinsn, CompiledScript, ROp};
 use crate::value::{ForeachIter, Key, NextKeyOccupied, PhpArray, Value};
 use orochi_common::codec::Wire;
+use orochi_common::ids::CtlFlowTag;
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
@@ -122,15 +126,37 @@ pub struct ExecStats {
     pub instructions: u64,
 }
 
+/// How a request ended, taken after the end-of-request hook and the
+/// session write-back (so a leaked transaction ends it in a fatal).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ending {
+    /// The script ran to its end.
+    Normal,
+    /// `exit` / `die`.
+    Exit,
+    /// A fatal error: the 500 page.
+    Fatal,
+}
+
 /// Result of running one request.
 #[derive(Debug)]
 pub struct RunResult {
     /// The response content.
     pub output: RequestOutput,
-    /// The control-flow digest (the server's grouping tag, §4.3).
+    /// The control-flow digest: the branch and iteration decisions only
+    /// (§4.3), which the stack oracle reproduces.
     pub digest: u64,
+    /// How the request ended.
+    pub ending: Ending,
     /// Execution counters.
     pub stats: ExecStats,
+}
+
+impl RunResult {
+    /// The request's control-flow tag ([`ctl_flow_tag`]).
+    pub fn tag(&self) -> CtlFlowTag {
+        ctl_flow_tag(self.digest, self.ending, self.stats.instructions)
+    }
 }
 
 /// Instructions one request may execute before it fails with
@@ -145,6 +171,17 @@ pub const STEP_LIMIT_EXCEEDED: &str = "execution step limit exceeded";
 /// FNV-1a over bytes; used to seed the digest with the script path.
 /// Re-exported from [`orochi_common::hash`] (one canonical definition).
 pub use orochi_common::hash::fnv1a;
+
+/// The control-flow tag of a run: its branch `digest`, how it ended and
+/// after how many register instructions. The server records it, and the
+/// audit recomputes it on every run, scalar or grouped, and rejects a
+/// unit whose claimed tag differs ([`orochi_common::ids::CtlFlowTag`]).
+/// Requests with one tag took one path and stopped at one instruction in
+/// one way, so they run as one group without diverging.
+pub fn ctl_flow_tag(digest: u64, ending: Ending, instructions: u64) -> CtlFlowTag {
+    let mix = |d: u64, word: u64| (d ^ word).wrapping_mul(orochi_common::hash::FNV_PRIME);
+    CtlFlowTag(mix(mix(digest, ending as u64), instructions))
+}
 
 /// Mixes one branch decision into a digest. `event` is the per-request
 /// branch-event ordinal (0, 1, 2, …), not a program counter, so the
@@ -285,6 +322,7 @@ impl<'a> Runtime<'a> {
     /// completion the end-of-request hook runs and the session is
     /// written back; a fatal error becomes the deterministic 500 page.
     fn finish(mut self, outcome: Result<(), VmError>) -> Result<RunResult, String> {
+        let exited = outcome == Err(VmError::Exit);
         let closed = match outcome {
             // End-of-request hook: leaked transactions become a
             // deterministic fatal on both the server and the verifier.
@@ -297,22 +335,29 @@ impl<'a> Runtime<'a> {
                 .and_then(|()| self.write_session_back()),
             Err(e) => Err(e),
         };
-        let output = match closed {
-            Ok(()) | Err(VmError::Exit) => RequestOutput {
-                status: self.status,
-                headers: self.headers,
-                body: self.output,
-            },
-            Err(VmError::Fatal(message)) => RequestOutput {
-                status: 500,
-                headers: Vec::new(),
-                body: format!("Fatal error: {message}"),
-            },
+        let (ending, output) = match closed {
+            Ok(()) | Err(VmError::Exit) => (
+                if exited { Ending::Exit } else { Ending::Normal },
+                RequestOutput {
+                    status: self.status,
+                    headers: self.headers,
+                    body: self.output,
+                },
+            ),
+            Err(VmError::Fatal(message)) => (
+                Ending::Fatal,
+                RequestOutput {
+                    status: 500,
+                    headers: Vec::new(),
+                    body: format!("Fatal error: {message}"),
+                },
+            ),
             Err(VmError::AuditReject(m)) => return Err(m),
         };
         Ok(RunResult {
             output,
             digest: self.digest,
+            ending,
             stats: self.stats,
         })
     }
@@ -418,8 +463,9 @@ pub trait LaneDomain {
     type Reg: Clone;
     /// An active `foreach`.
     type Iter;
-    /// Why a run stops early.
-    type Error;
+    /// Why a run stops early: at the least, a fatal error uniform
+    /// across lanes.
+    type Error: From<VmError>;
 
     /// A register every lane agrees on.
     fn uni(v: Value) -> Self::Reg;
@@ -428,9 +474,6 @@ pub trait LaneDomain {
     fn null() -> Self::Reg {
         Self::uni(Value::Null)
     }
-
-    /// The fatal error `msg`, uniform across lanes.
-    fn fatal(msg: String) -> Self::Error;
 
     /// Counts one dispatched instruction, failing past the step limit.
     fn step(&mut self) -> Result<(), Self::Error>;
@@ -743,15 +786,13 @@ pub fn execute<D: LaneDomain>(script: &CompiledScript, dom: &mut D) -> Result<()
                             regs[callee_base + p] = D::uni(script.consts[cidx as usize].clone())
                         }
                         None => {
-                            return Err(D::fatal(format!(
-                                "too few arguments to function {}()",
-                                func.name
-                            )))
+                            let msg = format!("too few arguments to function {}()", func.name);
+                            return Err(VmError::Fatal(msg).into());
                         }
                     }
                 }
                 if frames.depth >= 200 {
-                    return Err(D::fatal("call stack depth exceeded".into()));
+                    return Err(VmError::Fatal("call stack depth exceeded".into()).into());
                 }
                 // Clear the rest of the (pooled) window so stale values
                 // from earlier activations never leak in.
@@ -812,10 +853,6 @@ impl LaneDomain for Runtime<'_> {
     #[inline]
     fn uni(v: Value) -> Value {
         v
-    }
-
-    fn fatal(msg: String) -> VmError {
-        VmError::Fatal(msg)
     }
 
     #[inline]
@@ -1037,13 +1074,19 @@ impl Host for Runtime<'_> {
     }
 }
 
-/// The deterministic 404 page for unrouted paths; the online server and
-/// the verifier share it so output comparison is meaningful.
-pub fn not_found_output(path: &str) -> RequestOutput {
-    RequestOutput {
-        status: 404,
-        headers: Vec::new(),
-        body: format!("Not Found: {path}"),
+/// The deterministic 404 run of an unrouted `path`, which runs no
+/// instruction: the online server and the verifier share its page and
+/// its digest, so output comparison and the tag check are meaningful.
+pub fn not_found(path: &str) -> RunResult {
+    RunResult {
+        output: RequestOutput {
+            status: 404,
+            headers: Vec::new(),
+            body: format!("Not Found: {path}"),
+        },
+        digest: fnv1a(format!("404:{path}").as_bytes()),
+        ending: Ending::Normal,
+        stats: ExecStats::default(),
     }
 }
 
@@ -1358,8 +1401,8 @@ mod tests {
     use crate::parser::parse_script;
 
     /// Runs a source snippet on the register VM and on the stack oracle
-    /// and asserts they agree on output and digest — every VM test
-    /// doubles as a differential check on the register compiler.
+    /// and asserts they agree on output, digest and ending — every VM
+    /// test doubles as a differential check on the register compiler.
     fn run_both(src: &str, get: &[(&str, &str)]) -> RunResult {
         let parsed = parse_script(src).unwrap();
         let script = compile("/t.php", &parsed).unwrap();
@@ -1380,6 +1423,7 @@ mod tests {
         let stk = stack::run_request(&oracle, &mut b2, &input).unwrap();
         assert_eq!(reg.output, stk.output, "engines disagree on output");
         assert_eq!(reg.digest, stk.digest, "engines disagree on digest");
+        assert_eq!(reg.ending, stk.ending, "engines disagree on ending");
         reg
     }
 
@@ -1621,50 +1665,38 @@ mod tests {
 
     #[test]
     fn digest_distinguishes_control_flow() {
-        let script = compile(
-            "/t.php",
-            &parse_script("if ($_GET['x'] == 1) { echo 'a'; } else { echo 'b'; }").unwrap(),
-        )
-        .unwrap();
-        let run_digest = |x: &str| {
-            let get = [("x".to_string(), x.to_string())];
-            let input = RequestInput {
-                path: "/t.php",
-                get: &get,
-                ..Default::default()
-            };
-            let mut b = NullBackend;
-            run_request(&script, &mut b, &input).unwrap().digest
-        };
-        assert_eq!(run_digest("1"), run_digest("1"));
-        assert_ne!(run_digest("1"), run_digest("2"));
+        let digest = |src, x| run_both(src, &[("x", x)]).digest;
+        let branch = "if ($_GET['x'] == 1) { echo 'a'; } else { echo 'b'; }";
+        assert_eq!(digest(branch, "1"), digest(branch, "1"));
+        assert_ne!(digest(branch, "1"), digest(branch, "2"));
         // Same path, different data: same digest.
-        assert_eq!(run_digest("2"), run_digest("3"));
+        assert_eq!(digest(branch, "2"), digest(branch, "3"));
+        // The loop count is control flow.
+        let count = "for ($i = 0; $i < intval($_GET['x']); $i++) { echo $i; }";
+        assert_ne!(digest(count, "2"), digest(count, "3"));
+        assert_eq!(digest(count, "3"), digest(count, "3"));
     }
 
     #[test]
-    fn digest_depends_on_loop_count() {
-        let script = compile(
-            "/t.php",
-            &parse_script("for ($i = 0; $i < intval($_GET['n']); $i++) { echo $i; }").unwrap(),
-        )
-        .unwrap();
-        let run_digest = |n: &str| {
-            let mut b = NullBackend;
-            run_request(
-                &script,
-                &mut b,
-                &RequestInput {
-                    path: "/t.php",
-                    get: &[("n".to_string(), n.to_string())],
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .digest
-        };
-        assert_ne!(run_digest("2"), run_digest("3"));
-        assert_eq!(run_digest("3"), run_digest("3"));
+    fn tags_distinguish_how_and_where_a_request_ended() {
+        // Each row's two runs take no branch, so they share a digest;
+        // they end differently, or at a different step with one message.
+        type Get<'g> = &'g [(&'g str, &'g str)];
+        let rows: [(&str, [Get<'_>; 2]); 2] = [
+            (
+                "echo intdiv(10, intval($_GET['b']));",
+                [&[("b", "0")], &[("b", "2")]],
+            ),
+            (
+                "echo intdiv(1, intval($_GET['a'])); echo intdiv(1, intval($_GET['b']));",
+                [&[("a", "0"), ("b", "1")], &[("a", "1"), ("b", "0")]],
+            ),
+        ];
+        for (src, [x, y]) in rows {
+            let (x, y) = (run_both(src, x), run_both(src, y));
+            assert_eq!(x.digest, y.digest, "{src}");
+            assert_ne!(x.tag(), y.tag(), "{src}");
+        }
     }
 
     #[test]

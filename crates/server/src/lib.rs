@@ -7,7 +7,8 @@
 //! strictly-serializable SQL database. While executing, the server
 //! records everything the audit later needs:
 //!
-//! * the **control-flow digest** per request (the grouping tag, §4.3),
+//! * the **control-flow tag** per request (§4.3: the branch digest, how
+//!   the request ended and its instruction count),
 //! * per-object **operation logs** via per-request sub-logs stitched at
 //!   report-assembly time (§4.7),
 //! * the per-request **operation count** `M(rid)`,

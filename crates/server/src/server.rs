@@ -15,7 +15,7 @@ use orochi_common::rng::SplitMix64;
 use orochi_core::nondet::NondetLog;
 use orochi_core::reports::Reports;
 use orochi_php::bytecode::CompiledScript;
-use orochi_php::vm::{not_found_output, run_request, RequestInput};
+use orochi_php::vm::{not_found, run_request, RequestInput};
 use orochi_sqldb::{Database, SharedDatabase};
 use orochi_state::kv::KvStore;
 use orochi_state::recorder::Recorder;
@@ -199,33 +199,17 @@ impl Server {
             post: &req.post,
             cookies: &req.cookies,
         };
-        let Some(script) = self.scripts.get(&req.path) else {
-            let out = not_found_output(&req.path);
-            // 404s still need a grouping tag and an (empty) op count.
-            if self.recording {
-                let mut rows = self.rows[worker % ROW_STRIPES].lock();
-                rows.tags.push((
-                    rid,
-                    CtlFlowTag(orochi_php::vm::fnv1a(
-                        format!("404:{}", req.path).as_bytes(),
-                    )),
-                ));
-                rows.op_counts.insert(rid, 0);
-            }
-            return HttpResponse {
-                rid_label: rid,
-                status: out.status,
-                headers: out.headers,
-                body: out.body,
-            };
-        };
         let pid = thread_pid();
         let mut backend = RecordingBackend::new(&self.shared, rid, pid, self.recording);
-        let result =
-            run_request(script, &mut backend, &input).expect("the recording backend never rejects");
+        let result = match self.scripts.get(&req.path) {
+            Some(script) => run_request(script, &mut backend, &input)
+                .expect("the recording backend never rejects"),
+            // An unrouted path still gets a tag and an (empty) op count.
+            None => not_found(&req.path),
+        };
         if self.recording {
             let mut rows = self.rows[worker % ROW_STRIPES].lock();
-            rows.tags.push((rid, CtlFlowTag(result.digest)));
+            rows.tags.push((rid, result.tag()));
             rows.op_counts.insert(rid, backend.op_count());
             for v in backend.take_nondet() {
                 rows.nondet.push(rid, v);
@@ -284,7 +268,7 @@ impl Server {
             rows.op_counts.extend(stripe.op_counts);
             rows.nondet.merge(stripe.nondet);
         }
-        // Groupings: requests sharing a digest share a control-flow tag.
+        // Groupings: requests sharing a control-flow tag form one group.
         let mut groups: HashMap<CtlFlowTag, Vec<RequestId>> = HashMap::new();
         for (rid, tag) in rows.tags {
             groups.entry(tag).or_default().push(rid);

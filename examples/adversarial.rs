@@ -125,10 +125,10 @@ fn main() {
     verdict("forged session write", &b, &s, &config);
 
     // 6. Scrambled grouping: claim requests with different control flow
-    //    share one group. The responses themselves are genuine, so the
-    //    audit rightly ACCEPTS — a bad grouping hint only slows the
-    //    verifier down (divergence -> per-request fallback); it cannot
-    //    make a lying executor pass.
+    //    share one group. The responses themselves are genuine, but a
+    //    grouping is checked advice: the members name different scripts,
+    //    so the group diverges and the audit REJECTS with `Divergence`.
+    //    A bad grouping cannot buy a second, per-request run.
     let (mut b, s) = honest_bundle();
     let all_rids: Vec<_> = b
         .reports
@@ -137,7 +137,7 @@ fn main() {
         .flat_map(|(_, rids)| rids.clone())
         .collect();
     b.reports.groupings = vec![(orochi_common::ids::CtlFlowTag(1), all_rids)];
-    verdict("scrambled groupings (honest)", &b, &s, &config);
+    verdict("scrambled groupings", &b, &s, &config);
 
     // 7. Fabricated extra op: append a spurious read to a log.
     let (mut b, s) = honest_bundle();

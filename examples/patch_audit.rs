@@ -2,18 +2,22 @@
 //! requests against *patched* code and report which responses change.
 //!
 //! The verifier re-executes the trace against a modified script. The
-//! audit machinery is reused wholesale: the only difference is that
-//! output mismatches are *collected* instead of rejected — each mismatch
-//! is a request whose behaviour the patch altered.
+//! audit machinery is reused wholesale: the only differences are that
+//! the requests are regrouped by the patched code's control-flow tags,
+//! and that output mismatches are *collected* instead of rejected —
+//! each mismatch is a request whose behaviour the patch altered.
 //!
 //! Run with: `cargo run --example patch_audit`
 
+use orochi::accphp::executor::request_input;
 use orochi::accphp::AccPhpExecutor;
 use orochi::core::audit::{audit, AuditConfig, Rejection};
+use orochi::php::backend::NullBackend;
+use orochi::php::vm::run_request;
 use orochi::php::{compile, parse_script};
 use orochi::server::{Server, ServerConfig};
 use orochi::sqldb::Database;
-use orochi::trace::HttpRequest;
+use orochi::trace::{Event, HttpRequest};
 use std::collections::HashMap;
 
 const ORIGINAL: &str = r#"<?php
@@ -68,6 +72,23 @@ fn main() {
     let mut affected = Vec::new();
     let mut trace = bundle.trace.clone();
     let mut reports = bundle.reports.clone();
+    // The recorded tags describe the original code's control flow, and
+    // every run checks its tag against its group's: under the patch,
+    // n=10 now takes the other branch, so its group (with n=11) would
+    // diverge, grouped or on the scalar path alike. The replay groups
+    // the requests by the tags the patched code gives them instead;
+    // this script touches no state, so a run on the null backend has
+    // its tag.
+    let patched = scripts_for(PATCHED).remove("/t.php").unwrap();
+    let mut groups: HashMap<_, Vec<_>> = HashMap::new();
+    for event in &trace.events {
+        if let Event::Request(rid, req) = event {
+            let run = run_request(&patched, &mut NullBackend, &request_input(req)).unwrap();
+            groups.entry(run.tag()).or_default().push(*rid);
+        }
+    }
+    reports.groupings = groups.into_iter().collect();
+    reports.groupings.sort();
     loop {
         let mut verifier = AccPhpExecutor::new(scripts_for(PATCHED));
         match audit(&trace, &reports, &mut verifier, &AuditConfig::new()) {

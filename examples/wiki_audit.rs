@@ -41,10 +41,9 @@ fn main() {
         println!("  {phase:<10} {t:.2?}");
     }
     println!(
-        "  groups: {} ({} grouped, {} fallbacks), dedup hits: {}/{}",
+        "  groups: {} ({} grouped), dedup hits: {}/{}",
         stats.groups_executed,
         orochi_run.exec_stats.grouped,
-        orochi_run.exec_stats.fallbacks,
         stats.db_queries_deduped,
         stats.db_queries_deduped + stats.db_queries_issued,
     );

@@ -420,3 +420,29 @@ fn session_counter_roundtrip() {
     )
     .unwrap_or_else(|r| panic!("session counter rejected: {r}"));
 }
+
+/// Completeness of the checked grouping: every `AppWorkload::paper`
+/// application (wiki, forum, hotcrp, shop), served at one, two and four
+/// workers, audits clean. Each
+/// run checks its recomputed control-flow tag against its group's, so
+/// one honest group that diverged — requests with one tag that ended
+/// differently — would reject with `Divergence`.
+#[test]
+fn every_app_served_at_one_two_and_four_workers_accepts() {
+    use orochi::harness::driver::{run_audit, serve, AppWorkload, ServeOptions};
+    for work in AppWorkload::paper(0.01, 11) {
+        for threads in [1, 2, 4] {
+            let served = serve(
+                &work,
+                &ServeOptions {
+                    threads,
+                    ..Default::default()
+                },
+            );
+            let run = run_audit(&served.bundle, &work, true, true);
+            let app = work.app.name;
+            let run = run.unwrap_or_else(|r| panic!("{app} at {threads} workers: {r}"));
+            assert!(run.exec_stats.grouped > 0, "{app} at {threads} workers");
+        }
+    }
+}

@@ -30,7 +30,7 @@ use orochi::php::{compile, parse_script, CompiledScript};
 use orochi::server::server::AuditBundle;
 use orochi::server::{Server, ServerConfig};
 use orochi::trace::{Event, HttpRequest, HttpResponse, Trace, TraceStoreReader, TraceStoreWriter};
-use orochi_common::ids::RequestId;
+use orochi_common::ids::{CtlFlowTag, RequestId};
 use std::collections::HashMap;
 
 const PAGES: usize = 240;
@@ -51,8 +51,12 @@ echo '<p>' . str_repeat('lorem ipsum ', 3) . '</p></html>';
 const PING: &str = "<?php echo 'pong ' . $_GET['n'];";
 
 fn scripts() -> HashMap<String, CompiledScript> {
-    [("/page.php", PAGE), ("/ping.php", PING)]
-        .into_iter()
+    compiled(&[("/page.php", PAGE), ("/ping.php", PING)])
+}
+
+fn compiled(sources: &[(&str, &str)]) -> HashMap<String, CompiledScript> {
+    sources
+        .iter()
         .map(|(path, src)| {
             let script = compile(path, &parse_script(src).expect("parses")).expect("compiles");
             (path.to_string(), script)
@@ -300,4 +304,111 @@ fn the_first_of_several_alterations_in_arrival_order_is_named() {
         diagnostic(&runs),
         "reject: produced output for r42 differs from the trace"
     );
+}
+
+/// Tags that merge two honest groups: the `/page.php` members move into
+/// the `/ping.php` group, under its tag. The members name different
+/// scripts, so the group diverges, and every path — and a scalar audit,
+/// whose every run checks its tag — rejects with one `Divergence`
+/// naming the ping group's tag. The grouped audit rejects the merged
+/// group before running any member, where the honest bundle runs its
+/// two groups grouped: a lying grouping buys no run at all.
+#[test]
+fn merged_tags_are_rejected_as_divergence_on_every_path() {
+    let scripts = scripts();
+    let bundle = served(&scripts);
+    let mut reports = bundle.reports.clone();
+    assert_eq!(reports.groupings.len(), 2, "one page group, one ping group");
+    let page = reports
+        .groupings
+        .iter()
+        .position(|(_, rids)| rids.len() == PAGES);
+    let (_, pages) = reports.groupings.remove(page.expect("the page group"));
+    let (ping_tag, ping) = &mut reports.groupings[0];
+    ping.extend(pages);
+    let tag = *ping_tag;
+    diverges_everywhere(&bundle.trace, &reports, &scripts, tag, "merged");
+
+    let honest = run_counts(&scripts, &bundle.trace, &bundle.reports);
+    assert_eq!(honest, (2, 0), "honest: (grouped, scalar)");
+    let merged = run_counts(&scripts, &bundle.trace, &reports);
+    assert_eq!(merged, (0, 0), "merged: (grouped, scalar)");
+}
+
+/// Every path of [`every_path`], and a `force_scalar` audit, rejects
+/// with one `Divergence { tag }`, alike in `Debug` and `Display`.
+fn diverges_everywhere(
+    trace: &Trace,
+    reports: &Reports,
+    scripts: &HashMap<String, CompiledScript>,
+    tag: CtlFlowTag,
+    name: &str,
+) {
+    let divergence = Rejection::Divergence { tag };
+    let expected = (format!("{divergence:?}"), divergence.to_string());
+    let mut runs = every_path(trace, reports, scripts, name);
+    let mut scalar = AccPhpExecutor::new(scripts.clone());
+    scalar.force_scalar = true;
+    let forced = audit(trace, reports, &mut scalar, &AuditConfig::new());
+    runs.push(("force_scalar".to_string(), forced));
+    for (path, run) in &runs {
+        let rejection = run.as_ref().expect_err(path);
+        let got = (format!("{rejection:?}"), rejection.to_string());
+        assert_eq!(got, expected, "{path}");
+    }
+}
+
+/// The groups run and the requests run on the scalar path by a resident
+/// grouped audit of `reports`, whatever its verdict.
+fn run_counts(
+    scripts: &HashMap<String, CompiledScript>,
+    trace: &Trace,
+    reports: &Reports,
+) -> (usize, usize) {
+    let mut exec = AccPhpExecutor::new(scripts.clone());
+    let _ = audit(trace, reports, &mut exec, &AuditConfig::new());
+    (exec.stats.grouped, exec.stats.scalar_requests)
+}
+
+const PARITY: &str = r#"<?php
+$n = intval($_GET['n']);
+if ($n % 2) {
+    echo '<p>odd ' . $n . '</p>';
+} else {
+    echo '<p>even ' . $n . '</p>';
+}
+"#;
+
+/// Tags that merge two honest groups of one script: `/parity.php`
+/// requests group by the parity of `n`, and one group's members move
+/// into the other, under its tag. The merged group passes the
+/// one-script check and runs on the group VM, where its lanes split at
+/// the parity branch: every path, and a scalar audit whose moved runs
+/// recompute another tag, rejects with one `Divergence` naming the
+/// receiving group's tag. No member runs on the scalar path.
+#[test]
+fn merged_tags_of_one_script_diverge_in_the_group_vm_on_every_path() {
+    let scripts = compiled(&[("/parity.php", PARITY)]);
+    let server = Server::new(ServerConfig {
+        scripts: scripts.clone(),
+        recording: true,
+        seed: 5,
+        ..Default::default()
+    });
+    for n in 0..PAGES {
+        server.handle(HttpRequest::get("/parity.php", &[("n", &n.to_string())]));
+    }
+    let bundle = server.into_bundle();
+    let mut reports = bundle.reports.clone();
+    assert_eq!(reports.groupings.len(), 2, "one odd group, one even group");
+    let (_, moved) = reports.groupings.pop().expect("two groups");
+    let (tag, members) = &mut reports.groupings[0];
+    members.extend(moved);
+    let tag = *tag;
+    diverges_everywhere(&bundle.trace, &reports, &scripts, tag, "parity");
+
+    let honest = run_counts(&scripts, &bundle.trace, &bundle.reports);
+    assert_eq!(honest, (2, 0), "honest: (grouped, scalar)");
+    let merged = run_counts(&scripts, &bundle.trace, &reports);
+    assert_eq!(merged, (0, 0), "merged: (grouped, scalar)");
 }

@@ -629,23 +629,36 @@ mod partition_fuzz {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The parallel audit agrees with the sequential oracle on the
     /// verdict *and* the diagnostic for arbitrary — including hostile —
     /// control-flow partitions: requests regrouped at random, duplicated
     /// across and within groups, dropped entirely (→ `MissingOutput`),
     /// or pointing at requests the trace never saw
-    /// (→ `GroupUnknownRequest`).
+    /// (→ `GroupUnknownRequest`). Each group claims the honest tag of
+    /// the first request it names, so the sequential verdict is known
+    /// from the honest tags alone: walking the groups, a request the
+    /// trace never saw is unknown, and a group any of whose requests
+    /// (counted in the first group naming them) has another honest tag
+    /// diverges under its claimed tag; past the walk, a request no group
+    /// names is missing, and otherwise the audit accepts, re-executing
+    /// every request once. `pure` keeps each group to one honest tag and
+    /// `complete` appends the honest groupings, so every verdict is
+    /// reached.
     #[test]
     fn fuzzed_partitions_match_sequential_oracle(
         picks in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..10),
             0..8,
         ),
+        pure in any::<bool>(),
+        complete in any::<bool>(),
         ghost in any::<bool>(),
     ) {
+        use orochi::core::Rejection;
         use orochi_common::ids::CtlFlowTag;
+        use std::collections::{HashMap, HashSet};
 
         let (bundle, _, _) = partition_fuzz::fixture();
         let rids: Vec<RequestId> = bundle
@@ -654,22 +667,58 @@ proptest! {
             .unwrap()
             .request_ids()
             .collect();
+        let honest: HashMap<RequestId, CtlFlowTag> = bundle
+            .reports
+            .groupings
+            .iter()
+            .flat_map(|(tag, members)| members.iter().map(move |rid| (*rid, *tag)))
+            .collect();
         let mut groupings: Vec<(CtlFlowTag, Vec<RequestId>)> = picks
             .iter()
-            .enumerate()
-            .map(|(g, idxs)| {
-                let members = idxs
+            .filter_map(|idxs| {
+                let mut members: Vec<RequestId> = idxs
                     .iter()
                     .map(|i| rids[*i as usize % rids.len()])
                     .collect();
-                (CtlFlowTag(g as u64 + 1), members)
+                let tag = honest[members.first()?];
+                if pure {
+                    members.retain(|rid| honest[rid] == tag);
+                }
+                Some((tag, members))
             })
             .collect();
+        if complete {
+            groupings.extend(bundle.reports.groupings.iter().cloned());
+        }
         if ghost {
             groupings.push((CtlFlowTag(0xdead), vec![RequestId(u64::MAX)]));
         }
 
+        let expected = (|| {
+            let mut named = HashSet::new();
+            for (tag, members) in &groupings {
+                let fresh: Vec<RequestId> =
+                    members.iter().copied().filter(|rid| named.insert(*rid)).collect();
+                if let Some(rid) = fresh.iter().find(|rid| !honest.contains_key(rid)) {
+                    return Err(Rejection::GroupUnknownRequest { rid: *rid });
+                }
+                if fresh.iter().any(|rid| honest[rid] != *tag) {
+                    return Err(Rejection::Divergence { tag: *tag });
+                }
+            }
+            match rids.iter().find(|rid| !named.contains(*rid)) {
+                Some(rid) => Err(Rejection::MissingOutput { rid: *rid }),
+                None => Ok(rids.len()),
+            }
+        })();
         let seq = partition_fuzz::verdict(groupings.clone(), 1);
+        match (&expected, &seq) {
+            (Ok(n), Ok(s)) => prop_assert_eq!(*n, s.stats.requests_reexecuted),
+            // Which unnamed request is reported first follows arrival
+            // order, not the order of `rids`.
+            (Err(Rejection::MissingOutput { .. }), Err(Rejection::MissingOutput { .. })) => {}
+            (e, s) => prop_assert_eq!(e.as_ref().err(), s.as_ref().err()),
+        }
         for threads in [2usize, 4] {
             let par = partition_fuzz::verdict(groupings.clone(), threads);
             match (&seq, &par) {

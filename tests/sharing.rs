@@ -12,7 +12,7 @@
 //! path).
 
 use orochi::accphp::executor::{request_input, run_checked, run_scalar_request};
-use orochi::accphp::groupvm::{self, GroupRunError};
+use orochi::accphp::groupvm;
 use orochi::accphp::AccPhpExecutor;
 use orochi::core::audit::{audit, audit_parallel, AuditConfig, AuditContext, Rejection};
 use orochi::core::reports::Reports;
@@ -35,13 +35,15 @@ const MAX_LANES: usize = 48;
 /// (a) The group VM, the scalar VM and the stack oracle over every
 /// traced request of the four applications. Every request, singletons
 /// included, runs on the scalar VM and on the oracle, each through the
-/// audit's checking backend: both reproduce the traced response and the
-/// server's control-flow digest. The oracle compiles the AST on its
+/// audit's checking backend: both reproduce the traced response, the
+/// oracle the register VM's branch digest and ending, and the register
+/// VM the server's control-flow tag. The oracle compiles the AST on its
 /// own, so this is what checks the register compiler. Each group of
-/// more than one request also runs superposed: the same outputs, and a
-/// superposed instruction count (univalent + multivalent) equal to each
-/// member's own scalar count, since the group executes exactly the
-/// stream each member would. Each such group also runs the in-place
+/// more than one request also runs superposed, and never diverges: the
+/// same outputs, the server's tag, and a superposed instruction count
+/// (univalent + multivalent) equal to each member's own scalar count,
+/// since the group executes exactly the stream each member would. Each
+/// such group also runs the in-place
 /// output check against the traced responses, read out of one sealed
 /// segment as an audit of a store reads them: every bit equals the
 /// comparison of the traced response with the built page, and flipping
@@ -89,11 +91,11 @@ fn group_engines_agree_with_scalar_on_every_app_script() {
                 EventRef::Request(..) => None,
             })
             .collect();
-        // One context per engine, and one for the output check: every
+        // One context per engine, and one for each output check: every
         // request runs once in each.
         let prepare = || AuditContext::prepare(&trace, &reports, &config).expect("honest reports");
         let (mut group_ctx, mut scalar_ctx, mut oracle_ctx) = (prepare(), prepare(), prepare());
-        let mut check_ctx = prepare();
+        let mut check_ctxs = [prepare(), prepare()];
 
         let (mut grouped_runs, mut checked) = (0, 0);
         for (tag, members) in &reports.groupings {
@@ -103,14 +105,10 @@ fn group_engines_agree_with_scalar_on_every_app_script() {
                 let (script, oracle) = (&scripts[path], &oracles[path]);
                 let grouped = if rids.len() > 1 {
                     let inputs: Vec<_> = lanes.iter().map(|r| request_input(r)).collect();
-                    match groupvm::run_group(script, rids, &inputs, &mut group_ctx) {
-                        Ok(outcome) => Some(outcome),
-                        Err(GroupRunError::Diverged(_)) => {
-                            group_ctx.reset_requests(rids);
-                            None
-                        }
-                        Err(e) => panic!("{app} {tag}: group VM: {e:?}"),
-                    }
+                    let outcome = groupvm::run_group(script, rids, &inputs, &mut group_ctx)
+                        .unwrap_or_else(|e| panic!("{app} {tag}: group VM: {e:?}"));
+                    assert_eq!(outcome.tag, *tag, "{app} {tag}: group tag");
+                    Some(outcome)
                 } else {
                     singletons += 1;
                     None
@@ -120,14 +118,13 @@ fn group_engines_agree_with_scalar_on_every_app_script() {
                     let inputs: Vec<_> = lanes.iter().map(|r| request_input(r)).collect();
                     let mut expected: Vec<ResponseRef<'_>> =
                         rids.iter().map(|r| sealed[r]).collect();
-                    let mut check = |expected: &[ResponseRef<'_>]| {
-                        let checked =
-                            groupvm::check_group(script, rids, &inputs, expected, &mut check_ctx)
-                                .unwrap_or_else(|e| panic!("{app} {tag}: in-place check: {e:?}"));
-                        check_ctx.reset_requests(rids);
-                        checked.outputs
+                    let mut check = |k: usize, expected: &[ResponseRef<'_>]| {
+                        let ctx = &mut check_ctxs[k];
+                        groupvm::check_group(script, rids, &inputs, expected, ctx)
+                            .unwrap_or_else(|e| panic!("{app} {tag}: in-place check: {e:?}"))
+                            .outputs
                     };
-                    let bits = check(&expected);
+                    let bits = check(0, &expected);
                     for (l, out) in group.outputs.iter().enumerate() {
                         let built = HttpResponse {
                             rid_label: rids[l],
@@ -156,7 +153,7 @@ fn group_engines_agree_with_scalar_on_every_app_script() {
                         .map_or('x', |c| if c == 'x' { 'y' } else { 'x' });
                     forged.body.push(last);
                     expected[flip] = ResponseRef::from(&forged);
-                    let flipped = check(&expected);
+                    let flipped = check(1, &expected);
                     for (l, now) in flipped.iter().enumerate() {
                         assert_eq!(*now, l != flip, "{app} {}: flipped lane {flip}", rids[l]);
                     }
@@ -184,8 +181,12 @@ fn group_engines_agree_with_scalar_on_every_app_script() {
                         ),
                         "{app} {rid}: re-execution vs trace"
                     );
-                    assert_eq!(scalar.digest, tag.0, "{app} {rid}: scalar digest");
-                    assert_eq!(stk.digest, tag.0, "{app} {rid}: oracle digest");
+                    assert_eq!(
+                        (stk.digest, stk.ending),
+                        (scalar.digest, scalar.ending),
+                        "{app} {rid}: oracle digest and ending"
+                    );
+                    assert_eq!(scalar.tag(), *tag, "{app} {rid}: scalar tag");
                     if let Some(group) = &grouped {
                         assert_eq!(
                             group.outputs[l], scalar.output,
@@ -307,7 +308,7 @@ fn a_lane_writing_into_a_shared_query_result_changes_only_its_own_copy() {
     .unwrap_or_else(|r| panic!("copy-on-write leaked between lanes: {r}"));
     // The five requests ran as one superposed group, and nine of their
     // ten reads were dedup hits on the one cached result.
-    assert_eq!((verifier.stats.grouped, verifier.stats.fallbacks), (1, 0));
+    assert_eq!(verifier.stats.grouped, 1);
     assert_eq!(outcome.stats.db_queries_issued, 1);
     assert_eq!(outcome.stats.db_queries_deduped, 9);
 }
@@ -370,7 +371,7 @@ fn lanes_reading_one_logged_version_share_it_and_a_session_write_copies() {
     .unwrap_or_else(|r| panic!("a session write leaked between lanes: {r}"));
     // The five readers ran as one group (the writer alone, on the
     // scalar path): ten reads of one version, one decode.
-    assert_eq!((verifier.stats.grouped, verifier.stats.fallbacks), (1, 0));
+    assert_eq!(verifier.stats.grouped, 1);
     assert_eq!(verifier.stats.logged_decodes, 1);
 }
 

@@ -61,7 +61,7 @@ fn one_group_converts_each_distinct_result_once_and_computes_each_distinct_opera
         [0, 1, 2].map(|i| after[i] - before[i])
     };
 
-    assert_eq!((verifier.stats.grouped, verifier.stats.fallbacks), (1, 0));
+    assert_eq!(verifier.stats.grouped, 1);
     // Sixteen SELECTs, three distinct (the list, paper 1, paper 2):
     // three issued, three converted — not sixteen.
     assert_eq!(outcome.stats.db_queries_issued, 3);

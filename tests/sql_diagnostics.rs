@@ -14,6 +14,7 @@ use orochi::server::{Server, ServerConfig};
 use orochi::sqldb::Database;
 use orochi::state::{DbWriteResult, ObjectName, OpContents, OpLog};
 use orochi::trace::HttpRequest;
+use orochi_common::ids::RequestId;
 use std::collections::HashMap;
 
 const THREADS: &[usize] = &[1, 2, 8];
@@ -221,10 +222,17 @@ fn committed_read_of_a_table_created_later_reads_the_finished_store() {
         }
     });
     // Prepared against the finished store, the read sees the table empty
-    // at its version; the program then renders what it never sent.
+    // at its version; the program then takes the `is_array` branch it
+    // never took online, so its control-flow tag is not the one its
+    // group claims.
+    let tag = bundle
+        .reports
+        .groupings
+        .iter()
+        .find(|(_, rids)| rids.contains(&RequestId(5)));
     assert_eq!(
         verdict_on_every_path(&bundle),
-        "reject:produced output for r5 differs from the trace"
+        format!("reject:control-flow group {} diverged", tag.unwrap().0)
     );
 }
 
