@@ -12,7 +12,7 @@
 //! * End-to-end completeness: honest random workloads always pass the
 //!   audit (the Completeness property of §2, fuzzed).
 
-use orochi::core::graph::{process_op_reports, two_phase};
+use orochi::core::graph::{process_op_reports, two_phase, GraphRejection};
 use orochi::core::precedence::{create_time_precedence_graph, dense_time_precedence};
 use orochi::core::reports::Reports;
 use orochi::php::{ArrayKey, PhpArray, Value};
@@ -133,6 +133,12 @@ fn fuzzed_reports(balanced: &BalancedTrace, picks: &[u8], tamper: u8) -> Reports
             j += 1;
         }
     }
+    // An entry of a request the trace never contained.
+    let ghost = |opnum: u32| OpLogEntry {
+        rid: RequestId(999),
+        opnum: OpNum(opnum),
+        contents: OpContents::RegisterRead,
+    };
     match tamper {
         1 => {
             // Drop an entry: MissingOperation.
@@ -146,6 +152,39 @@ fn fuzzed_reports(balanced: &BalancedTrace, picks: &[u8], tamper: u8) -> Reports
         }
         // Swap adjacent entries: LogOrderViolation or a cycle.
         3 if logs[0].len() >= 2 => logs[0].swap(0, 1),
+        // LogEntryUnknownRequest.
+        4 => logs[1].push(ghost(1)),
+        // Opnum 0: LogEntryBadOpnum.
+        5 => {
+            if let Some(e) = logs[0].first_mut() {
+                e.opnum = OpNum(0);
+            }
+        }
+        // Opnum above M: LogEntryBadOpnum.
+        6 => {
+            if let Some(e) = logs[1].last_mut() {
+                e.opnum = OpNum(op_counts[&e.rid] + 1);
+            }
+        }
+        // M promises operations for a request outside the trace that no
+        // log names: accepted, as only trace requests must be logged.
+        7 => {
+            op_counts.insert(RequestId(999), 3);
+        }
+        // A duplicate, then an unknown request: DuplicateOperation.
+        8 => {
+            if let Some(e) = logs[0].first().cloned() {
+                logs[0].push(e);
+            }
+            logs[1].push(ghost(1));
+        }
+        // An unknown request, then a bad opnum: LogEntryUnknownRequest.
+        9 => {
+            logs[0].push(ghost(1));
+            if let Some(e) = logs[1].first_mut() {
+                e.opnum = OpNum(0);
+            }
+        }
         _ => {}
     }
     Reports {
@@ -176,7 +215,7 @@ proptest! {
     fn streamed_csr_equals_two_phase_construction(
         trace in balanced_trace_strategy(10),
         picks in proptest::collection::vec(any::<u8>(), 1..24),
-        tamper in 0u8..4,
+        tamper in 0u8..10,
     ) {
         let balanced = trace.ensure_balanced().unwrap();
         let reports = fuzzed_reports(&balanced, &picks, tamper);
@@ -201,6 +240,55 @@ proptest! {
                 b.map(|_| "accept").map_err(|e| e.to_string()),
             ),
         }
+    }
+}
+
+/// `ProcessOpReports` reports the first defect in log position, whichever
+/// check finds it: an unknown request after a duplicate loses to the
+/// duplicate, and one before a bad opnum wins over it.
+#[test]
+fn the_first_defect_in_log_position_is_reported() {
+    let trace = Trace {
+        events: vec![
+            Event::Request(RequestId(1), HttpRequest::get("/x", &[])),
+            Event::Response(RequestId(1), HttpResponse::ok(RequestId(1), "ok")),
+        ],
+    };
+    let balanced = trace.ensure_balanced().unwrap();
+    let entry = |rid: u64, opnum: u32| OpLogEntry {
+        rid: RequestId(rid),
+        opnum: OpNum(opnum),
+        contents: OpContents::RegisterRead,
+    };
+    let reports = |entries: Vec<OpLogEntry>| Reports {
+        op_logs: OpLogs::from_pairs(vec![(
+            ObjectName(String::from("reg:A")),
+            OpLog::from_entries(entries),
+        )]),
+        op_counts: [(RequestId(1), 2)].into_iter().collect(),
+        ..Reports::new()
+    };
+    let cases = [
+        (
+            vec![entry(1, 1), entry(1, 1), entry(999, 1), entry(1, 2)],
+            GraphRejection::DuplicateOperation {
+                rid: RequestId(1),
+                opnum: OpNum(1),
+            },
+        ),
+        (
+            vec![entry(1, 1), entry(999, 1), entry(1, 3)],
+            GraphRejection::LogEntryUnknownRequest {
+                rid: RequestId(999),
+            },
+        ),
+    ];
+    for (entries, expected) in cases {
+        let reports = reports(entries);
+        let streamed = process_op_reports(&balanced, &reports).map(|_| ());
+        let reference = two_phase::process_op_reports(&balanced, &reports).map(|_| ());
+        assert_eq!(streamed, Err(expected.clone()));
+        assert_eq!(reference, Err(expected));
     }
 }
 

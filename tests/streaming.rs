@@ -208,7 +208,7 @@ mod precedence {
     use orochi::core::streaming::audit_streaming_source;
     use orochi::php::CompiledScript;
     use orochi::server::{Server, ServerConfig};
-    use orochi::state::{DbWriteResult, ObjectName, OpContents, OpLog};
+    use orochi::state::{DbWriteResult, ObjectName, OpContents, OpLog, OpLogEntry};
     use orochi::trace::{Event, HttpRequest, Trace};
     use orochi_common::ids::{CtlFlowTag, OpNum, RequestId};
     use std::collections::HashMap;
@@ -409,6 +409,7 @@ mod precedence {
         for (path, verdict) in others {
             let rejection = verdict.err().unwrap_or_else(|| panic!("{path} accepted"));
             assert_eq!(rejection, reference, "{path}");
+            assert_eq!(format!("{rejection:?}"), format!("{reference:?}"), "{path}");
             assert_eq!(rejection.to_string(), reference.to_string(), "{path}");
         }
         reference
@@ -467,6 +468,81 @@ mod precedence {
                 both.to_string(),
                 expected.to_string(),
                 "{earlier:?} must outrank {later:?}"
+            );
+        }
+    }
+
+    /// Moves a request's second operation just ahead of its first, in
+    /// the first operation's log.
+    fn invert_program_order(bundle: &mut Bundle) {
+        let counts = &bundle.reports.op_counts;
+        let rid = *counts
+            .iter()
+            .filter(|(_, &m)| m >= 2)
+            .map(|(r, _)| r)
+            .min()
+            .unwrap();
+        let ops = &mut bundle.reports.op_logs;
+        let mut logs: Vec<Vec<OpLogEntry>> = (0..ops.len())
+            .map(|i| ops.log(i).unwrap().entries().to_vec())
+            .collect();
+        let at = |logs: &[Vec<OpLogEntry>], opnum: u32| {
+            let is = |e: &OpLogEntry| e.rid == rid && e.opnum == OpNum(opnum);
+            let mut logs = logs.iter().enumerate();
+            logs.find_map(|(i, es)| Some((i, es.iter().position(is)?)))
+        };
+        let (i, k) = at(&logs, 2).unwrap();
+        let second = logs[i].remove(k);
+        let (i, k) = at(&logs, 1).unwrap();
+        logs[i].insert(k, second);
+        for (i, entries) in logs.into_iter().enumerate() {
+            *ops.log_mut(i).unwrap() = OpLog::from_entries(entries);
+        }
+    }
+
+    #[test]
+    fn every_report_rejection_is_identical_on_every_entry_point() {
+        let (honest, scripts, config) = honest();
+        type Edit = fn(&mut Bundle);
+        let table: [(&str, Edit); 7] = [
+            ("LogEntryUnknownRequest", |b| {
+                edit_db_log(b, |es| es.last_mut().unwrap().rid = RequestId(999_999))
+            }),
+            ("LogEntryBadOpnum", |b| {
+                edit_db_log(b, |es| es.last_mut().unwrap().opnum = OpNum(0))
+            }),
+            ("DuplicateOperation", |b| {
+                edit_db_log(b, |es| es.push(es[0].clone()))
+            }),
+            ("MissingOperation", |b| {
+                edit_db_log(b, |es| {
+                    es.pop();
+                })
+            }),
+            ("LogOrderViolation", invert_program_order),
+            ("DuplicateObjectName", |b| {
+                let name = b.reports.op_logs.name(0).unwrap().clone();
+                b.reports.op_logs.push(name, OpLog::new());
+            }),
+            // The trace is sequential, so a log that puts a later
+            // request's operation first contradicts time precedence.
+            ("CycleDetected", |b| {
+                edit_db_log(b, |es| {
+                    let k = es.windows(2).position(|w| w[0].rid != w[1].rid).unwrap();
+                    es.swap(k, k + 1);
+                })
+            }),
+        ];
+        for (kind, edit) in table {
+            let mut bundle = honest.clone();
+            edit(&mut bundle);
+            let rejection = verdict_everywhere(&bundle, &scripts, &config);
+            let Rejection::Graph(graph) = &rejection else {
+                panic!("{kind}: rejected with {rejection}");
+            };
+            assert!(
+                format!("{graph:?}").starts_with(kind),
+                "{kind}: rejected with {rejection}"
             );
         }
     }
