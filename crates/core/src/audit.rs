@@ -346,8 +346,9 @@ pub struct AuditStats {
     pub graph_build: Duration,
     /// Fig. 9 "Balance": the balance scan over the trace's events.
     pub balance_wall: Duration,
-    /// Fig. 9 "ProcOpRep": the OpMap grown as requests arrive, then the
-    /// full Fig. 5 validation (`graph_build` is part of it).
+    /// Fig. 9 "ProcOpRep": the OpMap built from the reports in the
+    /// prologue, then the Fig. 5 validation against the complete trace
+    /// (`graph_build` is part of it).
     pub proc_op_rep_wall: Duration,
     /// Fig. 9 "DB redo": the prologue's versioned-store builds.
     pub db_redo_wall: Duration,
@@ -420,12 +421,11 @@ type DedupKey = (usize, usize, u64);
 pub struct AuditShared<'a> {
     reports: &'a Reports,
     config: &'a AuditConfig,
-    /// The OpMap, carrying the dense requestID interning every worker's
-    /// flat per-request cursors index by. The engine (crate::streaming)
-    /// grows it as requests arrive and parks a placeholder interner in
-    /// it during ingest, when the balance scan must hold the canonical
-    /// one exclusively.
-    pub(crate) opmap: OpMap,
+    /// The OpMap, built from the reports before the trace is read; its
+    /// rows also index every worker's per-request cursors. The engine
+    /// (crate::streaming) holds it too, to validate the reports against
+    /// the complete trace.
+    pub(crate) opmap: Arc<OpMap>,
     /// The versioned stores and indexes, slot = log index.
     stores: Vec<LogStores<'a>>,
 }
@@ -470,7 +470,7 @@ impl<'a> AuditShared<'a> {
     /// exactly.
     pub(crate) fn build(
         reports: &'a Reports,
-        opmap: OpMap,
+        opmap: Arc<OpMap>,
         config: &'a AuditConfig,
         threads: usize,
     ) -> Result<Self, Rejection> {
@@ -593,15 +593,15 @@ fn build_stores_for<'a>(
 /// over a single shared prologue.
 pub struct AuditContext<'a> {
     shared: Arc<AuditShared<'a>>,
-    /// Next unconsumed opnum per dense request index (starts at 1).
+    /// Next unconsumed opnum per OpMap row (starts at 1).
     opnum_next: Vec<u32>,
-    /// Open-database-transaction flag per dense request index.
+    /// Open-database-transaction flag per OpMap row.
     in_txn: Vec<bool>,
     /// Read-query dedup cache. An entry is one immutable result: every
     /// hit hands out the same handle, so all readers of one table
     /// version share one object.
     dedup_cache: HashMap<DedupKey, Arc<ExecOutcome>>,
-    /// Nondeterminism cursors per dense request index.
+    /// Nondeterminism cursors per OpMap row.
     nondet_cursor: Vec<usize>,
     /// The control-flow tag the unit being re-executed claims; the
     /// driver sets it before each unit.
@@ -630,7 +630,7 @@ impl<'a> AuditContext<'a> {
     /// re-executes within one context's lifetime — while the
     /// performance caches and counters persist across passes.
     pub(crate) fn new(shared: Arc<AuditShared<'a>>, carry: AuditCarry) -> Self {
-        let x = shared.opmap.interner().num_requests();
+        let x = shared.opmap.num_rows();
         AuditContext {
             shared,
             opnum_next: vec![1; x],
@@ -654,27 +654,26 @@ impl<'a> AuditContext<'a> {
         }
     }
 
-    /// Resolves a requestID to its dense index — the one hash lookup a
+    /// Resolves a requestID to its OpMap row — the one hash lookup a
     /// state operation performs; every cursor and OpMap access after it
     /// is flat indexing.
-    fn dense(&self, rid: RequestId) -> Option<usize> {
-        let interner = self.shared.opmap.interner();
-        interner.index_of(rid).map(|i| i as usize)
+    fn row(&self, rid: RequestId) -> Option<usize> {
+        self.shared.opmap.row(rid).map(|row| row as usize)
     }
 
     /// The first half of `CheckOp` (Fig. 12 lines 10–14), shared by
     /// every operation kind: the request's next opnum must be in the
     /// OpMap, and the log it names must be `object`'s. Returns the
-    /// dense request index, that opnum, the OpMap's `(log, seqnum)` and
+    /// request's OpMap row, that opnum, the OpMap's `(log, seqnum)` and
     /// the logged contents.
     fn resolve_op(
         &self,
         rid: RequestId,
         object: &ObjectName,
     ) -> Result<(usize, OpNum, usize, SeqNum, &'a OpContents), Rejection> {
-        // A rid outside the trace has no OpMap entries at all; report
-        // it the way an empty OpMap row would (opnum cursor at 1).
-        let Some(idx) = self.dense(rid) else {
+        // A request the reports never name has no OpMap row; report it
+        // the way an empty row would (opnum cursor at 1).
+        let Some(idx) = self.row(rid) else {
             return Err(Rejection::OpNotInOpMap {
                 rid,
                 opnum: OpNum(1),
@@ -999,7 +998,7 @@ impl<'a> AuditContext<'a> {
             false
         };
         let idx = self
-            .dense(rid)
+            .row(rid)
             .expect("db_begin resolved this request already");
         self.in_txn[idx] = false;
         self.opnum_next[idx] += 1;
@@ -1029,9 +1028,9 @@ impl<'a> AuditContext<'a> {
         rid: RequestId,
         payload: impl FnOnce(&NondetValue) -> Option<T>,
     ) -> Result<T, Rejection> {
-        // A rid outside the trace owns no recorded values, so the
-        // cursor (0) is already past the end.
-        let Some(idx) = self.dense(rid) else {
+        // A request without an OpMap row owns no recorded values, so
+        // the cursor (0) is already past the end.
+        let Some(idx) = self.row(rid) else {
             return Err(Rejection::NondetExhausted { rid });
         };
         let recorded = self.shared.reports.nondet.for_request(rid);
@@ -1048,16 +1047,23 @@ impl<'a> AuditContext<'a> {
     /// exactly `M(rid)` operations (Fig. 12 line 51) and all recorded
     /// nondeterminism.
     pub(crate) fn finish_request(&mut self, rid: RequestId) -> Result<(), Rejection> {
-        let idx = self
-            .dense(rid)
-            .expect("scheduled group members are trace requests");
-        if self.in_txn[idx] {
+        // A request without an OpMap row issued no operation and read no
+        // recorded value.
+        let (in_txn, opnum_next, nondet_cursor) = match self.row(rid) {
+            Some(idx) => (
+                self.in_txn[idx],
+                self.opnum_next[idx],
+                self.nondet_cursor[idx],
+            ),
+            None => (false, 1, 0),
+        };
+        if in_txn {
             return Err(Rejection::StateOpDuringTxn { rid });
         }
-        if self.opnum_next[idx] != self.shared.reports.op_count(rid) + 1 {
+        if opnum_next - 1 != self.shared.reports.op_count(rid) {
             return Err(Rejection::OpCountMismatch { rid });
         }
-        if self.nondet_cursor[idx] != self.shared.reports.nondet.for_request(rid).len() {
+        if nondet_cursor != self.shared.reports.nondet.for_request(rid).len() {
             return Err(Rejection::NondetLeftover { rid });
         }
         Ok(())

@@ -23,37 +23,43 @@
 //!
 //! # Implementation contract
 //!
-//! The whole pass is *zero-hash after the one-time interning pass*.
-//! [`process_op_reports`] first interns the trace's requestIDs into
-//! dense `u32` indices ([`orochi_trace::RidInterner`]) and, while
-//! walking the logs once for `CheckLogs`, resolves every log entry's
-//! requestID through the interner into flat per-log index arrays. From
-//! that point on, every hot loop is index arithmetic over flat arrays:
+//! The pass runs in two halves, split by what each reads.
 //!
-//! * the [`OpMap`] is an offset table — per dense request, a prefix
-//!   offset into one slot array of `M(rid)` entries — so duplicate
-//!   detection, the missing-operation scan, and re-execution's
-//!   `CheckOp` lookups are all direct indexing;
-//! * the [`AuditGraph`] is a compressed-sparse-row (CSR) structure
-//!   built in two passes over one edge stream (count out-degrees,
-//!   prefix-sum, fill columns) that includes the Fig. 6 frontier edges
-//!   *streamed* straight from
+//! * [`OpMap::build`] reads the reports alone, so the audit runs it once,
+//!   in its prologue, before any of the trace arrives. It fills the
+//!   OpMap — per request the reports name, a prefix offset into one slot
+//!   array — and notes the first defect the reports show on their own:
+//!   an opnum outside `1..=M(rid)` or a duplicate `(rid, opnum)`. Its
+//!   tables are sized from the log entries, so a forged `M` costs
+//!   nothing.
+//! * [`process_op_reports_interned`] runs once the trace is complete. It
+//!   resolves every log entry through the trace's dense requestID
+//!   interning ([`orochi_trace::RidInterner`]) into flat per-log index
+//!   arrays; from that point on, every loop is index arithmetic over
+//!   flat arrays. The missing-operation scan walks trace requests in
+//!   arrival order. The [`AuditGraph`] is a compressed-sparse-row (CSR)
+//!   structure built in two passes over one edge stream (count
+//!   out-degrees, prefix-sum, fill columns) that includes the Fig. 6
+//!   frontier edges *streamed* straight from
 //!   [`crate::precedence::for_each_frontier_edge`] — no intermediate
 //!   `(RequestId, RequestId)` edge list is ever materialized, and no
-//!   endpoint is re-hashed;
-//! * the cycle check is Kahn's algorithm over the flat `row_start`/
-//!   `col` arrays, seeded from an indegree array accumulated during the
-//!   fill pass (no O(E) recount) and copied into a reusable scratch
-//!   buffer per query.
+//!   endpoint is re-hashed. The cycle check is Kahn's algorithm over the
+//!   flat `row_start`/`col` arrays, seeded from an indegree array
+//!   accumulated during the fill pass (no O(E) recount).
+//!
+//! Rejections keep Fig. 5's precedence: the first defect in log
+//! position — unknown request, bad opnum, duplicate — then a missing
+//! operation, then log order, then a cycle.
 //!
 //! The pre-CSR construction — materialized edge list, per-endpoint hash
 //! lookups, `Vec<Vec<u32>>` adjacency, `HashMap` OpMap — survives in
-//! [`two_phase`] as the bench baseline and differential-testing oracle.
+//! [`two_phase`] as the differential-testing oracle.
 
 use crate::precedence::for_each_frontier_edge;
 use crate::reports::Reports;
 use orochi_common::ids::{OpNum, RequestId, SeqNum};
 use orochi_trace::record::{BalancedTrace, RidInterner};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,126 +141,169 @@ const UNSET: u32 = u32::MAX;
 
 /// The OpMap: `(rid, opnum) -> (object index, log sequence number)`.
 ///
-/// Stored as a flat per-request offset table over the dense request
-/// indices of the shared [`RidInterner`]: request `idx` owns the slot
-/// range `offsets[idx]..offsets[idx + 1]` (one slot per promised
-/// operation), so a lookup is two array reads — no `(rid, opnum)`
-/// hashing. The interner rides along so the audit's re-execution
-/// workers can reuse the same dense indices for their per-request
-/// cursors.
+/// Built once from the reports ([`OpMap::build`]), with one row per
+/// request they name — in a log entry or in the nondeterminism report —
+/// so the re-execution workers index their per-request cursors by row
+/// too. Row `r` owns the slot range `offsets[r]..offsets[r + 1]`: one
+/// slot per opnum from 1 up to `M(rid)` or the number of entries naming
+/// the request, whichever is smaller. A lookup is one hash to find the
+/// row, then two array reads.
 #[derive(Debug, Clone)]
 pub struct OpMap {
-    interner: Arc<RidInterner>,
-    /// Per dense request: prefix offsets into `slots`; length `X + 1`.
+    /// RequestID -> row.
+    rows: HashMap<RequestId, u32>,
+    /// Per row: prefix offsets into `slots`; length `rows + 1`.
     offsets: Vec<u32>,
-    /// One `(object index, seqnum)` slot per promised operation;
-    /// `UNSET` object index marks a slot no log entry filled.
-    slots: Vec<(u32, SeqNum)>,
-    /// Number of filled slots.
-    filled: usize,
+    /// One `(object index, seqnum)` slot per indexed opnum, in `u32`s
+    /// like every other audit-graph index; `UNSET` object index marks a
+    /// slot no log entry filled.
+    slots: Vec<(u32, u32)>,
+    /// The first defect the reports show on their own, at its log
+    /// position (the entry's ordinal across the logs, in log order). The
+    /// build stops there, as report validation rejects whatever the
+    /// trace holds.
+    defect: Option<(usize, GraphRejection)>,
 }
 
 impl OpMap {
-    /// Looks up an operation (one interner hash to resolve `rid`, then
-    /// pure index arithmetic — see [`OpMap::get_dense`]).
+    /// The half of Fig. 5's `CheckLogs` that reads the reports alone: one
+    /// walk over the logs, in log order, checks each entry's opnum
+    /// against `M(rid)` and claims its slot, and stops at the first entry
+    /// that is out of range or claims a claimed opnum. The checks that
+    /// need the trace wait for [`process_op_reports_interned`].
+    pub fn build(reports: &Reports) -> OpMap {
+        // A row per request named, in order of first mention, sized by
+        // `(M, entries naming it)`; and each log entry's row. The tables
+        // are reserved for `M`'s requests: an honest server reports `M`
+        // for every request it logs.
+        let mut rows = HashMap::with_capacity(reports.op_counts.len());
+        let mut sizes: Vec<(u32, u32)> = Vec::with_capacity(reports.op_counts.len());
+        let mut name = |rid: RequestId, entries: u32| {
+            let next = sizes.len() as u32;
+            let row = *rows.entry(rid).or_insert(next);
+            if row == next {
+                sizes.push((reports.op_count(rid), 0));
+            }
+            sizes[row as usize].1 += entries;
+            row
+        };
+        let logged = reports.op_logs.iter().flat_map(|(_, _, log)| log.entries());
+        let mut entry_rows = Vec::with_capacity(reports.total_ops());
+        entry_rows.extend(logged.map(|entry| name(entry.rid, 1)));
+        reports.nondet.requests().for_each(|rid| {
+            name(rid, 0);
+        });
+        let mut offsets = Vec::with_capacity(sizes.len() + 1);
+        offsets.push(0);
+        for &(m, entries) in &sizes {
+            offsets.push(offsets[offsets.len() - 1] + m.min(entries));
+        }
+        let mut map = OpMap {
+            rows,
+            slots: vec![(UNSET, 0); offsets[sizes.len()] as usize],
+            offsets,
+            defect: None,
+        };
+        // Claims on opnums past a row's slots: in range, but the request
+        // is short of entries, which validation rejects as missing.
+        let mut beyond = HashSet::new();
+        let entries = (reports.op_logs.iter())
+            .flat_map(|(i, _, log)| log.iter().map(move |(seq, e)| (i as u32, seq.0 as u32, e)));
+        for (pos, ((i, seq, entry), &row)) in entries.zip(&entry_rows).enumerate() {
+            let (rid, opnum) = (entry.rid, entry.opnum);
+            let (m, _) = sizes[row as usize];
+            let duplicate = GraphRejection::DuplicateOperation { rid, opnum };
+            let (start, end) = (map.offsets[row as usize], map.offsets[row as usize + 1]);
+            let defect = if opnum.0 == 0 || opnum.is_infinity() || opnum.0 > m {
+                Some(GraphRejection::LogEntryBadOpnum { rid, opnum })
+            } else if opnum.0 > end - start {
+                (!beyond.insert((row, opnum))).then_some(duplicate)
+            } else if map.slots[(start + opnum.0 - 1) as usize].0 != UNSET {
+                Some(duplicate)
+            } else {
+                map.slots[(start + opnum.0 - 1) as usize] = (i, seq);
+                None
+            };
+            if let Some(defect) = defect {
+                map.defect = Some((pos, defect));
+                break;
+            }
+        }
+        map
+    }
+
+    /// The row of `rid`, if the reports name it.
+    pub(crate) fn row(&self, rid: RequestId) -> Option<u32> {
+        self.rows.get(&rid).copied()
+    }
+
+    /// Number of rows: the requests the reports name.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Looks up an operation: one hash to find the row, then two array
+    /// reads.
     pub fn get(&self, rid: RequestId, opnum: OpNum) -> Option<(usize, SeqNum)> {
-        let idx = self.interner.index_of(rid)?;
-        self.get_dense(idx, opnum)
+        self.get_dense(self.row(rid)?, opnum)
     }
 
-    /// Looks up an operation by dense request index: two array reads,
-    /// zero hashing. `idx` must come from [`OpMap::interner`].
-    pub fn get_dense(&self, idx: u32, opnum: OpNum) -> Option<(usize, SeqNum)> {
-        if opnum.0 == 0 || opnum.is_infinity() {
-            return None;
-        }
-        let start = self.offsets[idx as usize];
-        let m = self.offsets[idx as usize + 1] - start;
-        if opnum.0 > m {
-            return None;
-        }
-        let (obj, seq) = self.slots[(start + opnum.0 - 1) as usize];
-        (obj != UNSET).then_some((obj as usize, seq))
+    /// Looks up an operation by row: two array reads, zero hashing.
+    /// `row` must come from [`OpMap::row`].
+    pub(crate) fn get_dense(&self, row: u32, opnum: OpNum) -> Option<(usize, SeqNum)> {
+        let slot = self
+            .row_slots(row)
+            .get((opnum.0 as usize).checked_sub(1)?)?;
+        (slot.0 != UNSET).then_some((slot.0 as usize, SeqNum(slot.1.into())))
     }
 
-    /// The dense requestID interning this OpMap (and the whole audit)
-    /// indexes by.
-    pub fn interner(&self) -> &Arc<RidInterner> {
-        &self.interner
+    fn row_slots(&self, row: u32) -> &[(u32, u32)] {
+        let row = row as usize;
+        &self.slots[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    }
+
+    /// The first opnum in `1..=m` no log entry claims for `rid`. A row
+    /// shorter than `m` has fewer entries than `m`, so one of its first
+    /// `len + 1` opnums is unclaimed.
+    fn first_missing(&self, rid: RequestId, m: u32) -> Option<u32> {
+        let slots = self.row(rid).map_or(&[][..], |row| self.row_slots(row));
+        let k = slots
+            .iter()
+            .position(|s| s.0 == UNSET)
+            .unwrap_or(slots.len()) as u32
+            + 1;
+        (k <= m).then_some(k)
+    }
+
+    /// The defect [`OpMap::build`] stopped at, if it sits at log
+    /// position `pos`.
+    fn defect_at(&self, pos: usize) -> Option<&GraphRejection> {
+        let defect = self.defect.as_ref().filter(|(at, _)| *at == pos);
+        defect.map(|(_, rejection)| rejection)
+    }
+
+    /// True if the reports alone condemn the run: report validation will
+    /// reject, whatever the trace holds.
+    pub(crate) fn is_defective(&self) -> bool {
+        self.defect.is_some()
     }
 
     /// Number of indexed operations.
     pub fn len(&self) -> usize {
-        self.filled
+        self.slots.iter().filter(|slot| slot.0 != UNSET).count()
     }
 
     /// True if no operations are indexed.
     pub fn is_empty(&self) -> bool {
-        self.filled == 0
+        self.len() == 0
     }
 
-    // ---- Incremental construction (streaming audit) ------------------
-    //
-    // The streaming driver grows the OpMap one request at a time as
-    // requests arrive in epochs, filling slots from per-rid log-entry
-    // lists. Misfills are impossible to diagnose locally (a bad opnum
-    // may be the reports' fault, judged only by the final full
-    // `process_op_reports_interned` pass), so the incremental API is
-    // deliberately lenient: out-of-range fills are dropped, duplicate
-    // fills keep the first claim — exactly the information the batch
-    // OpMap would hold for the same `(rid, opnum)`.
-
-    /// An empty OpMap over a placeholder interner, the streaming
-    /// audit's starting point. Use [`OpMap::set_interner`] to point it
-    /// at the canonical interner before lookups.
-    pub(crate) fn streaming_empty() -> OpMap {
-        OpMap {
-            interner: RidInterner::empty(),
-            offsets: vec![0],
-            slots: Vec::new(),
-            filled: 0,
-        }
-    }
-
-    /// Swaps the interner reference (streaming epochs alternate between
-    /// a placeholder and the canonical, growing interner so the balance
-    /// validator keeps exclusive ownership during ingest).
-    pub(crate) fn set_interner(&mut self, interner: Arc<RidInterner>) {
-        self.interner = interner;
-    }
-
-    /// Appends the slot range for the next dense request (in arrival
-    /// order), with `m` promised operations, all unfilled.
-    pub(crate) fn append_request(&mut self, m: u32) {
-        let end = *self.offsets.last().expect("offsets never empty") + m;
-        self.offsets.push(end);
-        self.slots.resize(end as usize, (UNSET, SeqNum(0)));
-    }
-
-    /// Fills the slot for `(idx, opnum)` with `(obj, seq)` if the slot
-    /// exists and is unclaimed; returns whether it was filled.
-    pub(crate) fn fill_slot(&mut self, idx: u32, opnum: OpNum, obj: u32, seq: SeqNum) -> bool {
-        if opnum.0 == 0 || opnum.is_infinity() {
-            return false;
-        }
-        let start = self.offsets[idx as usize];
-        let m = self.offsets[idx as usize + 1] - start;
-        if opnum.0 > m {
-            return false;
-        }
-        let slot = &mut self.slots[(start + opnum.0 - 1) as usize];
-        if slot.0 != UNSET {
-            return false;
-        }
-        *slot = (obj, seq);
-        self.filled += 1;
-        true
-    }
-
-    /// Rough resident size in bytes (offset + slot arrays; the interner
-    /// is accounted separately by its owner).
+    /// Rough resident size in bytes (row index, offset and slot arrays).
     pub(crate) fn estimated_bytes(&self) -> usize {
-        self.offsets.len() * 4 + self.slots.len() * std::mem::size_of::<(u32, SeqNum)>()
+        let row = std::mem::size_of::<(RequestId, u32)>() + 1;
+        self.rows.capacity() * row
+            + self.offsets.len() * 4
+            + self.slots.len() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -386,11 +435,9 @@ impl AuditGraph {
 /// `ProcessOpReports` (Fig. 5): validates the logs against `M` and the
 /// trace, constructs the OpMap, builds `G`, and checks acyclicity.
 ///
-/// One interning pass resolves every requestID the function will ever
-/// touch (trace events and log entries) into dense indices; every loop
-/// after it — the missing-operation scan, the three edge streams, the
-/// two-pass CSR build, Kahn's check — is flat index arithmetic with
-/// zero hash-map or hash-set operations.
+/// [`OpMap::build`] reads the reports, then
+/// [`process_op_reports_interned`] checks them against the trace and
+/// builds the graph.
 ///
 /// # Examples
 ///
@@ -425,49 +472,30 @@ pub fn process_op_reports(
     trace: &BalancedTrace<'_>,
     reports: &Reports,
 ) -> Result<(AuditGraph, OpMap), GraphRejection> {
-    process_op_reports_interned(&trace.intern_rids(), reports, 1)
+    let opmap = OpMap::build(reports);
+    let graph = process_op_reports_interned(&trace.intern_rids(), reports, &opmap)?;
+    Ok((graph, opmap))
 }
 
-/// [`process_op_reports`] over a pre-built interner, with a worker pool
-/// for the CSR fill pass.
+/// The half of [`process_op_reports`] that needs the trace, over its
+/// dense requestID interning and the [`OpMap`] built from `reports`.
 ///
-/// The trace's only contribution to `ProcessOpReports` is its dense
-/// requestID interning (arrival order + the dense event stream the
-/// frontier pass replays), so any validator that produced an interner —
-/// in particular the streaming audit's incremental balance scan, which
-/// never materializes the trace — can run the *same* graph code path
-/// the batch audit runs. Verdicts and diagnostics are identical by
-/// construction.
-///
-/// The count pass fixes every row's extent, and the three edge sources
-/// then target *disjoint, precomputable* slots within those extents:
-///
-/// * departure nodes emit only Fig. 6 frontier edges, so their rows
-///   belong to a single frontier task that fills them in stream order;
-/// * every non-departure node emits exactly one program edge, always at
-///   its row's first slot;
-/// * a node emits at most one log-order edge — each `(rid, opnum)`
-///   operation lives in exactly one object log and is the left end of
-///   at most one adjacent pair — always at its row's second slot.
-///
-/// Workers (one frontier task, request-chunk program tasks, one task
-/// per object log, claimed off a shared counter) therefore write
-/// disjoint `col` slots with no per-row cursor synchronization, and the
-/// CSR produced at any thread count is **byte-identical** to the
-/// sequential fill. Indegrees accumulate with relaxed atomic adds
-/// (sums are order-independent). Validation, interning, and the count
-/// pass stay sequential: they are one streamed O(X + Y) walk.
+/// The trace's only contribution to `ProcessOpReports` is that interning
+/// (arrival order + the dense event stream the frontier pass replays),
+/// so any validator that produced an interner — in particular the audit
+/// engine's incremental balance scan, which never materializes the
+/// trace — runs the *same* code the batch path runs. Verdicts and
+/// diagnostics are identical by construction.
 pub fn process_op_reports_interned(
     interner: &Arc<RidInterner>,
     reports: &Reports,
-    threads: usize,
-) -> Result<(AuditGraph, OpMap), GraphRejection> {
-    // Reject aliased logs up front: one log per object name. This
-    // happens before (and its hash set is part of) the interning pass;
-    // walking in log order keeps the reported name — the first
-    // duplicate encountered — identical to [`two_phase`]'s.
+    opmap: &OpMap,
+) -> Result<AuditGraph, GraphRejection> {
+    // Reject aliased logs up front: one log per object name. Walking in
+    // log order keeps the reported name — the first duplicate
+    // encountered — identical to [`two_phase`]'s.
     {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for (_, name, _) in reports.op_logs.iter() {
             if !seen.insert(name.as_str()) {
                 return Err(GraphRejection::DuplicateObjectName {
@@ -477,71 +505,47 @@ pub fn process_op_reports_interned(
         }
     }
 
-    // ---- The one-time interning pass. --------------------------------
-    // Dense requestIDs, the OpMap offset table, and the node-id bases.
-    let interner = Arc::clone(interner);
-    let x = interner.num_requests();
-    let mut offsets: Vec<u32> = Vec::with_capacity(x + 1);
-    let mut base: Vec<u32> = Vec::with_capacity(x + 1);
-    let (mut ops_acc, mut node_acc) = (0u32, 0u32);
-    for idx in 0..x {
-        offsets.push(ops_acc);
-        base.push(node_acc);
-        let m = reports.op_count(interner.rid(idx as u32));
-        ops_acc += m;
-        node_acc += m + 2;
-    }
-    offsets.push(ops_acc);
-    base.push(node_acc);
-
-    // CheckLogs — still the interning pass: each log entry's requestID
-    // is resolved through the interner exactly once, into flat per-log
-    // index arrays the edge passes reuse. Validation and the OpMap fill
-    // happen per entry, in log order, so the first defect found matches
-    // a straight Fig. 5 walk.
-    let mut slots: Vec<(u32, SeqNum)> = vec![(UNSET, SeqNum(0)); ops_acc as usize];
-    let mut filled = 0usize;
+    // CheckLogs against the trace: each log entry's requestID is resolved
+    // through the interner exactly once, into flat per-log index arrays
+    // the edge passes reuse. An unknown request or the OpMap's own
+    // defect, whichever comes first in log order, is what a straight
+    // Fig. 5 walk finds first.
     let mut resolved: Vec<Vec<u32>> = Vec::with_capacity(reports.op_logs.len());
-    for (i, _, log) in reports.op_logs.iter() {
+    let mut pos = 0;
+    for (_, _, log) in reports.op_logs.iter() {
         let mut dense = Vec::with_capacity(log.len());
-        for (seq, entry) in log.iter() {
+        for entry in log.entries() {
             let Some(idx) = interner.index_of(entry.rid) else {
                 return Err(GraphRejection::LogEntryUnknownRequest { rid: entry.rid });
             };
-            let m = offsets[idx as usize + 1] - offsets[idx as usize];
-            if entry.opnum.0 == 0 || entry.opnum.is_infinity() || entry.opnum.0 > m {
-                return Err(GraphRejection::LogEntryBadOpnum {
-                    rid: entry.rid,
-                    opnum: entry.opnum,
-                });
+            if let Some(defect) = opmap.defect_at(pos) {
+                return Err(defect.clone());
             }
-            let slot = (offsets[idx as usize] + entry.opnum.0 - 1) as usize;
-            if slots[slot].0 != UNSET {
-                return Err(GraphRejection::DuplicateOperation {
-                    rid: entry.rid,
-                    opnum: entry.opnum,
-                });
-            }
-            slots[slot] = (i as u32, seq);
-            filled += 1;
             dense.push(idx);
+            pos += 1;
         }
         resolved.push(dense);
     }
     // ---- Everything below is index arithmetic: zero hashing. --------
 
-    // Every operation promised by M must be logged (dense order).
-    for idx in 0..x {
-        let (s, e) = (offsets[idx] as usize, offsets[idx + 1] as usize);
-        for (k, slot) in slots[s..e].iter().enumerate() {
-            if slot.0 == UNSET {
-                return Err(GraphRejection::MissingOperation {
-                    rid: interner.rid(idx as u32),
-                    opnum: OpNum(k as u32 + 1),
-                });
-            }
+    // Every operation M promises a trace request must be logged, checked
+    // in arrival order; the node-id bases follow. Once nothing is
+    // missing, each request's `M` is at most its entry count.
+    let x = interner.num_requests();
+    let mut base: Vec<u32> = Vec::with_capacity(x + 1);
+    let mut node_acc = 0u32;
+    for &rid in interner.rids() {
+        let m = reports.op_count(rid);
+        if let Some(k) = opmap.first_missing(rid, m) {
+            return Err(GraphRejection::MissingOperation {
+                rid,
+                opnum: OpNum(k),
+            });
         }
+        base.push(node_acc);
+        node_acc += m + 2;
     }
+    base.push(node_acc);
 
     // Same-request log adjacency must be in increasing opnum order
     // (different-request adjacency becomes a log-order edge below).
@@ -562,7 +566,7 @@ pub fn process_op_reports_interned(
     let num_nodes = node_acc as usize;
     let each_edge = |emit: &mut dyn FnMut(u32, u32)| {
         // SplitNodes: time-precedence edges (r1, ∞) -> (r2, 0).
-        for_each_frontier_edge(&interner, |from, to| {
+        for_each_frontier_edge(interner, |from, to| {
             emit(base[from as usize + 1] - 1, base[to as usize]);
         });
         // AddProgramEdges: (rid, k-1) -> (rid, k), …, (rid, M) -> (rid, ∞)
@@ -589,22 +593,17 @@ pub fn process_op_reports_interned(
     for v in 0..num_nodes {
         row_start[v + 1] += row_start[v];
     }
-    let (col, indegree) = if threads <= 1 {
-        let mut cursor: Vec<u32> = row_start[..num_nodes].to_vec();
-        let mut col = vec![0u32; row_start[num_nodes] as usize];
-        let mut indegree = vec![0u32; num_nodes];
-        each_edge(&mut |from, to| {
-            let c = &mut cursor[from as usize];
-            col[*c as usize] = to;
-            *c += 1;
-            indegree[to as usize] += 1;
-        });
-        (col, indegree)
-    } else {
-        fill_csr_parallel(&interner, reports, &resolved, &base, &row_start, threads)
-    };
+    let mut cursor: Vec<u32> = row_start[..num_nodes].to_vec();
+    let mut col = vec![0u32; row_start[num_nodes] as usize];
+    let mut indegree = vec![0u32; num_nodes];
+    each_edge(&mut |from, to| {
+        let c = &mut cursor[from as usize];
+        col[*c as usize] = to;
+        *c += 1;
+        indegree[to as usize] += 1;
+    });
     let graph = AuditGraph {
-        interner: Arc::clone(&interner),
+        interner: Arc::clone(interner),
         base,
         row_start,
         col,
@@ -616,101 +615,7 @@ pub fn process_op_reports_interned(
     if !graph.is_acyclic() {
         return Err(GraphRejection::CycleDetected);
     }
-    Ok((
-        graph,
-        OpMap {
-            interner,
-            offsets,
-            slots,
-            filled,
-        },
-    ))
-}
-
-/// The fill pass of the two-pass CSR build, parallelized. See
-/// [`process_op_reports_interned`] for the slot-disjointness argument that
-/// makes the output byte-identical to the sequential fill.
-fn fill_csr_parallel(
-    interner: &RidInterner,
-    reports: &Reports,
-    resolved: &[Vec<u32>],
-    base: &[u32],
-    row_start: &[u32],
-    threads: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-    let num_nodes = row_start.len() - 1;
-    let num_edges = row_start[num_nodes] as usize;
-    let x = base.len() - 1;
-    let col: Vec<AtomicU32> = std::iter::repeat_with(|| AtomicU32::new(0))
-        .take(num_edges)
-        .collect();
-    let indegree: Vec<AtomicU32> = std::iter::repeat_with(|| AtomicU32::new(0))
-        .take(num_nodes)
-        .collect();
-    // Every slot is written exactly once, at a position fixed by the
-    // count pass; only the indegree sums race (and commute).
-    let place = |pos: usize, to: u32| {
-        col[pos].store(to, Ordering::Relaxed);
-        indegree[to as usize].fetch_add(1, Ordering::Relaxed);
-    };
-    // Task queue: task 0 streams the frontier; then request chunks of
-    // program edges; then one task per object log.
-    const CHUNK: usize = 2048;
-    let prog_tasks = x.div_ceil(CHUNK);
-    let total = 1 + prog_tasks + reports.op_logs.len();
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= total {
-                    break;
-                }
-                if t == 0 {
-                    // Frontier edges own the departure rows; a local
-                    // cursor tracks the fill within each row.
-                    let mut cursor: Vec<u32> = row_start[..num_nodes].to_vec();
-                    for_each_frontier_edge(interner, |from, to| {
-                        let node = (base[from as usize + 1] - 1) as usize;
-                        let c = &mut cursor[node];
-                        place(*c as usize, base[to as usize]);
-                        *c += 1;
-                    });
-                } else if t <= prog_tasks {
-                    // Program edges: the first slot of every
-                    // non-departure row.
-                    let lo = (t - 1) * CHUNK;
-                    let hi = (lo + CHUNK).min(x);
-                    for idx in lo..hi {
-                        for node in base[idx]..base[idx + 1] - 1 {
-                            place(row_start[node as usize] as usize, node + 1);
-                        }
-                    }
-                } else {
-                    // Log-order edges: the second slot of the left
-                    // entry's row (after its program edge).
-                    let li = t - 1 - prog_tasks;
-                    let log = reports.op_logs.log(li).expect("task bound");
-                    let dense = &resolved[li];
-                    for (k, pair) in log.entries().windows(2).enumerate() {
-                        if dense[k] != dense[k + 1] {
-                            let from = (base[dense[k] as usize] + pair[0].opnum.0) as usize;
-                            place(
-                                row_start[from] as usize + 1,
-                                base[dense[k + 1] as usize] + pair[1].opnum.0,
-                            );
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("CSR fill workers never panic");
-    (
-        col.into_iter().map(AtomicU32::into_inner).collect(),
-        indegree.into_iter().map(AtomicU32::into_inner).collect(),
-    )
+    Ok(graph)
 }
 
 pub mod two_phase {
@@ -1109,39 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_csr_fill_is_byte_identical() {
-        // The parallel fill writes every edge at a precomputed slot, so
-        // the resulting arrays must match the sequential build exactly —
-        // not just as an edge multiset.
-        let trace = Trace {
-            events: vec![req(1), req(2), resp(1), resp(2), req(3), resp(3)],
-        };
-        let trace = trace.ensure_balanced().unwrap();
-        let reports = reports_with(
-            vec![
-                (
-                    ObjectName(String::from("reg:A")),
-                    vec![write(1, 1), read(2, 2), read(3, 1)],
-                ),
-                (
-                    ObjectName(String::from("reg:B")),
-                    vec![write(2, 1), read(1, 2)],
-                ),
-            ],
-            &[(1, 2), (2, 2), (3, 1)],
-        );
-        let interner = trace.intern_rids();
-        let (seq, _) = process_op_reports_interned(&interner, &reports, 1).unwrap();
-        for threads in [2, 4, 8] {
-            let (par, _) = process_op_reports_interned(&interner, &reports, threads).unwrap();
-            assert_eq!(seq.base, par.base);
-            assert_eq!(seq.row_start, par.row_start);
-            assert_eq!(seq.col, par.col, "col mismatch at {threads} threads");
-            assert_eq!(seq.indegree, par.indegree);
-        }
-    }
-
-    #[test]
     fn opmap_dense_lookup_matches_rid_lookup() {
         let trace = Trace {
             events: vec![req(1), req(2), resp(1), resp(2)],
@@ -1156,8 +1028,8 @@ mod tests {
         );
         let (_, opmap) = process_op_reports(&trace, &reports).unwrap();
         for rid in [RequestId(1), RequestId(2)] {
-            let idx = opmap.interner().index_of(rid).unwrap();
-            assert_eq!(opmap.get(rid, OpNum(1)), opmap.get_dense(idx, OpNum(1)));
+            let row = opmap.row(rid).unwrap();
+            assert_eq!(opmap.get(rid, OpNum(1)), opmap.get_dense(row, OpNum(1)));
             assert!(opmap.get(rid, OpNum(1)).is_some());
             // Out-of-range opnums and the sentinels miss cleanly.
             assert_eq!(opmap.get(rid, OpNum(0)), None);

@@ -100,6 +100,11 @@ impl NondetLog {
         self.entries.get(&rid).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// The requests with recorded values, in no particular order.
+    pub fn requests(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.entries.keys().copied()
+    }
+
     /// Total recorded values across requests.
     pub fn total(&self) -> usize {
         self.entries.values().map(Vec::len).sum()

@@ -56,6 +56,10 @@ pub fn ooo_audit(
             request_order.push(rid);
         }
     }
+    // A grouping member the trace never contained follows the schedule,
+    // so the audit rejects it as it rejects the grouped run.
+    let members = reports.groupings.iter().flat_map(|(_, rids)| rids);
+    request_order.extend(members.filter(|rid| !balanced.contains(**rid)));
     // Per-request groups, preserving the schedule, each under the tag of
     // the first group naming it: every run checks its tag. A request no
     // group names stays unnamed, as in the grouped audit.

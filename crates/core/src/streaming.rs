@@ -7,10 +7,10 @@
 //!
 //! ```text
 //! new ──► feed epoch ──► feed epoch ──► … ──► settle
-//!          │ ingest: §3 balance scan, one event at a time
-//!          │ grow:   OpMap rows for the requests that arrived
-//!          │ run:    the (sub-)groups this epoch's responses completed,
-//!          │         over the worker pool, outputs checked in-worker
+//!  │       │ ingest: §3 balance scan, one event at a time
+//!  │       │ run:    the (sub-)groups this epoch's responses completed,
+//!  │       │         over the worker pool, outputs checked in-worker
+//!  └ OpMap and versioned stores, from the reports alone
 //! ```
 //!
 //! * **Batch is streaming with one epoch.** [`crate::audit::audit`] and
@@ -36,12 +36,13 @@
 //!
 //! Across an epoch boundary the engine keeps only: the requestID
 //! interner and one `responded` bit per request ([`StreamingBalance`]);
-//! the [`OpMap`] tables; the request payloads of group members whose
-//! response has not arrived; a two-bit output verdict per request; per
-//! planned group, its progress; and one `AuditCarry` (dedup caches,
-//! counters) per worker.
-//! [`StreamingAudit::carry_bytes`] meters it. The versioned stores are
-//! built once up front — they depend on the reports alone.
+//! the [`OpMap`]; the request payloads of group members whose response
+//! has not arrived; a two-bit output verdict per request; per planned
+//! group, its progress; and one `AuditCarry` (dedup caches, counters)
+//! per worker. [`StreamingAudit::carry_bytes`] meters it. The OpMap and
+//! the versioned stores are built once up front — they depend on the
+//! reports alone — and the trace-dependent half of Fig. 5 runs once the
+//! trace is complete.
 //!
 //! # Rejection precedence
 //!
@@ -65,7 +66,7 @@ use crate::audit::{
 use crate::exec::{GroupExecutor, OutputCheck};
 use crate::graph::{process_op_reports_interned, OpMap};
 use crate::reports::Reports;
-use orochi_common::ids::{CtlFlowTag, OpNum, RequestId, SeqNum};
+use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_obs::LazyHistogram;
 use orochi_trace::record::{BalanceError, RidInterner, StreamingBalance};
 use orochi_trace::{
@@ -77,7 +78,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Wall time per epoch (ingest + OpMap growth + re-execution).
+/// Wall time per epoch (ingest + re-execution).
 static EPOCH_NS: LazyHistogram = LazyHistogram::new("audit_epoch_ns");
 
 /// Where in Fig. 12's sequential walk a check sits. The derived `Ord`
@@ -239,9 +240,6 @@ fn request_bytes(req: &HttpRequest) -> usize {
         + pairs(&req.cookies)
 }
 
-/// Per rid, its log entries as `(log index, seqnum, opnum)`.
-type LogIndex = HashMap<RequestId, Vec<(u32, SeqNum, OpNum)>>;
-
 /// Epoch size for the passes that only scan the source (the standalone
 /// prologue, payload collection for whole re-runs): any size gives the
 /// same result; this one has a store-backed source hold a few segments
@@ -315,20 +313,18 @@ fn run_one_group(
 /// behind a pull loop over any [`TraceSource`].
 pub struct StreamingAudit<'a> {
     reports: &'a Reports,
-    threads: usize,
     balance: StreamingBalance,
+    /// The OpMap, built from the reports up front.
+    opmap: Arc<OpMap>,
     /// The prologue's products, built up front (store builds are
     /// trace-independent); `None` when that already failed, with the
-    /// rejection recorded in `verdict`.
+    /// rejection recorded in `verdict`, or when the OpMap holds a defect
+    /// that validation will reject.
     shared: Option<Arc<AuditShared<'a>>>,
     verdict: Verdict,
     plan: GroupPlan,
     /// Slot = planned-group index.
     groups: Vec<GroupProgress>,
-    /// The logs indexed by request, awaiting each request's arrival,
-    /// for the incremental OpMap fill; built on first use, which a
-    /// one-epoch audit never reaches.
-    log_entries: Option<LogIndex>,
     /// Request payloads of the planned members still unanswered at the
     /// end of the epoch they arrived in, by dense index.
     pending_req: HashMap<u32, HttpRequest>,
@@ -351,40 +347,44 @@ pub struct StreamingAudit<'a> {
 }
 
 impl<'a> StreamingAudit<'a> {
-    /// Runs the trace-independent half of the prologue — nondeterminism
-    /// sanity, then the versioned store builds — and plans the groups.
-    /// A failure here waits in the verdict for [`Self::finish`]: balance
-    /// and report validation outrank it.
+    /// Runs the trace-independent half of the prologue — the OpMap,
+    /// nondeterminism sanity, then the versioned store builds — and plans
+    /// the groups. A failure here waits in the verdict for
+    /// [`Self::finish`]: balance and report validation outrank it. An
+    /// OpMap defect means report validation rejects, so nothing after it
+    /// is built.
     pub fn new(reports: &'a Reports, config: &'a AuditConfig, threads: usize) -> Self {
         let threads = threads.max(1);
         let mut stats = AuditStats::default();
         let mut verdict = Verdict::default();
-        let built = match reports.nondet.validate() {
-            Err(rid) => Err((Stage::Nondet, Rejection::NondetInvalid(rid))),
-            Ok(()) => {
-                let redo_t0 = Instant::now();
-                let built = AuditShared::build(reports, OpMap::streaming_empty(), config, threads);
-                stats.db_redo_wall = redo_t0.elapsed();
-                built.map_err(|rejection| (Stage::Redo, rejection))
+        let proc_t0 = Instant::now();
+        let opmap = Arc::new(OpMap::build(reports));
+        stats.proc_op_rep_wall = proc_t0.elapsed();
+        let mut shared = None;
+        if !opmap.is_defective() {
+            let built = match reports.nondet.validate() {
+                Err(rid) => Err((Stage::Nondet, Rejection::NondetInvalid(rid))),
+                Ok(()) => {
+                    let redo_t0 = Instant::now();
+                    let built = AuditShared::build(reports, Arc::clone(&opmap), config, threads);
+                    stats.db_redo_wall = redo_t0.elapsed();
+                    built.map_err(|rejection| (Stage::Redo, rejection))
+                }
+            };
+            match built {
+                Ok(built) => shared = Some(Arc::new(built)),
+                Err((stage, rejection)) => verdict.record(stage, rejection),
             }
-        };
-        let shared = match built {
-            Ok(shared) => Some(Arc::new(shared)),
-            Err((stage, rejection)) => {
-                verdict.record(stage, rejection);
-                None
-            }
-        };
+        }
         let plan = GroupPlan::new(&reports.groupings);
         StreamingAudit {
             reports,
-            threads,
             balance: StreamingBalance::new(),
+            opmap,
             shared,
             verdict,
             groups: plan.groups.iter().map(|_| Default::default()).collect(),
             plan,
-            log_entries: None,
             pending_req: HashMap::new(),
             pending_bytes: 0,
             out_state: Vec::new(),
@@ -404,15 +404,12 @@ impl<'a> StreamingAudit<'a> {
     }
 
     /// Bytes of state carried across the next epoch boundary: the
-    /// interner + balance bits, the OpMap tables, open members' request
+    /// interner + balance bits, the OpMap, open members' request
     /// payloads, the output bitmap, and the worker carry caches.
     pub fn carry_bytes(&self) -> usize {
         let carries: usize = self.carries.iter().map(AuditCarry::estimated_bytes).sum();
         self.balance.estimated_bytes()
-            + self
-                .shared
-                .as_ref()
-                .map_or(0, |s| s.opmap.estimated_bytes())
+            + self.opmap.estimated_bytes()
             + self.pending_bytes
             + self.out_state.len()
             + carries
@@ -445,14 +442,6 @@ impl<'a> StreamingAudit<'a> {
         self.settle(source, &mut Pool::threads(executors))
     }
 
-    /// The shared prologue, mutably. Worker contexts only live inside a
-    /// pass, so between passes the engine is its sole owner.
-    fn shared_mut(&mut self) -> Option<&mut AuditShared<'a>> {
-        self.shared.as_mut().map(|shared| {
-            Arc::get_mut(shared).expect("worker contexts release the shared prologue")
-        })
-    }
-
     /// The §3 balance scan for one event, which reads its kind, rid
     /// and label only; yields the dense index of the request the event
     /// belongs to. A violation outranks every other rejection, so
@@ -479,11 +468,6 @@ impl<'a> StreamingAudit<'a> {
             .lane
             .and_then(|l| orochi_obs::span_timed(l, "epoch", EPOCH_NS.get()));
 
-        // The balance scan grows the interner in place, so it must be
-        // its only holder: the shared state parks a placeholder.
-        if let Some(shared) = self.shared_mut() {
-            shared.opmap.set_interner(RidInterner::empty());
-        }
         let balance_t0 = Instant::now();
         let first_new = self.balance.num_requests();
         // Planned members' requests that arrived this epoch, by arrival
@@ -510,8 +494,6 @@ impl<'a> StreamingAudit<'a> {
 
         if self.total_events == Some(self.balance.events_seen()) {
             self.validate();
-        } else if self.verdict.open(Stage::Balance) && self.shared.is_some() {
-            self.grow_opmap(first_new);
         }
         // Pair each answered member with its request: lent by this epoch,
         // or carried in from an earlier one — those leave the carry here.
@@ -545,40 +527,6 @@ impl<'a> StreamingAudit<'a> {
         drop(span);
         orochi_obs::lag::mark_epoch(self.carry_bytes() as u64);
         self.verdict.open(Stage::Balance)
-    }
-
-    /// Re-points the shared state at the grown interner and appends the
-    /// OpMap rows of the requests that arrived. The fill is lenient — a
-    /// bad entry is the reports' fault, and [`Self::validate`] reports
-    /// it with its proper precedence.
-    fn grow_opmap(&mut self, first_new: usize) {
-        let proc_t0 = Instant::now();
-        let interner = Arc::clone(self.balance.interner());
-        let shared = Arc::get_mut(self.shared.as_mut().expect("checked by caller"))
-            .expect("worker contexts release the shared prologue");
-        shared.opmap.set_interner(Arc::clone(&interner));
-        let opmap = &mut shared.opmap;
-        // Restricted to one rid, log order matches the Fig. 5 CheckLogs
-        // walk, so first-claim-wins slot filling reproduces the
-        // validated OpMap whenever report validation accepts.
-        let log_entries = self.log_entries.get_or_insert_with(|| {
-            let mut index = LogIndex::new();
-            for (i, _name, log) in self.reports.op_logs.iter() {
-                for (seq, entry) in log.iter() {
-                    let slot = (i as u32, seq, entry.opnum);
-                    index.entry(entry.rid).or_default().push(slot);
-                }
-            }
-            index
-        });
-        for idx in first_new as u32..interner.num_requests() as u32 {
-            let rid = interner.rid(idx);
-            opmap.append_request(self.reports.op_count(rid));
-            for (i, seq, opnum) in log_entries.remove(&rid).unwrap_or_default() {
-                opmap.fill_slot(idx, opnum, i, seq);
-            }
-        }
-        self.stats.proc_op_rep_wall += proc_t0.elapsed();
     }
 
     /// Groups this epoch's answered members into units.
@@ -704,9 +652,8 @@ impl<'a> StreamingAudit<'a> {
     }
 
     /// The trace-dependent half of the prologue, once the whole trace
-    /// is in: every request answered, then the full Fig. 5 validation
-    /// over the final interner, whose OpMap supersedes the
-    /// incrementally grown one (identical once validation accepts).
+    /// is in: every request answered, then the Fig. 5 checks that need
+    /// the trace, over the final interner and the prologue's OpMap.
     fn validate(&mut self) {
         if std::mem::replace(&mut self.validated, true) {
             return;
@@ -719,23 +666,16 @@ impl<'a> StreamingAudit<'a> {
         if !self.verdict.open(Stage::Reports) {
             return;
         }
-        // Release the grown OpMap first so the two never coexist.
-        if let Some(shared) = self.shared_mut() {
-            shared.opmap = OpMap::streaming_empty();
-        }
-        let (interner, reports, threads) = (self.balance.interner(), self.reports, self.threads);
         let proc_t0 = Instant::now();
-        let validated = process_op_reports_interned(interner, reports, threads);
+        let validated =
+            process_op_reports_interned(self.balance.interner(), self.reports, &self.opmap);
         self.stats.proc_op_rep_wall += proc_t0.elapsed();
         match validated {
             Err(e) => self.verdict.record(Stage::Reports, Rejection::Graph(e)),
-            Ok((graph, opmap)) => {
+            Ok(graph) => {
                 self.stats.graph_nodes = graph.num_nodes();
                 self.stats.graph_edges = graph.num_edges();
                 self.stats.graph_build = graph.build_wall();
-                if let Some(shared) = self.shared_mut() {
-                    shared.opmap = opmap;
-                }
             }
         }
     }
@@ -755,7 +695,7 @@ impl<'a> StreamingAudit<'a> {
         match (self.verdict.0, self.shared) {
             (Some((_, rejection)), _) => Err(rejection),
             (None, Some(shared)) => Ok(AuditContext::new(shared, AuditCarry::default())),
-            (None, None) => unreachable!("a failed store build records its rejection"),
+            (None, None) => unreachable!("an OpMap defect or a failed store build rejects"),
         }
     }
 

@@ -4,13 +4,22 @@
 //! length, flipped at 1,000 seeded bytes and given one trailing byte:
 //! each ends in `Ok` or `Err`, never a panic. Spilled beside a sealed
 //! trace, the reports are stored as exactly their wire bytes and load
-//! back equal.
+//! back equal. Operation counts near `u32::MAX` reject on every audit
+//! entry point like any other missing operation.
 
 use orochi_common::codec::Wire;
+use orochi_common::ids::{OpNum, RequestId};
 use orochi_common::SplitMix64;
+use orochi_core::exec::FnExecutor;
+use orochi_core::graph::{process_op_reports, GraphRejection};
 use orochi_core::reports::{load_reports, spill_reports, Reports, REPORTS_BLOB};
+use orochi_core::{
+    audit, audit_parallel, audit_streaming_source, AuditConfig, AuditContext, Rejection,
+};
 use orochi_harness::{serve, AppWorkload, ServeOptions};
-use orochi_trace::{TraceStoreError, TraceStoreReader, TraceStoreWriter};
+use orochi_trace::{
+    Event, HttpRequest, HttpResponse, Trace, TraceStoreError, TraceStoreReader, TraceStoreWriter,
+};
 use orochi_workload::wiki;
 use std::panic::catch_unwind;
 
@@ -88,4 +97,60 @@ fn the_stored_blob_is_the_wire_bytes_and_loads_back_equal() {
         "{err}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Answers every request with "ok": the verdicts below never reach it.
+fn respond(
+    requests: &[(RequestId, HttpRequest)],
+    _: &mut AuditContext<'_>,
+) -> Result<Vec<(RequestId, HttpResponse)>, Rejection> {
+    let ok = |rid: RequestId| (rid, HttpResponse::ok(rid, "ok"));
+    Ok(requests.iter().map(|(rid, _)| ok(*rid)).collect())
+}
+
+#[test]
+fn a_forged_op_count_rejects_as_missing_on_every_entry_point() {
+    let (r1, r2) = (RequestId(1), RequestId(2));
+    let trace = Trace {
+        events: [r1, r2]
+            .into_iter()
+            .flat_map(|rid| {
+                let req = Event::Request(rid, HttpRequest::get("/x", &[]));
+                [req, Event::Response(rid, HttpResponse::ok(rid, "ok"))]
+            })
+            .collect(),
+    };
+    let reports = Reports {
+        op_counts: [(r1, u32::MAX - 1), (r2, 4)].into_iter().collect(),
+        ..Reports::new()
+    };
+    let missing = GraphRejection::MissingOperation {
+        rid: r1,
+        opnum: OpNum(1),
+    };
+    let balanced = trace.ensure_balanced().unwrap();
+    assert_eq!(
+        process_op_reports(&balanced, &reports).err(),
+        Some(missing.clone())
+    );
+    let expected = Rejection::Graph(missing);
+    let config = AuditConfig::new();
+    let prepared = AuditContext::prepare(&trace, &reports, &config);
+    assert_eq!(prepared.err(), Some(expected.clone()));
+    let pool = |n: usize| (0..n).map(|_| FnExecutor::new(respond)).collect::<Vec<_>>();
+    let batch = audit(&trace, &reports, &mut pool(1)[0], &config);
+    assert_eq!(batch.unwrap_err(), expected);
+    let pooled = audit_parallel(&trace, &reports, &mut pool(4), &config);
+    assert_eq!(pooled.unwrap_err(), expected);
+    for budget in [0, 1, 2] {
+        for threads in [1, 4] {
+            let streamed =
+                audit_streaming_source(&trace, &reports, &mut pool(threads), &config, budget);
+            assert_eq!(
+                streamed.unwrap_err(),
+                expected,
+                "budget {budget} @{threads}"
+            );
+        }
+    }
 }

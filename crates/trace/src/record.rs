@@ -298,12 +298,11 @@ impl<'t> BalancedTrace<'t> {
     /// The dense interning of this trace's requestIDs, built once during
     /// the balance scan and shared by reference count.
     ///
-    /// Everything downstream — the Fig. 6 frontier, the CSR graph build,
-    /// the flat OpMap — works in index arithmetic over the dense ids and
-    /// never hashes a [`RequestId`] again. See [`RidInterner`]. Repeated
-    /// calls (one audit builds the graph and the `OpMap` from the same
-    /// interner, and callers may audit one trace many times) return a
-    /// clone of the same [`Arc`] instead of re-walking the event stream.
+    /// Everything downstream — the Fig. 6 frontier, the CSR graph build —
+    /// works in index arithmetic over the dense ids and never hashes a
+    /// [`RequestId`] again. See [`RidInterner`]. Repeated calls (callers
+    /// may audit one trace many times) return a clone of the same
+    /// [`Arc`] instead of re-walking the event stream.
     pub fn intern_rids(&self) -> Arc<RidInterner> {
         Arc::clone(&self.interner)
     }
@@ -327,13 +326,12 @@ pub enum DenseEvent {
 /// re-expressed over the dense indices so consumers can replay the
 /// trace without touching the original events (or a hash) again.
 ///
-/// Built once per [`BalancedTrace`] (during the balance scan) and shared —
-/// via the audit's `OpMap`/`AuditShared` — by every phase that needs
-/// per-request state: the frontier algorithm streams
-/// [`RidInterner::dense_events`], the CSR audit graph numbers its nodes
-/// by dense index, and the re-execution workers keep their per-request
-/// cursors in flat arrays indexed by it.
-#[derive(Debug, Clone)]
+/// Built once per [`BalancedTrace`] (during the balance scan) and shared
+/// by every phase that works in arrival order: the frontier algorithm
+/// streams [`RidInterner::dense_events`], the CSR audit graph numbers its
+/// nodes by dense index, and the audit engine keeps its per-request
+/// output verdicts in flat arrays indexed by it.
+#[derive(Debug, Clone, Default)]
 pub struct RidInterner {
     /// Dense index -> requestID, in arrival order.
     rids: Vec<RequestId>,
@@ -346,18 +344,6 @@ pub struct RidInterner {
 }
 
 impl RidInterner {
-    /// An empty interner behind a fresh [`Arc`]. The streaming audit
-    /// uses it as a placeholder: while [`StreamingBalance`] grows the
-    /// canonical interner in place, the audit-side structures hold this
-    /// stand-in instead of a second strong reference.
-    pub fn empty() -> Arc<RidInterner> {
-        Arc::new(RidInterner {
-            rids: Vec::new(),
-            index: HashMap::new(),
-            dense_events: Vec::new(),
-        })
-    }
-
     /// Rough resident size in bytes (flat arrays plus hash-table
     /// entries), for the streaming audit's carry accounting.
     pub fn estimated_bytes(&self) -> usize {
@@ -419,11 +405,11 @@ impl RidInterner {
 /// first unanswered request in *arrival* order, so the diagnostic is
 /// deterministic.
 ///
-/// The interner lives behind an [`Arc`] so audit-side structures can
-/// share it between ingest bursts, but [`StreamingBalance::push`]
-/// mutates it through [`Arc::get_mut`] — the caller must drop (or swap
-/// to [`RidInterner::empty`]) every other strong reference before the
-/// next push, and `push` panics otherwise.
+/// The interner lives behind an [`Arc`] so the graph validation builds
+/// over a complete stream can share it, but [`StreamingBalance::push`]
+/// mutates it through [`Arc::get_mut`] — the caller must drop every
+/// other strong reference before the next push, and `push` panics
+/// otherwise.
 #[derive(Debug)]
 pub struct StreamingBalance {
     interner: Arc<RidInterner>,
@@ -446,7 +432,7 @@ impl StreamingBalance {
     /// Creates a validator with an empty interner.
     pub fn new() -> Self {
         StreamingBalance {
-            interner: RidInterner::empty(),
+            interner: Arc::default(),
             responded: Vec::new(),
             events_seen: 0,
         }

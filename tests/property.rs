@@ -245,7 +245,8 @@ proptest! {
 
 /// `ProcessOpReports` reports the first defect in log position, whichever
 /// check finds it: an unknown request after a duplicate loses to the
-/// duplicate, and one before a bad opnum wins over it.
+/// duplicate, and one before a bad opnum wins over it. The sentinel `∞`
+/// is a bad opnum like any other.
 #[test]
 fn the_first_defect_in_log_position_is_reported() {
     let trace = Trace {
@@ -280,6 +281,13 @@ fn the_first_defect_in_log_position_is_reported() {
             vec![entry(1, 1), entry(999, 1), entry(1, 3)],
             GraphRejection::LogEntryUnknownRequest {
                 rid: RequestId(999),
+            },
+        ),
+        (
+            vec![entry(1, 1), entry(1, OpNum::INFINITY.0)],
+            GraphRejection::LogEntryBadOpnum {
+                rid: RequestId(1),
+                opnum: OpNum::INFINITY,
             },
         ),
     ];

@@ -652,3 +652,36 @@ fn ooo_oracle_agrees_on_honest_and_tampered() {
         "oracles disagree on tampered run"
     );
 }
+
+#[test]
+fn ooo_oracle_rejects_a_grouping_of_an_unknown_request() {
+    use orochi::core::audit::Rejection;
+    use orochi::core::ooo::ooo_audit;
+    use orochi_common::ids::CtlFlowTag;
+    let app = orochi::apps::wiki::app();
+    let scripts = app.compile().unwrap();
+    let server = Server::new(ServerConfig {
+        scripts: scripts.clone(),
+        initial_db: app.initial_db(),
+        recording: true,
+        seed: 47,
+        ..Default::default()
+    });
+    for title in ["A", "B", "A"] {
+        server.handle(HttpRequest::get("/wiki.php", &[("title", title)]));
+    }
+    let mut bundle = server.into_bundle();
+    let ghost = RequestId(999);
+    bundle.reports.groupings.push((CtlFlowTag(1), vec![ghost]));
+    let mut config = AuditConfig::new();
+    config
+        .initial_dbs
+        .insert("db:main".to_string(), app.initial_db());
+    let expected = Rejection::GroupUnknownRequest { rid: ghost };
+    let mut a = AccPhpExecutor::new(scripts.clone());
+    let grouped = audit(&bundle.trace, &bundle.reports, &mut a, &config);
+    assert_eq!(grouped.unwrap_err(), expected);
+    let mut b = AccPhpExecutor::new(scripts);
+    let ooo = ooo_audit(&bundle.trace, &bundle.reports, &mut b, &config);
+    assert_eq!(ooo.unwrap_err(), expected);
+}
