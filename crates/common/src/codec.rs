@@ -6,8 +6,23 @@
 //! varints, signed integers are zigzag-encoded, and byte strings are
 //! length-prefixed. The format is self-contained: no external
 //! serialization crates are involved.
+//!
+//! A value that repeats — the reports' SELECT texts and logged values —
+//! can instead be written as a *shared* operand through a first-use
+//! dictionary ([`Encoder::shared_str`], [`Decoder::shared_str`] and
+//! their byte-string twins). Varint 0 means "a literal follows", and the
+//! literal becomes the next entry of its table; any `k >= 1` names entry
+//! `k - 1`. The encoder interns by content, so equal values give equal
+//! bytes whatever handles they arrive in; the decoder turns each entry
+//! into one shared handle that every reference clones, and rejects a
+//! table that repeats a content. Texts and byte strings have one table
+//! each. The tables are made on first use, so a codec that shares
+//! nothing pays nothing for them.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// Error produced while decoding a wire buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +51,56 @@ impl std::error::Error for WireError {}
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// The shared operands written so far, made on first use.
+    dict: Option<Box<EncoderDict>>,
+}
+
+/// The encoder's half of the first-use dictionary, one table per kind.
+#[derive(Debug, Default)]
+struct EncoderDict {
+    strs: EncoderTable<str>,
+    bytes: EncoderTable<[u8]>,
+}
+
+/// One kind's entries written so far.
+#[derive(Debug)]
+struct EncoderTable<T: ?Sized> {
+    /// Content -> table position; the key is the first handle met with
+    /// the content.
+    entries: HashMap<Arc<T>, u64>,
+    /// A key of `entries` that was met again, by address (the key pins
+    /// it) -> its position: from then on it costs no hash of its
+    /// content.
+    handles: HashMap<usize, u64>,
+}
+
+impl<T: ?Sized> Default for EncoderTable<T> {
+    fn default() -> Self {
+        Self {
+            entries: HashMap::new(),
+            handles: HashMap::new(),
+        }
+    }
+}
+
+impl<T: ?Sized + Eq + Hash> EncoderTable<T> {
+    /// The position of `v`'s content if it was written before; `None`
+    /// (and `v` noted as the next entry) if not.
+    fn find_or_add(&mut self, v: &Arc<T>) -> Option<u64> {
+        let addr = Arc::as_ptr(v) as *const u8 as usize;
+        if let Some(&k) = self.handles.get(&addr) {
+            return Some(k);
+        }
+        if let Some((first, &k)) = self.entries.get_key_value(&**v) {
+            if Arc::ptr_eq(first, v) {
+                self.handles.insert(addr, k);
+            }
+            return Some(k);
+        }
+        self.entries
+            .insert(Arc::clone(v), self.entries.len() as u64);
+        None
+    }
 }
 
 impl Encoder {
@@ -64,10 +129,11 @@ impl Encoder {
         &self.buf
     }
 
-    /// Forgets what was written but keeps the buffer, so one encoder
-    /// can serve a run of values.
+    /// Forgets what was written, the dictionary too, but keeps the
+    /// buffer, so one encoder can serve a run of values.
     pub fn clear(&mut self) {
         self.buf.clear();
+        self.dict = None;
     }
 
     /// Writes an unsigned integer as a LEB128 varint.
@@ -113,6 +179,33 @@ impl Encoder {
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+
+    /// Writes a text through the dictionary (see the module docs): a
+    /// reference if equal text was written before, else the literal.
+    pub fn shared_str(&mut self, v: &Arc<str>) {
+        match self.dict().strs.find_or_add(v) {
+            Some(k) => self.u64(k + 1),
+            None => {
+                self.u64(0);
+                self.str(v);
+            }
+        }
+    }
+
+    /// [`Encoder::shared_str`] for byte strings, over their own table.
+    pub fn shared_bytes(&mut self, v: &Arc<[u8]>) {
+        match self.dict().bytes.find_or_add(v) {
+            Some(k) => self.u64(k + 1),
+            None => {
+                self.u64(0);
+                self.bytes(v);
+            }
+        }
+    }
+
+    fn dict(&mut self) -> &mut EncoderDict {
+        self.dict.get_or_insert_with(Default::default)
+    }
 }
 
 /// Cursor-style decoder over a byte slice.
@@ -120,12 +213,44 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The shared operands read so far, made on first use.
+    dict: Option<Box<DecoderDict>>,
+}
+
+/// The decoder's half of the first-use dictionary, one table per kind.
+#[derive(Debug, Default)]
+struct DecoderDict {
+    strs: DecoderTable<str>,
+    bytes: DecoderTable<[u8]>,
+}
+
+/// One kind's entries read so far: entry `k - 1` is the handle a
+/// reference `k` clones. The encoder writes each distinct content once,
+/// and a table that repeats one is malformed, so equal contents always
+/// decode to one handle.
+#[derive(Debug)]
+struct DecoderTable<T: ?Sized> {
+    entries: Vec<Arc<T>>,
+    contents: HashSet<Arc<T>>,
+}
+
+impl<T: ?Sized> Default for DecoderTable<T> {
+    fn default() -> Self {
+        Self {
+            entries: Vec::new(),
+            contents: HashSet::new(),
+        }
+    }
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            dict: None,
+        }
     }
 
     /// Offset of the next undecoded byte from the start of the buffer.
@@ -197,18 +322,13 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        self.bytes_ref().map(<[u8]>::to_vec)
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireError> {
         self.str_ref().map(str::to_owned)
     }
 
-    /// [`Decoder::bytes`] without the copy: the byte string as a slice
-    /// of the underlying buffer.
+    /// Reads a length-prefixed byte string, as a slice of the
+    /// underlying buffer.
     pub fn bytes_ref(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u64()?;
         if (self.remaining() as u64) < len {
@@ -223,6 +343,43 @@ impl<'a> Decoder<'a> {
     /// slice of the underlying buffer.
     pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.bytes_ref()?).map_err(|_| WireError::Malformed("invalid utf-8"))
+    }
+
+    /// Reads a text written by [`Encoder::shared_str`]: a literal becomes
+    /// the next entry of the text table, a reference clones its entry's
+    /// handle. A reference past the table, or a literal equal to an
+    /// earlier entry, is malformed.
+    pub fn shared_str(&mut self) -> Result<Arc<str>, WireError> {
+        self.shared(|d| &mut d.strs, |dec| dec.str_ref().map(Arc::from))
+    }
+
+    /// [`Decoder::shared_str`] for byte strings, over their own table.
+    pub fn shared_bytes(&mut self) -> Result<Arc<[u8]>, WireError> {
+        self.shared(|d| &mut d.bytes, |dec| dec.bytes_ref().map(Arc::from))
+    }
+
+    fn shared<T: ?Sized + Eq + Hash>(
+        &mut self,
+        table: impl Fn(&mut DecoderDict) -> &mut DecoderTable<T>,
+        literal: impl FnOnce(&mut Self) -> Result<Arc<T>, WireError>,
+    ) -> Result<Arc<T>, WireError> {
+        let k = self.u64()?;
+        let entry = if k == 0 { Some(literal(self)?) } else { None };
+        let table = table(self.dict.get_or_insert_with(Default::default));
+        let Some(entry) = entry else {
+            return usize::try_from(k - 1)
+                .ok()
+                .and_then(|i| table.entries.get(i))
+                .cloned()
+                .ok_or(WireError::Malformed("dictionary reference past its table"));
+        };
+        if !table.contents.insert(Arc::clone(&entry)) {
+            return Err(WireError::Malformed(
+                "dictionary entry repeats an earlier one",
+            ));
+        }
+        table.entries.push(Arc::clone(&entry));
+        Ok(entry)
     }
 }
 
@@ -430,6 +587,44 @@ mod tests {
         );
         assert!(dec.is_done());
         assert_eq!(dec.bytes_ref().unwrap_err(), WireError::UnexpectedEof);
+    }
+
+    #[test]
+    fn shared_operands_intern_by_content_and_decode_to_one_handle() {
+        let (a, b): (Arc<str>, Arc<str>) = (Arc::from("SELECT 1"), Arc::from("SELECT 1"));
+        let v: Arc<[u8]> = Arc::from(&b"SELECT 1"[..]);
+        let mut enc = Encoder::new();
+        enc.shared_str(&a);
+        enc.shared_bytes(&v);
+        enc.shared_str(&b);
+        enc.shared_bytes(&v);
+        let bytes = enc.into_bytes();
+        // Two literals (one per table), then two one-byte references.
+        assert_eq!(bytes.len(), 2 * (1 + 1 + 8) + 2);
+        let mut dec = Decoder::new(&bytes);
+        let (s1, v1, s2, v2) = (
+            dec.shared_str().unwrap(),
+            dec.shared_bytes().unwrap(),
+            dec.shared_str().unwrap(),
+            dec.shared_bytes().unwrap(),
+        );
+        assert!(dec.is_done());
+        assert_eq!((&*s1, &*v1), ("SELECT 1", &b"SELECT 1"[..]));
+        assert!(Arc::ptr_eq(&s1, &s2) && Arc::ptr_eq(&v1, &v2));
+
+        // A second literal of one content is not what the encoder writes.
+        let mut enc = Encoder::new();
+        enc.u64(0);
+        enc.str("x");
+        enc.u64(0);
+        enc.str("x");
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        assert!(dec.shared_str().is_ok());
+        assert_eq!(
+            dec.shared_str().unwrap_err(),
+            WireError::Malformed("dictionary entry repeats an earlier one")
+        );
     }
 
     #[test]

@@ -736,7 +736,7 @@ impl<'a> AuditContext<'a> {
             Some(widx) => {
                 let log = shared.reports.op_logs.log(i).expect("checked index");
                 match &log.entries()[widx].contents {
-                    OpContents::RegisterWrite { value } => Some(value.as_slice()),
+                    OpContents::RegisterWrite { value } => Some(&**value),
                     _ => unreachable!("prev-write index only records writes"),
                 }
             }
@@ -763,7 +763,7 @@ impl<'a> AuditContext<'a> {
         let (idx, ..) = self.check_op(
             rid,
             object,
-            |l| matches!(l, OpContents::RegisterWrite { value: v } if v.as_slice() == value),
+            |l| matches!(l, OpContents::RegisterWrite { value: v } if **v == *value),
         )?;
         self.opnum_next[idx] += 1;
         self.stats.register_ops += 1;
@@ -782,7 +782,7 @@ impl<'a> AuditContext<'a> {
         let (idx, i, s) = self.check_op(
             rid,
             object,
-            |l| matches!(l, OpContents::KvGet { key: k } if k == key),
+            |l| matches!(l, OpContents::KvGet { key: k } if **k == *key),
         )?;
         let shared: &AuditShared<'a> = &self.shared;
         let kv = shared.stores[i]
@@ -813,7 +813,7 @@ impl<'a> AuditContext<'a> {
         value: Option<&[u8]>,
     ) -> Result<(), Rejection> {
         let (idx, ..) = self.check_op(rid, object, |l| {
-            matches!(l, OpContents::KvSet { key: k, value: v } if k == key && v.as_deref() == value)
+            matches!(l, OpContents::KvSet { key: k, value: v } if **k == *key && v.as_deref() == value)
         })?;
         self.opnum_next[idx] += 1;
         self.stats.kv_ops += 1;
@@ -883,7 +883,7 @@ impl<'a> AuditContext<'a> {
             } => (queries, write_results),
             _ => unreachable!("db_begin validated the optype"),
         };
-        if queries[(q - 1) as usize] != sql {
+        if *queries[(q - 1) as usize] != *sql {
             return Err(Rejection::DbQueryMismatch {
                 rid,
                 opnum,

@@ -28,19 +28,22 @@
 //! * [`OpMap::build`] reads the reports alone, so the audit runs it once,
 //!   in its prologue, before any of the trace arrives. It fills the
 //!   OpMap — per request the reports name, a prefix offset into one slot
-//!   array — and notes the first defect the reports show on their own:
+//!   array; per log entry, its request's row — and notes the first
+//!   defect the reports show on their own:
 //!   an opnum outside `1..=M(rid)` or a duplicate `(rid, opnum)`. Its
 //!   tables are sized from the log entries, so a forged `M` costs
 //!   nothing.
 //! * [`process_op_reports_interned`] runs once the trace is complete. It
-//!   resolves every log entry through the trace's dense requestID
-//!   interning ([`orochi_trace::RidInterner`]) into flat per-log index
-//!   arrays; from that point on, every loop is index arithmetic over
-//!   flat arrays. The missing-operation scan walks trace requests in
-//!   arrival order. The [`AuditGraph`] is a compressed-sparse-row (CSR)
-//!   structure built in two passes over one edge stream (count
-//!   out-degrees, prefix-sum, fill columns) that includes the Fig. 6
-//!   frontier edges *streamed* straight from
+//!   resolves every OpMap row — one hash per request, not per entry —
+//!   through the trace's dense requestID interning
+//!   ([`orochi_trace::RidInterner`]), and every log entry through its
+//!   row into flat per-log index arrays. The missing-operation scan
+//!   walks trace requests in arrival order, reading `M` from the row
+//!   (a request no log names looks it up); from then on, every loop is
+//!   index arithmetic over flat arrays. The [`AuditGraph`] is a
+//!   compressed-sparse-row (CSR) structure built in two passes over one
+//!   edge stream (count out-degrees, prefix-sum, fill columns) that
+//!   includes the Fig. 6 frontier edges *streamed* straight from
 //!   [`crate::precedence::for_each_frontier_edge`] — no intermediate
 //!   `(RequestId, RequestId)` edge list is ever materialized, and no
 //!   endpoint is re-hashed. The cycle check is Kahn's algorithm over the
@@ -152,6 +155,12 @@ const UNSET: u32 = u32::MAX;
 pub struct OpMap {
     /// RequestID -> row.
     rows: HashMap<RequestId, u32>,
+    /// Per row: `M(rid)`.
+    counts: Vec<u32>,
+    /// Per log entry, in log order: the row of the request it names, so
+    /// validation resolves each row against the trace once, not each
+    /// entry.
+    entry_rows: Vec<u32>,
     /// Per row: prefix offsets into `slots`; length `rows + 1`.
     offsets: Vec<u32>,
     /// One `(object index, seqnum)` slot per indexed opnum, in `u32`s
@@ -200,6 +209,8 @@ impl OpMap {
         }
         let mut map = OpMap {
             rows,
+            counts: sizes.iter().map(|&(m, _)| m).collect(),
+            entry_rows,
             slots: vec![(UNSET, 0); offsets[sizes.len()] as usize],
             offsets,
             defect: None,
@@ -209,9 +220,9 @@ impl OpMap {
         let mut beyond = HashSet::new();
         let entries = (reports.op_logs.iter())
             .flat_map(|(i, _, log)| log.iter().map(move |(seq, e)| (i as u32, seq.0 as u32, e)));
-        for (pos, ((i, seq, entry), &row)) in entries.zip(&entry_rows).enumerate() {
+        for (pos, ((i, seq, entry), &row)) in entries.zip(&map.entry_rows).enumerate() {
             let (rid, opnum) = (entry.rid, entry.opnum);
-            let (m, _) = sizes[row as usize];
+            let m = map.counts[row as usize];
             let duplicate = GraphRejection::DuplicateOperation { rid, opnum };
             let (start, end) = (map.offsets[row as usize], map.offsets[row as usize + 1]);
             let defect = if opnum.0 == 0 || opnum.is_infinity() || opnum.0 > m {
@@ -262,11 +273,12 @@ impl OpMap {
         &self.slots[self.offsets[row] as usize..self.offsets[row + 1] as usize]
     }
 
-    /// The first opnum in `1..=m` no log entry claims for `rid`. A row
-    /// shorter than `m` has fewer entries than `m`, so one of its first
-    /// `len + 1` opnums is unclaimed.
-    fn first_missing(&self, rid: RequestId, m: u32) -> Option<u32> {
-        let slots = self.row(rid).map_or(&[][..], |row| self.row_slots(row));
+    /// The first opnum in `1..=m` no log entry claims for the request at
+    /// `row` (none: the reports name no entry for it). A row shorter
+    /// than `m` has fewer entries than `m`, so one of its first `len + 1`
+    /// opnums is unclaimed.
+    fn first_missing(&self, row: Option<u32>, m: u32) -> Option<u32> {
+        let slots = row.map_or(&[][..], |row| self.row_slots(row));
         let k = slots
             .iter()
             .position(|s| s.0 == UNSET)
@@ -298,11 +310,12 @@ impl OpMap {
         self.len() == 0
     }
 
-    /// Rough resident size in bytes (row index, offset and slot arrays).
+    /// Rough resident size in bytes (row index, per-row, per-entry,
+    /// offset and slot arrays).
     pub(crate) fn estimated_bytes(&self) -> usize {
         let row = std::mem::size_of::<(RequestId, u32)>() + 1;
         self.rows.capacity() * row
-            + self.offsets.len() * 4
+            + (self.counts.len() + self.entry_rows.len() + self.offsets.len()) * 4
             + self.slots.len() * std::mem::size_of::<(u32, u32)>()
     }
 }
@@ -505,38 +518,48 @@ pub fn process_op_reports_interned(
         }
     }
 
-    // CheckLogs against the trace: each log entry's requestID is resolved
-    // through the interner exactly once, into flat per-log index arrays
-    // the edge passes reuse. An unknown request or the OpMap's own
-    // defect, whichever comes first in log order, is what a straight
-    // Fig. 5 walk finds first.
+    // CheckLogs against the trace: each request the logs name is resolved
+    // through the interner once, and each log entry reads its request's
+    // dense index through the row the OpMap noted, into flat per-log
+    // index arrays the edge passes reuse. An unknown request or the
+    // OpMap's own defect, whichever comes first in log order, is what a
+    // straight Fig. 5 walk finds first.
+    let x = interner.num_requests();
+    let mut row_dense = vec![UNSET; opmap.num_rows()];
+    let mut dense_row = vec![UNSET; x];
+    for (&rid, &row) in &opmap.rows {
+        if let Some(idx) = interner.index_of(rid) {
+            row_dense[row as usize] = idx;
+            dense_row[idx as usize] = row;
+        }
+    }
     let mut resolved: Vec<Vec<u32>> = Vec::with_capacity(reports.op_logs.len());
-    let mut pos = 0;
+    let mut entry_rows = opmap.entry_rows.iter().enumerate();
     for (_, _, log) in reports.op_logs.iter() {
         let mut dense = Vec::with_capacity(log.len());
-        for entry in log.entries() {
-            let Some(idx) = interner.index_of(entry.rid) else {
+        for (entry, (pos, &row)) in log.entries().iter().zip(&mut entry_rows) {
+            let idx = row_dense[row as usize];
+            if idx == UNSET {
                 return Err(GraphRejection::LogEntryUnknownRequest { rid: entry.rid });
-            };
+            }
             if let Some(defect) = opmap.defect_at(pos) {
                 return Err(defect.clone());
             }
             dense.push(idx);
-            pos += 1;
         }
         resolved.push(dense);
     }
-    // ---- Everything below is index arithmetic: zero hashing. --------
-
     // Every operation M promises a trace request must be logged, checked
-    // in arrival order; the node-id bases follow. Once nothing is
-    // missing, each request's `M` is at most its entry count.
-    let x = interner.num_requests();
+    // in arrival order; the node-id bases follow. A request the logs name
+    // reads `M` from its row; only one they do not name looks it up.
+    // Once nothing is missing, each request's `M` is at most its entry
+    // count.
     let mut base: Vec<u32> = Vec::with_capacity(x + 1);
     let mut node_acc = 0u32;
-    for &rid in interner.rids() {
-        let m = reports.op_count(rid);
-        if let Some(k) = opmap.first_missing(rid, m) {
+    for (&rid, &row) in interner.rids().iter().zip(&dense_row) {
+        let row = (row != UNSET).then_some(row);
+        let m = row.map_or_else(|| reports.op_count(rid), |row| opmap.counts[row as usize]);
+        if let Some(k) = opmap.first_missing(row, m) {
             return Err(GraphRejection::MissingOperation {
                 rid,
                 opnum: OpNum(k),
@@ -546,6 +569,7 @@ pub fn process_op_reports_interned(
         node_acc += m + 2;
     }
     base.push(node_acc);
+    // ---- Everything below is index arithmetic: zero hashing. --------
 
     // Same-request log adjacency must be in increasing opnum order
     // (different-request adjacency becomes a log-order edge below).
@@ -869,7 +893,13 @@ mod tests {
     }
 
     fn write(rid: u64, opnum: u32) -> OpLogEntry {
-        entry(rid, opnum, OpContents::RegisterWrite { value: vec![1] })
+        entry(
+            rid,
+            opnum,
+            OpContents::RegisterWrite {
+                value: vec![1].into(),
+            },
+        )
     }
 
     fn read(rid: u64, opnum: u32) -> OpLogEntry {

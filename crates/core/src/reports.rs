@@ -15,7 +15,10 @@
 //! The bundle has one encoding, its [`Wire`] bytes: they are what
 //! [`Reports::wire_size`] counts (Fig. 8's report column) and what
 //! [`spill_reports`] stores beside a sealed trace as the
-//! [`REPORTS_BLOB`] blob.
+//! [`REPORTS_BLOB`] blob. One encoder (and one decoder) runs over the
+//! whole bundle, so its first-use dictionary spans every log: each
+//! distinct SELECT text and logged value crosses the wire once (see
+//! `orochi_state::object` for what is shared and why).
 
 use crate::nondet::NondetLog;
 use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};

@@ -32,7 +32,7 @@ fn reports() -> Reports {
         rid: RID,
         opnum: OpNum(1),
         contents: OpContents::DbOp {
-            queries: vec![INSERT.to_string(), SELECT.to_string()],
+            queries: vec![INSERT.into(), SELECT.into()],
             succeeded: true,
             write_results: vec![
                 Some(DbWriteResult {

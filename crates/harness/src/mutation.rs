@@ -31,6 +31,7 @@ use orochi_state::oplog::{OpLog, OpLogEntry};
 use orochi_trace::{Event, Trace};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// What a mutation operator touched: the operator's name, the object it
 /// edited (a log name, `"trace"`, `"op_counts"`, or `"nondet"`), the
@@ -222,7 +223,7 @@ impl MutationOp {
                 let detail;
                 if let OpContents::KvSet { key, .. } = &mut entries[pos].contents {
                     detail = format!("retargeted KvSet {key} -> {key}~");
-                    key.push('~');
+                    *key = format!("{key}~").into();
                 } else {
                     unreachable!("candidate positions are KvSet");
                 }
@@ -250,7 +251,7 @@ impl MutationOp {
                 let mut entries = log.entries().to_vec();
                 let key = entry_key(&entries[pos]);
                 if let OpContents::KvSet { value: Some(v), .. } = &mut entries[pos].contents {
-                    v[0] ^= 1;
+                    *v = flip_first_bit(v);
                 }
                 *log = OpLog::from_entries(entries);
                 touched.insert(name.clone());
@@ -296,7 +297,7 @@ impl MutationOp {
                 let log = reports.op_logs.log_mut(i).expect("index from scan");
                 let mut entries = log.entries().to_vec();
                 if let OpContents::RegisterWrite { value } = &mut entries[pos].contents {
-                    value[0] ^= 1;
+                    *value = flip_first_bit(value);
                 }
                 *log = OpLog::from_entries(entries);
                 touched.insert(name.clone());
@@ -439,7 +440,7 @@ impl MutationOp {
                         unreachable!("candidates are DbOps");
                     };
                     let q = rng.next_below(queries.len() as u64) as usize;
-                    queries[q].push(' ');
+                    queries[q] = format!("{} ", queries[q]).into();
                     format!("appended a space to query {q}")
                 },
             ),
@@ -681,7 +682,7 @@ pub fn stale_read_pairs(log: &OpLog, key_prefix: &str) -> Vec<(usize, usize)> {
         if !key.starts_with(key_prefix) {
             continue;
         }
-        let mut visible: Option<&Option<Vec<u8>>> = None;
+        let mut visible: Option<&Option<Arc<[u8]>>> = None;
         for (w, we) in entries.iter().enumerate().take(g).rev() {
             let OpContents::KvSet { key: wk, value } = &we.contents else {
                 continue;
@@ -739,9 +740,17 @@ fn pick<'a, T>(rng: &mut SplitMix64, candidates: &'a [T]) -> Option<&'a T> {
 
 fn entry_key(entry: &OpLogEntry) -> String {
     match &entry.contents {
-        OpContents::KvSet { key, .. } | OpContents::KvGet { key } => key.clone(),
+        OpContents::KvSet { key, .. } | OpContents::KvGet { key } => key.to_string(),
         _ => String::new(),
     }
+}
+
+/// A copy of a logged value with bit 0 of its first byte flipped: other
+/// entries may share the handle, so it is replaced, never written.
+fn flip_first_bit(value: &[u8]) -> Arc<[u8]> {
+    let mut flipped = value.to_vec();
+    flipped[0] ^= 1;
+    flipped.into()
 }
 
 /// Indexes of non-empty logs not yet claimed by the plan.
@@ -956,7 +965,7 @@ mod tests {
     fn set(key: &str, v: u8) -> OpContents {
         OpContents::KvSet {
             key: key.into(),
-            value: Some(vec![v]),
+            value: Some(vec![v].into()),
         }
     }
 
@@ -990,7 +999,13 @@ mod tests {
         ));
         let mut reg = OpLog::new();
         reg.push(entry(2, 2, OpContents::RegisterRead));
-        reg.push(entry(2, 3, OpContents::RegisterWrite { value: vec![7, 8] }));
+        reg.push(entry(
+            2,
+            3,
+            OpContents::RegisterWrite {
+                value: vec![7, 8].into(),
+            },
+        ));
         let mut db = OpLog::new();
         db.push(entry(
             3,

@@ -131,7 +131,7 @@ mod tests {
     fn set(key: &str, v: u8) -> OpContents {
         OpContents::KvSet {
             key: key.into(),
-            value: Some(vec![v]),
+            value: Some(vec![v].into()),
         }
     }
 
@@ -202,7 +202,7 @@ mod tests {
         assert_eq!(log.len(), 3);
         // The duplicate landed right after the inv: write.
         assert!(matches!(&log.get(SeqNum(2)).unwrap().contents,
-                OpContents::KvSet { key, .. } if key == "inv:1"));
+                OpContents::KvSet { key, .. } if &**key == "inv:1"));
     }
 
     #[test]

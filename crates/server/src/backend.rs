@@ -16,11 +16,12 @@ use orochi_php::value::Value;
 use orochi_sqldb::{ExecOutcome, SqlError, SqlValue, Transaction};
 use orochi_state::object::{DbWriteResult, ObjectName, OpContents};
 use orochi_state::recorder::SubLog;
+use std::sync::Arc;
 
 /// An open multi-statement transaction with its pending log entry.
 struct OpenTxn {
     txn: Transaction,
-    queries: Vec<String>,
+    queries: Vec<Arc<str>>,
     write_results: Vec<Option<DbWriteResult>>,
     /// Set once a statement fails: later queries observe failure
     /// without being logged (mirrors re-execution, which cannot see
@@ -138,13 +139,14 @@ impl StateBackend for RecordingBackend<'_> {
             .strip_prefix("reg:")
             .ok_or_else(|| BackendError::Fatal(format!("not a register: {object}")))?;
         let reg = self.shared.registers.get_or_create(reg_name);
-        let seq = reg.write(value.clone());
+        let logged = Arc::from(&*value);
+        let seq = reg.write(value);
         let opnum = self.next_opnum();
         self.record(
             ObjectName(object.to_string()),
             seq,
             opnum,
-            OpContents::RegisterWrite { value },
+            OpContents::RegisterWrite { value: logged },
         );
         Ok(())
     }
@@ -157,9 +159,7 @@ impl StateBackend for RecordingBackend<'_> {
             ObjectName(object.to_string()),
             seq,
             opnum,
-            OpContents::KvGet {
-                key: key.to_string(),
-            },
+            OpContents::KvGet { key: key.into() },
         );
         Ok(value)
     }
@@ -171,15 +171,16 @@ impl StateBackend for RecordingBackend<'_> {
         value: Option<Vec<u8>>,
     ) -> Result<(), BackendError> {
         self.guard_not_in_txn()?;
-        let seq = self.shared.kv.set(key, value.clone());
+        let logged = value.as_deref().map(Arc::from);
+        let seq = self.shared.kv.set(key, value);
         let opnum = self.next_opnum();
         self.record(
             ObjectName(object.to_string()),
             seq,
             opnum,
             OpContents::KvSet {
-                key: key.to_string(),
-                value,
+                key: key.into(),
+                value: logged,
             },
         );
         Ok(())
@@ -209,12 +210,12 @@ impl StateBackend for RecordingBackend<'_> {
             }
             match open.txn.execute(sql) {
                 Ok(ExecOutcome::Rows { columns, rows }) => {
-                    open.queries.push(sql.to_string());
+                    open.queries.push(sql.into());
                     open.write_results.push(None);
                     Ok(rows_to_db_result(columns, rows))
                 }
                 Ok(ExecOutcome::Write(w)) => {
-                    open.queries.push(sql.to_string());
+                    open.queries.push(sql.into());
                     open.write_results.push(Some(write_outcome_to_result(w)));
                     Ok(DbResult::Write {
                         affected: w.affected,
@@ -223,7 +224,7 @@ impl StateBackend for RecordingBackend<'_> {
                 }
                 Err(SqlError::TransactionAborted) => Ok(DbResult::Failed),
                 Err(_) => {
-                    open.queries.push(sql.to_string());
+                    open.queries.push(sql.into());
                     open.write_results.push(None);
                     open.failed = true;
                     Ok(DbResult::Failed)
@@ -236,7 +237,7 @@ impl StateBackend for RecordingBackend<'_> {
             let (contents, out) = match result {
                 Ok(ExecOutcome::Rows { columns, rows }) => (
                     OpContents::DbOp {
-                        queries: vec![sql.to_string()],
+                        queries: vec![sql.into()],
                         succeeded: true,
                         write_results: vec![None],
                     },
@@ -244,7 +245,7 @@ impl StateBackend for RecordingBackend<'_> {
                 ),
                 Ok(ExecOutcome::Write(w)) => (
                     OpContents::DbOp {
-                        queries: vec![sql.to_string()],
+                        queries: vec![sql.into()],
                         succeeded: true,
                         write_results: vec![Some(write_outcome_to_result(w))],
                     },
@@ -255,7 +256,7 @@ impl StateBackend for RecordingBackend<'_> {
                 ),
                 Err(_) => (
                     OpContents::DbOp {
-                        queries: vec![sql.to_string()],
+                        queries: vec![sql.into()],
                         succeeded: false,
                         write_results: vec![None],
                     },

@@ -291,56 +291,86 @@ pub struct PreparedQuery {
 
 /// Every distinct SELECT text the redo pass has met, parsed once: a
 /// SELECT repeated across the log (the common case) costs a lookup, not
-/// a parse. Any other statement — a write carries its values, so its
-/// text seldom repeats, and may be long — is parsed where it occurs and
-/// not kept.
+/// a parse.
+///
+/// A query logged as a read (no write result) may arrive as a shared
+/// handle that stands for any number of queries: decoded reports give
+/// every reference to one dictionary entry the same handle, and the
+/// decoder admits one entry per distinct text. The redo's work per
+/// reference must be O(1), or a few wire bytes per reference would buy
+/// a hash of the whole text each. So the first handle met with a text
+/// is kept, and once it is met again it is found by its address: no
+/// text is hashed more than twice. A handle met once — every handle of
+/// reports the server logged — costs one hash of its text. A
+/// read-logged text that is not a SELECT is honest only as the failing
+/// final statement of an aborted transaction; it is parsed once too. A
+/// query logged with a write result is a write, or the log is rejected:
+/// its text — which carries its values, so seldom repeats, and may be
+/// long — is parsed where it occurs and not kept.
 #[derive(Default)]
 struct Selects {
-    /// Text -> select id (position in `parsed`).
-    ids: HashMap<Box<str>, u32>,
-    /// Each a `Statement::Select`.
+    /// Text -> its parse; the key is the first handle met with the text.
+    texts: HashMap<Arc<str>, Parsed>,
+    /// A key of `texts` that was met again, by address (the key pins it)
+    /// -> its parse.
+    handles: HashMap<usize, Parsed>,
+    /// Each a `Statement::Select`, by select id.
     parsed: Vec<Statement>,
+    /// Read-logged texts that are not SELECTs (or do not parse).
+    others: Vec<Result<Statement, ParseError>>,
 }
 
-/// A redone query's parse: a SELECT by its id in [`Selects`], any other
-/// statement (or a parse error) as parsed.
+/// A read-logged query's parse: a SELECT by its id, anything else by its
+/// position in [`Selects::others`].
+#[derive(Clone, Copy)]
 enum Parsed {
     Select(u32),
-    Other(Result<Statement, ParseError>),
+    Other(u32),
 }
 
 /// [`VersionedDb::redone`]'s mark for a query that is not a SELECT.
 const NOT_A_SELECT: u32 = u32::MAX;
 
 impl Parsed {
-    fn select_id(&self) -> u32 {
+    fn select_id(self) -> u32 {
         match self {
-            Parsed::Select(id) => *id,
+            Parsed::Select(id) => id,
             Parsed::Other(_) => NOT_A_SELECT,
         }
     }
 }
 
 impl Selects {
-    fn parse(&mut self, sql: &str) -> Parsed {
-        if let Some(&id) = self.ids.get(sql) {
-            return Parsed::Select(id);
+    /// The parse of a read-logged query's text.
+    fn read(&mut self, sql: &Arc<str>) -> Parsed {
+        let addr = Arc::as_ptr(sql) as *const u8 as usize;
+        if let Some(&parsed) = self.handles.get(&addr) {
+            return parsed;
         }
-        match parse_statement(sql) {
-            Ok(select @ Statement::Select(_)) => {
-                let id = self.parsed.len() as u32;
-                self.parsed.push(select);
-                self.ids.insert(sql.into(), id);
-                Parsed::Select(id)
+        if let Some((first, &parsed)) = self.texts.get_key_value(&**sql) {
+            if Arc::ptr_eq(first, sql) {
+                self.handles.insert(addr, parsed);
             }
-            other => Parsed::Other(other),
+            return parsed;
         }
+        let parsed = match parse_statement(sql) {
+            Ok(select @ Statement::Select(_)) => {
+                self.parsed.push(select);
+                Parsed::Select(self.parsed.len() as u32 - 1)
+            }
+            other => {
+                self.others.push(other);
+                Parsed::Other(self.others.len() as u32 - 1)
+            }
+        };
+        self.texts.insert(Arc::clone(sql), parsed);
+        parsed
     }
 
-    fn get<'a>(&'a self, parsed: &'a Parsed) -> Result<&'a Statement, &'a ParseError> {
+    fn get(&self, parsed: Parsed) -> Result<&Statement, &ParseError> {
         match parsed {
-            Parsed::Select(id) => Ok(&self.parsed[*id as usize]),
-            Parsed::Other(other) => other.as_ref(),
+            Parsed::Select(id) => Ok(&self.parsed[id as usize]),
+            Parsed::Other(at) => self.others[at as usize].as_ref(),
         }
     }
 }
@@ -425,7 +455,7 @@ impl VersionedDb {
     pub fn redo_transaction(
         &mut self,
         seq: u64,
-        queries: &[String],
+        queries: &[Arc<str>],
         succeeded: bool,
         logged_results: &[Option<WriteOutcome>],
     ) -> Result<(), RedoError> {
@@ -461,30 +491,37 @@ impl VersionedDb {
     fn redo_committed(
         &mut self,
         seq: u64,
-        queries: &[String],
+        queries: &[Arc<str>],
         logged_results: &[Option<WriteOutcome>],
     ) -> Result<(), RedoError> {
         for (pos, sql) in queries.iter().enumerate() {
             let q = pos as u64 + 1;
-            let parsed = self.selects.parse(sql);
-            self.redone.push(parsed.select_id());
-            let computed = match parsed {
-                // A SELECT changes nothing: a repeated one costs only
-                // this check of its logged result.
-                Parsed::Select(_) => None,
-                Parsed::Other(stmt) => {
-                    let mark = self.latest.undo_mark();
-                    let outcome = self.latest.execute_parsed_in_txn(stmt.as_ref());
-                    let outcome = outcome.map_err(|error| RedoError::CommittedTxnFailed {
-                        seq,
-                        query: q,
-                        error,
-                    })?;
-                    self.version_changes(mark, seq * MAXQ + q);
-                    outcome.write()
+            let write;
+            let statement = match logged_results[pos] {
+                None => match self.selects.read(sql) {
+                    // A SELECT changes nothing: a repeated one costs only
+                    // this lookup.
+                    Parsed::Select(id) => {
+                        self.redone.push(id);
+                        continue;
+                    }
+                    other => self.selects.get(other),
+                },
+                Some(_) => {
+                    write = parse_statement(sql);
+                    write.as_ref()
                 }
             };
-            if computed != logged_results[pos] {
+            self.redone.push(NOT_A_SELECT);
+            let mark = self.latest.undo_mark();
+            let outcome = self.latest.execute_parsed_in_txn(statement);
+            let outcome = outcome.map_err(|error| RedoError::CommittedTxnFailed {
+                seq,
+                query: q,
+                error,
+            })?;
+            self.version_changes(mark, seq * MAXQ + q);
+            if outcome.write() != logged_results[pos] {
                 return Err(RedoError::WriteResultMismatch { seq, query: q });
             }
         }
@@ -524,14 +561,25 @@ impl VersionedDb {
     fn redo_aborted(
         &mut self,
         seq: u64,
-        queries: &[String],
+        queries: &[Arc<str>],
         logged_results: &[Option<WriteOutcome>],
     ) -> Result<(), RedoError> {
         for (pos, sql) in queries.iter().enumerate() {
             let q = pos as u64 + 1;
-            let parsed = self.selects.parse(sql);
-            self.redone.push(parsed.select_id());
-            match self.latest.execute_parsed_in_txn(self.selects.get(&parsed)) {
+            let write;
+            let statement = match logged_results[pos] {
+                None => {
+                    let parsed = self.selects.read(sql);
+                    self.redone.push(parsed.select_id());
+                    self.selects.get(parsed)
+                }
+                Some(_) => {
+                    self.redone.push(NOT_A_SELECT);
+                    write = parse_statement(sql);
+                    write.as_ref()
+                }
+            };
+            match self.latest.execute_parsed_in_txn(statement) {
                 Ok(outcome) => {
                     let computed = outcome.write();
                     if computed != logged_results[pos] {
@@ -779,7 +827,7 @@ mod tests {
         let mut checkpoints = Vec::new();
         for sql in txns {
             let (result, seq) = exec_logged(&mut online, sql);
-            vdb.redo_transaction(seq, &[sql.to_string()], true, &[result])
+            vdb.redo_transaction(seq, &[sql.into()], true, &[result])
                 .unwrap();
             let (r, _) = online.execute_autocommit("SELECT id, title, views FROM p");
             checkpoints.push((seq, r.unwrap()));
@@ -1039,7 +1087,7 @@ mod tests {
             "DELETE FROM p WHERE id = 1",
         ] {
             let (result, seq) = exec_logged(&mut online, sql);
-            vdb.redo_transaction(seq, &[sql.to_string()], true, &[result])
+            vdb.redo_transaction(seq, &[sql.into()], true, &[result])
                 .unwrap();
         }
         let mut migrated = vdb.latest_snapshot();
@@ -1063,7 +1111,7 @@ mod tests {
                 affected: 1,
                 last_insert_id: Some(3 + i),
             });
-            vdb.redo_transaction((i + 1) as u64, &[sql], true, &[result])
+            vdb.redo_transaction((i + 1) as u64, &[sql.into()], true, &[result])
                 .unwrap();
         }
         let ts = 21 * MAXQ;
@@ -1150,6 +1198,39 @@ mod tests {
             Err(RedoError::NonMonotonicSeq { seq: 4 }),
             "the redo pass has ended"
         );
+    }
+
+    #[test]
+    fn a_shared_read_is_found_by_its_handle_and_parsed_once() {
+        let base = seed();
+        let mut vdb = VersionedDb::from_snapshot(&base);
+        let read: Arc<str> = "SELECT views FROM p WHERE id = 1".into();
+        let broken: Arc<str> = "SELEKT views".into();
+        for seq in 1..=3 {
+            let queries = [Arc::clone(&read), Arc::clone(&read), Arc::clone(&broken)];
+            vdb.redo_transaction(seq, &queries, false, &[None, None, None])
+                .unwrap();
+            assert!(vdb.aborted_failed_at_last(seq));
+        }
+        // A fresh handle with equal text reads the same parse.
+        vdb.redo_transaction(
+            4,
+            &["SELECT views FROM p WHERE id = 1".into()],
+            true,
+            &[None],
+        )
+        .unwrap();
+        assert_eq!(
+            vdb.selects.handles.len(),
+            2,
+            "one entry per handle met again"
+        );
+        assert_eq!(vdb.selects.texts.len(), 2);
+        assert_eq!((vdb.selects.parsed.len(), vdb.selects.others.len()), (1, 1));
+        let ids: Vec<Option<usize>> = (0..10).map(|p| vdb.select_at(p)).collect();
+        let (read_id, broken_id) = (Some(0), None);
+        assert_eq!(ids[..3], [read_id, read_id, broken_id]);
+        assert_eq!(ids[9], read_id);
     }
 
     #[test]

@@ -17,8 +17,18 @@
 //! reports (§4.6); we instead place these values in the operation log
 //! entry and have the verifier's redo pass recompute and check them, which
 //! turns an unverifiable report into a checked one (see DESIGN.md).
+//!
+//! Operands are shared handles (`Arc<str>`, `Arc<[u8]>`). On the wire,
+//! an operand whose audit work per reference before re-execution is
+//! O(1) goes through the codec's first-use dictionary: SELECT texts (a
+//! query whose logged write result is not `Some`) and written register
+//! and KV values. Write texts, KV keys and object names stay literal:
+//! the redo executes every write, and `VersionedKv::build` hashes every
+//! key, so sharing them would let a few wire bytes buy that work again
+//! and again.
 
-use orochi_common::codec::{Decoder, Encoder, Wire, WireError};
+use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
+use std::sync::Arc;
 
 /// Canonical name of a shared object.
 ///
@@ -142,26 +152,26 @@ pub enum OpContents {
     /// Register write carries the value to write.
     RegisterWrite {
         /// Serialized value being written.
-        value: Vec<u8>,
+        value: Arc<[u8]>,
     },
     /// Key-value get carries the key.
     KvGet {
         /// Key to read.
-        key: String,
+        key: Arc<str>,
     },
     /// Key-value set carries key and value; `None` deletes the key.
     KvSet {
         /// Key to write.
-        key: String,
+        key: Arc<str>,
         /// New value, or `None` for deletion.
-        value: Option<Vec<u8>>,
+        value: Option<Arc<[u8]>>,
     },
     /// A database transaction: the SQL statements, whether the transaction
     /// committed, and the logged per-statement write results (`None` for
     /// reads).
     DbOp {
         /// SQL statements in program order.
-        queries: Vec<String>,
+        queries: Vec<Arc<str>>,
         /// True if the transaction committed; false if it aborted.
         succeeded: bool,
         /// Per-statement write results, parallel to `queries`.
@@ -187,7 +197,7 @@ impl Wire for OpContents {
         self.op_type().encode(enc);
         match self {
             OpContents::RegisterRead => {}
-            OpContents::RegisterWrite { value } => enc.bytes(value),
+            OpContents::RegisterWrite { value } => enc.shared_bytes(value),
             OpContents::KvGet { key } => enc.str(key),
             OpContents::KvSet { key, value } => {
                 enc.str(key);
@@ -195,7 +205,7 @@ impl Wire for OpContents {
                     None => enc.bool(false),
                     Some(v) => {
                         enc.bool(true);
-                        enc.bytes(v);
+                        enc.shared_bytes(v);
                     }
                 }
             }
@@ -204,9 +214,18 @@ impl Wire for OpContents {
                 succeeded,
                 write_results,
             } => {
-                queries.encode(enc);
-                enc.bool(*succeeded);
+                // The write results first: they say which texts are
+                // SELECTs, and only those are shared.
                 write_results.encode(enc);
+                enc.u64(queries.len() as u64);
+                for (q, sql) in queries.iter().enumerate() {
+                    if is_write(write_results, q) {
+                        enc.str(sql);
+                    } else {
+                        enc.shared_str(sql);
+                    }
+                }
+                enc.bool(*succeeded);
             }
         }
     }
@@ -215,25 +234,48 @@ impl Wire for OpContents {
         Ok(match OpType::decode(dec)? {
             OpType::RegisterRead => OpContents::RegisterRead,
             OpType::RegisterWrite => OpContents::RegisterWrite {
-                value: dec.bytes()?,
+                value: dec.shared_bytes()?,
             },
-            OpType::KvGet => OpContents::KvGet { key: dec.str()? },
+            OpType::KvGet => OpContents::KvGet {
+                key: dec.str_ref()?.into(),
+            },
             OpType::KvSet => {
-                let key = dec.str()?;
+                let key = dec.str_ref()?.into();
                 let value = if dec.bool()? {
-                    Some(dec.bytes()?)
+                    Some(dec.shared_bytes()?)
                 } else {
                     None
                 };
                 OpContents::KvSet { key, value }
             }
-            OpType::DbOp => OpContents::DbOp {
-                queries: Vec::<String>::decode(dec)?,
-                succeeded: dec.bool()?,
-                write_results: Vec::<Option<DbWriteResult>>::decode(dec)?,
-            },
+            OpType::DbOp => {
+                let write_results = Vec::<Option<DbWriteResult>>::decode(dec)?;
+                let len = dec.u64()? as usize;
+                if len > dec.remaining() {
+                    return Err(WireError::Malformed("query count exceeds buffer"));
+                }
+                let mut queries = Vec::with_capacity(prealloc::<Arc<str>>(len));
+                for q in 0..len {
+                    queries.push(if is_write(&write_results, q) {
+                        dec.str_ref()?.into()
+                    } else {
+                        dec.shared_str()?
+                    });
+                }
+                OpContents::DbOp {
+                    queries,
+                    succeeded: dec.bool()?,
+                    write_results,
+                }
+            }
         })
     }
+}
+
+/// True if query `q` of a `DbOp` logged a write result: its text is
+/// written literally, where a SELECT's goes through the dictionary.
+fn is_write(write_results: &[Option<DbWriteResult>], q: usize) -> bool {
+    matches!(write_results.get(q), Some(Some(_)))
 }
 
 #[cfg(test)]
@@ -275,12 +317,12 @@ mod tests {
         let variants = vec![
             OpContents::RegisterRead,
             OpContents::RegisterWrite {
-                value: vec![1, 2, 3],
+                value: vec![1, 2, 3].into(),
             },
             OpContents::KvGet { key: "k1".into() },
             OpContents::KvSet {
                 key: "k2".into(),
-                value: Some(vec![9]),
+                value: Some(vec![9].into()),
             },
             OpContents::KvSet {
                 key: "k3".into(),

@@ -250,7 +250,7 @@ mod tests {
             OpNum(1),
             OpContents::KvSet {
                 key: "x".into(),
-                value: Some(vec![1]),
+                value: Some(vec![1].into()),
             },
         );
         let logs = recorder.stitch();
@@ -357,7 +357,7 @@ mod tests {
                     RequestId(r * 100 + i),
                     OpNum(1),
                     OpContents::KvGet {
-                        key: format!("k{i}"),
+                        key: format!("k{i}").into(),
                     },
                 );
             }

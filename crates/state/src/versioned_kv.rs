@@ -28,7 +28,7 @@ type VersionList<'a> = Vec<(u64, Option<&'a [u8]>)>;
 /// log.push(OpLogEntry {
 ///     rid: RequestId(1),
 ///     opnum: OpNum(1),
-///     contents: OpContents::KvSet { key: "k".into(), value: Some(vec![1]) },
+///     contents: OpContents::KvSet { key: "k".into(), value: Some(vec![1].into()) },
 /// });
 /// log.push(OpLogEntry {
 ///     rid: RequestId(2),
@@ -143,7 +143,7 @@ mod tests {
             opnum: OpNum(1),
             contents: OpContents::KvSet {
                 key: key.into(),
-                value,
+                value: value.map(Into::into),
             },
         })
     }
@@ -167,10 +167,10 @@ mod tests {
             if let OpContents::KvSet { key: k, value } = &entry.contents {
                 match value {
                     Some(v) => {
-                        map.insert(k.clone(), v.clone());
+                        map.insert(k.to_string(), v.to_vec());
                     }
                     None => {
-                        map.remove(k);
+                        map.remove(&**k);
                     }
                 }
             }
@@ -228,7 +228,9 @@ mod tests {
         log.push(OpLogEntry {
             rid: RequestId(1),
             opnum: OpNum(1),
-            contents: OpContents::RegisterWrite { value: vec![5] },
+            contents: OpContents::RegisterWrite {
+                value: vec![5].into(),
+            },
         });
         set(&mut log, "k", Some(vec![1]));
         let kv = VersionedKv::build(&log);

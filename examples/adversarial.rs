@@ -116,7 +116,7 @@ fn main() {
         let mut entries: Vec<OpLogEntry> = log.entries().to_vec();
         for e in entries.iter_mut() {
             if let orochi::state::OpContents::RegisterWrite { value } = &mut e.contents {
-                value.push(0xFF);
+                *value = [&**value, &[0xFF]].concat().into();
                 *log = OpLog::from_entries(entries);
                 break 'outer;
             }

@@ -186,7 +186,7 @@ fn synthetic() -> (Trace, Reports) {
                 1,
                 OpContents::KvSet {
                     key: "inv:1".into(),
-                    value: Some(vec![10]),
+                    value: Some(vec![10].into()),
                 },
             ),
             entry(
@@ -194,7 +194,7 @@ fn synthetic() -> (Trace, Reports) {
                 1,
                 OpContents::KvSet {
                     key: "inv:1".into(),
-                    value: Some(vec![9]),
+                    value: Some(vec![9].into()),
                 },
             ),
             entry(
@@ -210,7 +210,13 @@ fn synthetic() -> (Trace, Reports) {
         ObjectName("reg:sess:alice".into()),
         OpLog::from_entries(vec![
             entry(1, 2, OpContents::RegisterRead),
-            entry(2, 2, OpContents::RegisterWrite { value: vec![7, 8] }),
+            entry(
+                2,
+                2,
+                OpContents::RegisterWrite {
+                    value: vec![7, 8].into(),
+                },
+            ),
         ]),
     );
     let mut op_counts = HashMap::new();

@@ -40,7 +40,9 @@ fn write_entry(rid: RequestId, opnum: u32) -> OpLogEntry {
     OpLogEntry {
         rid,
         opnum: OpNum(opnum),
-        contents: OpContents::RegisterWrite { value: vec![1] },
+        contents: OpContents::RegisterWrite {
+            value: vec![1].into(),
+        },
     }
 }
 

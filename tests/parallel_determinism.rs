@@ -253,7 +253,7 @@ fn tampered_sql_rejects_identically() {
     for e in entries.iter_mut() {
         if let OpContents::DbOp { queries, .. } = &mut e.contents {
             if let Some(q) = queries.iter_mut().find(|q| q.starts_with("INSERT")) {
-                *q = q.replace("INSERT", "INSERT ");
+                *q = q.replace("INSERT", "INSERT ").into();
                 break;
             }
         }

@@ -127,7 +127,7 @@ fn fuzzed_reports(balanced: &BalancedTrace, picks: &[u8], tamper: u8) -> Reports
                 rid: *rid,
                 opnum: OpNum(opnum),
                 contents: OpContents::RegisterWrite {
-                    value: vec![opnum as u8],
+                    value: vec![opnum as u8].into(),
                 },
             });
             j += 1;
@@ -379,10 +379,10 @@ proptest! {
         for op in &ops {
             let contents = match op {
                 KvOp::Set(k, v) => OpContents::KvSet {
-                    key: format!("k{k}"),
-                    value: v.map(|b| vec![b]),
+                    key: format!("k{k}").into(),
+                    value: v.map(|b| vec![b].into()),
                 },
-                KvOp::Get(k) => OpContents::KvGet { key: format!("k{k}") },
+                KvOp::Get(k) => OpContents::KvGet { key: format!("k{k}").into() },
             };
             log.push(OpLogEntry { rid: RequestId(1), opnum: OpNum(1), contents });
         }
@@ -396,8 +396,8 @@ proptest! {
                 }
                 if let OpContents::KvSet { key, value } = &entry.contents {
                     match value {
-                        Some(v) => { model.insert(key.clone(), v.clone()); }
-                        None => { model.remove(key); }
+                        Some(v) => { model.insert(key.to_string(), v.to_vec()); }
+                        None => { model.remove(&**key); }
                     }
                 }
             }
@@ -459,7 +459,7 @@ proptest! {
             online.begin().unwrap();
             let (mut queries, mut logged, mut states, mut reads) = (vec![], vec![], vec![], vec![]);
             for sql in stmts {
-                queries.push(sql.clone());
+                queries.push(sql.as_str().into());
                 match online.execute_in_txn(sql) {
                     Ok(out) => {
                         logged.push(out.write());

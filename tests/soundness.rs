@@ -611,7 +611,7 @@ fn rejects_deeply_nested_forged_session_instead_of_overflowing() {
         .iter()
         .rposition(|e| is(e, OpType::RegisterWrite))
         .expect("the last read sees a write");
-    entries[seen].contents = OpContents::RegisterWrite { value: blob };
+    entries[seen].contents = OpContents::RegisterWrite { value: blob.into() };
     *log = OpLog::from_entries(entries);
     assert_rejected(
         "deep-session",

@@ -180,7 +180,7 @@ fn unparseable_text_repeated_across_commits_rejects_at_its_first_occurrence() {
     forge(&mut bundle, |_, contents| {
         if let OpContents::DbOp { queries, .. } = contents {
             if queries[0].starts_with("SELECT v") {
-                queries[0] = "SELEKT v FROM notes".to_string();
+                queries[0] = "SELEKT v FROM notes".into();
             }
         }
     });
@@ -198,8 +198,8 @@ fn unparseable_text_first_seen_aborted_rejects_where_it_commits() {
     let mut bundle = serve(READS);
     forge(&mut bundle, |_, contents| {
         if let OpContents::DbOp { queries, .. } = contents {
-            if queries[0] == "SELECT id FROM later" {
-                queries[0] = "SELEKT id FROM later".to_string();
+            if &*queries[0] == "SELECT id FROM later" {
+                queries[0] = "SELEKT id FROM later".into();
             }
         }
     });

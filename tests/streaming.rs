@@ -346,7 +346,7 @@ mod precedence {
                 Fault::Group(nth) => edit_db_log(bundle, |entries| {
                     let (e, q) = nth_insert(entries, nth);
                     if let OpContents::DbOp { queries, .. } = &mut entries[e].contents {
-                        queries[q] = queries[q].replace("INSERT", "INSERT ");
+                        queries[q] = queries[q].replace("INSERT", "INSERT ").into();
                     }
                 }),
                 Fault::Cut { first } => {
