@@ -13,9 +13,11 @@
 //! their byte-string twins). Varint 0 means "a literal follows", and the
 //! literal becomes the next entry of its table; any `k >= 1` names entry
 //! `k - 1`. The encoder interns by content, so equal values give equal
-//! bytes whatever handles they arrive in; the decoder turns each entry
-//! into one shared handle that every reference clones, and rejects a
-//! table that repeats a content. Texts and byte strings have one table
+//! bytes whatever handles they arrive in, and finds a handle it meets
+//! again by its address ([`HandleMap`], which a reader of the decoded
+//! handles can use the same way); the decoder turns each entry into one
+//! shared handle that every reference clones, and rejects a table that
+//! repeats a content. Texts and byte strings have one table
 //! each. The tables are made on first use, so a codec that shares
 //! nothing pays nothing for them.
 
@@ -55,26 +57,34 @@ pub struct Encoder {
     dict: Option<Box<EncoderDict>>,
 }
 
-/// The encoder's half of the first-use dictionary, one table per kind.
+/// The encoder's half of the first-use dictionary, one table per kind:
+/// each distinct content written so far -> its table position.
 #[derive(Debug, Default)]
 struct EncoderDict {
-    strs: EncoderTable<str>,
-    bytes: EncoderTable<[u8]>,
+    strs: HandleMap<str, u64>,
+    bytes: HandleMap<[u8], u64>,
 }
 
-/// One kind's entries written so far.
+/// A map keyed by the content of shared handles that finds a handle it
+/// has met before by its address, so a handle referenced any number of
+/// times costs at most two hashes of its content.
+///
+/// The first handle met with each content is kept as that content's
+/// key; once it is met again it also goes into an address map. The key
+/// holds the handle, so its address cannot be freed and reused by
+/// another content while the map lives. Any other handle with an equal
+/// content is found by hashing its content, and is neither kept nor
+/// added to the address map.
 #[derive(Debug)]
-struct EncoderTable<T: ?Sized> {
-    /// Content -> table position; the key is the first handle met with
-    /// the content.
-    entries: HashMap<Arc<T>, u64>,
-    /// A key of `entries` that was met again, by address (the key pins
-    /// it) -> its position: from then on it costs no hash of its
+pub struct HandleMap<T: ?Sized, V> {
+    /// Content -> value; the key is the first handle met with the
     /// content.
-    handles: HashMap<usize, u64>,
+    entries: HashMap<Arc<T>, V>,
+    /// A key of `entries` that was met again, by address -> its value.
+    handles: HashMap<usize, V>,
 }
 
-impl<T: ?Sized> Default for EncoderTable<T> {
+impl<T: ?Sized, V> Default for HandleMap<T, V> {
     fn default() -> Self {
         Self {
             entries: HashMap::new(),
@@ -83,23 +93,33 @@ impl<T: ?Sized> Default for EncoderTable<T> {
     }
 }
 
-impl<T: ?Sized + Eq + Hash> EncoderTable<T> {
-    /// The position of `v`'s content if it was written before; `None`
-    /// (and `v` noted as the next entry) if not.
-    fn find_or_add(&mut self, v: &Arc<T>) -> Option<u64> {
-        let addr = Arc::as_ptr(v) as *const u8 as usize;
-        if let Some(&k) = self.handles.get(&addr) {
-            return Some(k);
+impl<T: ?Sized + Eq + Hash, V: Copy> HandleMap<T, V> {
+    /// The value of `key`'s content, made by `make` (and `key` kept) if
+    /// the content is new.
+    pub fn get_or_insert_with(&mut self, key: &Arc<T>, make: impl FnOnce() -> V) -> V {
+        let addr = Arc::as_ptr(key) as *const u8 as usize;
+        if let Some(&v) = self.handles.get(&addr) {
+            return v;
         }
-        if let Some((first, &k)) = self.entries.get_key_value(&**v) {
-            if Arc::ptr_eq(first, v) {
-                self.handles.insert(addr, k);
+        if let Some((first, &v)) = self.entries.get_key_value(&**key) {
+            if Arc::ptr_eq(first, key) {
+                self.handles.insert(addr, v);
             }
-            return Some(k);
+            return v;
         }
-        self.entries
-            .insert(Arc::clone(v), self.entries.len() as u64);
-        None
+        let v = make();
+        self.entries.insert(Arc::clone(key), v);
+        v
+    }
+
+    /// Number of distinct contents.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if no content has been met.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
@@ -183,28 +203,31 @@ impl Encoder {
     /// Writes a text through the dictionary (see the module docs): a
     /// reference if equal text was written before, else the literal.
     pub fn shared_str(&mut self, v: &Arc<str>) {
-        match self.dict().strs.find_or_add(v) {
-            Some(k) => self.u64(k + 1),
-            None => {
-                self.u64(0);
-                self.str(v);
-            }
+        if self.reference(|d| &mut d.strs, v) {
+            self.str(v);
         }
     }
 
     /// [`Encoder::shared_str`] for byte strings, over their own table.
     pub fn shared_bytes(&mut self, v: &Arc<[u8]>) {
-        match self.dict().bytes.find_or_add(v) {
-            Some(k) => self.u64(k + 1),
-            None => {
-                self.u64(0);
-                self.bytes(v);
-            }
+        if self.reference(|d| &mut d.bytes, v) {
+            self.bytes(v);
         }
     }
 
-    fn dict(&mut self) -> &mut EncoderDict {
-        self.dict.get_or_insert_with(Default::default)
+    /// Writes `v`'s reference, or the literal tag 0 if its content is new
+    /// to its table: true if the literal must follow.
+    fn reference<T: ?Sized + Eq + Hash>(
+        &mut self,
+        table: impl FnOnce(&mut EncoderDict) -> &mut HandleMap<T, u64>,
+        v: &Arc<T>,
+    ) -> bool {
+        let table = table(self.dict.get_or_insert_with(Default::default));
+        let next = table.len() as u64;
+        let k = table.get_or_insert_with(v, || next);
+        let new = k == next;
+        self.u64(if new { 0 } else { k + 1 });
+        new
     }
 }
 
@@ -587,6 +610,27 @@ mod tests {
         );
         assert!(dec.is_done());
         assert_eq!(dec.bytes_ref().unwrap_err(), WireError::UnexpectedEof);
+    }
+
+    #[test]
+    fn handle_map_finds_a_handle_met_again_by_address_and_pins_the_first() {
+        let mut map = HandleMap::<str, u32>::default();
+        let (a, b): (Arc<str>, Arc<str>) = (Arc::from("x"), Arc::from("x"));
+        let mut made = 0;
+        for key in [&a, &a, &b, &b, &a] {
+            let v = map.get_or_insert_with(key, || {
+                made += 1;
+                7
+            });
+            assert_eq!(v, 7);
+        }
+        assert_eq!((made, map.len()), (1, 1));
+        // The first handle is kept, so its address stays its own, and
+        // found by address once met again; an equal handle is neither.
+        assert_eq!(map.handles.len(), 1);
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (2, 1));
+        assert_eq!(map.get_or_insert_with(&Arc::from("y"), || 8), 8);
+        assert_eq!(map.len(), 2);
     }
 
     #[test]

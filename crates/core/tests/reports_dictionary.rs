@@ -1,6 +1,8 @@
 //! The reports' first-use dictionary: hostile tables reject, one shared
-//! SELECT costs the audit one parse however often it is referenced, and
-//! equal reports give equal bytes whatever handles they hold.
+//! SELECT costs the audit one parse however often it is referenced, an
+//! aborted transaction's texts — which the redo executes — never go
+//! through the dictionary, and equal reports give equal bytes whatever
+//! handles they hold.
 
 mod support;
 
@@ -12,7 +14,7 @@ use orochi_core::{audit, AuditConfig, AuditContext, NondetLog, Rejection, Report
 use orochi_harness::{serve, AppWorkload, ServeOptions};
 use orochi_sqldb::{Database, VersionedDb, WriteOutcome};
 use orochi_state::object::{DbWriteResult, ObjectName, OpContents, OpType};
-use orochi_state::oplog::OpLog;
+use orochi_state::oplog::{OpLog, OpLogEntry};
 use orochi_trace::{Event, HttpRequest, HttpResponse, Trace};
 use orochi_workload::wiki;
 use std::collections::HashMap;
@@ -21,20 +23,35 @@ use std::time::{Duration, Instant};
 
 /// A bundle of one database log holding one committed read-only
 /// transaction whose query operands are `operands`, written raw.
-fn one_txn_blob(reads: usize, operands: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+fn one_txn_blob(reads: usize, operands: impl Fn(&mut Encoder)) -> Vec<u8> {
+    db_log_blob(1, |enc, _| {
+        enc.bool(true); // committed
+        vec![None::<DbWriteResult>; reads].encode(enc);
+        enc.u64(reads as u64);
+        operands(enc);
+    })
+}
+
+/// A bundle of one database log of `txns` transactions, one per request
+/// (rids `1..`), whose contents after the optype `txn` writes raw, given
+/// the rid.
+fn db_log_blob(txns: u64, mut txn: impl FnMut(&mut Encoder, u64)) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.u64(0); // no groupings
     enc.u64(1); // one log
     ObjectName::db("main").encode(&mut enc);
-    enc.u64(1); // one entry
-    RequestId(1).encode(&mut enc);
-    OpNum(1).encode(&mut enc);
-    OpType::DbOp.encode(&mut enc);
-    vec![None::<DbWriteResult>; reads].encode(&mut enc);
-    enc.u64(reads as u64);
-    operands(&mut enc);
-    enc.bool(true); // committed
-    enc.u64(0); // no op counts
+    enc.u64(txns);
+    for rid in 1..=txns {
+        RequestId(rid).encode(&mut enc);
+        OpNum(1).encode(&mut enc);
+        OpType::DbOp.encode(&mut enc);
+        txn(&mut enc, rid);
+    }
+    enc.u64(txns); // one op per request
+    for rid in 1..=txns {
+        RequestId(rid).encode(&mut enc);
+        enc.u64(1);
+    }
     NondetLog::new().encode(&mut enc);
     enc.into_bytes()
 }
@@ -84,6 +101,104 @@ fn hostile_dictionaries_decode_to_stable_errors() {
         panic!("a DbOp entry");
     };
     assert!(Arc::ptr_eq(&queries[0], &queries[1]));
+}
+
+#[test]
+fn an_aborted_transaction_writes_its_texts_literally() {
+    // The redo executes every query of an aborted transaction, so its
+    // texts cross the wire literally: a shared handle in one is written
+    // once per reference and decodes to a handle of its own.
+    let select: Arc<str> = "SELECT v FROM t WHERE v LIKE 'x%'".into();
+    let mut log = OpLog::new();
+    for (rid, succeeded) in [(1, true), (2, false), (3, false)] {
+        log.push(OpLogEntry {
+            rid: RequestId(rid),
+            opnum: OpNum(1),
+            contents: OpContents::DbOp {
+                queries: vec![Arc::clone(&select); 2],
+                succeeded,
+                write_results: vec![None; 2],
+            },
+        });
+    }
+    let mut reports = Reports::new();
+    reports.op_logs.push(ObjectName::db("main"), log);
+    let bytes = reports.to_wire_bytes();
+    let copies = bytes
+        .windows(select.len())
+        .filter(|w| *w == select.as_bytes())
+        .count();
+    assert_eq!(
+        copies,
+        1 + 2 * 2,
+        "once for the committed reads, then per aborted read"
+    );
+    let decoded = Reports::from_wire_bytes(&bytes).unwrap();
+    assert_eq!(decoded, reports);
+    let handles: Vec<Arc<str>> = decoded
+        .op_logs
+        .log(0)
+        .unwrap()
+        .entries()
+        .iter()
+        .flat_map(|entry| match &entry.contents {
+            OpContents::DbOp { queries, .. } => queries.clone(),
+            _ => panic!("a DbOp entry"),
+        })
+        .collect();
+    assert!(Arc::ptr_eq(&handles[0], &handles[1]));
+    for (i, aborted) in handles.iter().enumerate().skip(2) {
+        let shares = handles[..i].iter().any(|h| Arc::ptr_eq(h, aborted));
+        assert!(!shares, "aborted read {i} shares a handle");
+    }
+}
+
+#[test]
+fn aborted_reads_written_as_references_do_not_decode() {
+    // A blob that writes 100,000 reads of rolled-back transactions as
+    // references to a long LIKE SELECT does not decode: a reference there
+    // reads as a literal's length, and the bytes after it parse no more.
+    // Decoded, it would buy 100,000 matches of a 256 KiB pattern.
+    let head = "SELECT v FROM t WHERE v LIKE '";
+    let pattern = "x".repeat(support::SELECT_BYTES - head.len() - 1);
+    let like = format!("{head}{pattern}'");
+    let blob = db_log_blob(support::TXNS + 1, |enc, rid| {
+        if rid == 1 {
+            // A committed read puts the text in the table.
+            enc.bool(true);
+            vec![None::<DbWriteResult>].encode(enc);
+            enc.u64(1);
+            enc.u64(0);
+            enc.str(&like);
+        } else {
+            enc.bool(false); // rolled back
+            vec![None::<DbWriteResult>; support::READS_PER_TXN].encode(enc);
+            enc.u64(support::READS_PER_TXN as u64);
+            (0..support::READS_PER_TXN).for_each(|_| enc.u64(1));
+        }
+    });
+    let mut base = Database::new();
+    base.execute_autocommit("CREATE TABLE t (v TEXT)")
+        .0
+        .unwrap();
+    base.execute_autocommit("INSERT INTO t (v) VALUES ('x')")
+        .0
+        .unwrap();
+    let mut config = AuditConfig::new();
+    config
+        .initial_dbs
+        .insert(ObjectName::db("main").as_str().to_string(), base);
+    let t0 = Instant::now();
+    let verdict = Reports::from_wire_bytes(&blob).map(|reports| {
+        let trace = Trace { events: Vec::new() };
+        audit(&trace, &reports, &mut FnExecutor::new(respond), &config)
+    });
+    assert_eq!(
+        verdict.unwrap_err(),
+        WireError::Malformed("dictionary reference past its table")
+    );
+    let elapsed = t0.elapsed();
+    assert!(elapsed < Duration::from_secs(60), "took {elapsed:?}");
 }
 
 /// Answers every request with "ok": the verdict below never reaches it.
@@ -180,14 +295,14 @@ fn served_wiki_reports() -> Reports {
     serve(&work, &ServeOptions::default()).bundle.reports
 }
 
-/// Every shared operand of `contents`: its SELECT texts, or its written
-/// value.
+/// Every shared operand of `contents`: a committed transaction's SELECT
+/// texts, or its written value.
 fn shared_operands(contents: &mut OpContents) -> Vec<Operand<'_>> {
     match contents {
         OpContents::DbOp {
             queries,
+            succeeded: true,
             write_results,
-            ..
         } => queries
             .iter_mut()
             .zip(write_results.iter())

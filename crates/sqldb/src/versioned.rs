@@ -52,6 +52,7 @@ use crate::engine::{
 use crate::parser::{parse_statement, ParseError};
 use crate::schema::TableSchema;
 use crate::value::{IndexKey, SqlValue};
+use orochi_common::codec::HandleMap;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -293,15 +294,16 @@ pub struct PreparedQuery {
 /// SELECT repeated across the log (the common case) costs a lookup, not
 /// a parse.
 ///
-/// A query logged as a read (no write result) may arrive as a shared
-/// handle that stands for any number of queries: decoded reports give
-/// every reference to one dictionary entry the same handle, and the
-/// decoder admits one entry per distinct text. The redo's work per
-/// reference must be O(1), or a few wire bytes per reference would buy
-/// a hash of the whole text each. So the first handle met with a text
-/// is kept, and once it is met again it is found by its address: no
+/// The redo's work per reference to a read-logged text must be O(1):
+/// decoded reports give every reference to one dictionary entry the
+/// same handle, so a few wire bytes per reference would otherwise buy a
+/// hash of the whole text each. Texts are therefore found through a
+/// [`HandleMap`], which finds a handle met before by its address: no
 /// text is hashed more than twice. A handle met once — every handle of
-/// reports the server logged — costs one hash of its text. A
+/// reports the server logged — costs one hash of its text. Only a
+/// committed transaction's reads arrive shared, and the redo skips a
+/// committed SELECT; an aborted transaction's queries are executed, so
+/// each crosses the wire as a literal and costs what its bytes cost. A
 /// read-logged text that is not a SELECT is honest only as the failing
 /// final statement of an aborted transaction; it is parsed once too. A
 /// query logged with a write result is a write, or the log is rejected:
@@ -309,11 +311,8 @@ pub struct PreparedQuery {
 /// long — is parsed where it occurs and not kept.
 #[derive(Default)]
 struct Selects {
-    /// Text -> its parse; the key is the first handle met with the text.
-    texts: HashMap<Arc<str>, Parsed>,
-    /// A key of `texts` that was met again, by address (the key pins it)
-    /// -> its parse.
-    handles: HashMap<usize, Parsed>,
+    /// Text -> its parse.
+    texts: HandleMap<str, Parsed>,
     /// Each a `Statement::Select`, by select id.
     parsed: Vec<Statement>,
     /// Read-logged texts that are not SELECTs (or do not parse).
@@ -343,28 +342,18 @@ impl Parsed {
 impl Selects {
     /// The parse of a read-logged query's text.
     fn read(&mut self, sql: &Arc<str>) -> Parsed {
-        let addr = Arc::as_ptr(sql) as *const u8 as usize;
-        if let Some(&parsed) = self.handles.get(&addr) {
-            return parsed;
-        }
-        if let Some((first, &parsed)) = self.texts.get_key_value(&**sql) {
-            if Arc::ptr_eq(first, sql) {
-                self.handles.insert(addr, parsed);
-            }
-            return parsed;
-        }
-        let parsed = match parse_statement(sql) {
-            Ok(select @ Statement::Select(_)) => {
-                self.parsed.push(select);
-                Parsed::Select(self.parsed.len() as u32 - 1)
-            }
-            other => {
-                self.others.push(other);
-                Parsed::Other(self.others.len() as u32 - 1)
-            }
-        };
-        self.texts.insert(Arc::clone(sql), parsed);
-        parsed
+        let (parsed, others) = (&mut self.parsed, &mut self.others);
+        self.texts
+            .get_or_insert_with(sql, || match parse_statement(sql) {
+                Ok(select @ Statement::Select(_)) => {
+                    parsed.push(select);
+                    Parsed::Select(parsed.len() as u32 - 1)
+                }
+                other => {
+                    others.push(other);
+                    Parsed::Other(others.len() as u32 - 1)
+                }
+            })
     }
 
     fn get(&self, parsed: Parsed) -> Result<&Statement, &ParseError> {
@@ -1220,11 +1209,6 @@ mod tests {
             &[None],
         )
         .unwrap();
-        assert_eq!(
-            vdb.selects.handles.len(),
-            2,
-            "one entry per handle met again"
-        );
         assert_eq!(vdb.selects.texts.len(), 2);
         assert_eq!((vdb.selects.parsed.len(), vdb.selects.others.len()), (1, 1));
         let ids: Vec<Option<usize>> = (0..10).map(|p| vdb.select_at(p)).collect();

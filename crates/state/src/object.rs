@@ -20,12 +20,13 @@
 //!
 //! Operands are shared handles (`Arc<str>`, `Arc<[u8]>`). On the wire,
 //! an operand whose audit work per reference before re-execution is
-//! O(1) goes through the codec's first-use dictionary: SELECT texts (a
-//! query whose logged write result is not `Some`) and written register
-//! and KV values. Write texts, KV keys and object names stay literal:
-//! the redo executes every write, and `VersionedKv::build` hashes every
-//! key, so sharing them would let a few wire bytes buy that work again
-//! and again.
+//! O(1) goes through the codec's first-use dictionary: a committed
+//! transaction's SELECT texts (queries whose logged write result is not
+//! `Some`) and written register and KV values. Write texts, every text
+//! of an aborted transaction, KV keys and object names stay literal:
+//! the redo executes every write and every query of an aborted
+//! transaction, and `VersionedKv::build` hashes every key, so sharing
+//! them would let a few wire bytes buy that work again and again.
 
 use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
 use std::sync::Arc;
@@ -214,18 +215,19 @@ impl Wire for OpContents {
                 succeeded,
                 write_results,
             } => {
-                // The write results first: they say which texts are
-                // SELECTs, and only those are shared.
+                // The outcome and write results first: they say which
+                // texts are a committed transaction's SELECTs, and only
+                // those are shared.
+                enc.bool(*succeeded);
                 write_results.encode(enc);
                 enc.u64(queries.len() as u64);
                 for (q, sql) in queries.iter().enumerate() {
-                    if is_write(write_results, q) {
-                        enc.str(sql);
-                    } else {
+                    if is_shared(*succeeded, write_results, q) {
                         enc.shared_str(sql);
+                    } else {
+                        enc.str(sql);
                     }
                 }
-                enc.bool(*succeeded);
             }
         }
     }
@@ -249,6 +251,7 @@ impl Wire for OpContents {
                 OpContents::KvSet { key, value }
             }
             OpType::DbOp => {
+                let succeeded = dec.bool()?;
                 let write_results = Vec::<Option<DbWriteResult>>::decode(dec)?;
                 let len = dec.u64()? as usize;
                 if len > dec.remaining() {
@@ -256,15 +259,15 @@ impl Wire for OpContents {
                 }
                 let mut queries = Vec::with_capacity(prealloc::<Arc<str>>(len));
                 for q in 0..len {
-                    queries.push(if is_write(&write_results, q) {
-                        dec.str_ref()?.into()
-                    } else {
+                    queries.push(if is_shared(succeeded, &write_results, q) {
                         dec.shared_str()?
+                    } else {
+                        dec.str_ref()?.into()
                     });
                 }
                 OpContents::DbOp {
                     queries,
-                    succeeded: dec.bool()?,
+                    succeeded,
                     write_results,
                 }
             }
@@ -272,10 +275,11 @@ impl Wire for OpContents {
     }
 }
 
-/// True if query `q` of a `DbOp` logged a write result: its text is
-/// written literally, where a SELECT's goes through the dictionary.
-fn is_write(write_results: &[Option<DbWriteResult>], q: usize) -> bool {
-    matches!(write_results.get(q), Some(Some(_)))
+/// True if query `q` of a `DbOp` goes through the dictionary: a read
+/// (no logged write result) of a committed transaction. Every other
+/// text is written literally.
+fn is_shared(succeeded: bool, write_results: &[Option<DbWriteResult>], q: usize) -> bool {
+    succeeded && !matches!(write_results.get(q), Some(Some(_)))
 }
 
 #[cfg(test)]
