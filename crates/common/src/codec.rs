@@ -373,27 +373,61 @@ impl<'a> Decoder<'a> {
     /// handle. A reference past the table, or a literal equal to an
     /// earlier entry, is malformed.
     pub fn shared_str(&mut self) -> Result<Arc<str>, WireError> {
-        self.shared(|d| &mut d.strs, |dec| dec.str_ref().map(Arc::from))
+        let k = self.shared_str_index()?;
+        Ok(Arc::clone(&self.dict_table(|d| &mut d.strs).entries[k]))
     }
 
     /// [`Decoder::shared_str`] for byte strings, over their own table.
     pub fn shared_bytes(&mut self) -> Result<Arc<[u8]>, WireError> {
+        let k = self.shared_bytes_index()?;
+        Ok(Arc::clone(&self.dict_table(|d| &mut d.bytes).entries[k]))
+    }
+
+    /// [`Decoder::shared_str`] that returns the entry's position in the
+    /// text table instead of a handle: a reader that keeps the table
+    /// ([`Decoder::take_shared_strs`]) stores the index alone. Distinct
+    /// positions hold distinct contents.
+    pub fn shared_str_index(&mut self) -> Result<usize, WireError> {
+        self.shared(|d| &mut d.strs, |dec| dec.str_ref().map(Arc::from))
+    }
+
+    /// [`Decoder::shared_str_index`] for byte strings.
+    pub fn shared_bytes_index(&mut self) -> Result<usize, WireError> {
         self.shared(|d| &mut d.bytes, |dec| dec.bytes_ref().map(Arc::from))
     }
 
+    /// The text table read so far, in entry order. The decoder's table
+    /// starts over empty, so a later reference to an entry taken here is
+    /// malformed.
+    pub fn take_shared_strs(&mut self) -> Vec<Arc<str>> {
+        std::mem::take(self.dict_table(|d| &mut d.strs)).entries
+    }
+
+    /// [`Decoder::take_shared_strs`] for byte strings.
+    pub fn take_shared_bytes(&mut self) -> Vec<Arc<[u8]>> {
+        std::mem::take(self.dict_table(|d| &mut d.bytes)).entries
+    }
+
+    fn dict_table<T: ?Sized>(
+        &mut self,
+        table: impl FnOnce(&mut DecoderDict) -> &mut DecoderTable<T>,
+    ) -> &mut DecoderTable<T> {
+        table(self.dict.get_or_insert_with(Default::default))
+    }
+
+    /// Reads one dictionary operand, returning its table position.
     fn shared<T: ?Sized + Eq + Hash>(
         &mut self,
         table: impl Fn(&mut DecoderDict) -> &mut DecoderTable<T>,
         literal: impl FnOnce(&mut Self) -> Result<Arc<T>, WireError>,
-    ) -> Result<Arc<T>, WireError> {
+    ) -> Result<usize, WireError> {
         let k = self.u64()?;
         let entry = if k == 0 { Some(literal(self)?) } else { None };
-        let table = table(self.dict.get_or_insert_with(Default::default));
+        let table = self.dict_table(table);
         let Some(entry) = entry else {
             return usize::try_from(k - 1)
                 .ok()
-                .and_then(|i| table.entries.get(i))
-                .cloned()
+                .filter(|&i| i < table.entries.len())
                 .ok_or(WireError::Malformed("dictionary reference past its table"));
         };
         if !table.contents.insert(Arc::clone(&entry)) {
@@ -401,8 +435,8 @@ impl<'a> Decoder<'a> {
                 "dictionary entry repeats an earlier one",
             ));
         }
-        table.entries.push(Arc::clone(&entry));
-        Ok(entry)
+        table.entries.push(entry);
+        Ok(table.entries.len() - 1)
     }
 }
 

@@ -38,7 +38,7 @@ use orochi_sqldb::engine::WriteOutcome;
 use orochi_sqldb::{
     Database, ExecOutcome, PreparedQuery, RedoError, RedoStats, SqlError, VersionedDb, MAXQ,
 };
-use orochi_state::object::{DbWriteResult, ObjectName, OpContents, OpType};
+use orochi_state::object::{DbWriteResult, ObjectName, OpContents, OpContentsRef, OpType};
 use orochi_state::versioned_kv::VersionedKv;
 use orochi_trace::record::{BalanceError, Trace};
 use orochi_trace::{TraceSource, TraceStoreError};
@@ -445,9 +445,10 @@ struct LogStores<'a> {
     /// The versioned key-value view (`kv.Build(OL)`, Fig. 12 line 5),
     /// borrowing the log's keys and values.
     kv: Option<VersionedKv<'a>>,
-    /// For entry index `j`, the index of the latest `RegisterWrite`
-    /// strictly before `j`; for logs containing a `RegisterRead`.
-    reg_prev_write: Option<Vec<Option<usize>>>,
+    /// For entry index `j`, the sequence number of the latest
+    /// `RegisterWrite` strictly before `j`, 0 for none; for logs
+    /// containing a `RegisterRead`.
+    reg_prev_write: Option<Vec<u32>>,
 }
 
 /// A database log's redone store and the committed reads re-execution
@@ -567,11 +568,11 @@ fn build_stores_for<'a>(
     let has_kv = log.contains_op_type(OpType::KvGet) || log.contains_op_type(OpType::KvSet);
     let reg_prev_write = log.contains_op_type(OpType::RegisterRead).then(|| {
         let mut out = Vec::with_capacity(log.len());
-        let mut last: Option<usize> = None;
-        for (j, entry) in log.entries().iter().enumerate() {
+        let mut last = 0;
+        for (seq, entry) in log.iter() {
             out.push(last);
             if entry.op_type() == OpType::RegisterWrite {
-                last = Some(j);
+                last = seq.0 as u32;
             }
         }
         out
@@ -670,7 +671,7 @@ impl<'a> AuditContext<'a> {
         &self,
         rid: RequestId,
         object: &ObjectName,
-    ) -> Result<(usize, OpNum, usize, SeqNum, &'a OpContents), Rejection> {
+    ) -> Result<(usize, OpNum, usize, SeqNum, OpContentsRef<'a>), Rejection> {
         // A request the reports never name has no OpMap row; report it
         // the way an empty row would (opnum cursor at 1).
         let Some(idx) = self.row(rid) else {
@@ -696,7 +697,7 @@ impl<'a> AuditContext<'a> {
             .log(i)
             .and_then(|l| l.get(s))
             .expect("OpMap points into logs");
-        Ok((idx, opnum, i, s, &entry.contents))
+        Ok((idx, opnum, i, s, entry.contents))
     }
 
     /// `CheckOp` (Fig. 12 lines 10–15) for non-database operations: the
@@ -707,7 +708,7 @@ impl<'a> AuditContext<'a> {
         &mut self,
         rid: RequestId,
         object: &ObjectName,
-        matches: impl FnOnce(&OpContents) -> bool,
+        matches: impl FnOnce(OpContentsRef<'a>) -> bool,
     ) -> Result<(usize, usize, SeqNum), Rejection> {
         let (idx, opnum, i, s, logged) = self.resolve_op(rid, object)?;
         if !matches(logged) {
@@ -733,18 +734,18 @@ impl<'a> AuditContext<'a> {
             .as_ref()
             .expect("prologue builds prev-write indexes for register logs");
         let value = match prev[(s.0 - 1) as usize] {
-            Some(widx) => {
-                let log = shared.reports.op_logs.log(i).expect("checked index");
-                match &log.entries()[widx].contents {
-                    OpContents::RegisterWrite { value } => Some(&**value),
-                    _ => unreachable!("prev-write index only records writes"),
-                }
-            }
-            None => shared
+            0 => shared
                 .config
                 .initial_registers
                 .get(object.as_str())
                 .map(Vec::as_slice),
+            write => {
+                let log = shared.reports.op_logs.log(i).expect("checked index");
+                match log.get(SeqNum(write.into())).map(|e| e.contents) {
+                    Some(OpContents::RegisterWrite { value }) => Some(value),
+                    _ => unreachable!("prev-write index only records writes"),
+                }
+            }
         };
         self.opnum_next[idx] += 1;
         self.stats.register_ops += 1;
@@ -763,7 +764,7 @@ impl<'a> AuditContext<'a> {
         let (idx, ..) = self.check_op(
             rid,
             object,
-            |l| matches!(l, OpContents::RegisterWrite { value: v } if **v == *value),
+            |l| matches!(l, OpContents::RegisterWrite { value: v } if v == value),
         )?;
         self.opnum_next[idx] += 1;
         self.stats.register_ops += 1;
@@ -782,7 +783,7 @@ impl<'a> AuditContext<'a> {
         let (idx, i, s) = self.check_op(
             rid,
             object,
-            |l| matches!(l, OpContents::KvGet { key: k } if **k == *key),
+            |l| matches!(l, OpContents::KvGet { key: k } if k == key),
         )?;
         let shared: &AuditShared<'a> = &self.shared;
         let kv = shared.stores[i]
@@ -812,9 +813,11 @@ impl<'a> AuditContext<'a> {
         key: &str,
         value: Option<&[u8]>,
     ) -> Result<(), Rejection> {
-        let (idx, ..) = self.check_op(rid, object, |l| {
-            matches!(l, OpContents::KvSet { key: k, value: v } if **k == *key && v.as_deref() == value)
-        })?;
+        let (idx, ..) = self.check_op(
+            rid,
+            object,
+            |l| matches!(l, OpContents::KvSet { key: k, value: v } if k == key && v == value),
+        )?;
         self.opnum_next[idx] += 1;
         self.stats.kv_ops += 1;
         Ok(())
@@ -832,7 +835,7 @@ impl<'a> AuditContext<'a> {
         let (total, succeeded) = match logged {
             OpContents::DbOp {
                 queries, succeeded, ..
-            } => (queries.len() as u64, *succeeded),
+            } => (queries.len() as u64, succeeded),
             _ => return Err(Rejection::OpContentsMismatch { rid, opnum }),
         };
         self.in_txn[idx] = true;
@@ -875,7 +878,7 @@ impl<'a> AuditContext<'a> {
             .log(handle.obj_index)
             .and_then(|l| l.get(handle.seq))
             .expect("handle indexes a validated entry");
-        let (queries, write_results) = match &entry.contents {
+        let (queries, write_results) = match entry.contents {
             OpContents::DbOp {
                 queries,
                 write_results,

@@ -61,6 +61,7 @@
 use crate::precedence::for_each_frontier_edge;
 use crate::reports::Reports;
 use orochi_common::ids::{OpNum, RequestId, SeqNum};
+use orochi_state::oplog::{OpLog, OperandTables};
 use orochi_trace::record::{BalancedTrace, RidInterner};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -187,21 +188,33 @@ impl OpMap {
         // for every request it logs.
         let mut rows = HashMap::with_capacity(reports.op_counts.len());
         let mut sizes: Vec<(u32, u32)> = Vec::with_capacity(reports.op_counts.len());
-        let mut name = |rid: RequestId, entries: u32| {
+        let mut name = |rid: RequestId| {
             let next = sizes.len() as u32;
             let row = *rows.entry(rid).or_insert(next);
             if row == next {
                 sizes.push((reports.op_count(rid), 0));
             }
-            sizes[row as usize].1 += entries;
             row
         };
-        let logged = reports.op_logs.iter().flat_map(|(_, _, log)| log.entries());
+        // Each log entry names its request by its row in the log's
+        // operand tables, so a table's rows are resolved once, one hash
+        // per request it numbers, and no entry's rid is hashed. Every log
+        // decoded from one bundle shares one table.
+        let mut resolved: HashMap<*const OperandTables, Vec<u32>> = HashMap::new();
         let mut entry_rows = Vec::with_capacity(reports.total_ops());
-        entry_rows.extend(logged.map(|entry| name(entry.rid, 1)));
+        for (_, _, log) in reports.op_logs.iter() {
+            let table = resolved
+                .entry(Arc::as_ptr(log.tables()))
+                .or_insert_with(|| log.tables().rids().iter().map(|&rid| name(rid)).collect());
+            entry_rows.extend(log.rows().map(|row| table[row as usize]));
+        }
+        drop(resolved);
         reports.nondet.requests().for_each(|rid| {
-            name(rid, 0);
+            name(rid);
         });
+        for &row in &entry_rows {
+            sizes[row as usize].1 += 1;
+        }
         let mut offsets = Vec::with_capacity(sizes.len() + 1);
         offsets.push(0);
         for &(m, entries) in &sizes {
@@ -218,10 +231,10 @@ impl OpMap {
         // Claims on opnums past a row's slots: in range, but the request
         // is short of entries, which validation rejects as missing.
         let mut beyond = HashSet::new();
-        let entries = (reports.op_logs.iter())
-            .flat_map(|(i, _, log)| log.iter().map(move |(seq, e)| (i as u32, seq.0 as u32, e)));
-        for (pos, ((i, seq, entry), &row)) in entries.zip(&map.entry_rows).enumerate() {
-            let (rid, opnum) = (entry.rid, entry.opnum);
+        let entries = (reports.op_logs.iter()).flat_map(|(i, _, log)| {
+            (log.heads().enumerate()).map(move |(j, head)| (i as u32, j as u32 + 1, head))
+        });
+        for (pos, ((i, seq, (rid, opnum)), &row)) in entries.zip(&map.entry_rows).enumerate() {
             let m = map.counts[row as usize];
             let duplicate = GraphRejection::DuplicateOperation { rid, opnum };
             let (start, end) = (map.offsets[row as usize], map.offsets[row as usize + 1]);
@@ -537,10 +550,10 @@ pub fn process_op_reports_interned(
     let mut entry_rows = opmap.entry_rows.iter().enumerate();
     for (_, _, log) in reports.op_logs.iter() {
         let mut dense = Vec::with_capacity(log.len());
-        for (entry, (pos, &row)) in log.entries().iter().zip(&mut entry_rows) {
+        for ((rid, _), (pos, &row)) in log.heads().zip(&mut entry_rows) {
             let idx = row_dense[row as usize];
             if idx == UNSET {
-                return Err(GraphRejection::LogEntryUnknownRequest { rid: entry.rid });
+                return Err(GraphRejection::LogEntryUnknownRequest { rid });
             }
             if let Some(defect) = opmap.defect_at(pos) {
                 return Err(defect.clone());
@@ -574,9 +587,10 @@ pub fn process_op_reports_interned(
     // Same-request log adjacency must be in increasing opnum order
     // (different-request adjacency becomes a log-order edge below).
     for ((_, _, log), dense) in reports.op_logs.iter().zip(&resolved) {
-        for (k, pair) in log.entries().windows(2).enumerate() {
-            if dense[k] == dense[k + 1] && pair[0].opnum >= pair[1].opnum {
-                return Err(GraphRejection::LogOrderViolation { rid: pair[1].rid });
+        for (k, (prev, curr)) in adjacent(log).enumerate() {
+            if dense[k] == dense[k + 1] && prev >= curr {
+                let (rid, _) = log.heads().nth(k + 1).expect("an adjacent pair");
+                return Err(GraphRejection::LogOrderViolation { rid });
             }
         }
     }
@@ -602,11 +616,11 @@ pub fn process_op_reports_interned(
         }
         // AddStateEdges: adjacent log entries of different requests.
         for ((_, _, log), dense) in reports.op_logs.iter().zip(&resolved) {
-            for (k, pair) in log.entries().windows(2).enumerate() {
+            for (k, (prev, curr)) in adjacent(log).enumerate() {
                 if dense[k] != dense[k + 1] {
                     emit(
-                        base[dense[k] as usize] + pair[0].opnum.0,
-                        base[dense[k + 1] as usize] + pair[1].opnum.0,
+                        base[dense[k] as usize] + prev.0,
+                        base[dense[k + 1] as usize] + curr.0,
                     );
                 }
             }
@@ -640,6 +654,11 @@ pub fn process_op_reports_interned(
         return Err(GraphRejection::CycleDetected);
     }
     Ok(graph)
+}
+
+/// The opnums of each pair of adjacent entries of `log`, in log order.
+fn adjacent(log: &OpLog) -> impl Iterator<Item = (OpNum, OpNum)> + '_ {
+    log.opnums().zip(log.opnums().skip(1))
 }
 
 pub mod two_phase {
@@ -847,14 +866,13 @@ pub mod two_phase {
 
         // AddStateEdges.
         for (_, _, log) in reports.op_logs.iter() {
-            for pair in log.entries().windows(2) {
-                let (prev, curr) = (&pair[0], &pair[1]);
-                if prev.rid != curr.rid {
-                    let from = graph.node(prev.rid, prev.opnum);
-                    let to = graph.node(curr.rid, curr.opnum);
+            for ((prev_rid, prev_op), (rid, opnum)) in log.heads().zip(log.heads().skip(1)) {
+                if prev_rid != rid {
+                    let from = graph.node(prev_rid, prev_op);
+                    let to = graph.node(rid, opnum);
                     graph.add_edge(from, to);
-                } else if prev.opnum >= curr.opnum {
-                    return Err(GraphRejection::LogOrderViolation { rid: curr.rid });
+                } else if prev_op >= opnum {
+                    return Err(GraphRejection::LogOrderViolation { rid });
                 }
             }
         }

@@ -46,5 +46,5 @@ pub use audit::{
 pub use exec::{DbTxnHandle, GroupExecutor};
 pub use graph::{process_op_reports, AuditGraph, OpMap};
 pub use nondet::{NondetLog, NondetValue};
-pub use reports::{load_reports, spill_reports, Reports};
+pub use reports::{load_reports, spill_reports, OpCounts, Reports};
 pub use streaming::{audit_streaming_source, StreamingAudit};

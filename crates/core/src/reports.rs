@@ -25,7 +25,7 @@ use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
 use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_state::oplog::OpLogs;
 use orochi_trace::{TraceStoreError, TraceStoreReader, TraceStoreWriter};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Blob name under which the report bundle is stored.
 pub const REPORTS_BLOB: &str = "reports";
@@ -38,7 +38,7 @@ pub struct Reports {
     /// `OL_1..OL_n`: per-object operation logs (§3.3).
     pub op_logs: OpLogs,
     /// `M`: requestID -> total object-operation count (§3.3).
-    pub op_counts: HashMap<RequestId, u32>,
+    pub op_counts: OpCounts,
     /// Recorded nondeterministic builtin results (§4.6).
     pub nondet: NondetLog,
 }
@@ -82,10 +82,8 @@ impl Wire for Reports {
             rids.encode(enc);
         }
         self.op_logs.encode(enc);
-        let mut counts: Vec<(&RequestId, &u32)> = self.op_counts.iter().collect();
-        counts.sort();
-        enc.u64(counts.len() as u64);
-        for (rid, count) in counts {
+        enc.u64(self.op_counts.len() as u64);
+        for (rid, count) in self.op_counts.iter() {
             rid.encode(enc);
             enc.u64(*count as u64);
         }
@@ -106,17 +104,34 @@ impl Wire for Reports {
         if m > dec.remaining() {
             return Err(WireError::Malformed("count entries exceed buffer"));
         }
-        let mut op_counts = HashMap::with_capacity(prealloc::<(RequestId, u32)>(m));
+        // The encoder writes `M` sorted by requestID, so the columns fill
+        // in order; out-of-order pairs are found duplicate by a set, then
+        // sorted.
+        let mut op_counts = OpCounts {
+            rids: Vec::with_capacity(prealloc::<RequestId>(m)),
+            counts: Vec::with_capacity(prealloc::<u32>(m)),
+        };
+        let mut unsorted: Option<HashSet<RequestId>> = None;
         for _ in 0..m {
             let rid = RequestId::decode(dec)?;
             let count = dec.u64()?;
             if count > u32::MAX as u64 {
                 return Err(WireError::Malformed("op count out of range"));
             }
-            if op_counts.insert(rid, count as u32).is_some() {
+            if unsorted.is_none() && op_counts.rids.last().is_some_and(|&last| rid <= last) {
+                unsorted = Some(op_counts.rids.iter().copied().collect());
+            }
+            if unsorted.as_mut().is_some_and(|seen| !seen.insert(rid)) {
                 return Err(WireError::Malformed("duplicate rid in op counts"));
             }
+            op_counts.rids.push(rid);
+            op_counts.counts.push(count as u32);
         }
+        if unsorted.is_some() {
+            op_counts = op_counts.into_iter().collect();
+        }
+        op_counts.rids.shrink_to_fit();
+        op_counts.counts.shrink_to_fit();
         let nondet = NondetLog::decode(dec)?;
         Ok(Self {
             groupings,
@@ -124,6 +139,114 @@ impl Wire for Reports {
             op_counts,
             nondet,
         })
+    }
+}
+
+/// `M`: the claimed operation count of each request the executor
+/// names, as two columns sorted by requestID (4 bytes of count and 8 of
+/// requestID per request, found by binary search).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OpCounts {
+    rids: Vec<RequestId>,
+    counts: Vec<u32>,
+}
+
+impl OpCounts {
+    /// No counts.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of requests with a count.
+    pub fn len(&self) -> usize {
+        self.rids.len()
+    }
+
+    /// True if no request has a count.
+    pub fn is_empty(&self) -> bool {
+        self.rids.is_empty()
+    }
+
+    fn find(&self, rid: &RequestId) -> Result<usize, usize> {
+        self.rids.binary_search(rid)
+    }
+
+    /// The count of `rid`, if it has one.
+    pub fn get(&self, rid: &RequestId) -> Option<&u32> {
+        self.find(rid).ok().map(|i| &self.counts[i])
+    }
+
+    /// The count of `rid`, mutably.
+    pub fn get_mut(&mut self, rid: &RequestId) -> Option<&mut u32> {
+        self.find(rid).ok().map(|i| &mut self.counts[i])
+    }
+
+    /// Sets the count of `rid`, returning the one it replaces.
+    pub fn insert(&mut self, rid: RequestId, count: u32) -> Option<u32> {
+        match self.find(&rid) {
+            Ok(i) => Some(std::mem::replace(&mut self.counts[i], count)),
+            Err(i) => {
+                self.rids.insert(i, rid);
+                self.counts.insert(i, count);
+                None
+            }
+        }
+    }
+
+    /// Removes the count of `rid`, returning it.
+    pub fn remove(&mut self, rid: &RequestId) -> Option<u32> {
+        let i = self.find(rid).ok()?;
+        self.rids.remove(i);
+        Some(self.counts.remove(i))
+    }
+
+    /// The requests with a count, in increasing order.
+    pub fn keys(&self) -> impl Iterator<Item = &RequestId> {
+        self.rids.iter()
+    }
+
+    /// `(rid, count)` pairs in increasing requestID order.
+    pub fn iter(&self) -> impl Iterator<Item = (&RequestId, &u32)> {
+        self.rids.iter().zip(&self.counts)
+    }
+
+    /// [`OpCounts::iter`] with the counts mutable.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&RequestId, &mut u32)> {
+        self.rids.iter().zip(&mut self.counts)
+    }
+}
+
+impl FromIterator<(RequestId, u32)> for OpCounts {
+    /// Collects pairs in any order; a later pair for a request replaces
+    /// an earlier one, as in a map.
+    fn from_iter<I: IntoIterator<Item = (RequestId, u32)>>(pairs: I) -> Self {
+        let mut pairs: Vec<(RequestId, u32)> = pairs.into_iter().collect();
+        // Stable, so equal requestIDs keep their order and the last wins.
+        pairs.sort_by_key(|&(rid, _)| rid);
+        let mut out = OpCounts::new();
+        for (rid, count) in pairs {
+            if out.rids.last() == Some(&rid) {
+                *out.counts.last_mut().expect("parallel columns") = count;
+            } else {
+                out.rids.push(rid);
+                out.counts.push(count);
+            }
+        }
+        out
+    }
+}
+
+impl IntoIterator for OpCounts {
+    type Item = (RequestId, u32);
+    type IntoIter = std::iter::Zip<std::vec::IntoIter<RequestId>, std::vec::IntoIter<u32>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.rids.into_iter().zip(self.counts)
+    }
+}
+
+impl Extend<(RequestId, u32)> for OpCounts {
+    fn extend<I: IntoIterator<Item = (RequestId, u32)>>(&mut self, pairs: I) {
+        *self = std::mem::take(self).into_iter().chain(pairs).collect();
     }
 }
 

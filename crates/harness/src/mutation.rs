@@ -219,7 +219,7 @@ impl MutationOp {
                 })
             }
             MutationOp::RetargetKvWrite => kv_op(reports, rng, touched, self.name(), |log, pos| {
-                let mut entries = log.entries().to_vec();
+                let mut entries = log.entries();
                 let detail;
                 if let OpContents::KvSet { key, .. } = &mut entries[pos].contents {
                     detail = format!("retargeted KvSet {key} -> {key}~");
@@ -248,7 +248,7 @@ impl MutationOp {
                     .map(|(p, _)| p)
                     .collect();
                 let &pos = pick(rng, &candidates)?;
-                let mut entries = log.entries().to_vec();
+                let mut entries = log.entries();
                 let key = entry_key(&entries[pos]);
                 if let OpContents::KvSet { value: Some(v), .. } = &mut entries[pos].contents {
                     *v = flip_first_bit(v);
@@ -282,11 +282,11 @@ impl MutationOp {
                     .iter()
                     .filter(|(_, name, _)| name.0.starts_with("reg:") && !touched.contains(&name.0))
                     .flat_map(|(i, _, log)| {
-                        log.entries()
-                            .iter()
+                        log.iter()
+                            .map(|(_, e)| e)
                             .enumerate()
                             .filter(|(_, e)| {
-                                matches!(&e.contents,
+                                matches!(e.contents,
                                     OpContents::RegisterWrite { value } if !value.is_empty())
                             })
                             .map(move |(p, _)| (i, p))
@@ -295,7 +295,7 @@ impl MutationOp {
                 let &(i, pos) = pick(rng, &candidates)?;
                 let name = reports.op_logs.name(i).expect("index from scan").0.clone();
                 let log = reports.op_logs.log_mut(i).expect("index from scan");
-                let mut entries = log.entries().to_vec();
+                let mut entries = log.entries();
                 if let OpContents::RegisterWrite { value } = &mut entries[pos].contents {
                     *value = flip_first_bit(value);
                 }
@@ -333,8 +333,8 @@ impl MutationOp {
                 let &(i, p, q) = pick(rng, &candidates)?;
                 let name = reports.op_logs.name(i).expect("index from scan").0.clone();
                 let log = reports.op_logs.log_mut(i).expect("index from scan");
-                let rid = log.entries()[p].rid;
-                let mut entries = log.entries().to_vec();
+                let mut entries = log.entries();
+                let rid = entries[p].rid;
                 entries[p..=q].reverse();
                 *log = OpLog::from_entries(entries);
                 touched.insert(name.clone());
@@ -354,7 +354,7 @@ impl MutationOp {
                 // Keep at least the first entry empty-proof: cut
                 // anywhere in 0..len, dropping len-cut entries.
                 let cut = rng.next_below(len as u64) as usize;
-                let mut entries = log.entries().to_vec();
+                let mut entries = log.entries();
                 entries.truncate(cut);
                 *log = OpLog::from_entries(entries);
                 touched.insert(name.clone());
@@ -371,7 +371,7 @@ impl MutationOp {
                 let name = reports.op_logs.name(i).expect("index from scan").0.clone();
                 let log = reports.op_logs.log_mut(i).expect("index from scan");
                 let pos = rng.next_below(log.len() as u64) as usize;
-                let mut entries = log.entries().to_vec();
+                let mut entries = log.entries();
                 let rid = entries[pos].rid;
                 let old = entries[pos].opnum.0;
                 entries[pos].opnum.0 = old + 1;
@@ -706,7 +706,7 @@ pub fn stale_read_pairs(log: &OpLog, key_prefix: &str) -> Vec<(usize, usize)> {
 
 /// Removes and returns the entry at `pos`.
 pub fn apply_drop(log: &mut OpLog, pos: usize) -> OpLogEntry {
-    let mut entries = log.entries().to_vec();
+    let mut entries = log.entries();
     let removed = entries.remove(pos);
     *log = OpLog::from_entries(entries);
     removed
@@ -714,7 +714,7 @@ pub fn apply_drop(log: &mut OpLog, pos: usize) -> OpLogEntry {
 
 /// Duplicates the entry at `pos` in place (the copy lands at `pos+1`).
 pub fn apply_duplicate(log: &mut OpLog, pos: usize) {
-    let mut entries = log.entries().to_vec();
+    let mut entries = log.entries();
     let dup = entries[pos].clone();
     entries.insert(pos + 1, dup);
     *log = OpLog::from_entries(entries);
@@ -722,7 +722,7 @@ pub fn apply_duplicate(log: &mut OpLog, pos: usize) {
 
 /// Moves the read at `read` to just after the write at `write < read`.
 pub fn apply_move_read(log: &mut OpLog, read: usize, write: usize) {
-    let mut entries = log.entries().to_vec();
+    let mut entries = log.entries();
     let moved = entries.remove(read);
     entries.insert(write + 1, moved);
     *log = OpLog::from_entries(entries);
@@ -802,10 +802,10 @@ fn register_op(
         .iter()
         .filter(|(_, name, _)| name.0.starts_with("reg:") && !touched.contains(&name.0))
         .flat_map(|(i, _, log)| {
-            log.entries()
-                .iter()
+            log.iter()
+                .map(|(_, e)| e)
                 .enumerate()
-                .filter(|(_, e)| matches!(&e.contents, OpContents::RegisterWrite { .. }))
+                .filter(|(_, e)| matches!(e.contents, OpContents::RegisterWrite { .. }))
                 .map(move |(p, _)| (i, p))
         })
         .collect();
@@ -845,7 +845,7 @@ fn db_op(
         .map(|(p, _)| p)
         .collect();
     let &pos = pick(rng, &candidates)?;
-    let mut entries = log.entries().to_vec();
+    let mut entries = log.entries();
     let detail = edit(&mut entries, pos, rng);
     *log = OpLog::from_entries(entries);
     touched.insert(name.0.clone());

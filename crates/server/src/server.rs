@@ -281,7 +281,7 @@ impl Server {
         let reports = Reports {
             groupings,
             op_logs: self.shared.recorder.stitch_with(threads),
-            op_counts: rows.op_counts,
+            op_counts: rows.op_counts.into_iter().collect(),
             nondet: rows.nondet,
         };
         let busy = Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed));

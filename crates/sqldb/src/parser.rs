@@ -54,7 +54,11 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     // Allow one optional trailing semicolon.
     if p.peek_sym(";") {
@@ -66,12 +70,38 @@ pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
     Ok(stmt)
 }
 
+/// Deepest expression the parser builds. Each parenthesis, `NOT`, unary
+/// minus and chained binary operator takes one level, so the bound caps
+/// the AST's depth and with it the recursion of the parser, of
+/// evaluation and of the AST's drop: a text nested deeper fails to
+/// parse, however long. The apps' texts nest at most a few levels.
+pub const MAX_EXPR_DEPTH: u32 = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expression levels open at `pos`, at most [`MAX_EXPR_DEPTH`].
+    depth: u32,
 }
 
 impl Parser {
+    /// Opens one more expression level, failing past [`MAX_EXPR_DEPTH`].
+    /// The caller closes it with [`Parser::close`] (a failed parse never
+    /// resumes, so an error path need not).
+    fn open(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn close(&mut self, levels: u32) {
+        self.depth -= levels;
+    }
+
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError::Syntax {
             at: self.pos,
@@ -427,7 +457,10 @@ impl Parser {
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.and_expr()?;
+        let mut levels = 0;
         while self.eat_kw("OR") {
+            self.open()?;
+            levels += 1;
             let rhs = self.and_expr()?;
             lhs = Expr::Binary {
                 op: BinOp::Or,
@@ -435,12 +468,16 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.close(levels);
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.not_expr()?;
+        let mut levels = 0;
         while self.eat_kw("AND") {
+            self.open()?;
+            levels += 1;
             let rhs = self.not_expr()?;
             lhs = Expr::Binary {
                 op: BinOp::And,
@@ -448,12 +485,16 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.close(levels);
         Ok(lhs)
     }
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_kw("NOT") {
-            return Ok(Expr::Not(Box::new(self.not_expr()?)));
+            self.open()?;
+            let e = Expr::Not(Box::new(self.not_expr()?));
+            self.close(1);
+            return Ok(e);
         }
         self.predicate()
     }
@@ -537,14 +578,18 @@ impl Parser {
 
     fn additive(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.multiplicative()?;
+        let mut levels = 0;
         loop {
             let op = if self.eat_sym("+") {
                 BinOp::Add
             } else if self.eat_sym("-") {
                 BinOp::Sub
             } else {
+                self.close(levels);
                 return Ok(lhs);
             };
+            self.open()?;
+            levels += 1;
             let rhs = self.multiplicative()?;
             lhs = Expr::Binary {
                 op,
@@ -556,6 +601,7 @@ impl Parser {
 
     fn multiplicative(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
+        let mut levels = 0;
         loop {
             let op = if self.eat_sym("*") {
                 BinOp::Mul
@@ -564,8 +610,11 @@ impl Parser {
             } else if self.eat_sym("%") {
                 BinOp::Mod
             } else {
+                self.close(levels);
                 return Ok(lhs);
             };
+            self.open()?;
+            levels += 1;
             let rhs = self.unary()?;
             lhs = Expr::Binary {
                 op,
@@ -577,7 +626,10 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat_sym("-") {
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            self.open()?;
+            let e = Expr::Neg(Box::new(self.unary()?));
+            self.close(1);
+            return Ok(e);
         }
         self.atom()
     }
@@ -606,7 +658,9 @@ impl Parser {
             }
             Some(Token::Sym("(")) => {
                 self.pos += 1;
+                self.open()?;
                 let e = self.or_expr()?;
+                self.close(1);
                 self.expect_sym(")")?;
                 Ok(e)
             }
@@ -710,6 +764,61 @@ mod tests {
         assert!(parse_statement("DROP TABLE t").is_err());
         assert!(parse_statement("SELECT * FROM t extra garbage !").is_err());
         assert!(parse_statement("CREATE TABLE t (a TEXT AUTO_INCREMENT PRIMARY KEY)").is_err());
+    }
+
+    /// Runs `f` on a thread with the default 2 MiB test stack.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        thread.spawn(f).unwrap().join().unwrap()
+    }
+
+    fn select_where(cond: &str) -> String {
+        format!("SELECT v FROM t WHERE {cond}")
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error_not_a_stack_overflow() {
+        let deep = [
+            format!("{}1{}", "(".repeat(20_000), ")".repeat(20_000)),
+            format!("{}v = 1", "NOT ".repeat(100_000)),
+            format!("v = {}1", "- ".repeat(100_000)),
+            format!("v = 1{}", " + 1".repeat(100_000)),
+            format!("v = 1{}", " AND v = 1".repeat(100_000)),
+        ];
+        for cond in deep {
+            let sql = select_where(&cond);
+            let parsed = on_small_stack(move || parse_statement(&sql).map(|_| ()));
+            let Err(ParseError::Syntax { message, .. }) = parsed else {
+                panic!("{parsed:?}");
+            };
+            assert!(message.contains("nested deeper"), "{message}");
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses_and_evaluates() {
+        let d = MAX_EXPR_DEPTH as usize;
+        let at_bound = [
+            format!("v = {}1{}", "(".repeat(d), ")".repeat(d)),
+            format!("{}v = 1", "NOT ".repeat(d)),
+            format!("v = {}1", "- ".repeat(d)),
+            format!("v = 1{}", " + 0".repeat(d)),
+        ];
+        for cond in at_bound {
+            let sql = select_where(&cond);
+            let rows = on_small_stack(move || {
+                let mut db = crate::Database::new();
+                db.execute_autocommit("CREATE TABLE t (v INT)").0.unwrap();
+                db.execute_autocommit("INSERT INTO t (v) VALUES (1)")
+                    .0
+                    .unwrap();
+                db.execute_autocommit(&sql).0.map(|_| ())
+            });
+            assert_eq!(rows, Ok(()), "{cond:.40}");
+            // One more level fails.
+            let over = select_where(&format!("({cond})"));
+            assert!(parse_statement(&over).is_err(), "{cond:.40}");
+        }
     }
 
     #[test]

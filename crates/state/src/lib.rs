@@ -34,8 +34,8 @@ pub mod register;
 pub mod versioned_kv;
 
 pub use kv::KvStore;
-pub use object::{DbWriteResult, ObjectName, OpContents, OpType};
-pub use oplog::{OpLog, OpLogEntry, OpLogs};
+pub use object::{DbWriteResult, ObjectName, OpContents, OpContentsRef, OpType, WriteResults};
+pub use oplog::{LogEntryRef, OpLog, OpLogEntry, OpLogs, OperandTables, PackedEntry};
 pub use recorder::{Recorder, SubLogEntry};
 pub use register::{AtomicRegister, RegisterBank};
 pub use versioned_kv::VersionedKv;

@@ -22,13 +22,15 @@
 //! an operand whose audit work per reference before re-execution is
 //! O(1) goes through the codec's first-use dictionary: a committed
 //! transaction's SELECT texts (queries whose logged write result is not
-//! `Some`) and written register and KV values. Write texts, every text
-//! of an aborted transaction, KV keys and object names stay literal:
+//! `Some`), KV keys, and written register and KV values. Write texts,
+//! every text of an aborted transaction and object names stay literal:
 //! the redo executes every write and every query of an aborted
-//! transaction, and `VersionedKv::build` hashes every key, so sharing
-//! them would let a few wire bytes buy that work again and again.
+//! transaction, so sharing them would let a few wire bytes buy that work
+//! again and again. A key is stored as its table index, and
+//! `VersionedKv::build` files each `KvSet` under that index without
+//! hashing it (see `crate::oplog`).
 
-use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
+use orochi_common::codec::{Decoder, Encoder, Wire, WireError};
 use std::sync::Arc;
 
 /// Canonical name of a shared object.
@@ -145,42 +147,76 @@ impl Wire for DbWriteResult {
     }
 }
 
-/// The operands of a state operation (the `opcontents` of §3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum OpContents {
+/// The operands of a state operation (the `opcontents` of §3.3), over
+/// the operand storage its type parameters name.
+///
+/// With the defaults it is the *owned* form: each entry holds its own
+/// handles, which is how the recorder, the tests and the mutation
+/// harness build and edit entries ([`crate::oplog::OpLogEntry`]). An
+/// [`crate::oplog::OpLog`] stores none of these: it packs its entries
+/// into fixed-size records over shared operand tables, and lends each
+/// one out as an [`OpContentsRef`], a `Copy` view of the same shape
+/// whose fields borrow the tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpContents<Q = Vec<Arc<str>>, W = Vec<Option<DbWriteResult>>, K = Arc<str>, V = Arc<[u8]>>
+{
     /// Register read carries no operands.
     RegisterRead,
     /// Register write carries the value to write.
     RegisterWrite {
         /// Serialized value being written.
-        value: Arc<[u8]>,
+        value: V,
     },
     /// Key-value get carries the key.
     KvGet {
         /// Key to read.
-        key: Arc<str>,
+        key: K,
     },
     /// Key-value set carries key and value; `None` deletes the key.
     KvSet {
         /// Key to write.
-        key: Arc<str>,
+        key: K,
         /// New value, or `None` for deletion.
-        value: Option<Arc<[u8]>>,
+        value: Option<V>,
     },
     /// A database transaction: the SQL statements, whether the transaction
     /// committed, and the logged per-statement write results (`None` for
     /// reads).
     DbOp {
         /// SQL statements in program order.
-        queries: Vec<Arc<str>>,
+        queries: Q,
         /// True if the transaction committed; false if it aborted.
         succeeded: bool,
         /// Per-statement write results, parallel to `queries`.
-        write_results: Vec<Option<DbWriteResult>>,
+        write_results: W,
     },
 }
 
-impl OpContents {
+/// A log entry's operands, borrowed from its log's operand tables.
+pub type OpContentsRef<'a> = OpContents<&'a [Arc<str>], WriteResults<'a>, &'a str, &'a [u8]>;
+
+/// A transaction's logged write results, borrowed: a slice whose
+/// reference iterates, so a view's `write_results` zips like the owned
+/// form's `Vec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WriteResults<'a>(pub &'a [Option<DbWriteResult>]);
+
+impl<'a> std::ops::Deref for WriteResults<'a> {
+    type Target = [Option<DbWriteResult>];
+    fn deref(&self) -> &[Option<DbWriteResult>] {
+        self.0
+    }
+}
+
+impl<'a> IntoIterator for &WriteResults<'a> {
+    type Item = &'a Option<DbWriteResult>;
+    type IntoIter = std::slice::Iter<'a, Option<DbWriteResult>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl<Q, W, K, V> OpContents<Q, W, K, V> {
     /// The [`OpType`] tag this contents value belongs to.
     pub fn op_type(&self) -> OpType {
         match self {
@@ -193,92 +229,14 @@ impl OpContents {
     }
 }
 
-impl Wire for OpContents {
-    fn encode(&self, enc: &mut Encoder) {
-        self.op_type().encode(enc);
-        match self {
-            OpContents::RegisterRead => {}
-            OpContents::RegisterWrite { value } => enc.shared_bytes(value),
-            OpContents::KvGet { key } => enc.str(key),
-            OpContents::KvSet { key, value } => {
-                enc.str(key);
-                match value {
-                    None => enc.bool(false),
-                    Some(v) => {
-                        enc.bool(true);
-                        enc.shared_bytes(v);
-                    }
-                }
-            }
-            OpContents::DbOp {
-                queries,
-                succeeded,
-                write_results,
-            } => {
-                // The outcome and write results first: they say which
-                // texts are a committed transaction's SELECTs, and only
-                // those are shared.
-                enc.bool(*succeeded);
-                write_results.encode(enc);
-                enc.u64(queries.len() as u64);
-                for (q, sql) in queries.iter().enumerate() {
-                    if is_shared(*succeeded, write_results, q) {
-                        enc.shared_str(sql);
-                    } else {
-                        enc.str(sql);
-                    }
-                }
-            }
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(match OpType::decode(dec)? {
-            OpType::RegisterRead => OpContents::RegisterRead,
-            OpType::RegisterWrite => OpContents::RegisterWrite {
-                value: dec.shared_bytes()?,
-            },
-            OpType::KvGet => OpContents::KvGet {
-                key: dec.str_ref()?.into(),
-            },
-            OpType::KvSet => {
-                let key = dec.str_ref()?.into();
-                let value = if dec.bool()? {
-                    Some(dec.shared_bytes()?)
-                } else {
-                    None
-                };
-                OpContents::KvSet { key, value }
-            }
-            OpType::DbOp => {
-                let succeeded = dec.bool()?;
-                let write_results = Vec::<Option<DbWriteResult>>::decode(dec)?;
-                let len = dec.u64()? as usize;
-                if len > dec.remaining() {
-                    return Err(WireError::Malformed("query count exceeds buffer"));
-                }
-                let mut queries = Vec::with_capacity(prealloc::<Arc<str>>(len));
-                for q in 0..len {
-                    queries.push(if is_shared(succeeded, &write_results, q) {
-                        dec.shared_str()?
-                    } else {
-                        dec.str_ref()?.into()
-                    });
-                }
-                OpContents::DbOp {
-                    queries,
-                    succeeded,
-                    write_results,
-                }
-            }
-        })
-    }
-}
-
 /// True if query `q` of a `DbOp` goes through the dictionary: a read
 /// (no logged write result) of a committed transaction. Every other
 /// text is written literally.
-fn is_shared(succeeded: bool, write_results: &[Option<DbWriteResult>], q: usize) -> bool {
+pub(crate) fn is_shared(
+    succeeded: bool,
+    write_results: &[Option<DbWriteResult>],
+    q: usize,
+) -> bool {
     succeeded && !matches!(write_results.get(q), Some(Some(_)))
 }
 
@@ -305,49 +263,13 @@ mod tests {
 
     #[test]
     fn opcontents_type_tags() {
-        assert_eq!(OpContents::RegisterRead.op_type(), OpType::RegisterRead);
-        assert_eq!(
-            OpContents::KvSet {
-                key: "k".into(),
-                value: None
-            }
-            .op_type(),
-            OpType::KvSet
-        );
-    }
-
-    #[test]
-    fn wire_roundtrip_all_variants() {
-        let variants = vec![
-            OpContents::RegisterRead,
-            OpContents::RegisterWrite {
-                value: vec![1, 2, 3].into(),
-            },
-            OpContents::KvGet { key: "k1".into() },
-            OpContents::KvSet {
-                key: "k2".into(),
-                value: Some(vec![9].into()),
-            },
-            OpContents::KvSet {
-                key: "k3".into(),
-                value: None,
-            },
-            OpContents::DbOp {
-                queries: vec!["SELECT 1".into(), "INSERT INTO t VALUES (1)".into()],
-                succeeded: true,
-                write_results: vec![
-                    None,
-                    Some(DbWriteResult {
-                        affected: 1,
-                        last_insert_id: Some(7),
-                    }),
-                ],
-            },
-        ];
-        for v in variants {
-            let bytes = v.to_wire_bytes();
-            assert_eq!(OpContents::from_wire_bytes(&bytes).unwrap(), v);
-        }
+        let read: OpContents = OpContents::RegisterRead;
+        assert_eq!(read.op_type(), OpType::RegisterRead);
+        let set: OpContents = OpContents::KvSet {
+            key: "k".into(),
+            value: None,
+        };
+        assert_eq!(set.op_type(), OpType::KvSet);
     }
 
     #[test]

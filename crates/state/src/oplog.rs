@@ -5,12 +5,39 @@
 //! conceptually 1-indexed — sequence number `s` corresponds to Rust index
 //! `s - 1` — matching the paper's pseudocode and the `(i, seqnum)` values
 //! stored in the verifier's `OpMap`.
+//!
+//! # Storage
+//!
+//! A log stores each entry as a fixed 12-byte [`PackedEntry`]: the
+//! request's row, the opnum, a kind and one index into exact-capacity
+//! [`OperandTables`]. The tables hold the request of each row, the
+//! distinct texts (KV keys, and the dictionary's SELECT texts), the
+//! written values, every transaction's query texts and write results,
+//! and the `(key, value)` pair of each `KvSet`. Every log decoded from
+//! one bundle shares one set of tables, filled in the decoder's one
+//! pass, so an operand referenced any number of times is stored once
+//! and a request is numbered once: readers of the rows (the OpMap)
+//! need no hash per entry, and [`crate::VersionedKv`] files writes by
+//! key index. Within one set of tables distinct text indices hold
+//! distinct texts. A decoded committed transaction of reads only holds
+//! nothing but dictionary texts, so equal ones share one transaction
+//! record: most of a read-heavy log costs its 12-byte entries alone.
+//!
+//! Entries are read in place as [`LogEntryRef`]s, whose contents are a
+//! borrowed [`OpContentsRef`]. The owned [`OpLogEntry`] is how entries
+//! are built and edited: [`OpLog::from_entries`] packs them, and
+//! [`OpLog::entries`] copies them back out.
 
-use crate::object::{ObjectName, OpContents, OpType};
+use crate::object::{
+    is_shared, DbWriteResult, ObjectName, OpContents, OpContentsRef, OpType, WriteResults,
+};
 use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
 use orochi_common::ids::{OpNum, RequestId, SeqNum};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-/// One entry of an operation log.
+/// One entry of an operation log, owned: the form entries are built and
+/// edited in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpLogEntry {
     /// The request that (allegedly) issued the operation.
@@ -29,25 +56,476 @@ impl OpLogEntry {
     }
 }
 
-impl Wire for OpLogEntry {
-    fn encode(&self, enc: &mut Encoder) {
-        self.rid.encode(enc);
-        self.opnum.encode(enc);
-        self.contents.encode(enc);
+/// One entry of an operation log, lent out of its log's tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogEntryRef<'a> {
+    /// The request that (allegedly) issued the operation.
+    pub rid: RequestId,
+    /// The per-request operation number.
+    pub opnum: OpNum,
+    /// The operation's operands, borrowed.
+    pub contents: OpContentsRef<'a>,
+}
+
+impl LogEntryRef<'_> {
+    /// The operation's type tag.
+    pub fn op_type(&self) -> OpType {
+        self.contents.op_type()
     }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            rid: RequestId::decode(dec)?,
-            opnum: OpNum::decode(dec)?,
-            contents: OpContents::decode(dec)?,
-        })
+}
+
+/// The stored kind of a [`PackedEntry`]: its [`OpType`], with a
+/// transaction's outcome folded in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    RegisterRead,
+    RegisterWrite,
+    KvGet,
+    KvSet,
+    DbCommit,
+    DbAbort,
+}
+
+impl Kind {
+    fn op_type(self) -> OpType {
+        match self {
+            Kind::RegisterRead => OpType::RegisterRead,
+            Kind::RegisterWrite => OpType::RegisterWrite,
+            Kind::KvGet => OpType::KvGet,
+            Kind::KvSet => OpType::KvSet,
+            Kind::DbCommit | Kind::DbAbort => OpType::DbOp,
+        }
+    }
+}
+
+/// One stored log entry: 12 bytes, whatever its operands.
+///
+/// The low 29 bits of `tagged` index the table its kind (the high
+/// three) names: `values` for a register write, `texts` for a KV
+/// get's key, `kv_sets` for a KV set and `txns` for a transaction; a
+/// register read has none.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedEntry {
+    row: u32,
+    opnum: u32,
+    tagged: u32,
+}
+
+/// Bits of a [`PackedEntry`]'s operand index; the kind takes the rest.
+const OPERAND_BITS: u32 = 29;
+
+impl PackedEntry {
+    fn new(row: u32, opnum: u32, kind: Kind, operand: u32) -> Self {
+        debug_assert!(operand < 1 << OPERAND_BITS);
+        Self {
+            row,
+            opnum,
+            tagged: (kind as u32) << OPERAND_BITS | operand,
+        }
+    }
+
+    fn kind(&self) -> Kind {
+        match self.tagged >> OPERAND_BITS {
+            0 => Kind::RegisterRead,
+            1 => Kind::RegisterWrite,
+            2 => Kind::KvGet,
+            3 => Kind::KvSet,
+            4 => Kind::DbCommit,
+            _ => Kind::DbAbort,
+        }
+    }
+
+    fn operand(&self) -> u32 {
+        self.tagged & ((1 << OPERAND_BITS) - 1)
+    }
+}
+
+/// A `KvSet` with no value: a delete.
+const NO_VALUE: u32 = u32::MAX;
+
+/// The operand tables one or more logs' [`PackedEntry`]s index.
+#[derive(Debug, Clone, Default)]
+pub struct OperandTables {
+    /// Per row: its request.
+    rids: Vec<RequestId>,
+    /// Distinct texts: KV keys (and, decoded, the dictionary's SELECTs).
+    texts: Vec<Arc<str>>,
+    /// Written register and KV values.
+    values: Vec<Arc<[u8]>>,
+    /// Every transaction's query texts, transaction by transaction.
+    query_texts: Vec<Arc<str>>,
+    /// Every transaction's logged write results, likewise.
+    query_results: Vec<Option<DbWriteResult>>,
+    /// Per transaction: where its texts and its results start; each
+    /// runs up to the next transaction's start.
+    txns: Vec<(u32, u32)>,
+    /// Per `KvSet`: its key's text index and its value's index, or
+    /// [`NO_VALUE`].
+    kv_sets: Vec<(u32, u32)>,
+}
+
+/// A table position as stored: rows in a `u32`, operands in
+/// [`OPERAND_BITS`].
+fn index(n: usize) -> Result<u32, WireError> {
+    (n < 1 << OPERAND_BITS)
+        .then_some(n as u32)
+        .ok_or(WireError::Malformed("operand table overflow"))
+}
+
+impl OperandTables {
+    /// The request of each row, by row.
+    pub fn rids(&self) -> &[RequestId] {
+        &self.rids
+    }
+
+    /// The entry `e`, borrowed.
+    fn entry(&self, e: &PackedEntry) -> LogEntryRef<'_> {
+        LogEntryRef {
+            rid: self.rids[e.row as usize],
+            opnum: OpNum(e.opnum),
+            contents: self.contents(e),
+        }
+    }
+
+    fn contents(&self, e: &PackedEntry) -> OpContentsRef<'_> {
+        let op = e.operand() as usize;
+        match e.kind() {
+            Kind::RegisterRead => OpContents::RegisterRead,
+            Kind::RegisterWrite => OpContents::RegisterWrite {
+                value: &self.values[op],
+            },
+            Kind::KvGet => OpContents::KvGet {
+                key: &self.texts[op],
+            },
+            Kind::KvSet => {
+                let (key, value) = self.kv_sets[op];
+                OpContents::KvSet {
+                    key: &self.texts[key as usize],
+                    value: (value != NO_VALUE).then(|| &*self.values[value as usize]),
+                }
+            }
+            Kind::DbCommit | Kind::DbAbort => {
+                let (queries, results) = self.txn(op);
+                OpContents::DbOp {
+                    queries,
+                    succeeded: e.kind() == Kind::DbCommit,
+                    write_results: WriteResults(results),
+                }
+            }
+        }
+    }
+
+    /// Transaction `t`'s query texts and write results.
+    fn txn(&self, t: usize) -> (&[Arc<str>], &[Option<DbWriteResult>]) {
+        let (q, r) = self.txns[t];
+        let (q_end, r_end) = self.txns.get(t + 1).map_or(
+            (self.query_texts.len(), self.query_results.len()),
+            |&(q, r)| (q as usize, r as usize),
+        );
+        (
+            &self.query_texts[q as usize..q_end],
+            &self.query_results[r as usize..r_end],
+        )
+    }
+
+    /// The entry `e` as an owned [`OpLogEntry`] whose operand handles
+    /// are clones of the tables' own.
+    fn owned(&self, e: &PackedEntry) -> OpLogEntry {
+        let op = e.operand() as usize;
+        let value = |v: u32| (v != NO_VALUE).then(|| Arc::clone(&self.values[v as usize]));
+        let contents = match e.kind() {
+            Kind::RegisterRead => OpContents::RegisterRead,
+            Kind::RegisterWrite => OpContents::RegisterWrite {
+                value: Arc::clone(&self.values[op]),
+            },
+            Kind::KvGet => OpContents::KvGet {
+                key: Arc::clone(&self.texts[op]),
+            },
+            Kind::KvSet => {
+                let (key, v) = self.kv_sets[op];
+                OpContents::KvSet {
+                    key: Arc::clone(&self.texts[key as usize]),
+                    value: value(v),
+                }
+            }
+            Kind::DbCommit | Kind::DbAbort => {
+                let (queries, results) = self.txn(op);
+                OpContents::DbOp {
+                    queries: queries.to_vec(),
+                    succeeded: e.kind() == Kind::DbCommit,
+                    write_results: results.to_vec(),
+                }
+            }
+        };
+        OpLogEntry {
+            rid: self.rids[e.row as usize],
+            opnum: OpNum(e.opnum),
+            contents,
+        }
+    }
+
+    /// The key's text index and the value's index ([`NO_VALUE`] for a
+    /// delete) of the entry `e`, if it is a `KvSet`.
+    pub(crate) fn kv_set(&self, e: &PackedEntry) -> Option<(u32, u32)> {
+        (e.kind() == Kind::KvSet).then(|| self.kv_sets[e.operand() as usize])
+    }
+
+    /// Number of distinct texts.
+    pub(crate) fn num_texts(&self) -> usize {
+        self.texts.len()
+    }
+
+    pub(crate) fn text(&self, k: u32) -> &str {
+        &self.texts[k as usize]
+    }
+
+    /// Value `v`, or `None` for [`NO_VALUE`].
+    pub(crate) fn value(&self, v: u32) -> Option<&[u8]> {
+        (v != NO_VALUE).then(|| &*self.values[v as usize])
+    }
+
+    /// Packs `e` as an entry of request row `row`, storing its key at
+    /// the text index `key` returns.
+    fn pack(
+        &mut self,
+        row: u32,
+        e: &OpLogEntry,
+        key: impl FnOnce(&mut Self, &Arc<str>) -> u32,
+    ) -> PackedEntry {
+        let at = |n: usize| index(n).expect("an operand table holds under 2^29 entries");
+        let (kind, operand) = match &e.contents {
+            OpContents::RegisterRead => (Kind::RegisterRead, 0),
+            OpContents::RegisterWrite { value } => {
+                self.values.push(Arc::clone(value));
+                (Kind::RegisterWrite, at(self.values.len() - 1))
+            }
+            OpContents::KvGet { key: k } => (Kind::KvGet, key(self, k)),
+            OpContents::KvSet { key: k, value } => {
+                let k = key(self, k);
+                let v = value.as_ref().map_or(NO_VALUE, |v| {
+                    self.values.push(Arc::clone(v));
+                    at(self.values.len() - 1)
+                });
+                self.kv_sets.push((k, v));
+                (Kind::KvSet, at(self.kv_sets.len() - 1))
+            }
+            OpContents::DbOp {
+                queries,
+                succeeded,
+                write_results,
+            } => {
+                self.txns
+                    .push((at(self.query_texts.len()), at(self.query_results.len())));
+                self.query_texts.extend(queries.iter().cloned());
+                self.query_results.extend_from_slice(write_results);
+                let kind = if *succeeded {
+                    Kind::DbCommit
+                } else {
+                    Kind::DbAbort
+                };
+                (kind, at(self.txns.len() - 1))
+            }
+        };
+        PackedEntry::new(row, e.opnum.0, kind, operand)
+    }
+
+    /// Writes entry `e` in the wire format: KV keys, committed SELECT
+    /// texts and written values through the dictionary.
+    fn encode_entry(&self, e: &PackedEntry, enc: &mut Encoder) {
+        self.rids[e.row as usize].encode(enc);
+        OpNum(e.opnum).encode(enc);
+        e.kind().op_type().encode(enc);
+        let op = e.operand() as usize;
+        match e.kind() {
+            Kind::RegisterRead => {}
+            Kind::RegisterWrite => enc.shared_bytes(&self.values[op]),
+            Kind::KvGet => enc.shared_str(&self.texts[op]),
+            Kind::KvSet => {
+                let (key, value) = self.kv_sets[op];
+                enc.shared_str(&self.texts[key as usize]);
+                enc.bool(value != NO_VALUE);
+                if value != NO_VALUE {
+                    enc.shared_bytes(&self.values[value as usize]);
+                }
+            }
+            Kind::DbCommit | Kind::DbAbort => {
+                // The outcome and write results first: they say which
+                // texts are a committed transaction's SELECTs, and only
+                // those are shared.
+                let succeeded = e.kind() == Kind::DbCommit;
+                let (queries, results) = self.txn(op);
+                enc.bool(succeeded);
+                enc.u64(results.len() as u64);
+                results.iter().for_each(|w| w.encode(enc));
+                enc.u64(queries.len() as u64);
+                for (q, sql) in queries.iter().enumerate() {
+                    if is_shared(succeeded, results, q) {
+                        enc.shared_str(sql);
+                    } else {
+                        enc.str(sql);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Releases every table's spare capacity.
+    fn shrink(&mut self) {
+        self.rids.shrink_to_fit();
+        self.texts.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.query_texts.shrink_to_fit();
+        self.query_results.shrink_to_fit();
+        self.txns.shrink_to_fit();
+        self.kv_sets.shrink_to_fit();
+    }
+}
+
+/// Fills one set of [`OperandTables`] for a run of logs, numbering each
+/// request once.
+#[derive(Default)]
+struct Packer {
+    tables: OperandTables,
+    rows: HashMap<RequestId, u32>,
+    /// Decoded read-only committed transactions, by their result count
+    /// and the addresses of their (dictionary-shared) texts -> their
+    /// transaction index: equal ones are stored once.
+    reads: HashMap<Vec<usize>, u32>,
+    /// Scratch for a transaction's key in `reads`.
+    key: Vec<usize>,
+}
+
+impl Packer {
+    fn row(&mut self, rid: RequestId) -> Result<u32, WireError> {
+        let next = index(self.tables.rids.len())?;
+        let row = *self.rows.entry(rid).or_insert(next);
+        if row == next {
+            self.tables.rids.push(rid);
+        }
+        Ok(row)
+    }
+
+    /// Packs owned entries, interning each key's text.
+    fn pack(&mut self, entries: &[OpLogEntry]) -> Vec<PackedEntry> {
+        let mut keys: HashMap<Arc<str>, u32> = HashMap::new();
+        let mut packed = Vec::with_capacity(entries.len());
+        for e in entries {
+            let row = self.row(e.rid).expect("fewer than 2^29 requests");
+            packed.push(self.tables.pack(row, e, |tables, key| {
+                *keys.entry(Arc::clone(key)).or_insert_with(|| {
+                    tables.texts.push(Arc::clone(key));
+                    index(tables.texts.len() - 1).expect("fewer than 2^29 keys")
+                })
+            }));
+        }
+        packed
+    }
+
+    /// Reads one log's entries, in the same pass filling the tables and
+    /// numbering the rows. Keys and values are stored as their
+    /// dictionary positions; [`Packer::finish`] takes the dictionary.
+    fn decode_log(&mut self, dec: &mut Decoder<'_>) -> Result<Vec<PackedEntry>, WireError> {
+        let n = dec.u64()? as usize;
+        if n > dec.remaining() {
+            return Err(WireError::Malformed("vector length exceeds buffer"));
+        }
+        let mut entries = Vec::with_capacity(prealloc::<PackedEntry>(n));
+        for _ in 0..n {
+            entries.push(self.decode_entry(dec)?);
+        }
+        entries.shrink_to_fit();
+        Ok(entries)
+    }
+
+    fn decode_entry(&mut self, dec: &mut Decoder<'_>) -> Result<PackedEntry, WireError> {
+        let row = self.row(RequestId::decode(dec)?)?;
+        let opnum = OpNum::decode(dec)?.0;
+        let t = &mut self.tables;
+        let (kind, operand) = match OpType::decode(dec)? {
+            OpType::RegisterRead => (Kind::RegisterRead, 0),
+            OpType::RegisterWrite => (Kind::RegisterWrite, index(dec.shared_bytes_index()?)?),
+            OpType::KvGet => (Kind::KvGet, index(dec.shared_str_index()?)?),
+            OpType::KvSet => {
+                let key = index(dec.shared_str_index()?)?;
+                let value = if dec.bool()? {
+                    index(dec.shared_bytes_index()?)?
+                } else {
+                    NO_VALUE
+                };
+                t.kv_sets.push((key, value));
+                (Kind::KvSet, index(t.kv_sets.len() - 1)?)
+            }
+            OpType::DbOp => {
+                let succeeded = dec.bool()?;
+                let (q_start, r_start) = (t.query_texts.len(), t.query_results.len());
+                let n = dec.u64()? as usize;
+                if n > dec.remaining() {
+                    return Err(WireError::Malformed("vector length exceeds buffer"));
+                }
+                for _ in 0..n {
+                    t.query_results.push(Option::<DbWriteResult>::decode(dec)?);
+                }
+                let len = dec.u64()? as usize;
+                if len > dec.remaining() {
+                    return Err(WireError::Malformed("query count exceeds buffer"));
+                }
+                for q in 0..len {
+                    let sql = if is_shared(succeeded, &t.query_results[r_start..], q) {
+                        dec.shared_str()?
+                    } else {
+                        dec.str_ref()?.into()
+                    };
+                    t.query_texts.push(sql);
+                }
+                let kind = if succeeded {
+                    Kind::DbCommit
+                } else {
+                    Kind::DbAbort
+                };
+                // A committed transaction of reads only holds nothing but
+                // dictionary texts, so one equal to an earlier one (most
+                // of a read-heavy log) shares its record.
+                let read_only = succeeded && t.query_results[r_start..].iter().all(Option::is_none);
+                let key = &mut self.key;
+                key.clear();
+                if read_only {
+                    let texts = t.query_texts[q_start..].iter();
+                    key.push(n);
+                    key.extend(texts.map(|q| Arc::as_ptr(q) as *const u8 as usize));
+                    if let Some(&txn) = self.reads.get(key.as_slice()) {
+                        t.query_texts.truncate(q_start);
+                        t.query_results.truncate(r_start);
+                        return Ok(PackedEntry::new(row, opnum, kind, txn));
+                    }
+                }
+                t.txns.push((index(q_start)?, index(r_start)?));
+                let txn = index(t.txns.len() - 1)?;
+                if read_only {
+                    self.reads.insert(key.clone(), txn);
+                }
+                (kind, txn)
+            }
+        };
+        Ok(PackedEntry::new(row, opnum, kind, operand))
+    }
+
+    /// The finished tables, at exact capacity; a decoding packer takes
+    /// the texts and values from `dec`'s dictionary.
+    fn finish(mut self, dec: Option<&mut Decoder<'_>>) -> Arc<OperandTables> {
+        if let Some(dec) = dec {
+            self.tables.texts = dec.take_shared_strs();
+            self.tables.values = dec.take_shared_bytes();
+        }
+        self.tables.shrink();
+        Arc::new(self.tables)
     }
 }
 
 /// The ordered operation log of one shared object.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct OpLog {
-    entries: Vec<OpLogEntry>,
+    entries: Vec<PackedEntry>,
+    tables: Arc<OperandTables>,
 }
 
 impl OpLog {
@@ -56,9 +534,14 @@ impl OpLog {
         Self::default()
     }
 
-    /// Creates a log from entries already in order.
+    /// Creates a log from entries already in order, packing them.
     pub fn from_entries(entries: Vec<OpLogEntry>) -> Self {
-        Self { entries }
+        let mut packer = Packer::default();
+        let entries = packer.pack(&entries);
+        Self {
+            entries,
+            tables: packer.finish(None),
+        }
     }
 
     /// Number of entries.
@@ -71,30 +554,70 @@ impl OpLog {
         self.entries.is_empty()
     }
 
-    /// Appends an entry, returning its 1-based sequence number.
+    /// Appends an entry, returning its 1-based sequence number. Each
+    /// append finds the entry's key by a scan of the texts, so build
+    /// logs of many keys with [`OpLog::from_entries`].
     pub fn push(&mut self, entry: OpLogEntry) -> SeqNum {
-        self.entries.push(entry);
+        let tables = Arc::make_mut(&mut self.tables);
+        let row = index(tables.rids.len()).expect("fewer than 2^29 requests");
+        tables.rids.push(entry.rid);
+        let packed = tables.pack(row, &entry, |tables, key| {
+            let found = tables.texts.iter().position(|t| *t == *key);
+            let k = found.unwrap_or_else(|| {
+                tables.texts.push(Arc::clone(key));
+                tables.texts.len() - 1
+            });
+            index(k).expect("fewer than 2^29 keys")
+        });
+        self.entries.push(packed);
         SeqNum(self.entries.len() as u64)
     }
 
     /// Fetches the entry with 1-based sequence number `seq`.
-    pub fn get(&self, seq: SeqNum) -> Option<&OpLogEntry> {
-        if seq.0 == 0 {
-            return None;
-        }
-        self.entries.get((seq.0 - 1) as usize)
+    pub fn get(&self, seq: SeqNum) -> Option<LogEntryRef<'_>> {
+        let at = usize::try_from(seq.0.checked_sub(1)?).ok()?;
+        self.entries.get(at).map(|e| self.tables.entry(e))
     }
 
     /// Iterates `(seq, entry)` pairs in log order.
-    pub fn iter(&self) -> impl Iterator<Item = (SeqNum, &OpLogEntry)> {
+    pub fn iter(&self) -> impl Iterator<Item = (SeqNum, LogEntryRef<'_>)> + '_ {
         self.entries
             .iter()
             .enumerate()
-            .map(|(idx, e)| (SeqNum(idx as u64 + 1), e))
+            .map(|(idx, e)| (SeqNum(idx as u64 + 1), self.tables.entry(e)))
     }
 
-    /// Borrows the raw entry slice (0-indexed).
-    pub fn entries(&self) -> &[OpLogEntry] {
+    /// Each entry's `(rid, opnum)`, in log order, without its operands.
+    pub fn heads(&self) -> impl Iterator<Item = (RequestId, OpNum)> + '_ {
+        let rids = self.tables.rids();
+        (self.entries.iter()).map(|e| (rids[e.row as usize], OpNum(e.opnum)))
+    }
+
+    /// Each entry's opnum, in log order.
+    pub fn opnums(&self) -> impl Iterator<Item = OpNum> + '_ {
+        self.entries.iter().map(|e| OpNum(e.opnum))
+    }
+
+    /// Copies the entries out as owned values, for editing; rebuild with
+    /// [`OpLog::from_entries`]. Reading needs no copy: see
+    /// [`OpLog::iter`].
+    pub fn entries(&self) -> Vec<OpLogEntry> {
+        self.entries.iter().map(|e| self.tables.owned(e)).collect()
+    }
+
+    /// The tables this log's entries index, shared by every log decoded
+    /// from one bundle.
+    pub fn tables(&self) -> &Arc<OperandTables> {
+        &self.tables
+    }
+
+    /// Each entry's row in [`OpLog::tables`], in log order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.entries.iter().map(|e| e.row)
+    }
+
+    /// The packed entries, in log order.
+    pub(crate) fn packed(&self) -> &[PackedEntry] {
         &self.entries
     }
 
@@ -103,17 +626,37 @@ impl OpLog {
     /// to build for each log before sharding the builds across the
     /// worker pool.
     pub fn contains_op_type(&self, ty: OpType) -> bool {
-        self.entries.iter().any(|e| e.op_type() == ty)
+        self.entries.iter().any(|e| e.kind().op_type() == ty)
+    }
+}
+
+impl PartialEq for OpLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a.1 == b.1)
+    }
+}
+
+impl Eq for OpLog {}
+
+impl std::fmt::Debug for OpLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter().map(|(_, e)| e)).finish()
     }
 }
 
 impl Wire for OpLog {
     fn encode(&self, enc: &mut Encoder) {
-        self.entries.encode(enc);
+        enc.u64(self.entries.len() as u64);
+        for e in &self.entries {
+            self.tables.encode_entry(e, enc);
+        }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        let mut packer = Packer::default();
+        let entries = packer.decode_log(dec)?;
         Ok(Self {
-            entries: Vec::<OpLogEntry>::decode(dec)?,
+            entries,
+            tables: packer.finish(Some(dec)),
         })
     }
 }
@@ -197,15 +740,25 @@ impl Wire for OpLogs {
             log.encode(enc);
         }
     }
+    /// Decodes every log in one pass into one shared set of tables.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let n = dec.u64()? as usize;
         if n > dec.remaining() {
             return Err(WireError::Malformed("log count exceeds buffer"));
         }
-        let mut logs = Vec::with_capacity(prealloc::<(ObjectName, OpLog)>(n));
+        let mut packer = Packer::default();
+        let mut packed = Vec::with_capacity(prealloc::<(ObjectName, Vec<PackedEntry>)>(n));
         for _ in 0..n {
-            logs.push((ObjectName::decode(dec)?, OpLog::decode(dec)?));
+            packed.push((ObjectName::decode(dec)?, packer.decode_log(dec)?));
         }
+        let tables = packer.finish(Some(dec));
+        let logs = packed
+            .into_iter()
+            .map(|(name, entries)| {
+                let tables = Arc::clone(&tables);
+                (name, OpLog { entries, tables })
+            })
+            .collect();
         Ok(Self { logs })
     }
 }
@@ -267,6 +820,90 @@ mod tests {
             (ObjectName::db("main"), b),
         ]);
         assert_eq!(logs.total_ops(), 3);
+    }
+
+    #[test]
+    fn wire_roundtrip_all_variants() {
+        let shared: Arc<[u8]> = vec![9].into();
+        let contents: Vec<OpContents> = vec![
+            OpContents::RegisterRead,
+            OpContents::RegisterWrite {
+                value: vec![1, 2, 3].into(),
+            },
+            OpContents::KvGet { key: "k1".into() },
+            OpContents::KvSet {
+                key: "k2".into(),
+                value: Some(Arc::clone(&shared)),
+            },
+            OpContents::KvSet {
+                key: "k1".into(),
+                value: None,
+            },
+            OpContents::RegisterWrite { value: shared },
+            OpContents::DbOp {
+                queries: vec!["SELECT 1".into(), "INSERT INTO t VALUES (1)".into()],
+                succeeded: true,
+                write_results: vec![
+                    None,
+                    Some(DbWriteResult {
+                        affected: 1,
+                        last_insert_id: Some(7),
+                    }),
+                ],
+            },
+            // A shape the redo rejects still round-trips.
+            OpContents::DbOp {
+                queries: vec!["SELECT 1".into()],
+                succeeded: false,
+                write_results: Vec::new(),
+            },
+        ];
+        let entries: Vec<OpLogEntry> = (contents.into_iter().enumerate())
+            .map(|(i, contents)| OpLogEntry {
+                rid: RequestId(i as u64 % 3),
+                opnum: OpNum(i as u32),
+                contents,
+            })
+            .collect();
+        let log = OpLog::from_entries(entries.clone());
+        assert_eq!(log.entries(), entries);
+        let decoded = OpLog::from_wire_bytes(&log.to_wire_bytes()).unwrap();
+        assert_eq!(decoded, log);
+        assert_eq!(decoded.entries(), entries);
+        let mut pushed = OpLog::new();
+        entries.into_iter().for_each(|e| {
+            pushed.push(e);
+        });
+        assert_eq!(pushed, log);
+        assert_eq!(pushed.to_wire_bytes(), log.to_wire_bytes());
+    }
+
+    #[test]
+    fn a_packed_entry_takes_12_bytes() {
+        assert_eq!(std::mem::size_of::<PackedEntry>(), 12);
+    }
+
+    #[test]
+    fn decoded_logs_share_one_table_and_number_each_request_once() {
+        let mut a = OpLog::new();
+        a.push(entry(1, 1));
+        a.push(entry(2, 1));
+        let mut b = OpLog::new();
+        b.push(entry(2, 2));
+        b.push(entry(1, 2));
+        let logs = OpLogs::from_pairs(vec![
+            (ObjectName::session("a"), a),
+            (ObjectName::session("b"), b),
+        ]);
+        let decoded = OpLogs::from_wire_bytes(&logs.to_wire_bytes()).unwrap();
+        assert_eq!(decoded, logs);
+        let (a, b) = (decoded.log(0).unwrap(), decoded.log(1).unwrap());
+        assert!(Arc::ptr_eq(a.tables(), b.tables()));
+        assert_eq!(a.tables().rids(), &[RequestId(1), RequestId(2)]);
+        assert_eq!(
+            a.rows().chain(b.rows()).collect::<Vec<_>>(),
+            vec![0, 1, 1, 0]
+        );
     }
 
     #[test]

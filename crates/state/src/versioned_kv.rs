@@ -5,16 +5,19 @@
 //! the ordered list of `(seq, value)` writes. `get(key, s)` then answers
 //! "what would a replay of log entries `1 .. s-1` return for `key`?" with
 //! one binary search — exactly the requirement stated in §A.7. The view
-//! borrows the log: keys and values are slices of its entries, so
-//! building it copies no value and a read hands out the logged bytes.
+//! borrows the log: a write is stored as its value's index in the log's
+//! operand tables, so building it copies no value and a read hands out
+//! the logged bytes. Writes are filed by their key's text index, which
+//! names one text per index, so the build hashes each distinct key once
+//! rather than every `KvSet`.
 
-use crate::object::OpContents;
-use crate::oplog::OpLog;
+use crate::oplog::{OpLog, OperandTables};
 use orochi_common::ids::SeqNum;
 use std::collections::HashMap;
 
-/// `(seq, value-or-tombstone)` pairs in increasing seq order.
-type VersionList<'a> = Vec<(u64, Option<&'a [u8]>)>;
+/// `(seq, value index)` pairs in increasing seq order; a delete's value
+/// index reads as no value.
+type VersionList = Vec<(u32, u32)>;
 
 /// Versioned view over one key-value object's operation log.
 ///
@@ -41,10 +44,14 @@ type VersionList<'a> = Vec<(u64, Option<&'a [u8]>)>;
 /// // Nothing is visible at seq 1 (writes strictly before).
 /// assert_eq!(kv.get("k", SeqNum(1)), None);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct VersionedKv<'a> {
-    /// Per key: the ordered write history.
-    versions: HashMap<&'a str, VersionList<'a>>,
+    /// The tables the versions index.
+    tables: &'a OperandTables,
+    /// Per key ever written: its write history's position.
+    keys: HashMap<&'a str, u32>,
+    /// Per key, in order of first write: the ordered write history.
+    versions: Vec<VersionList>,
 }
 
 // Every read path (`get`, `has_write_before`, `num_keys`, ...) takes
@@ -55,6 +62,9 @@ const _: fn() = || {
     shareable::<VersionedKv<'static>>();
 };
 
+/// A key index with no write history yet.
+const UNWRITTEN: u32 = u32::MAX;
+
 impl<'a> VersionedKv<'a> {
     /// Builds the versioned map from all `KvSet` operations in `log`
     /// (the paper's `kv.Build(OL_i)`, Fig. 12 line 5).
@@ -64,18 +74,33 @@ impl<'a> VersionedKv<'a> {
     /// so a log that mixes in foreign optypes cannot smuggle anything past
     /// the audit.
     pub fn build(log: &'a OpLog) -> Self {
-        let mut versions: HashMap<&'a str, VersionList<'a>> = HashMap::new();
-        for (seq, entry) in log.iter() {
-            if let OpContents::KvSet { key, value } = &entry.contents {
-                versions
-                    .entry(key)
-                    .or_default()
-                    .push((seq.0, value.as_deref()));
+        let tables = &**log.tables();
+        let mut history = vec![UNWRITTEN; tables.num_texts()];
+        let mut keys = HashMap::new();
+        let mut versions: Vec<VersionList> = Vec::new();
+        for (j, entry) in log.packed().iter().enumerate() {
+            let Some((key, value)) = tables.kv_set(entry) else {
+                continue;
+            };
+            let h = &mut history[key as usize];
+            if *h == UNWRITTEN {
+                *h = versions.len() as u32;
+                keys.insert(tables.text(key), *h);
+                versions.push(Vec::new());
             }
+            // Log iteration is in increasing seq order, so each history
+            // is already sorted.
+            versions[*h as usize].push((j as u32 + 1, value));
         }
-        // Log iteration is in increasing seq order, so each vector is
-        // already sorted.
-        Self { versions }
+        Self {
+            tables,
+            keys,
+            versions,
+        }
+    }
+
+    fn history(&self, key: &str) -> Option<&VersionList> {
+        self.keys.get(key).map(|&h| &self.versions[h as usize])
     }
 
     /// Returns the value the key held just before log position `s`: the
@@ -83,14 +108,14 @@ impl<'a> VersionedKv<'a> {
     /// (`None` if there is no such set, or it was a delete). The bytes
     /// are the log's own.
     pub fn get(&self, key: &str, s: SeqNum) -> Option<&'a [u8]> {
-        let writes = self.versions.get(key)?;
+        let writes = self.history(key)?;
         // Binary search for the first write with seq >= s; the write just
         // before it is the visible one.
-        let idx = writes.partition_point(|(seq, _)| *seq < s.0);
+        let idx = writes.partition_point(|(seq, _)| u64::from(*seq) < s.0);
         if idx == 0 {
             return None;
         }
-        writes[idx - 1].1
+        self.tables.value(writes[idx - 1].1)
     }
 
     /// True if some `KvSet` to `key` appears strictly before log
@@ -98,9 +123,8 @@ impl<'a> VersionedKv<'a> {
     /// state (the verifier carries it over from the previous audit,
     /// §4.1).
     pub fn has_write_before(&self, key: &str, s: SeqNum) -> bool {
-        self.versions
-            .get(key)
-            .is_some_and(|writes| writes.first().is_some_and(|(seq, _)| *seq < s.0))
+        self.history(key)
+            .is_some_and(|writes| writes.first().is_some_and(|(seq, _)| u64::from(*seq) < s.0))
     }
 
     /// Number of distinct keys ever written.
@@ -110,19 +134,19 @@ impl<'a> VersionedKv<'a> {
 
     /// Total number of stored versions (the audit-time space cost).
     pub fn num_versions(&self) -> usize {
-        self.versions.values().map(Vec::len).sum()
+        self.versions.iter().map(Vec::len).sum()
     }
 
     /// The final value of every key after the whole log — the "latest
     /// state" the verifier keeps after the audit (§5.1).
     pub fn final_state(&self) -> Vec<(String, Vec<u8>)> {
         let mut out: Vec<(String, Vec<u8>)> = self
-            .versions
+            .keys
             .iter()
-            .filter_map(|(k, writes)| {
-                writes
-                    .last()
-                    .and_then(|(_, v)| *v)
+            .filter_map(|(k, &h)| {
+                let last = self.versions[h as usize].last()?;
+                self.tables
+                    .value(last.1)
                     .map(|v| (k.to_string(), v.to_vec()))
             })
             .collect();
@@ -134,6 +158,7 @@ impl<'a> VersionedKv<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::OpContents;
     use crate::oplog::OpLogEntry;
     use orochi_common::ids::{OpNum, RequestId};
 

@@ -85,7 +85,7 @@ fn main() {
     // 2. Dropped operation: the logs hide a database write.
     let (mut b, s) = honest_bundle();
     let log = b.reports.op_logs.log_mut(0).unwrap();
-    let mut entries = log.entries().to_vec();
+    let mut entries = log.entries();
     entries.pop();
     *log = OpLog::from_entries(entries);
     verdict("dropped log entry", &b, &s, &config);
@@ -93,7 +93,7 @@ fn main() {
     // 3. Reordered log: swap two entries of the database log.
     let (mut b, s) = honest_bundle();
     let log = b.reports.op_logs.log_mut(0).unwrap();
-    let mut entries = log.entries().to_vec();
+    let mut entries = log.entries();
     if entries.len() >= 2 {
         entries.swap(0, 1);
     }
@@ -113,7 +113,7 @@ fn main() {
         let Some(log) = b.reports.op_logs.log_mut(i) else {
             break;
         };
-        let mut entries: Vec<OpLogEntry> = log.entries().to_vec();
+        let mut entries: Vec<OpLogEntry> = log.entries();
         for e in entries.iter_mut() {
             if let orochi::state::OpContents::RegisterWrite { value } = &mut e.contents {
                 *value = [&**value, &[0xFF]].concat().into();
@@ -142,7 +142,7 @@ fn main() {
     // 7. Fabricated extra op: append a spurious read to a log.
     let (mut b, s) = honest_bundle();
     let log = b.reports.op_logs.log_mut(0).unwrap();
-    let mut entries = log.entries().to_vec();
+    let mut entries = log.entries();
     if let Some(first) = entries.first().cloned() {
         entries.push(OpLogEntry {
             rid: first.rid,

@@ -233,7 +233,7 @@ fn synthetic() -> (Trace, Reports) {
             vec![RequestId(1), RequestId(2), RequestId(3)],
         )],
         op_logs,
-        op_counts,
+        op_counts: op_counts.into_iter().collect(),
         nondet,
     };
     (Trace { events }, reports)

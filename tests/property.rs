@@ -199,7 +199,7 @@ fn fuzzed_reports(balanced: &BalancedTrace, picks: &[u8], tamper: u8) -> Reports
                 OpLog::from_entries(logs.remove(0)),
             ),
         ]),
-        op_counts,
+        op_counts: op_counts.into_iter().collect(),
         nondet: Default::default(),
     }
 }
