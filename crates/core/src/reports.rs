@@ -25,7 +25,6 @@ use orochi_common::codec::{prealloc, Decoder, Encoder, Wire, WireError};
 use orochi_common::ids::{CtlFlowTag, RequestId};
 use orochi_state::oplog::OpLogs;
 use orochi_trace::{TraceStoreError, TraceStoreReader, TraceStoreWriter};
-use std::collections::HashSet;
 
 /// Blob name under which the report bundle is stored.
 pub const REPORTS_BLOB: &str = "reports";
@@ -104,31 +103,24 @@ impl Wire for Reports {
         if m > dec.remaining() {
             return Err(WireError::Malformed("count entries exceed buffer"));
         }
-        // The encoder writes `M` sorted by requestID, so the columns fill
-        // in order; out-of-order pairs are found duplicate by a set, then
-        // sorted.
+        // The encoder writes `M` strictly increasing by requestID, so the
+        // columns fill in order; anything else (a repeat included) is
+        // malformed.
         let mut op_counts = OpCounts {
             rids: Vec::with_capacity(prealloc::<RequestId>(m)),
             counts: Vec::with_capacity(prealloc::<u32>(m)),
         };
-        let mut unsorted: Option<HashSet<RequestId>> = None;
         for _ in 0..m {
             let rid = RequestId::decode(dec)?;
             let count = dec.u64()?;
             if count > u32::MAX as u64 {
                 return Err(WireError::Malformed("op count out of range"));
             }
-            if unsorted.is_none() && op_counts.rids.last().is_some_and(|&last| rid <= last) {
-                unsorted = Some(op_counts.rids.iter().copied().collect());
-            }
-            if unsorted.as_mut().is_some_and(|seen| !seen.insert(rid)) {
-                return Err(WireError::Malformed("duplicate rid in op counts"));
+            if op_counts.rids.last().is_some_and(|&last| rid <= last) {
+                return Err(WireError::Malformed("op counts out of requestID order"));
             }
             op_counts.rids.push(rid);
             op_counts.counts.push(count as u32);
-        }
-        if unsorted.is_some() {
-            op_counts = op_counts.into_iter().collect();
         }
         op_counts.rids.shrink_to_fit();
         op_counts.counts.shrink_to_fit();
@@ -236,20 +228,6 @@ impl FromIterator<(RequestId, u32)> for OpCounts {
     }
 }
 
-impl IntoIterator for OpCounts {
-    type Item = (RequestId, u32);
-    type IntoIter = std::iter::Zip<std::vec::IntoIter<RequestId>, std::vec::IntoIter<u32>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.rids.into_iter().zip(self.counts)
-    }
-}
-
-impl Extend<(RequestId, u32)> for OpCounts {
-    fn extend<I: IntoIterator<Item = (RequestId, u32)>>(&mut self, pairs: I) {
-        *self = std::mem::take(self).into_iter().chain(pairs).collect();
-    }
-}
-
 /// Spills `reports` into `writer`'s directory as the [`REPORTS_BLOB`]
 /// checksummed blob: the bundle's wire bytes.
 pub fn spill_reports(writer: &mut TraceStoreWriter, reports: &Reports) -> std::io::Result<()> {
@@ -311,5 +289,31 @@ mod tests {
         let r = sample();
         assert!(r.wire_size() > r.nondet_wire_size());
         assert_eq!(r.total_ops(), 1);
+    }
+
+    /// A bundle whose `M` lists `rids` in the order given.
+    fn counts_blob(rids: &[u64]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.u64(0);
+        OpLogs::new().encode(&mut enc);
+        enc.u64(rids.len() as u64);
+        for &rid in rids {
+            RequestId(rid).encode(&mut enc);
+            enc.u64(1);
+        }
+        NondetLog::new().encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn op_counts_decode_only_in_increasing_order() {
+        let decoded = Reports::from_wire_bytes(&counts_blob(&[1, 2, 5])).unwrap();
+        assert_eq!(decoded.op_count(RequestId(5)), 1);
+        for rids in [&[2, 1][..], &[1, 3, 3]] {
+            assert_eq!(
+                Reports::from_wire_bytes(&counts_blob(rids)),
+                Err(WireError::Malformed("op counts out of requestID order"))
+            );
+        }
     }
 }

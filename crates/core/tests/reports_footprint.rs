@@ -1,12 +1,13 @@
 //! Decoded op logs take a small multiple of their wire bytes.
 //!
-//! A log entry is stored as a fixed 16-byte record over operand tables
-//! the decoder fills in one pass, so the live heap a decoded bundle
-//! holds is bounded by a constant times its wire bytes: for the four
-//! apps' served bundles, and for a hostile blob of the smallest entries
-//! the format has. Live heap bytes are counted at the allocator seam
-//! ([`TrackingAllocator`]), so the test is exact and has the process to
-//! itself: this file holds one test.
+//! A log entry is stored as a fixed 12-byte record (its size is held to
+//! at most 16 below) over operand tables the decoder fills in one pass,
+//! so the live heap a decoded bundle holds is bounded by a constant
+//! times its wire bytes: for the four apps' served bundles, and for a
+//! hostile blob of the smallest entries the format has. Live heap bytes
+//! are counted at the allocator seam ([`TrackingAllocator`]), so the
+//! test is exact and has the process to itself: this file holds one
+//! test.
 
 use orochi_common::codec::{Encoder, Wire};
 use orochi_common::ids::{OpNum, RequestId};

@@ -7,17 +7,13 @@
 //! one binary search — exactly the requirement stated in §A.7. The view
 //! borrows the log: a write is stored as its value's index in the log's
 //! operand tables, so building it copies no value and a read hands out
-//! the logged bytes. Writes are filed by their key's text index, which
-//! names one text per index, so the build hashes each distinct key once
-//! rather than every `KvSet`.
+//! the logged bytes. Writes are grouped by their key's text index,
+//! which names one text per index: the build sorts the log's own writes
+//! and hashes each distinct key once rather than every `KvSet`.
 
 use crate::oplog::{OpLog, OperandTables};
 use orochi_common::ids::SeqNum;
 use std::collections::HashMap;
-
-/// `(seq, value index)` pairs in increasing seq order; a delete's value
-/// index reads as no value.
-type VersionList = Vec<(u32, u32)>;
 
 /// Versioned view over one key-value object's operation log.
 ///
@@ -48,10 +44,12 @@ type VersionList = Vec<(u32, u32)>;
 pub struct VersionedKv<'a> {
     /// The tables the versions index.
     tables: &'a OperandTables,
-    /// Per key ever written: its write history's position.
-    keys: HashMap<&'a str, u32>,
-    /// Per key, in order of first write: the ordered write history.
-    versions: Vec<VersionList>,
+    /// Per key ever written: its writes' range in `versions`.
+    keys: HashMap<&'a str, (u32, u32)>,
+    /// Every write as `(seq, value index)`, grouped by key and in
+    /// increasing seq order within a key; a delete's value index reads
+    /// as no value.
+    versions: Vec<(u32, u32)>,
 }
 
 // Every read path (`get`, `has_write_before`, `num_keys`, ...) takes
@@ -61,9 +59,6 @@ const _: fn() = || {
     fn shareable<T: Send + Sync>() {}
     shareable::<VersionedKv<'static>>();
 };
-
-/// A key index with no write history yet.
-const UNWRITTEN: u32 = u32::MAX;
 
 impl<'a> VersionedKv<'a> {
     /// Builds the versioned map from all `KvSet` operations in `log`
@@ -75,23 +70,27 @@ impl<'a> VersionedKv<'a> {
     /// the audit.
     pub fn build(log: &'a OpLog) -> Self {
         let tables = &**log.tables();
-        let mut history = vec![UNWRITTEN; tables.num_texts()];
+        // `(key index, seq, value index)` per write. Sorting groups the
+        // writes by key, in seq order within a key, in time and space of
+        // this log's writes alone, whatever the size of the shared tables.
+        let mut writes: Vec<(u32, u32, u32)> = (log.packed().iter().enumerate())
+            .filter_map(|(j, e)| {
+                tables
+                    .kv_set(e)
+                    .map(|(key, value)| (key, j as u32 + 1, value))
+            })
+            .collect();
+        writes.sort_unstable();
         let mut keys = HashMap::new();
-        let mut versions: Vec<VersionList> = Vec::new();
-        for (j, entry) in log.packed().iter().enumerate() {
-            let Some((key, value)) = tables.kv_set(entry) else {
-                continue;
-            };
-            let h = &mut history[key as usize];
-            if *h == UNWRITTEN {
-                *h = versions.len() as u32;
-                keys.insert(tables.text(key), *h);
-                versions.push(Vec::new());
-            }
-            // Log iteration is in increasing seq order, so each history
-            // is already sorted.
-            versions[*h as usize].push((j as u32 + 1, value));
+        let mut start = 0;
+        for run in writes.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + run.len() as u32;
+            keys.insert(tables.text(run[0].0), (start, end));
+            start = end;
         }
+        let versions = (writes.into_iter())
+            .map(|(_, seq, value)| (seq, value))
+            .collect();
         Self {
             tables,
             keys,
@@ -99,8 +98,9 @@ impl<'a> VersionedKv<'a> {
         }
     }
 
-    fn history(&self, key: &str) -> Option<&VersionList> {
-        self.keys.get(key).map(|&h| &self.versions[h as usize])
+    fn history(&self, key: &str) -> Option<&[(u32, u32)]> {
+        let &(start, end) = self.keys.get(key)?;
+        Some(&self.versions[start as usize..end as usize])
     }
 
     /// Returns the value the key held just before log position `s`: the
@@ -129,12 +129,12 @@ impl<'a> VersionedKv<'a> {
 
     /// Number of distinct keys ever written.
     pub fn num_keys(&self) -> usize {
-        self.versions.len()
+        self.keys.len()
     }
 
     /// Total number of stored versions (the audit-time space cost).
     pub fn num_versions(&self) -> usize {
-        self.versions.iter().map(Vec::len).sum()
+        self.versions.len()
     }
 
     /// The final value of every key after the whole log — the "latest
@@ -143,8 +143,8 @@ impl<'a> VersionedKv<'a> {
         let mut out: Vec<(String, Vec<u8>)> = self
             .keys
             .iter()
-            .filter_map(|(k, &h)| {
-                let last = self.versions[h as usize].last()?;
+            .filter_map(|(k, &(_, end))| {
+                let last = self.versions[end as usize - 1];
                 self.tables
                     .value(last.1)
                     .map(|v| (k.to_string(), v.to_vec()))
